@@ -501,6 +501,14 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _lock_line(cluster) -> str:
+    """Lock waits and what the deadlock detector did about them."""
+    locks = cluster.lock_stats
+    return (f"locks: {locks.waits} waits, {locks.deadlocks} deadlocks, "
+            f"{locks.cycle_searches} cycle searches, "
+            f"{locks.edge_refreshes} edge refreshes")
+
+
 def _cmd_run(args) -> int:
     params = SCENARIOS[args.scenario].scaled(args.scale)
     workload = generate_workload(params, seed=args.seed)
@@ -522,6 +530,7 @@ def _cmd_run(args) -> int:
               f"{stats.total_bytes} bytes"
               + (f", {len(cluster.network.delivered_log)} frames crossed "
                  f"real sockets" if args.transport == "tcp" else ""))
+        print(_lock_line(cluster))
         if args.out:
             _write_json(run.summary(), args.out)
             print(f"\nwrote {args.out}")
@@ -740,6 +749,7 @@ def _cmd_load(args) -> int:
         print(f"migrations: {snapshot['migrations']}, forwarded "
               f"requests: {snapshot['forwarded_requests']} "
               f"(considered {snapshot['considered']})")
+    print(_lock_line(cluster))
     result = ExperimentResult(
         experiment=f"per-shard SLO — {args.scenario} ({policy})",
         x_label="shard",

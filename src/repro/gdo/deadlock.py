@@ -4,8 +4,9 @@ Two-phase locking across competing families can deadlock (family A
 holds O1 and waits for O2; family B holds O2 and waits for O1).  The
 paper does not address this; we add the standard database solution:
 maintain a waits-for graph at family granularity, check for a cycle on
-every new wait edge, and abort the *youngest* family in the cycle (the
-one whose root has the highest serial — it has done the least work).
+every new wait edge, and abort the *youngest* blocked family in the
+cycle (the one whose root has the highest serial — it has done the
+least work).
 
 Nodes of the graph are root serials.  Edges are derived per directory
 entry and keyed by *conflict*, not by mere co-presence: each waiting
@@ -13,39 +14,57 @@ family's edge set is exactly the holder/retainer families whose modes
 its head request conflicts with
 (:meth:`repro.gdo.entry.DirectoryEntry.waits_for_edges`), so two
 semantically commuting holders never contribute a spurious cycle.
-Edges are refreshed whenever an entry's holder set or waiter set
-changes, so ownership handoffs never leave stale edges.
+Edges are refreshed at every global grant, release and withdrawal, so
+ownership handoffs leave no stale edges; the two purely local pump
+sites (pre-commit, non-freeing sub-abort) do not refresh, so a waiter
+they admit keeps its recorded edge until the entry's next refresh.
+
+Detection is incremental.  The lock manager leaves no cycle reachable
+from a blocked family, so a new one needs an *added* edge and is
+reachable from that edge's source: :meth:`DeadlockDetector.update_entry`
+marks the families that gained a blocker, and only they are searched
+from (:meth:`DeadlockDetector.cycle_appeared`).  Removing an edge cannot
+create a cycle, so no-cycle certificates outlive removals.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set
+from types import SimpleNamespace
+from typing import (
+    Container, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set,
+)
 
+from repro.util.errors import ProtocolError
 from repro.util.ids import ObjectId
+
+_NO_WAITS: Dict[int, FrozenSet[int]] = {}
+_NOBODY: FrozenSet[int] = frozenset()
 
 
 class DeadlockDetector:
     """Family-granularity waits-for graph with cycle search."""
 
     def __init__(self) -> None:
+        #: Where the work is counted: any object with integer
+        #: ``cycle_searches`` and ``edge_refreshes`` (the lock manager
+        #: puts its ``LockStats`` here).
+        self.stats = SimpleNamespace(cycle_searches=0, edge_refreshes=0)
         # entry -> {waiting family root -> blocking family roots}
         self._entry_waits: Dict[ObjectId, Dict[int, FrozenSet[int]]] = {}
-        # Lazily materialized adjacency, shared by every find_cycle
-        # call until the next entry refresh.  The deadlock check runs
-        # once per *blocked family* per edge change; without the cache
-        # each of those checks rebuilt the full adjacency from every
-        # entry's contribution — the single hottest cost in the whole
-        # engine under contended workloads.
-        self._adjacency: Optional[Dict[int, Set[int]]] = None
-        # Per-adjacency-generation memos: families proven cycle-free
-        # (a completed DFS that found nothing certifies every node it
-        # visited — no cycle is reachable from any of them until an
-        # edge changes), and sorted neighbor lists (DFS visits
-        # neighbors in sorted order for determinism; sorting once per
-        # node per generation keeps that order without re-sorting on
-        # every visit).
+        # waiter -> {blocker -> number of entries recording that edge}.
+        # A family is normally queued on one entry; the count keeps
+        # the union right when a stale edge on a second entry (pumped
+        # without a refresh) overlaps it.
+        self._edge_counts: Dict[int, Dict[int, int]] = {}
+        # The live adjacency: waiter -> its blockers in sorted order
+        # (the DFS visits neighbors in that order for determinism).
+        self._targets: Dict[int, List[int]] = {}
+        # Families proven cycle-free: a DFS that backs out of a node
+        # has seen everything reachable from it.  Sound until an edge
+        # is *added* anywhere.
         self._cycle_free: Set[int] = set()
-        self._sorted_targets: Dict[int, List[int]] = {}
+        # Families a new cycle could be reachable from.
+        self._marked: Set[int] = set()
 
     def update_entry(self, object_id: ObjectId,
                      edges: Mapping[int, FrozenSet[int]]) -> None:
@@ -53,22 +72,42 @@ class DeadlockDetector:
 
         ``edges`` maps each waiting family root to the roots actually
         blocking it on this entry (conflict-keyed, self-edges pruned
-        here).  Waiters with no blockers contribute nothing."""
-        pruned = {
-            waiter: frozenset(blocking) - {waiter}
-            for waiter, blocking in edges.items()
-            if frozenset(blocking) - {waiter}
-        }
-        if not pruned:
-            if self._entry_waits.pop(object_id, None) is not None:
-                self._adjacency = None
+        here).  Waiters with no blockers contribute nothing; an
+        unchanged map is a no-op."""
+        old = self._entry_waits.get(object_id, _NO_WAITS)
+        new: Dict[int, FrozenSet[int]] = {}
+        for waiter, blocking in edges.items():
+            blocking = frozenset(blocking) - {waiter}
+            if blocking:
+                new[waiter] = blocking
+        if new == old:
             return
-        self._entry_waits[object_id] = pruned
-        self._adjacency = None
-
-    def clear_entry(self, object_id: ObjectId) -> None:
-        if self._entry_waits.pop(object_id, None) is not None:
-            self._adjacency = None
+        self.stats.edge_refreshes += 1
+        if new:
+            self._entry_waits[object_id] = new
+        else:
+            del self._entry_waits[object_id]
+        edge_added = False
+        for waiter in old.keys() | new.keys():
+            was, now = old.get(waiter, _NOBODY), new.get(waiter, _NOBODY)
+            if was == now:
+                continue
+            counts = self._edge_counts.setdefault(waiter, {})
+            for blocker in was - now:
+                counts[blocker] -= 1
+                if not counts[blocker]:
+                    del counts[blocker]
+            for blocker in now - was:
+                counts[blocker] = counts.get(blocker, 0) + 1
+                if counts[blocker] == 1:
+                    edge_added = True
+                    self._marked.add(waiter)
+            if counts:
+                self._targets[waiter] = sorted(counts)
+            else:
+                del self._edge_counts[waiter], self._targets[waiter]
+        if edge_added:
+            self._cycle_free.clear()
 
     def drop_family(self, root: int) -> None:
         """Remove one family from every edge (crash-aborted families).
@@ -90,78 +129,81 @@ class DeadlockDetector:
                 if waiter != root
             })
 
-    def edges(self) -> Dict[int, Set[int]]:
-        """Materialized adjacency: family -> families it waits for.
+    def has_entry(self, object_id: ObjectId) -> bool:
+        """Does this entry currently contribute any edge?"""
+        return object_id in self._entry_waits
 
-        Cached between entry refreshes; callers must treat the result
-        as read-only (mutating it would corrupt the cache).
-        """
-        adjacency = self._adjacency
-        if adjacency is None:
-            adjacency = {}
-            for entry_edges in self._entry_waits.values():
-                for waiter, blocking in entry_edges.items():
-                    targets = adjacency.get(waiter)
-                    if targets is None:
-                        targets = adjacency[waiter] = set()
-                    targets.update(blocking)
-            self._adjacency = adjacency
-            self._cycle_free.clear()
-            self._sorted_targets.clear()
-        return adjacency
+    def edges(self) -> Dict[int, Set[int]]:
+        """Snapshot of the adjacency: family -> families it waits for."""
+        return {waiter: set(targets)
+                for waiter, targets in self._targets.items()}
+
+    def mark(self, root: int) -> None:
+        """Search from ``root`` at the next check even if it gains no
+        edge: a family that blocks again may still own a stale one."""
+        self._marked.add(root)
+
+    def cycle_appeared(self) -> bool:
+        """Is a cycle reachable from a family marked since the last
+        call?  Clears the marks."""
+        if not self._marked:
+            return False
+        marked, self._marked = self._marked, set()
+        return self.first_cycle(marked) is not None
+
+    def first_cycle(self, starts: Iterable[int]) -> Optional[List[int]]:
+        """:meth:`find_cycle` from each start in turn until one hits."""
+        for start in starts:
+            # find_cycle's own early exit, spared the call: a sweep
+            # passes every blocked family, most of them certified.
+            if start in self._targets and start not in self._cycle_free:
+                cycle = self.find_cycle(start)
+                if cycle is not None:
+                    return cycle
+        return None
 
     def find_cycle(self, start: int) -> Optional[List[int]]:
         """Return a cycle reachable from ``start``, or None.
 
         DFS in sorted-neighbor order (deterministic).  Nodes certified
-        cycle-free by an earlier completed search on the same adjacency
-        generation are pruned: no cycle is reachable from them, and no
+        cycle-free are pruned: no cycle is reachable from them, and no
         cycle through the *current* path can route via them either (it
         would be a cycle reachable from them — contradiction), so
         pruning cannot change which cycle is found.
         """
-        adjacency = self.edges()
-        if start not in adjacency or start in self._cycle_free:
+        targets = self._targets
+        cycle_free = self._cycle_free
+        if start not in targets or start in cycle_free:
             return None
-        sorted_targets = self._sorted_targets
-        path: List[int] = []
-        on_path: Set[int] = set()
-        visited: Set[int] = set(self._cycle_free)
-
-        def dfs(node: int) -> Optional[List[int]]:
-            visited.add(node)
-            path.append(node)
-            on_path.add(node)
-            targets = sorted_targets.get(node)
-            if targets is None:
-                targets = sorted_targets[node] = sorted(
-                    adjacency.get(node, ())
-                )
-            for target in targets:
+        self.stats.cycle_searches += 1
+        path = [start]
+        on_path = {start}
+        pending = [iter(targets[start])]  # per path node: targets to try
+        while pending:
+            for target in pending[-1]:
                 if target in on_path:
-                    cycle_start = path.index(target)
-                    return path[cycle_start:]
-                if target not in visited:
-                    found = dfs(target)
-                    if found is not None:
-                        return found
-            path.pop()
-            on_path.discard(node)
-            return None
+                    return path[path.index(target):]
+                # A family waiting for nobody ends every path.
+                if target in targets and target not in cycle_free:
+                    path.append(target)
+                    on_path.add(target)
+                    pending.append(iter(targets[target]))
+                    break
+            else:
+                # Backing out: nothing reachable from this node cycles.
+                pending.pop()
+                node = path.pop()
+                on_path.discard(node)
+                cycle_free.add(node)
+        return None
 
-        found = dfs(start)
-        if found is None:
-            # Every node this completed search visited is cycle-free
-            # until the next edge refresh invalidates the generation.
-            self._cycle_free.update(visited)
-        return found
-
-    def pick_victim(self, cycle: List[int]) -> int:
-        """Youngest family = highest root serial = least work lost."""
-        return max(cycle)
-
-    def waiting_families(self) -> FrozenSet[int]:
-        waiting: Set[int] = set()
-        for entry_edges in self._entry_waits.values():
-            waiting.update(entry_edges)
-        return frozenset(waiting)
+    def pick_victim(self, cycle: List[int], blocked: Container[int]) -> int:
+        """Youngest blocked family = highest root serial = least work
+        lost.  A running family cannot be preempted mid-method, so only
+        the members of ``blocked`` are candidates."""
+        candidates = [root for root in cycle if root in blocked]
+        if not candidates:
+            raise ProtocolError(
+                f"deadlock cycle {cycle} with no blocked family"
+            )
+        return max(candidates)

@@ -76,9 +76,13 @@ class Directory:
         return dict(self._entries)
 
     def refresh_deadlock_edges(self, object_id: ObjectId) -> None:
-        """Re-derive this entry's contribution to the waits-for graph."""
+        """Re-derive this entry's contribution to the waits-for graph.
+
+        Nothing queued and nothing recorded (most refreshes outside a
+        contended burst) means nothing to derive."""
         entry = self.entry(object_id)
-        self.deadlock.update_entry(object_id, entry.waits_for_edges())
+        if entry.waiting_families or self.deadlock.has_entry(object_id):
+            self.deadlock.update_entry(object_id, entry.waits_for_edges())
 
     def __len__(self) -> int:
         return len(self._entries)

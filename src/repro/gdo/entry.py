@@ -186,6 +186,8 @@ class DirectoryEntry:
         their edge (a plain waiter queued behind the entry is blocked
         by the entry's whole membership, exactly the pre-semantic
         behaviour)."""
+        if not self.waiting_families:
+            return {}
         modes_by_root: Dict[int, List[LockMode]] = {}
         for txn_id, mode in self.holders.items():
             modes_by_root.setdefault(txn_id.root, []).append(mode)

@@ -95,8 +95,13 @@ class Event:
         state = "pending"
         if self.triggered:
             state = "ok" if self._ok else "failed"
-        label = self.name or self.__class__.__name__
-        return f"<{label} {state}>"
+        return f"<{self.name or self._label()} {state}>"
+
+    def _label(self) -> str:
+        """Debug label of an unnamed event, built only when asked for:
+        hot paths (lock waits, timeouts) store fields, not strings."""
+        return (",".join(f"{key}={value}" for key, value in self.hints.items())
+                or self.__class__.__name__)
 
 
 class Timeout(Event):
@@ -105,10 +110,14 @@ class Timeout(Event):
     def __init__(self, env, delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
-        super().__init__(env, name=f"Timeout({delay})")
+        super().__init__(env)
+        self.delay = delay
         self._value = value
         self._ok = True
         env._schedule_event(self, delay=delay)
+
+    def _label(self) -> str:
+        return f"Timeout({self.delay})"
 
     def succeed(self, value: Any = None) -> "Event":
         raise ProtocolError("Timeout triggers itself; do not call succeed()")

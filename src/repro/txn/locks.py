@@ -57,6 +57,10 @@ class LockStats:
     prefetch_granted: int = 0
     prefetch_denied: int = 0
     lock_timeouts: int = 0
+    #: The deadlock detector's work, counted by the detector itself:
+    #: DFS runs started, and entry refreshes that changed the graph.
+    cycle_searches: int = 0
+    edge_refreshes: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         return {
@@ -68,6 +72,8 @@ class LockStats:
             "prefetch_granted": self.prefetch_granted,
             "prefetch_denied": self.prefetch_denied,
             "lock_timeouts": self.lock_timeouts,
+            "cycle_searches": self.cycle_searches,
+            "edge_refreshes": self.edge_refreshes,
         }
 
 
@@ -117,6 +123,9 @@ class LockManager:
         # second concurrent migration of the same entry.
         self._migrating: Set[ObjectId] = set()
         self.stats = LockStats()
+        # The detector counts its searches and refreshes where it does
+        # them, into the same record.
+        directory.deadlock.stats = self.stats
         # At most one blocked transaction per (sequential) family.
         self._blocked: Dict[int, _BlockedFamily] = {}
         # Root serials of families killed by a node crash.  In-flight
@@ -427,7 +436,7 @@ class LockManager:
               local: bool):
         """Block until granted; raises DeadlockError if chosen as victim."""
         self.stats.waits += 1
-        wake = self.env.event(name=f"lockwait:{entry.object_id!r}")
+        wake = self.env.event()
         # Scheduling hints for same-instant tie-break policies
         # (repro.sim.tiebreak): which family/node/mode this wake admits.
         wake.hints = {
@@ -452,6 +461,7 @@ class LockManager:
         self._blocked[root] = _BlockedFamily(
             object_id=entry.object_id, waiter=waiter, txn=txn
         )
+        self.directory.deadlock.mark(root)
         self.directory.refresh_deadlock_edges(entry.object_id)
         self._detect_deadlocks()
         token = self.tracer.lock_wait_begin(
@@ -515,40 +525,35 @@ class LockManager:
         raise LockTimeoutError(waiter.txn_id, entry.object_id, waited)
 
     def _detect_deadlocks(self) -> None:
-        """Search for cycles from every blocked family; abort victims.
+        """Abort a victim per cycle reachable from a blocked family.
 
         Cycles can appear not only when a family enqueues but also when
         a *grant* changes an entry's blocker set (reader preference can
         admit family B onto a lock family A already waits for), so this
-        runs after every edge refresh.  Victim removal changes the
-        graph; loop until no cycle remains.
+        runs after every edge refresh.  It leaves no such cycle behind,
+        so the next one is reachable from a family the detector marked
+        since (it gained a blocker, or just blocked); when none of
+        those reaches a cycle there is nothing to do.  When one does,
+        the victim's cycle is the first one found from the blocked
+        families in serial order — which cycle dies is part of the
+        schedule — and victim removal changes the graph, so sweep
+        until no cycle remains.
         """
-        progress = True
-        while progress:
-            progress = False
-            for start_root in sorted(self._blocked):
-                cycle = self.directory.deadlock.find_cycle(start_root)
-                if cycle is None:
-                    continue
-                self._abort_victim(cycle)
-                progress = True
-                break
+        detector = self.directory.deadlock
+        if not detector.cycle_appeared():
+            return
+        while True:
+            cycle = detector.first_cycle(sorted(self._blocked))
+            if cycle is None:
+                return
+            self._abort_victim(cycle)
 
     def _abort_victim(self, cycle) -> None:
-        victim_root = self.directory.deadlock.pick_victim(cycle)
-        blocked = self._blocked.get(victim_root)
-        if blocked is None:
-            # The victim family is running (not blocked): it cannot be
-            # preempted mid-method; abort the youngest *blocked* family
-            # in the cycle instead.
-            blocked_roots = [r for r in cycle if r in self._blocked]
-            if not blocked_roots:
-                raise ProtocolError(f"deadlock cycle {cycle} with no blocked family")
-            victim_root = max(blocked_roots)
-            blocked = self._blocked[victim_root]
+        victim_root = self.directory.deadlock.pick_victim(cycle,
+                                                          self._blocked)
         self.stats.deadlocks += 1
         self.tracer.deadlock(victim_root, cycle)
-        self._blocked.pop(victim_root, None)
+        blocked = self._blocked.pop(victim_root)
         entry = self.directory.entry(blocked.object_id)
         entry.remove_waiter(blocked.txn.id)
         self.directory.refresh_deadlock_edges(blocked.object_id)

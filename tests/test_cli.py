@@ -104,7 +104,7 @@ class TestVersion:
             from importlib.metadata import version
             expected = version("repro")
         except Exception:
-            expected = "1.2.0"  # source-tree fallback
+            expected = "1.2.1"  # source-tree fallback
         assert repro.__version__ == expected
 
 
@@ -284,6 +284,24 @@ class TestChaos:
         assert len(err_lines) == 1
         assert err_lines[0].startswith("error: ")
         assert "Traceback" not in captured.err
+
+
+class TestRun:
+    def test_run_reports_the_detectors_work(self, tmp_path, capsys):
+        # Searches per deadlock must be readable from a run's own
+        # summary, on stdout and in the --out JSON, with no profiler.
+        target = tmp_path / "run.json"
+        code = main(["run", "medium-high", "--scale", "0.3", "--seed", "11",
+                     "--out", str(target)])
+        assert code == 0
+        locks = json.loads(target.read_text())["locks"]
+        assert locks["deadlocks"] > 0
+        assert locks["cycle_searches"] >= locks["deadlocks"]
+        assert 0 < locks["edge_refreshes"]
+        assert (f"{locks['deadlocks']} deadlocks, "
+                f"{locks['cycle_searches']} cycle searches, "
+                f"{locks['edge_refreshes']} edge refreshes"
+                ) in capsys.readouterr().out
 
 
 class TestMainModule:

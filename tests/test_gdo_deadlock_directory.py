@@ -61,17 +61,38 @@ class TestDeadlockDetector:
     def test_clear_entry(self):
         detector = DeadlockDetector()
         detector.update_entry(O0, _edges(frozenset({1}), frozenset({2})))
-        detector.clear_entry(O0)
+        detector.update_entry(O0, {})
         assert detector.edges() == {}
+        assert not detector.has_entry(O0)
 
     def test_victim_is_youngest(self):
         detector = DeadlockDetector()
-        assert detector.pick_victim([5, 9, 2]) == 9
+        assert detector.pick_victim([5, 9, 2], blocked={5, 9, 2}) == 9
+
+    def test_victim_is_youngest_blocked_when_youngest_runs(self):
+        # Family 9 is running (it cannot be preempted mid-method): the
+        # youngest *blocked* member of the cycle dies instead.
+        detector = DeadlockDetector()
+        assert detector.pick_victim([5, 9, 2], blocked={2, 5, 7}) == 5
+
+    def test_cycle_with_no_blocked_family_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError):
+            DeadlockDetector().pick_victim([5, 9, 2], blocked={7})
 
     def test_waiting_families_view(self):
         detector = DeadlockDetector()
         detector.update_entry(O0, _edges(frozenset({1, 3}), frozenset({2})))
-        assert detector.waiting_families() == frozenset({1, 3})
+        assert set(detector.edges()) == {1, 3}
+
+    def test_edges_is_a_snapshot(self):
+        detector = DeadlockDetector()
+        detector.update_entry(O0, _edges(frozenset({1}), frozenset({2})))
+        detector.update_entry(O1, _edges(frozenset({2}), frozenset({1})))
+        snapshot = detector.edges()
+        snapshot[1].clear()
+        del snapshot[2]
+        assert detector.edges() == {1: {2}, 2: {1}}
+        assert set(detector.find_cycle(1)) == {1, 2}
 
     def test_multi_waiter_multi_blocker_edges(self):
         detector = DeadlockDetector()
@@ -117,7 +138,6 @@ class TestDeadlockDetector:
         detector = DeadlockDetector()
         detector.update_entry(O0, {1: frozenset(), 2: frozenset({3})})
         assert detector.edges() == {2: {3}}
-        assert detector.waiting_families() == frozenset({2})
 
     def test_pick_victim_is_stable_under_rotation(self):
         # The victim is a function of the cycle's membership, not of
@@ -125,7 +145,8 @@ class TestDeadlockDetector:
         detector = DeadlockDetector()
         cycle = [4, 7, 2]
         rotations = [cycle[i:] + cycle[:i] for i in range(len(cycle))]
-        assert {detector.pick_victim(rot) for rot in rotations} == {7}
+        assert {detector.pick_victim(rot, blocked=set(cycle))
+                for rot in rotations} == {7}
 
     def test_drop_family_clears_crash_aborted_edges(self):
         detector = DeadlockDetector()
@@ -136,7 +157,6 @@ class TestDeadlockDetector:
         detector.drop_family(2)
         assert detector.find_cycle(1) is None
         assert 2 not in detector.edges()
-        assert 2 not in detector.waiting_families()
 
     def test_drop_family_keeps_unrelated_edges(self):
         detector = DeadlockDetector()
@@ -147,13 +167,13 @@ class TestDeadlockDetector:
         assert 5 not in edges
 
     def test_clear_entry_after_crash_release(self):
-        # crash_release frees a dead family's entries; clearing the
-        # entry must remove its contributed edges even if drop_family
-        # was never called for the survivors.
+        # crash_release frees a dead family's entries; the refresh of
+        # the emptied entry must remove its contributed edges even if
+        # drop_family was never called for the survivors.
         detector = DeadlockDetector()
         detector.update_entry(O0, _edges(frozenset({1}), frozenset({2})))
         detector.update_entry(O1, _edges(frozenset({3}), frozenset({4})))
-        detector.clear_entry(O0)
+        detector.update_entry(O0, {})
         assert detector.find_cycle(1) is None
         assert detector.edges() == {3: {4}}
 

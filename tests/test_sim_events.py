@@ -82,6 +82,17 @@ class TestEvent:
         failed.fail(ValueError())
         assert "failed" in repr(failed)
 
+    def test_repr_labels_are_built_on_demand(self, env):
+        # Hot paths store fields, not formatted names: the label is
+        # assembled by __repr__ alone.
+        assert repr(env.event()) == "<Event pending>"
+        timeout = env.timeout(2.5)
+        assert timeout.name == ""
+        assert repr(timeout) == "<Timeout(2.5) ok>"
+        wake = env.event()
+        wake.hints = {"kind": "lockwait", "object": 3, "root": 7}
+        assert repr(wake) == "<kind=lockwait,object=3,root=7 pending>"
+
 
 class TestTimeout:
     def test_fires_at_delay(self, env):
