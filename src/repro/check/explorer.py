@@ -22,6 +22,7 @@ from typing import List, Optional, Tuple
 
 from repro.check.events import Violation, event_dicts
 from repro.check.invariants import run_invariants
+from repro.check.mutations import install_mutations, require_known
 from repro.check.reference import check_reference_model
 from repro.faults.plan import FAULT_PRESETS
 from repro.gdo.migration import MigrationConfig
@@ -56,7 +57,10 @@ class FuzzTask:
     nodes: int = 4
     migration: bool = False           # adaptive GDO home migration
     semantic: bool = False            # commutativity-based lock modes
-    mutate: Tuple[str, ...] = ()      # test-only LockManager mutations
+    mutate: Tuple[str, ...] = ()      # repro.check.mutations names
+
+    def __post_init__(self) -> None:
+        require_known(self.mutate)
 
     def describe(self) -> str:
         parts = [
@@ -137,8 +141,7 @@ def run_task(task: FuzzTask, keep_trace: bool = False) -> FuzzReport:
     params = SCENARIOS[task.scenario].scaled(task.scale)
     workload = generate_workload(params, seed=task.seed)
     cluster = Cluster(config)
-    if task.mutate:
-        cluster.lockmgr.test_mutations = frozenset(task.mutate)
+    install_mutations(cluster, task.mutate)
     try:
         run = run_workload(cluster, workload)
         report.committed = run.committed

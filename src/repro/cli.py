@@ -295,8 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="report failing tasks as-is, without shrinking")
     fuzz.add_argument(
         "--mutate", default="", metavar="CSV",
-        help="(testing the checkers) comma-separated LockManager "
-             "mutations to inject, e.g. skip-precommit-retention",
+        help="(testing the checkers) comma-separated "
+             "repro.check.mutations names to install, e.g. "
+             "skip-precommit-retention; an unknown name is an error",
     )
     fuzz.add_argument("--quiet", action="store_true",
                       help="suppress the per-task progress lines")

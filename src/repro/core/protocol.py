@@ -28,7 +28,7 @@ from repro.core.transfer import (
     gather_many,
     gather_pages,
 )
-from repro.net.network import Network
+from repro.net.transport import Transport
 from repro.net.sizes import SizeModel
 from repro.objects.registry import ObjectMeta
 from repro.obs.tracer import NULL_TRACER
@@ -50,7 +50,7 @@ class ConsistencyProtocol:
 
     name = "abstract"
 
-    def __init__(self, env, network: Network, sizes: SizeModel,
+    def __init__(self, env, network: Transport, sizes: SizeModel,
                  stores: Dict[NodeId, object], grain: str = PAGE_GRAIN,
                  tracer=None, batch_transfers: bool = True):
         self.env = env

@@ -18,7 +18,7 @@ Two refinements on top of the paper's algorithm:
 
 * **Event-driven completion.**  A gather waits on the *actual*
   delivery events of its ``PAGE_DATA`` responses (chained through
-  :meth:`~repro.net.network.Network.send`), never on an estimated
+  :meth:`~repro.net.transport.Transport.send`), never on an estimated
   round-trip timer.  With fault injection active, retransmissions and
   jitter therefore delay page installation for free — pages cannot be
   installed at a phantom time before their bytes have arrived.
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.net.message import ManifestEntry, Message, MessageCategory
-from repro.net.network import Network
+from repro.net.transport import Transport
 from repro.net.sizes import SizeModel
 from repro.objects.registry import ObjectMeta
 from repro.util.errors import ConfigurationError
@@ -88,13 +88,13 @@ def _plan_sources(page_map, pages: Iterable[int]) -> Dict[NodeId, List[int]]:
     return by_owner
 
 
-def _send_round_trip(env, network: Network, request: Message,
+def _send_round_trip(env, network: Transport, request: Message,
                      response: Message):
     """Event firing when the *real* response delivery lands.
 
     The response departs when the request's delivery event fires and
     the returned event fires when the response's delivery event fires —
-    both straight from :meth:`Network.send`, so injected drops,
+    both straight from :meth:`Transport.send`, so injected drops,
     retransmit turnarounds, and jitter on either leg push the
     completion instant out by exactly the time they consumed.
     """
@@ -109,7 +109,7 @@ def _send_round_trip(env, network: Network, request: Message,
     return done
 
 
-def gather_many(env, network: Network, sizes: SizeModel, stores,
+def gather_many(env, network: Transport, sizes: SizeModel, stores,
                 node: NodeId, targets: Sequence[GatherTarget],
                 grain: str = PAGE_GRAIN, cause: str = "acquire",
                 batch: bool = True) -> Dict[ObjectId, List[int]]:
@@ -237,7 +237,7 @@ def gather_many(env, network: Network, sizes: SizeModel, stores,
     return shipped
 
 
-def gather_pages(env, network: Network, sizes: SizeModel, stores,
+def gather_pages(env, network: Transport, sizes: SizeModel, stores,
                  node: NodeId, meta: ObjectMeta, page_map,
                  pages: Iterable[int], grain: str = PAGE_GRAIN,
                  cause: str = "acquire"):
@@ -257,7 +257,7 @@ def gather_pages(env, network: Network, sizes: SizeModel, stores,
     return shipped[meta.object_id]
 
 
-def demand_fetch(network: Network, sizes: SizeModel, stores,
+def demand_fetch(network: Transport, sizes: SizeModel, stores,
                  node: NodeId, meta: ObjectMeta, page_map,
                  pages: Iterable[int], grain: str = PAGE_GRAIN,
                  is_write: bool = False) -> Tuple[float, List[int]]:

@@ -44,7 +44,7 @@ from repro.faults.plan import (
     PartitionEvent,
     SlowNodeEvent,
 )
-from repro.faults.recovery import SKIP_REJOIN_INVALIDATION, RecoveryManager
+from repro.faults.recovery import RecoveryManager
 from repro.faults.wal import NULL_WAL, NodeWal, NullWalSet, WalSet
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "NO_FAULTS",
     "NULL_INJECTOR",
     "NULL_WAL",
-    "SKIP_REJOIN_INVALIDATION",
     "CrashController",
     "CrashEvent",
     "FaultInjector",

@@ -21,10 +21,10 @@ Two responsibilities, both deterministic functions of ``(plan, time)``:
   against the live directory (stable storage must never be *ahead* of
   the cluster), failed-over homes are reclaimed, and stale holder
   records are reconciled — families that terminated during the window
-  are discarded rather than resurrected.  The
-  ``skip-rejoin-invalidation`` test mutation skips exactly that
-  discard, re-installing ghost retainers that block foreign families
-  forever; the ``invariant.liveness`` checker exists to catch it.
+  are discarded rather than resurrected.  (A resurrected ghost
+  retainer blocks foreign families forever; ``repro.check.mutations``
+  seeds exactly that bug to prove the ``invariant.liveness`` checker
+  catches it.)
 """
 
 from typing import TYPE_CHECKING, Dict, Optional
@@ -36,23 +36,18 @@ from repro.util.ids import NodeId, ObjectId
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.faults.injector import FaultInjector
 
-__all__ = ["RecoveryManager", "SKIP_REJOIN_INVALIDATION"]
-
-#: LockManager.test_mutations key: forget to reconcile stale holder
-#: records on rejoin, resurrecting ghost holders.
-SKIP_REJOIN_INVALIDATION = "skip-rejoin-invalidation"
+__all__ = ["RecoveryManager"]
 
 
 class RecoveryManager:
     """Drives failover and rejoin for one cluster."""
 
     def __init__(self, env, injector: "FaultInjector", directory, cache,
-                 lockmgr, wal, nodes, tracer):
+                 wal, nodes, tracer):
         self.env = env
         self.injector = injector
         self.directory = directory
         self.cache = cache
-        self.lockmgr = lockmgr
         self.wal = wal
         self.nodes = list(nodes)
         self.tracer = tracer
@@ -161,9 +156,7 @@ class RecoveryManager:
         # 3. Holder reconciliation: a recorded holder that is no longer
         # in the live entry terminated (crash abort, commit, release)
         # during the window — it is a ghost and must be discarded, not
-        # resurrected.  The seeded mutation skips the discard to prove
-        # the liveness checker notices the resulting stuck waiters.
-        mutated = SKIP_REJOIN_INVALIDATION in self.lockmgr.test_mutations
+        # resurrected.
         discarded = 0
         for object_id, snapshot in sorted(
             record.holders.items(),
@@ -173,10 +166,7 @@ class RecoveryManager:
             for txn, mode in snapshot:
                 if txn.id in entry.holders or txn.id in entry.retainers:
                     continue  # still live: nothing to reconcile
-                if mutated:
-                    entry._retain(txn, mode)  # ghost resurrection (bug)
-                else:
-                    discarded += 1
+                discarded += 1
         record.holders.clear()
         self.injector.stats.rejoin_discarded_holders += discarded
         self.tracer.node_rejoin(node_index, replayed, reclaimed, discarded)

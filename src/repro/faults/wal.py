@@ -16,8 +16,9 @@ record when the node rejoins: page versions are cross-checked against
 the live directory, failed-over homes are reclaimed, and stale holder
 records are reconciled against the live entry state (families that
 died or released during the window must *not* be resurrected — the
-``skip-rejoin-invalidation`` test mutation deliberately breaks exactly
-this step so the invariant checkers can prove they would catch it).
+``skip-rejoin-invalidation`` mutation in ``repro.check.mutations``
+deliberately breaks exactly this step so the invariant checkers can
+prove they would catch it).
 
 The record is in-memory: the simulation has no real disks, and what
 matters for the protocol argument is the *information flow* — recovery

@@ -4,13 +4,15 @@ The paper models exactly two network knobs (its Figures 6-8 sweep
 both): link bandwidth (10 Mbps, 100 Mbps, 1 Gbps — switched, so no
 collisions) and the per-message *software cost* (startup latency of
 the messaging protocol: 100 us down to 500 ns).  :class:`NetworkConfig`
-captures those knobs; what actually moves the messages is a pluggable
-:class:`Transport`:
+captures those knobs.  What moves the messages is a :class:`Transport`:
+the base class owns the one wire pipeline — fault draw, pricing,
+accounting, tracing, retransmission — and attributes every byte,
+message, and microsecond to a traffic category and (when relevant) a
+shared object, which is what the figure-reproduction benches read.  A
+backend supplies only the wire primitive:
 
-* :class:`SimTransport` (alias :class:`Network`, the default) delivers
-  over the simulation's virtual clock and attributes every byte,
-  message, and microsecond to a traffic category and (when relevant) a
-  shared object — this is what the figure-reproduction benches read.
+* :class:`SimTransport` (the default) delivers over the simulation's
+  virtual clock.
 * :class:`TcpTransport` delivers the same wire messages as
   length-prefixed frames over real localhost TCP sockets (asyncio
   tasks per node, or real OS processes), stamping deliveries with the
@@ -19,14 +21,14 @@ captures those knobs; what actually moves the messages is a pluggable
 Stable public surface
 ---------------------
 ``Message``/``MessageCategory``/``SizeModel`` (the message model),
-``Transport``/``SimTransport``/``TcpTransport``/``Network`` (backends),
+``Transport``/``SimTransport``/``TcpTransport`` (pipeline and backends),
 ``NetworkConfig`` and the bandwidth presets (the cost model), and
 ``NetworkStats``/``ObjectTraffic``/``NodeTraffic`` (accounting).
 Everything else under ``repro.net`` is implementation detail.
 """
 
 from repro.net.message import Message, MessageCategory
-from repro.net.network import Network, SimTransport
+from repro.net.network import SimTransport
 from repro.net.network_config import NetworkConfig
 from repro.net.presets import (
     ETHERNET_10M,
@@ -45,7 +47,6 @@ __all__ = [
     "Transport",
     "SimTransport",
     "TcpTransport",
-    "Network",
     "NetworkConfig",
     "NetworkStats",
     "ObjectTraffic",

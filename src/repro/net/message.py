@@ -162,7 +162,12 @@ def pack_frame(payload: Dict[str, Any]) -> bytes:
 
 def unpack_frame(body: bytes) -> Dict[str, Any]:
     """Inverse of :func:`pack_frame` for one frame *body* (no prefix)."""
-    payload = json.loads(body.decode("utf-8"))
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 and bad JSON are both ValueErrors
+        raise ProtocolError(
+            f"undecodable frame body of {len(body)} bytes: {exc}"
+        ) from None
     if not isinstance(payload, dict):
         raise ProtocolError(f"frame body is not an object: {payload!r}")
     return payload

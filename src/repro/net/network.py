@@ -1,22 +1,18 @@
 """The simulation transport: point-to-point switched network over the
-virtual clock — the default :class:`~repro.net.transport.Transport`."""
+virtual clock — the default :class:`~repro.net.transport.Transport`.
+Fault draws, accounting, tracing and retransmission are the shared
+pipeline of the base class; this backend is only the wire primitive."""
 
 from __future__ import annotations
 
-from repro.faults.injector import NULL_INJECTOR
-from repro.net.message import Message
 from repro.net.network_config import NetworkConfig
-from repro.net.stats import NetworkStats
 from repro.net.transport import Transport
-from repro.obs.tracer import NULL_TRACER
-from repro.sim import Environment, Event
 
-__all__ = ["NetworkConfig", "SimTransport", "Network"]
+__all__ = ["NetworkConfig", "SimTransport"]
 
 
 class SimTransport(Transport):
-    """Delivers messages over the simulation clock and accounts for
-    every one.
+    """Delivers messages over the simulation clock.
 
     The target environment is a *switched* system-area network (the
     paper simulates "switched (i.e. no collisions)" Ethernet), so
@@ -24,153 +20,13 @@ class SimTransport(Transport):
     message as occupying the wire for its transfer time and deliver it
     that much later; per-link queueing is deliberately omitted, exactly
     as in the paper's cost model.
-
-    With a :class:`~repro.faults.injector.FaultInjector` wired in, the
-    network becomes a *fair-loss* channel with a reliable transport on
-    top: an injected drop consumes wire time and is retransmitted
-    after the plan's retransmit timeout, so callers still see exactly
-    one delivery event per ``send`` — faults surface as added latency
-    and extra accounted traffic, never as a hang or a lost grant.
     """
 
-    def __init__(self, env: Environment, config: NetworkConfig, tracer=None,
-                 injector=None):
-        self.env = env
-        self.config = config
-        self.stats = NetworkStats()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.injector = injector if injector is not None else NULL_INJECTOR
-        self._next_wire_id = 0
-
-    def _tag_wire(self, message: Message) -> None:
-        """Assign the message its wire identity (once, on first send).
-
-        Fault draws are keyed by this id, so one wire message — however
-        many logical page sets its manifest coalesces — is exactly one
-        fault unit, with one verdict stream across its attempts.
-        """
-        if message.wire_id is None:
-            message.wire_id = self._next_wire_id
-            self._next_wire_id += 1
-
-    def send(self, message: Message) -> Event:
-        """Send a message; returns an event firing at delivery time.
-
-        Local messages (``src == dst``) model calls into locally cached
-        state: they deliver immediately and are not accounted, matching
-        the paper's local/global split of lock processing (§4.1).
-        """
-        done = self.env.event(name=f"deliver:{message.category.value}")
-        # Scheduling hints for same-instant tie-break policies
-        # (repro.sim.tiebreak): destination node and message category.
-        done.hints = {
-            "kind": "deliver", "category": message.category.value,
-            "node": message.dst.value, "src": message.src.value,
-        }
-        message.send_time = self.env.now
-        if message.is_local:
-            message.deliver_time = self.env.now
-            done.succeed(message)
-            return done
-        self._tag_wire(message)
-        self._transmit(message, done, attempt=0)
-        return done
-
-    def _transmit(self, message: Message, done: Event, attempt: int) -> None:
-        """One wire attempt; re-arms itself after an injected drop.
-
-        Every attempt — including dropped ones and duplicates — is
-        accounted in :class:`NetworkStats` and traced: lost wire time
-        is real wire time, which is exactly the cost model distortion
-        a robustness experiment wants to measure.  ``message.send_time``
-        is *not* touched here: it keeps the first attempt's instant, so
-        ``deliver_time - send_time`` spans every retransmit turnaround.
-        """
-        message.attempts = attempt + 1
-        faults = self.injector.message_faults(message, attempt, self.env.now)
-        transfer_time = (self.config.transfer_time(message.size_bytes)
-                         + faults.extra_delay_s)
-        self.stats.record(message, transfer_time)
-        if self.tracer.enabled:
-            self.tracer.message(message, transfer_time)
-        if faults.duplicated:
-            # The duplicate burns wire time whether or not the primary
-            # copy survives; the receiver discards it on arrival
-            # (delivery events are one-shot by construction).
-            self.stats.record(message, transfer_time)
-            self.tracer.fault_duplicate(message)
-        if faults.extra_delay_s:
-            self.tracer.fault_delay(message, faults.extra_delay_s)
-        if faults.dropped:
-            self.tracer.fault_drop(message, attempt)
-            self.injector.stats.retransmissions += 1
-            self.tracer.fault_retransmit(message, attempt + 1)
-            retry_after = (transfer_time
-                           + self.injector.retransmit_timeout_s(attempt))
-
-            def retransmit(_event, msg=message, target=done,
-                           next_attempt=attempt + 1):
-                self._transmit(msg, target, next_attempt)
-
-            self.env.timeout(retry_after).add_callback(retransmit)
-            return
-        message.deliver_time = self.env.now + transfer_time
-        self.stats.record_attempts(message)
-
-        def deliver(event, msg=message, target=done):
-            target.succeed(msg)
-
-        self.env.timeout(transfer_time).add_callback(deliver)
-
-    def charge(self, message: Message) -> float:
-        """Account a message without creating a delivery event.
-
-        Used by synchronous paths (LOTEC demand fetches fired from
-        inside a running method body) where the *data* moves at once
-        and the *delay* is deferred to the transaction's next
-        suspension point; returns the transfer time to defer.
-
-        Fault injection treats this path as a frozen-clock replay of
-        the ``send`` loop: drops add retransmit turnarounds to the
-        deferred delay and crash windows are ignored (the clock cannot
-        advance to a recovery), bounded by the plan's retransmit limit.
-        """
-        message.send_time = self.env.now
-        if message.is_local:
-            message.deliver_time = self.env.now
-            return 0.0
-        self._tag_wire(message)
-        total_delay = 0.0
-        attempt = 0
-        while True:
-            message.attempts = attempt + 1
-            faults = self.injector.message_faults(
-                message, attempt, self.env.now, synchronous=True)
-            transfer_time = (self.config.transfer_time(message.size_bytes)
-                             + faults.extra_delay_s)
-            self.stats.record(message, transfer_time)
-            if self.tracer.enabled:
-                self.tracer.message(message, transfer_time)
-            if faults.duplicated:
-                # Same rule as the asynchronous path: the duplicate's
-                # wire copy is accounted on every attempt it rides.
-                self.stats.record(message, transfer_time)
-                self.tracer.fault_duplicate(message)
-            if faults.extra_delay_s:
-                self.tracer.fault_delay(message, faults.extra_delay_s)
-            if not faults.dropped:
-                break
-            self.tracer.fault_drop(message, attempt)
-            self.injector.stats.retransmissions += 1
-            self.tracer.fault_retransmit(message, attempt + 1)
-            total_delay += (transfer_time
-                            + self.injector.retransmit_timeout_s(attempt))
-            attempt += 1
-        message.deliver_time = self.env.now + total_delay + transfer_time
-        self.stats.record_attempts(message)
-        return total_delay + transfer_time
-
-
-#: Backwards-compatible alias: ``Network`` was the pre-Transport name
-#: of the simulation backend and remains importable everywhere.
-Network = SimTransport
+    def _put_on_wire(self, message, done, transfer_time, faults) -> None:
+        """Land the frame one ``transfer_time`` from now.  A ``charge``
+        (``done is None``) moved its data already and defers the delay
+        to its caller, so there is nothing left to schedule."""
+        if done is not None:
+            message.deliver_time = self.env.now + transfer_time
+            self.env.timeout(transfer_time).add_callback(
+                lambda _event: done.succeed(message))

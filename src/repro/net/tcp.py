@@ -12,11 +12,13 @@ Division of labour (this is the whole design):
   :class:`~repro.sim.realtime.WallClockEnvironment`) keeps *all*
   protocol-visible state: fault draws, retransmission scheduling,
   :class:`~repro.net.stats.NetworkStats` accounting, tracing, and the
-  delivery events themselves.  The fault/accounting code is the same
-  algorithm as :class:`~repro.net.network.SimTransport` — a dropped
-  attempt is accounted but *never written to the socket* (genuine
-  socket-level loss), a delay becomes a real sleep before the write, a
-  duplicate is written twice and discarded at the receiver.
+  delivery events themselves — the shared pipeline of
+  :class:`~repro.net.transport.Transport`, which hands
+  :meth:`TcpTransport._put_on_wire` only attempts that survived their
+  fault draw: a dropped attempt is accounted but *never written to
+  the socket* (genuine socket-level loss), a delay becomes a real
+  sleep before the write, a duplicate is written twice and discarded
+  at the receiver.
 * The **socket thread** runs a private asyncio loop and only moves
   bytes.  Frames to ship are posted to it with
   ``call_soon_threadsafe``; decoded arrivals come back through
@@ -45,19 +47,17 @@ import threading
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.faults.injector import NULL_INJECTOR
 from repro.net.message import (
     Message,
     encode_frame,
     pack_frame,
     unpack_frame,
     FRAME_PREFIX_BYTES,
+    MAX_FRAME_BYTES,
     _FRAME_PREFIX,
 )
 from repro.net.network_config import NetworkConfig
-from repro.net.stats import NetworkStats
 from repro.net.transport import Transport, WALL_CLOCK
-from repro.obs.tracer import NULL_TRACER
 from repro.sim import Event
 from repro.util.errors import ConfigurationError, ProtocolError
 from repro.util.ids import NodeId
@@ -66,12 +66,22 @@ __all__ = ["TcpTransport", "read_envelope", "write_envelope"]
 
 
 async def read_envelope(reader: asyncio.StreamReader) -> Optional[dict]:
-    """Read one framed envelope; ``None`` on clean EOF."""
+    """Read one framed envelope; ``None`` when the stream ends (clean
+    EOF, or a peer that went away mid-frame).
+
+    A length prefix over ``MAX_FRAME_BYTES`` is corrupt — waiting for
+    bytes that never come would hang the reader until the stall
+    timeout — so it, like a body that does not decode to a JSON
+    object, raises :class:`ProtocolError`.
+    """
     try:
         prefix = await reader.readexactly(FRAME_PREFIX_BYTES)
     except (asyncio.IncompleteReadError, ConnectionResetError):
         return None
     (length,) = _FRAME_PREFIX.unpack(prefix)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame length prefix {length} exceeds the "
+                            f"{MAX_FRAME_BYTES} byte frame limit")
     try:
         body = await reader.readexactly(length)
     except (asyncio.IncompleteReadError, ConnectionResetError):
@@ -144,12 +154,11 @@ class _NodeEndpoint:
 class TcpTransport(Transport):
     """Delivers the cluster's messages over real localhost TCP sockets.
 
-    Same caller contract as :class:`~repro.net.network.SimTransport`
-    (``send`` returns a one-shot delivery event, ``charge`` returns a
-    deferred delay, local messages are free and unaccounted, faults are
-    fair-loss with bounded retransmission) but delivery instants come
-    from actual socket arrivals on the wall clock, so the environment
-    must provide ``call_threadsafe``/``attach_source`` — i.e. be a
+    The caller contract is the base class's, shared with
+    :class:`~repro.net.network.SimTransport`; what differs is that
+    delivery instants come from actual socket arrivals on the wall
+    clock, so the environment must provide
+    ``call_threadsafe``/``attach_source`` — i.e. be a
     :class:`~repro.sim.realtime.WallClockEnvironment`.
 
     ``delivered_log`` records ``(category, src, dst, size_bytes)`` for
@@ -169,15 +178,10 @@ class TcpTransport(Transport):
                 "(repro.sim.realtime) — plain Environment has no "
                 "thread-safe inbox for socket arrivals"
             )
-        self.env = env
-        self.config = config
-        self.stats = NetworkStats()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.injector = injector if injector is not None else NULL_INJECTOR
+        super().__init__(env, config, tracer, injector)
         self.processes = processes
         self.host = host
         self.start_timeout_s = start_timeout_s
-        self._next_wire_id = 0
         #: wire_id -> (delivery event, original message) for frames whose
         #: arrival must fire a delivery; duplicates miss and are dropped.
         self._pending: Dict[int, Tuple[Event, Message]] = {}
@@ -293,110 +297,24 @@ class TcpTransport(Transport):
         if self._closed:
             raise ProtocolError("TCP transport already closed")
 
-    # -- wire operations (engine thread) -----------------------------------
+    # -- the wire primitive (engine thread) --------------------------------
 
-    def _tag_wire(self, message: Message) -> None:
-        if message.wire_id is None:
-            message.wire_id = self._next_wire_id
-            self._next_wire_id += 1
+    def _put_on_wire(self, message, done, transfer_time, faults) -> None:
+        """Ship the surviving attempt's frame: the wire made literal.
 
-    def send(self, message: Message) -> Event:
-        """Send a message; returns an event firing when its frame lands.
-
-        Same fault algorithm as the simulation backend, with the wire
-        made literal: dropped attempts never reach the socket,
-        retransmits are re-sent after a real
-        ``transfer_time + retransmit timeout`` sleep, duplicates are
-        written twice and the second arrival is discarded here because
-        its ``wire_id`` is no longer pending.
+        Dropped attempts never get here, so never reach the socket; a
+        retransmit gets here after a real ``transfer_time + retransmit
+        timeout`` sleep.  Jitter is slept before the write; a duplicate
+        is written twice and its second arrival discarded in
+        :meth:`_deliver` (its ``wire_id`` is no longer pending).  A
+        ``charge`` frame (``done is None``) crosses the socket too, but
+        its caller has the *modeled* delay and nobody waits for it.
         """
-        done = self.env.event(name=f"deliver:{message.category.value}")
-        done.hints = {
-            "kind": "deliver", "category": message.category.value,
-            "node": message.dst.value, "src": message.src.value,
-        }
-        message.send_time = self.env.now
-        if message.is_local:
-            message.deliver_time = self.env.now
-            done.succeed(message)
-            return done
-        self._require_started()
-        self._tag_wire(message)
-        self._attempt(message, done, attempt=0)
-        return done
-
-    def _attempt(self, message: Message, done: Event, attempt: int) -> None:
-        message.attempts = attempt + 1
-        faults = self.injector.message_faults(message, attempt, self.env.now)
-        transfer_time = (self.config.transfer_time(message.size_bytes)
-                         + faults.extra_delay_s)
-        self.stats.record(message, transfer_time)
-        self.tracer.message(message, transfer_time)
-        if faults.duplicated:
-            self.stats.record(message, transfer_time)
-            self.tracer.fault_duplicate(message)
-        if faults.extra_delay_s:
-            self.tracer.fault_delay(message, faults.extra_delay_s)
-        if faults.dropped:
-            # Socket-level loss: this attempt is accounted (lost wire
-            # time is real wire time) but never written.
-            self.tracer.fault_drop(message, attempt)
-            self.injector.stats.retransmissions += 1
-            self.tracer.fault_retransmit(message, attempt + 1)
-            retry_after = (transfer_time
-                           + self.injector.retransmit_timeout_s(attempt))
-
-            def retransmit(_event, msg=message, target=done,
-                           next_attempt=attempt + 1):
-                self._attempt(msg, target, next_attempt)
-
-            self.env.timeout(retry_after).add_callback(retransmit)
-            return
-        self.stats.record_attempts(message)
-        self._pending[message.wire_id] = (done, message)
-        self._post(message, kind="send", delay_s=faults.extra_delay_s,
+        if done is not None:
+            self._pending[message.wire_id] = (done, message)
+        self._post(message, kind="charge" if done is None else "send",
+                   delay_s=faults.extra_delay_s,
                    copies=2 if faults.duplicated else 1)
-
-    def charge(self, message: Message) -> float:
-        """Account a message and ship its frame; returns the *modeled*
-        deferred delay (the caller-visible cost contract is identical
-        to the simulation backend's frozen-clock replay).  Only the
-        surviving attempt's frame crosses the socket — dropped attempts
-        lost both copies before the wire."""
-        message.send_time = self.env.now
-        if message.is_local:
-            message.deliver_time = self.env.now
-            return 0.0
-        self._require_started()
-        self._tag_wire(message)
-        total_delay = 0.0
-        attempt = 0
-        while True:
-            message.attempts = attempt + 1
-            faults = self.injector.message_faults(
-                message, attempt, self.env.now, synchronous=True)
-            transfer_time = (self.config.transfer_time(message.size_bytes)
-                             + faults.extra_delay_s)
-            self.stats.record(message, transfer_time)
-            self.tracer.message(message, transfer_time)
-            if faults.duplicated:
-                self.stats.record(message, transfer_time)
-                self.tracer.fault_duplicate(message)
-            if faults.extra_delay_s:
-                self.tracer.fault_delay(message, faults.extra_delay_s)
-            if not faults.dropped:
-                break
-            self.tracer.fault_drop(message, attempt)
-            self.injector.stats.retransmissions += 1
-            self.tracer.fault_retransmit(message, attempt + 1)
-            total_delay += (transfer_time
-                            + self.injector.retransmit_timeout_s(attempt))
-            attempt += 1
-        message.deliver_time = self.env.now + total_delay + transfer_time
-        self.stats.record_attempts(message)
-        self._post(message, kind="charge", delay_s=faults.extra_delay_s,
-                   copies=2 if faults.duplicated else 1)
-        return total_delay + transfer_time
 
     def _post(self, message: Message, kind: str, delay_s: float,
               copies: int) -> None:

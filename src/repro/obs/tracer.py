@@ -85,9 +85,10 @@ def sanitize(value):
 class NullTracer:
     """The disabled tracer: every hook is an explicit no-op.
 
-    Kept free of ``__getattr__`` magic for the hot hooks so the
-    disabled path stays a plain bound-method call; a fallback still
-    swallows any hook added later without breaking old call sites.
+    There is no ``__getattr__`` fallback: a misspelt or not-yet-stubbed
+    hook fails with tracing off exactly as it does with tracing on, and
+    ``tests/test_obs.py`` pins this class's hook names and signatures
+    equal to :class:`Tracer`'s.
     """
 
     enabled = False
@@ -226,13 +227,6 @@ class NullTracer:
 
     def node_rejoin(self, node_index, replayed, reclaimed, discarded):
         pass
-
-    def __getattr__(self, _name):  # future hooks: still a no-op
-        return _noop
-
-
-def _noop(*_args, **_kwargs):
-    return None
 
 
 def _lineage(txn):

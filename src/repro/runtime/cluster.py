@@ -14,7 +14,7 @@ from repro.gdo.cache import EntryCacheTracker
 from repro.gdo.directory import Directory
 from repro.gdo.migration import HomeMigrationManager
 from repro.memory.store import NodeStore
-from repro.net.network import Network
+from repro.net.network import SimTransport
 from repro.objects.registry import ObjectHandle, ObjectMeta, ObjectRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.objects.schema import ClassSchema, schema_of
@@ -117,9 +117,9 @@ class Cluster:
                 processes=config.transport_processes,
             )
         else:
-            self.network = Network(self.env, config.network,
-                                   tracer=self.tracer,
-                                   injector=self.injector)
+            self.network = SimTransport(self.env, config.network,
+                                        tracer=self.tracer,
+                                        injector=self.injector)
         self.stores: Dict[NodeId, NodeStore] = {
             node: NodeStore(node) for node in self.nodes
         }
@@ -175,7 +175,7 @@ class Cluster:
             if config.faults.crashes:
                 self.recovery = RecoveryManager(
                     self.env, self.injector, self.directory, self.cache,
-                    self.lockmgr, self.wal, self.nodes, self.tracer,
+                    self.wal, self.nodes, self.tracer,
                 )
             self.crash_controller = CrashController(
                 self.env, self.injector, self.lockmgr, self.cache,

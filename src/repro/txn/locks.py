@@ -29,7 +29,7 @@ from repro.gdo.cache import EntryCacheTracker
 from repro.gdo.directory import Directory
 from repro.gdo.entry import DirectoryEntry, GrantDecision, LockMode, Waiter
 from repro.net.message import Message, MessageCategory
-from repro.net.network import Network
+from repro.net.transport import Transport
 from repro.net.sizes import SizeModel
 from repro.obs.tracer import NULL_TRACER
 from repro.txn.semantic import SemanticMode
@@ -77,19 +77,6 @@ class LockStats:
         }
 
 
-class _CommuteAllTable:
-    """TEST-ONLY wrapper: reports every same-class method pair as
-    commuting.  Mirrors the honest table's read surface so
-    :class:`~repro.txn.semantic.SemanticMode` can consume it."""
-
-    def __init__(self, honest):
-        self.class_name = honest.class_name
-        self.methods = honest.methods
-
-    def commutes(self, left: str, right: str) -> bool:
-        return True
-
-
 @dataclass
 class _BlockedFamily:
     object_id: ObjectId
@@ -100,7 +87,7 @@ class _BlockedFamily:
 class LockManager:
     """Drives directory entries, charges GDO traffic, detects deadlock."""
 
-    def __init__(self, env, network: Network, directory: Directory,
+    def __init__(self, env, network: Transport, directory: Directory,
                  sizes: SizeModel, cache: EntryCacheTracker,
                  allow_recursive_reads: bool = False, tracer=None,
                  injector=None, migration=None, wal=None):
@@ -136,14 +123,9 @@ class LockManager:
         # in grant order.  Feeds the precedence-graph oracle
         # (repro.runtime.verify.check_conflict_serializability).
         self.grant_history: Dict[ObjectId, List[Tuple[int, LockMode, float]]] = {}
-        # Test-only deliberate protocol breakages, by name (the
-        # repro.check mutation smoke tests prove the fuzzer's checkers
-        # catch them).  Always empty in production paths.
-        self.test_mutations: frozenset = frozenset()
         # Per-class commutativity tables (semantic lock modes); empty
         # unless ClusterConfig.semantic_locks registered them.
         self._commutativity: Dict[str, object] = {}
-        self._mutated_tables: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # Semantic lock modes
@@ -171,22 +153,7 @@ class LockManager:
         summary = table.methods.get(method_name)
         if summary is None or not summary.semantic:
             return base
-        if "commute-conflicting-writes" in self.test_mutations:
-            table = self._mutated_table(class_name, table)
         return SemanticMode(base, f"{class_name}.{method_name}", table)
-
-    def _mutated_table(self, class_name: str, honest):
-        """TEST-ONLY breakage (``commute-conflicting-writes``): hand
-        out a table claiming every same-class pair commutes, so two
-        genuinely conflicting writers are granted concurrently.  The
-        honest table is what the trace artifact carries, so the
-        reference model and the serializability oracles must catch the
-        resulting lost updates / non-serializable schedules."""
-        mutated = self._mutated_tables.get(class_name)
-        if mutated is None:
-            mutated = _CommuteAllTable(honest)
-            self._mutated_tables[class_name] = mutated
-        return mutated
 
     def _record_grant(self, object_id: ObjectId, txn, mode: LockMode) -> None:
         self.grant_history.setdefault(object_id, []).append(
@@ -572,9 +539,6 @@ class LockManager:
         parent = txn.parent
         if parent is None:
             raise ProtocolError("precommit_release on a root transaction")
-        if "skip-precommit-retention" in self.test_mutations:
-            self._mutated_precommit_drop(txn)
-            return
         if txn.lock_objects:
             self.tracer.lock_inherited(txn, parent, sorted(txn.lock_objects))
         wakes = []
@@ -588,24 +552,6 @@ class LockManager:
         # Same-instant wakes ride one batched heap entry (FIFO order
         # preserved — see Environment.succeed_all).
         self.env.succeed_all(wakes)
-
-    def _mutated_precommit_drop(self, txn: Transaction) -> None:
-        """TEST-ONLY breakage (``skip-precommit-retention``): instead
-        of the parent inheriting and retaining the pre-committing
-        child's locks (Algorithm 4.3), drop whatever the family no
-        longer strictly holds and wake anyone queued — other families
-        can then touch the objects while this family's root is still
-        running.  The reference model and the serializability oracles
-        must both catch the fallout; nothing is traced here precisely
-        because a real bug would not announce itself.
-        """
-        for object_id in sorted(txn.lock_objects):
-            entry = self.directory.entry(object_id)
-            entry.release_on_abort(txn)
-            for waiter in entry.pump(self.allow_recursive_reads):
-                waiter.wake.succeed(entry.page_map_snapshot())
-            self.directory.refresh_deadlock_edges(object_id)
-        self._detect_deadlocks()
 
     def sub_abort_release(self, txn: Transaction):
         """Sub-transaction abort (Algorithm 4.3, last case) — process.

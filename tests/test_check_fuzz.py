@@ -21,7 +21,9 @@ from repro.check import (
     run_task,
     trace_to_jsonl,
 )
+from repro.check.mutations import MUTATIONS
 from repro.cli import main
+from repro.util.errors import ConfigurationError
 
 QUICK = dict(scenario="medium-high", scale=0.125, nodes=4)
 MUTATION = "skip-precommit-retention"
@@ -76,6 +78,14 @@ class TestMutationSmoke:
         # Both independent checker families see it, not just one.
         assert "reference" in tags
         assert "invariant" in tags
+
+    def test_misspelt_mutation_is_rejected_not_run_clean(self):
+        # The typo used to land in a frozenset nobody read: an honest
+        # protocol ran under the mutation's name and passed.
+        with pytest.raises(ConfigurationError) as raised:
+            FuzzTask(seed=0, mutate=("skip-precomit-retention",))
+        for known in MUTATIONS:
+            assert known in str(raised.value)
 
     def test_failure_summary_names_the_evidence(self):
         report = run_task(FuzzTask(seed=0, policy="random",
@@ -242,6 +252,35 @@ class TestFuzzCli:
         assert "repro: repro fuzz --seeds 1" in err
         assert list(tmp_path.glob("*.trace.jsonl"))
 
+    def test_unknown_mutation_exits_nonzero_with_one_line(self, capsys):
+        code = main(["fuzz", "--seeds", "1", "--protocols", "lotec",
+                     "--mutate", "skip-precomit-retention", "--quiet"])
+        assert code != 0
+        captured = capsys.readouterr()
+        assert "all tasks clean" not in captured.out
+        assert captured.err.count("\n") == 1
+        assert "unknown mutation 'skip-precomit-retention'" in captured.err
+        assert MUTATION in captured.err
+
     def test_unknown_protocol_exits_two(self, capsys):
         assert main(["fuzz", "--protocols", "bogus"]) == 2
         assert "unknown protocol" in capsys.readouterr().err
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_every_mutation_is_caught(name):
+    """Each registered mutation fails at least 9 of 10 seeds under the
+    task shape recorded beside its installer — so a mutation added
+    without a catching configuration fails CI (``fuzz-smoke``)."""
+    mutation = MUTATIONS[name]
+    missed = []
+    for seed in range(10):
+        report = run_task(FuzzTask(seed=seed, mutate=(name,),
+                                   **mutation.catch_with))
+        caught = (not report.ok if mutation.checker is None else
+                  any(violation.checker == mutation.checker
+                      for violation in report.violations))
+        if not caught:
+            missed.append(seed)
+    assert len(missed) <= 1, f"{name} escaped seeds {missed}"

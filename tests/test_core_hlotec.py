@@ -18,7 +18,7 @@ SMALL = WorkloadParams(num_objects=8, num_classes=3, num_roots=20,
 class TestConstruction:
     def test_requires_directory(self):
         from repro.core.hlotec import HomeBasedLOTEC
-        from repro.net.network import Network, NetworkConfig
+        from repro.net.network import NetworkConfig, SimTransport
         from repro.net.sizes import SizeModel
         from repro.sim import Environment
 
@@ -26,8 +26,8 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="directory"):
             HomeBasedLOTEC(
                 env=env,
-                network=Network(env, NetworkConfig(bandwidth_bps=1e8,
-                                                   software_cost_s=0)),
+                network=SimTransport(env, NetworkConfig(bandwidth_bps=1e8,
+                                                        software_cost_s=0)),
                 sizes=SizeModel(), stores={},
             )
 

@@ -9,7 +9,7 @@ from repro.core.transfer import demand_fetch, gather_pages
 from repro.gdo.entry import PageMapEntry
 from repro.memory.layout import AttributeSpec, ObjectLayout
 from repro.memory.store import NodeStore
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import NetworkConfig, SimTransport
 from repro.net.sizes import SizeModel
 from repro.objects.registry import ObjectMeta
 from repro.objects.schema import ClassSchema
@@ -23,8 +23,8 @@ OID = ObjectId(0)
 
 def make_world():
     env = Environment()
-    network = Network(env, NetworkConfig(bandwidth_bps=100e6,
-                                         software_cost_s=1e-5))
+    network = SimTransport(env, NetworkConfig(bandwidth_bps=100e6,
+                                              software_cost_s=1e-5))
     sizes = SizeModel(page_bytes=100)
     layout = ObjectLayout(
         [AttributeSpec("a", 90), AttributeSpec("b", 90),

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import ProtocolSuite, make_protocol
 from repro.memory.store import NodeStore
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import NetworkConfig, SimTransport
 from repro.net.sizes import SizeModel
 from repro.sim import Environment
 from repro.util.errors import ConfigurationError
@@ -13,8 +13,8 @@ from repro.util.ids import NodeId
 
 def make_factory():
     env = Environment()
-    network = Network(env, NetworkConfig(bandwidth_bps=1e8,
-                                         software_cost_s=1e-5))
+    network = SimTransport(env, NetworkConfig(bandwidth_bps=1e8,
+                                              software_cost_s=1e-5))
     sizes = SizeModel()
     stores = {NodeId(0): NodeStore(NodeId(0))}
 

@@ -4,7 +4,7 @@ jitter, and the synchronous charge path."""
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan
-from repro.net import Message, MessageCategory, Network, NetworkConfig
+from repro.net import Message, MessageCategory, NetworkConfig, SimTransport
 from repro.sim import Environment
 from repro.util.ids import NodeId
 from repro.util.rng import SeededRNG
@@ -25,7 +25,7 @@ def msg(size=1000):
 def faulty_net(plan, seed=1):
     env = Environment()
     injector = FaultInjector(plan, SeededRNG(seed))
-    return env, Network(env, CONFIG, injector=injector), injector
+    return env, SimTransport(env, CONFIG, injector=injector), injector
 
 
 class TestRetransmission:

@@ -116,7 +116,7 @@ def recovery_for(plan, nodes=4):
     injector = FaultInjector(plan, SeededRNG(0))
     return RecoveryManager(
         env=None, injector=injector, directory=None, cache=None,
-        lockmgr=None, wal=NULL_WAL,
+        wal=NULL_WAL,
         nodes=[NodeId(index) for index in range(nodes)], tracer=None,
     )
 

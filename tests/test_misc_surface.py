@@ -5,7 +5,7 @@ import pytest
 
 from repro.bench.experiments import ExperimentResult
 from repro.net.message import Message, MessageCategory
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import NetworkConfig, SimTransport
 from repro.runtime.scheduler import Scheduler
 from repro.sim import Environment
 from repro.util.errors import ConfigurationError
@@ -61,9 +61,9 @@ class TestScheduler:
 class TestRoundTripEstimate:
     def test_round_trip_sums_both_legs(self):
         env = Environment()
-        net = Network(env, NetworkConfig(bandwidth_bps=8e6,
-                                         software_cost_s=1e-3,
-                                         propagation_s=0.0))
+        net = SimTransport(env, NetworkConfig(bandwidth_bps=8e6,
+                                              software_cost_s=1e-3,
+                                              propagation_s=0.0))
         request = Message(src=NODES[0], dst=NODES[1],
                           category=MessageCategory.LOCK_REQUEST,
                           size_bytes=1000)

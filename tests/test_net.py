@@ -9,10 +9,10 @@ from repro.net import (
     GIGABIT_1G,
     Message,
     MessageCategory,
-    Network,
     NetworkConfig,
     NetworkStats,
     SOFTWARE_COSTS,
+    SimTransport,
     SizeModel,
     preset_network,
 )
@@ -124,7 +124,7 @@ class TestNetworkConfig:
 class TestNetworkDelivery:
     def setup_method(self):
         self.env = Environment()
-        self.net = Network(
+        self.net = SimTransport(
             self.env,
             NetworkConfig(bandwidth_bps=8e6, software_cost_s=1e-3,
                           propagation_s=0.0),
@@ -165,7 +165,7 @@ class TestMulticast:
         self.env = Environment()
 
     def _net(self, multicast):
-        return Network(
+        return SimTransport(
             self.env,
             NetworkConfig(bandwidth_bps=8e6, software_cost_s=1e-3,
                           propagation_s=0.0, multicast=multicast),
@@ -252,8 +252,8 @@ class TestNodeTraffic:
 
     def test_accounted_through_network_send_and_charge(self):
         env = Environment()
-        net = Network(env, NetworkConfig(bandwidth_bps=8e6,
-                                         software_cost_s=1e-3))
+        net = SimTransport(env, NetworkConfig(bandwidth_bps=8e6,
+                                              software_cost_s=1e-3))
         net.send(msg(src=N0, dst=N1, size=400))
         net.charge(msg(src=N1, dst=N2, size=600))
         env.run()
@@ -264,8 +264,8 @@ class TestNodeTraffic:
 
     def test_local_messages_not_accounted_per_node(self):
         env = Environment()
-        net = Network(env, NetworkConfig(bandwidth_bps=8e6,
-                                         software_cost_s=1e-3))
+        net = SimTransport(env, NetworkConfig(bandwidth_bps=8e6,
+                                              software_cost_s=1e-3))
         net.send(msg(src=N0, dst=N0, size=400))
         net.charge(msg(src=N1, dst=N1, size=600))
         assert net.stats.by_node == {}

@@ -2,6 +2,7 @@
 registry, virtual-clock tracer, exporters, and the wiring that keeps
 the tracer's aggregates exactly equal to :class:`NetworkStats`."""
 
+import inspect
 import json
 
 import pytest
@@ -234,10 +235,25 @@ class TestNullTracer:
         tracer.end(None)
         tracer.instant("x", "sim")
         tracer.message(None, 0.0)
-        tracer.some_future_hook(1, 2, 3)  # __getattr__ fallback
+        with pytest.raises(AttributeError):
+            tracer.some_misspelt_hook  # no fallback: loud when off, too
         assert tracer.events == ()
         assert tracer.metrics is None
         assert not tracer.enabled
+
+    def test_hook_sets_match_tracer(self):
+        # A hook only one tracer defines, or defines differently, makes
+        # the same call site behave differently with tracing on and
+        # off — exactly where nobody is looking.
+        def hooks(cls):
+            return {
+                name: [(p.name, p.kind, p.default) for p in
+                       inspect.signature(function).parameters.values()]
+                for name, function in vars(cls).items()
+                if inspect.isfunction(function) and not name.startswith("_")
+            }
+
+        assert hooks(NullTracer) == hooks(Tracer)
 
     def test_cluster_defaults_to_null_tracer(self):
         cluster = Cluster(ClusterConfig(num_nodes=2))

@@ -11,7 +11,7 @@ from repro.gdo.entry import PageMapEntry
 from repro.memory.layout import AttributeSpec, ObjectLayout
 from repro.memory.store import NodeStore
 from repro.net.message import MessageCategory
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import NetworkConfig, SimTransport
 from repro.net.sizes import SizeModel
 from repro.objects.registry import ObjectMeta
 from repro.objects.schema import ClassSchema
@@ -48,9 +48,9 @@ class TestGatherManyBatching:
     def make_world(self):
         env = Environment()
         tracer = Tracer(clock=lambda: env.now)
-        network = Network(env, NetworkConfig(bandwidth_bps=100e6,
-                                             software_cost_s=1e-5),
-                          tracer=tracer)
+        network = SimTransport(env, NetworkConfig(bandwidth_bps=100e6,
+                                                  software_cost_s=1e-5),
+                               tracer=tracer)
         sizes = SizeModel(page_bytes=100)
         stores = {node: NodeStore(node) for node in (N0, N1)}
         metas = []
@@ -187,8 +187,8 @@ class TestBatchingProperty:
 
     def make_world(self):
         env = Environment()
-        network = Network(env, NetworkConfig(bandwidth_bps=100e6,
-                                             software_cost_s=1e-5))
+        network = SimTransport(env, NetworkConfig(bandwidth_bps=100e6,
+                                                  software_cost_s=1e-5))
         sizes = SizeModel(page_bytes=100)
         stores = {node: NodeStore(node) for node in (N0, N1, N2)}
         metas = {}

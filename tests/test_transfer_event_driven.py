@@ -3,7 +3,7 @@
 A gather used to wait on an *estimated* round-trip timer computed at
 send time, so pages were installed at that phantom instant even when
 fault injection dropped or delayed the actual wire messages.  Gathers
-now chain through the real delivery events of ``Network.send``:
+now chain through the real delivery events of ``Transport.send``:
 installation cannot happen before the ``PAGE_DATA`` bytes arrive, and
 every retransmit turnaround pushes it out by exactly the time lost.
 """
@@ -16,7 +16,7 @@ from repro.faults import FAULT_PRESETS, FaultInjector, FaultPlan
 from repro.gdo.entry import PageMapEntry
 from repro.memory.layout import AttributeSpec, ObjectLayout
 from repro.memory.store import NodeStore
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import NetworkConfig, SimTransport
 from repro.net.sizes import SizeModel
 from repro.objects.registry import ObjectMeta
 from repro.objects.schema import ClassSchema
@@ -33,9 +33,9 @@ OID = ObjectId(0)
 def make_world(injector=None):
     """Three-node world with one three-page object created at N1."""
     env = Environment()
-    network = Network(env, NetworkConfig(bandwidth_bps=100e6,
-                                         software_cost_s=1e-5),
-                      injector=injector)
+    network = SimTransport(env, NetworkConfig(bandwidth_bps=100e6,
+                                              software_cost_s=1e-5),
+                           injector=injector)
     sizes = SizeModel(page_bytes=100)
     layout = ObjectLayout(
         [AttributeSpec("a", 90), AttributeSpec("b", 90),

@@ -1,39 +1,61 @@
-"""Transport-interface conformance, parameterized over both backends.
+"""Transport-interface conformance, parameterized over the backends.
 
 Every test here runs once against :class:`SimTransport` (virtual
-clock) and once against :class:`TcpTransport` (real localhost sockets
-on a wall-clock environment): the Transport contract — delivery
-events, local fast path, charge accounting, multicast fan-out,
-fair-loss fault semantics with bounded retransmission — must hold
+clock), once against :class:`TcpTransport` (real localhost sockets on
+a wall-clock environment) and once against :class:`BareWire`, a
+backend defined here that implements nothing but the wire primitive.
+The Transport contract — delivery events, local fast path, charge
+accounting, multicast fan-out, fair-loss fault semantics with bounded
+retransmission — lives once, in the base class, so it must hold
 identically, and the *accounted traffic* must be byte-for-byte the
-same multiset on both wires.
+same multiset on every wire.
 """
+
+import asyncio
 
 import pytest
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.net.message import Message, MessageCategory
+from repro.net.message import (
+    MAX_FRAME_BYTES,
+    Message,
+    MessageCategory,
+    pack_frame,
+)
 from repro.net.network import SimTransport
 from repro.net.network_config import NetworkConfig
-from repro.net.tcp import TcpTransport
+from repro.net.tcp import TcpTransport, read_envelope
 from repro.net.transport import Transport, VIRTUAL_CLOCK, WALL_CLOCK
 from repro.sim import Environment
 from repro.sim.realtime import WallClockEnvironment
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ProtocolError
 from repro.util.ids import NodeId
 from repro.util.rng import SeededRNG
 
 CONFIG = NetworkConfig(bandwidth_bps=100e6, software_cost_s=1e-5)
 NODES = [NodeId(0), NodeId(1), NodeId(2)]
 
-BACKENDS = ["sim", "tcp"]
+BACKENDS = ["sim", "tcp", "bare"]
+
+
+class BareWire(Transport):
+    """A backend is only the wire primitive: every frame lands at once."""
+
+    def _put_on_wire(self, message, done, transfer_time, faults):
+        message.deliver_time = self.env.now
+        if done is not None:
+            self.env.timeout(0.0).add_callback(
+                lambda _event: done.succeed(message))
 
 
 def make_transport(backend, config=CONFIG, injector=None):
     if backend == "sim":
         env = Environment()
         net = SimTransport(env, config, injector=injector)
+    elif backend == "bare":
+        env = Environment()
+        net = BareWire(env, config, injector=injector)
     else:
         env = WallClockEnvironment(stall_timeout_s=15.0)
         net = TcpTransport(env, config, injector=injector)
@@ -196,7 +218,7 @@ class TestFaultSemantics:
 
     def test_accounting_parity_between_backends(self):
         """The same send/charge sequence books the identical multiset
-        of (category, src, dst, bytes, attempts) on both wires: fault
+        of (category, src, dst, bytes, attempts) on every wire: fault
         draws are keyed by wire id and attempt, not by clock domain."""
         def drive(backend):
             env, net = make_transport(backend, injector=lossy_injector())
@@ -214,9 +236,10 @@ class TestFaultSemantics:
                 net.close()
 
         sim_stats, sim_faults = drive("sim")
-        tcp_stats, tcp_faults = drive("tcp")
-        assert sim_stats == tcp_stats
-        assert sim_faults == tcp_faults
+        for other in ("tcp", "bare"):
+            stats, faults = drive(other)
+            assert stats == sim_stats, other
+            assert faults == sim_faults, other
 
 
 class TestTcpSpecifics:
@@ -247,3 +270,44 @@ class TestTcpSpecifics:
         env, net = make_transport("tcp")
         net.close()
         net.close()
+
+
+class TestReadEnvelope:
+    """The receive side of the frame codec fails typed and at once."""
+
+    @staticmethod
+    def read(data):
+        async def feed_and_read():
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            reader.feed_eof()
+            return await asyncio.wait_for(read_envelope(reader), timeout=5.0)
+
+        return asyncio.run(feed_and_read())
+
+    def test_round_trip_and_clean_eof(self):
+        assert self.read(pack_frame({"t": "hello", "node": 3})) == {
+            "t": "hello", "node": 3}
+        assert self.read(b"") is None
+
+    def test_over_limit_prefix_is_refused_without_waiting(self):
+        # No body follows: an unchecked reader would wait for 4 GiB.
+        with pytest.raises(ProtocolError, match=str(0xFFFFFFFF)):
+            self.read(b"\xff\xff\xff\xff")
+        with pytest.raises(ProtocolError, match="frame limit"):
+            self.read((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"{}")
+
+    @pytest.mark.parametrize("body, names", [
+        (b"not json at all", "Expecting value"),
+        (b"\xff\xfe\xfd", "utf-8"),
+        (b"[1,2]", "not an object"),
+    ])
+    def test_garbage_body_is_a_protocol_error(self, body, names):
+        with pytest.raises(ProtocolError, match=names):
+            self.read(len(body).to_bytes(4, "big") + body)
+
+    def test_truncated_body_ends_the_stream(self):
+        # The peer went away mid-frame: the stream is over, not corrupt.
+        frame = pack_frame({"t": "hello", "node": 3})
+        assert self.read(frame[:-2]) is None
+        assert self.read(frame[:2]) is None

@@ -6,10 +6,15 @@ developers run the same command:
 
 * ``--only messages`` — per-protocol ``PAGE_REQUEST`` / total message
   counts vs ``benchmarks/baselines/claims_messages.json``.  Any
-  increase fails.
-* ``--only locality`` — remote directory traffic, static vs adaptive
-  GDO migration, vs ``benchmarks/baselines/claims_locality.json``
-  (including the ``min_reduction`` headline floor).
+  increase fails the build: transfer-pipeline changes (batching above
+  all) may only hold or shrink the message budget, never silently
+  grow it.
+* ``--only locality`` — remote directory messages under static
+  round-robin homes vs adaptive GDO migration on the skewed open-loop
+  load scenario, vs ``benchmarks/baselines/claims_locality.json``.
+  Fails if either count grows past its baseline, or if migration's
+  reduction drops below the baseline's ``min_reduction`` floor (the
+  headline "migration cuts remote directory traffic by >= 30%" claim).
 * ``--only speed`` — normalized engine events/s on the fig2 point vs
   ``benchmarks/baselines/BENCH_SPEED.json``.  Fails on a >15%
   normalized regression against the committed baseline, if the
@@ -24,15 +29,18 @@ developers run the same command:
   or lock-wait numbers fails, as does losing the headline
   ``min_bank_speedup`` floor.
 
-``--only`` may be repeated; with no ``--only`` every gate runs.
-``--update`` rewrites the selected envelopes from this run instead of
-checking.  ``tools/check_message_baseline.py`` remains as a
-back-compat shim covering the messages + locality pair.
+Each gate re-measures at its envelope's own pinned (seed, scale,
+scenario) point.  ``--only`` may be repeated; with no ``--only`` every
+gate runs.  ``--update`` rewrites the selected envelopes from this run
+instead of checking.  The two wire-budget gates alone:
+
+    PYTHONPATH=src python tools/check_baselines.py --only messages --only locality
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -40,9 +48,130 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import bench_commutativity  # noqa: E402
 import bench_speed  # noqa: E402
-from check_message_baseline import check_locality, check_messages  # noqa: E402
 
 GATES = ("messages", "locality", "speed", "commutativity")
+
+_BASELINE_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "baselines",
+)
+MESSAGES_BASELINE_PATH = os.path.join(_BASELINE_DIR,
+                                      "claims_messages.json")
+LOCALITY_BASELINE_PATH = os.path.join(_BASELINE_DIR,
+                                      "claims_locality.json")
+
+
+def measure_messages(scenario: str, seed: int, num_nodes: int, scale: float):
+    from repro.bench.experiments import plan_claims_messages
+    from repro.bench.parallel import ExperimentRunner
+
+    plan = plan_claims_messages(scenario, seed=seed, num_nodes=num_nodes,
+                                scale=scale)
+    measurements = ExperimentRunner().execute(plan.specs)
+    counts = {}
+    for spec, measurement in zip(plan.specs, measurements):
+        by_category = measurement["network"]["by_category"]
+        counts[spec.key] = {
+            "page_request_messages": by_category.get(
+                "page_request", {}).get("messages", 0),
+            "total_messages": measurement["network"]["total_messages"],
+        }
+    return counts
+
+
+def measure_locality(scenario: str, seed: int, scale: float):
+    from repro.bench.experiments import plan_claims_locality
+    from repro.bench.parallel import ExperimentRunner
+
+    plan = plan_claims_locality(scenario, seed=seed, scale=scale)
+    measurements = ExperimentRunner().execute(plan.specs)
+    counts = {}
+    for spec, measurement in zip(plan.specs, measurements):
+        counts[spec.key] = {
+            "remote_directory_messages":
+                measurement["network"]["remote_directory_messages"],
+            "total_messages": measurement["network"]["total_messages"],
+        }
+    static = counts["static"]["remote_directory_messages"]
+    adaptive = counts["adaptive"]["remote_directory_messages"]
+    reduction = 0.0 if static <= 0 else (static - adaptive) / static
+    return counts, round(reduction, 4)
+
+
+def check_messages(update: bool) -> list:
+    with open(MESSAGES_BASELINE_PATH, "r", encoding="utf-8") as handle:
+        baseline = json.load(handle)
+    point = baseline["point"]
+    counts = measure_messages(point["scenario"], point["seed"],
+                              point["num_nodes"], point["scale"])
+
+    if update:
+        baseline["counts"] = counts
+        with open(MESSAGES_BASELINE_PATH, "w", encoding="utf-8") as handle:
+            json.dump(baseline, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"baseline updated: {MESSAGES_BASELINE_PATH}")
+        return []
+
+    failures = []
+    for protocol, expected in sorted(baseline["counts"].items()):
+        got = counts.get(protocol)
+        if got is None:
+            failures.append(f"{protocol}: missing from measurement")
+            continue
+        for metric in ("page_request_messages", "total_messages"):
+            if got[metric] > expected[metric]:
+                failures.append(
+                    f"{protocol}.{metric}: {got[metric]} > baseline "
+                    f"{expected[metric]}"
+                )
+            else:
+                print(f"ok: {protocol}.{metric} = {got[metric]} "
+                      f"(baseline {expected[metric]})")
+    return failures
+
+
+def check_locality(update: bool) -> list:
+    with open(LOCALITY_BASELINE_PATH, "r", encoding="utf-8") as handle:
+        baseline = json.load(handle)
+    point = baseline["point"]
+    counts, reduction = measure_locality(point["scenario"], point["seed"],
+                                         point["scale"])
+
+    if update:
+        baseline["counts"] = counts
+        baseline["reduction"] = reduction
+        with open(LOCALITY_BASELINE_PATH, "w", encoding="utf-8") as handle:
+            json.dump(baseline, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"baseline updated: {LOCALITY_BASELINE_PATH}")
+        return []
+
+    failures = []
+    min_reduction = baseline["min_reduction"]
+    if reduction < min_reduction:
+        failures.append(
+            f"locality.reduction: {reduction} < required {min_reduction} "
+            "(migration no longer cuts remote directory traffic enough)"
+        )
+    else:
+        print(f"ok: locality.reduction = {reduction} "
+              f"(floor {min_reduction}, baseline {baseline['reduction']})")
+    for policy, expected in sorted(baseline["counts"].items()):
+        got = counts.get(policy)
+        if got is None:
+            failures.append(f"locality.{policy}: missing from measurement")
+            continue
+        for metric in ("remote_directory_messages", "total_messages"):
+            if got[metric] > expected[metric]:
+                failures.append(
+                    f"locality.{policy}.{metric}: {got[metric]} > baseline "
+                    f"{expected[metric]}"
+                )
+            else:
+                print(f"ok: locality.{policy}.{metric} = {got[metric]} "
+                      f"(baseline {expected[metric]})")
+    return failures
 
 
 def check_speed(update: bool) -> list:
