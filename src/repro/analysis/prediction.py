@@ -21,6 +21,7 @@ from repro.memory.layout import ObjectLayout
 class AccessPrediction:
     """Predicted page footprint of one method on one layout."""
 
+    __slots__ = ("read_pages", "write_pages")
     read_pages: FrozenSet[int]
     write_pages: FrozenSet[int]
 
@@ -36,16 +37,17 @@ class AccessPrediction:
 
 
 def predict(access: AccessSets, layout: ObjectLayout) -> AccessPrediction:
-    """Turn attribute access sets into page sets for one object layout."""
-    if access.reads is ALL_ATTRIBUTES:
-        read_pages = layout.all_pages()
-    else:
-        read_pages = layout.pages_for_attributes(access.reads)
-    if access.writes is ALL_ATTRIBUTES:
-        write_pages = layout.all_pages()
-    else:
-        write_pages = layout.pages_for_attributes(access.writes)
-    return AccessPrediction(read_pages=read_pages, write_pages=write_pages)
+    """Turn attribute access sets into page sets for one object layout.
+
+    A compile-time fact of *(method, layout)*: computed once, memoised
+    on the layout under the two sets it depends on, then looked up."""
+    key = (access.reads, access.writes)
+    prediction = layout.predictions.get(key)
+    if prediction is None:
+        pages = [layout.all_pages() if names is ALL_ATTRIBUTES
+                 else layout.pages_for_attributes(names) for names in key]
+        prediction = layout.predictions[key] = AccessPrediction(*pages)
+    return prediction
 
 
 @dataclass

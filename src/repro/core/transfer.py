@@ -127,6 +127,7 @@ def gather_many(env, network: Transport, sizes: SizeModel, stores,
     is byte-identical to the classic per-object pair.
     """
     tracer = network.tracer
+    tracing = tracer.enabled  # trace arguments are built only when on
     shipped: Dict[ObjectId, List[int]] = {
         target.meta.object_id: [] for target in targets
     }
@@ -141,9 +142,10 @@ def gather_many(env, network: Transport, sizes: SizeModel, stores,
 
     # One gather span per object that needs remote pages.
     requested: Dict[ObjectId, List[int]] = {}
-    for entries in owner_lists.values():
-        for meta, pages in entries:
-            requested.setdefault(meta.object_id, []).extend(pages)
+    if tracing:
+        for entries in owner_lists.values():
+            for meta, pages in entries:
+                requested.setdefault(meta.object_id, []).extend(pages)
     tokens = {
         object_id: tracer.transfer_begin(node, object_id, cause,
                                          sorted(pages))
@@ -210,9 +212,10 @@ def gather_many(env, network: Transport, sizes: SizeModel, stores,
         for request, response in pairs:
             deliveries.append(_send_round_trip(env, network, request,
                                                response))
-            for object_id, share in response.attributions():
-                responses_by_object[object_id].append(response)
-                data_bytes[object_id] += share
+            if tracing:
+                for object_id, share in response.attributions():
+                    responses_by_object[object_id].append(response)
+                    data_bytes[object_id] += share
         for meta, pages in entries:
             shipped[meta.object_id].extend(pages)
 
@@ -223,8 +226,9 @@ def gather_many(env, network: Transport, sizes: SizeModel, stores,
         for meta, pages in entries:
             copies = stores[owner].extract_pages(meta.object_id, pages)
             stores[node].install_pages(meta.object_id, copies)
-            for copy in copies:
-                installed_versions[meta.object_id][copy.page] = copy.version
+            if tracing:
+                for copy in copies:
+                    installed_versions[meta.object_id][copy.page] = copy.version
     for object_id in requested:
         tracer.transfer_install(
             node, object_id, sorted(shipped[object_id]), cause,
@@ -292,10 +296,11 @@ def demand_fetch(network: Transport, sizes: SizeModel, stores,
         data_bytes += response.size_bytes
         copies = stores[owner].extract_pages(meta.object_id, owner_pages)
         stores[node].install_pages(meta.object_id, copies)
-        for copy in copies:
-            versions[copy.page] = copy.version
+        if network.tracer.enabled:
+            for copy in copies:
+                versions[copy.page] = copy.version
         shipped.extend(owner_pages)
-    if shipped:
+    if shipped and network.tracer.enabled:
         network.tracer.demand_fetch(
             node, meta.object_id, sorted(set(pages)), shipped, data_bytes,
             is_write, delay, versions=versions,

@@ -40,6 +40,11 @@ class AttributeSpec:
     def __post_init__(self) -> None:
         if not self.name.isidentifier():
             raise ConfigurationError(f"invalid attribute name {self.name!r}")
+        if self.name.startswith("_"):
+            raise ConfigurationError(
+                f"attribute {self.name!r}: names starting with '_' are "
+                f"reserved for the instrumented self and cannot be read back"
+            )
         if self.size_bytes <= 0:
             raise ConfigurationError(
                 f"attribute {self.name!r}: size_bytes must be positive"
@@ -91,14 +96,22 @@ class ObjectLayout:
         self._slots_by_page: Dict[int, List[Slot]] = {
             page: [] for page in range(self.page_count)
         }
-        self._pages_by_slot: Dict[Slot, FrozenSet[int]] = {}
+        #: slot -> its (never empty) pages; :meth:`slot_pages` checks.
+        self.pages_by_slot: Dict[Slot, FrozenSet[int]] = {}
         for spec in self.attributes:
             for index in range(spec.count):
                 slot = (spec.name, index)
                 pages = self._compute_slot_pages(spec, index)
-                self._pages_by_slot[slot] = pages
+                self.pages_by_slot[slot] = pages
                 for page in pages:
                     self._slots_by_page[page].append(slot)
+        #: scalar attribute name -> its slot (the proxy's one lookup).
+        self.scalar_slots: Dict[str, Slot] = {
+            spec.name: (spec.name, 0)
+            for spec in self.attributes if not spec.is_array
+        }
+        #: (reads, writes) -> AccessPrediction memo of ``analysis.predict``.
+        self.predictions: Dict[object, object] = {}
 
     # -- construction helpers ---------------------------------------------
 
@@ -129,7 +142,7 @@ class ObjectLayout:
     def slot_pages(self, name: str, index: int = 0) -> FrozenSet[int]:
         """Pages occupied by one element of one attribute."""
         try:
-            return self._pages_by_slot[(name, index)]
+            return self.pages_by_slot[(name, index)]
         except KeyError:
             raise KeyError(f"no slot ({name!r}, {index})") from None
 

@@ -10,7 +10,7 @@ this module only holds state and enforces local invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.memory.layout import ObjectLayout, Slot
@@ -28,11 +28,20 @@ class PageCopy:
     slot_values: Dict[Slot, object]
 
 
-@dataclass
-class _CachedObject:
-    layout: ObjectLayout
-    slots: Dict[Slot, object] = field(default_factory=dict)
-    page_versions: Dict[int, int] = field(default_factory=dict)
+class ObjectCopy:
+    """One node's copy of one object: slot values received so far and
+    the version tag of each cached page.  A node keeps *one* per object
+    for the cluster's life (installs, undo and WAL replay mutate it in
+    place), so a transaction context resolves it once per invocation
+    (:meth:`NodeStore.copy_of`) and then loads and stores ``slots``
+    directly; everyone else uses the ``(object_id, ...)`` methods."""
+
+    __slots__ = ("layout", "slots", "page_versions")
+
+    def __init__(self, layout: ObjectLayout):
+        self.layout = layout
+        self.slots: Dict[Slot, object] = {}
+        self.page_versions: Dict[int, int] = {}
 
 
 class NodeStore:
@@ -40,7 +49,7 @@ class NodeStore:
 
     def __init__(self, node_id: NodeId):
         self.node_id = node_id
-        self._objects: Dict[ObjectId, _CachedObject] = {}
+        self._objects: Dict[ObjectId, ObjectCopy] = {}
 
     # -- presence ----------------------------------------------------------
 
@@ -50,7 +59,8 @@ class NodeStore:
     def cached_objects(self) -> Tuple[ObjectId, ...]:
         return tuple(self._objects)
 
-    def _cached(self, object_id: ObjectId) -> _CachedObject:
+    def copy_of(self, object_id: ObjectId) -> ObjectCopy:
+        """This node's (single, long-lived) copy of an object."""
         try:
             return self._objects[object_id]
         except KeyError:
@@ -59,7 +69,7 @@ class NodeStore:
             ) from None
 
     def layout_of(self, object_id: ObjectId) -> ObjectLayout:
-        return self._cached(object_id).layout
+        return self.copy_of(object_id).layout
 
     # -- creation / installation -------------------------------------------
 
@@ -70,7 +80,7 @@ class NodeStore:
         if object_id in self._objects:
             raise ProtocolError(f"object {object_id!r} already exists at "
                                 f"{self.node_id!r}")
-        cached = _CachedObject(layout=layout)
+        cached = ObjectCopy(layout)
         cached.slots = dict(layout.initial_values())
         if values:
             for slot, value in values.items():
@@ -85,7 +95,7 @@ class NodeStore:
     def register_object(self, object_id: ObjectId, layout: ObjectLayout) -> None:
         """Make a remote object known locally with no pages cached yet."""
         if object_id not in self._objects:
-            self._objects[object_id] = _CachedObject(layout=layout)
+            self._objects[object_id] = ObjectCopy(layout)
 
     def install_pages(self, object_id: ObjectId, copies: Iterable[PageCopy]) -> None:
         """Install pages received from another node.
@@ -97,7 +107,7 @@ class NodeStore:
         writes of a transaction running here, which an install must
         never clobber.  Skipping non-newer copies covers both cases.
         """
-        cached = self._cached(object_id)
+        cached = self.copy_of(object_id)
         for copy in copies:
             current = cached.page_versions.get(copy.page, 0)
             if copy.version <= current:
@@ -108,7 +118,7 @@ class NodeStore:
     def extract_pages(self, object_id: ObjectId,
                       pages: Iterable[int]) -> Tuple[PageCopy, ...]:
         """Package local pages for shipment to another node."""
-        cached = self._cached(object_id)
+        cached = self.copy_of(object_id)
         copies = []
         for page in sorted(set(pages)):
             if page not in cached.page_versions:
@@ -131,15 +141,15 @@ class NodeStore:
 
     def page_version(self, object_id: ObjectId, page: int) -> int:
         """Local version tag of a page; 0 if never cached."""
-        cached = self._cached(object_id)
+        cached = self.copy_of(object_id)
         return cached.page_versions.get(page, 0)
 
     def set_page_version(self, object_id: ObjectId, page: int, version: int) -> None:
-        self._cached(object_id).page_versions[page] = version
+        self.copy_of(object_id).page_versions[page] = version
 
     def resident_pages(self, object_id: ObjectId) -> Dict[int, int]:
         """Mapping page -> local version for every cached page."""
-        return dict(self._cached(object_id).page_versions)
+        return dict(self.copy_of(object_id).page_versions)
 
     # -- slot access ----------------------------------------------------------
 
@@ -148,13 +158,13 @@ class NodeStore:
 
         Used by recovery logs to capture pre-write state (a slot a
         transaction creates may not exist yet)."""
-        cached = self._cached(object_id)
+        cached = self.copy_of(object_id)
         if slot in cached.slots:
             return True, cached.slots[slot]
         return False, None
 
     def read_slot(self, object_id: ObjectId, slot: Slot) -> object:
-        cached = self._cached(object_id)
+        cached = self.copy_of(object_id)
         try:
             return cached.slots[slot]
         except KeyError:
@@ -165,7 +175,7 @@ class NodeStore:
 
     def write_slot(self, object_id: ObjectId, slot: Slot, value: object) -> tuple:
         """Write a slot; returns ``(had_value, old_value)`` for undo."""
-        cached = self._cached(object_id)
+        cached = self.copy_of(object_id)
         had = slot in cached.slots
         old = cached.slots.get(slot)
         cached.slots[slot] = value
@@ -174,7 +184,7 @@ class NodeStore:
     def restore_slot(self, object_id: ObjectId, slot: Slot,
                      had_value: bool, old_value: object) -> None:
         """Undo helper: put a slot back exactly as it was."""
-        cached = self._cached(object_id)
+        cached = self.copy_of(object_id)
         if had_value:
             cached.slots[slot] = old_value
         else:
@@ -182,4 +192,4 @@ class NodeStore:
 
     def snapshot_object(self, object_id: ObjectId) -> Dict[Slot, object]:
         """Copy of all locally cached slot values (tests / debugging)."""
-        return dict(self._cached(object_id).slots)
+        return dict(self.copy_of(object_id).slots)

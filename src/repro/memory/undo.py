@@ -11,16 +11,14 @@ child (closed nesting).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from repro.memory.store import NodeStore
 from repro.memory.layout import Slot
 from repro.util.ids import ObjectId
 
 
-@dataclass(frozen=True)
-class UndoRecord:
+class UndoRecord(NamedTuple):
     """Inverse of one slot write."""
 
     object_id: ObjectId
@@ -40,10 +38,7 @@ class UndoLog:
 
     def record_write(self, object_id: ObjectId, slot: Slot,
                      had_value: bool, old_value: object) -> None:
-        self._records.append(
-            UndoRecord(object_id=object_id, slot=slot,
-                       had_value=had_value, old_value=old_value)
-        )
+        self._records.append(UndoRecord(object_id, slot, had_value, old_value))
 
     def before_write(self, store: NodeStore, object_id: ObjectId,
                      slot: Slot, pages) -> None:

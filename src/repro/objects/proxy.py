@@ -6,7 +6,8 @@ Every read and write flows through the context, which (a) performs the
 access against the node's local store, (b) records actual read/write
 sets (used to validate prediction conservatism), (c) appends undo
 records for writes, and (d) triggers LOTEC demand fetches for pages the
-prediction missed.
+prediction missed.  Whether a name is a scalar attribute, and its slot,
+is one lookup in the layout's ``scalar_slots`` table.
 
 Attribute values must be treated as immutable: update by assignment
 (``self.x = v``, ``self.a[i] = v``), never by in-place container
@@ -82,12 +83,14 @@ class InstrumentedSelf:
         object.__setattr__(self, "_meta", meta)
 
     def __getattr__(self, name: str):
+        # '_' names: our two slots, Python's probes; never an attribute.
         if name.startswith("_"):
             raise AttributeError(name)
-        meta = object.__getattribute__(self, "_meta")
-        ctx = object.__getattribute__(self, "_ctx")
-        layout = meta.layout
-        if not layout.has_attribute(name):
+        meta = self._meta
+        slot = meta.layout.scalar_slots.get(name)
+        if slot is not None:
+            return self._ctx.read_slot(meta, slot)
+        if not meta.layout.has_attribute(name):
             spec = meta.schema.methods.get(name)
             if spec is not None:
                 raise ConfigurationError(
@@ -98,28 +101,26 @@ class InstrumentedSelf:
                 f"shared object {meta.object_id!r} ({meta.schema.name}) has "
                 f"no attribute {name!r}"
             )
-        attr_spec = layout.attribute(name)
-        if attr_spec.is_array:
-            return ArrayView(ctx, meta, name, attr_spec.count)
-        return ctx.read_slot(meta, (name, 0))
+        return ArrayView(self._ctx, meta, name,
+                         meta.layout.attribute(name).count)
 
     def __setattr__(self, name: str, value: object) -> None:
-        meta = object.__getattribute__(self, "_meta")
-        ctx = object.__getattribute__(self, "_ctx")
-        layout = meta.layout
-        if not layout.has_attribute(name):
+        meta = self._meta
+        slot = meta.layout.scalar_slots.get(name)
+        if slot is not None:
+            self._ctx.write_slot(meta, slot, value)
+            return
+        if not meta.layout.has_attribute(name):
             raise AttributeError(
                 f"shared object {meta.object_id!r} ({meta.schema.name}) has "
                 f"no attribute {name!r}; shared classes are closed — declare "
                 f"new attributes with Attr/Array"
             )
-        if layout.attribute(name).is_array:
-            raise ConfigurationError(
-                f"cannot assign whole array {name!r}; assign elements "
-                f"(self.{name}[i] = value)"
-            )
-        ctx.write_slot(meta, (name, 0), value)
+        raise ConfigurationError(
+            f"cannot assign whole array {name!r}; assign elements "
+            f"(self.{name}[i] = value)"
+        )
 
     def __repr__(self) -> str:
-        meta = object.__getattribute__(self, "_meta")
+        meta = self._meta
         return f"<shared {meta.schema.name} {meta.object_id!r}>"

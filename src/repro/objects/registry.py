@@ -30,18 +30,28 @@ class ObjectMeta:
         return self.layout.page_count
 
 
+@dataclass(frozen=True)
+class HandleRef:
+    """Frozen stand-in for an ObjectHandle inside recorded args."""
+
+    __slots__ = ("object_value",)
+    object_value: int
+
+
 class ObjectHandle:
     """The user-facing reference to a shared object.
 
     Handles are plain values: they can be stored in other objects'
     attributes and passed as method arguments across nodes (they cost
-    8 bytes on the wire, like any scalar).
+    8 bytes on the wire, like any scalar).  ``ref`` is the handle's one
+    shared frozen form: the commit log stores it, never a fresh box.
     """
 
-    __slots__ = ("meta",)
+    __slots__ = ("meta", "ref")
 
     def __init__(self, meta: ObjectMeta):
         self.meta = meta
+        self.ref = HandleRef(meta.object_id.value)
 
     @property
     def object_id(self) -> ObjectId:

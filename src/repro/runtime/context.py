@@ -6,6 +6,10 @@ access flows through :meth:`read_slot` / :meth:`write_slot` (via the
 instrumented ``self``), sub-transactions are spawned by yielding
 :meth:`invoke`, and everything else (locks, transfers, undo, dirty
 tracking) happens underneath.
+
+What depends only on *(this invocation's object, this family's node)*
+is resolved once, by the first slot access (:meth:`TxnContext._bind`),
+and then only dereferenced (DESIGN §14, "The invocation path").
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ class InvocationRequest:
     transaction and resumes the body with the child's result.
     """
 
+    __slots__ = ("handle", "method_name", "args")
     handle: ObjectHandle
     method_name: str
     args: Tuple
@@ -34,14 +39,16 @@ class InvocationRequest:
 class TxnContext:
     """Runtime services scoped to one executing [sub-]transaction."""
 
-    def __init__(self, runtime, txn, meta: ObjectMeta, spec,
-                 allow_invoke: bool, merger=None,
+    __slots__ = ("_runtime", "txn", "_meta", "_spec", "_merger",
+                 "_increments", "actual_reads", "actual_writes",
+                 "_copy", "_store", "_page_map", "_touched")
+
+    def __init__(self, runtime, txn, meta: ObjectMeta, spec, merger=None,
                  increments: frozenset = frozenset()):
         self._runtime = runtime
         self.txn = txn
         self._meta = meta
         self._spec = spec
-        self._allow_invoke = allow_invoke
         # Semantic lock modes (DESIGN §15): attributes this invocation
         # updates as blind increments are recorded in the merger as
         # store-virtual deltas instead of written through.
@@ -49,6 +56,7 @@ class TxnContext:
         self._increments = increments
         self.actual_reads: Set[str] = set()
         self.actual_writes: Set[str] = set()
+        self._copy = None  # set, with the other bound references, by _bind
 
     # -- user-facing API ----------------------------------------------------
 
@@ -73,7 +81,7 @@ class TxnContext:
         declare the method with a ``yield`` (``result = yield
         ctx.invoke(obj, "m", ...)``).
         """
-        if not self._allow_invoke:
+        if not self._spec.is_generator:
             raise ConfigurationError(
                 f"method on {self._meta.object_id!r} is not a generator; "
                 f"only generator methods (containing 'yield') may invoke "
@@ -96,18 +104,25 @@ class TxnContext:
     # -- slot access (called by the instrumented proxy) ------------------------
 
     def read_slot(self, meta: ObjectMeta, slot: Slot):
-        self._check_same_object(meta)
-        pages = meta.layout.slot_pages(*slot)
+        if meta is not self._meta:
+            self._check_same_object(meta)
+        pages = (meta.layout.pages_by_slot.get(slot)
+                 or meta.layout.slot_pages(*slot))  # raises: unknown slot
+        copy = self._copy or self._bind()
         if slot[0] in self._increments:
             # Commuting co-holders commit version bumps on increment
             # pages mid-hold; the local bytes are irrelevant to delta
             # arithmetic, so don't chase them (exhaustive-transfer
             # protocols would reject the mid-hold staleness outright).
-            self._materialize(meta, pages)
+            self._materialize(pages)
         else:
-            self._ensure_current(meta, pages, is_write=False)
-        self._touch(meta, slot[0], pages, is_write=False)
-        value = self._store().read_slot(meta.object_id, slot)
+            self._ensure_current(pages, is_write=False)
+        self.actual_reads.add(slot[0])
+        self._touched.update(pages)
+        try:
+            value = copy.slots[slot]
+        except KeyError:  # the store's accessor owns the error
+            value = self._store.read_slot(meta.object_id, slot)
         if self._merger is not None:
             # Family-visible value = store + the family's own live
             # deltas (tracked increments never reach the store).
@@ -119,12 +134,14 @@ class TxnContext:
         return value
 
     def write_slot(self, meta: ObjectMeta, slot: Slot, value) -> None:
-        self._check_same_object(meta)
-        self._check_write_allowed(meta, slot[0])
-        pages = meta.layout.slot_pages(*slot)
+        if meta is not self._meta:
+            self._check_same_object(meta)
+        self._check_write_allowed(slot[0])
+        pages = (meta.layout.pages_by_slot.get(slot)
+                 or meta.layout.slot_pages(*slot))  # raises: unknown slot
+        copy = self._copy or self._bind()
         if slot[0] not in self._increments:
-            self._ensure_current(meta, pages, is_write=True)
-        store = self._store()
+            self._ensure_current(pages, is_write=True)
         if self._merger is not None:
             if slot[0] in self._increments:
                 # Blind increment under a semantic mode: record the
@@ -133,15 +150,16 @@ class TxnContext:
                 # the dirty/touch bookkeeping so commit publishes the
                 # slot's pages from this node.  Staleness is not
                 # chased (see read_slot); only residency matters.
-                self._materialize(meta, pages)
-                old = store.read_slot(meta.object_id, slot)
+                self._materialize(pages)
+                old = self._store.read_slot(meta.object_id, slot)
                 adjust = self._merger.family_adjustment(
                     self.txn, meta.object_id, slot
                 )
                 self._merger.record(self.txn, meta.object_id, slot,
                                     value - old - adjust)
                 self.txn.record_dirty(meta.object_id, pages)
-                self._touch(meta, slot[0], pages, is_write=True)
+                self.actual_writes.add(slot[0])
+                self._touched.update(pages)
                 return
             adjust = self._merger.plain_write_adjustment(
                 self.txn, meta.object_id, slot
@@ -150,15 +168,33 @@ class TxnContext:
                 # Keep the store satisfying family-visible = store +
                 # family deltas around a plain overwrite.
                 value = value - adjust
-        self.txn.undo.before_write(store, meta.object_id, slot, pages)
-        store.write_slot(meta.object_id, slot, value)
+        self.txn.undo.before_write(self._store, meta.object_id, slot, pages)
+        copy.slots[slot] = value
         self.txn.record_dirty(meta.object_id, pages)
-        self._touch(meta, slot[0], pages, is_write=True)
+        self.actual_writes.add(slot[0])
+        self._touched.update(pages)
 
     # -- internals ----------------------------------------------------------------
 
-    def _store(self):
-        return self._runtime.stores[self.txn.node]
+    def _bind(self):
+        """Resolve what this invocation's slot accesses dereference.
+
+        Lazy: an invocation touching no slot needs no cached copy and
+        gains no ``touch_pages`` entry.  Bound are references to *live
+        structures*, never values — a demand fetch, a co-holder's commit
+        or WAL replay changes versions mid-invocation, so both sides are
+        re-read on every access.  Each is assigned exactly once: a
+        store's copy and the directory's entry per object, the entry's
+        ``page_map`` (``move_home`` and failover mutate the entry in
+        place), the root's ``touch_pages[object_id]`` set.
+        """
+        runtime, object_id = self._runtime, self._meta.object_id
+        self._store = store = runtime.stores[self.txn.node]
+        copy = store.copy_of(object_id)
+        self._page_map = runtime.directory.entry(object_id).page_map
+        self._touched = self.txn.root.touch_pages.setdefault(object_id, set())
+        self._copy = copy
+        return copy
 
     def _check_same_object(self, meta: ObjectMeta) -> None:
         if meta.object_id != self._meta.object_id:
@@ -168,7 +204,7 @@ class TxnContext:
                 f"reached only via ctx.invoke()"
             )
 
-    def _check_write_allowed(self, meta: ObjectMeta, attr: str) -> None:
+    def _check_write_allowed(self, attr: str) -> None:
         """Writes must be covered by the method's predicted write set.
 
         The conservative analysis guarantees this; an explicit
@@ -187,36 +223,23 @@ class TxnContext:
                 f"unsound"
             )
 
-    def _materialize(self, meta: ObjectMeta, pages) -> None:
+    def _materialize(self, pages) -> None:
         """Residency-only fetch for tracked increment slots: pull the
         object in on first touch at this node, but never refetch merely
         because a commuting co-holder's commit bumped the version."""
-        store = self._store()
-        if not store.has_object(meta.object_id) or any(
-            store.page_version(meta.object_id, page) == 0 for page in pages
-        ):
-            self._ensure_current(meta, pages, is_write=True)
+        versions = self._copy.page_versions
+        if any(versions.get(page, 0) == 0 for page in pages):
+            self._ensure_current(pages, is_write=True)
 
-    def _ensure_current(self, meta: ObjectMeta, pages, is_write: bool) -> None:
-        entry = self._runtime.directory.entry(meta.object_id)
-        store = self._store()
-        stale = [
-            page
-            for page in pages
-            if store.page_version(meta.object_id, page) < entry.latest_version(page)
-        ]
+    def _ensure_current(self, pages, is_write: bool) -> None:
+        versions, page_map = self._copy.page_versions, self._page_map
+        stale = []
+        for page in pages:  # a loop, not a comprehension: no extra frame
+            if versions.get(page, 0) < page_map[page].version:
+                stale.append(page)
         if not stale:
             return
-        delay = self._runtime.protocol.for_meta(meta).on_stale_access(
-            self.txn, meta, entry.page_map, stale, is_write
+        delay = self._runtime.protocol.for_meta(self._meta).on_stale_access(
+            self.txn, self._meta, page_map, stale, is_write
         )
-        root = self.txn.root
-        root.pending_delay += delay
-
-    def _touch(self, meta: ObjectMeta, attr: str, pages, is_write: bool) -> None:
-        if is_write:
-            self.actual_writes.add(attr)
-        else:
-            self.actual_reads.add(attr)
-        root = self.txn.root
-        root.touch_pages.setdefault(meta.object_id, set()).update(pages)
+        self.txn.root.pending_delay += delay

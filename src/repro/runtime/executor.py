@@ -29,7 +29,7 @@ from repro.gdo.entry import LockMode
 from repro.memory.shadow import ShadowLog
 from repro.memory.undo import UndoLog
 from repro.objects.proxy import InstrumentedSelf
-from repro.objects.registry import ObjectHandle
+from repro.objects.registry import HandleRef as _HandleRef, ObjectHandle
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.context import InvocationRequest, TxnContext
 from repro.txn.semantic import IncrementMerger
@@ -107,23 +107,21 @@ class _LiveFamily:
     committing: bool = False
 
 
-@dataclass(frozen=True)
-class _HandleRef:
-    """Frozen stand-in for an ObjectHandle inside recorded args."""
-
-    object_value: int
-
-
 def freeze_args(args):
-    """Recursively replace handles with id markers (for replay logs)."""
+    """Recursively replace handles with id markers (for replay logs).
+
+    Containers are snapshotted afresh on every call (a caller may mutate
+    a list after the commit); a plain handle inside one costs one load
+    of its shared ref, not a call — every root's args carry the table."""
     if isinstance(args, ObjectHandle):
-        return _HandleRef(args.object_id.value)
-    if isinstance(args, tuple):
-        return tuple(freeze_args(item) for item in args)
-    if isinstance(args, list):
-        return [freeze_args(item) for item in args]
+        return args.ref
+    if isinstance(args, (tuple, list)):
+        frozen = [item.ref if type(item) is ObjectHandle else freeze_args(item)
+                  for item in args]
+        return tuple(frozen) if isinstance(args, tuple) else frozen
     if isinstance(args, dict):
-        return {key: freeze_args(value) for key, value in args.items()}
+        return {key: value.ref if type(value) is ObjectHandle
+                else freeze_args(value) for key, value in args.items()}
     return args
 
 
@@ -323,10 +321,10 @@ class Executor:
         # page it dirtied: stamp the local tags with the post-commit
         # versions before anyone can fetch from us.
         for object_id, pages in root.dirty.items():
-            entry = self.directory.entry(object_id)
+            page_map = self.directory.entry(object_id).page_map
+            versions = store.copy_of(object_id).page_versions
             for page in pages:
-                version = entry.latest_version(page)
-                store.set_page_version(object_id, page, version)
+                versions[page] = version = page_map[page].version
                 # Durable record: the committed version now owned here
                 # survives a crash of this node (fail-stop with stable
                 # storage) and is replayed at rejoin.
@@ -534,7 +532,6 @@ class Executor:
                     outcome.shipped
                 )
             ctx = TxnContext(self, txn, meta, spec,
-                             allow_invoke=spec.is_generator,
                              merger=self.merger, increments=increments)
             proxy = InstrumentedSelf(ctx, meta)
             if spec.is_generator:

@@ -1,6 +1,7 @@
 """Unit tests for the "compiler": AST access analysis and prediction."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import ALL_ATTRIBUTES, AccessSets, analyze_method, predict
 from repro.analysis.prediction import PredictionStats
@@ -208,6 +209,50 @@ class TestPrediction:
             AccessSets(reads=ALL_ATTRIBUTES, writes=ALL_ATTRIBUTES), layout
         )
         assert prediction.pages == layout.all_pages()
+
+    @given(
+        sizes=st.lists(st.tuples(st.integers(1, 300), st.integers(1, 4)),
+                       min_size=1, max_size=6),
+        page_sizes=st.lists(st.integers(16, 256), min_size=2, max_size=2,
+                            unique=True),
+        picks=st.lists(st.tuples(
+            st.one_of(st.just(ALL_ATTRIBUTES), st.sets(st.integers(0, 5))),
+            st.one_of(st.just(ALL_ATTRIBUTES), st.sets(st.integers(0, 5))),
+        ), min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_memoised_predict_equals_fresh_computation(self, sizes,
+                                                       page_sizes, picks):
+        specs = [AttributeSpec(f"a{i}", size, count)
+                 for i, (size, count) in enumerate(sizes)]
+        small, large = (ObjectLayout(specs, page_size=size)
+                        for size in page_sizes)
+
+        def names(pick):
+            if pick is ALL_ATTRIBUTES:
+                return pick
+            return frozenset(f"a{i}" for i in pick if i < len(specs))
+
+        def pages(layout, attrs):  # un-memoised, from the layout's API
+            if attrs is ALL_ATTRIBUTES:
+                return layout.all_pages()
+            return frozenset().union(*map(layout.attribute_pages, attrs))
+
+        for reads, writes in picks * 2:  # second round hits the memo
+            access = AccessSets(reads=names(reads), writes=names(writes))
+            for layout in (small, large):
+                prediction = predict(access, layout)
+                assert prediction is predict(access, layout)
+                assert prediction.read_pages == pages(layout, access.reads)
+                assert prediction.write_pages == pages(layout, access.writes)
+                assert layout.predictions[access.reads, access.writes] \
+                    is prediction
+        # One schema at two page sizes: two tables, no shared entry.
+        assert small.predictions is not large.predictions
+        assert small.predictions.keys() == large.predictions.keys()
+        shared = {id(p) for p in small.predictions.values()} & \
+            {id(p) for p in large.predictions.values()}
+        assert not shared
 
     def test_stats_merge_and_rates(self):
         stats = PredictionStats(predicted_pages=10, transferred_pages=8,

@@ -24,12 +24,19 @@ class TestAttributeSpec:
 
     @pytest.mark.parametrize("bad", [
         dict(name="1bad", size_bytes=8),
+        dict(name="_hidden", size_bytes=8),  # writable but never readable
+        dict(name="__dunder__", size_bytes=8),
         dict(name="x", size_bytes=0),
         dict(name="x", size_bytes=8, count=0),
     ])
     def test_validation(self, bad):
         with pytest.raises(ConfigurationError):
             AttributeSpec(**bad)
+
+    def test_leading_underscore_error_names_attribute_and_reason(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"'_hidden'.*reserved.*instrumented self"):
+            AttributeSpec(name="_hidden", size_bytes=8)
 
 
 class TestLayoutBasics:

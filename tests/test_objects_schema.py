@@ -51,6 +51,18 @@ class TestDeclarations:
         with pytest.raises(ConfigurationError):
             Array(size=8, count=1)
 
+    def test_leading_underscore_attribute_rejected_at_definition(self):
+        """Such an attribute could be written (``self._hidden = 7``) but
+        never read back: the proxy reserves the ``_`` prefix."""
+        with pytest.raises(ConfigurationError, match="'_hidden'.*reserved"):
+            @shared_class
+            class Hidden:
+                _hidden = Attr(8)
+
+                @method
+                def peek(self, ctx):
+                    return self._hidden
+
     def test_class_without_attrs_rejected(self):
         class NoAttrs:
             @method

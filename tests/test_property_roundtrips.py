@@ -63,6 +63,49 @@ class TestFreezeJsonRoundTrip:
         assert thaw_args(value, lambda v: _HandleRef(v)) == value
 
 
+class _Pair(tuple):
+    pass
+
+
+class _Bag(list):
+    pass
+
+
+class _Table(dict):
+    pass
+
+
+class TestFreezeContainerSubclasses:
+    """Subclasses miss the exact-type shortcut for handles but freeze
+    and thaw like their builtin base."""
+
+    @given(st.lists(frozen_values, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_thaw_of_freeze_is_identity(self, items):
+        for value in (_Pair(items), _Bag(items),
+                      _Table(enumerate(items)), tuple(items), list(items)):
+            frozen = freeze_args(value)
+            assert type(frozen) in (tuple, list, dict)
+            assert thaw_args(frozen, lambda v: _HandleRef(v)) == value
+
+    def test_handle_subclass_and_nested_subclass_containers(self):
+        from repro.objects.registry import ObjectHandle
+        from conftest import Counter, make_cluster
+
+        class Tagged(ObjectHandle):
+            __slots__ = ()
+
+        cluster = make_cluster()
+        plain = cluster.create(Counter)
+        tagged = Tagged(plain.meta)
+        frozen = freeze_args(_Bag([_Pair((plain, tagged)), _Table(k=tagged)]))
+        assert frozen == [(plain.ref, tagged.ref), {"k": tagged.ref}]
+        assert frozen[0][0] is plain.ref
+        assert thaw_args(frozen, lambda v: cluster.handle(
+            cluster.registry.all_objects()[v])) == [(plain, plain),
+                                                     {"k": plain}]
+
+
 class TestSizeModelProperties:
     @given(
         holders=st.integers(0, 100),

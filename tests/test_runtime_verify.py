@@ -35,6 +35,25 @@ class TestFreezeThaw:
         thawed = thaw_args(frozen, lambda value: f"handle-{value}")
         assert thawed == ("handle-0", [1, "handle-0"], {"k": "handle-0"})
 
+    def test_every_occurrence_is_the_handles_one_ref(self, cluster):
+        counter = cluster.create(Counter)
+        frozen = freeze_args((counter, [counter], {"k": (counter,)}))
+        assert frozen[0] is counter.ref
+        assert frozen[1][0] is counter.ref and frozen[2]["k"][0] is counter.ref
+        assert freeze_args([counter] * 3) is not freeze_args([counter] * 3)
+
+    def test_commit_log_snapshots_mutable_arguments(self, cluster):
+        """Freezing is eager: a caller may reuse a list argument."""
+        counters = [cluster.create(Counter) for _ in range(2)]
+        boss = cluster.create(Orchestrator)
+        cluster.call(boss, "fanout", counters, 5)
+        recorded = cluster.commit_log[-1].frozen_args
+        assert recorded == ([counters[0].ref, counters[1].ref], 5)
+        counters.append(boss)
+        counters[0] = None
+        assert cluster.commit_log[-1].frozen_args == recorded
+        assert len(recorded[0]) == 2 and recorded[0][0] is not None
+
     def test_plain_values_untouched(self):
         data = (1, "x", 2.5, None)
         assert freeze_args(data) == data
