@@ -16,10 +16,9 @@ data moves, when* (§5):
 
 The transfer engine (:mod:`repro.core.transfer`) implements Algorithm
 4.5: group needed pages by their current owner node and gather them,
-possibly from several nodes at once.  Gathers complete on the *real*
-response delivery events (so injected faults delay installation), and
-multi-object acquisitions (:func:`~repro.core.transfer.gather_many`)
-coalesce same-owner requests into one batched wire message pair.
+possibly from several nodes at once, one request/response pair per
+owner.  Gathers complete on the *real* response delivery events (so
+injected faults delay installation).
 """
 
 from repro.core.protocol import ConsistencyProtocol, TransferOutcome
@@ -29,12 +28,7 @@ from repro.core.otec import OTEC
 from repro.core.hlotec import HomeBasedLOTEC
 from repro.core.lotec import LOTEC
 from repro.core.rc import ReleaseConsistency
-from repro.core.transfer import (
-    GatherTarget,
-    demand_fetch,
-    gather_many,
-    gather_pages,
-)
+from repro.core.transfer import demand_fetch, gather_pages
 
 PROTOCOLS = {
     "cotec": COTEC,
@@ -72,8 +66,6 @@ __all__ = [
     "ReleaseConsistency",
     "PROTOCOLS",
     "make_protocol",
-    "GatherTarget",
-    "gather_many",
     "gather_pages",
     "demand_fetch",
 ]

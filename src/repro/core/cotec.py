@@ -8,9 +8,8 @@ not the acquiring site's copy happens to be current — full object
 shipping, the behaviour of a naive distributed object system.
 
 COTEC objects usually live whole at one owner, so its gathers are
-single-source; in a batched multi-object acquisition several COTEC
-objects at a common owner still coalesce into one wire pair, and the
-gather completes when the real ``PAGE_DATA`` delivery lands.
+single-source: one wire pair per acquisition, complete when the real
+``PAGE_DATA`` delivery lands.
 """
 
 from __future__ import annotations

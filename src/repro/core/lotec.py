@@ -19,10 +19,7 @@ Consequences implemented here:
   sends *more, smaller* messages than OTEC/COTEC while moving fewer
   bytes — the trade-off Figures 6-8 quantify.
 * Those scattered gathers complete on the actual ``PAGE_DATA``
-  delivery events, and multi-object acquisitions coalesce same-owner
-  requests into one batched wire pair — the message-count overhead
-  LOTEC pays for laziness is exactly what per-owner batching claws
-  back (see :mod:`repro.core.transfer`).
+  delivery events (see :mod:`repro.core.transfer`).
 """
 
 from __future__ import annotations

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Set
 
 from repro.analysis.prediction import AccessPrediction, PredictionStats
-from repro.core.transfer import (
-    PAGE_GRAIN,
-    GatherTarget,
-    demand_fetch,
-    gather_many,
-    gather_pages,
-)
+from repro.core.transfer import PAGE_GRAIN, demand_fetch, gather_pages
 from repro.net.transport import Transport
 from repro.net.sizes import SizeModel
 from repro.objects.registry import ObjectMeta
@@ -52,17 +46,13 @@ class ConsistencyProtocol:
 
     def __init__(self, env, network: Transport, sizes: SizeModel,
                  stores: Dict[NodeId, object], grain: str = PAGE_GRAIN,
-                 tracer=None, batch_transfers: bool = True):
+                 tracer=None):
         self.env = env
         self.network = network
         self.sizes = sizes
         self.stores = stores
         self.grain = grain
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Coalesce same-owner page requests of multi-object
-        #: acquisitions into one wire message pair (see
-        #: :func:`repro.core.transfer.gather_many`).
-        self.batch_transfers = batch_transfers
         self.prediction_stats = PredictionStats()
 
     # -- policy hook --------------------------------------------------------
@@ -106,51 +96,6 @@ class ConsistencyProtocol:
         )
         return TransferOutcome(wanted=frozenset(wanted),
                                shipped=frozenset(shipped))
-
-    def acquire_transfer_many(self, txn, requests):
-        """Simulation process: one gather for several just-granted objects.
-
-        ``requests`` is a sequence of ``(meta, page_map, prediction)``
-        triples (e.g. a multi-object prefetch).  Page selection runs
-        per object exactly as in :meth:`acquire_transfer`, but the wire
-        work goes through one :func:`gather_many` call, so requests for
-        objects resident at a common owner coalesce into a single
-        batched ``PAGE_REQUEST``/``PAGE_DATA`` pair when
-        ``batch_transfers`` is on.  Returns ``{object id:
-        TransferOutcome}``.
-        """
-        node = txn.node
-        store = self.stores[node]
-        targets = []
-        selected = []
-        for meta, page_map, prediction in requests:
-            store.register_object(meta.object_id, meta.layout)
-            local_versions = store.resident_pages(meta.object_id)
-            wanted = self.select_pages(meta, page_map, local_versions,
-                                       prediction)
-            self.prediction_stats.acquisitions += 1
-            self.prediction_stats.predicted_pages += len(prediction.pages)
-            selected.append((meta, prediction, wanted))
-            targets.append(GatherTarget(
-                meta=meta, page_map=page_map,
-                pages=tuple(sorted(wanted)),
-            ))
-        shipped_by_object = yield from gather_many(
-            self.env, self.network, self.sizes, self.stores, node, targets,
-            grain=self.grain, cause="acquire", batch=self.batch_transfers,
-        )
-        outcomes = {}
-        for meta, prediction, wanted in selected:
-            shipped = shipped_by_object.get(meta.object_id, [])
-            self.prediction_stats.transferred_pages += len(shipped)
-            self.tracer.prediction(
-                node, meta.object_id, sorted(prediction.pages),
-                sorted(wanted), sorted(shipped),
-            )
-            outcomes[meta.object_id] = TransferOutcome(
-                wanted=frozenset(wanted), shipped=frozenset(shipped)
-            )
-        return outcomes
 
     # -- stale access -------------------------------------------------------
 

@@ -14,10 +14,10 @@ LOTEC's: few demand transfers, but update bytes multiplied by the
 number of caching replicas whether or not they will ever read them.
 
 Cold-start pulls ride the shared gather engine (event-driven
-completion, per-owner batching for multi-object acquisitions); the
-commit-time pushes stay on the synchronous ``charge_group`` path —
-they are fire-and-forget and never gate an installation the pushing
-site waits on.
+completion, one request/response pair per owner); the commit-time
+pushes stay on the synchronous ``charge_group`` path — they are
+fire-and-forget and never gate an installation the pushing site waits
+on.
 """
 
 from __future__ import annotations

@@ -62,26 +62,6 @@ class ProtocolSuite:
             seen.setdefault(id(protocol), protocol)
         return tuple(seen.values())
 
-    def acquire_transfer_many(self, txn, requests):
-        """Group a multi-object acquisition by owning protocol instance.
-
-        ``requests`` is a sequence of ``(meta, page_map, prediction)``
-        triples.  Each protocol instance gathers its own group (one
-        batched wire exchange per instance and owner); returns the
-        merged ``{object id: TransferOutcome}`` map.
-        """
-        grouped: Dict[int, list] = {}
-        order: Dict[int, ConsistencyProtocol] = {}
-        for request in requests:
-            protocol = self.for_meta(request[0])
-            grouped.setdefault(id(protocol), []).append(request)
-            order[id(protocol)] = protocol
-        outcomes = {}
-        for key, group in grouped.items():
-            result = yield from order[key].acquire_transfer_many(txn, group)
-            outcomes.update(result)
-        return outcomes
-
     def on_root_commit(self, root, dirty: Dict, metas) -> None:
         """Group the commit's dirty objects by owning protocol."""
         grouped: Dict[int, Dict] = {}

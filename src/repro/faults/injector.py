@@ -212,10 +212,10 @@ class FaultInjector(NullInjector):
 
         Probabilistic draws are *keyed per wire message*: once the
         network assigns a ``wire_id``, every draw comes from a stream
-        derived from ``(wire_id, attempt)``.  A batched multi-object
-        message is therefore exactly one fault unit (not one per
-        logical page set), and the verdict for a given attempt is
-        independent of how many other messages are in flight.  The
+        derived from ``(wire_id, attempt)``.  Each wire message is
+        therefore exactly one fault unit, and the verdict for a given
+        attempt is independent of how many other messages are in
+        flight.  The
         draw order is fixed — drop, then duplicate, then jitter — and
         all three are always evaluated, so a single attempt can be
         dropped *and* duplicated (both wire copies lost) with

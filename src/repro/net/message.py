@@ -6,7 +6,7 @@ import enum
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.util.errors import ProtocolError
 from repro.util.ids import NodeId, ObjectId
@@ -38,21 +38,6 @@ class MessageCategory(enum.Enum):
         return self in (MessageCategory.PAGE_DATA, MessageCategory.UPDATE_PUSH)
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    """One object's share of a batched (multi-object) message.
-
-    ``size_bytes`` is the entry's on-wire share — its object reference
-    plus its per-object payload — so the sum of entry shares plus one
-    protocol header reconstructs the whole message size, and per-object
-    accounting can attribute exactly the bytes each object caused.
-    """
-
-    object_id: ObjectId
-    pages: Tuple[int, ...]
-    size_bytes: int
-
-
 @dataclass
 class Message:
     """One message on the simulated network.
@@ -63,15 +48,9 @@ class Message:
     per-object series of Figures 2-8 can be reconstructed; pure control
     traffic leaves it ``None``.
 
-    A *batched* message carries a ``manifest`` of per-object
-    :class:`ManifestEntry` shares instead of a single ``object_id``:
-    one coalesced ``PAGE_REQUEST``/``PAGE_DATA`` pair serves several
-    objects resident at the same owner, paying the header and software
-    startup cost once.
-
     ``wire_id`` is assigned by the network the first time the message
-    hits the wire; fault draws are keyed by it, so a batched message is
-    one fault unit regardless of how many logical page sets it carries.
+    hits the wire; fault draws are keyed by it, so each message is one
+    fault unit with one verdict stream across its attempts.
     ``attempts`` counts wire attempts (1 = no retransmission) and
     ``send_time`` is the *first* attempt's send instant, so
     ``deliver_time - send_time`` covers every retransmit turnaround.
@@ -83,7 +62,6 @@ class Message:
     size_bytes: int
     object_id: Optional[ObjectId] = None
     payload: Any = None
-    manifest: Tuple[ManifestEntry, ...] = field(default=(), compare=False)
     wire_id: Optional[int] = field(default=None, compare=False)
     attempts: int = field(default=0, compare=False)
     send_time: float = field(default=0.0, compare=False)
@@ -103,27 +81,6 @@ class Message:
         """
         return self.src == self.dst
 
-    def attributions(self) -> Tuple[Tuple[ObjectId, int], ...]:
-        """Per-object ``(object id, bytes)`` shares of this message.
-
-        Batched messages split by manifest entry (the one header is
-        attributed to the first entry, mirroring how an unbatched run
-        would have charged that object a header of its own); plain
-        messages attribute everything to ``object_id``.
-        """
-        if self.manifest:
-            header = self.size_bytes - sum(
-                entry.size_bytes for entry in self.manifest
-            )
-            return tuple(
-                (entry.object_id,
-                 entry.size_bytes + (header if index == 0 else 0))
-                for index, entry in enumerate(self.manifest)
-            )
-        if self.object_id is None:
-            return ()
-        return ((self.object_id, self.size_bytes),)
-
 
 # ---------------------------------------------------------------------------
 # Wire-frame codec (the TCP transport's on-socket format)
@@ -132,7 +89,7 @@ class Message:
 # A frame is a 4-byte big-endian length prefix followed by one JSON
 # object with sorted keys.  Message frames (``"t": "msg"``) carry the
 # full protocol-visible identity of a :class:`Message` — category,
-# endpoints, size, object attribution, manifest, wire id — plus a
+# endpoints, size, object attribution, wire id — plus a
 # ``pad`` filler sized so the frame occupies ``size_bytes`` bytes on
 # the socket whenever the metadata fits: the cost model's on-wire size
 # becomes the *actual* on-wire size.  Control frames (``"t": "hello"``
@@ -143,7 +100,7 @@ class Message:
 FRAME_PREFIX_BYTES = 4
 _FRAME_PREFIX = struct.Struct(">I")
 
-#: Version stamped into every message frame; receivers reject others.
+#: Version stamped into every message frame (stamped, not checked).
 FRAME_SCHEMA = 1
 
 #: Hard ceiling on one frame's body, far above any modeled message.
@@ -193,37 +150,7 @@ def message_to_frame(message: Message, kind: str = "send") -> Dict[str, Any]:
     }
     if message.object_id is not None:
         frame["object"] = message.object_id.value
-    if message.manifest:
-        frame["manifest"] = [
-            [entry.object_id.value, list(entry.pages), entry.size_bytes]
-            for entry in message.manifest
-        ]
     return frame
-
-
-def message_from_frame(frame: Dict[str, Any]) -> Message:
-    """Rebuild a :class:`Message` from a decoded message frame."""
-    if frame.get("t") != "msg":
-        raise ProtocolError(f"not a message frame: {frame.get('t')!r}")
-    if frame.get("v") != FRAME_SCHEMA:
-        raise ProtocolError(
-            f"frame schema {frame.get('v')!r} != {FRAME_SCHEMA}"
-        )
-    object_id = frame.get("object")
-    message = Message(
-        src=NodeId(frame["src"]),
-        dst=NodeId(frame["dst"]),
-        category=MessageCategory(frame["category"]),
-        size_bytes=frame["size"],
-        object_id=None if object_id is None else ObjectId(object_id),
-        manifest=tuple(
-            ManifestEntry(ObjectId(obj), tuple(pages), size)
-            for obj, pages, size in frame.get("manifest", ())
-        ),
-    )
-    message.wire_id = frame.get("wire")
-    message.attempts = frame.get("attempt", 0)
-    return message
 
 
 def encode_frame(message: Message, kind: str = "send") -> bytes:
@@ -242,16 +169,3 @@ def encode_frame(message: Message, kind: str = "send") -> bytes:
         frame["pad"] = "." * shortfall
         return pack_frame(frame)
     return bare
-
-
-def decode_frame(data: bytes) -> Message:
-    """Decode one complete frame (prefix included) into a message."""
-    if len(data) < FRAME_PREFIX_BYTES:
-        raise ProtocolError(f"truncated frame: {len(data)} bytes")
-    (length,) = _FRAME_PREFIX.unpack(data[:FRAME_PREFIX_BYTES])
-    body = data[FRAME_PREFIX_BYTES:]
-    if len(body) != length:
-        raise ProtocolError(
-            f"frame length prefix {length} != body length {len(body)}"
-        )
-    return message_from_frame(unpack_frame(body))

@@ -30,8 +30,9 @@ class SizeModel:
         lock_request_bytes: payload of a lock request (object id, mode,
             requester pair).
         ack_bytes: payload of a bare acknowledgement / control message.
-        object_ref_bytes: per-object reference (object id + entry page
-            count) inside a batched multi-object message's manifest.
+
+    Every message carries one object's payload at most: page requests
+    and page data are priced per object and owner, never coalesced.
     """
 
     header_bytes: int = 40
@@ -40,7 +41,6 @@ class SizeModel:
     page_map_entry_bytes: int = 6
     lock_request_bytes: int = 16
     ack_bytes: int = 4
-    object_ref_bytes: int = 8
 
     def __post_init__(self) -> None:
         for name in (
@@ -50,7 +50,6 @@ class SizeModel:
             "page_map_entry_bytes",
             "lock_request_bytes",
             "ack_bytes",
-            "object_ref_bytes",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -84,40 +83,6 @@ class SizeModel:
         """Object-grain transfer (the DSD mode of §4.2): raw bytes, not
         whole pages."""
         return self.header_bytes + byte_count
-
-    # -- batched (multi-object) messages -----------------------------------
-    #
-    # A coalesced gather pays the protocol header once and prefixes each
-    # object's payload with a small object reference; entry shares are
-    # exposed separately so per-object accounting stays exact.
-
-    def request_entry(self, page_count: int) -> int:
-        """One object's share of a batched page request."""
-        return self.object_ref_bytes + page_count * self.page_map_entry_bytes
-
-    def page_request_batch(self, page_counts) -> int:
-        """One request asking for several objects' pages at once."""
-        return self.header_bytes + sum(
-            self.request_entry(count) for count in page_counts
-        )
-
-    def data_entry(self, page_count: int) -> int:
-        """One object's share of a batched page-grain data message."""
-        return self.object_ref_bytes + page_count * self.page_bytes
-
-    def page_data_batch(self, page_counts) -> int:
-        return self.header_bytes + sum(
-            self.data_entry(count) for count in page_counts
-        )
-
-    def object_data_entry(self, byte_count: int) -> int:
-        """One object's share of a batched object-grain data message."""
-        return self.object_ref_bytes + byte_count
-
-    def object_data_batch(self, byte_counts) -> int:
-        return self.header_bytes + sum(
-            self.object_data_entry(count) for count in byte_counts
-        )
 
     def migration_transfer(self, holder_entries: int,
                            page_map_entries: int) -> int:

@@ -28,18 +28,11 @@ class ObjectTraffic:
     data_messages: int = 0
 
     def record(self, message: Message, transfer_time: float) -> None:
-        self.record_share(message.size_bytes, transfer_time,
-                          message.category.is_consistency_data)
-
-    def record_share(self, size_bytes: int, time: float,
-                     is_data: bool) -> None:
-        """Account one message — or one object's share of a batched
-        message (wire time split pro rata by bytes)."""
-        self.bytes += size_bytes
+        self.bytes += message.size_bytes
         self.messages += 1
-        self.time += time
-        if is_data:
-            self.data_bytes += size_bytes
+        self.time += transfer_time
+        if message.category.is_consistency_data:
+            self.data_bytes += message.size_bytes
             self.data_messages += 1
 
 
@@ -80,16 +73,20 @@ class NetworkStats:
         self.total_time += transfer_time
         self.by_category_bytes[message.category] += message.size_bytes
         self.by_category_messages[message.category] += 1
-        is_data = message.category.is_consistency_data
-        for object_id, share_bytes in message.attributions():
+        object_id = message.object_id
+        if object_id is not None:
             traffic = self.by_object.get(object_id)
             if traffic is None:
                 traffic = self.by_object[object_id] = ObjectTraffic()
-            share_time = (
-                transfer_time * share_bytes / message.size_bytes
-                if message.size_bytes else transfer_time
-            )
-            traffic.record_share(share_bytes, share_time, is_data)
+            size_bytes = message.size_bytes
+            # `t * s / s`, not `t`: in IEEE doubles the two can differ
+            # in the last bit, and the per-object message-time series
+            # (Figures 6-8, the benches' hot-object meta) are pinned
+            # bit for bit.
+            traffic.record(message, (
+                transfer_time * size_bytes / size_bytes
+                if size_bytes else transfer_time
+            ))
         sender = self.by_node.setdefault(message.src, NodeTraffic())
         sender.sent_bytes += message.size_bytes
         sender.sent_messages += 1

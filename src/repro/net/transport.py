@@ -82,9 +82,8 @@ class Transport(abc.ABC):
         touch the wire — started or not — matching the paper's
         local/global split of lock processing (§4.1).  A remote message
         gets its wire identity here, once: fault draws are keyed by it,
-        so one wire message — however many logical page sets its
-        manifest coalesces — is exactly one fault unit, with one
-        verdict stream across its attempts.
+        so one wire message is exactly one fault unit, with one verdict
+        stream across its attempts.
         """
         category = message.category.value
         src, dst = message.src.value, message.dst.value

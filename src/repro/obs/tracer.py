@@ -169,10 +169,6 @@ class NullTracer:
                          versions=None):
         pass
 
-    def transfer_batch(self, node, owner, object_ids, request_bytes,
-                       data_bytes, saved_messages):
-        pass
-
     def demand_fetch(self, node, object_id, pages, shipped, data_bytes,
                      is_write, delay, versions=None):
         pass
@@ -470,21 +466,6 @@ class Tracer(NullTracer):
             delivered_at=delivered_at, versions=versions,
         )
 
-    def transfer_batch(self, node, owner, object_ids, request_bytes,
-                       data_bytes, saved_messages):
-        """One coalesced multi-object request/response pair replaced
-        ``saved_messages`` unbatched wire messages to the same owner."""
-        self.metrics.counter("transfer.batches").inc()
-        self.metrics.counter("transfer.messages_saved_by_batching").inc(
-            saved_messages
-        )
-        self.instant(
-            "transfer.batch", CAT_TRANSFER, node=node,
-            track=f"net to N{owner.value}",
-            owner=owner, objects=object_ids, request_bytes=request_bytes,
-            data_bytes=data_bytes, saved_messages=saved_messages,
-        )
-
     def demand_fetch(self, node, object_id, pages, shipped, data_bytes,
                      is_write, delay, versions=None):
         self.metrics.counter("transfer.bytes", cause="demand").inc(data_bytes)
@@ -538,8 +519,6 @@ class Tracer(NullTracer):
             "dst": message.dst, "bytes": message.size_bytes,
             "object": message.object_id,
         }
-        if message.manifest:
-            args["objects"] = [entry.object_id for entry in message.manifest]
         # Stamped with the clock, not message.send_time: send_time is
         # pinned to the first attempt, while this event records the
         # wire occupancy of the *current* attempt.

@@ -153,7 +153,6 @@ class Cluster:
                 sizes=config.sizes, stores=self.stores,
                 grain=config.transfer_grain, directory=self.directory,
                 tracer=self.tracer,
-                batch_transfers=config.batch_transfers,
             )
 
         self.protocol = ProtocolSuite.build(

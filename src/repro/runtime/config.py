@@ -61,14 +61,9 @@ class ClusterConfig:
             ``"off"``, ``"locks"`` (non-blocking pre-acquisition of
             predicted objects' locks, demoted to retained so
             sub-transactions acquire them locally), or
-            ``"locks+pages"`` (also pre-fetch their stale pages).
-        batch_transfers: coalesce the page requests of one multi-object
-            acquisition into a single ``PAGE_REQUEST``/``PAGE_DATA``
-            pair per owner node (paying the software startup cost
-            once), when several requested objects' up-to-date pages
-            live at the same owner.  Single-object gathers are
-            byte-identical either way; disabling reproduces the
-            classic one-pair-per-object wire format.
+            ``"locks+pages"`` (also pre-fetch their stale pages; each
+            object is gathered on its own, in parallel with the
+            others).
         trace: record every protocol decision (transaction spans, lock
             grants/waits, GDO forwards, page transfers, per-message
             network events) with the :mod:`repro.obs` tracer; off by
@@ -119,7 +114,6 @@ class ClusterConfig:
     class_protocols: tuple = ()
     semantic_locks: bool = False
     prefetch: str = "off"
-    batch_transfers: bool = True
     trace: bool = False
     tiebreak: str = "fifo"
     faults: Optional[FaultPlan] = None

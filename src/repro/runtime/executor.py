@@ -383,7 +383,9 @@ class Executor:
         are pre-acquired concurrently (hiding remote lock latency) and
         in sorted order for determinism.  Pre-acquisition never blocks,
         so it cannot introduce deadlocks — a busy lock is simply not
-        prefetched.
+        prefetched.  Under ``"locks+pages"`` each granted candidate
+        gathers its own pages in its own process, so the transfers of
+        objects at a common owner overlap instead of sharing a message.
         """
         candidates = sorted(
             object_id
@@ -393,9 +395,6 @@ class Executor:
         if not candidates:
             return
         fetch_pages = self.config.prefetch == "locks+pages"
-        if fetch_pages and self.config.batch_transfers:
-            yield from self._prefetch_batched(txn, candidates)
-            return
         processes = [
             self.env.process(
                 self._prefetch_one(txn, object_id, fetch_pages),
@@ -404,56 +403,6 @@ class Executor:
             for object_id in candidates
         ]
         yield self.env.all_of(processes)
-
-    def _prefetch_batched(self, txn: Transaction, candidates):
-        """Page-fetching prefetch with per-owner request coalescing.
-
-        Phase 1 pre-acquires the candidates' locks concurrently (as the
-        unbatched path does); phase 2 funnels every granted object
-        through one :meth:`ProtocolSuite.acquire_transfer_many` call,
-        so pages of different objects living at a common owner ride a
-        single batched ``PAGE_REQUEST``/``PAGE_DATA`` pair.
-        """
-        processes = [
-            self.env.process(
-                self._prefetch_lock(txn, object_id),
-                name=f"prefetch:{object_id!r}",
-            )
-            for object_id in candidates
-        ]
-        grants = yield self.env.all_of(processes)
-        requests = []
-        for grant in grants:
-            if grant is None:
-                continue
-            object_id, snapshot = grant
-            meta = self._meta_of(object_id)
-            prediction = AccessPrediction(
-                read_pages=meta.layout.all_pages(), write_pages=frozenset()
-            )
-            requests.append((meta, snapshot, prediction))
-        if not requests:
-            return
-        outcomes = yield from self.protocol.acquire_transfer_many(
-            txn, requests
-        )
-        root = txn.root
-        for object_id, outcome in outcomes.items():
-            root.transfer_log.setdefault(object_id, set()).update(
-                outcome.shipped
-            )
-
-    def _prefetch_lock(self, txn: Transaction, object_id: ObjectId):
-        """Lock half of a batched prefetch: non-blocking pre-acquisition,
-        returning ``(object id, page-map snapshot)`` on a grant."""
-        from repro.gdo.entry import LockMode as _LockMode
-
-        snapshot = yield from self.lockmgr.try_prefetch(
-            txn, object_id, _LockMode.WRITE
-        )
-        if snapshot is None:
-            return None
-        return object_id, snapshot
 
     def _prefetch_one(self, txn: Transaction, object_id: ObjectId,
                       fetch_pages: bool):

@@ -9,6 +9,7 @@ from repro.core.transfer import demand_fetch, gather_pages
 from repro.gdo.entry import PageMapEntry
 from repro.memory.layout import AttributeSpec, ObjectLayout
 from repro.memory.store import NodeStore
+from repro.net.message import MessageCategory
 from repro.net.network import NetworkConfig, SimTransport
 from repro.net.sizes import SizeModel
 from repro.objects.registry import ObjectMeta
@@ -175,8 +176,6 @@ class TestGatherEngine:
             )
 
         self.env.run_process(proc())
-        from repro.net.message import MessageCategory
-
         assert self.network.stats.category_bytes(
             MessageCategory.PAGE_DATA
         ) == self.sizes.page_data(1)
@@ -204,3 +203,78 @@ class TestGatherEngine:
 
         with pytest.raises(ConfigurationError, match="grain"):
             self.env.run_process(proc())
+
+
+class TestGatherPagesProperty:
+    """Pages, versions and payload arrive intact whichever protocol
+    selected them and at either transfer grain — including object 4,
+    whose up-to-date pages live at two owners.  Concurrent gathers of
+    objects sharing an owner each pay their own request/response pair."""
+
+    OBJECTS = {
+        # object id -> (page owners, page-map versions, payload value)
+        1: ((N1, N1, N1), (2, 2, 2), 11),
+        2: ((N1, N1, N1), (3, 3, 3), 22),
+        3: ((N2, N2, N2), (2, 2, 2), 33),
+        4: ((N1, N1, N2), (2, 2, 4), 44),
+    }
+
+    def make_world(self):
+        env, network, sizes, _stores, meta = make_world()
+        layout = meta.layout
+        stores = {node: NodeStore(node) for node in (N0, N1, N2)}
+        metas = {}
+        for raw, (owners, versions, value) in self.OBJECTS.items():
+            object_id = ObjectId(raw)
+            stores[N0].create_object(object_id, layout)
+            for node in (N1, N2):
+                stores[node].register_object(object_id, layout)
+            for page, (owner, version) in enumerate(zip(owners, versions)):
+                stores[owner].install_pages(
+                    object_id, stores[N0].extract_pages(object_id, [page]))
+                stores[owner].set_page_version(object_id, page, version)
+            # Distinct payload on the first and last page at their
+            # owners, so content (not just versions) must survive.
+            stores[owners[0]].write_slot(object_id, ("a", 0), value)
+            stores[owners[2]].write_slot(object_id, ("c", 0), value + 1)
+            metas[raw] = ObjectMeta(object_id=object_id,
+                                    schema=_schema(layout), layout=layout,
+                                    home_node=owners[0],
+                                    creator_node=owners[0])
+        return env, network, sizes, stores, metas
+
+    @pytest.mark.parametrize("protocol", ["cotec", "otec", "lotec", "rc"])
+    @pytest.mark.parametrize("grain", ["page", "object"])
+    def test_gather_delivers_pages_intact(self, protocol, grain):
+        env, network, sizes, stores, metas = self.make_world()
+        policy = make_protocol(protocol, env=env, network=network,
+                               sizes=sizes, stores=stores)
+        everything = prediction(read_pages=range(3))
+        gathers = {}
+        for raw, (owners, versions, _value) in self.OBJECTS.items():
+            mapping = page_map(owners, versions)
+            wanted = policy.select_pages(
+                metas[raw], mapping,
+                stores[N0].resident_pages(ObjectId(raw)), everything,
+            )
+            gathers[raw] = env.process(gather_pages(
+                env, network, sizes, stores, N0, metas[raw], mapping,
+                wanted, grain=grain,
+            ))
+        env.run()
+        for raw, (owners, versions, value) in self.OBJECTS.items():
+            object_id = ObjectId(raw)
+            assert gathers[raw].value == [0, 1, 2]
+            assert stores[N0].resident_pages(object_id) == \
+                dict(enumerate(versions))
+            assert stores[N0].read_slot(object_id, ("a", 0)) == value
+            assert stores[N0].read_slot(object_id, ("c", 0)) == value + 1
+        # One request/response pair per (object, owner): 1 + 1 + 1 + 2.
+        stats = network.stats
+        assert stats.by_category_messages[MessageCategory.PAGE_REQUEST] == 5
+        assert stats.by_category_messages[MessageCategory.PAGE_DATA] == 5
+        assert stats.by_category_bytes[MessageCategory.PAGE_REQUEST] == \
+            3 * sizes.page_request(3) + sizes.page_request(2) \
+            + sizes.page_request(1)
+        assert sum(stats.object_bytes(ObjectId(raw))
+                   for raw in self.OBJECTS) == stats.total_bytes

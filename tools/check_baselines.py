@@ -6,9 +6,8 @@ developers run the same command:
 
 * ``--only messages`` — per-protocol ``PAGE_REQUEST`` / total message
   counts vs ``benchmarks/baselines/claims_messages.json``.  Any
-  increase fails the build: transfer-pipeline changes (batching above
-  all) may only hold or shrink the message budget, never silently
-  grow it.
+  increase fails the build: transfer-pipeline changes may only hold
+  or shrink the message budget, never silently grow it.
 * ``--only locality`` — remote directory messages under static
   round-robin homes vs adaptive GDO migration on the skewed open-loop
   load scenario, vs ``benchmarks/baselines/claims_locality.json``.
