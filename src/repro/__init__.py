@@ -69,7 +69,7 @@ try:  # pragma: no cover - which branch runs depends on the install mode
 
     __version__ = _version("repro")
 except PackageNotFoundError:  # pragma: no cover
-    __version__ = "1.4.0"
+    __version__ = "1.5.0"
 
 # The experiment harness imports repro.__version__ (cache keys), so it
 # loads last.
@@ -136,8 +136,8 @@ __all__ = [
 
 
 def __getattr__(name):
-    # Lazy, mirroring repro.net: the TCP backend's asyncio/threading
-    # machinery loads only when the real-socket transport is requested.
+    # Lazy, mirroring repro.net: the TCP backend's socket machinery
+    # loads only when the real-socket transport is requested.
     if name == "TcpTransport":
         from repro.net.tcp import TcpTransport
 

@@ -223,7 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(default) or real localhost TCP sockets")
     run.add_argument("--processes", action="store_true",
                      help="with --transport tcp, give each node a real "
-                          "OS relay process instead of an asyncio task")
+                          "OS relay process instead of a connection mesh "
+                          "inside this process")
     _add_artifact_arguments(run)
 
     trace = sub.add_parser(
@@ -251,7 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default) or real localhost TCP sockets")
     chaos.add_argument("--processes", action="store_true",
                        help="with --transport tcp, give each node a real "
-                            "OS relay process instead of an asyncio task")
+                            "OS relay process instead of a connection mesh "
+                            "inside this process")
     # chaos always gates on the oracle and the invariant checkers
     # (that is its point), so the shared group contributes --out and
     # --trace-dir only.

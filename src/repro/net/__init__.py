@@ -14,9 +14,9 @@ backend supplies only the wire primitive:
 * :class:`SimTransport` (the default) delivers over the simulation's
   virtual clock.
 * :class:`TcpTransport` delivers the same wire messages as
-  length-prefixed frames over real localhost TCP sockets (asyncio
-  tasks per node, or real OS processes), stamping deliveries with the
-  wall clock.
+  length-prefixed frames over real localhost TCP sockets (a connection
+  mesh owned by the engine thread, or one relay OS process per node),
+  stamping deliveries with the wall clock.
 
 Stable public surface
 ---------------------
@@ -63,8 +63,8 @@ __all__ = [
 
 
 def __getattr__(name):
-    # TcpTransport pulls in asyncio/threading machinery; load it only
-    # when a caller actually asks for the real-socket backend.
+    # TcpTransport pulls in socket/selector/subprocess machinery; load
+    # it only when a caller actually asks for the real-socket backend.
     if name == "TcpTransport":
         from repro.net.tcp import TcpTransport
 

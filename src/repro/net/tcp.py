@@ -1,49 +1,52 @@
 """Real-transport backend: the cluster's wire messages over localhost TCP.
 
-Each cluster node gets a TCP endpoint — an asyncio server task inside a
-background event loop by default, or a real OS relay process in
-``processes`` mode — and every remote :class:`~repro.net.message.Message`
-crosses an actual socket as one length-prefixed frame, padded to the
-cost model's ``size_bytes`` (see ``repro.net.message``).
+Every remote :class:`~repro.net.message.Message` crosses an actual
+socket as one length-prefixed frame, padded to the cost model's
+``size_bytes`` (see ``repro.net.message``).  By default the coordinator
+— the process running the protocol stack — holds a full mesh of
+``(src, dst)`` connections, one per ordered pair of nodes; in
+``processes`` mode each node is a real OS relay process (``python -m
+repro.net.tcp_node``, which owns the node's listening socket and peer
+connections) and the coordinator holds one uplink per relay.  Relays
+only move bytes, so both modes share one semantics.
 
-Division of labour (this is the whole design):
+Everything runs on one thread, the engine's (a
+:class:`~repro.sim.realtime.WallClockEnvironment`), which keeps *all*
+protocol-visible state — fault draws, retransmission scheduling,
+:class:`~repro.net.stats.NetworkStats` accounting, tracing, delivery
+events: the shared pipeline of :class:`~repro.net.transport.Transport`,
+which hands :meth:`TcpTransport._put_on_wire` only attempts that
+survived their fault draw (a dropped attempt is accounted but *never
+written*).  The transport owns its sockets outright:
 
-* The **engine thread** (the caller's thread, running a
-  :class:`~repro.sim.realtime.WallClockEnvironment`) keeps *all*
-  protocol-visible state: fault draws, retransmission scheduling,
-  :class:`~repro.net.stats.NetworkStats` accounting, tracing, and the
-  delivery events themselves — the shared pipeline of
-  :class:`~repro.net.transport.Transport`, which hands
-  :meth:`TcpTransport._put_on_wire` only attempts that survived their
-  fault draw: a dropped attempt is accounted but *never written to
-  the socket* (genuine socket-level loss), a delay becomes a real
-  sleep before the write, a duplicate is written twice and discarded
-  at the receiver.
-* The **socket thread** runs a private asyncio loop and only moves
-  bytes.  Frames to ship are posted to it with
-  ``call_soon_threadsafe``; decoded arrivals come back through
-  ``env.call_threadsafe`` so delivery events fire on the engine thread
-  at the frame's wall arrival instant.
+* **writes** are a non-blocking ``send``; what the kernel does not take
+  waits in the connection's out-buffer, flushed on ``EVENT_WRITE``;
+* **reads** happen in :meth:`TcpTransport.poll`, the environment's
+  source hook, over one ``selectors.DefaultSelector``: the byte stream
+  is split into frames and each fires its delivery inline, at the wall
+  instant it was read;
+* **fault mechanics** are engine timers: jitter delays the write, a
+  duplicate is written twice and its second arrival discarded, and
+  partition epochs and re-ships of relay refusals are timeouts.
 
 Because a send's delivery event is resolved by the *arrival* of its
 frame (matched by ``wire_id``), late/duplicate frames are discarded
-exactly like the simulation's one-shot events discard them, and the
-run loop's in-flight counter (``pending()``) keeps the environment
-alive until the last frame lands.
-
-In ``processes`` mode each node endpoint is ``python -m
-repro.net.tcp_node``: the child owns the node's listening socket and
-its peer connections, and relays frames to/from the coordinator over
-an uplink connection.  Protocol state still lives in the coordinator —
-children are pure wire relays, so both modes share one semantics.
+exactly like the simulation's one-shot events discard them, and
+``pending()`` keeps the run loop alive until the last frame lands.  A
+malformed frame raises :class:`ProtocolError` out of ``poll`` and so out
+of ``Cluster.run()``; a peer that closes mid-frame strands its frames,
+which the run loop's stall timeout reports.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
+import selectors
+import socket
+import subprocess
 import sys
-import threading
+import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -59,30 +62,40 @@ from repro.net.message import (
 from repro.net.network_config import NetworkConfig
 from repro.net.transport import Transport, WALL_CLOCK
 from repro.sim import Event
+from repro.sim.realtime import WallClockEnvironment
 from repro.util.errors import ConfigurationError, ProtocolError
 from repro.util.ids import NodeId
 
 __all__ = ["TcpTransport", "read_envelope", "write_envelope"]
 
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
-async def read_envelope(reader: asyncio.StreamReader) -> Optional[dict]:
-    """Read one framed envelope; ``None`` when the stream ends (clean
-    EOF, or a peer that went away mid-frame).
+#: Bytes asked of the kernel per readable socket.
+_RECV_BYTES = 1 << 18
 
-    A length prefix over ``MAX_FRAME_BYTES`` is corrupt — waiting for
-    bytes that never come would hang the reader until the stall
-    timeout — so it, like a body that does not decode to a JSON
-    object, raises :class:`ProtocolError`.
+
+def _frame_length(data, offset: int = 0) -> int:
+    """The body length the prefix at ``offset`` announces.
+
+    A length over ``MAX_FRAME_BYTES`` is corrupt — waiting for bytes
+    that never come would hang the reader until the stall timeout — so
+    it raises :class:`ProtocolError` at once.
     """
-    try:
-        prefix = await reader.readexactly(FRAME_PREFIX_BYTES)
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
-    (length,) = _FRAME_PREFIX.unpack(prefix)
+    (length,) = _FRAME_PREFIX.unpack_from(data, offset)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame length prefix {length} exceeds the "
                             f"{MAX_FRAME_BYTES} byte frame limit")
+    return length
+
+
+async def read_envelope(reader: asyncio.StreamReader) -> Optional[dict]:
+    """Read one framed envelope (the relay's reader); ``None`` when the
+    stream ends (clean EOF, or a peer that went away mid-frame).  An
+    over-limit prefix or a body that does not decode to a JSON object
+    raises :class:`ProtocolError`."""
     try:
+        prefix = await reader.readexactly(FRAME_PREFIX_BYTES)
+        length = _frame_length(prefix)
         body = await reader.readexactly(length)
     except (asyncio.IncompleteReadError, ConnectionResetError):
         return None
@@ -94,61 +107,22 @@ async def write_envelope(writer: asyncio.StreamWriter, payload: dict) -> None:
     await writer.drain()
 
 
-class _NodeEndpoint:
-    """One node's socket endpoint inside the coordinator's loop
-    (asyncio-task mode): a listening server for inbound frames and a
-    lazy outbound connection per peer."""
+class _Link:
+    """One non-blocking socket and its two buffers: received bytes not
+    yet a whole frame, and frame bytes the kernel has not taken yet."""
 
-    def __init__(self, transport: "TcpTransport", index: int):
-        self.transport = transport
-        self.index = index
-        self.port: Optional[int] = None
-        self.server: Optional[asyncio.base_events.Server] = None
-        self._writers: Dict[int, asyncio.StreamWriter] = {}
-        self._locks: Dict[int, asyncio.Lock] = {}
+    __slots__ = ("sock", "inbuf", "outbuf", "reading", "events")
 
-    async def start(self) -> None:
-        self.server = await asyncio.start_server(
-            self._serve, self.transport.host, 0
-        )
-        self.port = self.server.sockets[0].getsockname()[1]
-
-    async def _serve(self, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                frame = await read_envelope(reader)
-                if frame is None:
-                    return
-                self.transport._arrived(frame)
-        except asyncio.CancelledError:
-            return  # loop shutdown cancels handlers mid-read; that's fine
-        finally:
-            writer.close()
-
-    async def ship(self, dst: int, data: bytes, delay_s: float) -> None:
-        if delay_s > 0.0:
-            await asyncio.sleep(delay_s)
-        # One outbound writer per (src, dst) pair; the lock keeps
-        # concurrent delayed shippers from interleaving partial frames.
-        lock = self._locks.setdefault(dst, asyncio.Lock())
-        async with lock:
-            writer = self._writers.get(dst)
-            if writer is None:
-                port = self.transport._port_of(dst)
-                _reader, writer = await asyncio.open_connection(
-                    self.transport.host, port
-                )
-                self._writers[dst] = writer
-            writer.write(data)
-            await writer.drain()
-
-    async def close(self) -> None:
-        for writer in self._writers.values():
-            writer.close()
-        if self.server is not None:
-            self.server.close()
-            await self.server.wait_closed()
+    def __init__(self, sock: socket.socket, reading: bool):
+        sock.setblocking(False)
+        # Frames are small and each one is awaited: without this,
+        # Nagle's algorithm holds a frame back for the previous ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+        self.reading = reading
+        self.events = 0  # what the selector watches now
 
 
 class TcpTransport(Transport):
@@ -157,9 +131,9 @@ class TcpTransport(Transport):
     The caller contract is the base class's, shared with
     :class:`~repro.net.network.SimTransport`; what differs is that
     delivery instants come from actual socket arrivals on the wall
-    clock, so the environment must provide
-    ``call_threadsafe``/``attach_source`` — i.e. be a
-    :class:`~repro.sim.realtime.WallClockEnvironment`.
+    clock, so the environment must be a
+    :class:`~repro.sim.realtime.WallClockEnvironment`, which calls
+    :meth:`pending` and :meth:`poll` from its run loop.
 
     ``delivered_log`` records ``(category, src, dst, size_bytes)`` for
     every message frame that actually crossed a socket — the evidence
@@ -172,11 +146,11 @@ class TcpTransport(Transport):
     def __init__(self, env, config: NetworkConfig, tracer=None,
                  injector=None, processes: bool = False,
                  host: str = "127.0.0.1", start_timeout_s: float = 20.0):
-        if not hasattr(env, "call_threadsafe"):
+        if not isinstance(env, WallClockEnvironment):
             raise ConfigurationError(
                 "TcpTransport needs a WallClockEnvironment "
-                "(repro.sim.realtime) — plain Environment has no "
-                "thread-safe inbox for socket arrivals"
+                "(repro.sim.realtime) — socket arrivals land on the wall "
+                "clock, not the virtual one"
             )
         super().__init__(env, config, tracer, injector)
         self.processes = processes
@@ -185,8 +159,8 @@ class TcpTransport(Transport):
         #: wire_id -> (delivery event, original message) for frames whose
         #: arrival must fire a delivery; duplicates miss and are dropped.
         self._pending: Dict[int, Tuple[Event, Message]] = {}
-        #: Frames written (or queued to be written) but not yet arrived;
-        #: keeps the wall-clock run loop alive while the wire is busy.
+        #: Frames written (or waiting to be) but not yet arrived; keeps
+        #: the wall-clock run loop alive while the wire is busy.
         self._inflight = 0
         self.delivered_log: List[Tuple[str, int, int, int]] = []
         #: Frames a partitioned relay refused to forward (processes
@@ -195,25 +169,15 @@ class TcpTransport(Transport):
         #: this counter never feeds FaultStats.
         self.refused_frames = 0
         self._nodes: List[int] = []
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._links: List[_Link] = []  # every socket, for close()
+        self._out: Dict[Tuple[int, int], _Link] = {}  # (src, dst) -> link
+        self._uplinks: Dict[int, _Link] = {}  # processes mode: node -> link
         self._ports: Dict[int, int] = {}
-        self._endpoints: Dict[int, _NodeEndpoint] = {}
-        self._uplinks: Dict[int, asyncio.StreamWriter] = {}
-        self._children: List = []
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._shutdown: Optional[asyncio.Event] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
+        self._children: List[subprocess.Popen] = []
         self._started = False
         self._closed = False
         env.attach_source(self)
-
-    # -- run-loop liveness -------------------------------------------------
-
-    def pending(self) -> int:
-        """Frames in flight (engine thread only) — the wall-clock run
-        loop waits for this to reach zero before declaring quiescence."""
-        return self._inflight
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -223,70 +187,107 @@ class TcpTransport(Transport):
         if self._closed:
             raise ProtocolError("transport already closed")
         self._nodes = [node.value for node in nodes]
-        self._thread = threading.Thread(
-            target=self._thread_main, name="repro-tcp-transport", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(self.start_timeout_s):
+        self._selector = selectors.DefaultSelector()
+        try:
+            with socket.create_server((self.host, 0)) as server:
+                server.settimeout(self.start_timeout_s)
+                if self.processes:
+                    self._start_relays(server)
+                else:
+                    self._connect_mesh(server)
+        except OSError as exc:  # socket.timeout included
             raise ProtocolError(
-                f"TCP transport failed to start within "
-                f"{self.start_timeout_s}s"
-            )
-        if self._startup_error is not None:
-            raise ProtocolError(
-                f"TCP transport failed to start: {self._startup_error!r}"
-            )
+                f"TCP transport failed to start: {exc!r}") from exc
         self._started = True
         if self.processes:
             self._schedule_partition_epochs()
 
+    def _link(self, sock: socket.socket, reading: bool) -> _Link:
+        link = _Link(sock, reading)
+        self._links.append(link)
+        self._watch(link)
+        return link
+
+    def _connect_mesh(self, server: socket.socket) -> None:
+        """One connection per ordered pair: ``src`` writes its frames
+        for ``dst`` into one end, and the other end is read as ``dst``."""
+        address = server.getsockname()
+        for src in self._nodes:
+            for dst in self._nodes:
+                if src != dst:
+                    self._out[src, dst] = self._link(socket.create_connection(
+                        address, timeout=self.start_timeout_s), False)
+                    self._link(server.accept()[0], True)
+
+    def _start_relays(self, server: socket.socket) -> None:
+        """Spawn one relay process per node; trade hellos for the port
+        map, so every relay knows every peer before a frame is routed."""
+        host, port = server.getsockname()[:2]
+        env = dict(os.environ)
+        src_root = str(Path(__file__).resolve().parent.parent.parent)
+        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        for index in self._nodes:
+            self._children.append(subprocess.Popen(
+                [sys.executable, "-m", "repro.net.tcp_node",
+                 "--node", str(index), "--coordinator", f"{host}:{port}"],
+                env=env,
+            ))
+        for _ in self._nodes:
+            self._link(server.accept()[0], True)
+        deadline = time.monotonic() + self.start_timeout_s
+        while len(self._uplinks) < len(self._nodes):
+            if not self.poll(deadline - time.monotonic()):
+                raise ProtocolError(f"relays did not say hello within "
+                                    f"{self.start_timeout_s}s")
+        peers = pack_frame({"t": "peers", "ports": self._ports})
+        for link in self._uplinks.values():
+            self._write(link, peers)
+
     def _schedule_partition_epochs(self) -> None:
-        """Arm engine-clock timers that push partition state to relays.
+        """Arm engine timers that push partition state to the relays.
 
         The injector's fault draws are the *authoritative* partition
         enforcement (identical on both backends); this makes the real
         wire honour the cut too, belt and braces: a frame that slips
         past the engine-side check (written just before the window
         opened, arriving at the relay inside it) is refused at the src
-        relay and re-shipped by the coordinator after the retransmit
-        timeout until the heal lets it through.
+        relay and re-shipped by :meth:`_reship` until the heal lets it
+        through.
         """
         plan = getattr(self.injector, "plan", None)
-        if plan is None or not getattr(plan, "partitions", ()):
-            return
-        for cut in plan.partitions:
-            def activate(_event, cut=cut):
-                self._post_control({
-                    "t": "partition", "group_a": list(cut.group_a),
-                })
+        for cut in getattr(plan, "partitions", ()):
+            for at_s, kind in ((cut.at_s, "partition"),
+                               (cut.heal_at_s, "partition_heal")):
+                data = pack_frame({"t": kind, "group_a": list(cut.group_a)})
+                self.env.timeout(max(0.0, at_s - self.env.now)).add_callback(
+                    lambda _event, data=data: self._broadcast(data))
 
-            def heal(_event, cut=cut):
-                self._post_control({
-                    "t": "partition_heal", "group_a": list(cut.group_a),
-                })
-
-            now = self.env.now
-            self.env.timeout(max(0.0, cut.at_s - now)).add_callback(activate)
-            self.env.timeout(
-                max(0.0, cut.heal_at_s - now)).add_callback(heal)
-
-    def _post_control(self, payload: dict) -> None:
-        """Broadcast a control frame to every relay (engine thread)."""
-        loop = self._loop
-        if loop is None or self._closed:
-            return
-        loop.call_soon_threadsafe(self._loop_broadcast, dict(payload))
+    def _broadcast(self, data: bytes) -> None:
+        for link in self._uplinks.values():
+            self._write(link, data)
 
     def close(self) -> None:
-        if not self._started or self._closed:
-            self._closed = True
+        """Tell relays to exit, close every socket, reap every child."""
+        if self._closed:
             return
         self._closed = True
-        loop, shutdown = self._loop, self._shutdown
-        if loop is not None and shutdown is not None and loop.is_running():
-            loop.call_soon_threadsafe(shutdown.set)
-        if self._thread is not None:
-            self._thread.join(timeout=self.start_timeout_s)
+        shutdown = pack_frame({"t": "shutdown"})
+        for link in self._uplinks.values():
+            try:
+                link.sock.settimeout(self.start_timeout_s)
+                link.sock.sendall(bytes(link.outbuf) + shutdown)
+            except OSError:
+                pass  # the relay is gone already; reaped below
+        for link in self._links:
+            link.sock.close()
+        for child in self._children:
+            try:
+                child.wait(timeout=5.0)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                child.wait()
+        if self._selector is not None:
+            self._selector.close()
 
     def _require_started(self) -> None:
         if not self._started:
@@ -297,44 +298,142 @@ class TcpTransport(Transport):
         if self._closed:
             raise ProtocolError("TCP transport already closed")
 
-    # -- the wire primitive (engine thread) --------------------------------
+    # -- writes ------------------------------------------------------------
 
     def _put_on_wire(self, message, done, transfer_time, faults) -> None:
-        """Ship the surviving attempt's frame: the wire made literal.
+        """Write the surviving attempt's frame: the wire made literal.
 
         Dropped attempts never get here, so never reach the socket; a
         retransmit gets here after a real ``transfer_time + retransmit
-        timeout`` sleep.  Jitter is slept before the write; a duplicate
-        is written twice and its second arrival discarded in
+        timeout`` wait.  Jitter delays the write on an engine timer; a
+        duplicate is written twice and its second arrival discarded in
         :meth:`_deliver` (its ``wire_id`` is no longer pending).  A
         ``charge`` frame (``done is None``) crosses the socket too, but
         its caller has the *modeled* delay and nobody waits for it.
         """
         if done is not None:
             self._pending[message.wire_id] = (done, message)
-        self._post(message, kind="charge" if done is None else "send",
-                   delay_s=faults.extra_delay_s,
-                   copies=2 if faults.duplicated else 1)
-
-    def _post(self, message: Message, kind: str, delay_s: float,
-              copies: int) -> None:
-        """Hand a frame to the socket thread (engine thread side)."""
-        data = encode_frame(message, kind=kind)
+        copies = 2 if faults.duplicated else 1
+        data = encode_frame(
+            message, kind="charge" if done is None else "send") * copies
         self._inflight += copies
-        src, dst = message.src.value, message.dst.value
-        assert self._loop is not None
-        self._loop.call_soon_threadsafe(
-            self._loop_enqueue, src, dst, data, delay_s, copies
-        )
+        src = message.src.value
+        link = (self._uplinks[src] if self.processes
+                else self._out[src, message.dst.value])
+        self._write_after(faults.extra_delay_s, link, data)
 
-    # -- arrivals ----------------------------------------------------------
+    def _write_after(self, delay_s: float, link: _Link, data: bytes) -> None:
+        if delay_s > 0.0:
+            self.env.timeout(delay_s).add_callback(
+                lambda _event: self._write(link, data))
+        else:
+            self._write(link, data)
 
-    def _arrived(self, frame: dict) -> None:
-        """A message frame landed (socket thread) — hop to the engine."""
-        self.env.call_threadsafe(lambda: self._deliver(frame))
+    def _write(self, link: _Link, data: bytes) -> None:
+        """Send what the kernel takes now; queue the rest behind any
+        bytes already waiting, so frames never interleave."""
+        if not link.outbuf:
+            sent = self._send(link, data)
+            if sent == len(data):
+                return
+            data = memoryview(data)[sent:]
+        link.outbuf += data
+        self._watch(link)
+
+    def _flush(self, link: _Link) -> None:
+        del link.outbuf[:self._send(link, link.outbuf)]
+        if not link.outbuf:
+            self._watch(link)
+
+    @staticmethod
+    def _send(link: _Link, data) -> int:
+        try:
+            return link.sock.send(data)
+        except BlockingIOError:
+            return 0
+        except OSError as exc:
+            raise ProtocolError(f"TCP send failed: {exc}") from None
+
+    def _watch(self, link: _Link) -> None:
+        """Point the selector at what ``link`` waits for now."""
+        events = (_READ if link.reading else 0) | (_WRITE if link.outbuf else 0)
+        if events == link.events:
+            return
+        if not link.events:
+            self._selector.register(link.sock, events, link)
+        elif not events:
+            self._selector.unregister(link.sock)
+        else:
+            self._selector.modify(link.sock, events, link)
+        link.events = events
+
+    # -- reads: the environment's source hooks -----------------------------
+
+    def pending(self) -> int:
+        """Frames in flight — the wall-clock run loop waits for this to
+        reach zero before declaring quiescence."""
+        return self._inflight
+
+    def poll(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds for frames and fire each one
+        that arrives; ``True`` if any did, ``False`` once the timeout
+        has passed without one."""
+        deadline = time.monotonic() + timeout
+        while True:
+            arrived = False
+            for key, mask in self._selector.select(timeout):
+                if mask & _WRITE:
+                    self._flush(key.data)
+                if mask & _READ and self._read(key.data):
+                    arrived = True
+            if arrived:
+                return True
+            timeout = deadline - time.monotonic()
+            if timeout <= 0.0:
+                return False
+
+    def _read(self, link: _Link) -> bool:
+        """Take what ``link`` has and fire every whole frame in it."""
+        try:
+            chunk = link.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return False
+        except ConnectionResetError:
+            chunk = b""
+        if not chunk:
+            # The peer went away: frames still owed on this link never
+            # land, and the run loop's stall timeout reports them.
+            link.reading = False
+            self._watch(link)
+            return False
+        buf = link.inbuf
+        buf += chunk
+        self.env.advance()
+        used = 0
+        while len(buf) - used >= FRAME_PREFIX_BYTES:
+            body = used + FRAME_PREFIX_BYTES
+            end = body + _frame_length(buf, used)
+            if end > len(buf):
+                break
+            self._on_frame(link, unpack_frame(buf[body:end]))
+            used = end
+        del buf[:used]
+        return used > 0
+
+    def _on_frame(self, link: _Link, frame: dict) -> None:
+        kind = frame.get("t")
+        if kind == "msg":
+            self._deliver(frame)
+        elif kind == "refused":
+            self._reship(frame)
+        elif kind == "hello":
+            self._ports[frame["node"]] = frame["port"]
+            self._uplinks[frame["node"]] = link
+        else:
+            raise ProtocolError(f"unexpected frame type {kind!r}")
 
     def _deliver(self, frame: dict) -> None:
-        """Fire the delivery for an arrived frame (engine thread)."""
+        """Fire the delivery for an arrived message frame."""
         self._inflight -= 1
         self.delivered_log.append(
             (frame["category"], frame["src"], frame["dst"], frame["size"])
@@ -348,145 +447,18 @@ class TcpTransport(Transport):
         message.deliver_time = self.env.now
         done.succeed(message)
 
-    # -- socket thread -----------------------------------------------------
-
-    def _thread_main(self) -> None:
-        try:
-            asyncio.run(self._loop_main())
-        except BaseException as exc:  # noqa: BLE001 - surfaced at start()
-            self._startup_error = exc
-        finally:
-            self._ready.set()
-
-    async def _loop_main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._shutdown = asyncio.Event()
-        try:
-            if self.processes:
-                await self._start_processes()
-            else:
-                for index in self._nodes:
-                    endpoint = _NodeEndpoint(self, index)
-                    await endpoint.start()
-                    self._endpoints[index] = endpoint
-                    self._ports[index] = endpoint.port
-            self._ready.set()
-            await self._shutdown.wait()
-        finally:
-            await self._teardown()
-
-    def _port_of(self, index: int) -> int:
-        try:
-            return self._ports[index]
-        except KeyError:
-            raise ProtocolError(f"no endpoint for node {index}") from None
-
-    def _loop_enqueue(self, src: int, dst: int, data: bytes,
-                      delay_s: float, copies: int) -> None:
-        for _ in range(copies):
-            if self.processes:
-                asyncio.ensure_future(self._uplink_ship(src, data, delay_s))
-            else:
-                asyncio.ensure_future(
-                    self._endpoints[src].ship(dst, data, delay_s)
-                )
-
-    # -- process mode ------------------------------------------------------
-
-    async def _uplink_ship(self, src: int, data: bytes,
-                           delay_s: float) -> None:
-        # Jitter is applied before the relay hop — socket-level delay at
-        # the source, mirroring the asyncio-task mode.
-        if delay_s > 0.0:
-            await asyncio.sleep(delay_s)
-        writer = self._uplinks[src]
-        writer.write(data)
-        await writer.drain()
-
-    def _loop_broadcast(self, payload: dict) -> None:
-        """Write one control frame to every uplink (socket thread)."""
-        for writer in self._uplinks.values():
-            asyncio.ensure_future(write_envelope(writer, payload))
-
-    def _loop_reship(self, refusal: dict) -> None:
+    def _reship(self, refusal: dict) -> None:
         """A relay refused a cross-partition frame — re-ship it later.
 
-        The attempt was already fully accounted when it was posted (the
+        The attempt was already fully accounted when it was written (the
         refusal is wire-level, below the injector), so this is pure
-        redelivery: re-send the same bytes through the src relay after
-        one retransmit turnaround, escalating with the reship count.
-        Keeps ``_inflight`` balanced — the frame is still outstanding
-        and will decrement it when it finally lands.
+        redelivery: the same frame goes back through the src relay
+        after one retransmit turnaround, escalating with the reship
+        count.  ``_inflight`` stays balanced — the frame is still
+        outstanding and decrements it when it finally lands.
         """
         inner = refusal["frame"]
         inner["reships"] = reships = inner.get("reships", 0) + 1
         self.refused_frames += 1
-        delay = self.injector.retransmit_timeout_s(reships - 1)
-        data = pack_frame(inner)
-        src = inner["src"]
-        assert self._loop is not None
-        self._loop.call_later(delay, lambda: asyncio.ensure_future(
-            self._uplink_ship(src, data, 0.0)))
-
-    async def _start_processes(self) -> None:
-        """Spawn one relay process per node and exchange the port map."""
-        ready = asyncio.Event()
-
-        async def handle_uplink(reader, writer):
-            hello = await read_envelope(reader)
-            if hello is None or hello.get("t") != "hello":
-                writer.close()
-                return
-            node = hello["node"]
-            self._ports[node] = hello["port"]
-            self._uplinks[node] = writer
-            if len(self._uplinks) == len(self._nodes):
-                ready.set()
-            while True:
-                frame = await read_envelope(reader)
-                if frame is None:
-                    return
-                if frame.get("t") == "msg":
-                    self._arrived(frame)
-                elif frame.get("t") == "refused":
-                    self._loop_reship(frame)
-
-        server = await asyncio.start_server(handle_uplink, self.host, 0)
-        self._coordinator_server = server
-        port = server.sockets[0].getsockname()[1]
-        env = dict(os.environ)
-        src_root = str(Path(__file__).resolve().parent.parent.parent)
-        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-        for index in self._nodes:
-            child = await asyncio.create_subprocess_exec(
-                sys.executable, "-m", "repro.net.tcp_node",
-                "--node", str(index),
-                "--coordinator", f"{self.host}:{port}",
-                env=env,
-            )
-            self._children.append(child)
-        await asyncio.wait_for(ready.wait(), timeout=self.start_timeout_s)
-        # Every child knows every peer's listening port before any
-        # protocol frame can be routed.
-        peers = {"t": "peers", "ports": self._ports}
-        for writer in self._uplinks.values():
-            await write_envelope(writer, peers)
-
-    async def _teardown(self) -> None:
-        for writer in self._uplinks.values():
-            try:
-                await write_envelope(writer, {"t": "shutdown"})
-                writer.close()
-            except (ConnectionError, RuntimeError):
-                pass
-        for child in self._children:
-            try:
-                await asyncio.wait_for(child.wait(), timeout=5.0)
-            except asyncio.TimeoutError:
-                child.kill()
-        server = getattr(self, "_coordinator_server", None)
-        if server is not None:
-            server.close()
-            await server.wait_closed()
-        for endpoint in self._endpoints.values():
-            await endpoint.close()
+        self._write_after(self.injector.retransmit_timeout_s(reships - 1),
+                          self._uplinks[inner["src"]], pack_frame(inner))

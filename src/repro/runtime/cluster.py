@@ -317,9 +317,8 @@ class Cluster:
     def close(self) -> None:
         """Release transport resources (idempotent).
 
-        Required after TCP runs — sockets, the background loop thread,
-        and any relay processes are torn down here; a no-op for the
-        simulation backend."""
+        Required after TCP runs — sockets and any relay processes are
+        torn down here; a no-op for the simulation backend."""
         self.network.close()
 
     def __enter__(self) -> "Cluster":

@@ -92,9 +92,11 @@ class ClusterConfig:
             :class:`~repro.net.network.SimTransport`; ``"tcp"`` runs
             the cluster against real localhost TCP sockets
             (:class:`~repro.net.tcp.TcpTransport`) on a wall-clock
-            environment, one endpoint per node (DESIGN §12).
+            environment, one connection per ordered pair of nodes
+            (DESIGN §12).
         transport_processes: with ``transport="tcp"``, give each node a
-            real OS relay process instead of an asyncio task.
+            real OS relay process instead of a connection mesh inside
+            the coordinator process.
     """
 
     num_nodes: int = 4

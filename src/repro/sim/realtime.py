@@ -3,28 +3,37 @@
 The simulation engine's contract — processes yield events, timeouts
 fire after a delay, same-instant ties are re-ranked by a policy — is
 kept intact, but time is *real*: ``now`` is seconds of wall clock since
-the first :meth:`WallClockEnvironment.run` call, timeouts sleep, and
-external sources (the TCP transport's socket readers, which live on
-another thread) inject deliveries through a thread-safe inbox that
-wakes the run loop immediately.
+the first :meth:`WallClockEnvironment.run` call, and timeouts sleep.
 
-The scheduling loop is the textbook real-time DES pattern: take the
-earliest pending event; if its due time is still in the future, sleep
-until then *or* until an external delivery arrives, whichever is
-first; then process.  Causality is therefore preserved exactly as in
-the virtual-clock engine, while delivery instants come from the
-operating system instead of the cost model.
+Deliveries from outside the heap come from one attached *source* (the
+TCP transport) on the engine's own thread, through a two-method
+contract: ``pending()`` is the number of items in flight, and
+``poll(timeout) -> bool`` waits up to ``timeout`` seconds for arrivals,
+fires them inline, and returns whether any fired — ``False`` only once
+the timeout has passed.  The run loop is the textbook real-time DES
+pattern: ``poll(0)`` between events; when the earliest heap event is
+still in the future, ``poll`` until its due time (or ``time.sleep``
+when nothing is in flight); then process.  Causality is therefore
+preserved exactly as in the virtual-clock engine, while delivery
+instants come from the operating system instead of the cost model.
 """
 
 from __future__ import annotations
 
 import heapq
-import queue
 import time
-from typing import Callable, List, Optional
+from typing import Optional
 
 from repro.sim.engine import Environment
 from repro.util.errors import ConfigurationError, ProtocolError
+
+
+class _NoSource:
+    """The source of an environment nothing is attached to."""
+
+    @staticmethod
+    def pending() -> int:
+        return 0
 
 
 class WallClockEnvironment(Environment):
@@ -42,28 +51,15 @@ class WallClockEnvironment(Environment):
         if stall_timeout_s <= 0:
             raise ConfigurationError("stall_timeout_s must be positive")
         self.stall_timeout_s = stall_timeout_s
-        self._inbox: "queue.Queue[Callable[[], None]]" = queue.Queue()
-        self._sources: List = []
+        self._source = _NoSource()
         self._start_wall: Optional[float] = None
 
-    # -- external sources --------------------------------------------------
-
     def attach_source(self, source) -> None:
-        """Register an external event source (``source.pending()`` must
-        return the number of in-flight items the loop should wait for)."""
-        self._sources.append(source)
-
-    def call_threadsafe(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` on the engine thread at the current wall instant.
-
-        The only safe way for another thread (the transport's socket
-        loop) to touch engine state: ``fn`` typically succeeds a
-        delivery event.  Wakes the run loop if it is sleeping.
-        """
-        self._inbox.put(fn)
-
-    def _pending_external(self) -> int:
-        return sum(source.pending() for source in self._sources)
+        """Attach the external event source (see the module docstring
+        for its ``pending``/``poll`` contract); one per environment."""
+        if not isinstance(self._source, _NoSource):
+            raise ConfigurationError("an external source is already attached")
+        self._source = source
 
     # -- clock -------------------------------------------------------------
 
@@ -72,39 +68,16 @@ class WallClockEnvironment(Environment):
             return self._now
         return time.monotonic() - self._start_wall
 
-    def _advance(self, at_least: float = 0.0) -> None:
-        """Move the clock to wall time (monotone, never backwards)."""
+    def advance(self, at_least: float = 0.0) -> None:
+        """Move the clock to wall time (monotone, never backwards); a
+        source calls this before it fires the deliveries it polled."""
         self._now = max(self._now, at_least, self._elapsed())
 
     # -- run loop ----------------------------------------------------------
 
-    def _drain_inbox(self) -> bool:
-        """Run every queued external callback; True if any ran."""
-        ran = False
-        while True:
-            try:
-                fn = self._inbox.get_nowait()
-            except queue.Empty:
-                return ran
-            self._advance()
-            fn()
-            ran = True
-
-    def _wait_inbox(self, timeout: float) -> bool:
-        """Sleep until an external callback arrives (run it, True) or
-        ``timeout`` elapses (False)."""
-        try:
-            fn = self._inbox.get(timeout=max(0.0, timeout))
-        except queue.Empty:
-            return False
-        self._advance()
-        fn()
-        self._drain_inbox()
-        return True
-
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the queue drains (and no frames are in flight) or
-        the wall clock passes ``until`` seconds since the first run."""
+        """Run until the heap drains (and nothing is in flight) or the
+        wall clock passes ``until`` seconds since the first run."""
         if self._start_wall is None:
             self._start_wall = time.monotonic() - self._now
         if until is not None and until < self._now:
@@ -113,24 +86,24 @@ class WallClockEnvironment(Environment):
             )
         token = self.tracer.begin("sim.run", "sim", until=until)
         processed_before = self._events_processed
+        source = self._source
         try:
             while True:
-                self._drain_inbox()
+                if source.pending():
+                    source.poll(0.0)
                 if until is not None and self._elapsed() >= until:
-                    self._advance(until)
+                    self.advance(until)
                     break
                 if not self._queue:
-                    if self._pending_external() == 0:
+                    if not source.pending():
                         break
-                    # Frames in flight but nothing runnable: wait for
-                    # the transport, bounded so a dead socket loop
-                    # cannot hang the run forever.
-                    if not self._wait_inbox(self.stall_timeout_s):
+                    # In flight but nothing runnable: wait for the
+                    # source, bounded so a dead peer cannot hang the run.
+                    if not source.poll(self.stall_timeout_s):
                         raise ProtocolError(
-                            f"transport stalled: "
-                            f"{self._pending_external()} message(s) in "
-                            f"flight but none arrived within "
-                            f"{self.stall_timeout_s}s"
+                            f"transport stalled: {source.pending()} "
+                            f"message(s) in flight but none arrived "
+                            f"within {self.stall_timeout_s}s"
                         )
                     continue
                 target = self._queue[0][0]
@@ -139,16 +112,19 @@ class WallClockEnvironment(Environment):
                     timeout = target - wall
                     if until is not None:
                         timeout = min(timeout, until - wall)
-                    if self._wait_inbox(timeout):
-                        continue  # new work may precede the head event
+                    if source.pending():
+                        source.poll(timeout)
+                    else:
+                        time.sleep(timeout)
+                    continue  # an arrival may now precede the head event
                 # Heap entries are (time, seq, event) on the FIFO fast
                 # path and (time, rank, seq, event) with a policy;
                 # first/last indexing covers both shapes.
                 entry = heapq.heappop(self._queue)
-                self._advance(entry[0])
+                self.advance(entry[0])
                 self._events_processed += 1
                 entry[-1]._process()
-            self._advance()
+            self.advance()
             return self._now
         finally:
             self.tracer.end(

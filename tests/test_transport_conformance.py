@@ -12,6 +12,7 @@ same multiset on every wire.
 """
 
 import asyncio
+import socket
 
 import pytest
 
@@ -270,6 +271,30 @@ class TestTcpSpecifics:
         env, net = make_transport("tcp")
         net.close()
         net.close()
+
+    def test_frame_larger_than_the_socket_buffers_lands_once(self):
+        # The engine thread is also the only reader, so a blocking write
+        # of this frame would deadlock: the kernel takes part of it, the
+        # rest waits in the out-buffer, and the next frame queues behind.
+        env, net = make_transport("tcp")
+        try:
+            link = net._out[0, 1]
+            link.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            big, small = message(size=2 * 1024 * 1024), message(size=100)
+            delivered = []
+            for msg in (big, small):
+                net.send(msg).add_callback(
+                    lambda event: delivered.append(event.value))
+            assert link.outbuf
+            env.run()
+            assert delivered == [big, small]
+            assert net.delivered_log == [
+                ("page_data", 0, 1, big.size_bytes),
+                ("page_data", 0, 1, small.size_bytes),
+            ]
+            assert not link.outbuf
+        finally:
+            net.close()
 
 
 class TestReadEnvelope:

@@ -14,15 +14,25 @@ the wall clock may legally reorder lock grants, changing the page
 ownership history — still serializable, but not message-identical.
 """
 
+import gc
+import os
+import threading
+import warnings
+
 import pytest
 
 from repro.check import check_reference_model, run_invariants
+from repro.net.message import Message, MessageCategory
 from repro.obs.export import read_jsonl, read_jsonl_header, write_jsonl
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import ClusterConfig
 from repro.runtime.verify import check_serializability
+from repro.util.errors import ProtocolError
+from repro.util.ids import NodeId
 from repro.workload.generator import generate_workload
 from repro.workload.params import SCENARIOS
+
+from conftest import Counter
 
 SCENARIO = "medium-high"
 SCALE = 0.1
@@ -169,3 +179,48 @@ class TestProcessMode:
         assert tcp_commits == sim_commits
         assert tcp_wire == sim_wire
         assert check_serializability(cluster).equivalent
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors through /proc")
+class TestResourceHygiene:
+    """The socket path runs on the caller's thread, and ``close()``
+    gives back every socket and relay process it took."""
+
+    @pytest.mark.parametrize("processes", [
+        False, pytest.param(True, marks=pytest.mark.slow),
+    ], ids=["in-process", "processes"])
+    def test_close_releases_everything(self, processes):
+        threads = set(threading.enumerate())
+        fds = open_fds()
+        n0, n1 = NodeId(0), NodeId(1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            cluster = Cluster(ClusterConfig(
+                num_nodes=3, protocol="lotec", seed=7, audit_accesses=False,
+                transport="tcp", transport_processes=processes,
+            ))
+            with cluster:
+                counter = cluster.create(Counter, node=n0)
+                ticket = cluster.submit(counter, "add", 1, node=n1)
+                cluster.run()
+                assert ticket.result() == 1
+                assert set(threading.enumerate()) == threads
+            cluster.close()  # a second close does nothing
+            network = cluster.network
+            with pytest.raises(ProtocolError, match="closed"):
+                network.send(Message(src=n0, dst=n1, size_bytes=64,
+                                     category=MessageCategory.CONTROL))
+            assert len(network._children) == (3 if processes else 0)
+            assert all(child.returncode is not None
+                       for child in network._children)
+            del cluster, network, counter, ticket
+            gc.collect()
+        assert open_fds() == fds
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
+        assert set(threading.enumerate()) == threads

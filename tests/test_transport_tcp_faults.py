@@ -1,12 +1,15 @@
 """Fault behaviour over the real TCP transport: stall detection on a
-hung peer, duplicate-frame discard (including across a partition heal),
-and cross-backend parity of the deterministic fault/recovery counters."""
+hung peer, malformed frames failing the run at once, duplicate-frame
+discard (including across a partition heal), and cross-backend parity
+of the deterministic fault/recovery counters."""
 
-import threading
+import socket
+import time
 
 import pytest
 
 from repro.faults import CrashEvent, FaultPlan, PartitionEvent
+from repro.net.message import MAX_FRAME_BYTES
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import ClusterConfig
 from repro.sim.realtime import WallClockEnvironment
@@ -26,11 +29,36 @@ def tcp_cluster(faults=None, seed=7):
 
 
 class FakeSource:
+    """A source with ``count`` items in flight that never arrive."""
+
     def __init__(self, count):
         self.count = count
 
     def pending(self):
         return self.count
+
+    def poll(self, timeout):
+        time.sleep(timeout)
+        return False
+
+
+class LateSource(FakeSource):
+    """One item in flight that lands ``after_s`` seconds from now."""
+
+    def __init__(self, fired, after_s):
+        super().__init__(count=1)
+        self.fired = fired
+        self.due = time.monotonic() + after_s
+
+    def poll(self, timeout):
+        wait = self.due - time.monotonic()
+        if wait > timeout:
+            time.sleep(timeout)
+            return False
+        time.sleep(max(0.0, wait))
+        self.count = 0
+        self.fired.succeed(None)
+        return True
 
 
 class TestStallTimeout:
@@ -46,22 +74,12 @@ class TestStallTimeout:
 
     def test_external_delivery_prevents_the_stall(self):
         env = WallClockEnvironment(stall_timeout_s=0.5)
-        source = FakeSource(count=1)
-        env.attach_source(source)
         fired = env.event()
-
-        def deliver():
-            source.count = 0
-            fired.succeed(None)
-
-        timer = threading.Timer(
-            0.02, lambda: env.call_threadsafe(deliver))
-        timer.start()
-        try:
-            env.run()  # returns promptly: the inbox wakeup beat the stall
-        finally:
-            timer.cancel()
+        env.attach_source(LateSource(fired, after_s=0.02))
+        started = time.monotonic()
+        env.run()  # returns promptly: the arrival beat the stall
         assert fired.triggered
+        assert time.monotonic() - started < 0.5
 
     def test_hung_peer_surfaces_as_protocol_error(self):
         # A peer that accepts frames but never delivers them: the
@@ -78,6 +96,62 @@ class TestStallTimeout:
                     cluster.run()
         finally:
             del cluster.network._deliver  # restore for teardown
+
+
+def replace_nth_write(network, nth, replacement):
+    """Have ``replacement(link, data)`` stand in for the ``nth`` frame
+    written mid-run; the frame itself is counted in flight."""
+    original = network._write
+    writes = []
+
+    def write(link, data):
+        writes.append(data)
+        if len(writes) == nth:
+            replacement(link, data)
+        else:
+            original(link, data)
+
+    network._write = write
+
+
+class TestMalformedFrames:
+    """Bad bytes on a node's inbound connection fail ``Cluster.run()``
+    on the engine thread at once, naming the frame problem — not after
+    the stall timeout."""
+
+    @pytest.mark.parametrize("bad, names", [
+        (len(b"not json").to_bytes(4, "big") + b"not json",
+         "undecodable frame body"),
+        ((MAX_FRAME_BYTES + 1).to_bytes(4, "big"), "frame limit"),
+    ], ids=["garbage-body", "over-limit-prefix"])
+    def test_bad_frame_fails_the_run_at_once(self, bad, names):
+        cluster = tcp_cluster()
+        cluster.env.stall_timeout_s = 5.0
+        with cluster:
+            counter = cluster.create(Counter, node=N0)
+            replace_nth_write(cluster.network, 3,
+                              lambda link, data: link.sock.send(bad))
+            cluster.submit(counter, "add", 1, node=N1)
+            started = time.monotonic()
+            with pytest.raises(ProtocolError, match=names):
+                cluster.run()
+            assert time.monotonic() - started < 1.0
+
+    def test_peer_closing_mid_frame_is_a_stall(self):
+        # Half a frame, then EOF: the stream is over, not corrupt, and
+        # the frame it owed surfaces through the stall timeout.
+        def truncate(link, data):
+            link.sock.send(data[:len(data) // 2])
+            link.sock.shutdown(socket.SHUT_WR)
+
+        cluster = tcp_cluster()
+        cluster.env.stall_timeout_s = 0.2
+        with cluster:
+            counter = cluster.create(Counter, node=N0)
+            replace_nth_write(cluster.network, 3, truncate)
+            cluster.submit(counter, "add", 1, node=N1)
+            with pytest.raises(ProtocolError, match="transport stalled"):
+                cluster.run()
 
 
 class TestDuplicateDiscard:
