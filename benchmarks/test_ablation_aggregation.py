@@ -7,14 +7,14 @@ lock operations are necessary. ... Heavily object-based environments
 can sometimes aggregate related small objects into larger objects."
 """
 
-from repro.bench import run_aggregation_ablation
+from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
 
 
 def test_aggregation_cuts_lock_overhead(benchmark, show):
     result = run_once(
-        benchmark, run_aggregation_ablation,
+        benchmark, run_experiment, "abl-aggregate",
         seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)

@@ -2,12 +2,7 @@
 §6): recovery mechanism, multicast pushes, optimistic prefetching, and
 per-class protocol mixes."""
 
-from repro.bench import (
-    run_multicast_ablation,
-    run_per_class_ablation,
-    run_prefetch_ablation,
-    run_recovery_ablation,
-)
+from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
 
@@ -17,7 +12,7 @@ def test_recovery_undo_vs_shadow(benchmark, show):
     the network traffic is byte-for-byte the same (recovery is purely
     local — "no network communication is required")."""
     result = run_once(
-        benchmark, run_recovery_ablation, seed=BENCH_SEED, scale=BENCH_SCALE,
+        benchmark, run_experiment, "abl-recovery", seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)
     assert result.meta["states_equal"]
@@ -31,7 +26,7 @@ def test_multicast_collapses_rc_pushes(benchmark, show):
     """§6: on a multicast fabric one transmission updates every
     replica — push messages and bytes both drop."""
     result = run_once(
-        benchmark, run_multicast_ablation, seed=BENCH_SEED, scale=BENCH_SCALE,
+        benchmark, run_experiment, "abl-multicast", seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)
     assert result.series["push_messages"]["multicast"] < \
@@ -46,7 +41,7 @@ def test_prefetch_hides_lock_latency(benchmark, show):
     low-contention nested workload — at the price of extra messages
     (optimism that is denied or unused is not free)."""
     result = run_once(
-        benchmark, run_prefetch_ablation, seed=BENCH_SEED, scale=BENCH_SCALE,
+        benchmark, run_experiment, "abl-prefetch", seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)
     latency = result.series["mean_latency_us"]
@@ -60,7 +55,7 @@ def test_per_class_mix_between_extremes(benchmark, show):
     """§6: putting only the hot class on RC costs more bytes than pure
     LOTEC but far less than running everything eagerly."""
     result = run_once(
-        benchmark, run_per_class_ablation, seed=BENCH_SEED, scale=BENCH_SCALE,
+        benchmark, run_experiment, "abl-perclass", seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)
     data = result.series["data_bytes"]

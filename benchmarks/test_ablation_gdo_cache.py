@@ -5,14 +5,14 @@ performed locally".  Disable the cache and every intra-family lock
 operation becomes a round trip to the GDO home node: lock message
 traffic must rise and local operations drop to zero."""
 
-from repro.bench import run_gdo_cache_ablation
+from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
 
 
 def test_holder_list_caching_pays(benchmark, show):
     result = run_once(
-        benchmark, run_gdo_cache_ablation,
+        benchmark, run_experiment, "abl-gdocache",
         seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)

@@ -6,14 +6,14 @@ really need to be transmitted between nodes" — object grain avoids
 shipping the partial tail page's padding, so it always moves at most
 the bytes of page grain, with the same message count."""
 
-from repro.bench import run_object_grain_ablation
+from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
 
 
 def test_object_grain_beats_page_grain(benchmark, show):
     result = run_once(
-        benchmark, run_object_grain_ablation,
+        benchmark, run_experiment, "abl-dsd",
         seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)

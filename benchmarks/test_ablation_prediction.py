@@ -5,14 +5,14 @@ object (§4.1).  Sweep that subset fraction: narrow methods should give
 the largest saving; methods touching ~everything should collapse the
 saving toward zero (prediction ~ whole object = OTEC)."""
 
-from repro.bench import run_prediction_ablation
+from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
 
 
 def test_saving_grows_as_access_narrows(benchmark, show):
     result = run_once(
-        benchmark, run_prediction_ablation,
+        benchmark, run_experiment, "abl-predict",
         seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)

@@ -6,14 +6,14 @@ eager RC pushes every update to every caching replica whether or not
 it will be read, so on contended multi-reader workloads it moves more
 data than the lazy protocols."""
 
-from repro.bench import run_rc_ablation
+from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
 
 
 def test_rc_vs_lazy_protocols(benchmark, show):
     result = run_once(
-        benchmark, run_rc_ablation, seed=BENCH_SEED, scale=BENCH_SCALE,
+        benchmark, run_experiment, "abl-rc", seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)
     data = result.series["data_bytes"]

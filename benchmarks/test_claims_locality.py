@@ -11,14 +11,14 @@ threshold (measured: ~24% at scale 0.5, ~8% at 0.25, ~1% at 0.1), so
 the numeric floor is graded by scale and the win-at-all shape is the
 invariant."""
 
-from repro.bench import run_claims_locality
+from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
 
 
 def test_migration_cuts_directory_messages(benchmark, show):
     result = run_once(
-        benchmark, run_claims_locality, seed=BENCH_SEED, scale=BENCH_SCALE,
+        benchmark, run_experiment, "claims-locality", seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)
     remote = result.series["remote_directory_messages"]

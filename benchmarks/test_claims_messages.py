@@ -5,14 +5,14 @@ latency for LOTEC."
 Shape asserted: LOTEC's message count is the highest of the three and
 its mean message size the smallest."""
 
-from repro.bench import run_claims_messages
+from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
 
 
 def test_message_count_vs_size(benchmark, show):
     result = run_once(
-        benchmark, run_claims_messages, seed=BENCH_SEED, scale=BENCH_SCALE,
+        benchmark, run_experiment, "msg-count", seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)
     messages = result.series["messages"]

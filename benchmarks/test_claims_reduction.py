@@ -14,14 +14,14 @@ OTEC-vs-COTEC band is graded by scale (measured on medium-high, seed
 1.0): the direction is asserted at every scale and the band from 0.2
 up.  The LOTEC-vs-OTEC band holds at every measured scale."""
 
-from repro.bench import run_claims_reduction
+from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
 
 
 def test_reduction_claims(benchmark, show):
     result = run_once(
-        benchmark, run_claims_reduction, seed=BENCH_SEED, scale=BENCH_SCALE,
+        benchmark, run_experiment, "tab-speedup", seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)
     reductions = result.meta["reductions"]

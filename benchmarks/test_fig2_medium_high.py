@@ -5,14 +5,14 @@ Paper shape: COTEC highest, OTEC below it, LOTEC lowest, for (nearly)
 every plotted object; the aggregate ordering is strict.
 """
 
-from repro.bench import run_bytes_figure
+from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
 
 
 def test_fig2_medium_objects_high_contention(benchmark, show):
     result = run_once(
-        benchmark, run_bytes_figure, "medium-high",
+        benchmark, run_experiment, "fig2",
         seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)

@@ -6,7 +6,7 @@ counts and a wider LOTEC gap — big objects whose methods touch page
 subsets are exactly LOTEC's favourable regime.
 """
 
-from repro.bench import run_bytes_figure
+from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
 
@@ -15,7 +15,7 @@ _fig2_cache = {}
 
 def test_fig3_large_objects_high_contention(benchmark, show):
     result = run_once(
-        benchmark, run_bytes_figure, "large-high",
+        benchmark, run_experiment, "fig3",
         seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)
@@ -23,11 +23,9 @@ def test_fig3_large_objects_high_contention(benchmark, show):
     assert totals["cotec"] > totals["otec"] > totals["lotec"]
     # Larger objects shift every curve up by roughly the page-count
     # ratio vs the medium scenario.
-    from repro.bench import run_bytes_figure as fig
-
     medium = _fig2_cache.setdefault(
         "medium",
-        fig("medium-high", seed=BENCH_SEED, scale=BENCH_SCALE),
+        run_experiment("fig2", seed=BENCH_SEED, scale=BENCH_SCALE),
     )
     assert totals["cotec"] > medium.meta["total_data_bytes"]["cotec"] * 2
     # LOTEC's relative saving vs OTEC should be at least as good as on

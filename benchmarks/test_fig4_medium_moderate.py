@@ -2,14 +2,14 @@
 contention (100 objects, mild skew; the paper samples objects O9-O99).
 """
 
-from repro.bench import run_bytes_figure
+from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
 
 
 def test_fig4_medium_objects_moderate_contention(benchmark, show):
     result = run_once(
-        benchmark, run_bytes_figure, "medium-moderate",
+        benchmark, run_experiment, "fig4",
         seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)

@@ -2,14 +2,14 @@
 contention (the paper's heaviest scenario; note the y axis reaching
 ~700,000 bytes for hot objects)."""
 
-from repro.bench import run_bytes_figure
+from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
 
 
 def test_fig5_large_objects_moderate_contention(benchmark, show):
     result = run_once(
-        benchmark, run_bytes_figure, "large-moderate",
+        benchmark, run_experiment, "fig5",
         seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)

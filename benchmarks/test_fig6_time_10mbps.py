@@ -8,14 +8,14 @@ are nearly flat in software cost and LOTEC wins at every point —
 heavyweight messaging protocols."
 """
 
-from repro.bench import run_time_figure
+from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
 
 
 def test_fig6_transfer_time_10mbps(benchmark, show):
     result = run_once(
-        benchmark, run_time_figure, "10Mbps",
+        benchmark, run_experiment, "fig6",
         seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)

@@ -6,14 +6,14 @@ Ethernet networks using only mildly aggressive, low-latency network
 protocols."
 """
 
-from repro.bench import run_time_figure
+from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
 
 
 def test_fig7_transfer_time_100mbps(benchmark, show):
     result = run_once(
-        benchmark, run_time_figure, "100Mbps",
+        benchmark, run_experiment, "fig7",
         seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)

@@ -7,14 +7,14 @@ implementation will also have to incorporate extremely efficient
 message transmission protocols."
 """
 
-from repro.bench import run_time_figure
+from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
 
 
 def test_fig8_transfer_time_1gbps(benchmark, show):
     result = run_once(
-        benchmark, run_time_figure, "1Gbps",
+        benchmark, run_experiment, "fig8",
         seed=BENCH_SEED, scale=BENCH_SCALE,
     )
     show(result)

@@ -14,17 +14,17 @@ Run:  python examples/network_sweep.py            (quick)
 
 import sys
 
-from repro.bench import run_bytes_figure, run_time_figure
+from repro.bench import run_experiment
 
 
 def main() -> None:
     full = "--full" in sys.argv
     scale = 1.0 if full else 0.2
-    for bandwidth in ("10Mbps", "100Mbps", "1Gbps"):
-        result = run_time_figure(bandwidth, scale=scale, seed=11)
+    for figure in ("fig6", "fig7", "fig8"):  # 10 Mbps, 100 Mbps, 1 Gbps
+        result = run_experiment(figure, scale=scale, seed=11)
         print(result.render())
         print()
-    summary = run_bytes_figure("large-high", scale=scale, objects_shown=8)
+    summary = run_experiment("fig3", scale=scale, objects_shown=8)
     print(summary.render())
     totals = summary.meta["total_data_bytes"]
     print(f"\naggregate data bytes: {totals}")

@@ -1,38 +1,25 @@
-"""Experiment harness: one driver per paper figure/table.
+"""Experiment harness: one declaration per paper figure/table.
 
-Each driver declares its runs as an
+:data:`~repro.bench.experiments.EXPERIMENTS` is the table of
+experiments; each declares its runs as an
 :class:`~repro.bench.parallel.ExperimentPlan` (one fresh deterministic
 cluster per configuration under comparison) and regenerates a figure's
 underlying numbers (same series the paper plots) on this
-reproduction's simulator; :class:`~repro.bench.parallel.ExperimentRunner`
-executes plans serially or across a process pool, memoized through
-:class:`~repro.bench.cache.ResultCache`, and
-:mod:`repro.bench.report` renders the results as ASCII tables.  See
-DESIGN.md §3 for the experiment index and EXPERIMENTS.md for recorded
-paper-vs-measured outcomes.
+reproduction's simulator.  :func:`~repro.bench.parallel.run_experiment`
+runs one; :class:`~repro.bench.parallel.ExperimentRunner` executes plans
+serially or across a process pool, memoized through
+:class:`~repro.bench.cache.ResultCache`, and :mod:`repro.bench.report`
+renders the results as ASCII tables.  See DESIGN.md §3 for the
+experiment index and EXPERIMENTS.md for recorded paper-vs-measured
+outcomes.
 """
 
 from repro.bench.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.bench.experiments import (
     EXPERIMENTS,
-    PLAN_BUILDERS,
     RESULT_SCHEMA_VERSION,
     ExperimentResult,
     build_plan,
-    run_aggregation_ablation,
-    run_bytes_figure,
-    run_claims_locality,
-    run_claims_messages,
-    run_claims_reduction,
-    run_gdo_cache_ablation,
-    run_multicast_ablation,
-    run_object_grain_ablation,
-    run_per_class_ablation,
-    run_prediction_ablation,
-    run_prefetch_ablation,
-    run_rc_ablation,
-    run_recovery_ablation,
-    run_time_figure,
 )
 from repro.bench.parallel import (
     ExperimentPlan,
@@ -53,26 +40,11 @@ __all__ = [
     "ExperimentPlan",
     "ExperimentResult",
     "ExperimentRunner",
-    "PLAN_BUILDERS",
     "RESULT_SCHEMA_VERSION",
     "ResultCache",
     "RunSpec",
     "build_plan",
     "run_experiment",
-    "run_bytes_figure",
-    "run_time_figure",
-    "run_claims_reduction",
-    "run_claims_messages",
-    "run_claims_locality",
-    "run_rc_ablation",
-    "run_recovery_ablation",
-    "run_multicast_ablation",
-    "run_prefetch_ablation",
-    "run_per_class_ablation",
-    "run_object_grain_ablation",
-    "run_prediction_ablation",
-    "run_gdo_cache_ablation",
-    "run_aggregation_ablation",
     "format_table",
     "format_bar_chart",
     "format_bench_summary",

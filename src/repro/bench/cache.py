@@ -1,11 +1,12 @@
 """On-disk memoization of experiment runs.
 
 Every :class:`~repro.bench.parallel.RunSpec` is a pure function of its
-payload (workload parameters, seed, cluster configuration, builder
-arguments, extractor), so its measurement can be stored once and
-replayed forever.  :class:`ResultCache` keys each measurement by a
-SHA-256 fingerprint of that payload *plus the package version*, so a
-version bump invalidates every prior entry without any scanning.
+payload (workload parameters, seed, cluster configuration, builder and
+its arguments), so its measurement can be stored once and replayed
+forever — once, too, when two experiments declare the same run.
+:class:`ResultCache` keys each measurement by a SHA-256 fingerprint of
+that payload *plus the package version*, so a version bump invalidates
+every prior entry without any scanning.
 
 Entries live as one JSON file per run under ``.repro-cache/`` (two-hex
 fan-out directories keep any one directory small).  Writes are atomic
@@ -97,7 +98,6 @@ class ResultCache:
         envelope = {
             "schema": CACHE_SCHEMA_VERSION,
             "version": self.version,
-            "driver": spec.driver,
             "key": spec.key,
             "spec": spec.payload(),
             "measurement": measurement,

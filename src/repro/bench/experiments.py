@@ -1,44 +1,48 @@
-"""Experiment drivers: one per paper figure / table / ablation.
+"""The experiment table: one declaration per paper figure, table, claim
+and ablation.
 
-All drivers follow the same declarative pattern: a ``plan_*`` builder
-turns the driver's arguments into an
-:class:`~repro.bench.parallel.ExperimentPlan` — an ordered list of
-:class:`~repro.bench.parallel.RunSpec` (one fresh deterministic
-cluster per configuration under comparison; identical load, only the
-knob under study differs) plus a ``collect`` function that folds the
-per-run measurements into the series the corresponding paper artifact
-plots.  The public ``run_*`` functions execute their plan with a
-serial in-process :class:`~repro.bench.parallel.ExperimentRunner` by
-default; pass ``runner=ExperimentRunner(jobs=N, cache=...)`` to fan
-the same plan out over a process pool and/or the on-disk result cache.
+An experiment is declared, not hand-run.  Its entry in
+:data:`EXPERIMENTS` turns ``seed`` / ``scale`` / ``num_nodes`` and the
+experiment's own keyword options into an
+:class:`~repro.bench.parallel.ExperimentPlan`: the
+:class:`~repro.bench.parallel.RunSpec` list of cluster runs under
+comparison (identical load, only the knob under study differs) plus the
+fold of their measurements into the series the paper plots.  Most
+experiments share one shape — one run per variant, one series per named
+metric of :data:`METRICS` — and are declared through :func:`_compare`;
+the figures and sweeps with their own x axis fold themselves.
 
-``scale`` shrinks the root-transaction count so the same driver serves
-unit tests (fast), benches (full), and exploratory runs.
+There is one way to run any of them:
+:func:`~repro.bench.parallel.run_experiment` (or an
+:class:`~repro.bench.parallel.ExperimentRunner`, for a process pool and
+the on-disk result cache).  ``scale`` shrinks the root-transaction count
+so the same declaration serves unit tests, benches and full-size runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.parallel import (
-    ExperimentPlan,
-    ExperimentRunner,
-    RunSpec,
-    cluster_measurement,
-    register_builder,
-)
+from repro.bench.parallel import ExperimentPlan, RunSpec
 from repro.bench.report import format_bar_chart, format_series_table
 from repro.gdo.migration import MigrationConfig
-from repro.net.presets import SOFTWARE_COSTS, preset_network
+from repro.net.presets import FAST_ETHERNET_100M, SOFTWARE_COSTS, preset_network
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import ClusterConfig
 from repro.workload.generator import generate_workload
 from repro.workload.params import SCENARIOS, WorkloadParams
+from repro.workload.runner import run_workload
 
 THREE_PROTOCOLS = ("cotec", "otec", "lotec")
-FOUR_PROTOCOLS = ("cotec", "otec", "lotec", "rc")
 FIVE_PROTOCOLS = ("cotec", "otec", "lotec", "hlotec", "rc")
+
+#: Cluster size when a caller does not choose one.
+DEFAULT_NODES = 4
 
 #: Version of the JSON envelope written by
 #: :meth:`ExperimentResult.to_json` (the ``BENCH_*.json`` format).
@@ -46,8 +50,6 @@ RESULT_SCHEMA_VERSION = 1
 
 
 def _json_safe(value) -> bool:
-    import json
-
     try:
         json.dumps(value)
         return True
@@ -110,764 +112,99 @@ class ExperimentResult:
         )
 
 
-def _base_config(num_nodes: int, seed: int, **overrides) -> ClusterConfig:
-    overrides.setdefault("audit_accesses", False)
-    return ClusterConfig(num_nodes=num_nodes, seed=seed, **overrides)
-
-
-def _scenario_params(scenario: str, scale: float) -> WorkloadParams:
-    try:
-        params = SCENARIOS[scenario]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}"
-        ) from None
-    return params.scaled(scale)
-
-
-def _runner(runner: Optional[ExperimentRunner]) -> ExperimentRunner:
-    return runner if runner is not None else ExperimentRunner()
-
-
 # ---------------------------------------------------------------------------
-# Measurement accessors (collect-side mirror of the old WorkloadRun reads)
+# Runs: what one RunSpec executes and measures
 # ---------------------------------------------------------------------------
 
-def _object_field(measurement: Dict, index: int, name: str, default=0):
-    traffic = measurement["objects"].get(str(index))
-    return traffic[name] if traffic is not None else default
+def state_digest_hash(cluster: Cluster) -> str:
+    """Stable hash of the cluster's authoritative object state (the
+    recovery ablation compares these across rollback mechanisms)."""
+    blob = json.dumps(cluster.state_digest(), sort_keys=True, default=repr)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _ranked_objects(measurement: Dict, num_objects: int) -> List[int]:
-    """The paper plots "various shared objects ... selected to reflect
-    a variety of reference patterns": rank objects by total traffic
-    (stable, so ties keep object-id order)."""
-    return sorted(
-        range(num_objects),
-        key=lambda index: -_object_field(measurement, index, "bytes"),
+def cluster_measurement(cluster: Cluster) -> Dict[str, object]:
+    """The cluster-level portion of a measurement: every aggregate any
+    experiment reads, reduced to JSON primitives."""
+    stats = cluster.network_stats
+    data_messages = sum(
+        count
+        for category, count in stats.by_category_messages.items()
+        if category.is_consistency_data
     )
-
-
-def _select_objects(measurement: Dict, num_objects: int,
-                    count: int) -> List[int]:
-    """Top ``count`` most-referenced objects, in object-id order."""
-    return sorted(_ranked_objects(measurement, num_objects)[:count])
-
-
-# ---------------------------------------------------------------------------
-# Figures 2-5: bytes to maintain consistency, per shared object
-# ---------------------------------------------------------------------------
-
-def plan_bytes_figure(scenario: str, seed: int = 11, num_nodes: int = 4,
-                      scale: float = 1.0, objects_shown: int = 15,
-                      protocols: Sequence[str] = THREE_PROTOCOLS,
-                      ) -> ExperimentPlan:
-    params = _scenario_params(scenario, scale)
-    protocols = tuple(protocols)
-    specs = [
-        RunSpec(
-            driver=f"bytes-figure:{scenario}", key=protocol,
-            config=_base_config(num_nodes, seed, protocol=protocol),
-            params=params, seed=seed,
-        )
-        for protocol in protocols
-    ]
-
-    def collect(measurements: List[Dict]) -> ExperimentResult:
-        by_protocol = dict(zip(protocols, measurements))
-        # Choose the displayed objects from the baseline run so every
-        # protocol reports the same x axis.
-        shown = _select_objects(
-            measurements[0], params.num_objects, objects_shown
-        )
-        series = {
-            protocol: {
-                f"O{index}": _object_field(m, index, "data_bytes")
-                for index in shown
-            }
-            for protocol, m in by_protocol.items()
-        }
-        return ExperimentResult(
-            experiment=f"bytes per shared object — {scenario}",
-            x_label="object",
-            series=series,
-            meta={
-                "scenario": scenario,
-                "committed": {
-                    p: m["committed"] for p, m in by_protocol.items()
-                },
-                "failed": {p: m["failed"] for p, m in by_protocol.items()},
-                "total_data_bytes": {
-                    p: m["network"]["consistency_bytes"]
-                    for p, m in by_protocol.items()
-                },
-                "total_messages": {
-                    p: m["network"]["total_messages"]
-                    for p, m in by_protocol.items()
-                },
+    categories = set(stats.by_category_messages) | set(stats.by_category_bytes)
+    measurement: Dict[str, object] = {
+        "sim_time": cluster.env.now,
+        "network": {
+            "total_bytes": stats.total_bytes,
+            "total_messages": stats.total_messages,
+            "total_time": stats.total_time,
+            "consistency_bytes": stats.consistency_bytes(),
+            "data_messages": data_messages,
+            "remote_directory_messages": stats.directory_messages(),
+            "by_category": {
+                category.value: {
+                    "messages": stats.by_category_messages.get(category, 0),
+                    "bytes": stats.by_category_bytes.get(category, 0),
+                }
+                for category in sorted(categories, key=lambda c: c.value)
             },
-        )
-
-    return ExperimentPlan(f"bytes-figure:{scenario}", specs, collect)
-
-
-def run_bytes_figure(scenario: str, seed: int = 11, num_nodes: int = 4,
-                     scale: float = 1.0, objects_shown: int = 15,
-                     protocols: Sequence[str] = THREE_PROTOCOLS,
-                     runner: Optional[ExperimentRunner] = None,
-                     ) -> ExperimentResult:
-    """Figures 2-5: per-object consistency bytes under each protocol."""
-    return _runner(runner).run_plan(plan_bytes_figure(
-        scenario, seed=seed, num_nodes=num_nodes, scale=scale,
-        objects_shown=objects_shown, protocols=protocols,
-    ))
-
-
-# ---------------------------------------------------------------------------
-# Figures 6-8: total message time vs software cost, per bandwidth
-# ---------------------------------------------------------------------------
-
-def plan_time_figure(bandwidth: str, scenario: str = "large-high",
-                     seed: int = 11, num_nodes: int = 4, scale: float = 1.0,
-                     software_costs: Optional[Sequence[str]] = None,
-                     protocols: Sequence[str] = THREE_PROTOCOLS,
-                     ) -> ExperimentPlan:
-    costs = list(software_costs or SOFTWARE_COSTS)
-    protocols = tuple(protocols)
-    params = _scenario_params(scenario, scale)
-    points = [(cost, protocol) for cost in costs for protocol in protocols]
-    specs = [
-        RunSpec(
-            driver=f"time-figure:{bandwidth}:{scenario}",
-            key=f"{protocol}@{cost}",
-            config=_base_config(
-                num_nodes, seed, protocol=protocol,
-                network=preset_network(bandwidth, cost),
-            ),
-            params=params, seed=seed,
-        )
-        for cost, protocol in points
-    ]
-
-    def collect(measurements: List[Dict]) -> ExperimentResult:
-        series: Dict[str, Dict[str, object]] = {p: {} for p in protocols}
-        hot_series: Dict[str, Dict[str, float]] = {p: {} for p in protocols}
-        # The hot object is picked once, from the first run, so every
-        # sweep point traces the same object.
-        hot_index = _select_objects(measurements[0], params.num_objects, 1)[0]
-        for (cost, protocol), m in zip(points, measurements):
-            # Cluster-wide total message time in microseconds (the
-            # stable aggregate of the per-object quantity the paper
-            # plots; single-object traces for the hottest object are
-            # kept in meta, but retry nondeterminism across sweep
-            # points makes them noisy).
-            series[protocol][cost] = m["network"]["total_time"] * 1e6
-            hot_series[protocol][cost] = (
-                _object_field(m, hot_index, "time", 0.0) * 1e6
-            )
-        return ExperimentResult(
-            experiment=f"total message time (us) @ {bandwidth}",
-            x_label="software cost",
-            series=series,
-            meta={"bandwidth": bandwidth, "hot_object": hot_index,
-                  "hot_object_series": hot_series, "scenario": scenario},
-        )
-
-    return ExperimentPlan(f"time-figure:{bandwidth}:{scenario}", specs,
-                          collect)
-
-
-def run_time_figure(bandwidth: str, scenario: str = "large-high",
-                    seed: int = 11, num_nodes: int = 4, scale: float = 1.0,
-                    software_costs: Optional[Sequence[str]] = None,
-                    protocols: Sequence[str] = THREE_PROTOCOLS,
-                    runner: Optional[ExperimentRunner] = None,
-                    ) -> ExperimentResult:
-    """Figures 6-8: total message time for one hot shared object across
-    per-message software costs at a fixed bandwidth."""
-    return _runner(runner).run_plan(plan_time_figure(
-        bandwidth, scenario=scenario, seed=seed, num_nodes=num_nodes,
-        scale=scale, software_costs=software_costs, protocols=protocols,
-    ))
-
-
-# ---------------------------------------------------------------------------
-# §5 prose claims
-# ---------------------------------------------------------------------------
-
-def plan_claims_reduction(seed: int = 11, num_nodes: int = 4,
-                          scale: float = 1.0,
-                          scenarios: Optional[Sequence[str]] = None,
-                          ) -> ExperimentPlan:
-    chosen = list(scenarios or SCENARIOS)
-    points = [
-        (scenario, protocol)
-        for scenario in chosen for protocol in THREE_PROTOCOLS
-    ]
-    specs = [
-        RunSpec(
-            driver="claims-reduction", key=f"{protocol}@{scenario}",
-            config=_base_config(num_nodes, seed, protocol=protocol),
-            params=_scenario_params(scenario, scale), seed=seed,
-        )
-        for scenario, protocol in points
-    ]
-
-    def collect(measurements: List[Dict]) -> ExperimentResult:
-        series: Dict[str, Dict[str, object]] = {
-            p: {} for p in THREE_PROTOCOLS
-        }
-        reductions: Dict[str, Dict[str, float]] = {}
-        by_point = dict(zip(points, measurements))
-        for scenario in chosen:
-            totals = {
-                protocol: by_point[(scenario, protocol)]
-                ["network"]["consistency_bytes"]
-                for protocol in THREE_PROTOCOLS
-            }
-            for protocol in THREE_PROTOCOLS:
-                series[protocol][scenario] = totals[protocol]
-            reductions[scenario] = {
-                "otec_vs_cotec": 1 - totals["otec"] / totals["cotec"],
-                "lotec_vs_otec": 1 - totals["lotec"] / totals["otec"],
-            }
-        return ExperimentResult(
-            experiment="aggregate consistency bytes per scenario",
-            x_label="scenario",
-            series=series,
-            meta={"reductions": reductions},
-        )
-
-    return ExperimentPlan("claims-reduction", specs, collect)
-
-
-def run_claims_reduction(seed: int = 11, num_nodes: int = 4,
-                         scale: float = 1.0,
-                         scenarios: Optional[Sequence[str]] = None,
-                         runner: Optional[ExperimentRunner] = None,
-                         ) -> ExperimentResult:
-    """"OTEC generally outperforms COTEC by approximately 20-25% while
-    LOTEC outperforms OTEC by another 5-10%" — aggregate consistency
-    bytes per scenario, with reduction percentages."""
-    return _runner(runner).run_plan(plan_claims_reduction(
-        seed=seed, num_nodes=num_nodes, scale=scale, scenarios=scenarios,
-    ))
-
-
-def plan_claims_messages(scenario: str = "large-high", seed: int = 11,
-                         num_nodes: int = 4, scale: float = 1.0,
-                         ) -> ExperimentPlan:
-    params = _scenario_params(scenario, scale)
-    specs = [
-        RunSpec(
-            driver=f"claims-messages:{scenario}", key=protocol,
-            config=_base_config(num_nodes, seed, protocol=protocol),
-            params=params, seed=seed,
-        )
-        for protocol in THREE_PROTOCOLS
-    ]
-
-    def collect(measurements: List[Dict]) -> ExperimentResult:
-        series: Dict[str, Dict[str, object]] = {
-            "messages": {}, "bytes": {}, "mean_message_bytes": {},
-        }
-        for protocol, m in zip(THREE_PROTOCOLS, measurements):
-            messages = m["network"]["total_messages"]
-            series["messages"][protocol] = messages
-            series["bytes"][protocol] = m["network"]["total_bytes"]
-            series["mean_message_bytes"][protocol] = (
-                m["network"]["total_bytes"] / messages if messages else 0
-            )
-        return ExperimentResult(
-            experiment=f"message counts vs sizes — {scenario}",
-            x_label="metric",
-            series=series,
-            meta={"scenario": scenario},
-        )
-
-    return ExperimentPlan(f"claims-messages:{scenario}", specs, collect)
-
-
-def run_claims_messages(scenario: str = "large-high", seed: int = 11,
-                        num_nodes: int = 4, scale: float = 1.0,
-                        runner: Optional[ExperimentRunner] = None,
-                        ) -> ExperimentResult:
-    """"LOTEC also sends many more messages (albeit small ones) than
-    OTEC or COTEC" — message counts and mean message size."""
-    return _runner(runner).run_plan(plan_claims_messages(
-        scenario, seed=seed, num_nodes=num_nodes, scale=scale,
-    ))
-
-
-# ---------------------------------------------------------------------------
-# Ablations
-# ---------------------------------------------------------------------------
-
-def plan_rc_ablation(scenario: str = "medium-high", seed: int = 11,
-                     num_nodes: int = 4, scale: float = 1.0,
-                     ) -> ExperimentPlan:
-    params = _scenario_params(scenario, scale)
-    specs = [
-        RunSpec(
-            driver=f"abl-rc:{scenario}", key=protocol,
-            config=_base_config(num_nodes, seed, protocol=protocol),
-            params=params, seed=seed,
-        )
-        for protocol in FIVE_PROTOCOLS
-    ]
-
-    def collect(measurements: List[Dict]) -> ExperimentResult:
-        series: Dict[str, Dict[str, object]] = {
-            "data_bytes": {}, "messages": {},
-        }
-        for protocol, m in zip(FIVE_PROTOCOLS, measurements):
-            series["data_bytes"][protocol] = (
-                m["network"]["consistency_bytes"]
-            )
-            series["messages"][protocol] = m["network"]["total_messages"]
-        return ExperimentResult(
-            experiment=f"RC extension vs lazy protocols — {scenario}",
-            x_label="metric",
-            series=series,
-            meta={"scenario": scenario},
-        )
-
-    return ExperimentPlan(f"abl-rc:{scenario}", specs, collect)
-
-
-def run_rc_ablation(scenario: str = "medium-high", seed: int = 11,
-                    num_nodes: int = 4, scale: float = 1.0,
-                    runner: Optional[ExperimentRunner] = None,
-                    ) -> ExperimentResult:
-    """§6 future work: nested-object Release Consistency (and the
-    home-based scope-consistency variant) versus the COTEC/OTEC/LOTEC
-    suite."""
-    return _runner(runner).run_plan(plan_rc_ablation(
-        scenario, seed=seed, num_nodes=num_nodes, scale=scale,
-    ))
-
-
-def plan_object_grain_ablation(scenario: str = "medium-high", seed: int = 11,
-                               num_nodes: int = 4, scale: float = 1.0,
-                               ) -> ExperimentPlan:
-    params = _scenario_params(scenario, scale)
-    grains = ("page", "object")
-    specs = [
-        RunSpec(
-            driver=f"abl-dsd:{scenario}", key=grain,
-            config=_base_config(num_nodes, seed, protocol="lotec",
-                                transfer_grain=grain),
-            params=params, seed=seed,
-        )
-        for grain in grains
-    ]
-
-    def collect(measurements: List[Dict]) -> ExperimentResult:
-        series: Dict[str, Dict[str, object]] = {
-            "data_bytes": {}, "messages": {}, "data_messages": {},
-            "mean_data_message_bytes": {},
-        }
-        for grain, m in zip(grains, measurements):
-            data_messages = m["network"]["data_messages"]
-            consistency_bytes = m["network"]["consistency_bytes"]
-            series["data_bytes"][grain] = consistency_bytes
-            series["messages"][grain] = m["network"]["total_messages"]
-            series["data_messages"][grain] = data_messages
-            series["mean_data_message_bytes"][grain] = (
-                consistency_bytes / data_messages if data_messages else 0
-            )
-        return ExperimentResult(
-            experiment=(
-                f"LOTEC transfer grain (page vs object/DSD) — {scenario}"
-            ),
-            x_label="metric",
-            series=series,
-            meta={"scenario": scenario},
-        )
-
-    return ExperimentPlan(f"abl-dsd:{scenario}", specs, collect)
-
-
-def run_object_grain_ablation(scenario: str = "medium-high", seed: int = 11,
-                              num_nodes: int = 4, scale: float = 1.0,
-                              runner: Optional[ExperimentRunner] = None,
-                              ) -> ExperimentResult:
-    """§4.2: page-grain vs object-grain (DSD) transfer under LOTEC —
-    the false-sharing-free mode ships only object bytes, not whole
-    pages."""
-    return _runner(runner).run_plan(plan_object_grain_ablation(
-        scenario, seed=seed, num_nodes=num_nodes, scale=scale,
-    ))
-
-
-def plan_prediction_ablation(seed: int = 11, num_nodes: int = 4,
-                             scale: float = 1.0,
-                             fractions: Sequence[Tuple[float, float]] = (
-                                 (0.1, 0.2), (0.2, 0.5), (0.5, 0.8),
-                                 (0.9, 1.0),
-                             )) -> ExperimentPlan:
-    fractions = tuple(tuple(fraction) for fraction in fractions)
-    points = []
-    specs = []
-    for fraction in fractions:
-        label = f"{fraction[0]:.0%}-{fraction[1]:.0%}"
-        params = _scenario_params("large-high", scale)
-        params = WorkloadParams(
-            **{**params.__dict__, "access_fraction": fraction}
-        )
-        for protocol in ("otec", "lotec"):
-            points.append((label, protocol))
-            specs.append(RunSpec(
-                driver="abl-predict", key=f"{protocol}@{label}",
-                config=_base_config(num_nodes, seed, protocol=protocol),
-                params=params, seed=seed,
-            ))
-
-    def collect(measurements: List[Dict]) -> ExperimentResult:
-        series: Dict[str, Dict[str, object]] = {
-            "otec_bytes": {}, "lotec_bytes": {}, "lotec_saving": {},
-            "demand_fetches": {},
-        }
-        by_point = dict(zip(points, measurements))
-        for fraction in fractions:
-            label = f"{fraction[0]:.0%}-{fraction[1]:.0%}"
-            totals = {
-                protocol: by_point[(label, protocol)]
-                ["network"]["consistency_bytes"]
-                for protocol in ("otec", "lotec")
-            }
-            series["demand_fetches"][label] = (
-                by_point[(label, "lotec")]["prediction"]["demand_fetches"]
-            )
-            series["otec_bytes"][label] = totals["otec"]
-            series["lotec_bytes"][label] = totals["lotec"]
-            series["lotec_saving"][label] = round(
-                1 - totals["lotec"] / totals["otec"], 4
-            )
-        return ExperimentResult(
-            experiment="LOTEC saving vs method access fraction",
-            x_label="access fraction",
-            series=series,
-        )
-
-    return ExperimentPlan("abl-predict", specs, collect)
-
-
-def run_prediction_ablation(seed: int = 11, num_nodes: int = 4,
-                            scale: float = 1.0,
-                            fractions: Sequence[Tuple[float, float]] = (
-                                (0.1, 0.2), (0.2, 0.5), (0.5, 0.8),
-                                (0.9, 1.0),
-                            ),
-                            runner: Optional[ExperimentRunner] = None,
-                            ) -> ExperimentResult:
-    """Design-choice ablation: how LOTEC's advantage over OTEC varies
-    with the fraction of an object each method accesses.  Methods
-    touching nearly everything erase the gap (prediction ~ whole
-    object); narrow methods widen it."""
-    return _runner(runner).run_plan(plan_prediction_ablation(
-        seed=seed, num_nodes=num_nodes, scale=scale, fractions=fractions,
-    ))
-
-
-def plan_gdo_cache_ablation(scenario: str = "medium-high", seed: int = 11,
-                            num_nodes: int = 4, scale: float = 1.0,
-                            ) -> ExperimentPlan:
-    params = _scenario_params(scenario, scale)
-    variants = (True, False)
-    specs = [
-        RunSpec(
-            driver=f"abl-gdocache:{scenario}",
-            key="cached" if enabled else "uncached",
-            config=_base_config(num_nodes, seed, protocol="lotec",
-                                gdo_cache_enabled=enabled),
-            params=params, seed=seed,
-        )
-        for enabled in variants
-    ]
-
-    def collect(measurements: List[Dict]) -> ExperimentResult:
-        series: Dict[str, Dict[str, object]] = {
-            "lock_messages": {}, "total_messages": {}, "local_ops": {},
-            "cache_hit_rate": {},
-        }
-        for enabled, m in zip(variants, measurements):
-            label = "cached" if enabled else "uncached"
-            by_category = m["network"]["by_category"]
-            series["lock_messages"][label] = sum(
-                by_category.get(category, {}).get("messages", 0)
-                for category in ("lock_request", "lock_grant",
-                                 "lock_release")
-            )
-            series["total_messages"][label] = (
-                m["network"]["total_messages"]
-            )
-            series["local_ops"][label] = m["locks"]["local_acquisitions"]
-            series["cache_hit_rate"][label] = round(
-                m["cache"]["hit_rate"], 4
-            )
-        return ExperimentResult(
-            experiment=f"GDO holder-list caching — {scenario}",
-            x_label="metric",
-            series=series,
-            meta={"scenario": scenario},
-        )
-
-    return ExperimentPlan(f"abl-gdocache:{scenario}", specs, collect)
-
-
-def run_gdo_cache_ablation(scenario: str = "medium-high", seed: int = 11,
-                           num_nodes: int = 4, scale: float = 1.0,
-                           runner: Optional[ExperimentRunner] = None,
-                           ) -> ExperimentResult:
-    """Design-choice ablation: holder-list caching at the holding site
-    (§4.1's local/global split) versus sending every lock operation to
-    the GDO home node."""
-    return _runner(runner).run_plan(plan_gdo_cache_ablation(
-        scenario, seed=seed, num_nodes=num_nodes, scale=scale,
-    ))
-
-
-def plan_recovery_ablation(scenario: str = "medium-high", seed: int = 11,
-                           num_nodes: int = 4, scale: float = 1.0,
-                           ) -> ExperimentPlan:
-    params = _scenario_params(scenario, scale)
-    mechanisms = ("undo", "shadow")
-    specs = [
-        RunSpec(
-            driver=f"abl-recovery:{scenario}", key=recovery,
-            config=_base_config(num_nodes, seed, protocol="lotec",
-                                recovery=recovery),
-            params=params, seed=seed,
-        )
-        for recovery in mechanisms
-    ]
-
-    def collect(measurements: List[Dict]) -> ExperimentResult:
-        series: Dict[str, Dict[str, object]] = {
-            "committed": {}, "sim_time_ms": {}, "data_bytes": {},
-        }
-        digests = {}
-        for recovery, m in zip(mechanisms, measurements):
-            series["committed"][recovery] = m["committed"]
-            series["sim_time_ms"][recovery] = m["sim_time"] * 1e3
-            series["data_bytes"][recovery] = (
-                m["network"]["consistency_bytes"]
-            )
-            digests[recovery] = m["state_digest"]
-        return ExperimentResult(
-            experiment=(
-                f"recovery mechanism (undo log vs shadow pages) — {scenario}"
-            ),
-            x_label="metric",
-            series=series,
-            meta={"states_equal": digests["undo"] == digests["shadow"]},
-        )
-
-    return ExperimentPlan(f"abl-recovery:{scenario}", specs, collect)
-
-
-def run_recovery_ablation(scenario: str = "medium-high", seed: int = 11,
-                          num_nodes: int = 4, scale: float = 1.0,
-                          runner: Optional[ExperimentRunner] = None,
-                          ) -> ExperimentResult:
-    """§4.1 offers two rollback mechanisms — "local UNDO logs or shadow
-    pages".  Compare their bookkeeping volume and confirm identical
-    outcomes on the same workload."""
-    return _runner(runner).run_plan(plan_recovery_ablation(
-        scenario, seed=seed, num_nodes=num_nodes, scale=scale,
-    ))
-
-
-def plan_multicast_ablation(scenario: str = "medium-high", seed: int = 11,
-                            num_nodes: int = 4, scale: float = 1.0,
-                            ) -> ExperimentPlan:
-    params = _scenario_params(scenario, scale)
-    variants = (False, True)
-    specs = []
-    for multicast in variants:
-        config = _base_config(num_nodes, seed, protocol="rc")
-        config = config.with_network(
-            config.network.with_multicast(multicast)
-        )
-        specs.append(RunSpec(
-            driver=f"abl-multicast:{scenario}",
-            key="multicast" if multicast else "unicast",
-            config=config, params=params, seed=seed,
-        ))
-
-    def collect(measurements: List[Dict]) -> ExperimentResult:
-        series: Dict[str, Dict[str, object]] = {
-            "push_bytes": {}, "push_messages": {}, "total_bytes": {},
-        }
-        for multicast, m in zip(variants, measurements):
-            label = "multicast" if multicast else "unicast"
-            pushes = m["network"]["by_category"].get("update_push", {})
-            series["push_bytes"][label] = pushes.get("bytes", 0)
-            series["push_messages"][label] = pushes.get("messages", 0)
-            series["total_bytes"][label] = m["network"]["total_bytes"]
-        return ExperimentResult(
-            experiment=(
-                f"RC update pushes, unicast vs multicast — {scenario}"
-            ),
-            x_label="metric",
-            series=series,
-            meta={"scenario": scenario},
-        )
-
-    return ExperimentPlan(f"abl-multicast:{scenario}", specs, collect)
-
-
-def run_multicast_ablation(scenario: str = "medium-high", seed: int = 11,
-                           num_nodes: int = 4, scale: float = 1.0,
-                           runner: Optional[ExperimentRunner] = None,
-                           ) -> ExperimentResult:
-    """§6: "the use of multicast-capable networks" — eager RC pushes
-    collapse from one unicast per replica to a single transmission."""
-    return _runner(runner).run_plan(plan_multicast_ablation(
-        scenario, seed=seed, num_nodes=num_nodes, scale=scale,
-    ))
-
-
-def plan_prefetch_ablation(seed: int = 11, num_nodes: int = 4,
-                           scale: float = 1.0,
-                           software_cost: str = "100us") -> ExperimentPlan:
-    params = WorkloadParams(
-        num_objects=60, num_classes=4, num_roots=max(6, int(30 * scale)),
-        pages_min=1, pages_max=3, max_depth=3, mean_branch=3.0,
-        skew=0.0, mean_interarrival_s=0.001,
-    )
-    network = preset_network("100Mbps", software_cost)
-    modes = ("off", "locks", "locks+pages")
-    specs = [
-        RunSpec(
-            driver=f"abl-prefetch:{software_cost}", key=mode,
-            config=_base_config(num_nodes, seed, protocol="lotec",
-                                prefetch=mode, network=network),
-            params=params, seed=seed,
-        )
-        for mode in modes
-    ]
-
-    def collect(measurements: List[Dict]) -> ExperimentResult:
-        series: Dict[str, Dict[str, object]] = {
-            "mean_latency_us": {}, "messages": {}, "prefetch_granted": {},
-            "prefetch_denied": {}, "deadlocks": {},
-        }
-        for mode, m in zip(modes, measurements):
-            series["mean_latency_us"][mode] = (
-                m["txn"]["mean_latency"] * 1e6
-            )
-            series["messages"][mode] = m["network"]["total_messages"]
-            series["prefetch_granted"][mode] = (
-                m["locks"]["prefetch_granted"]
-            )
-            series["prefetch_denied"][mode] = m["locks"]["prefetch_denied"]
-            series["deadlocks"][mode] = m["locks"]["deadlocks"]
-        return ExperimentResult(
-            experiment="optimistic pre-acquisition / prefetch "
-                       "(low contention)",
-            x_label="metric",
-            series=series,
-        )
-
-    return ExperimentPlan(f"abl-prefetch:{software_cost}", specs, collect)
-
-
-def run_prefetch_ablation(seed: int = 11, num_nodes: int = 4,
-                          scale: float = 1.0,
-                          software_cost: str = "100us",
-                          runner: Optional[ExperimentRunner] = None,
-                          ) -> ExperimentResult:
-    """§5.1/§6: optimistic pre-acquisition and object prefetching
-    "effectively hides the latency of remote lock acquisition".
-
-    Run a low-contention, deeply nested workload (prefetch's favourable
-    regime: many lock round trips, few conflicts) and report mean root
-    latency against message cost for each prefetch mode."""
-    return _runner(runner).run_plan(plan_prefetch_ablation(
-        seed=seed, num_nodes=num_nodes, scale=scale,
-        software_cost=software_cost,
-    ))
-
-
-def plan_per_class_ablation(scenario: str = "medium-high", seed: int = 11,
-                            num_nodes: int = 4, scale: float = 1.0,
-                            ) -> ExperimentPlan:
-    params = _scenario_params(scenario, scale)
-    # Workload generation is deterministic and cheap relative to a run,
-    # so the plan builder regenerates it locally to learn class names.
-    workload = generate_workload(params, seed=seed)
-    hottest_class = workload.classes[0].schema.name
-    configurations = {
-        "lotec": (),
-        "mixed": ((hottest_class, "rc"),),
-        "rc": tuple(
-            (info.schema.name, "rc") for info in workload.classes
-        ),
+        },
+        "locks": cluster.lock_stats.snapshot(),
+        "txn": {"mean_latency": cluster.txn_stats.mean_latency},
+        "cache": {"hit_rate": cluster.cache_stats.hit_rate},
+        "prediction": cluster.protocol.snapshot(),
+        "state_digest": state_digest_hash(cluster),
     }
-    specs = [
-        RunSpec(
-            driver=f"abl-perclass:{scenario}", key=label,
-            config=_base_config(num_nodes, seed, protocol="lotec",
-                                class_protocols=class_protocols),
-            params=params, seed=seed,
-        )
-        for label, class_protocols in configurations.items()
-    ]
-
-    def collect(measurements: List[Dict]) -> ExperimentResult:
-        series: Dict[str, Dict[str, object]] = {
-            "data_bytes": {}, "messages": {},
-        }
-        for label, m in zip(configurations, measurements):
-            series["data_bytes"][label] = (
-                m["network"]["consistency_bytes"]
-            )
-            series["messages"][label] = m["network"]["total_messages"]
-        return ExperimentResult(
-            experiment=(
-                f"per-class protocol mix (hot class on RC) — {scenario}"
-            ),
-            x_label="metric",
-            series=series,
-            meta={"hot_class": hottest_class},
-        )
-
-    return ExperimentPlan(f"abl-perclass:{scenario}", specs, collect)
+    if cluster.migration is not None:
+        measurement["migration"] = cluster.migration.stats.snapshot()
+    if cluster.tracer.enabled and cluster.metrics is not None:
+        # Per-run metrics ride home inside the measurement, so a pool
+        # worker's registry survives the trip back to the parent.
+        measurement["metrics"] = cluster.metrics.snapshot()
+    return measurement
 
 
-def run_per_class_ablation(scenario: str = "medium-high", seed: int = 11,
-                           num_nodes: int = 4, scale: float = 1.0,
-                           runner: Optional[ExperimentRunner] = None,
-                           ) -> ExperimentResult:
-    """§6: per-class consistency protocols.  Put the single hottest
-    class on RC (its updates push eagerly to readers) while the rest
-    stay on LOTEC, and compare against the pure configurations."""
-    return _runner(runner).run_plan(plan_per_class_ablation(
-        scenario, seed=seed, num_nodes=num_nodes, scale=scale,
-    ))
+def _workload_run(spec: RunSpec) -> Dict[str, object]:
+    """The standard run: the spec's generated workload on a fresh
+    cluster, measured cluster-wide and per shared object."""
+    if spec.params is None:
+        raise ValueError(f"spec {spec.key!r} has neither workload params "
+                         f"nor a custom builder")
+    workload = generate_workload(spec.params, seed=spec.seed)
+    run = run_workload(Cluster(spec.config), workload)
+    stats = run.cluster.network_stats
+    objects: Dict[str, Dict[str, object]] = {}
+    for index, handle in enumerate(run.handles):
+        traffic = stats.by_object.get(handle.object_id)
+        if traffic is not None:
+            objects[str(index)] = {
+                "bytes": traffic.bytes,
+                "data_bytes": traffic.data_bytes,
+                "data_messages": traffic.data_messages,
+                "messages": traffic.messages,
+                "time": traffic.time,
+            }
+    measurement = cluster_measurement(run.cluster)
+    measurement["committed"] = run.committed
+    measurement["failed"] = run.failed
+    measurement["objects"] = objects
+    return measurement
 
 
-# ---------------------------------------------------------------------------
-# §5.1 aggregation ablation (drives clusters directly; no generated
-# workload, so it runs through a registered builder)
-# ---------------------------------------------------------------------------
-
-@register_builder("aggregation")
-def _aggregation_run(config: ClusterConfig,
-                     args: Dict[str, object]) -> Dict[str, object]:
+def _aggregation_run(spec: RunSpec) -> Dict[str, object]:
     """One granularity variant of the aggregation experiment: the same
     logical work — bump every element of a group — against either
     ``group_size`` separate single-attribute objects ("fine") or one
     aggregated object holding the group as an array ("coarse")."""
     from repro import Array, Attr, method, shared_class
 
+    args = dict(spec.builder_args)
     variant = args["variant"]
     group_size = args["group_size"]
     num_groups = args["num_groups"]
     rounds = args["rounds"]
-    num_nodes = config.num_nodes
+    num_nodes = spec.config.num_nodes
 
     @shared_class
     class FineItem:
@@ -904,7 +241,7 @@ def _aggregation_run(config: ClusterConfig,
             self.runs += 1
             return total
 
-    cluster = Cluster(config)
+    cluster = Cluster(spec.config)
     if variant == "fine":
         # Fine granularity: one object per element.
         tasks = [cluster.create(GroupTask) for _ in range(num_groups)]
@@ -953,265 +290,609 @@ def _aggregation_run(config: ClusterConfig,
     return measurement
 
 
-def plan_aggregation_ablation(seed: int = 11, num_nodes: int = 4,
-                              scale: float = 1.0,
-                              group_size: int = 8,
-                              num_groups: int = 8) -> ExperimentPlan:
-    rounds = max(2, int(12 * scale))
-    variants = ("fine", "coarse")
-    specs = [
-        RunSpec(
-            driver="abl-aggregate", key=variant,
-            config=_base_config(num_nodes, seed, protocol="lotec"),
-            seed=seed,
-            builder="aggregation",
-            builder_args=(
-                ("variant", variant), ("group_size", group_size),
-                ("num_groups", num_groups), ("rounds", rounds),
-            ),
-        )
-        for variant in variants
-    ]
-
-    def collect(measurements: List[Dict]) -> ExperimentResult:
-        series: Dict[str, Dict[str, object]] = {
-            "global_lock_ops": {}, "lock_messages": {},
-            "total_messages": {}, "data_bytes": {},
-        }
-        state_sums = {}
-        for variant, m in zip(variants, measurements):
-            by_category = m["network"]["by_category"]
-            series["global_lock_ops"][variant] = (
-                m["locks"]["global_acquisitions"]
-            )
-            series["lock_messages"][variant] = sum(
-                by_category.get(category, {}).get("messages", 0)
-                for category in ("lock_request", "lock_grant",
-                                 "lock_release")
-            )
-            series["total_messages"][variant] = (
-                m["network"]["total_messages"]
-            )
-            series["data_bytes"][variant] = (
-                m["network"]["consistency_bytes"]
-            )
-            state_sums[variant] = m["state_sum"]
-        return ExperimentResult(
-            experiment=(
-                f"object aggregation ({num_groups} groups x {group_size} "
-                f"elements, {rounds} rounds)"
-            ),
-            x_label="metric",
-            series=series,
-            meta={
-                "fine_state_sum": state_sums["fine"],
-                "coarse_state_sum": state_sums["coarse"],
-            },
-        )
-
-    return ExperimentPlan("abl-aggregate", specs, collect)
-
-
-def run_aggregation_ablation(seed: int = 11, num_nodes: int = 4,
-                             scale: float = 1.0,
-                             group_size: int = 8,
-                             num_groups: int = 8,
-                             runner: Optional[ExperimentRunner] = None,
-                             ) -> ExperimentResult:
-    """§5.1: "Heavily object-based environments can sometimes aggregate
-    related small objects into larger objects for the purpose of
-    decreasing the cost of concurrency control and consistency
-    maintenance."
-
-    The same logical work — bump every element of a group — is run
-    twice: against ``group_size`` separate single-attribute objects
-    (one lock acquisition per element, per §5.1 "the larger objects
-    are, the fewer lock operations are necessary") and against one
-    aggregated object holding the group as an array."""
-    return _runner(runner).run_plan(plan_aggregation_ablation(
-        seed=seed, num_nodes=num_nodes, scale=scale,
-        group_size=group_size, num_groups=num_groups,
-    ))
-
-
-# ---------------------------------------------------------------------------
-# Open-loop load + adaptive home migration (repro.load / repro.gdo.migration)
-# ---------------------------------------------------------------------------
-
-@register_builder("load")
-def _load_run(config: ClusterConfig,
-              args: Dict[str, object]) -> Dict[str, object]:
-    """One open-loop load execution: scenario + seed -> measurement.
-
-    The :class:`~repro.load.engine.Load` is rebuilt inside the worker
-    (generation is deterministic and cheap), so the spec stays a small
-    picklable value."""
+def _load_run(spec: RunSpec) -> Dict[str, object]:
+    """One open-loop load execution (:mod:`repro.load`).  The load is
+    rebuilt inside the worker (generation is deterministic and cheap),
+    so the spec stays a small picklable value."""
     from repro.load import build_load, run_load
 
+    args = dict(spec.builder_args)
     load = build_load(args["scenario"], seed=args["seed"],
                       scale=args["scale"])
-    cluster = Cluster(config)
+    cluster = Cluster(spec.config)
     run = run_load(cluster, load)
     measurement = cluster_measurement(cluster)
     measurement["committed"] = run.committed
     measurement["failed"] = run.failed
-    measurement["deadlocks"] = cluster.lock_stats.deadlocks
     return measurement
 
 
-def plan_claims_locality(scenario: str = "zipf-hot", seed: int = 7,
-                         scale: float = 1.0,
-                         migration: Optional[MigrationConfig] = None,
-                         num_nodes: Optional[int] = None,
-                         ) -> ExperimentPlan:
-    """Static round-robin homes vs adaptive migration on one skewed
-    open-loop scenario — identical load, only the directory policy
-    differs.  The committed baseline
-    ``benchmarks/baselines/claims_locality.json`` pins this plan's
-    numbers and requires the migration run to cut remote directory
-    messages by at least 30%.
+#: How a :class:`~repro.bench.parallel.RunSpec` runs, by its ``builder``
+#: name: a function of the spec returning a JSON-primitive measurement.
+BUILDERS: Dict[str, Callable[[RunSpec], Dict[str, object]]] = {
+    "workload": _workload_run,
+    "aggregation": _aggregation_run,
+    "load": _load_run,
+}
 
-    ``num_nodes`` is accepted for registry compatibility but ignored:
-    the cluster always runs one node per scenario client — the client
-    population *is* the topology under study."""
-    from repro.load import LOAD_SCENARIOS
 
-    del num_nodes
+# ---------------------------------------------------------------------------
+# Metrics: named reads of one measurement
+# ---------------------------------------------------------------------------
+
+def _network(name: str):
+    return lambda m: m["network"][name]
+
+
+def _locks(name: str):
+    return lambda m: m["locks"][name]
+
+
+def _category(category: str, name: str):
+    return lambda m: m["network"]["by_category"].get(category, {}).get(name, 0)
+
+
+def _per(numerator, denominator):
+    return lambda m: numerator(m) / denominator(m) if denominator(m) else 0
+
+
+_DATA_BYTES = _network("consistency_bytes")
+_TOTAL_BYTES = _network("total_bytes")
+_TOTAL_MESSAGES = _network("total_messages")
+_LOCK_MESSAGES = tuple(
+    _category(category, "messages")
+    for category in ("lock_request", "lock_grant", "lock_release")
+)
+
+#: Series name -> its value in one measurement.  ``data_bytes`` is the
+#: paper's "bytes transferred to maintain consistency".
+METRICS: Dict[str, Callable[[Dict], object]] = {
+    "committed": lambda m: m["committed"],
+    "failed": lambda m: m["failed"],
+    "data_bytes": _DATA_BYTES,
+    "bytes": _TOTAL_BYTES,
+    "total_bytes": _TOTAL_BYTES,
+    "messages": _TOTAL_MESSAGES,
+    "total_messages": _TOTAL_MESSAGES,
+    "mean_message_bytes": _per(_TOTAL_BYTES, _TOTAL_MESSAGES),
+    "data_messages": _network("data_messages"),
+    "mean_data_message_bytes": _per(_DATA_BYTES, _network("data_messages")),
+    "remote_directory_messages": _network("remote_directory_messages"),
+    "lock_messages": lambda m: sum(count(m) for count in _LOCK_MESSAGES),
+    "push_bytes": _category("update_push", "bytes"),
+    "push_messages": _category("update_push", "messages"),
+    "local_ops": _locks("local_acquisitions"),
+    "global_lock_ops": _locks("global_acquisitions"),
+    "prefetch_granted": _locks("prefetch_granted"),
+    "prefetch_denied": _locks("prefetch_denied"),
+    "deadlocks": _locks("deadlocks"),
+    "cache_hit_rate": lambda m: round(m["cache"]["hit_rate"], 4),
+    "mean_latency_us": lambda m: m["txn"]["mean_latency"] * 1e6,
+    "sim_time_ms": lambda m: m["sim_time"] * 1e3,
+    "migrations": lambda m: (
+        m["migration"]["migrations"] if m.get("migration") else 0
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# Declaration helpers
+# ---------------------------------------------------------------------------
+
+def _scenario_params(scenario: str, scale: float) -> WorkloadParams:
     try:
-        num_nodes = LOAD_SCENARIOS[scenario].clients
+        params = SCENARIOS[scenario]
+    except KeyError:
+        raise KeyError(
+            f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}"
+        ) from None
+    return params.scaled(scale)
+
+
+def _specs(variants: Dict[str, Dict[str, object]], seed: int,
+           num_nodes: Optional[int], params: Optional[WorkloadParams] = None,
+           **run) -> List[RunSpec]:
+    """One run per variant — label -> ``ClusterConfig`` overrides — on
+    the same load; ``run`` names a custom builder and its arguments."""
+    nodes = DEFAULT_NODES if num_nodes is None else num_nodes
+    return [
+        RunSpec(
+            key=label,
+            config=ClusterConfig(num_nodes=nodes, seed=seed,
+                                 audit_accesses=False, **overrides),
+            params=params, seed=seed, **run,
+        )
+        for label, overrides in variants.items()
+    ]
+
+
+def _protocols(protocols: Sequence[str]) -> Dict[str, Dict[str, object]]:
+    return {protocol: {"protocol": protocol} for protocol in protocols}
+
+
+def _compare(title: str, specs: List[RunSpec], metrics: Sequence[str], *,
+             x_label: str = "metric",
+             meta: Optional[Callable[[Dict[str, Dict]], Dict]] = None,
+             ) -> ExperimentPlan:
+    """The shape most experiments share: ``series[metric][run key]``
+    for each named metric of :data:`METRICS`; ``meta`` derives extra
+    metadata from ``{run key: measurement}``."""
+
+    def collect(measurements: List[Dict]) -> ExperimentResult:
+        by_key = {spec.key: m for spec, m in zip(specs, measurements)}
+        return ExperimentResult(
+            experiment=title,
+            x_label=x_label,
+            series={
+                metric: {key: METRICS[metric](m) for key, m in by_key.items()}
+                for metric in metrics
+            },
+            meta=meta(by_key) if meta is not None else {},
+        )
+
+    return ExperimentPlan(specs, collect)
+
+
+def _object_field(measurement: Dict, index: int, name: str, default=0):
+    traffic = measurement["objects"].get(str(index))
+    return traffic[name] if traffic is not None else default
+
+
+def _select_objects(measurement: Dict, num_objects: int,
+                    count: int) -> List[int]:
+    """The paper plots "various shared objects ... selected to reflect
+    a variety of reference patterns": the ``count`` objects with the
+    most traffic (a stable ranking, so ties keep object-id order),
+    returned in object-id order."""
+    ranked = sorted(
+        range(num_objects),
+        key=lambda index: -_object_field(measurement, index, "bytes"),
+    )
+    return sorted(ranked[:count])
+
+
+# ---------------------------------------------------------------------------
+# The declarations.  Every one takes seed, scale and num_nodes
+# (``None`` = the experiment's own topology) plus its keyword options.
+# ---------------------------------------------------------------------------
+
+def _bytes_figure(seed, scale, num_nodes, scenario: str,
+                  objects_shown: int = 15,
+                  protocols: Sequence[str] = THREE_PROTOCOLS,
+                  ) -> ExperimentPlan:
+    """Figures 2-5: per-object consistency bytes under each protocol."""
+    params = _scenario_params(scenario, scale)
+    specs = _specs(_protocols(protocols), seed, num_nodes, params)
+
+    def collect(measurements: List[Dict]) -> ExperimentResult:
+        by_protocol = {spec.key: m for spec, m in zip(specs, measurements)}
+        # Choose the displayed objects from the baseline run so every
+        # protocol reports the same x axis.
+        shown = _select_objects(
+            measurements[0], params.num_objects, objects_shown
+        )
+
+        def per_protocol(read) -> Dict[str, object]:
+            return {p: read(m) for p, m in by_protocol.items()}
+
+        return ExperimentResult(
+            experiment=f"bytes per shared object — {scenario}",
+            x_label="object",
+            series=per_protocol(lambda m: {
+                f"O{index}": _object_field(m, index, "data_bytes")
+                for index in shown
+            }),
+            meta={
+                "scenario": scenario,
+                "committed": per_protocol(METRICS["committed"]),
+                "failed": per_protocol(METRICS["failed"]),
+                "total_data_bytes": per_protocol(METRICS["data_bytes"]),
+                "total_messages": per_protocol(METRICS["total_messages"]),
+            },
+        )
+
+    return ExperimentPlan(specs, collect)
+
+
+def _time_figure(seed, scale, num_nodes, bandwidth: str,
+                 scenario: str = "large-high",
+                 software_costs: Sequence[str] = tuple(SOFTWARE_COSTS),
+                 protocols: Sequence[str] = THREE_PROTOCOLS,
+                 ) -> ExperimentPlan:
+    """Figures 6-8: total message time across per-message software
+    costs at a fixed bandwidth."""
+    params = _scenario_params(scenario, scale)
+    points = [(cost, protocol)
+              for cost in software_costs for protocol in protocols]
+    specs = _specs(
+        {
+            f"{protocol}@{cost}": {
+                "protocol": protocol,
+                "network": preset_network(bandwidth, cost),
+            }
+            for cost, protocol in points
+        },
+        seed, num_nodes, params,
+    )
+
+    def collect(measurements: List[Dict]) -> ExperimentResult:
+        series: Dict[str, Dict[str, object]] = {p: {} for p in protocols}
+        hot_series: Dict[str, Dict[str, float]] = {p: {} for p in protocols}
+        # The hot object is picked once, from the first run, so every
+        # sweep point traces the same object.
+        hot_index = _select_objects(measurements[0], params.num_objects, 1)[0]
+        for (cost, protocol), m in zip(points, measurements):
+            # Cluster-wide total message time in microseconds (the
+            # stable aggregate of the per-object quantity the paper
+            # plots; single-object traces for the hottest object are
+            # kept in meta, but retry nondeterminism across sweep
+            # points makes them noisy).
+            series[protocol][cost] = m["network"]["total_time"] * 1e6
+            hot_series[protocol][cost] = (
+                _object_field(m, hot_index, "time", 0.0) * 1e6
+            )
+        return ExperimentResult(
+            experiment=f"total message time (us) @ {bandwidth}",
+            x_label="software cost",
+            series=series,
+            meta={"bandwidth": bandwidth, "hot_object": hot_index,
+                  "hot_object_series": hot_series, "scenario": scenario},
+        )
+
+    return ExperimentPlan(specs, collect)
+
+
+def _claims_reduction(seed, scale, num_nodes,
+                      scenarios: Sequence[str] = tuple(SCENARIOS),
+                      ) -> ExperimentPlan:
+    """§5: "OTEC generally outperforms COTEC by approximately 20-25%
+    while LOTEC outperforms OTEC by another 5-10%" — aggregate
+    consistency bytes per scenario, with reduction percentages."""
+    specs = [
+        spec
+        for scenario in scenarios
+        for spec in _specs(
+            {f"{p}@{scenario}": {"protocol": p} for p in THREE_PROTOCOLS},
+            seed, num_nodes, _scenario_params(scenario, scale),
+        )
+    ]
+
+    def collect(measurements: List[Dict]) -> ExperimentResult:
+        data_bytes = {
+            spec.key: METRICS["data_bytes"](m)
+            for spec, m in zip(specs, measurements)
+        }
+        series: Dict[str, Dict[str, object]] = {
+            p: {s: data_bytes[f"{p}@{s}"] for s in scenarios}
+            for p in THREE_PROTOCOLS
+        }
+        reductions = {
+            s: {
+                "otec_vs_cotec": 1 - series["otec"][s] / series["cotec"][s],
+                "lotec_vs_otec": 1 - series["lotec"][s] / series["otec"][s],
+            }
+            for s in scenarios
+        }
+        return ExperimentResult(
+            experiment="aggregate consistency bytes per scenario",
+            x_label="scenario",
+            series=series,
+            meta={"reductions": reductions},
+        )
+
+    return ExperimentPlan(specs, collect)
+
+
+def _claims_messages(seed, scale, num_nodes,
+                     scenario: str = "large-high") -> ExperimentPlan:
+    """§5: "LOTEC also sends many more messages (albeit small ones) than
+    OTEC or COTEC" — message counts and mean message size."""
+    return _compare(
+        f"message counts vs sizes — {scenario}",
+        _specs(_protocols(THREE_PROTOCOLS), seed, num_nodes,
+               _scenario_params(scenario, scale)),
+        ("messages", "bytes", "mean_message_bytes"),
+        meta=lambda _: {"scenario": scenario},
+    )
+
+
+def _claims_locality(seed, scale, num_nodes, scenario: str = "zipf-hot",
+                     migration: Optional[MigrationConfig] = None,
+                     ) -> ExperimentPlan:
+    """Adaptive GDO home migration vs the paper's static round-robin
+    partition (§4.1) under a skewed open-loop load: remote directory
+    messages, migration counts, and per-shard SLO tables.  The committed
+    baseline ``benchmarks/baselines/claims_locality.json`` requires the
+    migration run to cut remote directory messages by at least 30%.
+    The default topology is one node per scenario client."""
+    from repro.load import LOAD_SCENARIOS, shard_slo_series
+
+    try:
+        clients = LOAD_SCENARIOS[scenario].clients
     except KeyError:
         raise KeyError(
             f"unknown load scenario {scenario!r}; "
             f"choose from {sorted(LOAD_SCENARIOS)}"
         ) from None
-    variants = (
-        ("static", None),
-        ("adaptive", migration or MigrationConfig()),
+    specs = _specs(
+        {
+            "static": {"trace": True},
+            "adaptive": {"trace": True,
+                         "migration": migration or MigrationConfig()},
+        },
+        seed, clients if num_nodes is None else num_nodes,
+        builder="load",
+        builder_args=(("scenario", scenario), ("seed", seed),
+                      ("scale", scale)),
     )
+
+    def meta(by_key: Dict[str, Dict]) -> Dict[str, object]:
+        remote = METRICS["remote_directory_messages"]
+        static, adaptive = remote(by_key["static"]), remote(by_key["adaptive"])
+        reduction = 1 - adaptive / static if static else 0.0
+        return {
+            "scenario": scenario,
+            "directory_message_reduction": round(reduction, 4),
+            "migration": by_key["adaptive"].get("migration"),
+            "slo": {
+                key: shard_slo_series(m["metrics"])
+                for key, m in by_key.items() if "metrics" in m
+            },
+        }
+
+    return _compare(
+        f"directory locality (static vs adaptive) — {scenario}", specs,
+        ("remote_directory_messages", "total_messages", "committed",
+         "failed", "migrations"),
+        x_label="policy", meta=meta,
+    )
+
+
+def _rc_ablation(seed, scale, num_nodes,
+                 scenario: str = "medium-high") -> ExperimentPlan:
+    """§6 future work: nested-object Release Consistency (and the
+    home-based scope-consistency variant) versus the COTEC/OTEC/LOTEC
+    suite."""
+    return _compare(
+        f"RC extension vs lazy protocols — {scenario}",
+        _specs(_protocols(FIVE_PROTOCOLS), seed, num_nodes,
+               _scenario_params(scenario, scale)),
+        ("data_bytes", "messages"),
+        meta=lambda _: {"scenario": scenario},
+    )
+
+
+def _object_grain_ablation(seed, scale, num_nodes,
+                           scenario: str = "medium-high") -> ExperimentPlan:
+    """§4.2: page-grain vs object-grain (DSD) transfer under LOTEC — the
+    false-sharing-free mode ships only object bytes, not whole pages."""
+    return _compare(
+        f"LOTEC transfer grain (page vs object/DSD) — {scenario}",
+        _specs({grain: {"transfer_grain": grain}
+                for grain in ("page", "object")},
+               seed, num_nodes, _scenario_params(scenario, scale)),
+        ("data_bytes", "messages", "data_messages",
+         "mean_data_message_bytes"),
+        meta=lambda _: {"scenario": scenario},
+    )
+
+
+def _prediction_ablation(seed, scale, num_nodes,
+                         fractions: Sequence[Tuple[float, float]] = (
+                             (0.1, 0.2), (0.2, 0.5), (0.5, 0.8), (0.9, 1.0),
+                         )) -> ExperimentPlan:
+    """Design choice: how LOTEC's advantage over OTEC varies with the
+    fraction of an object each method accesses.  Methods touching
+    nearly everything erase the gap (prediction ~ whole object); narrow
+    methods widen it."""
+    base = _scenario_params("large-high", scale)
+    labels = [f"{low:.0%}-{high:.0%}" for low, high in fractions]
     specs = [
-        RunSpec(
-            driver=f"claims-locality:{scenario}", key=label,
-            config=_base_config(num_nodes, seed, protocol="lotec",
-                                trace=True, migration=policy),
-            seed=seed,
-            builder="load",
-            builder_args=(
-                ("scenario", scenario), ("seed", seed), ("scale", scale),
-            ),
+        spec
+        for label, fraction in zip(labels, fractions)
+        for spec in _specs(
+            {f"{p}@{label}": {"protocol": p} for p in ("otec", "lotec")},
+            seed, num_nodes,
+            dataclasses.replace(base, access_fraction=tuple(fraction)),
         )
-        for label, policy in variants
     ]
 
     def collect(measurements: List[Dict]) -> ExperimentResult:
-        from repro.load import shard_slo_series
-
+        by_key = {spec.key: m for spec, m in zip(specs, measurements)}
         series: Dict[str, Dict[str, object]] = {
-            "remote_directory_messages": {}, "total_messages": {},
-            "committed": {}, "failed": {}, "migrations": {},
+            "otec_bytes": {}, "lotec_bytes": {}, "lotec_saving": {},
+            "demand_fetches": {},
         }
-        slo: Dict[str, Dict[str, Dict[object, float]]] = {}
-        for (label, _), m in zip(variants, measurements):
-            series["remote_directory_messages"][label] = (
-                m["network"]["remote_directory_messages"]
+        for label in labels:
+            otec = METRICS["data_bytes"](by_key[f"otec@{label}"])
+            lotec = METRICS["data_bytes"](by_key[f"lotec@{label}"])
+            series["otec_bytes"][label] = otec
+            series["lotec_bytes"][label] = lotec
+            series["lotec_saving"][label] = round(1 - lotec / otec, 4)
+            series["demand_fetches"][label] = (
+                by_key[f"lotec@{label}"]["prediction"]["demand_fetches"]
             )
-            series["total_messages"][label] = m["network"]["total_messages"]
-            series["committed"][label] = m["committed"]
-            series["failed"][label] = m["failed"]
-            migration_stats = m.get("migration")
-            series["migrations"][label] = (
-                migration_stats["migrations"] if migration_stats else 0
-            )
-            if "metrics" in m:
-                slo[label] = shard_slo_series(m["metrics"])
-        static_dir = series["remote_directory_messages"]["static"]
-        adaptive_dir = series["remote_directory_messages"]["adaptive"]
-        reduction = (
-            1 - adaptive_dir / static_dir if static_dir else 0.0
-        )
-        adaptive = measurements[1]
         return ExperimentResult(
-            experiment=f"directory locality (static vs adaptive) — "
-                       f"{scenario}",
-            x_label="policy",
+            experiment="LOTEC saving vs method access fraction",
+            x_label="access fraction",
             series=series,
-            meta={
-                "scenario": scenario,
-                "directory_message_reduction": round(reduction, 4),
-                "migration": adaptive.get("migration"),
-                "slo": slo,
-            },
         )
 
-    return ExperimentPlan(f"claims-locality:{scenario}", specs, collect)
+    return ExperimentPlan(specs, collect)
 
 
-def run_claims_locality(scenario: str = "zipf-hot", seed: int = 7,
-                        scale: float = 1.0,
-                        migration: Optional[MigrationConfig] = None,
-                        runner: Optional[ExperimentRunner] = None,
-                        ) -> ExperimentResult:
-    """Adaptive GDO home migration vs the paper's static round-robin
-    partition (§4.1) under a skewed open-loop load: remote directory
-    messages, migration counts, and per-shard SLO tables."""
-    return _runner(runner).run_plan(plan_claims_locality(
-        scenario, seed=seed, scale=scale, migration=migration,
-    ))
+def _gdo_cache_ablation(seed, scale, num_nodes,
+                        scenario: str = "medium-high") -> ExperimentPlan:
+    """Design choice: holder-list caching at the holding site (§4.1's
+    local/global split) versus sending every lock operation to the GDO
+    home node."""
+    return _compare(
+        f"GDO holder-list caching — {scenario}",
+        _specs({"cached": {"gdo_cache_enabled": True},
+                "uncached": {"gdo_cache_enabled": False}},
+               seed, num_nodes, _scenario_params(scenario, scale)),
+        ("lock_messages", "total_messages", "local_ops", "cache_hit_rate"),
+        meta=lambda _: {"scenario": scenario},
+    )
 
 
-# ---------------------------------------------------------------------------
-# Experiment registry (the CLI's experiment ids)
-# ---------------------------------------------------------------------------
+def _recovery_ablation(seed, scale, num_nodes,
+                       scenario: str = "medium-high") -> ExperimentPlan:
+    """§4.1 offers two rollback mechanisms — "local UNDO logs or shadow
+    pages".  Compare their bookkeeping volume and confirm identical
+    outcomes on the same workload."""
+    return _compare(
+        f"recovery mechanism (undo log vs shadow pages) — {scenario}",
+        _specs({recovery: {"recovery": recovery}
+                for recovery in ("undo", "shadow")},
+               seed, num_nodes, _scenario_params(scenario, scale)),
+        ("committed", "sim_time_ms", "data_bytes"),
+        meta=lambda by_key: {
+            "states_equal": (by_key["undo"]["state_digest"]
+                             == by_key["shadow"]["state_digest"]),
+        },
+    )
 
-PLAN_BUILDERS: Dict[str, Callable[..., ExperimentPlan]] = {
-    "fig2": lambda **kw: plan_bytes_figure("medium-high", **kw),
-    "fig3": lambda **kw: plan_bytes_figure("large-high", **kw),
-    "fig4": lambda **kw: plan_bytes_figure("medium-moderate", **kw),
-    "fig5": lambda **kw: plan_bytes_figure("large-moderate", **kw),
-    "fig6": lambda **kw: plan_time_figure("10Mbps", **kw),
-    "fig7": lambda **kw: plan_time_figure("100Mbps", **kw),
-    "fig8": lambda **kw: plan_time_figure("1Gbps", **kw),
-    "tab-speedup": plan_claims_reduction,
-    "msg-count": plan_claims_messages,
-    "abl-rc": plan_rc_ablation,
-    "abl-dsd": plan_object_grain_ablation,
-    "abl-predict": plan_prediction_ablation,
-    "abl-gdocache": plan_gdo_cache_ablation,
-    "abl-aggregate": plan_aggregation_ablation,
-    "abl-recovery": plan_recovery_ablation,
-    "abl-multicast": plan_multicast_ablation,
-    "abl-prefetch": plan_prefetch_ablation,
-    "abl-perclass": plan_per_class_ablation,
-    "claims-locality": plan_claims_locality,
+
+def _multicast_ablation(seed, scale, num_nodes,
+                        scenario: str = "medium-high") -> ExperimentPlan:
+    """§6: "the use of multicast-capable networks" — eager RC pushes
+    collapse from one unicast per replica to a single transmission."""
+    return _compare(
+        f"RC update pushes, unicast vs multicast — {scenario}",
+        _specs(
+            {
+                label: {
+                    "protocol": "rc",
+                    "network": FAST_ETHERNET_100M.with_multicast(multicast),
+                }
+                for label, multicast in (("unicast", False),
+                                         ("multicast", True))
+            },
+            seed, num_nodes, _scenario_params(scenario, scale),
+        ),
+        ("push_bytes", "push_messages", "total_bytes"),
+        meta=lambda _: {"scenario": scenario},
+    )
+
+
+def _prefetch_ablation(seed, scale, num_nodes,
+                       software_cost: str = "100us") -> ExperimentPlan:
+    """§5.1/§6: optimistic pre-acquisition and object prefetching
+    "effectively hides the latency of remote lock acquisition".  A
+    low-contention, deeply nested workload (prefetch's favourable
+    regime: many lock round trips, few conflicts): mean root latency
+    against message cost for each prefetch mode."""
+    params = WorkloadParams(
+        num_objects=60, num_classes=4, num_roots=max(6, int(30 * scale)),
+        pages_min=1, pages_max=3, max_depth=3, mean_branch=3.0,
+        skew=0.0, mean_interarrival_s=0.001,
+    )
+    network = preset_network("100Mbps", software_cost)
+    return _compare(
+        "optimistic pre-acquisition / prefetch (low contention)",
+        _specs({mode: {"prefetch": mode, "network": network}
+                for mode in ("off", "locks", "locks+pages")},
+               seed, num_nodes, params),
+        ("mean_latency_us", "messages", "prefetch_granted",
+         "prefetch_denied", "deadlocks"),
+    )
+
+
+def _per_class_ablation(seed, scale, num_nodes,
+                        scenario: str = "medium-high") -> ExperimentPlan:
+    """§6: per-class consistency protocols.  Put the single hottest
+    class on RC (its updates push eagerly to readers) while the rest
+    stay on LOTEC, and compare against the pure configurations."""
+    params = _scenario_params(scenario, scale)
+    # Workload generation is deterministic and cheap relative to a run,
+    # so the declaration regenerates it locally to learn class names.
+    classes = [info.schema.name
+               for info in generate_workload(params, seed=seed).classes]
+    return _compare(
+        f"per-class protocol mix (hot class on RC) — {scenario}",
+        _specs(
+            {
+                "lotec": {"class_protocols": ()},
+                "mixed": {"class_protocols": ((classes[0], "rc"),)},
+                "rc": {"class_protocols": tuple(
+                    (name, "rc") for name in classes
+                )},
+            },
+            seed, num_nodes, params,
+        ),
+        ("data_bytes", "messages"),
+        meta=lambda _: {"hot_class": classes[0]},
+    )
+
+
+def _aggregation_ablation(seed, scale, num_nodes, group_size: int = 8,
+                          num_groups: int = 8) -> ExperimentPlan:
+    """§5.1: "Heavily object-based environments can sometimes aggregate
+    related small objects into larger objects for the purpose of
+    decreasing the cost of concurrency control and consistency
+    maintenance."  The same logical work against ``group_size``
+    separate single-attribute objects (one lock acquisition per
+    element) and against one aggregated object holding the group as an
+    array."""
+    rounds = max(2, int(12 * scale))
+    specs = [
+        spec
+        for variant in ("fine", "coarse")
+        for spec in _specs(
+            {variant: {}}, seed, num_nodes, builder="aggregation",
+            builder_args=(("variant", variant), ("group_size", group_size),
+                          ("num_groups", num_groups), ("rounds", rounds)),
+        )
+    ]
+    return _compare(
+        f"object aggregation ({num_groups} groups x {group_size} "
+        f"elements, {rounds} rounds)",
+        specs,
+        ("global_lock_ops", "lock_messages", "total_messages", "data_bytes"),
+        meta=lambda by_key: {
+            "fine_state_sum": by_key["fine"]["state_sum"],
+            "coarse_state_sum": by_key["coarse"]["state_sum"],
+        },
+    )
+
+
+#: Experiment id -> its declaration (the CLI's experiment ids).
+EXPERIMENTS: Dict[str, Callable[..., ExperimentPlan]] = {
+    "fig2": partial(_bytes_figure, scenario="medium-high"),
+    "fig3": partial(_bytes_figure, scenario="large-high"),
+    "fig4": partial(_bytes_figure, scenario="medium-moderate"),
+    "fig5": partial(_bytes_figure, scenario="large-moderate"),
+    "fig6": partial(_time_figure, bandwidth="10Mbps"),
+    "fig7": partial(_time_figure, bandwidth="100Mbps"),
+    "fig8": partial(_time_figure, bandwidth="1Gbps"),
+    "tab-speedup": _claims_reduction,
+    "msg-count": _claims_messages,
+    "abl-rc": _rc_ablation,
+    "abl-dsd": _object_grain_ablation,
+    "abl-predict": _prediction_ablation,
+    "abl-gdocache": _gdo_cache_ablation,
+    "abl-aggregate": _aggregation_ablation,
+    "abl-recovery": _recovery_ablation,
+    "abl-multicast": _multicast_ablation,
+    "abl-prefetch": _prefetch_ablation,
+    "abl-perclass": _per_class_ablation,
+    "claims-locality": _claims_locality,
 }
 
 
-def build_plan(experiment_id: str, **kwargs) -> ExperimentPlan:
-    """The plan for one registered experiment id (``fig2`` ...
-    ``abl-perclass``); keyword arguments reach the plan builder."""
+def build_plan(experiment_id: str, *, seed: int = 11, scale: float = 1.0,
+               num_nodes: Optional[int] = None, **options) -> ExperimentPlan:
+    """The plan of one experiment in :data:`EXPERIMENTS`.  ``options``
+    reach its declaration (``scenario``, ``protocols``,
+    ``software_costs``, ...); an option it does not take is a
+    ``TypeError``.  ``num_nodes=None`` keeps the experiment's own
+    topology: four nodes, or one per client for ``claims-locality``."""
     try:
-        builder = PLAN_BUILDERS[experiment_id]
+        declare = EXPERIMENTS[experiment_id]
     except KeyError:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; "
-            f"choose from {sorted(PLAN_BUILDERS)}"
+            f"choose from {sorted(EXPERIMENTS)}"
         ) from None
-    return builder(**kwargs)
-
-
-def _registry_driver(experiment_id: str) -> Callable[..., ExperimentResult]:
-    def drive(runner: Optional[ExperimentRunner] = None,
-              **kwargs) -> ExperimentResult:
-        return _runner(runner).run_plan(build_plan(experiment_id, **kwargs))
-
-    drive.__name__ = f"run_{experiment_id.replace('-', '_')}"
-    drive.__doc__ = f"Regenerate experiment {experiment_id!r}."
-    return drive
-
-
-#: Experiment id -> driver callable (the CLI's dispatch table).  Every
-#: driver accepts ``seed``/``scale``/``num_nodes`` plus an optional
-#: ``runner`` for parallel/cached execution.
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    experiment_id: _registry_driver(experiment_id)
-    for experiment_id in PLAN_BUILDERS
-}
+    return declare(seed, scale, num_nodes, **options)

@@ -7,7 +7,7 @@ module turns that purity into throughput and memoization:
 
 * a :class:`RunSpec` declares one cluster run — workload parameters,
   seed, :class:`~repro.runtime.config.ClusterConfig`, and the named
-  extractor that reduces the finished run to a JSON-primitive
+  builder that executes it and reduces it to a JSON-primitive
   *measurement* dict;
 * an :class:`ExperimentPlan` is an ordered list of specs plus a
   ``collect`` function that folds the measurements (in spec order)
@@ -24,42 +24,14 @@ cache files is byte-identical to one computed serially in-process.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import multiprocessing
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime.cluster import Cluster
 from repro.runtime.config import ClusterConfig
 from repro.util.errors import ConfigurationError
-from repro.workload.generator import generate_workload
 from repro.workload.params import WorkloadParams
-from repro.workload.runner import WorkloadRun, run_workload
-
-#: Measurement extractors, by name.  Referenced by name (not by object)
-#: so a :class:`RunSpec` stays picklable and cache keys stay stable.
-EXTRACTORS: Dict[str, Callable[[WorkloadRun], Dict[str, object]]] = {}
-
-#: Custom run builders for experiments that drive a cluster directly
-#: instead of running a generated workload (e.g. ``abl-aggregate``).
-#: A builder takes ``(config, args_dict)`` and returns a measurement.
-BUILDERS: Dict[str, Callable[[ClusterConfig, Dict[str, object]],
-                             Dict[str, object]]] = {}
-
-
-def register_extractor(name: str):
-    def decorate(fn):
-        EXTRACTORS[name] = fn
-        return fn
-    return decorate
-
-
-def register_builder(name: str):
-    def decorate(fn):
-        BUILDERS[name] = fn
-        return fn
-    return decorate
 
 
 def _require_json_native(value, path: str) -> None:
@@ -100,28 +72,24 @@ class RunSpec:
     """One deterministic cluster run, declared rather than executed.
 
     Attributes:
-        driver: experiment id this run belongs to (part of the cache
-            key, so drivers never collide on each other's entries).
         key: label of this run within its experiment (protocol name,
             sweep point, variant, ...) — display only, not keyed.
         config: the full cluster configuration for the run.
         params: workload generator parameters; ``None`` when the run
             uses a custom ``builder`` instead of a generated workload.
         seed: workload-generation seed.
-        builder: name of a registered custom builder ('' = the
-            standard generate-workload-and-run path).
+        builder: name of the run's builder in
+            :data:`repro.bench.experiments.BUILDERS` (``"workload"`` =
+            generate the workload from ``params`` and run it).
         builder_args: ``(name, value)`` pairs passed to the builder.
-        extractor: name of the registered measurement extractor.
     """
 
-    driver: str
     key: str
     config: ClusterConfig
     params: Optional[WorkloadParams] = None
     seed: int = 11
-    builder: str = ""
+    builder: str = "workload"
     builder_args: Tuple[Tuple[str, object], ...] = ()
-    extractor: str = "standard"
 
     def __post_init__(self) -> None:
         # The cache fingerprints json.dumps(payload); anything that
@@ -131,15 +99,14 @@ class RunSpec:
 
     def payload(self) -> Dict[str, object]:
         """Everything that determines this run's measurement, as plain
-        data — the cache fingerprints exactly this."""
+        data — the cache fingerprints exactly this, so the same run
+        declared by two experiments is computed once."""
         return {
-            "driver": self.driver,
             "seed": self.seed,
             "config": asdict(self.config),
             "params": None if self.params is None else asdict(self.params),
             "builder": self.builder,
             "builder_args": [list(pair) for pair in self.builder_args],
-            "extractor": self.extractor,
         }
 
 
@@ -147,85 +114,8 @@ class RunSpec:
 class ExperimentPlan:
     """An experiment as data: ordered runs plus the fold over them."""
 
-    experiment: str
     specs: List[RunSpec]
     collect: Callable[[List[Dict[str, object]]], object]
-
-
-# ---------------------------------------------------------------------------
-# Measurement extraction
-# ---------------------------------------------------------------------------
-
-def state_digest_hash(cluster: Cluster) -> str:
-    """Stable hash of the cluster's authoritative object state (the
-    recovery ablation compares these across rollback mechanisms)."""
-    blob = json.dumps(cluster.state_digest(), sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def cluster_measurement(cluster: Cluster) -> Dict[str, object]:
-    """The cluster-level portion of a measurement: every aggregate any
-    driver reads, reduced to JSON primitives."""
-    stats = cluster.network_stats
-    data_messages = sum(
-        count
-        for category, count in stats.by_category_messages.items()
-        if category.is_consistency_data
-    )
-    categories = set(stats.by_category_messages) | set(stats.by_category_bytes)
-    measurement: Dict[str, object] = {
-        "sim_time": cluster.env.now,
-        "network": {
-            "total_bytes": stats.total_bytes,
-            "total_messages": stats.total_messages,
-            "total_time": stats.total_time,
-            "consistency_bytes": stats.consistency_bytes(),
-            "data_messages": data_messages,
-            "remote_directory_messages": stats.directory_messages(),
-            "by_category": {
-                category.value: {
-                    "messages": stats.by_category_messages.get(category, 0),
-                    "bytes": stats.by_category_bytes.get(category, 0),
-                }
-                for category in sorted(categories, key=lambda c: c.value)
-            },
-        },
-        "locks": cluster.lock_stats.snapshot(),
-        "txn": {"mean_latency": cluster.txn_stats.mean_latency},
-        "cache": {"hit_rate": cluster.cache_stats.hit_rate},
-        "prediction": cluster.protocol.snapshot(),
-        "state_digest": state_digest_hash(cluster),
-    }
-    if cluster.migration is not None:
-        measurement["migration"] = cluster.migration.stats.snapshot()
-    if cluster.tracer.enabled and cluster.metrics is not None:
-        # Per-run metrics ride home inside the measurement, so a pool
-        # worker's registry survives the trip back to the parent.
-        measurement["metrics"] = cluster.metrics.snapshot()
-    return measurement
-
-
-@register_extractor("standard")
-def extract_standard(run: WorkloadRun) -> Dict[str, object]:
-    """Everything the figure/claim/ablation collectors read from one
-    workload run."""
-    stats = run.cluster.network_stats
-    objects: Dict[str, Dict[str, object]] = {}
-    for index, handle in enumerate(run.handles):
-        traffic = stats.by_object.get(handle.object_id)
-        if traffic is not None:
-            objects[str(index)] = {
-                "bytes": traffic.bytes,
-                "data_bytes": traffic.data_bytes,
-                "data_messages": traffic.data_messages,
-                "messages": traffic.messages,
-                "time": traffic.time,
-            }
-    measurement = cluster_measurement(run.cluster)
-    measurement["committed"] = run.committed
-    measurement["failed"] = run.failed
-    measurement["objects"] = objects
-    return measurement
 
 
 def _canonical(measurement: Dict[str, object]) -> Dict[str, object]:
@@ -240,21 +130,10 @@ def execute_run(spec: RunSpec) -> Dict[str, object]:
     This is the unit of work shipped to pool workers; everything it
     needs travels inside the picklable ``spec``.
     """
-    # Builders and extractors are registered when the driver module
-    # loads; a freshly spawned worker may not have imported it yet.
-    import repro.bench.experiments  # noqa: F401
+    # The builders live with the experiments that declare their runs.
+    from repro.bench.experiments import BUILDERS
 
-    if spec.builder:
-        builder = BUILDERS[spec.builder]
-        measurement = builder(spec.config, dict(spec.builder_args))
-    else:
-        if spec.params is None:
-            raise ValueError(f"spec {spec.driver}/{spec.key} has neither "
-                             f"workload params nor a builder")
-        workload = generate_workload(spec.params, seed=spec.seed)
-        run = run_workload(Cluster(spec.config), workload)
-        measurement = EXTRACTORS[spec.extractor](run)
-    return _canonical(measurement)
+    return _canonical(BUILDERS[spec.builder](spec))
 
 
 # ---------------------------------------------------------------------------
@@ -296,24 +175,19 @@ class ExperimentRunner:
 
     # -- plan execution ----------------------------------------------------
 
-    def run_plan(self, plan: ExperimentPlan):
-        return plan.collect(self.execute(plan.specs))
+    def run(self, experiment_id: str, **options):
+        """Build and run one experiment of the table; the keyword
+        options (seed, scale, num_nodes, plus the experiment's own
+        knobs) reach :func:`~repro.bench.experiments.build_plan`."""
+        return self.run_many([experiment_id], **options)[experiment_id]
 
-    def run(self, experiment_id: str, **kwargs):
-        """Build and run one registered experiment; extra keyword
-        arguments reach the plan builder (seed, scale, num_nodes, plus
-        any driver-specific knobs)."""
-        from repro.bench.experiments import build_plan
-
-        return self.run_plan(build_plan(experiment_id, **kwargs))
-
-    def run_many(self, experiment_ids: Sequence[str], **kwargs):
+    def run_many(self, experiment_ids: Sequence[str], **options):
         """Run a batch of experiments as one flat spec list, so the
         pool stays busy across experiment boundaries.  Returns
         ``{experiment id: result}`` in the requested order."""
         from repro.bench.experiments import build_plan
 
-        plans = [(eid, build_plan(eid, **kwargs)) for eid in experiment_ids]
+        plans = [(eid, build_plan(eid, **options)) for eid in experiment_ids]
         specs = [spec for _, plan in plans for spec in plan.specs]
         measurements = self.execute(specs)
         self.last_plan_sizes = {eid: len(plan.specs) for eid, plan in plans}
@@ -365,12 +239,13 @@ class ExperimentRunner:
 
 
 def run_experiment(experiment_id: str, *, jobs: int = 1, cache=None,
-                   **kwargs):
-    """One-call public entry point: run a registered experiment.
+                   **options):
+    """Run one experiment of :data:`repro.bench.experiments.EXPERIMENTS`.
 
     >>> result = run_experiment("fig6", jobs=4, scale=0.5)
+    >>> result = run_experiment("fig7", software_costs=["100us", "500ns"])
     >>> print(result.render())
     """
     return ExperimentRunner(jobs=jobs, cache=cache).run(
-        experiment_id, **kwargs
+        experiment_id, **options
     )

@@ -105,11 +105,19 @@ def _package_version() -> str:
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser,
-                       default_scale: float = 1.0) -> None:
+                       default_scale: float = 1.0,
+                       experiments: bool = False) -> None:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--scale", type=float, default=default_scale,
                         help="workload size factor (1.0 = full)")
-    parser.add_argument("--nodes", type=int, default=4)
+    if experiments:
+        parser.add_argument(
+            "--nodes", type=int, default=None,
+            help="cluster size (default: the experiment's own — 4, or "
+                 "one node per client for claims-locality)",
+        )
+    else:
+        parser.add_argument("--nodes", type=int, default=4)
 
 
 def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
@@ -182,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="regenerate a paper artifact")
     exp.add_argument("id", choices=sorted(EXPERIMENTS))
-    _add_run_arguments(exp)
+    _add_run_arguments(exp, experiments=True)
     _add_output_arguments(exp)
     _add_runner_arguments(exp)
 
@@ -192,9 +200,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "ids", nargs="*", metavar="id",
-        help="experiment ids to run (default: every registered experiment)",
+        help="experiment ids to run (default: every experiment)",
     )
-    _add_run_arguments(bench)
+    _add_run_arguments(bench, experiments=True)
     _add_runner_arguments(bench)
     bench.add_argument(
         "--out-dir", default=".", metavar="DIR",

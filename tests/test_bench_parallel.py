@@ -15,7 +15,8 @@ from repro.bench import (
     build_plan,
     run_experiment,
 )
-from repro.bench.parallel import EXTRACTORS, execute_run
+from repro.bench.experiments import BUILDERS
+from repro.bench.parallel import execute_run
 from repro.runtime.config import ClusterConfig
 from repro.workload.params import SCENARIOS
 
@@ -24,7 +25,7 @@ TINY = dict(seed=3, scale=0.08, num_nodes=3)
 
 def _tiny_spec(protocol="lotec", seed=3):
     return RunSpec(
-        driver="test-spec", key=protocol,
+        key=protocol,
         config=ClusterConfig(num_nodes=3, protocol=protocol, seed=seed,
                              audit_accesses=False),
         params=SCENARIOS["medium-high"].scaled(0.08), seed=seed,
@@ -49,21 +50,19 @@ class TestParallelIdentity:
         pooled = run_experiment("fig7", jobs=4, **kwargs)
         assert _result_blob(serial) == _result_blob(pooled)
 
-    def test_pool_runs_specs_in_worker_processes(self):
-        # Register a throwaway extractor that records the executing
-        # PID; fork-based workers inherit the registration.
-        EXTRACTORS["test-pid"] = lambda run: {"pid": os.getpid()}
-        try:
-            plan = build_plan("fig2", **TINY)
-            specs = [
-                dataclasses.replace(spec, extractor="test-pid")
-                for spec in plan.specs
-            ]
-            measurements = ExperimentRunner(jobs=2).execute(specs)
-            pids = {m["pid"] for m in measurements}
-            assert os.getpid() not in pids
-        finally:
-            del EXTRACTORS["test-pid"]
+    def test_pool_runs_specs_in_worker_processes(self, monkeypatch):
+        # A throwaway builder that records the executing PID;
+        # fork-based workers inherit it.
+        monkeypatch.setitem(BUILDERS, "test-pid",
+                            lambda spec: {"pid": os.getpid()})
+        plan = build_plan("fig2", **TINY)
+        specs = [
+            dataclasses.replace(spec, builder="test-pid")
+            for spec in plan.specs
+        ]
+        measurements = ExperimentRunner(jobs=2).execute(specs)
+        pids = {m["pid"] for m in measurements}
+        assert os.getpid() not in pids
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -76,14 +75,11 @@ class TestRunSpec:
         blob = json.dumps(spec.payload(), sort_keys=True)
         assert blob == json.dumps(spec.payload(), sort_keys=True)
         payload = spec.payload()
-        assert payload["driver"] == "test-spec"
+        assert payload["builder"] == "workload"
         assert payload["config"]["protocol"] == "lotec"
 
     def test_spec_without_params_or_builder_rejected(self):
-        spec = RunSpec(
-            driver="d", key="k",
-            config=ClusterConfig(num_nodes=3, seed=3),
-        )
+        spec = RunSpec(key="k", config=ClusterConfig(num_nodes=3, seed=3))
         with pytest.raises(ValueError, match="neither"):
             execute_run(spec)
 
@@ -213,7 +209,7 @@ class TestRunSpecValidation:
 
         with pytest.raises(ConfigurationError, match="builder_args"):
             RunSpec(
-                driver="d", key="k",
+                key="k",
                 config=ClusterConfig(num_nodes=3, seed=3),
                 builder="custom", builder_args=(("knob", Opaque()),),
             )
@@ -223,14 +219,14 @@ class TestRunSpecValidation:
 
         with pytest.raises(ConfigurationError, match="key"):
             RunSpec(
-                driver="d", key="k",
+                key="k",
                 config=ClusterConfig(num_nodes=3, seed=3),
                 builder="custom", builder_args=(("map", {1: "x"}),),
             )
 
     def test_json_native_payload_accepted_and_strictly_keyed(self, tmp_path):
         spec = RunSpec(
-            driver="d", key="k",
+            key="k",
             config=ClusterConfig(num_nodes=3, seed=3),
             builder="custom",
             builder_args=(("knob", [1, 2.5, "s", None, True]),),

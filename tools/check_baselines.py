@@ -60,15 +60,19 @@ LOCALITY_BASELINE_PATH = os.path.join(_BASELINE_DIR,
                                       "claims_locality.json")
 
 
-def measure_messages(scenario: str, seed: int, num_nodes: int, scale: float):
-    from repro.bench.experiments import plan_claims_messages
-    from repro.bench.parallel import ExperimentRunner
+def _measure(experiment_id: str, **options):
+    """``(spec, measurement)`` for each run of one experiment."""
+    from repro.bench import ExperimentRunner, build_plan
 
-    plan = plan_claims_messages(scenario, seed=seed, num_nodes=num_nodes,
-                                scale=scale)
-    measurements = ExperimentRunner().execute(plan.specs)
+    specs = build_plan(experiment_id, **options).specs
+    return zip(specs, ExperimentRunner().execute(specs))
+
+
+def measure_messages(scenario: str, seed: int, num_nodes: int, scale: float):
     counts = {}
-    for spec, measurement in zip(plan.specs, measurements):
+    for spec, measurement in _measure("msg-count", scenario=scenario,
+                                      seed=seed, num_nodes=num_nodes,
+                                      scale=scale):
         by_category = measurement["network"]["by_category"]
         counts[spec.key] = {
             "page_request_messages": by_category.get(
@@ -79,13 +83,9 @@ def measure_messages(scenario: str, seed: int, num_nodes: int, scale: float):
 
 
 def measure_locality(scenario: str, seed: int, scale: float):
-    from repro.bench.experiments import plan_claims_locality
-    from repro.bench.parallel import ExperimentRunner
-
-    plan = plan_claims_locality(scenario, seed=seed, scale=scale)
-    measurements = ExperimentRunner().execute(plan.specs)
     counts = {}
-    for spec, measurement in zip(plan.specs, measurements):
+    for spec, measurement in _measure("claims-locality", scenario=scenario,
+                                      seed=seed, scale=scale):
         counts[spec.key] = {
             "remote_directory_messages":
                 measurement["network"]["remote_directory_messages"],

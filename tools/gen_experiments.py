@@ -1,83 +1,66 @@
 #!/usr/bin/env python
 """Regenerate the measured numbers quoted in EXPERIMENTS.md.
 
-Runs every experiment driver at full scale (the benches' default is
-half scale for speed) and writes the rendered tables to
+Runs every experiment at full scale (the benches' default is half
+scale for speed) and writes the rendered tables to
 ``tools/experiments_data.txt`` for inclusion in EXPERIMENTS.md.
 """
 
 import io
 import sys
 
-from repro.bench import (
-    run_aggregation_ablation,
-    run_bytes_figure,
-    run_claims_messages,
-    run_claims_reduction,
-    run_gdo_cache_ablation,
-    run_multicast_ablation,
-    run_object_grain_ablation,
-    run_per_class_ablation,
-    run_prediction_ablation,
-    run_prefetch_ablation,
-    run_rc_ablation,
-    run_recovery_ablation,
-    run_time_figure,
-)
+from repro.bench import run_experiment
 
 SEED = 11
 SCALE = 1.0
 
 
+def _bytes_totals(result) -> str:
+    totals = result.meta["total_data_bytes"]
+    return (
+        f"aggregate data bytes: {totals}\n"
+        f"OTEC vs COTEC: -{1 - totals['otec'] / totals['cotec']:.1%}; "
+        f"LOTEC vs OTEC: -{1 - totals['lotec'] / totals['otec']:.1%}\n"
+        f"messages: {result.meta['total_messages']}"
+    )
+
+
+def _reductions(result) -> str:
+    return "\n".join(
+        f"{scenario}: OTEC -{r['otec_vs_cotec']:.1%} vs COTEC; "
+        f"LOTEC -{r['lotec_vs_otec']:.1%} vs OTEC"
+        for scenario, r in result.meta["reductions"].items()
+    )
+
+
+#: (section title, experiment id, extra lines from the result).
+SECTIONS = [
+    ("fig2 (medium-high)", "fig2", _bytes_totals),
+    ("fig3 (large-high)", "fig3", _bytes_totals),
+    ("fig4 (medium-moderate)", "fig4", _bytes_totals),
+    ("fig5 (large-moderate)", "fig5", _bytes_totals),
+    ("fig6 (10Mbps)", "fig6", None),
+    ("fig7 (100Mbps)", "fig7", None),
+    ("fig8 (1Gbps)", "fig8", None),
+    ("tab-speedup (reductions)", "tab-speedup", _reductions),
+] + [
+    (eid, eid, None)
+    for eid in ("msg-count", "abl-rc", "abl-dsd", "abl-predict",
+                "abl-gdocache", "abl-recovery", "abl-multicast",
+                "abl-prefetch", "abl-perclass", "abl-aggregate")
+]
+
+
 def main() -> None:
     out = io.StringIO()
-
-    def emit(title, result, extra=None):
+    for title, experiment_id, extra in SECTIONS:
+        result = run_experiment(experiment_id, seed=SEED, scale=SCALE)
         print(f"== {title} ==", file=out)
         print(result.render(), file=out)
         if extra:
-            print(extra, file=out)
+            print(extra(result), file=out)
         print(file=out)
         sys.stderr.write(f"done: {title}\n")
-
-    for figure, scenario in [
-        ("fig2", "medium-high"), ("fig3", "large-high"),
-        ("fig4", "medium-moderate"), ("fig5", "large-moderate"),
-    ]:
-        result = run_bytes_figure(scenario, seed=SEED, scale=SCALE)
-        totals = result.meta["total_data_bytes"]
-        otec_saving = 1 - totals["otec"] / totals["cotec"]
-        lotec_saving = 1 - totals["lotec"] / totals["otec"]
-        emit(
-            f"{figure} ({scenario})", result,
-            extra=(
-                f"aggregate data bytes: {totals}\n"
-                f"OTEC vs COTEC: -{otec_saving:.1%}; "
-                f"LOTEC vs OTEC: -{lotec_saving:.1%}\n"
-                f"messages: {result.meta['total_messages']}"
-            ),
-        )
-    for figure, bandwidth in [("fig6", "10Mbps"), ("fig7", "100Mbps"),
-                              ("fig8", "1Gbps")]:
-        emit(f"{figure} ({bandwidth})",
-             run_time_figure(bandwidth, seed=SEED, scale=SCALE))
-    reduction = run_claims_reduction(seed=SEED, scale=SCALE)
-    lines = [
-        f"{scenario}: OTEC -{r['otec_vs_cotec']:.1%} vs COTEC; "
-        f"LOTEC -{r['lotec_vs_otec']:.1%} vs OTEC"
-        for scenario, r in reduction.meta["reductions"].items()
-    ]
-    emit("tab-speedup (reductions)", reduction, extra="\n".join(lines))
-    emit("msg-count", run_claims_messages(seed=SEED, scale=SCALE))
-    emit("abl-rc", run_rc_ablation(seed=SEED, scale=SCALE))
-    emit("abl-dsd", run_object_grain_ablation(seed=SEED, scale=SCALE))
-    emit("abl-predict", run_prediction_ablation(seed=SEED, scale=SCALE))
-    emit("abl-gdocache", run_gdo_cache_ablation(seed=SEED, scale=SCALE))
-    emit("abl-recovery", run_recovery_ablation(seed=SEED, scale=SCALE))
-    emit("abl-multicast", run_multicast_ablation(seed=SEED, scale=SCALE))
-    emit("abl-prefetch", run_prefetch_ablation(seed=SEED, scale=SCALE))
-    emit("abl-perclass", run_per_class_ablation(seed=SEED, scale=SCALE))
-    emit("abl-aggregate", run_aggregation_ablation(seed=SEED, scale=SCALE))
 
     with open("tools/experiments_data.txt", "w") as handle:
         handle.write(out.getvalue())
