@@ -90,10 +90,11 @@ class ConsistencyProtocol:
             cause="acquire",
         )
         self.prediction_stats.transferred_pages += len(shipped)
-        self.tracer.prediction(
-            node, meta.object_id, sorted(prediction.pages), sorted(wanted),
-            sorted(shipped),
-        )
+        if self.tracer.enabled:  # the page lists are sorted for the trace
+            self.tracer.prediction(
+                node, meta.object_id, sorted(prediction.pages),
+                sorted(wanted), sorted(shipped),
+            )
         return TransferOutcome(wanted=frozenset(wanted),
                                shipped=frozenset(shipped))
 

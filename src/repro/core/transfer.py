@@ -37,6 +37,7 @@ from repro.net.message import Message, MessageCategory
 from repro.net.transport import Transport
 from repro.net.sizes import SizeModel
 from repro.objects.registry import ObjectMeta
+from repro.sim import Event
 from repro.util.errors import ConfigurationError
 from repro.util.ids import NodeId
 
@@ -73,11 +74,11 @@ def _send_round_trip(env, network: Transport, request: Message,
     retransmit turnarounds, and jitter on either leg push the
     completion instant out by exactly the time they consumed.
     """
-    done = env.event(name="gather-roundtrip")
+    done = Event(env, name="gather-roundtrip")
 
-    def relay(_event, resp=response):
-        network.send(resp).add_callback(
-            lambda event: done.succeed(event.value)
+    def relay(_event):
+        network.send(response).add_callback(
+            lambda _event: done.succeed(response)
         )
 
     network.send(request).add_callback(relay)
@@ -130,11 +131,8 @@ def gather_pages(env, network: Transport, sizes: SizeModel, stores,
 
     versions: Dict[int, int] = {}
     for owner, owner_pages in owners:
-        copies = stores[owner].extract_pages(object_id, owner_pages)
-        stores[node].install_pages(object_id, copies)
-        if tracing:
-            for copy in copies:
-                versions[copy.page] = copy.version
+        versions.update(stores[owner].ship_pages(object_id, owner_pages,
+                                                 stores[node]))
     if tracing:
         tracer.transfer_install(
             node, object_id, sorted(shipped), cause,
@@ -181,11 +179,8 @@ def demand_fetch(network: Transport, sizes: SizeModel, stores,
         delay += network.charge(request)
         delay += network.charge(response)
         data_bytes += response.size_bytes
-        copies = stores[owner].extract_pages(meta.object_id, owner_pages)
-        stores[node].install_pages(meta.object_id, copies)
-        if network.tracer.enabled:
-            for copy in copies:
-                versions[copy.page] = copy.version
+        versions.update(stores[owner].ship_pages(meta.object_id, owner_pages,
+                                                 stores[node]))
         shipped.extend(owner_pages)
     if shipped and network.tracer.enabled:
         network.tracer.demand_fetch(

@@ -93,9 +93,7 @@ class ObjectLayout:
             offset += spec.total_bytes
         self.total_bytes = offset
         self.page_count = max(1, math.ceil(self.total_bytes / page_size))
-        self._slots_by_page: Dict[int, List[Slot]] = {
-            page: [] for page in range(self.page_count)
-        }
+        slots_by_page: List[List[Slot]] = [[] for _ in range(self.page_count)]
         #: slot -> its (never empty) pages; :meth:`slot_pages` checks.
         self.pages_by_slot: Dict[Slot, FrozenSet[int]] = {}
         for spec in self.attributes:
@@ -104,7 +102,12 @@ class ObjectLayout:
                 pages = self._compute_slot_pages(spec, index)
                 self.pages_by_slot[slot] = pages
                 for page in pages:
-                    self._slots_by_page[page].append(slot)
+                    slots_by_page[page].append(slot)
+        #: page -> the slots whose bytes intersect it, in layout order;
+        #: :meth:`slots_on_page` checks the page, a page copy indexes.
+        self.slots_by_page: Tuple[Tuple[Slot, ...], ...] = tuple(
+            tuple(slots) for slots in slots_by_page
+        )
         #: scalar attribute name -> its slot (the proxy's one lookup).
         self.scalar_slots: Dict[str, Slot] = {
             spec.name: (spec.name, 0)
@@ -171,12 +174,11 @@ class ObjectLayout:
 
     def slots_on_page(self, page: int) -> Tuple[Slot, ...]:
         """Slots whose bytes intersect the given page (for transfers)."""
-        try:
-            return tuple(self._slots_by_page[page])
-        except KeyError:
+        if not 0 <= page < self.page_count:
             raise KeyError(
                 f"page {page} out of range; object has {self.page_count} pages"
-            ) from None
+            )
+        return self.slots_by_page[page]
 
     def slots_on_pages(self, pages: Iterable[int]) -> Tuple[Slot, ...]:
         seen: Dict[Slot, None] = {}

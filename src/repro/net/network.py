@@ -28,5 +28,4 @@ class SimTransport(Transport):
         to its caller, so there is nothing left to schedule."""
         if done is not None:
             message.deliver_time = self.env.now + transfer_time
-            self.env.timeout(transfer_time).add_callback(
-                lambda _event: done.succeed(message))
+            self.env.call_later(transfer_time, done.succeed, message)

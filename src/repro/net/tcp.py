@@ -259,8 +259,8 @@ class TcpTransport(Transport):
             for at_s, kind in ((cut.at_s, "partition"),
                                (cut.heal_at_s, "partition_heal")):
                 data = pack_frame({"t": kind, "group_a": list(cut.group_a)})
-                self.env.timeout(max(0.0, at_s - self.env.now)).add_callback(
-                    lambda _event, data=data: self._broadcast(data))
+                self.env.call_later(max(0.0, at_s - self.env.now),
+                                    self._broadcast, data)
 
     def _broadcast(self, data: bytes) -> None:
         for link in self._uplinks.values():
@@ -324,8 +324,7 @@ class TcpTransport(Transport):
 
     def _write_after(self, delay_s: float, link: _Link, data: bytes) -> None:
         if delay_s > 0.0:
-            self.env.timeout(delay_s).add_callback(
-                lambda _event: self._write(link, data))
+            self.env.call_later(delay_s, self._write, link, data)
         else:
             self._write(link, data)
 

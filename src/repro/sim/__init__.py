@@ -14,7 +14,8 @@ The design follows the classic process-interaction style (as in SimPy):
   other.
 
 Only the features the LOTEC system needs are implemented — timeouts,
-one-shot events with success/failure, process joining, and ``AllOf`` —
+one-shot events with success/failure, process joining, ``AllOf``, and
+callback timers that need no event (:meth:`Environment.call_later`) —
 which keeps the kernel small enough to verify exhaustively in
 ``tests/test_sim_*.py``.
 """

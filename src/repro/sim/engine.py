@@ -4,41 +4,37 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Generator, List, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.events import _PENDING, AllOf, AnyOf, Event, Timeout
+from repro.sim.events import _PENDING, NO_HINTS, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.util.errors import ConfigurationError, ProtocolError
 
 
-class _Bootstrap:
-    """Recycled one-shot trigger that kicks a freshly spawned process.
+class _Call:
+    """A heap entry that runs one callable: a timer without an event.
 
-    Spawning allocated a full :class:`~repro.sim.events.Event` (name
-    f-string, callback list) per process just to deliver one ``None``
-    on the next step.  This stand-in carries only the resume hook and
-    returns itself to the environment's pool after firing, so process
-    churn costs no per-spawn event allocation.  The class attributes
-    mirror a succeeded event exactly (``ok``/``value``/empty ``hints``),
-    which is all :meth:`Process._resume` and the tie-break policies
-    ever read.
+    Nobody waits on such a timer, so it needs no
+    :class:`~repro.sim.events.Event`, callback list or closure — only
+    the callable and its arguments.  Pop order is that of
+    ``env.timeout(delay).add_callback(lambda _e: f(*args))`` exactly:
+    one heap entry, scheduled at the same instant, ranked by a
+    tie-break policy with the same empty ``hints``, counted as one
+    processed event.  Message landings, retransmits and process
+    bootstraps ride on it (:meth:`Environment.call_later`).
     """
 
-    __slots__ = ("env", "resume")
+    __slots__ = ("callback", "args")
 
-    ok = True
-    value = None
-    hints: dict = {}
+    hints = NO_HINTS
 
-    def __init__(self, env, resume):
-        self.env = env
-        self.resume = resume
+    def __init__(self, callback, args):
+        self.callback = callback
+        self.args = args
 
     def _process(self) -> None:
-        resume, self.resume = self.resume, None
-        resume(self)
-        self.env._bootstrap_pool.append(self)
+        self.callback(*self.args)
 
 
 class _WakeBatch:
@@ -91,21 +87,19 @@ class Environment:
     ``tracer`` (settable after construction, since the tracer's clock
     is this environment) receives one ``sim.run`` span per :meth:`run`
     call; the default :data:`~repro.obs.tracer.NULL_TRACER` is a no-op.
+
+    ``now`` is the current simulated time in seconds.  It is a plain
+    attribute, not a property — the clock is read on every send, grant
+    and lock decision — and only the engine assigns it.
     """
 
     def __init__(self, initial_time: float = 0.0, tracer=None, tiebreak=None):
-        self._now = float(initial_time)
+        self.now = float(initial_time)
         self._queue: list = []
         self._sequence = itertools.count()
         self._events_processed = 0
-        self._bootstrap_pool: List[_Bootstrap] = []
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._tiebreak = tiebreak
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -157,24 +151,26 @@ class Environment:
         if policy is None:
             heapq.heappush(
                 self._queue,
-                (self._now + delay, next(self._sequence), event),
+                (self.now + delay, next(self._sequence), event),
             )
         else:
             heapq.heappush(
                 self._queue,
-                (self._now + delay, policy.rank(event),
+                (self.now + delay, policy.rank(event),
                  next(self._sequence), event),
             )
 
-    def _spawn_bootstrap(self, resume) -> None:
-        """Schedule a pooled zero-delay trigger that calls ``resume``."""
-        pool = self._bootstrap_pool
-        if pool:
-            bootstrap = pool.pop()
-            bootstrap.resume = resume
-        else:
-            bootstrap = _Bootstrap(self, resume)
-        self._schedule_event(bootstrap)
+    def call_later(self, delay: float, callback: Callable, *args) -> None:
+        """Run ``callback(*args)`` ``delay`` from now, as one heap entry.
+
+        The scheduling-equivalent of
+        ``timeout(delay).add_callback(lambda _event: callback(*args))``
+        — same instant, same rank, one processed event — without the
+        event, its callback list or the closure (see :class:`_Call`).
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        self._schedule_event(_Call(callback, args), delay)
 
     def succeed_all(self, events, value: Any = None) -> None:
         """Trigger every pending event in ``events`` with ``value``.
@@ -199,7 +195,7 @@ class Environment:
             event._ok = True
         heapq.heappush(
             self._queue,
-            (self._now, next(self._sequence), _WakeBatch(self, list(events))),
+            (self.now, next(self._sequence), _WakeBatch(self, list(events))),
         )
 
     def peek(self) -> float:
@@ -209,7 +205,7 @@ class Environment:
     def step(self) -> None:
         """Process the single next event, advancing the clock to it."""
         entry = heapq.heappop(self._queue)
-        self._now = entry[0]
+        self.now = entry[0]
         self._events_processed += 1
         entry[-1]._process()
 
@@ -223,9 +219,9 @@ class Environment:
         clamped to ``until`` and record the same ``events=`` count on
         the ``sim.run`` span.
         """
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise ConfigurationError(
-                f"run(until={until}) is before current time {self._now}"
+                f"run(until={until}) is before current time {self.now}"
             )
         token = self.tracer.begin("sim.run", "sim", until=until)
         processed_before = self._events_processed
@@ -235,21 +231,21 @@ class Environment:
             if until is None:
                 while queue:
                     entry = pop(queue)
-                    self._now = entry[0]
+                    self.now = entry[0]
                     self._events_processed += 1
                     entry[-1]._process()
             else:
                 while queue:
                     when = queue[0][0]
                     if when > until:
-                        self._now = until
+                        self.now = until
                         return until
                     entry = pop(queue)
-                    self._now = when
+                    self.now = when
                     self._events_processed += 1
                     entry[-1]._process()
-                self._now = max(self._now, until)
-            return self._now
+                self.now = max(self.now, until)
+            return self.now
         finally:
             self.tracer.end(
                 token, events=self._events_processed - processed_before

@@ -9,33 +9,48 @@ Processes wait on events by yielding them; the engine resumes the
 process with the event's value (or throws the event's exception into
 the generator, which is how lock-wait aborts and deadlock victims are
 implemented without a separate interrupt mechanism).
+
+Every event class declares ``__slots__``: an event is the kernel's
+most-allocated object (one or more per message, lock wait and process
+step), so it carries no ``__dict__``.  Kernel code reads ``_value`` /
+``_ok`` directly; the checked ``triggered`` / ``ok`` / ``value``
+properties are the public surface.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from heapq import heappush
+from typing import Any, Callable, List, Optional, Union
 
 from repro.util.errors import ProtocolError
 
 _PENDING = object()
 
+#: Hints of every event no call site annotated: shared and never
+#: mutated (a call site that has hints assigns its own dict).
+NO_HINTS: dict = {}
+
 
 class Event:
-    """A one-shot occurrence that simulation processes can wait on."""
+    """A one-shot occurrence that simulation processes can wait on.
 
-    #: Scheduling metadata for tie-break policies
-    #: (:mod:`repro.sim.tiebreak`).  Class-level empty default: call
-    #: sites that matter (lock-wait wakes, network deliveries) assign a
-    #: per-instance dict; everything else shares this one frozen-ish
-    #: mapping and pays nothing.
-    hints: dict = {}
+    ``hints`` is scheduling metadata for tie-break policies
+    (:mod:`repro.sim.tiebreak`): call sites that matter (lock-wait
+    wakes, network deliveries) supply their own; everything else shares
+    :data:`NO_HINTS`.  ``callbacks`` is ``()`` until the first
+    :meth:`add_callback` (events nobody waits on allocate no list) and
+    ``None`` once processed.
+    """
+
+    __slots__ = ("env", "name", "callbacks", "_value", "_ok", "hints")
 
     def __init__(self, env, name: str = ""):
         self.env = env
         self.name = name
-        self.callbacks: Optional[List[Callable[["Event"], None]]] = []
+        self.callbacks: Union[List[Callable[["Event"], None]], tuple, None] = ()
         self._value: Any = _PENDING
         self._ok: Optional[bool] = None
+        self.hints = NO_HINTS
 
     @property
     def triggered(self) -> bool:
@@ -49,28 +64,34 @@ class Event:
 
     @property
     def ok(self) -> bool:
-        if not self.triggered:
+        if self._value is _PENDING:
             raise ProtocolError(f"event {self} not yet triggered")
         return bool(self._ok)
 
     @property
     def value(self) -> Any:
-        if not self.triggered:
+        if self._value is _PENDING:
             raise ProtocolError(f"event {self} not yet triggered")
         return self._value
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully; waiters resume with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise ProtocolError(f"event {self} triggered twice")
         self._value = value
         self._ok = True
-        self.env._schedule_event(self)
+        env = self.env
+        if env._tiebreak is None:
+            # Environment._schedule_event's FIFO branch, inlined: every
+            # delivery, grant and process completion passes here.
+            heappush(env._queue, (env.now, next(env._sequence), self))
+        else:
+            env._schedule_event(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception thrown into each waiter."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise ProtocolError(f"event {self} triggered twice")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
@@ -81,10 +102,13 @@ class Event:
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register a callback; runs immediately if already processed."""
-        if self.callbacks is None:
+        callbacks = self.callbacks
+        if callbacks is None:
             callback(self)
+        elif callbacks:
+            callbacks.append(callback)
         else:
-            self.callbacks.append(callback)
+            self.callbacks = [callback]
 
     def _process(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
@@ -93,7 +117,7 @@ class Event:
 
     def __repr__(self) -> str:
         state = "pending"
-        if self.triggered:
+        if self._value is not _PENDING:
             state = "ok" if self._ok else "failed"
         return f"<{self.name or self._label()} {state}>"
 
@@ -107,6 +131,8 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env, delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
@@ -114,7 +140,7 @@ class Timeout(Event):
         self.delay = delay
         self._value = value
         self._ok = True
-        env._schedule_event(self, delay=delay)
+        env._schedule_event(self, delay)
 
     def _label(self) -> str:
         return f"Timeout({self.delay})"
@@ -134,6 +160,8 @@ class AllOf(Event):
     order given.
     """
 
+    __slots__ = ("_children", "_remaining")
+
     def __init__(self, env, events):
         super().__init__(env, name="AllOf")
         self._children = list(events)
@@ -145,14 +173,14 @@ class AllOf(Event):
             child.add_callback(self._on_child)
 
     def _on_child(self, child: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
-        if not child.ok:
-            self.fail(child.value)
+        if not child._ok:
+            self.fail(child._value)
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed([c.value for c in self._children])
+            self.succeed([c._value for c in self._children])
 
 
 class AnyOf(Event):
@@ -161,6 +189,8 @@ class AnyOf(Event):
     Value on success is ``(index, value)`` of the winning child; a
     failing child fails this event with its exception.
     """
+
+    __slots__ = ()
 
     def __init__(self, env, events):
         super().__init__(env, name="AnyOf")
@@ -171,9 +201,9 @@ class AnyOf(Event):
             child.add_callback(lambda c, i=index: self._on_child(i, c))
 
     def _on_child(self, index: int, child: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
-        if child.ok:
-            self.succeed((index, child.value))
+        if child._ok:
+            self.succeed((index, child._value))
         else:
-            self.fail(child.value)
+            self.fail(child._value)

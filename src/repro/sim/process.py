@@ -18,8 +18,25 @@ from typing import Generator
 from repro.sim.events import Event
 
 
+class _Started:
+    """What a freshly spawned process is first resumed with: a fired,
+    successful event whose value is ``None`` (shared; nothing waits on
+    it, and :meth:`Process._resume` reads only ``_ok`` and ``_value``)."""
+
+    __slots__ = ()
+
+    _ok = True
+    _value = None
+
+
+_STARTED = _Started()
+
+
 class Process(Event):
     """Wraps a generator and steps it as its awaited events fire."""
+
+    __slots__ = ("_generator", "_waiting_on", "_pending_interrupt",
+                 "_poison_pending")
 
     def __init__(self, env, generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -32,9 +49,9 @@ class Process(Event):
         self._waiting_on = None
         self._pending_interrupt = None
         self._poison_pending = False
-        # Kick off on a pooled zero-delay trigger so creation order
-        # does not matter (and spawning allocates no per-process event).
-        env._spawn_bootstrap(self._resume)
+        # Kick off on a zero-delay heap entry so creation order does
+        # not matter (and spawning allocates no per-process event).
+        env.call_later(0.0, self._resume, _STARTED)
 
     @property
     def is_alive(self) -> bool:
@@ -66,7 +83,7 @@ class Process(Event):
             # Not yet bootstrapped (or between steps): deliver lazily.
             self._pending_interrupt = exc
             return
-        if target.callbacks is not None:
+        if target.callbacks:
             try:
                 target.callbacks.remove(self._resume)
             except ValueError:
@@ -84,10 +101,10 @@ class Process(Event):
         if self._pending_interrupt is not None:
             throw: object = self._pending_interrupt
             self._pending_interrupt = None
-        elif fired.ok:
+        elif fired._ok:
             throw = None
         else:
-            throw = fired.value
+            throw = fired._value
         # Loop rather than recurse: a generator that *catches* an
         # injected exception (the non-Event TypeError below, or an
         # interrupt) and yields a fresh event must re-attach to it —
@@ -98,7 +115,7 @@ class Process(Event):
                 if throw is not None:
                     target = generator.throw(throw)
                 else:
-                    target = generator.send(fired.value)
+                    target = generator.send(fired._value)
             except StopIteration as stop:
                 self.succeed(stop.value)
                 return

@@ -65,13 +65,13 @@ class WallClockEnvironment(Environment):
 
     def _elapsed(self) -> float:
         if self._start_wall is None:
-            return self._now
+            return self.now
         return time.monotonic() - self._start_wall
 
     def advance(self, at_least: float = 0.0) -> None:
         """Move the clock to wall time (monotone, never backwards); a
         source calls this before it fires the deliveries it polled."""
-        self._now = max(self._now, at_least, self._elapsed())
+        self.now = max(self.now, at_least, self._elapsed())
 
     # -- run loop ----------------------------------------------------------
 
@@ -79,10 +79,10 @@ class WallClockEnvironment(Environment):
         """Run until the heap drains (and nothing is in flight) or the
         wall clock passes ``until`` seconds since the first run."""
         if self._start_wall is None:
-            self._start_wall = time.monotonic() - self._now
-        if until is not None and until < self._now:
+            self._start_wall = time.monotonic() - self.now
+        if until is not None and until < self.now:
             raise ConfigurationError(
-                f"run(until={until}) is before current time {self._now}"
+                f"run(until={until}) is before current time {self.now}"
             )
         token = self.tracer.begin("sim.run", "sim", until=until)
         processed_before = self._events_processed
@@ -125,7 +125,7 @@ class WallClockEnvironment(Environment):
                 self._events_processed += 1
                 entry[-1]._process()
             self.advance()
-            return self._now
+            return self.now
         finally:
             self.tracer.end(
                 token, events=self._events_processed - processed_before

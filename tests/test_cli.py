@@ -104,7 +104,7 @@ class TestVersion:
             from importlib.metadata import version
             expected = version("repro")
         except Exception:
-            expected = "1.6.0"  # source-tree fallback
+            expected = "1.7.0"  # source-tree fallback
         assert repro.__version__ == expected
 
 

@@ -2,8 +2,8 @@
 ranked path.
 
 With ``tiebreak=None`` the engine takes its fast path: 3-tuple heap
-entries (no rank slot, no ``policy.rank()`` call), pooled process
-bootstraps, and batched same-instant wake groups
+entries (no rank slot, no ``policy.rank()`` call), succeed's inlined
+FIFO push, and batched same-instant wake groups
 (:meth:`~repro.sim.engine.Environment.succeed_all`).  An explicit
 rank-0 :class:`~repro.sim.tiebreak.TieBreakPolicy` instance forces the
 general 4-tuple ranked path through the same workload.  Both must
@@ -25,7 +25,7 @@ from repro.load import build_load, run_load
 from repro.obs.export import events_to_jsonl
 from repro.runtime import Cluster, ClusterConfig
 from repro.sim import Environment
-from repro.sim.tiebreak import TieBreakPolicy
+from repro.sim.tiebreak import LifoTieBreak, RandomWalkTieBreak, TieBreakPolicy
 from repro.workload import SCENARIOS, generate_workload, run_workload
 
 
@@ -139,3 +139,51 @@ class TestWorkloadDigestProperty:
         fast, ranked = self._migration(False), self._migration(True)
         assert fast == ranked
         assert fast[1] > 0
+
+
+class TestCallLaterEquivalence:
+    """``env.call_later(d, f, *args)`` replaced
+    ``env.timeout(d).add_callback(lambda _e: f(*args))`` on the message
+    landing, retransmit and process-bootstrap paths; it must schedule
+    identically — same pop order, same events-processed count — under
+    FIFO and under every kind of policy (stateful ones included: a
+    policy's ``rank`` must be consulted the same number of times)."""
+
+    def _trace(self, policy, seed, timer):
+        env = Environment(tiebreak=policy)
+        rng = random.Random(seed)
+        order = []
+
+        def note(label):
+            order.append((label, env.now))
+
+        def proc(tag):
+            for step in range(5):
+                delay = rng.choice((0.0, 0.5, 1.0))
+                timer(env, rng.choice((0.0, 0.5, 1.0)), note, (tag, step))
+                yield env.timeout(delay)
+                note((tag, "woke", step))
+
+        for index in range(6):
+            env.process(proc(index), name=f"p{index}")
+        env.run()
+        return order, env.events_processed
+
+    @staticmethod
+    def _via_timeout(env, delay, callback, arg):
+        env.timeout(delay).add_callback(lambda _event: callback(arg))
+
+    @staticmethod
+    def _via_call_later(env, delay, callback, arg):
+        env.call_later(delay, callback, arg)
+
+    @pytest.mark.parametrize("policy", [
+        lambda: None,
+        TieBreakPolicy,
+        LifoTieBreak,
+        lambda: RandomWalkTieBreak(5),
+    ], ids=["fast", "fifo", "lifo", "random"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_call_later_schedules_like_a_timeout_callback(self, policy, seed):
+        assert self._trace(policy(), seed, self._via_call_later) == \
+            self._trace(policy(), seed, self._via_timeout)

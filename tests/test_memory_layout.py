@@ -120,6 +120,14 @@ class TestPageMapping:
         layout = layout_of(AttributeSpec("a", 10))
         with pytest.raises(KeyError):
             layout.slots_on_page(5)
+        with pytest.raises(KeyError):  # not the last page, wrapped
+            layout.slots_on_page(-1)
+
+    def test_slots_by_page_is_the_checked_table(self):
+        layout = layout_of(AttributeSpec("a", 90), AttributeSpec("b", 90))
+        assert layout.slots_by_page == ((("a", 0), ("b", 0)), (("b", 0),))
+        for page in range(layout.page_count):
+            assert layout.slots_on_page(page) is layout.slots_by_page[page]
 
     def test_object_bytes_on_page_partial_tail(self):
         layout = layout_of(AttributeSpec("a", 150))

@@ -190,3 +190,47 @@ class TestAnyOf:
         any_of = env.any_of([a, b])
         env.run()
         assert any_of.value == (0, "a")  # b fired later, no double trigger
+
+
+class TestShape:
+    def test_kernel_events_carry_no_dict(self, env):
+        from repro.net.message import Message, MessageCategory
+        from repro.net.transport import Delivery
+        from repro.util.ids import NodeId
+
+        def body():
+            yield env.timeout(1.0)
+
+        message = Message(src=NodeId(0), dst=NodeId(1),
+                          category=MessageCategory.CONTROL, size_bytes=1)
+        for event in (env.event(), env.timeout(1.0), env.all_of([]),
+                      env.any_of([env.event()]), env.process(body()),
+                      Delivery(env, message)):
+            assert not hasattr(event, "__dict__"), type(event).__name__
+
+    def test_callback_list_is_allocated_on_first_add(self, env):
+        event = env.event()
+        assert event.callbacks == ()  # shared empty tuple, no list yet
+        first, second = (lambda e: None), (lambda e: None)
+        event.add_callback(first)
+        event.add_callback(second)
+        assert event.callbacks == [first, second]
+        event.succeed()
+        env.run()
+        assert event.processed and event.callbacks is None
+
+    def test_unannotated_events_share_one_hints_dict(self, env):
+        assert env.event().hints is env.timeout(0.0).hints == {}
+
+
+class TestCallLater:
+    def test_runs_the_callback_once_at_the_delay(self, env):
+        seen = []
+        env.call_later(2.0, lambda *args: seen.append((env.now, args)), 1, 2)
+        env.run()
+        assert seen == [(2.0, (1, 2))]
+        assert env.events_processed == 1
+
+    def test_negative_delay_rejected(self, env):
+        with pytest.raises(ValueError):
+            env.call_later(-0.1, print)
