@@ -50,8 +50,10 @@ class HomeBasedLOTEC(LOTEC):
             entry = self.directory.entry(object_id)
             home = entry.home_node
             meta = metas(object_id)
-            copies = source_store.extract_pages(object_id, pages)
-            if home != node:
+            if home == node:
+                # Nothing moves, but every dirty page must be cached here.
+                source_store.versions_to_ship(object_id, pages)
+            else:
                 size = (
                     self.sizes.page_data(len(pages))
                     if self.grain == PAGE_GRAIN
@@ -70,7 +72,7 @@ class HomeBasedLOTEC(LOTEC):
                 self.network.charge(writeback)
                 home_store = self.stores[home]
                 home_store.register_object(object_id, meta.layout)
-                home_store.install_pages(object_id, copies)
+                source_store.ship_pages(object_id, pages, home_store)
             # The home now holds (or already held) the latest version:
             # point the page map at it so gathers are single-source.
             for page in pages:

@@ -53,7 +53,6 @@ class ReleaseConsistency(ConsistencyProtocol):
             if not pages:
                 continue
             meta = metas(object_id)
-            copies = source_store.extract_pages(object_id, pages)
             replicas = [
                 target
                 for target, store in self.stores.items()
@@ -79,9 +78,10 @@ class ReleaseConsistency(ConsistencyProtocol):
             pushed_bytes = size * (
                 1 if self.network.config.multicast else len(replicas)
             )
+            for target in replicas:
+                versions = source_store.ship_pages(object_id, pages,
+                                                   self.stores[target])
             self.tracer.update_push(
                 node, object_id, sorted(pages), pushed_bytes, replicas,
-                versions={copy.page: copy.version for copy in copies},
+                versions=versions,
             )
-            for target in replicas:
-                self.stores[target].install_pages(object_id, copies)

@@ -10,7 +10,7 @@ information so aborts can roll back in place using local logs only
 """
 
 from repro.memory.layout import AttributeSpec, ObjectLayout, Slot
-from repro.memory.store import NodeStore, PageCopy
+from repro.memory.store import NodeStore
 from repro.memory.undo import UndoLog, UndoRecord
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "ObjectLayout",
     "Slot",
     "NodeStore",
-    "PageCopy",
     "UndoLog",
     "UndoRecord",
 ]

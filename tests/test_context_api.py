@@ -259,8 +259,8 @@ def _world(recovery, semantic, cached_pages):
     child = Transaction(cluster.alloc.next_sub_txn(root.id), node,
                         parent=root, recovery_factory=log)
     cluster.stores[node].register_object(oid, handle.meta.layout)
-    cluster.stores[node].install_pages(
-        oid, cluster.stores[cluster.nodes[0]].extract_pages(oid, cached_pages))
+    cluster.stores[cluster.nodes[0]].ship_pages(oid, cached_pages,
+                                                cluster.stores[node])
     return cluster, handle.meta, child
 
 

@@ -140,10 +140,8 @@ class TestGatherEngine:
 
     def test_gather_groups_by_owner(self):
         # Make N1 own pages 0,1 and N2 own page 2 at version 2.
-        self.stores[N1].install_pages(
-            OID, self.stores[N0].extract_pages(OID, [0, 1]))
-        self.stores[N2].install_pages(
-            OID, self.stores[N0].extract_pages(OID, [2]))
+        self.stores[N0].ship_pages(OID, [0, 1], self.stores[N1])
+        self.stores[N0].ship_pages(OID, [2], self.stores[N2])
         for node, pages in ((N1, (0, 1)), (N2, (2,))):
             for page in pages:
                 self.stores[node].set_page_version(OID, page, 2)
@@ -164,8 +162,7 @@ class TestGatherEngine:
         assert self.stores[N0].page_version(OID, 2) == 2
 
     def test_gather_charges_page_sized_data(self):
-        self.stores[N1].install_pages(
-            OID, self.stores[N0].extract_pages(OID, [0]))
+        self.stores[N0].ship_pages(OID, [0], self.stores[N1])
         self.stores[N1].set_page_version(OID, 0, 2)
 
         def proc():
@@ -181,8 +178,7 @@ class TestGatherEngine:
         ) == self.sizes.page_data(1)
 
     def test_demand_fetch_moves_data_and_returns_delay(self):
-        self.stores[N1].install_pages(
-            OID, self.stores[N0].extract_pages(OID, [1]))
+        self.stores[N0].ship_pages(OID, [1], self.stores[N1])
         self.stores[N1].write_slot(OID, ("b", 0), 42)
         self.stores[N1].set_page_version(OID, 1, 2)
         delay, shipped = demand_fetch(
@@ -230,8 +226,7 @@ class TestGatherPagesProperty:
             for node in (N1, N2):
                 stores[node].register_object(object_id, layout)
             for page, (owner, version) in enumerate(zip(owners, versions)):
-                stores[owner].install_pages(
-                    object_id, stores[N0].extract_pages(object_id, [page]))
+                stores[N0].ship_pages(object_id, [page], stores[owner])
                 stores[owner].set_page_version(object_id, page, version)
             # Distinct payload on the first and last page at their
             # owners, so content (not just versions) must survive.

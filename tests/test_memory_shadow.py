@@ -92,7 +92,7 @@ class TestShadowLog:
         remote = NodeStore(NodeId(1))
         remote.register_object(OID, layout)
         # Only page 0 is present remotely; slot z absent.
-        remote.install_pages(OID, store.extract_pages(OID, [0]))
+        store.ship_pages(OID, [0], remote)
         log = ShadowLog()
         pages = layout.slot_pages("z", 0)
         log.before_write(remote, OID, ("z", 0), pages)
