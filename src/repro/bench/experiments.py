@@ -39,6 +39,7 @@ from repro.workload.params import SCENARIOS, WorkloadParams
 from repro.workload.runner import run_workload
 
 THREE_PROTOCOLS = ("cotec", "otec", "lotec")
+FOUR_PROTOCOLS = ("cotec", "otec", "lotec", "rc")
 FIVE_PROTOCOLS = ("cotec", "otec", "lotec", "hlotec", "rc")
 
 #: Cluster size when a caller does not choose one.
@@ -596,6 +597,21 @@ def _claims_messages(seed, scale, num_nodes,
     )
 
 
+def _protocol_comparison(seed, scale, num_nodes,
+                         scenario: str = "medium-high") -> ExperimentPlan:
+    """The four protocols side by side on one scenario (``repro
+    compare``): commits, aborts, consistency bytes, messages, mean root
+    latency and deadlocks."""
+    return _compare(
+        f"protocol comparison — {scenario}",
+        _specs(_protocols(FOUR_PROTOCOLS), seed, num_nodes,
+               _scenario_params(scenario, scale)),
+        ("committed", "failed", "data_bytes", "messages",
+         "mean_latency_us", "deadlocks"),
+        x_label="protocol", meta=lambda _: {"scenario": scenario},
+    )
+
+
 def _claims_locality(seed, scale, num_nodes, scenario: str = "zipf-hot",
                      migration: Optional[MigrationConfig] = None,
                      ) -> ExperimentPlan:
@@ -868,6 +884,7 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentPlan]] = {
     "fig8": partial(_time_figure, bandwidth="1Gbps"),
     "tab-speedup": _claims_reduction,
     "msg-count": _claims_messages,
+    "compare": _protocol_comparison,
     "abl-rc": _rc_ablation,
     "abl-dsd": _object_grain_ablation,
     "abl-predict": _prediction_ablation,

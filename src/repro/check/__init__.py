@@ -10,7 +10,9 @@ Four pieces, layered on the :mod:`repro.obs` trace stream and the
   (single-writer/multi-reader, retained-locks-only-to-descendants,
   page-version monotonicity, commit-order consistency, and heal-aware
   liveness);
-* :mod:`repro.check.explorer` — one seed, one reproducible perturbed
+* :mod:`repro.check.explorer` — :func:`judge`, the one verdict on a
+  finished run (both serializability oracles, the reference model and
+  the invariant checkers), and one seed, one reproducible perturbed
   schedule: :class:`FuzzTask` / :func:`run_task` / :func:`minimize`;
 * :mod:`repro.check.fuzz` — campaigns over seeds x protocols x fault
   presets with failure minimization and trace artifacts
@@ -22,6 +24,8 @@ from repro.check.explorer import (
     DEFAULT_POLICIES,
     FuzzReport,
     FuzzTask,
+    Verdict,
+    judge,
     minimize,
     repro_command,
     run_task,
@@ -52,6 +56,7 @@ __all__ = [
     "FuzzTask",
     "ReferenceModel",
     "TxnRef",
+    "Verdict",
     "Violation",
     "check_commit_order",
     "check_liveness",
@@ -59,6 +64,7 @@ __all__ = [
     "check_reference_model",
     "check_retained_descendants",
     "check_single_writer",
+    "judge",
     "minimize",
     "parse_object",
     "parse_txn",

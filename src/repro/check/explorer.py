@@ -1,18 +1,23 @@
-"""The schedule explorer: one fuzz task = one reproducible run.
+"""The judge and the schedule explorer.
 
-A :class:`FuzzTask` fully determines an execution — workload seed,
-protocol, fault preset, tie-break policy, scenario, scale, node count,
-and any test-only protocol mutations.  :func:`run_task` executes it
-with tracing on and judges the result with every oracle this repo has:
+:func:`judge` is the one definition of a clean run: ``repro run
+--check``, ``repro load --check`` and every fuzz task gate on it.  It
+judges a finished cluster with every oracle this repo has:
 
 * the serial-replay serializability oracle and the precedence-graph
   oracle (:mod:`repro.runtime.verify`),
-* the nested-O2PL reference model (:mod:`repro.check.reference`),
-* the trace invariant checkers (:mod:`repro.check.invariants`).
+* when the cluster traced, the nested-O2PL reference model
+  (:mod:`repro.check.reference`) and the trace invariant checkers
+  (:mod:`repro.check.invariants`), over one conversion of the event
+  stream.
 
-Identical tasks produce byte-identical traces (everything derives from
-the seed and the deterministic simulation), which is what makes the
-one-line repro command :func:`repro_command` emits trustworthy.
+A :class:`FuzzTask` fully determines an execution — workload seed,
+protocol, fault preset, tie-break policy, scenario, scale, node count,
+and any test-only protocol mutations — and :func:`run_task` executes it
+with tracing on and judges it.  Identical tasks produce byte-identical
+traces (everything derives from the seed and the deterministic
+simulation), which is what makes the one-line repro command
+:func:`repro_command` emits trustworthy.
 """
 
 from __future__ import annotations
@@ -42,6 +47,61 @@ from repro.workload.runner import run_workload
 DEFAULT_POLICIES = (
     "random", "writer-first", "reader-first", "lifo", "starve-node",
 )
+
+
+@dataclass
+class Verdict:
+    """What :func:`judge` found out about one finished run."""
+
+    serializable: bool = True
+    conflict_serializable: bool = True
+    committed_roots: int = 0
+    violations: List[Violation] = field(default_factory=list)
+    oracle_detail: List[str] = field(default_factory=list)
+    trace: List[dict] = field(default_factory=list)  # judged event dicts
+
+    @property
+    def ok(self) -> bool:
+        return (self.serializable and self.conflict_serializable
+                and not self.violations)
+
+    def failure_summary(self) -> List[str]:
+        lines: List[str] = []
+        if not self.serializable:
+            lines.append("serial-replay oracle: NOT equivalent")
+        if not self.conflict_serializable:
+            lines.append("precedence-graph oracle: cycle")
+        lines.extend(self.oracle_detail)
+        lines.extend(str(violation) for violation in self.violations)
+        return lines
+
+
+def judge(cluster: Cluster) -> Verdict:
+    """Judge a finished run with every oracle; the trace checkers run
+    when the cluster traced."""
+    verdict = Verdict(committed_roots=len(cluster.commit_log))
+    try:
+        serial = check_serializability(cluster)
+        verdict.serializable = serial.equivalent
+        verdict.oracle_detail.extend(
+            serial.state_mismatches + serial.result_mismatches
+        )
+    except ReproError as exc:
+        # e.g. divergent page owners while digesting state: the run is
+        # internally inconsistent — count it as an oracle failure.
+        verdict.serializable = False
+        verdict.oracle_detail.append(
+            f"oracle error: {type(exc).__name__}: {exc}"
+        )
+    conflict = check_conflict_serializability(cluster)
+    verdict.conflict_serializable = conflict.equivalent
+    if not conflict.equivalent:
+        verdict.oracle_detail.extend(conflict.state_mismatches)
+    if cluster.tracer.enabled:
+        verdict.trace = event_dicts(cluster.trace_events)
+        verdict.violations.extend(check_reference_model(verdict.trace))
+        verdict.violations.extend(run_invariants(verdict.trace))
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -78,35 +138,22 @@ class FuzzTask:
 
 
 @dataclass
-class FuzzReport:
-    """Everything :func:`run_task` learned about one task."""
+class FuzzReport(Verdict):
+    """Everything :func:`run_task` learned about one task: the judge's
+    verdict plus the run's own outcome."""
 
-    task: FuzzTask
+    task: Optional[FuzzTask] = None
     committed: int = 0
     failed: int = 0
-    serializable: bool = True
-    conflict_serializable: bool = True
-    violations: List[Violation] = field(default_factory=list)
     error: Optional[str] = None       # unexpected runtime exception
-    oracle_detail: List[str] = field(default_factory=list)
-    trace: List[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return (self.serializable and self.conflict_serializable
-                and not self.violations and self.error is None)
+        return self.error is None and super().ok
 
     def failure_summary(self) -> List[str]:
-        lines: List[str] = []
-        if self.error is not None:
-            lines.append(f"runtime error: {self.error}")
-        if not self.serializable:
-            lines.append("serial-replay oracle: NOT equivalent")
-        if not self.conflict_serializable:
-            lines.append("precedence-graph oracle: cycle")
-        lines.extend(self.oracle_detail)
-        lines.extend(str(violation) for violation in self.violations)
-        return lines
+        error = [] if self.error is None else [f"runtime error: {self.error}"]
+        return error + super().failure_summary()
 
 
 def build_config(task: FuzzTask) -> ClusterConfig:
@@ -131,12 +178,12 @@ def build_config(task: FuzzTask) -> ClusterConfig:
 
 
 def run_task(task: FuzzTask, keep_trace: bool = False) -> FuzzReport:
-    """Execute one task and judge it with every checker.
+    """Execute one task and :func:`judge` it.
 
-    ``keep_trace`` attaches the sanitized trace-event dicts to the
-    report (for artifact dumps and byte-identity tests).
+    A failing report carries the sanitized trace-event dicts (for
+    artifact dumps); ``keep_trace`` keeps them on a clean one too (for
+    byte-identity tests).
     """
-    report = FuzzReport(task=task)
     config = build_config(task)
     params = SCENARIOS[task.scenario].scaled(task.scale)
     workload = generate_workload(params, seed=task.seed)
@@ -144,8 +191,6 @@ def run_task(task: FuzzTask, keep_trace: bool = False) -> FuzzReport:
     install_mutations(cluster, task.mutate)
     try:
         run = run_workload(cluster, workload)
-        report.committed = run.committed
-        report.failed = run.failed
     except ReproError as exc:
         # The workload runner tolerates transaction aborts; anything
         # escaping it is a protocol-level failure the fuzzer caught.
@@ -154,38 +199,13 @@ def run_task(task: FuzzTask, keep_trace: bool = False) -> FuzzReport:
         # here too — so the invariant checkers still get to judge the
         # partial trace.  The state oracles are skipped: the cluster is
         # not in a judgeable end state.
-        report.error = f"{type(exc).__name__}: {exc}"
-        report.trace = event_dicts(cluster.trace_events)
-        report.violations.extend(run_invariants(report.trace))
-        return report
-    events = event_dicts(cluster.trace_events)
-    if keep_trace:
-        report.trace = events
-    try:
-        serial = check_serializability(cluster)
-        report.serializable = serial.equivalent
-        report.oracle_detail.extend(
-            serial.state_mismatches + serial.result_mismatches
-        )
-    except ReproError as exc:
-        # e.g. divergent page owners while digesting state: the run is
-        # internally inconsistent — count it as an oracle failure.
-        report.serializable = False
-        report.oracle_detail.append(
-            f"oracle error: {type(exc).__name__}: {exc}"
-        )
-    conflict = check_conflict_serializability(cluster)
-    report.conflict_serializable = conflict.equivalent
-    report.oracle_detail.extend(
-        line for line in conflict.state_mismatches
-        if not conflict.equivalent
-    )
-    report.violations.extend(check_reference_model(
-        events, allow_recursive_reads=config.allow_recursive_reads
-    ))
-    report.violations.extend(run_invariants(events))
-    if not report.ok and not report.trace:
-        report.trace = events
+        trace = event_dicts(cluster.trace_events)
+        return FuzzReport(task=task, error=f"{type(exc).__name__}: {exc}",
+                          trace=trace, violations=run_invariants(trace))
+    report = FuzzReport(task=task, committed=run.committed,
+                        failed=run.failed, **vars(judge(cluster)))
+    if report.ok and not keep_trace:
+        report.trace = []
     return report
 
 

@@ -22,6 +22,7 @@ from repro.check.explorer import (
     repro_command,
     run_task,
 )
+from repro.util.errors import ConfigurationError
 
 ALL_PROTOCOLS = ("cotec", "otec", "lotec", "rc")
 
@@ -105,6 +106,11 @@ def run_campaign(
     with ``out_dir`` set — dumped as ``*.trace.jsonl`` + ``*.txt``
     artifact pairs.
     """
+    if seeds < 1:
+        # Zero seeds would run nothing and report the campaign clean.
+        raise ConfigurationError(
+            f"a fuzz campaign needs at least one seed, got {seeds}"
+        )
     result = CampaignResult()
     counter = 0
     for seed in range(seed_base, seed_base + seeds):

@@ -30,7 +30,7 @@ def _skip_precommit_retention(cluster) -> None:
         for object_id in sorted(txn.lock_objects):
             entry = lockmgr.directory.entry(object_id)
             entry.release_on_abort(txn)
-            for waiter in entry.pump(lockmgr.allow_recursive_reads):
+            for waiter in entry.pump():
                 waiter.wake.succeed(entry.page_map_snapshot())
             lockmgr.directory.refresh_deadlock_edges(object_id)
         lockmgr._detect_deadlocks()

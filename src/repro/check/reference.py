@@ -22,9 +22,8 @@ coded rules:
   checks the paper's necessary condition, which a stricter
   implementation can never violate;
 * **recursion preclusion** (§3.4): an ancestor *holding* (not merely
-  retaining) the lock means the family would deadlock with itself;
-  the ``allow_recursive_reads`` relaxation admits only the shared
-  read-read case;
+  retaining) the lock means the family would deadlock with itself,
+  whatever the modes;
 * **inheritance** (Algorithm 4.3): a pre-committing sub-transaction
   must move every lock it holds or retains to its parent, which
   retains them; a sub that reaches commit while the model still sees
@@ -45,7 +44,6 @@ from repro.check.events import (
     SemanticConflicts,
     Violation,
     TxnRef,
-    base_mode,
     event_dicts,
     join_mode_strings,
     lineage_of,
@@ -57,8 +55,7 @@ from repro.check.events import (
 class ReferenceModel:
     """Replays a trace stream against the paper's locking rules."""
 
-    def __init__(self, allow_recursive_reads: bool = False):
-        self.allow_recursive_reads = allow_recursive_reads
+    def __init__(self):
         # Per object: transaction -> held / retained mode.
         self._holds: Dict[int, Dict[TxnRef, str]] = {}
         self._retains: Dict[int, Dict[TxnRef, str]] = {}
@@ -140,18 +137,15 @@ class ReferenceModel:
             if holder == txn:
                 continue
             if holder.serial in ancestors:
-                # §3.4: an ancestor holds the lock the sub now takes.
-                # Recursion is judged on the plain base lattice —
-                # commutativity never excuses self-deadlock.
-                if ("W" in (base_mode(holder_mode), base_mode(mode))) or (
-                    not self.allow_recursive_reads
-                ):
-                    self.violations.append(Violation(
-                        "reference.recursion", index, ts,
-                        f"{txn!r} granted {self._oname(obj)} ({mode}) while "
-                        f"ancestor {holder!r} holds it ({holder_mode}) — "
-                        f"§3.4 precludes recursive invocation",
-                    ))
+                # §3.4: an ancestor holds the lock the sub now takes —
+                # whatever the modes (commutativity included), the
+                # family would deadlock with itself.
+                self.violations.append(Violation(
+                    "reference.recursion", index, ts,
+                    f"{txn!r} granted {self._oname(obj)} ({mode}) while "
+                    f"ancestor {holder!r} holds it ({holder_mode}) — "
+                    f"§3.4 precludes recursive invocation",
+                ))
             elif self._conflicts.conflict(holder_mode, mode):
                 self.violations.append(Violation(
                     "reference.conflict", index, ts,
@@ -329,8 +323,6 @@ class ReferenceModel:
         return dict(self._retains.get(obj, {}))
 
 
-def check_reference_model(events,
-                          allow_recursive_reads: bool = False
-                          ) -> List[Violation]:
+def check_reference_model(events) -> List[Violation]:
     """Run the nested-O2PL reference model over a trace stream."""
-    return ReferenceModel(allow_recursive_reads).run(events)
+    return ReferenceModel().run(events)

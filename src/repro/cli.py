@@ -2,62 +2,45 @@
 
 Commands:
 
-* ``experiment <id>`` — regenerate one paper artifact (``fig2`` …
-  ``fig8``, ``tab-speedup``, ``msg-count``, or an ablation id from
-  DESIGN.md §3) and print it as a table, ASCII chart, or JSON
-  (``--format table|chart|json``); ``--out`` writes the versioned JSON
-  result for downstream plotting, ``--jobs N`` fans the per-
-  configuration cluster runs out over a process pool, and completed
-  runs are memoized under ``.repro-cache/`` (``--no-cache`` to skip).
-* ``bench [ids…]`` — run many experiments at once (default: all of
-  them) through the same pool and cache, writing one
-  ``BENCH_<id>.json`` per experiment.
-* ``compare`` — run one workload scenario under all four protocols and
-  print the side-by-side summary (same ``--format``/``--out`` surface
-  as ``experiment``).
-* ``run <scenario>`` — run one scenario once on a chosen wire backend
-  (``--transport sim`` or ``--transport tcp``; ``--processes`` gives
-  each node a real OS relay process) and print the run summary; the
-  standard artifact flags apply, so ``--trace-dir`` + ``--check`` over
-  TCP is the end-to-end real-socket smoke test.
-* ``trace`` — run one scenario with the :mod:`repro.obs` tracer on and
-  write the trace artifacts (JSONL event log + Chrome ``trace_event``
-  JSON loadable in Perfetto / ``chrome://tracing``) plus a metrics
-  summary.
-* ``chaos <preset>`` — run one scenario under a named fault preset
-  (message loss, duplication, delay jitter, node crash/recovery with
-  durable-record rejoin and GDO home failover, partitions, slow nodes,
-  lock timeouts — see :data:`repro.faults.FAULT_PRESETS`), print the
-  fault and retry accounting, and gate the exit code on the
-  serializability oracle *and* every trace invariant checker
-  (including heal-aware liveness); ``--transport tcp`` runs the same
-  preset over real localhost sockets.
-* ``fuzz`` — schedule-exploration fuzzing (:mod:`repro.check`): run N
-  seeds x protocols x fault presets with perturbed same-instant event
-  ordering, judge every run with the serializability oracles, the
-  nested-O2PL reference model, and the trace invariant checkers, and
-  on failure print a minimized one-line repro command (``--trace-dir``
-  also dumps the failing trace as JSONL + a text report);
-  ``--migration`` runs every task with adaptive GDO home migration
-  enabled, and ``--recovery`` adds the crash/partition/failover
-  presets to the preset axis.
-* ``load <scenario>`` — run one open-loop load scenario
-  (:mod:`repro.load`: Zipf popularity, per-client locality, Poisson or
-  bursty arrivals) on a one-node-per-client cluster with adaptive GDO
-  home migration (``--no-migration`` for the static partition), print
-  the per-shard p50/p99/p999 request-latency SLO table, and optionally
-  gate on the serializability oracle (``--check``) and write trace
-  artifacts (``--trace-dir``).  ``--out`` writes the same
-  schema-versioned JSON envelope the experiment drivers emit.
-* ``list`` — show available experiment ids and scenarios.
-* ``version`` (or ``--version``) — print the package version.
+* ``experiment <id>`` — regenerate one experiment of
+  :data:`repro.bench.EXPERIMENTS` (``fig2`` … ``fig8``, ``tab-speedup``,
+  ``msg-count``, ``compare``, or an ablation id from DESIGN.md §3) and
+  print it as a table, ASCII chart, or JSON (``--format``); ``--out``
+  writes the versioned JSON result, ``--jobs N`` fans the cluster runs
+  out over a process pool, and completed runs are memoized under
+  ``.repro-cache/`` (``--no-cache`` to skip).
+* ``bench [ids…]`` — many experiments at once (default: all) through
+  the same pool and cache, one ``BENCH_<id>.json`` each.
+* ``compare`` — ``experiment compare`` with ``--scenario``: one
+  workload scenario under all four protocols.
+* ``run <scenario>`` — run one scenario once and print its summary, on
+  the simulated wire or real localhost TCP (``--transport``;
+  ``--processes`` gives each node an OS relay process), optionally
+  under a fault preset of :data:`repro.faults.FAULT_PRESETS`
+  (``--faults``; prints the fault and retry accounting).
+  ``--trace-dir`` or ``--check`` traces the run and prints the
+  :mod:`repro.obs` metrics summary.
+* ``fuzz`` — schedule-exploration fuzzing (:mod:`repro.check`): seeds
+  x protocols x fault presets with perturbed same-instant event
+  ordering, every run judged; a failure prints a minimized one-line
+  repro command (``--trace-dir`` also dumps its trace and a report).
+  ``--migration`` / ``--semantic`` turn those features on in every
+  task, ``--recovery`` adds the crash/partition/failover presets.
+* ``load <scenario>`` — one open-loop load scenario (:mod:`repro.load`)
+  on a one-node-per-client cluster with adaptive GDO home migration
+  (``--no-migration`` for the static partition); prints the per-shard
+  p50/p99/p999 request-latency SLO table.
+* ``list`` — experiment ids and scenarios; ``version`` (or
+  ``--version``) — the package version.
 
-Artifact flags are uniform across the scenario-running subcommands
-(``run``/``trace``/``chaos``/``fuzz``/``load``): ``--out PATH`` writes
-the run's JSON envelope, ``--trace-dir DIR`` writes trace artifacts
-(JSONL event log with a clock header + Chrome trace), and ``--check``
-gates the exit code on the serializability oracle where the command
-does not already gate by design.
+The artifact flags are uniform across ``run``, ``fuzz`` and ``load``:
+``--out PATH`` writes the run's JSON envelope, ``--trace-dir DIR``
+writes the JSONL event log (with a clock header) and a Chrome trace,
+and ``--check`` gates the exit code on :func:`repro.check.judge` — both
+serializability oracles, the nested-O2PL reference model and the five
+trace invariant checkers, which judge every ``fuzz`` task anyway.  A
+``run`` artifact is named ``{scenario}-{protocol}``, plus ``-{preset}``
+under a fault plan and ``-tcp`` over TCP.
 """
 
 from __future__ import annotations
@@ -66,7 +49,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.bench import (
     DEFAULT_CACHE_DIR,
@@ -77,19 +60,13 @@ from repro.bench import (
     format_bench_summary,
     format_table,
 )
-from repro.check import (
-    ALL_PROTOCOLS,
-    DEFAULT_POLICIES,
-    run_campaign,
-    run_invariants,
-)
+from repro.check import ALL_PROTOCOLS, DEFAULT_POLICIES, judge, run_campaign
 from repro.faults import FAULT_PRESETS
 from repro.gdo.migration import MigrationConfig
 from repro.load import LOAD_SCENARIOS, build_load, run_load, shard_slo_series
 from repro.obs import render_summary, write_chrome_trace, write_jsonl
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import ClusterConfig
-from repro.runtime.verify import check_serializability
 from repro.util.errors import ReproError
 from repro.workload.generator import generate_workload
 from repro.workload.params import SCENARIOS
@@ -131,33 +108,29 @@ def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_artifact_arguments(parser: argparse.ArgumentParser, *,
-                            out: bool = True, trace_dir: bool = True,
-                            check: bool = True,
-                            trace_dir_default: Optional[str] = None) -> None:
+def _add_artifact_arguments(parser: argparse.ArgumentParser,
+                            check: bool = True) -> None:
     """The uniform artifact surface of every scenario-running command:
     ``--out`` (JSON envelope), ``--trace-dir`` (JSONL + Chrome trace),
-    ``--check`` (serializability gate)."""
+    ``--check`` (the whole oracle stack)."""
     group = parser.add_argument_group(
-        "artifacts", "uniform output flags shared by run/trace/chaos/"
-                     "fuzz/load"
+        "artifacts", "uniform output flags shared by run/fuzz/load"
     )
-    if out:
-        group.add_argument(
-            "--out", metavar="PATH",
-            help="write the run's JSON envelope to this file",
-        )
-    if trace_dir:
-        group.add_argument(
-            "--trace-dir", metavar="DIR", default=trace_dir_default,
-            help="write trace artifacts (JSONL event log + Chrome "
-                 "trace) to this directory",
-        )
+    group.add_argument(
+        "--out", metavar="PATH",
+        help="write the run's JSON envelope to this file",
+    )
+    group.add_argument(
+        "--trace-dir", metavar="DIR",
+        help="write trace artifacts (JSONL event log + Chrome "
+             "trace) to this directory",
+    )
     if check:
         group.add_argument(
             "--check", action="store_true",
-            help="gate on the serializability oracle: exit nonzero if "
-                 "the run is not equivalent to a serial replay",
+            help="trace the run and gate on repro.check.judge: exit "
+                 "nonzero unless both serializability oracles, the "
+                 "reference model and every trace invariant pass",
         )
 
 
@@ -210,22 +183,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     cmp_parser = sub.add_parser(
-        "compare", help="run a scenario under all protocols"
+        "compare", help="the compare experiment: one scenario under all "
+                        "four protocols"
     )
     cmp_parser.add_argument("--scenario", choices=sorted(SCENARIOS),
                             default="medium-high")
-    _add_run_arguments(cmp_parser, default_scale=0.5)
+    _add_run_arguments(cmp_parser, default_scale=0.5, experiments=True)
     _add_output_arguments(cmp_parser)
+    _add_runner_arguments(cmp_parser)
+    cmp_parser.set_defaults(id="compare")
 
     run = sub.add_parser(
         "run",
-        help="run one scenario on a chosen wire backend (sim or real "
-             "localhost TCP)",
+        help="run one scenario, over sim or real localhost TCP, "
+             "optionally faulted, traced, and judged",
     )
     run.add_argument("scenario", choices=sorted(SCENARIOS))
     _add_run_arguments(run, default_scale=0.25)
-    run.add_argument("--protocol", default="lotec",
-                     choices=("cotec", "otec", "lotec", "rc"))
+    run.add_argument("--protocol", default="lotec", choices=ALL_PROTOCOLS)
     run.add_argument("--transport", choices=("sim", "tcp"), default="sim",
                      help="wire backend: virtual-clock simulation "
                           "(default) or real localhost TCP sockets")
@@ -233,39 +208,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="with --transport tcp, give each node a real "
                           "OS relay process instead of a connection mesh "
                           "inside this process")
+    run.add_argument("--faults", choices=sorted(FAULT_PRESETS),
+                     help="run under this fault preset and print the "
+                          "fault accounting")
     _add_artifact_arguments(run)
-
-    trace = sub.add_parser(
-        "trace", help="run a scenario with tracing on; write artifacts"
-    )
-    trace.add_argument("scenario", choices=sorted(SCENARIOS))
-    _add_run_arguments(trace, default_scale=0.5)
-    trace.add_argument("--protocol", default="lotec",
-                       choices=("cotec", "otec", "lotec", "rc"))
-    _add_artifact_arguments(trace, trace_dir_default="trace-out")
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="run a scenario under a fault preset; gate on serializability",
-    )
-    chaos.add_argument("preset", choices=sorted(FAULT_PRESETS))
-    chaos.add_argument("--scenario", choices=sorted(SCENARIOS),
-                       default="medium-high")
-    _add_run_arguments(chaos, default_scale=0.25)
-    chaos.add_argument("--protocol", default="lotec",
-                       choices=("cotec", "otec", "lotec", "rc"))
-    chaos.add_argument("--transport", choices=("sim", "tcp"),
-                       default="sim",
-                       help="wire backend: virtual-clock simulation "
-                            "(default) or real localhost TCP sockets")
-    chaos.add_argument("--processes", action="store_true",
-                       help="with --transport tcp, give each node a real "
-                            "OS relay process instead of a connection mesh "
-                            "inside this process")
-    # chaos always gates on the oracle and the invariant checkers
-    # (that is its point), so the shared group contributes --out and
-    # --trace-dir only.
-    _add_artifact_arguments(chaos, check=False)
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -296,8 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--scale", type=float, default=0.25,
                       help="workload size factor (1.0 = full)")
     fuzz.add_argument("--nodes", type=int, default=4)
-    # Every fuzz task already runs all oracles, so no --check; its
-    # --trace-dir collects *failing* traces.
+    # Every fuzz task is judged anyway, so no --check; its --trace-dir
+    # collects *failing* traces.
     _add_artifact_arguments(fuzz, check=False)
     fuzz.add_argument("--stop-on-failure", action="store_true",
                       help="stop the campaign at the first failing task")
@@ -352,15 +298,6 @@ def _render(result: ExperimentResult, output_format: str) -> str:
     return result.render()
 
 
-def _write_result(result: ExperimentResult, path: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result.to_json(), handle, indent=2)
-        handle.write("\n")
-
-
 def _make_runner(args) -> ExperimentRunner:
     cache = None if args.no_cache else ResultCache(root=args.cache_dir)
     return ExperimentRunner(jobs=args.jobs, cache=cache)
@@ -396,27 +333,42 @@ def _write_trace_artifacts(cluster: Cluster, directory: str,
     return None
 
 
-def _check_gate(cluster: Cluster) -> int:
-    """Run the serializability oracle and report; 0 = clean."""
-    report = check_serializability(cluster)
-    if report.equivalent:
-        print(f"\nserializability: OK ({report.committed_roots} "
-              f"committed roots replay clean)")
+def _finish(args, cluster: Cluster, payload, stem: str) -> int:
+    """The tail of every scenario-running command: the ``--out``
+    envelope, the ``--trace-dir`` artifacts named ``stem``, and the
+    ``--check`` gate on :func:`repro.check.judge`."""
+    if args.out:
+        _write_json(payload, args.out)
+        print(f"\nwrote {args.out}")
+    if args.trace_dir:
+        error = _write_trace_artifacts(cluster, args.trace_dir, stem)
+        if error is not None:
+            return error
+    if not args.check:
         return 0
-    print("\nserializability: FAILED", file=sys.stderr)
-    for line in report.state_mismatches + report.result_mismatches:
-        print(f"  {line}", file=sys.stderr)
-    return 1
+    verdict = judge(cluster)
+    if not verdict.ok:
+        print("\ncheck: FAILED", file=sys.stderr)
+        for line in verdict.failure_summary():
+            print(f"  {line}", file=sys.stderr)
+        return 1
+    print(f"\nserializability: OK ({verdict.committed_roots} committed "
+          f"roots replay clean, precedence graph acyclic)")
+    print("invariants: OK (reference model, single-writer, "
+          "retained-descendants, page-version, commit-order, liveness)")
+    return 0
 
 
 def _cmd_experiment(args) -> int:
-    output_format = args.format or "table"
-    runner = _make_runner(args)
-    result = runner.run(args.id, seed=args.seed, scale=args.scale,
-                        num_nodes=args.nodes)
-    print(_render(result, output_format))
+    # `compare` is `experiment compare` with the scenario as a flag.
+    options = {"scenario": args.scenario} if args.command == "compare" else {}
+    result = _make_runner(args).run(
+        args.id, seed=args.seed, scale=args.scale, num_nodes=args.nodes,
+        **options,
+    )
+    print(_render(result, args.format or "table"))
     if args.out:
-        _write_result(result, args.out)
+        _write_json(result.to_json(), args.out)
         print(f"\nwrote {args.out}")
     return 0
 
@@ -441,7 +393,7 @@ def _cmd_bench(args) -> int:
     cache = runner.cache
     for eid, result in results.items():
         path = os.path.join(args.out_dir, f"BENCH_{eid}.json")
-        _write_result(result, path)
+        _write_json(result.to_json(), path)
         entries.append({
             "experiment": eid,
             "runs": runner.last_plan_sizes.get(eid, 0),
@@ -459,59 +411,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    output_format = args.format or "table"
-    params = SCENARIOS[args.scenario].scaled(args.scale)
-    workload = generate_workload(params, seed=args.seed)
-    protocols = ("cotec", "otec", "lotec", "rc")
-    metrics = ("committed", "failed", "data_bytes", "messages",
-               "mean_latency_us", "deadlocks")
-    series: Dict[str, Dict[str, object]] = {
-        metric: {} for metric in metrics
-    }
-    for protocol in protocols:
-        cluster = Cluster(ClusterConfig(
-            num_nodes=args.nodes, protocol=protocol, seed=args.seed,
-            audit_accesses=False,
-        ))
-        run = run_workload(cluster, workload)
-        summary = run.summary()
-        stats = cluster.network_stats
-        series["committed"][protocol] = summary["committed"]
-        series["failed"][protocol] = summary["failed"]
-        series["data_bytes"][protocol] = stats.consistency_bytes()
-        series["messages"][protocol] = stats.total_messages
-        series["mean_latency_us"][protocol] = round(
-            cluster.txn_stats.mean_latency * 1e6
-        )
-        series["deadlocks"][protocol] = summary["deadlocks"]
-    result = ExperimentResult(
-        experiment=f"protocol comparison — {args.scenario}",
-        x_label="protocol",
-        series=series,
-        meta={"scenario": args.scenario, "seed": args.seed,
-              "scale": args.scale, "nodes": args.nodes},
-    )
-    if output_format == "table":
-        # The classic side-by-side layout: one row per protocol.
-        print(f"scenario {args.scenario} (seed {args.seed}, "
-              f"scale {args.scale}, {args.nodes} nodes)\n")
-        print(format_table(
-            ["protocol", "committed", "failed", "data bytes", "messages",
-             "mean latency (us)", "deadlocks"],
-            [
-                [protocol] + [series[metric][protocol] for metric in metrics]
-                for protocol in protocols
-            ],
-        ))
-    else:
-        print(_render(result, output_format))
-    if args.out:
-        _write_result(result, args.out)
-        print(f"\nwrote {args.out}")
-    return 0
-
-
 def _lock_line(cluster) -> str:
     """Lock waits and what the deadlock detector did about them."""
     locks = cluster.lock_stats
@@ -520,20 +419,54 @@ def _lock_line(cluster) -> str:
             f"{locks.edge_refreshes} edge refreshes")
 
 
+def _fault_table(cluster: Cluster) -> str:
+    """The fault and retry accounting of a run under a fault plan."""
+    stats = cluster.fault_stats
+    migration_stats = cluster.migration_stats
+    return format_table(
+        ["fault counter", "value"],
+        [
+            ["messages dropped", stats.messages_dropped],
+            ["dropped at a partition", stats.partition_dropped],
+            ["retransmissions", stats.retransmissions],
+            ["messages duplicated", stats.messages_duplicated],
+            ["delay injected (us)", round(stats.delay_injected_s * 1e6)],
+            ["slow-node delay (us)", round(stats.slow_delay_s * 1e6)],
+            ["lock timeouts", stats.lock_timeouts],
+            ["crashes / recoveries",
+             f"{stats.crashes} / {stats.recoveries}"],
+            ["crash-aborted families", stats.crash_aborted_families],
+            ["GDO home failovers", stats.failovers],
+            ["failover reroutes", stats.failover_reroutes],
+            ["rejoin replayed / reclaimed / discarded",
+             f"{stats.rejoin_replayed_records} / "
+             f"{stats.rejoin_reclaimed_homes} / "
+             f"{stats.rejoin_discarded_holders}"],
+            ["forwarded requests",
+             migration_stats.forwarded_requests
+             if migration_stats is not None else 0],
+            ["deadlock retries", cluster.txn_stats.retries],
+        ],
+    )
+
+
 def _cmd_run(args) -> int:
+    traced = bool(args.trace_dir or args.check)
     params = SCENARIOS[args.scenario].scaled(args.scale)
     workload = generate_workload(params, seed=args.seed)
     with Cluster(ClusterConfig(
         num_nodes=args.nodes, protocol=args.protocol, seed=args.seed,
-        audit_accesses=False, trace=bool(args.trace_dir),
+        audit_accesses=False, trace=traced,
+        faults=FAULT_PRESETS[args.faults] if args.faults else None,
         transport=args.transport, transport_processes=args.processes,
     )) as cluster:
         run = run_workload(cluster, workload)
         backend = args.transport + (
             " (one OS process per node)" if args.processes else ""
         )
+        faults = f" with faults {args.faults}" if args.faults else ""
         print(f"scenario {args.scenario} under {args.protocol} over "
-              f"{backend} (seed {args.seed}, scale {args.scale}, "
+              f"{backend}{faults} (seed {args.seed}, scale {args.scale}, "
               f"{args.nodes} nodes): {run.committed} committed, "
               f"{run.failed} failed")
         stats = cluster.network_stats
@@ -542,118 +475,15 @@ def _cmd_run(args) -> int:
               + (f", {len(cluster.network.delivered_log)} frames crossed "
                  f"real sockets" if args.transport == "tcp" else ""))
         print(_lock_line(cluster))
-        if args.out:
-            _write_json(run.summary(), args.out)
-            print(f"\nwrote {args.out}")
-        if args.trace_dir:
-            error = _write_trace_artifacts(
-                cluster, args.trace_dir,
-                f"{args.scenario}-{args.protocol}-{args.transport}",
-            )
-            if error is not None:
-                return error
-        if args.check:
-            return _check_gate(cluster)
-        return 0
-
-
-def _cmd_trace(args) -> int:
-    params = SCENARIOS[args.scenario].scaled(args.scale)
-    workload = generate_workload(params, seed=args.seed)
-    cluster = Cluster(ClusterConfig(
-        num_nodes=args.nodes, protocol=args.protocol, seed=args.seed,
-        audit_accesses=False, trace=True,
-    ))
-    run = run_workload(cluster, workload)
-    print(f"scenario {args.scenario} under {args.protocol} "
-          f"(seed {args.seed}, scale {args.scale}, {args.nodes} nodes): "
-          f"{run.committed} committed, {run.failed} failed\n")
-    print(render_summary(cluster.tracer))
-    if args.out:
-        _write_json(run.summary(), args.out)
-        print(f"\nwrote {args.out}")
-    error = _write_trace_artifacts(
-        cluster, args.trace_dir, f"{args.scenario}-{args.protocol}"
-    )
-    if error is not None:
-        return error
-    if args.check:
-        return _check_gate(cluster)
-    return 0
-
-
-def _cmd_chaos(args) -> int:
-    plan = FAULT_PRESETS[args.preset]
-    params = SCENARIOS[args.scenario].scaled(args.scale)
-    workload = generate_workload(params, seed=args.seed)
-    with Cluster(ClusterConfig(
-        num_nodes=args.nodes, protocol=args.protocol, seed=args.seed,
-        audit_accesses=False, trace=True, faults=plan,
-        transport=args.transport, transport_processes=args.processes,
-    )) as cluster:
-        run = run_workload(cluster, workload)
-        report = check_serializability(cluster)
-        violations = run_invariants(cluster.trace_events)
-        stats = cluster.fault_stats
-        migration_stats = cluster.migration_stats
-        print(f"preset {args.preset} on scenario {args.scenario} under "
-              f"{args.protocol} over {args.transport} (seed {args.seed}, "
-              f"scale {args.scale}, {args.nodes} nodes): "
-              f"{run.committed} committed, {run.failed} failed\n")
-        print(format_table(
-            ["fault counter", "value"],
-            [
-                ["messages dropped", stats.messages_dropped],
-                ["dropped at a partition", stats.partition_dropped],
-                ["retransmissions", stats.retransmissions],
-                ["messages duplicated", stats.messages_duplicated],
-                ["delay injected (us)", round(stats.delay_injected_s * 1e6)],
-                ["slow-node delay (us)", round(stats.slow_delay_s * 1e6)],
-                ["lock timeouts", stats.lock_timeouts],
-                ["crashes / recoveries",
-                 f"{stats.crashes} / {stats.recoveries}"],
-                ["crash-aborted families", stats.crash_aborted_families],
-                ["GDO home failovers", stats.failovers],
-                ["failover reroutes", stats.failover_reroutes],
-                ["rejoin replayed / reclaimed / discarded",
-                 f"{stats.rejoin_replayed_records} / "
-                 f"{stats.rejoin_reclaimed_homes} / "
-                 f"{stats.rejoin_discarded_holders}"],
-                ["forwarded requests",
-                 migration_stats.forwarded_requests
-                 if migration_stats is not None else 0],
-                ["deadlock retries", cluster.txn_stats.retries],
-            ],
-        ))
-        if args.out:
-            _write_json(run.summary(), args.out)
-            print(f"\nwrote {args.out}")
-        if args.trace_dir:
-            error = _write_trace_artifacts(
-                cluster, args.trace_dir,
-                f"{args.scenario}-{args.protocol}-{args.preset}",
-            )
-            if error is not None:
-                return error
-        failed = False
-        if report.equivalent:
-            print(f"\nserializability: OK "
-                  f"({report.committed_roots} committed roots replay clean)")
-        else:
-            failed = True
-            print("\nserializability: FAILED", file=sys.stderr)
-            for line in report.state_mismatches + report.result_mismatches:
-                print(f"  {line}", file=sys.stderr)
-        if violations:
-            failed = True
-            print(f"invariants: {len(violations)} violation(s)",
-                  file=sys.stderr)
-            for violation in violations:
-                print(f"  {violation}", file=sys.stderr)
-        else:
-            print("invariants: OK (single-writer, retained-descendants, "
-                  "page-version, commit-order, liveness)")
-        return 1 if failed else 0
+        if traced:
+            print(f"\n{render_summary(cluster.tracer)}")
+        if args.faults:
+            print(f"\n{_fault_table(cluster)}")
+        stem = "-".join(part for part in (
+            args.scenario, args.protocol, args.faults,
+            "tcp" if args.transport == "tcp" else None,
+        ) if part)
+        return _finish(args, cluster, run.summary(), stem)
 
 
 def _split_csv(spec: str) -> list:
@@ -740,7 +570,6 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_load(args) -> int:
-    output_format = args.format or "table"
     load = build_load(args.scenario, seed=args.seed, scale=args.scale)
     scenario = load.scenario
     migration = None if args.no_migration else MigrationConfig()
@@ -778,19 +607,9 @@ def _cmd_load(args) -> int:
         },
     )
     print()
-    print(_render(result, output_format))
-    if args.out:
-        _write_result(result, args.out)
-        print(f"\nwrote {args.out}")
-    if args.trace_dir:
-        error = _write_trace_artifacts(
-            cluster, args.trace_dir, f"{args.scenario}-{policy}"
-        )
-        if error is not None:
-            return error
-    if args.check:
-        return _check_gate(cluster)
-    return 0
+    print(_render(result, args.format or "table"))
+    return _finish(args, cluster, result.to_json(),
+                   f"{args.scenario}-{policy}")
 
 
 def _cmd_version(_args) -> int:
@@ -802,7 +621,7 @@ def _cmd_list(_args) -> int:
     print("experiments:")
     for key in sorted(EXPERIMENTS):
         print(f"  {key}")
-    print("\nscenarios (for `compare`):")
+    print("\nscenarios (for `run` and `compare`):")
     for key in sorted(SCENARIOS):
         print(f"  {key}")
     print("\nload scenarios (for `load`):")
@@ -816,10 +635,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {
         "experiment": _cmd_experiment,
         "bench": _cmd_bench,
-        "compare": _cmd_compare,
+        "compare": _cmd_experiment,
         "run": _cmd_run,
-        "trace": _cmd_trace,
-        "chaos": _cmd_chaos,
         "fuzz": _cmd_fuzz,
         "load": _cmd_load,
         "list": _cmd_list,

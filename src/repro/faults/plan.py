@@ -228,7 +228,7 @@ class FaultPlan:
                 or self.delay_jitter_s > 0)
 
 
-#: Named presets exercised by ``repro chaos`` and the chaos test suite.
+#: Named presets for ``repro run --faults`` and the chaos test suite.
 #: Collectively they cover loss >= 10%, duplication, delay jitter,
 #: node crash/recovery, GDO home failover, network bipartitions, and a
 #: slow node; "chaos" combines the message faults with a crash.

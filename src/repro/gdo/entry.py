@@ -232,8 +232,7 @@ class DirectoryEntry:
 
     # -- acquisition decision (rules 1-2 of §4.1) ------------------------------
 
-    def decide(self, txn, mode: LockMode,
-               allow_recursive_reads: bool = False) -> GrantDecision:
+    def decide(self, txn, mode: LockMode) -> GrantDecision:
         """Classify a request; does not mutate state."""
         if self.is_free:
             return GrantDecision.GRANTED
@@ -257,17 +256,9 @@ class DirectoryEntry:
             return self._wait_kind(txn)
         # §3.4 preclusion: an ancestor *holds* (not merely retains) the
         # lock this transaction needs — the family would deadlock with
-        # itself.  Shared reads are safe and may be permitted by flag.
-        # Judged on base modes: families execute sequentially, so
-        # intra-family semantic concurrency buys nothing and relaxing
-        # here would only weaken the Moss invariants.
-        for holder_id, holder_mode in self.holders.items():
-            holder = self._holder_txns[holder_id]
-            if not holder.is_ancestor_of(txn):
-                continue
-            if (_base(mode) is LockMode.WRITE
-                    or _base(holder_mode) is LockMode.WRITE
-                    or not allow_recursive_reads):
+        # itself, whatever the modes (a shared read included).
+        for holder_id in self.holders:
+            if self._holder_txns[holder_id].is_ancestor_of(txn):
                 return GrantDecision.RECURSIVE
         # Rule 1a: every retainer must be an ancestor of the requester.
         # A transaction may always re-acquire a lock it retains itself
@@ -439,7 +430,7 @@ class DirectoryEntry:
                 del self.retainers[txn_id]
                 del self._retainer_txns[txn_id]
 
-    def pump(self, allow_recursive_reads: bool = False) -> List[Waiter]:
+    def pump(self) -> List[Waiter]:
         """Grant whatever is now grantable; returns the woken waiters.
 
         Local (same-family) waiters are tried first.  Then waiting
@@ -461,7 +452,7 @@ class DirectoryEntry:
         granted: List[Waiter] = []
         remaining: List[Waiter] = []
         for waiter in self.local_waiters:
-            decision = self.decide(waiter.txn, waiter.mode, allow_recursive_reads)
+            decision = self.decide(waiter.txn, waiter.mode)
             if decision is GrantDecision.GRANTED:
                 self.grant(waiter.txn, waiter.mode)
                 granted.append(waiter)
@@ -475,9 +466,7 @@ class DirectoryEntry:
                 admitted_any = False
                 while queue.waiters:
                     waiter = queue.waiters[0]
-                    decision = self.decide(
-                        waiter.txn, waiter.mode, allow_recursive_reads
-                    )
+                    decision = self.decide(waiter.txn, waiter.mode)
                     if decision is not GrantDecision.GRANTED:
                         break
                     self.grant(waiter.txn, waiter.mode)

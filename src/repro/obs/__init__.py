@@ -4,7 +4,8 @@ Virtual-clock tracing (:mod:`repro.obs.tracer`), a metrics registry
 (:mod:`repro.obs.metrics`), and exporters (:mod:`repro.obs.export`)
 that write JSONL, Chrome ``trace_event`` JSON for Perfetto, and text
 summaries.  Enable per cluster with ``ClusterConfig(trace=True)`` or
-from the command line with ``python -m repro trace <scenario>``.
+from the command line with ``python -m repro run <scenario>
+--trace-dir DIR``.
 """
 
 from repro.obs.export import (

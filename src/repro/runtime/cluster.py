@@ -143,7 +143,6 @@ class Cluster:
         )
         self.lockmgr = LockManager(
             self.env, self.network, self.directory, config.sizes, self.cache,
-            allow_recursive_reads=config.allow_recursive_reads,
             tracer=self.tracer, injector=self.injector,
             migration=self.migration, wal=self.wal,
         )

@@ -29,9 +29,6 @@ class ClusterConfig:
         protocol: ``"cotec"``, ``"otec"``, ``"lotec"``, or ``"rc"``.
         page_size: DSM page size in bytes.
         seed: master seed; all run randomness derives from it.
-        allow_recursive_reads: permit a descendant to share a read lock
-            an ancestor holds (§3.4 precludes recursion outright; this
-            flag relaxes it for the safe read-read case only).
         gdo_cache_enabled: cache holder lists at the holding site
             (§4.1); disabling makes every lock operation global — the
             ``abl-gdocache`` ablation.
@@ -104,7 +101,6 @@ class ClusterConfig:
     protocol: str = "lotec"
     page_size: int = 4096
     seed: int = 0
-    allow_recursive_reads: bool = False
     gdo_cache_enabled: bool = True
     transfer_grain: str = PAGE_GRAIN
     max_retries: int = 10

@@ -89,14 +89,12 @@ class LockManager:
 
     def __init__(self, env, network: Transport, directory: Directory,
                  sizes: SizeModel, cache: EntryCacheTracker,
-                 allow_recursive_reads: bool = False, tracer=None,
-                 injector=None, migration=None, wal=None):
+                 tracer=None, injector=None, migration=None, wal=None):
         self.env = env
         self.network = network
         self.directory = directory
         self.sizes = sizes
         self.cache = cache
-        self.allow_recursive_reads = allow_recursive_reads
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.injector = injector if injector is not None else NULL_INJECTOR
         #: Per-node durable record (repro.faults.wal); the home node's
@@ -181,7 +179,7 @@ class LockManager:
             self.cache.is_local(object_id, node)
             and entry.family_present(txn.id.root)
         ):
-            decision = entry.decide(txn, mode, self.allow_recursive_reads)
+            decision = entry.decide(txn, mode)
             if decision is GrantDecision.RECURSIVE:
                 self.stats.recursive_rejections += 1
                 raise RecursiveInvocationError(txn.id, object_id)
@@ -224,7 +222,7 @@ class LockManager:
             yield from self._forward_request(object_id, home,
                                              entry.home_node)
         family_already_present = entry.family_present(txn.id.root)
-        decision = entry.decide(txn, mode, self.allow_recursive_reads)
+        decision = entry.decide(txn, mode)
         if decision is GrantDecision.RECURSIVE:
             self.stats.recursive_rejections += 1
             raise RecursiveInvocationError(txn.id, object_id)
@@ -311,7 +309,7 @@ class LockManager:
             # The family's node crashed while the request was on the
             # wire; granting now would leak a lock nobody releases.
             raise NodeCrashError(txn.id, node=node)
-        decision = entry.decide(txn, mode, self.allow_recursive_reads)
+        decision = entry.decide(txn, mode)
         if decision is not GrantDecision.GRANTED or entry.family_present(
             txn.id.root
         ):
@@ -547,7 +545,7 @@ class LockManager:
             entry.release_to_parent(txn, parent)
             wakes.extend(
                 waiter.wake
-                for waiter in entry.pump(self.allow_recursive_reads)
+                for waiter in entry.pump()
             )
         # Same-instant wakes ride one batched heap entry (FIFO order
         # preserved — see Environment.succeed_all).
@@ -572,7 +570,7 @@ class LockManager:
             else:
                 wakes.extend(
                     waiter.wake
-                    for waiter in entry.pump(self.allow_recursive_reads)
+                    for waiter in entry.pump()
                 )
         self.env.succeed_all(wakes)
         yield from self._global_release(
@@ -667,7 +665,7 @@ class LockManager:
                 # Other families may still hold the lock (shared read):
                 # their site's cached holder list stays authoritative.
                 self.cache.on_freed(object_id)
-            woken = entry.pump(self.allow_recursive_reads)
+            woken = entry.pump()
             self._deliver_grants(entry, woken, roots_before)
             self._wal_record_holders(object_id, entry)
             self.directory.refresh_deadlock_edges(object_id)
@@ -805,7 +803,7 @@ class LockManager:
                 continue
             if entry.is_free:
                 self.cache.on_freed(object_id)
-            woken = entry.pump(self.allow_recursive_reads)
+            woken = entry.pump()
             self._deliver_grants(entry, woken, roots_before)
             self.directory.refresh_deadlock_edges(object_id)
         for root in sorted(dead):

@@ -33,7 +33,7 @@ class WorkloadRun:
     def summary(self) -> Dict[str, object]:
         """Everything needed to identify and compare this run from the
         summary alone — including the seed it was generated from and
-        the deadlock count (consumers like ``repro compare`` should not
+        the deadlock count (consumers like ``repro run --out`` should not
         have to reach into ``cluster.lock_stats``)."""
         txn_stats = self.cluster.txn_stats
         fault_stats = self.cluster.fault_stats

@@ -15,15 +15,21 @@ import pytest
 from repro.check import (
     ALL_PROTOCOLS,
     FuzzTask,
+    judge,
     minimize,
     repro_command,
     run_campaign,
     run_task,
     trace_to_jsonl,
 )
-from repro.check.mutations import MUTATIONS
+from repro.check.explorer import build_config
+from repro.check.mutations import MUTATIONS, install_mutations
 from repro.cli import main
+from repro.runtime.cluster import Cluster
 from repro.util.errors import ConfigurationError
+from repro.workload.generator import generate_workload
+from repro.workload.params import SCENARIOS
+from repro.workload.runner import run_workload
 
 QUICK = dict(scenario="medium-high", scale=0.125, nodes=4)
 MUTATION = "skip-precommit-retention"
@@ -95,6 +101,20 @@ class TestMutationSmoke:
         assert "retention skipped" in summary
         # The failing trace is attached for artifact dumps.
         assert report.trace
+
+    def test_judge_catches_the_mutation_without_the_fuzzer(self):
+        # The task shape the mutation table records for it, at a seed
+        # it is caught on, run by hand and handed to judge().
+        task = FuzzTask(seed=0, **MUTATIONS[MUTATION].catch_with)
+        cluster = Cluster(build_config(task))
+        install_mutations(cluster, [MUTATION])
+        params = SCENARIOS[task.scenario].scaled(task.scale)
+        run_workload(cluster, generate_workload(params, seed=task.seed))
+        verdict = judge(cluster)
+        assert not verdict.ok
+        assert {violation.checker.split(".")[0]
+                for violation in verdict.violations} & {"reference",
+                                                         "invariant"}
 
 
 class TestMinimizeAndRepro:
@@ -265,6 +285,16 @@ class TestFuzzCli:
     def test_unknown_protocol_exits_two(self, capsys):
         assert main(["fuzz", "--protocols", "bogus"]) == 2
         assert "unknown protocol" in capsys.readouterr().err
+
+    def test_zero_seeds_is_an_error_not_a_clean_campaign(self, capsys):
+        # `--seeds 0` used to run no task and print "all tasks clean".
+        with pytest.raises(ConfigurationError, match="at least one seed"):
+            run_campaign(seeds=0)
+        assert main(["fuzz", "--seeds", "0", "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert "all tasks clean" not in captured.out
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 @pytest.mark.slow

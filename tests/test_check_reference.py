@@ -204,16 +204,13 @@ class TestForbiddenGrants:
         assert checkers(check_reference_model(trace)) == [
             "reference.recursion"
         ]
-        assert check_reference_model(
-            trace, allow_recursive_reads=True
-        ) == []
 
     def test_write_recursion_never_allowed(self):
         trace = [grant("T0", 1, "W"),
                  grant("T1/r0", 1, "W", lineage=[0])]
-        assert checkers(check_reference_model(
-            trace, allow_recursive_reads=True
-        )) == ["reference.recursion"]
+        assert checkers(check_reference_model(trace)) == [
+            "reference.recursion"
+        ]
 
 
 class TestInheritanceAndRelease:

@@ -5,6 +5,11 @@ import json
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+from repro.runtime.cluster import Cluster
+from repro.runtime.config import ClusterConfig
+from repro.workload.generator import generate_workload
+from repro.workload.params import SCENARIOS
+from repro.workload.runner import run_workload
 
 
 class TestList:
@@ -64,22 +69,53 @@ class TestExperiment:
         # above; here we just confirm the mapping values are callables).
         assert all(callable(fn) for fn in EXPERIMENTS.values())
         assert {"fig2", "fig8", "tab-speedup", "abl-recovery",
-                "abl-prefetch"} <= set(EXPERIMENTS)
+                "abl-prefetch", "compare"} <= set(EXPERIMENTS)
 
 
 class TestCompare:
+    """`repro compare` is the `compare` experiment with --scenario."""
+
     def test_compare_prints_all_protocols(self, capsys):
-        code = main(["compare", "--scenario", "medium-high",
+        code = main(["compare", "--scenario", "medium-high", "--no-cache",
                      "--scale", "0.08", "--seed", "2", "--nodes", "3"])
         assert code == 0
         out = capsys.readouterr().out
         for protocol in ("cotec", "otec", "lotec", "rc"):
             assert protocol in out
-        assert "data bytes" in out
+        assert "data_bytes" in out
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):
             main(["compare", "--scenario", "tiny-high"])
+
+    def test_series_equal_the_four_protocol_loop(self, tmp_path):
+        # `compare` used to run the four protocols in a loop of its own
+        # (which rounded the latency to whole microseconds); as an
+        # experiment it must report that loop's numbers.
+        target = tmp_path / "compare.json"
+        assert main(["compare", "--scenario", "medium-high", "--no-cache",
+                     "--scale", "0.08", "--seed", "2", "--nodes", "3",
+                     "--out", str(target)]) == 0
+        series = json.loads(target.read_text())["series"]
+        workload = generate_workload(
+            SCENARIOS["medium-high"].scaled(0.08), seed=2
+        )
+        for protocol in ("cotec", "otec", "lotec", "rc"):
+            cluster = Cluster(ClusterConfig(
+                num_nodes=3, protocol=protocol, seed=2, audit_accesses=False,
+            ))
+            run = run_workload(cluster, workload)
+            stats = cluster.network_stats
+            assert {
+                metric: values[protocol] for metric, values in series.items()
+            } == {
+                "committed": run.committed,
+                "failed": run.failed,
+                "data_bytes": stats.consistency_bytes(),
+                "messages": stats.total_messages,
+                "mean_latency_us": cluster.txn_stats.mean_latency * 1e6,
+                "deadlocks": cluster.lock_stats.deadlocks,
+            }
 
 
 class TestVersion:
@@ -104,14 +140,16 @@ class TestVersion:
             from importlib.metadata import version
             expected = version("repro")
         except Exception:
-            expected = "1.7.0"  # source-tree fallback
+            expected = "1.8.0"  # source-tree fallback
         assert repro.__version__ == expected
 
 
 class TestTrace:
+    """`repro run --trace-dir` traces the run and writes its artifacts."""
+
     def test_trace_writes_artifacts_and_summary(self, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"
-        code = main(["trace", "medium-high", "--scale", "0.08",
+        code = main(["run", "medium-high", "--scale", "0.08",
                      "--seed", "2", "--nodes", "3",
                      "--trace-dir", str(out_dir)])
         assert code == 0
@@ -139,13 +177,7 @@ class TestTrace:
         }
 
     def test_trace_summary_matches_network_stats(self, tmp_path, capsys):
-        from repro.runtime.cluster import Cluster
-        from repro.runtime.config import ClusterConfig
-        from repro.workload.generator import generate_workload
-        from repro.workload.params import SCENARIOS
-        from repro.workload.runner import run_workload
-
-        code = main(["trace", "medium-high", "--scale", "0.08",
+        code = main(["run", "medium-high", "--scale", "0.08",
                      "--seed", "2", "--nodes", "3",
                      "--trace-dir", str(tmp_path / "run")])
         assert code == 0
@@ -164,7 +196,7 @@ class TestTrace:
 
     def test_trace_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):
-            main(["trace", "tiny-high"])
+            main(["run", "tiny-high"])
 
 
 class TestOutputFormats:
@@ -196,7 +228,7 @@ class TestOutputFormats:
 
     def test_compare_writes_json(self, tmp_path, capsys):
         target = tmp_path / "compare.json"
-        code = main(["compare", "--scenario", "medium-high",
+        code = main(["compare", "--scenario", "medium-high", "--no-cache",
                      "--scale", "0.08", "--seed", "2", "--nodes", "3",
                      "--out", str(target)])
         assert code == 0
@@ -241,13 +273,18 @@ class TestBench:
 
 
 class TestChaos:
+    """`repro run --faults PRESET --check` runs a scenario under a fault
+    preset and gates on the whole judge."""
+
     def test_chaos_runs_and_gates_on_serializability(self, tmp_path, capsys):
         out_dir = tmp_path / "chaos"
-        code = main(["chaos", "lossy-net", "--scale", "0.1",
-                     "--seed", "5", "--trace-dir", str(out_dir)])
+        code = main(["run", "medium-high", "--faults", "lossy-net",
+                     "--scale", "0.1", "--seed", "5", "--check",
+                     "--trace-dir", str(out_dir)])
         assert code == 0
         out = capsys.readouterr().out
         assert "serializability: OK" in out
+        assert "invariants: OK" in out
         assert "messages dropped" in out
         assert "retransmissions" in out
 
@@ -262,22 +299,22 @@ class TestChaos:
     def test_chaos_without_out_writes_nothing(self, tmp_path, capsys,
                                               monkeypatch):
         monkeypatch.chdir(tmp_path)
-        code = main(["chaos", "lock-timeout", "--scale", "0.1",
-                     "--seed", "5"])
+        code = main(["run", "medium-high", "--faults", "lock-timeout",
+                     "--scale", "0.1", "--seed", "5", "--check"])
         assert code == 0
         assert "lock timeouts" in capsys.readouterr().out
         assert not list(tmp_path.iterdir())
 
     def test_chaos_unknown_preset_rejected(self):
         with pytest.raises(SystemExit):
-            main(["chaos", "no-such-preset"])
+            main(["run", "medium-high", "--faults", "no-such-preset"])
 
     def test_chaos_configuration_error_is_one_line(self, capsys):
         # A crash preset on a 1-node cluster is a ConfigurationError;
         # the CLI must turn it into a single stderr line and exit 1,
         # never a traceback.
-        code = main(["chaos", "crash-recover", "--nodes", "1",
-                     "--scale", "0.1"])
+        code = main(["run", "medium-high", "--faults", "crash-recover",
+                     "--nodes", "1", "--scale", "0.1", "--check"])
         assert code == 1
         captured = capsys.readouterr()
         err_lines = [line for line in captured.err.splitlines() if line]
@@ -302,6 +339,19 @@ class TestRun:
                 f"{locks['cycle_searches']} cycle searches, "
                 f"{locks['edge_refreshes']} edge refreshes"
                 ) in capsys.readouterr().out
+
+    def test_failing_verdict_fails_the_exit_code(self, capsys, monkeypatch):
+        from repro.check import Verdict
+
+        monkeypatch.setattr("repro.cli.judge", lambda cluster: Verdict(
+            serializable=False, oracle_detail=["O1: concurrent=1 serial=2"],
+        ))
+        code = main(["run", "medium-high", "--scale", "0.08", "--seed", "2",
+                     "--nodes", "3", "--check"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "serial-replay oracle: NOT equivalent" in err
+        assert "O1: concurrent=1 serial=2" in err
 
 
 class TestMainModule:

@@ -60,7 +60,6 @@ class TestProtocolFeatureMatrix:
             transfer_grain="object",
             prefetch="locks+pages",
             class_protocols=(("Synth0", "rc"), ("Synth1", "hlotec")),
-            allow_recursive_reads=True,
             gdo_cache_enabled=True,
         )
         assert cluster.protocol.name == "hlotec+lotec+rc"

@@ -179,20 +179,15 @@ class TestRecursionPreclusion:
         assert entry.decide(child_a, W) is GrantDecision.RECURSIVE
         assert entry.decide(child_a, R) is GrantDecision.RECURSIVE
 
-    def test_read_read_recursion_flag(self, entry):
+    def test_read_read_recursion_rejected(self, entry):
         root, child_a, _, _ = family()
         entry.grant(root, R)
         assert entry.decide(child_a, R) is GrantDecision.RECURSIVE
-        assert entry.decide(
-            child_a, R, allow_recursive_reads=True
-        ) is GrantDecision.GRANTED
 
     def test_write_recursion_never_allowed(self, entry):
         root, child_a, _, _ = family()
         entry.grant(root, R)
-        assert entry.decide(
-            child_a, W, allow_recursive_reads=True
-        ) is GrantDecision.RECURSIVE
+        assert entry.decide(child_a, W) is GrantDecision.RECURSIVE
 
 
 class TestAbortRelease:

@@ -258,9 +258,7 @@ class TestRecursionPreclusion:
         assert cluster.read_attr(a, "x") == 0
         assert cluster.read_attr(b, "x") == 0
 
-    def test_read_read_recursion_allowed_by_flag(self):
-        cluster = make_cluster(allow_recursive_reads=True)
-
+    def test_read_read_recursion_rejected(self, cluster):
         @shared_class
         class Reader:
             x = Attr(size=8, default=5)
@@ -276,7 +274,8 @@ class TestRecursionPreclusion:
                 return self.x
 
         reader = cluster.create(Reader)
-        assert cluster.call(reader, "outer", reader) == 10
+        with pytest.raises(RecursiveInvocationError):
+            cluster.call(reader, "outer", reader)
 
     def test_sibling_reuse_is_not_recursion(self, cluster):
         """Two siblings touching the same object is legal: retained by
