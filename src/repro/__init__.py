@@ -69,7 +69,7 @@ try:  # pragma: no cover - which branch runs depends on the install mode
 
     __version__ = _version("repro")
 except PackageNotFoundError:  # pragma: no cover
-    __version__ = "1.8.0"
+    __version__ = "1.9.0"
 
 # The experiment harness imports repro.__version__ (cache keys), so it
 # loads last.

@@ -31,6 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.config import ClusterConfig
 from repro.util.errors import ConfigurationError
+from repro.util.ids import TypedId
 from repro.workload.params import WorkloadParams
 
 
@@ -46,7 +47,7 @@ def _require_json_native(value, path: str) -> None:
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple)) and not isinstance(value, TypedId):
         for index, item in enumerate(value):
             _require_json_native(item, f"{path}[{index}]")
         return

@@ -22,7 +22,7 @@ retain the lock are ancestors of T."  Concurrent readers from
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.util.errors import ProtocolError
@@ -85,31 +85,33 @@ class GrantDecision(enum.Enum):
 class PageMapEntry:
     """Which node stores the most up-to-date version of one page."""
 
+    __slots__ = ("owner", "version")
     owner: NodeId
     version: int
 
 
-@dataclass
 class Waiter:
     """One queued lock request; ``wake`` is set by the lock manager to
     an object with ``succeed(payload)`` / ``fail(exc)`` (a sim event)."""
 
-    txn: object
-    mode: "LockMode"
-    wake: object = None
+    __slots__ = ("txn", "mode", "wake", "txn_id")
 
-    @property
-    def txn_id(self) -> TxnId:
-        return self.txn.id
+    def __init__(self, txn, mode: "LockMode", wake=None):
+        self.txn = txn
+        self.mode = mode
+        self.wake = wake
+        self.txn_id: TxnId = txn.id
 
 
-@dataclass
+@dataclass(eq=False)
 class _FamilyQueue:
-    """NonHoldersPtr element: waiting transactions of one family."""
+    """NonHoldersPtr element: waiting transactions of one family (one
+    queue per family, so identity is equality)."""
 
+    __slots__ = ("root", "site", "waiters")
     root: int
     site: NodeId
-    waiters: List[Waiter] = field(default_factory=list)
+    waiters: List[Waiter]
 
 
 class DirectoryEntry:

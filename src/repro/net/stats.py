@@ -59,14 +59,14 @@ class NetworkStats:
     """Aggregate, per-category, per-object, and per-node network counters.
 
     :meth:`record` runs once per wire copy of every message, so each
-    dimension keeps one dict keyed by a primitive — the category's
-    string value, the object's or node's integer — whose lookups hash
-    in C.  Keying by the :class:`MessageCategory` member costs a
-    Python-level ``Enum.__hash__`` per lookup, and by an id wrapper a
-    dataclass ``__hash__``.  A tally is created when the first message
-    it counts is recorded (so iteration is in first-use order) and
-    updated in place from then on; ``by_category``, ``by_object`` and
-    ``by_node`` view the same tallies under their typed keys.
+    dimension keeps one dict whose keys hash in C — the category's
+    string value, the object or node id itself.  Keying by the
+    :class:`MessageCategory` member would cost a Python-level
+    ``Enum.__hash__`` per lookup.  A tally is created when the first
+    message it counts is recorded (so iteration is in first-use order)
+    and updated in place from then on; ``by_category`` (under
+    :class:`MessageCategory` keys), ``by_object`` and ``by_node`` are
+    fresh dicts over the same live tallies.
     """
 
     total_bytes: int = 0
@@ -77,8 +77,8 @@ class NetworkStats:
         default_factory=lambda: defaultdict(int)
     )
     categories: Dict[str, CategoryTraffic] = field(default_factory=dict)
-    objects: Dict[int, ObjectTraffic] = field(default_factory=dict)
-    nodes: Dict[int, NodeTraffic] = field(default_factory=dict)
+    objects: Dict[ObjectId, ObjectTraffic] = field(default_factory=dict)
+    nodes: Dict[NodeId, NodeTraffic] = field(default_factory=dict)
 
     def record(self, message: Message, transfer_time: float) -> None:
         """Account one wire copy (attempt or duplicate) of a message."""
@@ -96,9 +96,9 @@ class NetworkStats:
         tally.messages += 1
         object_id = message.object_id
         if object_id is not None:
-            traffic = self.objects.get(object_id.value)
+            traffic = self.objects.get(object_id)
             if traffic is None:
-                traffic = self.objects[object_id.value] = ObjectTraffic()
+                traffic = self.objects[object_id] = ObjectTraffic()
             traffic.bytes += size_bytes
             traffic.messages += 1
             # `t * s / s`, not `t`: in IEEE doubles the two can differ
@@ -111,14 +111,14 @@ class NetworkStats:
                 traffic.data_bytes += size_bytes
                 traffic.data_messages += 1
         nodes = self.nodes
-        sender = nodes.get(message.src.value)
+        sender = nodes.get(message.src)
         if sender is None:
-            sender = nodes[message.src.value] = NodeTraffic()
+            sender = nodes[message.src] = NodeTraffic()
         sender.sent_bytes += size_bytes
         sender.sent_messages += 1
-        receiver = nodes.get(message.dst.value)
+        receiver = nodes.get(message.dst)
         if receiver is None:
-            receiver = nodes[message.dst.value] = NodeTraffic()
+            receiver = nodes[message.dst] = NodeTraffic()
         receiver.received_bytes += size_bytes
         receiver.received_messages += 1
 
@@ -139,14 +139,12 @@ class NetworkStats:
     @property
     def by_object(self) -> Dict[ObjectId, ObjectTraffic]:
         """Tallies per object, in first-use order."""
-        return {ObjectId(value): traffic
-                for value, traffic in self.objects.items()}
+        return dict(self.objects)
 
     @property
     def by_node(self) -> Dict[NodeId, NodeTraffic]:
         """Tallies per node, in first-use order."""
-        return {NodeId(value): traffic
-                for value, traffic in self.nodes.items()}
+        return dict(self.nodes)
 
     @property
     def by_category_bytes(self) -> Dict[MessageCategory, int]:
@@ -161,15 +159,15 @@ class NetworkStats:
                 for value, tally in self.categories.items()}
 
     def object_bytes(self, object_id: ObjectId) -> int:
-        traffic = self.objects.get(object_id.value)
+        traffic = self.objects.get(object_id)
         return traffic.bytes if traffic else 0
 
     def object_time(self, object_id: ObjectId) -> float:
-        traffic = self.objects.get(object_id.value)
+        traffic = self.objects.get(object_id)
         return traffic.time if traffic else 0.0
 
     def object_messages(self, object_id: ObjectId) -> int:
-        traffic = self.objects.get(object_id.value)
+        traffic = self.objects.get(object_id)
         return traffic.messages if traffic else 0
 
     def consistency_bytes(self) -> int:

@@ -116,7 +116,7 @@ class Transport(abc.ABC):
         """
         done = Delivery(self.env, message)
         message.send_time = now = self.env.now
-        if message.src.value == message.dst.value:
+        if message.src == message.dst:
             message.deliver_time = now
             done.succeed(message)
             return done
@@ -142,7 +142,7 @@ class Transport(abc.ABC):
         Only the surviving attempt reaches :meth:`_put_on_wire`.
         """
         message.send_time = now = self.env.now
-        if message.src.value == message.dst.value:
+        if message.src == message.dst:
             message.deliver_time = now
             return 0.0
         self._require_started()

@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
+from repro.util.ids import TypedId
 
 #: Event categories, used as the Chrome ``cat`` field and for filtering.
 CAT_TXN = "txn"
@@ -71,6 +72,8 @@ def sanitize(value):
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    if isinstance(value, TypedId):  # an id is a tuple: test it first
+        return repr(value)
     if isinstance(value, enum.Enum):
         return sanitize(value.value)
     if isinstance(value, dict):

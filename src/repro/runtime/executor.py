@@ -44,7 +44,7 @@ from repro.util.errors import (
     RecursiveInvocationError,
     TransactionAborted,
 )
-from repro.util.ids import NodeId, ObjectId
+from repro.util.ids import NodeId, ObjectId, TypedId
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,6 @@ class AccessAudit:
         return self.actual_writes <= self.predicted_writes
 
 
-@dataclass
 class _LiveFamily:
     """One in-flight root attempt, registered for crash targeting.
 
@@ -101,10 +100,13 @@ class _LiveFamily:
     commit atomic under fail-stop crashes.
     """
 
-    txn: Transaction
-    node: NodeId
-    process: object = None
-    committing: bool = False
+    __slots__ = ("txn", "node", "process", "committing")
+
+    def __init__(self, txn: Transaction, node: NodeId, process=None):
+        self.txn = txn
+        self.node = node
+        self.process = process
+        self.committing = False
 
 
 def freeze_args(args):
@@ -115,6 +117,8 @@ def freeze_args(args):
     of its shared ref, not a call — every root's args carry the table."""
     if isinstance(args, ObjectHandle):
         return args.ref
+    if isinstance(args, TypedId):  # an id is a tuple: keep its type
+        return args
     if isinstance(args, (tuple, list)):
         frozen = [item.ref if type(item) is ObjectHandle else freeze_args(item)
                   for item in args]
@@ -130,7 +134,7 @@ def _handles_in(args):
     found = []
     if isinstance(args, ObjectHandle):
         found.append(args.object_id)
-    elif isinstance(args, (tuple, list)):
+    elif isinstance(args, (tuple, list)) and not isinstance(args, TypedId):
         for item in args:
             found.extend(_handles_in(item))
     elif isinstance(args, dict):
@@ -143,6 +147,8 @@ def thaw_args(frozen, resolve):
     """Inverse of :func:`freeze_args`; ``resolve(value) -> handle``."""
     if isinstance(frozen, _HandleRef):
         return resolve(frozen.object_value)
+    if isinstance(frozen, TypedId):
+        return frozen
     if isinstance(frozen, tuple):
         return tuple(thaw_args(item, resolve) for item in frozen)
     if isinstance(frozen, list):

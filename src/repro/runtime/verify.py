@@ -72,11 +72,13 @@ def replay_serially(cluster: Cluster,
         # semantic_locks=False: the replay is the *plain* serial
         # semantics every semantic grant must be equivalent to — the
         # oracle must not inherit the relaxation it is judging.
+        # trace=False: the oracle compares states and results, so a
+        # trace of the replay would be recorded for nobody to read.
         config = replace(
             cluster.config, num_nodes=1, scheduler="round_robin",
             audit_accesses=False, faults=None, tiebreak="fifo",
             transport="sim", transport_processes=False,
-            semantic_locks=False,
+            semantic_locks=False, trace=False,
         )
     serial = Cluster(config)
     for record in cluster.creation_log:

@@ -79,6 +79,7 @@ class LockStats:
 
 @dataclass
 class _BlockedFamily:
+    __slots__ = ("object_id", "waiter", "txn")
     object_id: ObjectId
     waiter: Waiter
     txn: Transaction

@@ -25,7 +25,16 @@ class TxnState(enum.Enum):
 
 
 class Transaction:
-    """One [sub-]transaction and its recovery / locking state."""
+    """One [sub-]transaction and its recovery / locking state.
+
+    ``parent`` is fixed at construction, so ``root`` (the family's root
+    transaction) and ``is_root`` are plain attributes, not tree walks.
+    """
+
+    __slots__ = ("id", "node", "parent", "root", "is_root", "label",
+                 "children", "state", "undo", "dirty", "lock_objects",
+                 "pending_delay", "transfer_log", "touch_pages",
+                 "prefetch_maps", "_ancestor_ids", "depth")
 
     def __init__(self, txn_id: TxnId, node: NodeId,
                  parent: Optional["Transaction"] = None,
@@ -38,6 +47,8 @@ class Transaction:
         self.id = txn_id
         self.node = node
         self.parent = parent
+        self.is_root = parent is None
+        self.root: Transaction = self if parent is None else parent.root
         self.label = label
         self.children: List[Transaction] = []
         self.state = TxnState.ACTIVE
@@ -70,17 +81,6 @@ class Transaction:
             parent.children.append(self)
 
     # -- tree structure -------------------------------------------------------
-
-    @property
-    def is_root(self) -> bool:
-        return self.parent is None
-
-    @property
-    def root(self) -> "Transaction":
-        txn = self
-        while txn.parent is not None:
-            txn = txn.parent
-        return txn
 
     def is_ancestor_of(self, other: "Transaction") -> bool:
         """Proper ancestor test (a transaction is not its own ancestor)."""

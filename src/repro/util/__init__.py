@@ -8,7 +8,7 @@ from repro.util.errors import (
     RecursiveInvocationError,
     ProtocolError,
 )
-from repro.util.ids import IdAllocator, NodeId, ObjectId, PageId, TxnId
+from repro.util.ids import IdAllocator, NodeId, ObjectId, TxnId
 from repro.util.rng import SeededRNG, derive_seed
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "IdAllocator",
     "NodeId",
     "ObjectId",
-    "PageId",
     "TxnId",
     "SeededRNG",
     "derive_seed",

@@ -1,78 +1,102 @@
-"""Typed identifiers for nodes, objects, pages, and transactions.
+"""Typed identifiers for nodes, objects, and transactions.
 
 The paper's data structures key on ``<transaction id, node id>`` pairs
-(GDO holder lists) and ``(object, page)`` pairs (page maps).  We give
-each of these a small, hashable, ordered NewType-style wrapper so that
-mixing them up is caught early and ``repr`` output in logs and test
-failures is self-describing.
+(GDO holder lists) and per-object entries.  We give each of these a
+small, hashable, ordered wrapper so that mixing them up is caught early
+and ``repr`` output in logs and test failures is self-describing.
+
+Every id is a ``tuple`` whose first item is a per-type tag: ``NodeId``
+is ``(0, value)``, ``ObjectId`` is ``(1, value)`` and ``TxnId`` is
+``(2, serial, root)``.  The tag keeps ids of different types unequal
+(``NodeId(1) != ObjectId(1)``) while hashing, equality and ordering run
+as C tuple operations — ids key every holder dict, page map and release
+sort on the hot path.  Because an id *is* a tuple, any code that walks
+arbitrary values and treats tuples as containers must test for
+:class:`TypedId` first (DESIGN §14).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
+
+_FIRST = itemgetter(1)
+_SECOND = itemgetter(2)
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
+class TypedId(tuple):
+    """Base of the tagged-tuple ids; test ``isinstance(x, TypedId)``
+    before treating a value as a plain tuple."""
+
+    __slots__ = ()
+
+
+class NodeId(TypedId):
     """Identifier of a node (site) in the simulated cluster."""
 
-    value: int
+    __slots__ = ()
+
+    def __new__(cls, value: int) -> "NodeId":
+        return tuple.__new__(cls, (0, value))
+
+    def __getnewargs__(self):
+        return (self[1],)
+
+    value = property(_FIRST)
 
     def __repr__(self) -> str:
-        return f"N{self.value}"
+        return f"N{self[1]}"
 
 
-@dataclass(frozen=True, order=True)
-class ObjectId:
+class ObjectId(TypedId):
     """Identifier of a shared object registered in the GDO."""
 
-    value: int
+    __slots__ = ()
+
+    def __new__(cls, value: int) -> "ObjectId":
+        return tuple.__new__(cls, (1, value))
+
+    def __getnewargs__(self):
+        return (self[1],)
+
+    value = property(_FIRST)
 
     def __repr__(self) -> str:
-        return f"O{self.value}"
+        return f"O{self[1]}"
 
 
-@dataclass(frozen=True, order=True)
-class PageId:
-    """Identifier of one page of one object.
-
-    Pages are object-relative: ``PageId(ObjectId(3), 2)`` is the third
-    page of object O3.  The paper tracks per-object page maps in the GDO,
-    so pages never need a global flat namespace.
-    """
-
-    object_id: ObjectId
-    index: int
-
-    def __repr__(self) -> str:
-        return f"{self.object_id!r}.p{self.index}"
-
-
-@dataclass(frozen=True, order=True)
-class TxnId:
+class TxnId(TypedId):
     """Identifier of a [sub-]transaction.
 
     ``root`` is the identifier of the family's root transaction so that
     family membership tests (rule 1 of §4.1) are O(1); ``serial`` orders
     transactions globally and doubles as the age used by the deadlock
-    detector's youngest-victim policy.
+    detector's youngest-victim policy.  Ids sort by ``(serial, root)``.
     """
 
-    serial: int
-    root: int
+    __slots__ = ()
+
+    def __new__(cls, serial: int, root: int) -> "TxnId":
+        return tuple.__new__(cls, (2, serial, root))
+
+    def __getnewargs__(self):
+        return (self[1], self[2])
+
+    serial = property(_FIRST)
+    root = property(_SECOND)
 
     @property
     def is_root(self) -> bool:
-        return self.serial == self.root
+        return self[1] == self[2]
 
     def same_family(self, other: "TxnId") -> bool:
-        return self.root == other.root
+        return self[2] == other[2]
 
     def __repr__(self) -> str:
-        if self.is_root:
-            return f"T{self.serial}"
-        return f"T{self.serial}/r{self.root}"
+        if self[1] == self[2]:
+            return f"T{self[1]}"
+        return f"T{self[1]}/r{self[2]}"
 
 
 @dataclass
@@ -96,7 +120,7 @@ class IdAllocator:
 
     def next_root_txn(self) -> TxnId:
         serial = next(self._txns)
-        return TxnId(serial=serial, root=serial)
+        return TxnId(serial, serial)
 
     def next_sub_txn(self, parent: TxnId) -> TxnId:
-        return TxnId(serial=next(self._txns), root=parent.root)
+        return TxnId(next(self._txns), parent[2])

@@ -17,6 +17,7 @@ from typing import Dict, Optional
 
 from repro.runtime.executor import _HandleRef
 from repro.util.errors import ConfigurationError
+from repro.util.ids import NodeId, ObjectId, TxnId, TypedId
 from repro.workload.generator import PlanNode, Workload, generate_workload
 from repro.workload.params import WorkloadParams
 
@@ -101,11 +102,17 @@ def load_workload(path: str) -> Workload:
 # Run reports
 # ---------------------------------------------------------------------------
 
+#: Id classes by their tuple tag (see :mod:`repro.util.ids`).
+_ID_TYPES = (NodeId, ObjectId, TxnId)
+
+
 def _freeze_to_json(value):
     if isinstance(value, _HandleRef):
         return {"__handle__": value.object_value}
     if isinstance(value, PlanNode):
         return {"__plan__": _plan_to_dict(value)}
+    if isinstance(value, TypedId):  # an id is a tuple: test it first
+        return {"__id__": list(value)}
     if isinstance(value, tuple):
         return {"__tuple__": [_freeze_to_json(item) for item in value]}
     if isinstance(value, list):
@@ -123,6 +130,9 @@ def _freeze_from_json(value):
             return _plan_from_dict(value["__plan__"])
         if "__tuple__" in value and len(value) == 1:
             return tuple(_freeze_from_json(item) for item in value["__tuple__"])
+        if "__id__" in value and len(value) == 1:
+            tag, *fields = value["__id__"]
+            return _ID_TYPES[tag](*fields)
         return {key: _freeze_from_json(item) for key, item in value.items()}
     if isinstance(value, list):
         return [_freeze_from_json(item) for item in value]

@@ -18,6 +18,7 @@ from repro.bench import (
 from repro.bench.experiments import BUILDERS
 from repro.bench.parallel import execute_run
 from repro.runtime.config import ClusterConfig
+from repro.util.ids import NodeId, ObjectId, TxnId
 from repro.workload.params import SCENARIOS
 
 TINY = dict(seed=3, scale=0.08, num_nodes=3)
@@ -222,6 +223,18 @@ class TestRunSpecValidation:
                 key="k",
                 config=ClusterConfig(num_nodes=3, seed=3),
                 builder="custom", builder_args=(("map", {1: "x"}),),
+            )
+
+    @pytest.mark.parametrize("value", [NodeId(1), ObjectId(2),
+                                       TxnId(serial=3, root=3)])
+    def test_ids_rejected_though_they_are_tuples(self, value):
+        from repro.util.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="not JSON-native"):
+            RunSpec(
+                key="k",
+                config=ClusterConfig(num_nodes=3, seed=3),
+                builder="custom", builder_args=(("node", [value]),),
             )
 
     def test_json_native_payload_accepted_and_strictly_keyed(self, tmp_path):

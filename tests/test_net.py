@@ -350,7 +350,7 @@ class TestAccountingIndexes:
         messages = []
         for _ in range(300):
             # Fresh, equal-valued id instances every time: the tallies
-            # key on values, the views on the ids themselves.
+            # must key on id equality, not identity.
             object_id = (None if rng.random() < 0.2
                          else ObjectId(rng.randrange(6)))
             message = Message(
@@ -387,8 +387,8 @@ class TestAccountingIndexes:
         stats.record(msg(object_id=ObjectId(1)), 0.1)
         assert traffic.messages == node.sent_messages == \
             category.messages == 2
-        assert traffic is stats.objects[1]
-        assert node is stats.nodes[0]
+        assert traffic is stats.objects[ObjectId(1)]
+        assert node is stats.nodes[N0]
         assert category is stats.categories["page_data"]
 
 

@@ -176,6 +176,12 @@ class TestSanitize:
         value = {"k": (NodeId(0), [ObjectId(1)])}
         assert sanitize(value) == {"k": ["N0", ["O1"]]}
 
+    def test_ids_nested_anywhere_render_as_reprs(self):
+        """Ids are tuples: sanitize must not export them as lists."""
+        value = {NodeId(4): [TxnId(serial=9, root=4)],
+                 "s": {ObjectId(2), ObjectId(1)}}
+        assert sanitize(value) == {"N4": ["T9/r4"], "s": ["O1", "O2"]}
+
 
 class TestTracerCore:
     def make(self):

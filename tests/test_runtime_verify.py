@@ -8,7 +8,10 @@ flags them.
 import pytest
 
 from repro import check_serializability, replay_serially
-from repro.runtime.executor import freeze_args, thaw_args, _HandleRef
+from repro.runtime.executor import (
+    _HandleRef, _handles_in, freeze_args, thaw_args,
+)
+from repro.util.ids import NodeId, ObjectId, TxnId
 
 from conftest import Counter, Orchestrator, make_cluster
 
@@ -59,6 +62,16 @@ class TestFreezeThaw:
         assert freeze_args(data) == data
         assert thaw_args(data, lambda v: v) == data
 
+    def test_ids_keep_their_type(self):
+        """An id is a tuple; freezing must not flatten it to a plain one."""
+        data = (NodeId(2), [ObjectId(3)], {"k": TxnId(serial=5, root=1)})
+        for result in (freeze_args(data), thaw_args(data, lambda v: v)):
+            assert result == data
+            assert type(result[0]) is NodeId
+            assert type(result[1][0]) is ObjectId
+            assert type(result[2]["k"]) is TxnId
+        assert _handles_in(data) == []
+
 
 class TestReplay:
     def test_replay_reproduces_state(self, busy_cluster):
@@ -69,6 +82,16 @@ class TestReplay:
         serial = replay_serially(busy_cluster)
         assert serial.registry.all_objects() == \
             busy_cluster.registry.all_objects()
+
+    def test_replay_of_traced_cluster_does_not_trace(self):
+        traced = make_cluster(protocol="lotec", seed=13, trace=True)
+        counter = traced.create(Counter)
+        traced.submit(counter, "add", 1)
+        traced.run()
+        assert traced.trace_events
+        serial = replay_serially(traced)
+        assert serial.config.trace is False
+        assert not serial.tracer.enabled and not serial.trace_events
 
     def test_report_counts_commits(self, busy_cluster):
         report = check_serializability(busy_cluster)

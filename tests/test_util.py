@@ -1,5 +1,8 @@
 """Unit tests for identifiers, seeded RNG streams, and errors."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.util.errors import (
@@ -8,7 +11,7 @@ from repro.util.errors import (
     ReproError,
     TransactionAborted,
 )
-from repro.util.ids import IdAllocator, NodeId, ObjectId, PageId, TxnId
+from repro.util.ids import IdAllocator, NodeId, ObjectId, TxnId
 from repro.util.rng import SeededRNG, derive_seed
 
 
@@ -16,7 +19,6 @@ class TestIds:
     def test_reprs(self):
         assert repr(NodeId(3)) == "N3"
         assert repr(ObjectId(5)) == "O5"
-        assert repr(PageId(ObjectId(5), 2)) == "O5.p2"
         assert repr(TxnId(serial=4, root=4)) == "T4"
         assert repr(TxnId(serial=9, root=4)) == "T9/r4"
 
@@ -31,6 +33,38 @@ class TestIds:
     def test_ids_hashable_and_ordered(self):
         assert NodeId(1) < NodeId(2)
         assert len({ObjectId(1), ObjectId(1), ObjectId(2)}) == 2
+
+    def test_ids_of_different_types_unequal(self):
+        assert NodeId(1) != ObjectId(1)
+        assert len({NodeId(1), ObjectId(1), TxnId(serial=1, root=1)}) == 3
+        assert NodeId(1) == NodeId(1) and hash(NodeId(1)) == hash(NodeId(1))
+
+    def test_txn_ids_sort_by_serial_then_root(self):
+        ids = [TxnId(serial=5, root=1), TxnId(serial=2, root=2),
+               TxnId(serial=5, root=0)]
+        assert sorted(ids) == [TxnId(serial=2, root=2),
+                               TxnId(serial=5, root=0),
+                               TxnId(serial=5, root=1)]
+
+    def test_fields_and_keyword_construction(self):
+        txn = TxnId(serial=9, root=4)
+        assert (txn.serial, txn.root) == (9, 4) and txn == TxnId(9, 4)
+        assert NodeId(value=3).value == 3 and ObjectId(value=5).value == 5
+
+    @pytest.mark.parametrize("value", [NodeId(3), ObjectId(5),
+                                       TxnId(serial=9, root=4)])
+    def test_pickle_and_copy_round_trip(self, value):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert back == value and type(back) is type(value)
+        assert copy.deepcopy(value) == value
+        assert type(copy.deepcopy(value)) is type(value)
+
+    def test_ids_are_immutable(self):
+        with pytest.raises(AttributeError):
+            NodeId(1).value = 2
+        with pytest.raises(AttributeError):
+            NodeId(1).extra = 2
 
     def test_allocator_monotonic(self):
         alloc = IdAllocator()

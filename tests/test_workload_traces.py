@@ -6,6 +6,7 @@ import pytest
 
 from repro.runtime import Cluster, ClusterConfig
 from repro.util.errors import ConfigurationError
+from repro.util.ids import NodeId, ObjectId, TxnId
 from repro.workload import (
     WorkloadParams,
     diff_run_reports,
@@ -17,6 +18,7 @@ from repro.workload import (
     save_workload,
     workload_fingerprint,
 )
+from repro.workload.traces import _freeze_from_json, _freeze_to_json
 
 SMALL = WorkloadParams(num_objects=6, num_classes=2, num_roots=10,
                        pages_min=1, pages_max=3)
@@ -103,6 +105,14 @@ class TestRunReports:
         diff = diff_run_reports(full, truncated)
         assert not diff["same_commits"]
         assert diff["only_left"]
+
+    def test_ids_survive_the_json_round_trip(self):
+        value = (NodeId(2), [ObjectId(3)], {"k": TxnId(serial=9, root=4)})
+        back = _freeze_from_json(json.loads(json.dumps(
+            _freeze_to_json(value))))
+        assert back == value
+        assert type(back[0]) is NodeId and type(back[1][0]) is ObjectId
+        assert type(back[2]["k"]) is TxnId
 
     def test_report_format_checked(self, tmp_path):
         path = tmp_path / "junk.json"
