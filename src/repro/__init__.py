@@ -31,6 +31,8 @@ the virtual clock — pass ``transport="tcp"`` (and optionally
 :class:`Transport` / :class:`SimTransport` / :class:`TcpTransport`.
 """
 
+import importlib
+
 from repro.faults import FAULT_PRESETS, CrashEvent, FaultPlan
 from repro.net import SimTransport, Transport
 from repro.net.network_config import NetworkConfig
@@ -60,26 +62,7 @@ from repro.util.errors import (
     ReproError,
     TransactionAborted,
 )
-
-# Single source of truth is the installed package metadata
-# (pyproject.toml); the literal fallback covers running straight from
-# a source tree that was never pip-installed.
-try:  # pragma: no cover - which branch runs depends on the install mode
-    from importlib.metadata import PackageNotFoundError, version as _version
-
-    __version__ = _version("repro")
-except PackageNotFoundError:  # pragma: no cover
-    __version__ = "1.9.0"
-
-# The experiment harness imports repro.__version__ (cache keys), so it
-# loads last.
-from repro.bench import (  # noqa: E402
-    ExperimentResult,
-    ExperimentRunner,
-    ResultCache,
-    run_experiment,
-)
-from repro.check import (  # noqa: E402
+from repro.check import (
     FuzzTask,
     check_reference_model,
     run_campaign,
@@ -135,11 +118,37 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # Lazy, mirroring repro.net: the TCP backend's socket machinery
-    # loads only when the real-socket transport is requested.
-    if name == "TcpTransport":
-        from repro.net.tcp import TcpTransport
+#: Names that load on first access, with the module that defines them:
+#: ``import repro`` loads the runtime and the judges, not the
+#: experiment harness (``multiprocessing``, the experiment table) or
+#: the TCP backend's socket machinery.
+_LAZY = {
+    "ExperimentResult": "repro.bench",
+    "ExperimentRunner": "repro.bench",
+    "ResultCache": "repro.bench",
+    "run_experiment": "repro.bench",
+    "TcpTransport": "repro.net.tcp",
+}
 
-        return TcpTransport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __getattr__(name):
+    if name == "__version__":
+        global __version__
+        __version__ = _installed_version()
+        return __version__
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
+
+def _installed_version() -> str:
+    # Single source of truth is the installed package metadata
+    # (pyproject.toml); the literal fallback covers running straight
+    # from a source tree that was never pip-installed.
+    try:  # pragma: no cover - which branch runs depends on the install mode
+        from importlib.metadata import PackageNotFoundError, version
+
+        return version("repro")
+    except PackageNotFoundError:  # pragma: no cover
+        return "1.10.0"

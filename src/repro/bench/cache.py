@@ -33,7 +33,7 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 def _package_version() -> str:
-    from repro import __version__  # lazy: repro imports repro.bench
+    from repro import __version__
 
     return __version__
 

@@ -13,12 +13,17 @@ fault plan cannot perturb arrivals and vice versa (proved by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.load.scenario import LOAD_SCENARIOS, LoadScenario
 from repro.util.rng import SeededRNG
-from repro.workload.generator import PlanNode, Workload, pick_method
-from repro.workload.synth import SyntheticClassFactory, SyntheticClassInfo
+from repro.workload.generator import (
+    ObjectPicker,
+    Workload,
+    pick_outside,
+    plan_builder,
+)
+from repro.workload.synth import SyntheticClassFactory
 
 
 @dataclass
@@ -81,10 +86,12 @@ def build_load(scenario_or_name, seed: int, scale: float = 1.0,
         scenario.num_roots, rng.derive("arrivals")
     )
     plan_rng = rng.derive("plans")
-    plans = [
-        _build_plan(plan_rng, scenario, classes, object_classes, client)
-        for client in clients
-    ]
+    # Load plans draw no injected-abort flag: the stream is the one the
+    # load engine has always produced.
+    build = plan_builder(plan_rng, params, classes, object_classes,
+                         draw_abort=False)
+    plans = [build(_client_picker(plan_rng, scenario, client))
+             for client in clients]
     base = Workload(
         params=params, classes=classes, object_classes=object_classes,
         plans=[], arrival_offsets=[],
@@ -96,63 +103,25 @@ def build_load(scenario_or_name, seed: int, scale: float = 1.0,
                 clients=clients)
 
 
-def _pick_object(rng: SeededRNG, scenario: LoadScenario, client: int,
-                 path: set) -> Optional[int]:
-    """One object draw for ``client``: own block with probability
+def _client_picker(rng: SeededRNG, scenario: LoadScenario,
+                   client: int) -> ObjectPicker:
+    """Object draws for ``client``: own block with probability
     ``locality``, global Zipf otherwise; never an ancestor (§3.4)."""
-    if rng.maybe(scenario.locality):
-        start = client * scenario.block_size
+    locality, skew = scenario.locality, scenario.skew
+    num_objects, block_size = scenario.num_objects, scenario.block_size
+    start = client * block_size
+    maybe, zipf_index = rng.maybe, rng.zipf_index
+
+    def pick(path: set) -> Optional[int]:
+        if maybe(locality):
+            for _ in range(12):
+                candidate = start + zipf_index(block_size, skew)
+                if candidate not in path:
+                    return candidate
         for _ in range(12):
-            candidate = start + rng.zipf_index(scenario.block_size,
-                                               scenario.skew)
+            candidate = zipf_index(num_objects, skew)
             if candidate not in path:
                 return candidate
-    for _ in range(12):
-        candidate = rng.zipf_index(scenario.num_objects, scenario.skew)
-        if candidate not in path:
-            return candidate
-    remaining = [
-        index for index in range(scenario.num_objects) if index not in path
-    ]
-    if not remaining:
-        return None
-    return rng.choice(remaining)
+        return pick_outside(rng, num_objects, path)
 
-
-def _build_plan(rng: SeededRNG, scenario: LoadScenario,
-                classes: Sequence[SyntheticClassInfo],
-                object_classes: Sequence[int], client: int) -> PlanNode:
-    root_obj = _pick_object(rng, scenario, client, path=set())
-    return _build_node(rng, scenario, classes, object_classes, client,
-                       obj_index=root_obj, depth=0, path={root_obj})
-
-
-def _build_node(rng: SeededRNG, scenario: LoadScenario,
-                classes: Sequence[SyntheticClassInfo],
-                object_classes: Sequence[int], client: int,
-                obj_index: int, depth: int, path: set) -> PlanNode:
-    info = classes[object_classes[obj_index]]
-    method_name = pick_method(rng, info, scenario.update_fraction)
-    children: List[PlanNode] = []
-    if depth < scenario.max_depth:
-        # Same geometric branching decay as the closed-loop generator.
-        expected = scenario.mean_branch / (depth + 1)
-        count = 0
-        while rng.random() < expected / (expected + 1) and count < 6:
-            count += 1
-        for _ in range(count):
-            child_obj = _pick_object(rng, scenario, client, path)
-            if child_obj is None:
-                break
-            path.add(child_obj)
-            children.append(
-                _build_node(rng, scenario, classes, object_classes, client,
-                            obj_index=child_obj, depth=depth + 1, path=path)
-            )
-            path.discard(child_obj)
-    return PlanNode(
-        obj_index=obj_index,
-        method_name=method_name,
-        salt=rng.randint(0, (1 << 31) - 1),
-        children=tuple(children),
-    )
+    return pick

@@ -70,7 +70,10 @@ __all__ = ["TcpTransport", "read_envelope", "write_envelope"]
 
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
-#: Bytes asked of the kernel per readable socket.
+#: Bytes asked of the kernel per readable socket.  They land in one
+#: buffer per transport (``recv_into``): a fresh 256 KiB object per read
+#: made the allocator grow and trim the heap top on every read in some
+#: heap layouts, a page fault per 4 KiB.
 _RECV_BYTES = 1 << 18
 
 
@@ -175,6 +178,7 @@ class TcpTransport(Transport):
         self._uplinks: Dict[int, _Link] = {}  # processes mode: node -> link
         self._ports: Dict[int, int] = {}
         self._children: List[subprocess.Popen] = []
+        self._recv_view = memoryview(bytearray(_RECV_BYTES))
         self._started = False
         self._closed = False
         env.attach_source(self)
@@ -394,19 +398,19 @@ class TcpTransport(Transport):
     def _read(self, link: _Link) -> bool:
         """Take what ``link`` has and fire every whole frame in it."""
         try:
-            chunk = link.sock.recv(_RECV_BYTES)
+            count = link.sock.recv_into(self._recv_view)
         except BlockingIOError:
             return False
         except ConnectionResetError:
-            chunk = b""
-        if not chunk:
+            count = 0
+        if not count:
             # The peer went away: frames still owed on this link never
             # land, and the run loop's stall timeout reports them.
             link.reading = False
             self._watch(link)
             return False
         buf = link.inbuf
-        buf += chunk
+        buf += self._recv_view[:count]
         self.env.advance()
         used = 0
         while len(buf) - used >= FRAME_PREFIX_BYTES:

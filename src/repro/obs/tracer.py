@@ -29,7 +29,7 @@ thread-local context.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -60,7 +60,11 @@ class TraceEvent:
     args: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        # Shallow: ``args`` is already JSON primitives (sanitize), and
+        # no exporter, checker or the reference model mutates it.
+        return {"ts": self.ts, "name": self.name, "category": self.category,
+                "phase": self.phase, "dur": self.dur, "node": self.node,
+                "track": self.track, "args": self.args}
 
 
 def sanitize(value):

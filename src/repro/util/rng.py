@@ -13,9 +13,16 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional, Sequence, TypeVar
+from bisect import bisect
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
+
+#: Zipf cumulative weights and their float total, per ``(n, skew)``.
+#: A process meets a handful of pairs (one per scenario shape), so the
+#: table stays small.
+_ZIPF_CDF: Dict[Tuple[int, float], Tuple[List[float], float]] = {}
 
 
 def derive_seed(master: int, *labels: object) -> int:
@@ -63,25 +70,30 @@ class SeededRNG:
     def sample(self, seq: Sequence[T], k: int) -> list:
         return self._random.sample(seq, k)
 
-    def shuffle(self, seq: list) -> None:
-        self._random.shuffle(seq)
-
-    def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
-        return self._random.choices(items, weights=weights, k=1)[0]
-
     def zipf_index(self, n: int, skew: float) -> int:
         """Draw an index in [0, n) with Zipf-like skew.
 
         ``skew == 0`` is uniform; larger values concentrate probability
         on low indices.  Used to model the paper's "high" vs "moderate"
         contention: high contention = strong skew onto few hot objects.
+
+        The draw is the arithmetic of ``Random.choices(range(n),
+        weights=[1.0 / (rank + 1) ** skew ...])`` on a cumulative table
+        built once per ``(n, skew)``: one ``random()`` per draw, the
+        same total and the same bisection, so every stream is the one
+        ``choices`` would produce, draw for draw.
         """
         if n <= 0:
             raise ValueError("n must be positive")
         if skew <= 0:
             return self._random.randrange(n)
-        weights = [1.0 / (rank + 1) ** skew for rank in range(n)]
-        return self._random.choices(range(n), weights=weights, k=1)[0]
+        table = _ZIPF_CDF.get((n, skew))
+        if table is None:
+            cum = list(accumulate(1.0 / (rank + 1) ** skew
+                                  for rank in range(n)))
+            table = _ZIPF_CDF[n, skew] = (cum, cum[-1] + 0.0)
+        cum, total = table
+        return bisect(cum, self._random.random() * total, 0, n - 1)
 
     def maybe(self, probability: float) -> bool:
         """Return True with the given probability."""

@@ -15,11 +15,14 @@ such mutually recursive invocations are infrequent in practice").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.util.rng import SeededRNG
 from repro.workload.params import WorkloadParams
 from repro.workload.synth import SyntheticClassFactory, SyntheticClassInfo
+
+#: ``pick(path)``: an object index outside ``path``, or ``None``.
+ObjectPicker = Callable[[set], Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,7 @@ class Workload:
         ancestor path (§3.4 recursion preclusion).
         """
         plans = list(plans)
-        for plan in plans:
-            self._validate_plan(plan, path=frozenset())
+        self._validate_plans(plans)
         if arrival_offsets is None:
             offsets = [0.0] * len(plans)
         else:
@@ -107,25 +109,36 @@ class Workload:
             arrival_offsets=offsets,
         )
 
-    def _validate_plan(self, plan: PlanNode, path: frozenset) -> None:
-        if not 0 <= plan.obj_index < self.num_objects:
-            raise ValueError(
-                f"plan references object {plan.obj_index}; workload has "
-                f"{self.num_objects} objects"
-            )
-        if plan.obj_index in path:
-            raise ValueError(
-                f"plan recursively invokes object {plan.obj_index} "
-                f"(precluded, §3.4)"
-            )
-        schema = self.class_of(plan.obj_index).schema
-        if plan.method_name not in schema.methods:
-            raise ValueError(
-                f"object {plan.obj_index} ({schema.name}) has no method "
-                f"{plan.method_name!r}"
-            )
-        for child in plan.children:
-            self._validate_plan(child, path | {plan.obj_index})
+    def _validate_plans(self, plans: Sequence[PlanNode]) -> None:
+        num_objects = self.num_objects
+        schemas = [self.classes[index].schema for index in self.object_classes]
+        path: set = set()  # objects on the current invocation path
+
+        def visit(plan: PlanNode) -> None:
+            obj_index = plan.obj_index
+            if not 0 <= obj_index < num_objects:
+                raise ValueError(
+                    f"plan references object {obj_index}; workload has "
+                    f"{num_objects} objects"
+                )
+            if obj_index in path:
+                raise ValueError(
+                    f"plan recursively invokes object {obj_index} "
+                    f"(precluded, §3.4)"
+                )
+            schema = schemas[obj_index]
+            if plan.method_name not in schema.methods:
+                raise ValueError(
+                    f"object {obj_index} ({schema.name}) has no method "
+                    f"{plan.method_name!r}"
+                )
+            path.add(obj_index)
+            for child in plan.children:
+                visit(child)
+            path.discard(obj_index)
+
+        for plan in plans:
+            visit(plan)
 
 
 def generate_workload(params: WorkloadParams, seed: int,
@@ -148,10 +161,10 @@ def generate_workload(params: WorkloadParams, seed: int,
         for _ in range(params.num_objects)
     ]
     plan_rng = rng.derive("plans")
-    plans = [
-        _generate_plan(plan_rng, params, classes, object_classes)
-        for _ in range(params.num_roots)
-    ]
+    build = plan_builder(plan_rng, params, classes, object_classes,
+                         draw_abort=True)
+    pick = zipf_picker(plan_rng, params.num_objects, params.skew)
+    plans = [build(pick) for _ in range(params.num_roots)]
     arrival_rng = rng.derive("arrivals")
     offsets: List[float] = []
     clock = 0.0
@@ -165,74 +178,95 @@ def generate_workload(params: WorkloadParams, seed: int,
     )
 
 
-def _generate_plan(rng: SeededRNG, params: WorkloadParams,
-                   classes: Sequence[SyntheticClassInfo],
-                   object_classes: Sequence[int]) -> PlanNode:
-    root_obj = rng.zipf_index(params.num_objects, params.skew)
-    return _generate_node(rng, params, classes, object_classes,
-                          obj_index=root_obj, depth=0, path={root_obj})
+def plan_builder(rng: SeededRNG, params: WorkloadParams,
+                 classes: Sequence[SyntheticClassInfo],
+                 object_classes: Sequence[int],
+                 draw_abort: bool) -> Callable[[ObjectPicker], PlanNode]:
+    """The one plan-tree builder, shared with :mod:`repro.load.engine`.
 
-
-def pick_method(rng: SeededRNG, info: SyntheticClassInfo,
-                update_fraction: float) -> str:
-    """Draw one method from a class's menu, biased toward updaters.
-
-    Public so alternative plan builders (:mod:`repro.load.engine`)
-    share the exact update/read mix semantics of the generator."""
-    if info.update_methods and (
-        not info.read_methods or rng.maybe(update_fraction)
-    ):
-        return rng.choice(info.update_methods)
-    return rng.choice(info.read_methods)
-
-
-_pick_method = pick_method  # historic private name
-
-
-def _generate_node(rng: SeededRNG, params: WorkloadParams,
-                   classes: Sequence[SyntheticClassInfo],
-                   object_classes: Sequence[int],
-                   obj_index: int, depth: int, path: set) -> PlanNode:
-    info = classes[object_classes[obj_index]]
-    method_name = _pick_method(rng, info, params.update_fraction)
-    children: List[PlanNode] = []
-    if depth < params.max_depth:
-        # Branching decays geometrically with depth so trees stay small
-        # but occasionally run deep.
+    Returns ``build(pick)``, which grows one root plan.  ``pick(path)``
+    draws an object index outside ``path`` (the current invocation
+    path, precluding recursion, §3.4), or ``None`` when none is left.
+    Per node the draws are, in order: the method (biased toward
+    updaters), the branch count, each child's object and subtree depth
+    first, the salt, and — only when ``draw_abort`` — the injected
+    abort flag.  The root's object is ``pick`` on an empty path.
+    """
+    update_fraction = params.update_fraction
+    abort_probability = params.abort_probability
+    max_depth = params.max_depth
+    # Branching decays geometrically with depth so trees stay small but
+    # occasionally run deep: one more child while random() < threshold.
+    thresholds = []
+    for depth in range(max_depth):
         expected = params.mean_branch / (depth + 1)
-        count = 0
-        while rng.random() < expected / (expected + 1) and count < 6:
-            count += 1
-        for _ in range(count):
-            child_obj = _pick_child_object(rng, params, path)
-            if child_obj is None:
-                break
-            path.add(child_obj)
-            children.append(
-                _generate_node(rng, params, classes, object_classes,
-                               obj_index=child_obj, depth=depth + 1,
-                               path=path)
-            )
-            path.discard(child_obj)
-    return PlanNode(
-        obj_index=obj_index,
-        method_name=method_name,
-        salt=rng.randint(0, (1 << 31) - 1),
-        children=tuple(children),
-        inject_abort=rng.maybe(params.abort_probability),
+        thresholds.append(expected / (expected + 1))
+    menus = [
+        (classes[index].update_methods, classes[index].read_methods)
+        for index in object_classes
+    ]
+    random, maybe, choice, randint = (
+        rng.random, rng.maybe, rng.choice, rng.randint
     )
 
+    def node(obj_index: int, depth: int, path: set,
+             pick: ObjectPicker) -> PlanNode:
+        updaters, readers = menus[obj_index]
+        if updaters and (not readers or maybe(update_fraction)):
+            method_name = choice(updaters)
+        else:
+            method_name = choice(readers)
+        children: List[PlanNode] = []
+        if depth < max_depth:
+            threshold = thresholds[depth]
+            count = 0
+            while random() < threshold and count < 6:
+                count += 1
+            for _ in range(count):
+                child_obj = pick(path)
+                if child_obj is None:
+                    break
+                path.add(child_obj)
+                children.append(node(child_obj, depth + 1, path, pick))
+                path.discard(child_obj)
+        salt = randint(0, (1 << 31) - 1)
+        return PlanNode(
+            obj_index=obj_index,
+            method_name=method_name,
+            salt=salt,
+            children=tuple(children),
+            inject_abort=draw_abort and maybe(abort_probability),
+        )
 
-def _pick_child_object(rng: SeededRNG, params: WorkloadParams,
-                       path: set) -> Optional[int]:
-    """Zipf-skewed object choice avoiding the current invocation path
-    (precluding recursion, §3.4).  Bounded rejection sampling: heavy
-    skew can make every draw land on an ancestor."""
-    for _ in range(12):
-        candidate = rng.zipf_index(params.num_objects, params.skew)
-        if candidate not in path:
-            return candidate
-    remaining = [i for i in range(params.num_objects) if i not in path]
+    def build(pick: ObjectPicker) -> PlanNode:
+        root_obj = pick(set())
+        return node(root_obj, 0, {root_obj}, pick)
+
+    return build
+
+
+def zipf_picker(rng: SeededRNG, num_objects: int,
+                skew: float) -> ObjectPicker:
+    """Zipf-skewed object choice avoiding the invocation path.  Bounded
+    rejection sampling: heavy skew can make every draw land on an
+    ancestor."""
+    zipf_index = rng.zipf_index
+
+    def pick(path: set) -> Optional[int]:
+        for _ in range(12):
+            candidate = zipf_index(num_objects, skew)
+            if candidate not in path:
+                return candidate
+        return pick_outside(rng, num_objects, path)
+
+    return pick
+
+
+def pick_outside(rng: SeededRNG, num_objects: int,
+                 path: set) -> Optional[int]:
+    """Uniform choice among the objects not on ``path``, or ``None``:
+    the pickers' last resort after their rejection draws."""
+    remaining = [i for i in range(num_objects) if i not in path]
     if not remaining:
         return None
     return rng.choice(remaining)

@@ -1,5 +1,9 @@
 """Trace invariant checkers on hand-built and real traces."""
 
+import copy
+
+import pytest
+
 from repro.check import (
     check_commit_order,
     check_liveness,
@@ -8,6 +12,11 @@ from repro.check import (
     check_single_writer,
     run_invariants,
 )
+
+from repro.check.explorer import FuzzTask, build_config, judge
+from repro.check.mutations import install_mutations
+from repro.runtime import Cluster
+from repro.workload import SCENARIOS, generate_workload, run_workload
 
 from conftest import Counter, make_cluster
 
@@ -283,3 +292,25 @@ class TestRunInvariants:
             cluster.submit(counter, "add", 1, node=node)
         cluster.run()
         assert run_invariants(cluster.trace_events) == []
+
+
+class TestJudgesReadOnly:
+    """``TraceEvent.to_dict`` shares ``args`` with the event instead of
+    copying it, so no judge may write to it: the reference model, the
+    commutativity pre-scan and the invariant checkers only read."""
+
+    @pytest.mark.parametrize("task", [
+        FuzzTask(seed=3, scale=0.125),
+        FuzzTask(seed=4, scale=0.125, semantic=True, migration=True),
+        FuzzTask(seed=5, scale=0.125, preset="chaos"),
+        FuzzTask(seed=0, scale=0.125, mutate=("skip-precommit-retention",)),
+    ], ids=lambda task: task.describe())
+    def test_judge_leaves_event_args_alone(self, task):
+        cluster = Cluster(build_config(task))
+        install_mutations(cluster, task.mutate)
+        params = SCENARIOS[task.scenario].scaled(task.scale)
+        run_workload(cluster, generate_workload(params, seed=task.seed))
+        before = copy.deepcopy([event.args for event in cluster.trace_events])
+        verdict = judge(cluster)
+        assert verdict.trace
+        assert [event.args for event in cluster.trace_events] == before

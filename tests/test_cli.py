@@ -140,8 +140,56 @@ class TestVersion:
             from importlib.metadata import version
             expected = version("repro")
         except Exception:
-            expected = "1.9.0"  # source-tree fallback
+            expected = "1.10.0"  # source-tree fallback
         assert repro.__version__ == expected
+
+
+class TestImportCost:
+    """``import repro`` loads the runtime only: the experiment harness,
+    its process pool and the package metadata load on first use."""
+
+    def test_import_stays_light(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = (
+            "import sys, repro\n"
+            "heavy = ('repro.bench', 'multiprocessing', 'importlib.metadata')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "version = repro.__version__\n"
+            "from repro import run_experiment\n"
+            "assert callable(run_experiment)\n"
+            "assert repro.TcpTransport.__name__ == 'TcpTransport'\n"
+            "assert 'repro.bench' in sys.modules\n"
+            "print(version)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        loaded, version = result.stdout.splitlines()
+        assert loaded == "[]"
+        assert version == repro.__version__
+
+    def test_lazy_names_resolve(self):
+        import repro
+        from repro import ExperimentResult, ResultCache, run_experiment
+        from repro.bench import parallel
+
+        assert run_experiment is parallel.run_experiment
+        assert repro.ExperimentRunner is parallel.ExperimentRunner
+        assert ExperimentResult.__name__ == "ExperimentResult"
+        assert ResultCache.__name__ == "ResultCache"
+        for name in repro.__all__:
+            getattr(repro, name)
+        with pytest.raises(AttributeError):
+            repro.no_such_name
 
 
 class TestTrace:

@@ -2,6 +2,8 @@
 scenario validation, locality of the object draws, and the per-shard
 SLO tables computed from metric snapshots."""
 
+import hashlib
+
 import pytest
 
 from repro.load import (
@@ -139,6 +141,20 @@ class TestBuildLoad:
 
         for plan in load.workload.plans:
             walk(plan, frozenset())
+
+
+    @pytest.mark.parametrize("seed,expected", [
+        (5, "ff1e161287a2328f2afe75dbb39cfda489b07fb8a2bbf264fcd0a077fd073eed"),
+        (23, "4690206930bdc43a8670b5b3d16b9fda32e5c434dbc29f9bd9ad39989820ab9f"),
+    ])
+    def test_inputs_are_pinned(self, seed, expected):
+        """Object classes, plans, arrival offsets and clients are
+        bit-identical to the ones recorded for zipf-smoke at this seed."""
+        load = build_load("zipf-smoke", seed=seed)
+        workload = load.workload
+        parts = (workload.object_classes, workload.plans,
+                 workload.arrival_offsets, load.clients)
+        assert hashlib.sha256(repr(parts).encode()).hexdigest() == expected
 
 
 class TestSloTables:

@@ -1,6 +1,9 @@
 """Tests for the synthetic workload generator (§5's randomized
 nested transactions)."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.runtime import Cluster, ClusterConfig
@@ -142,6 +145,59 @@ class TestGeneration:
         hot_zero = sum(1 for p in hot.plans if p.obj_index == 0)
         uniform_zero = sum(1 for p in uniform.plans if p.obj_index == 0)
         assert hot_zero > 2 * uniform_zero
+
+
+def inputs_digest(*parts):
+    """sha256 of the exact reprs: plans, float offsets and ints alike."""
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+class TestZipfDraws:
+    """``zipf_index`` draws what ``Random.choices`` over the Zipf weights
+    drew, draw for draw, so every generated input stays as it was."""
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 100, 128])
+    @pytest.mark.parametrize("skew", [0.35, 0.9, 1.0, 2.0])
+    def test_matches_random_choices(self, n, skew):
+        seed = 1000 * n + int(100 * skew)
+        rng, reference = SeededRNG(seed), random.Random(seed)
+        weights = [1.0 / (rank + 1) ** skew for rank in range(n)]
+        population = range(n)
+        for draw in range(10_000):
+            expected = reference.choices(population, weights=weights, k=1)[0]
+            assert rng.zipf_index(n, skew) == expected, draw
+            # Other draws on the same stream between the Zipf draws.
+            if draw % 3 == 0:
+                assert rng.random() == reference.random()
+            if draw % 7 == 0:
+                assert rng.randint(0, 9) == reference.randint(0, 9)
+
+    def test_zero_skew_is_uniform_randrange(self):
+        rng, reference = SeededRNG(5), random.Random(5)
+        draws = [rng.zipf_index(20, 0.0) for _ in range(2000)]
+        assert draws == [reference.randrange(20) for _ in range(2000)]
+        assert set(draws) == set(range(20))
+
+
+class TestPinnedInputs:
+    """Generated inputs are bit-identical to the ones recorded for
+    these (scenario, seed) pairs: object classes, every plan tree and
+    every arrival offset.  A change to any draw shows up here."""
+
+    @pytest.mark.parametrize("scenario,seed,expected", [
+        ("medium-high", 11,
+         "e5c24b68ae44c247d10b2e07266d49578c4ae04e67eb8713ffc506b05becd7a8"),
+        ("medium-high", 23,
+         "8a225f7108b7fc1db4c9ae9e84478f0c2ac814e70902099f3cac88d3b9678a81"),
+        ("large-moderate", 11,
+         "8d5397ea85788b26dffe2d493e0301f408b1adbd712e5b05a13562c7a1302114"),
+        ("large-moderate", 23,
+         "72cc4b1e6d74e26c501a4be4b155ee77ba775ba83ddd93d0dc86738991ef771f"),
+    ])
+    def test_generated_workload_digest(self, scenario, seed, expected):
+        workload = generate_workload(SCENARIOS[scenario], seed=seed)
+        assert inputs_digest(workload.object_classes, workload.plans,
+                             workload.arrival_offsets) == expected
 
 
 class TestExecution:
