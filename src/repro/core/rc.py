@@ -81,7 +81,8 @@ class ReleaseConsistency(ConsistencyProtocol):
             for target in replicas:
                 versions = source_store.ship_pages(object_id, pages,
                                                    self.stores[target])
-            self.tracer.update_push(
-                node, object_id, sorted(pages), pushed_bytes, replicas,
-                versions=versions,
-            )
+            if self.tracer.enabled:
+                self.tracer.update_push(
+                    node, object_id, sorted(pages), pushed_bytes, replicas,
+                    versions=versions,
+                )

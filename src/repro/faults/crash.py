@@ -66,21 +66,26 @@ class CrashController:
     def _run_partition(self, cut):
         if cut.at_s > 0:
             yield self.env.timeout(cut.at_s)
-        self.tracer.partition_start(cut.group_a, cut.heal_after_s)
+        if self.tracer.enabled:
+            self.tracer.partition_start(cut.group_a, cut.heal_after_s)
         yield self.env.timeout(cut.heal_after_s)
-        self.tracer.partition_heal(cut.group_a)
+        if self.tracer.enabled:
+            self.tracer.partition_heal(cut.group_a)
 
     def _crash(self, crash) -> None:
         node_index = crash.node_index
         self.injector.stats.crashes += 1
-        self.tracer.node_crash(node_index, crash.up_at_s - crash.at_s)
+        tracing = self.tracer.enabled
+        if tracing:
+            self.tracer.node_crash(node_index, crash.up_at_s - crash.at_s)
         crashed_roots = []
         for root, family in sorted(self.executor.live_families.items()):
             if family.node.value != node_index or family.committing:
                 continue
             crashed_roots.append(root)
             self.injector.stats.crash_aborted_families += 1
-            self.tracer.crash_abort(node_index, root)
+            if tracing:
+                self.tracer.crash_abort(node_index, root)
             # Volatile state dies with the node: purge the family's
             # uncommitted writes from the store *before* crash_release
             # frees its locks, or a later family could read the doomed
@@ -91,7 +96,7 @@ class CrashController:
                 family.process.interrupt(
                     NodeCrashError(family.txn.id, node=family.node))
         invalidated = self.cache.invalidate_node(node_index)
-        if invalidated:
+        if invalidated and tracing:
             self.tracer.crash_cache_invalidate(node_index, invalidated)
         # Reclaim directory state even when no family was interrupted:
         # a family may already be unwinding (e.g. mid-abort) while its
@@ -100,6 +105,7 @@ class CrashController:
 
     def _recover(self, crash) -> None:
         self.injector.stats.recoveries += 1
-        self.tracer.node_recover(crash.node_index)
+        if self.tracer.enabled:
+            self.tracer.node_recover(crash.node_index)
         if self.recovery is not None:
             self.recovery.rejoin(crash)

@@ -108,7 +108,8 @@ class RecoveryManager:
             # entry's routing changed: no site's cache is authoritative.
             self.cache.on_freed(object_id)
             self.injector.stats.failovers += 1
-            self.tracer.gdo_failover(object_id, old_home, successor)
+            if self.tracer.enabled:
+                self.tracer.gdo_failover(object_id, old_home, successor)
 
     # -- rejoin ------------------------------------------------------------
 
@@ -169,4 +170,6 @@ class RecoveryManager:
                 discarded += 1
         record.holders.clear()
         self.injector.stats.rejoin_discarded_holders += discarded
-        self.tracer.node_rejoin(node_index, replayed, reclaimed, discarded)
+        if self.tracer.enabled:
+            self.tracer.node_rejoin(node_index, replayed, reclaimed,
+                                    discarded)

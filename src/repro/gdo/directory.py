@@ -45,7 +45,8 @@ class Directory:
             creator_node=creator_node,
         )
         self._entries[object_id] = entry
-        self.tracer.gdo_register(object_id, entry.home_node, page_count)
+        if self.tracer.enabled:
+            self.tracer.gdo_register(object_id, entry.home_node, page_count)
         return entry
 
     def move_home(self, object_id: ObjectId, new_home: NodeId) -> NodeId:
@@ -63,7 +64,8 @@ class Directory:
         entry = self.entry(object_id)
         old_home = entry.home_node
         entry.home_node = new_home
-        self.tracer.gdo_migrate(object_id, old_home, new_home)
+        if self.tracer.enabled:
+            self.tracer.gdo_migrate(object_id, old_home, new_home)
         return old_home
 
     def entry(self, object_id: ObjectId) -> DirectoryEntry:

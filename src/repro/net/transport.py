@@ -188,20 +188,23 @@ class Transport(abc.ABC):
         transfer_time = (self.config.transfer_time(message.size_bytes)
                          + faults.extra_delay_s)
         self.stats.record(message, transfer_time)
-        if self.tracer.enabled:
+        tracing = self.tracer.enabled
+        if tracing:
             self.tracer.message(message, transfer_time)
         if faults.duplicated:
             # The duplicate burns wire time whether or not the primary
             # copy survives; the receiver discards it on arrival
             # (delivery events are one-shot by construction).
             self.stats.record(message, transfer_time)
-            self.tracer.fault_duplicate(message)
-        if faults.extra_delay_s:
+            if tracing:
+                self.tracer.fault_duplicate(message)
+        if faults.extra_delay_s and tracing:
             self.tracer.fault_delay(message, faults.extra_delay_s)
         if faults.dropped:
-            self.tracer.fault_drop(message, attempt)
             self.injector.stats.retransmissions += 1
-            self.tracer.fault_retransmit(message, attempt + 1)
+            if tracing:
+                self.tracer.fault_drop(message, attempt)
+                self.tracer.fault_retransmit(message, attempt + 1)
             retry_after = (transfer_time
                            + self.injector.retransmit_timeout_s(attempt))
             if done is not None:

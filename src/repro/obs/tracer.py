@@ -7,12 +7,12 @@ as a :class:`TraceEvent` stamped with the *simulation* clock, and the
 same call sites feed a :class:`~repro.obs.metrics.MetricsRegistry` so
 aggregates never drift from the event stream.
 
-Instrumented code never checks "is tracing on?": it unconditionally
-calls methods on whatever tracer it was wired with, and the default
-:class:`NullTracer` (shared :data:`NULL_TRACER` instance) makes every
-such call a no-op attribute lookup plus an empty function — cheap
-enough to leave in the hottest paths (per-message accounting, lock
-grants).
+Tracing off is one branch at the call site: instrumented code asks
+``tracer.enabled`` and calls a hook only when it is true.  The default
+:class:`NullTracer` (shared :data:`NULL_TRACER` instance) is that
+switch and nothing else — it defines no hooks, so :class:`Tracer` is
+the one place a hook exists, and an untraced run pays one attribute
+load per site, not a call.
 
 Two event shapes exist, mirroring Chrome's ``trace_event`` model:
 
@@ -90,146 +90,20 @@ def sanitize(value):
 
 
 class NullTracer:
-    """The disabled tracer: every hook is an explicit no-op.
+    """The disabled tracer: a switch with no hooks.
 
-    There is no ``__getattr__`` fallback: a misspelt or not-yet-stubbed
-    hook fails with tracing off exactly as it does with tracing on, and
-    ``tests/test_obs.py`` pins this class's hook names and signatures
-    equal to :class:`Tracer`'s.
+    Every instrumented call site asks ``tracer.enabled`` before calling
+    a hook, so this class defines none — an unguarded call fails with
+    ``AttributeError`` on every untraced run, and ``tests/test_obs.py``
+    checks statically that every call in ``repro`` is guarded.  The
+    attributes below are what untraced code and reports may read.
     """
 
     enabled = False
-    #: No events and no registry when disabled; :class:`Tracer`
-    #: overrides both with real per-instance state.
+    #: No events and no registry when disabled.
     events: tuple = ()
     metrics = None
     clock_kind = "virtual"
-
-    # -- generic recording -------------------------------------------------
-
-    def instant(self, name, category, node=None, track="", **args):
-        pass
-
-    def begin(self, name, category, node=None, track="", **args):
-        return None
-
-    def end(self, token, **args):
-        pass
-
-    # -- domain hooks ------------------------------------------------------
-
-    def txn_begin(self, txn):
-        return None
-
-    def txn_commit(self, token, txn, latency=None):
-        pass
-
-    def txn_abort(self, token, txn, reason):
-        pass
-
-    def lock_granted(self, txn, object_id, mode, scope, info=None):
-        pass
-
-    def lock_wait_begin(self, txn, object_id, mode, scope):
-        return None
-
-    def lock_wait_end(self, token, ok=True):
-        pass
-
-    def lock_inherited(self, txn, parent, object_ids):
-        pass
-
-    def lock_released(self, node, root_serial, object_ids, cause):
-        pass
-
-    def lock_prefetch(self, txn, object_id, granted, mode=None):
-        pass
-
-    def deadlock(self, victim_root, cycle):
-        pass
-
-    def gdo_register(self, object_id, home_node, page_count):
-        pass
-
-    def gdo_forward(self, node, home_node, object_id):
-        pass
-
-    def gdo_migrate(self, object_id, old_home, new_home):
-        pass
-
-    def gdo_request_forwarded(self, object_id, old_home, new_home):
-        pass
-
-    def gdo_request_latency(self, shard, seconds):
-        pass
-
-    def gdo_queue_depth(self, shard, delta):
-        pass
-
-    def transfer_begin(self, node, object_id, cause, requested):
-        return None
-
-    def transfer_end(self, token, cause, shipped, data_bytes):
-        pass
-
-    def transfer_install(self, node, object_id, pages, cause, delivered_at,
-                         versions=None):
-        pass
-
-    def demand_fetch(self, node, object_id, pages, shipped, data_bytes,
-                     is_write, delay, versions=None):
-        pass
-
-    def prediction(self, node, object_id, predicted, wanted, shipped):
-        pass
-
-    def update_push(self, node, object_id, pages, data_bytes, replicas,
-                    versions=None):
-        pass
-
-    def message(self, message, transfer_time):
-        pass
-
-    # -- fault injection ---------------------------------------------------
-
-    def fault_drop(self, message, attempt):
-        pass
-
-    def fault_retransmit(self, message, attempt):
-        pass
-
-    def fault_duplicate(self, message):
-        pass
-
-    def fault_delay(self, message, extra_s):
-        pass
-
-    def lock_timeout(self, txn, object_id, waited_s):
-        pass
-
-    def node_crash(self, node_index, down_for_s):
-        pass
-
-    def node_recover(self, node_index):
-        pass
-
-    def crash_abort(self, node_index, root_serial):
-        pass
-
-    def crash_cache_invalidate(self, node_index, count):
-        pass
-
-    def partition_start(self, group_a, heal_after_s):
-        pass
-
-    def partition_heal(self, group_a):
-        pass
-
-    def gdo_failover(self, object_id, old_home, new_home):
-        pass
-
-    def node_rejoin(self, node_index, replayed, reclaimed, discarded):
-        pass
 
 
 def _lineage(txn):
@@ -247,7 +121,7 @@ def _lineage(txn):
 NULL_TRACER = NullTracer()
 
 
-class Tracer(NullTracer):
+class Tracer:
     """Recording tracer bound to a clock.
 
     ``clock`` is any zero-argument callable returning the current time

@@ -64,8 +64,8 @@ class ClusterConfig:
         trace: record every protocol decision (transaction spans, lock
             grants/waits, GDO forwards, page transfers, per-message
             network events) with the :mod:`repro.obs` tracer; off by
-            default — the disabled path is a no-op
-            :class:`~repro.obs.tracer.NullTracer`.
+            default — every site then skips its hook on the
+            ``enabled`` flag of :class:`~repro.obs.tracer.NullTracer`.
         tiebreak: same-instant event-ordering policy of the simulation
             engine (see :mod:`repro.sim.tiebreak`).  The default
             ``"fifo"`` keeps runs byte-identical to the historic strict

@@ -46,6 +46,20 @@ from repro.util.errors import (
 )
 from repro.util.ids import NodeId, ObjectId, TypedId
 
+#: How a root attempt's exception ends it, checked in order (the last
+#: row catches the rest): (exception type, ``txn_abort`` reason,
+#: ``TxnStats`` counter, retryable).  Retryable aborts restart the
+#: family after backoff; the others roll back and re-raise.  The
+#: submitting client of a crashed node died with it: no retry.
+_ROOT_ABORTS = (
+    (DeadlockError, "deadlock", "aborts_deadlock", True),
+    (LockTimeoutError, "lock-timeout", "aborts_lock_timeout", True),
+    (NodeCrashError, "node-crash", "aborts_crash", False),
+    (RecursiveInvocationError, "recursive", "aborts_recursive", False),
+    (TransactionAborted, "user", "aborts_user", False),
+    (Exception, "exception", "aborts_user", False),
+)
+
 
 @dataclass(frozen=True)
 class CommitRecord:
@@ -212,7 +226,8 @@ class Executor:
             family = _LiveFamily(txn=txn, node=node, process=process)
             self.live_families[txn.id.root] = family
             started = self.env.now
-            token = self.tracer.txn_begin(txn)
+            token = (self.tracer.txn_begin(txn) if self.tracer.enabled
+                     else None)
             try:
                 try:
                     if self.config.prefetch != "off" and (
@@ -223,52 +238,26 @@ class Executor:
                         yield from self._prefetch(txn, handle, args)
                     result = yield from self._execute(txn, handle, method_name,
                                                       args)
-                except DeadlockError:
+                except ProtocolError:
+                    raise  # internal invariant violation: never mask as an abort
+                except Exception as exc:
+                    for kind, reason, counter, retryable in _ROOT_ABORTS:
+                        if isinstance(exc, kind):
+                            break
                     yield from self._abort_root(txn)
-                    self.tracer.txn_abort(token, txn, "deadlock")
-                    self.txn_stats.aborts_deadlock += 1
-                    attempts += 1
-                    if attempts > self.config.max_retries:
-                        raise TransactionAborted(txn.id,
-                                                 "deadlock-retries-exhausted")
-                    self.txn_stats.retries += 1
-                    yield self.env.timeout(self._retry_backoff(attempts))
-                    continue
-                except LockTimeoutError:
-                    yield from self._abort_root(txn)
-                    self.tracer.txn_abort(token, txn, "lock-timeout")
-                    self.txn_stats.aborts_lock_timeout += 1
+                    if self.tracer.enabled:
+                        self.tracer.txn_abort(token, txn, reason)
+                    stats = self.txn_stats
+                    setattr(stats, counter, getattr(stats, counter) + 1)
+                    if not retryable:
+                        raise
                     attempts += 1
                     if attempts > self.config.max_retries:
                         raise TransactionAborted(
-                            txn.id, "lock-timeout-retries-exhausted")
-                    self.txn_stats.retries += 1
+                            txn.id, f"{reason}-retries-exhausted")
+                    stats.retries += 1
                     yield self.env.timeout(self._retry_backoff(attempts))
                     continue
-                except NodeCrashError:
-                    # The submitting client died with the node: roll back
-                    # and surface the crash — no retry.
-                    yield from self._abort_root(txn)
-                    self.tracer.txn_abort(token, txn, "node-crash")
-                    self.txn_stats.aborts_crash += 1
-                    raise
-                except RecursiveInvocationError:
-                    yield from self._abort_root(txn)
-                    self.tracer.txn_abort(token, txn, "recursive")
-                    self.txn_stats.aborts_recursive += 1
-                    raise
-                except ProtocolError:
-                    raise  # internal invariant violation: never mask as an abort
-                except TransactionAborted:
-                    yield from self._abort_root(txn)
-                    self.tracer.txn_abort(token, txn, "user")
-                    self.txn_stats.aborts_user += 1
-                    raise
-                except Exception:
-                    yield from self._abort_root(txn)
-                    self.tracer.txn_abort(token, txn, "exception")
-                    self.txn_stats.aborts_user += 1
-                    raise
                 family.committing = True
                 yield from self._flush_delay(txn)
                 yield from self._commit_root(txn)
@@ -276,7 +265,8 @@ class Executor:
                 self.live_families.pop(txn.id.root, None)
             self.txn_stats.commits += 1
             latency = self.env.now - started
-            self.tracer.txn_commit(token, txn, latency)
+            if self.tracer.enabled:
+                self.tracer.txn_commit(token, txn, latency)
             self.txn_stats.root_latencies.append(latency)
             self.commit_log.append(
                 CommitRecord(
@@ -462,7 +452,8 @@ class Executor:
         spec = meta.schema.method_spec(method_name)
         if not txn.is_root:
             txn.label = method_name
-        token = None if txn.is_root else self.tracer.txn_begin(txn)
+        token = (self.tracer.txn_begin(txn)
+                 if self.tracer.enabled and not txn.is_root else None)
         prediction = predict(spec.access, meta.layout)
         mode = LockMode.WRITE if spec.is_update else LockMode.READ
         increments = frozenset()
@@ -500,7 +491,7 @@ class Executor:
             raise
         except BaseException as exc:
             yield from self._abort_sub(txn)
-            if not txn.is_root:
+            if self.tracer.enabled and not txn.is_root:
                 reason = "deadlock" if isinstance(exc, DeadlockError) else "abort"
                 self.tracer.txn_abort(token, txn, reason)
             raise
@@ -510,7 +501,8 @@ class Executor:
                 self.merger.on_sub_commit(txn)
             self.lockmgr.precommit_release(txn)
             self.txn_stats.sub_commits += 1
-            self.tracer.txn_commit(token, txn)
+            if self.tracer.enabled:
+                self.tracer.txn_commit(token, txn)
         return result
 
     def _abort_sub(self, txn: Transaction):

@@ -87,13 +87,18 @@ def replay_serially(cluster: Cluster,
             raise RuntimeError(
                 f"replay id drift: {handle.object_id!r} vs {record.object_id!r}"
             )
+    handles: Dict[int, object] = {}  # one handle per object, not per use
+
+    def resolve(value: int):
+        handle = handles.get(value)
+        if handle is None:
+            handle = handles[value] = serial.handle(ObjectId(value))
+        return handle
+
     for record in cluster.commit_log:
-        handle = serial.handle(record.object_id)
-        args = thaw_args(
-            record.frozen_args,
-            lambda value: serial.handle(ObjectId(value)),
-        )
-        serial.call(handle, record.method_name, *args)
+        args = thaw_args(record.frozen_args, resolve)
+        serial.call(resolve(record.object_id.value), record.method_name,
+                    *args)
     return serial
 
 

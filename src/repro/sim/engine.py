@@ -86,7 +86,8 @@ class Environment:
 
     ``tracer`` (settable after construction, since the tracer's clock
     is this environment) receives one ``sim.run`` span per :meth:`run`
-    call; the default :data:`~repro.obs.tracer.NULL_TRACER` is a no-op.
+    call when ``tracer.enabled``; the default
+    :data:`~repro.obs.tracer.NULL_TRACER` is disabled.
 
     ``now`` is the current simulated time in seconds.  It is a plain
     attribute, not a property — the clock is read on every send, grant
@@ -223,7 +224,8 @@ class Environment:
             raise ConfigurationError(
                 f"run(until={until}) is before current time {self.now}"
             )
-        token = self.tracer.begin("sim.run", "sim", until=until)
+        token = (self.tracer.begin("sim.run", "sim", until=until)
+                 if self.tracer.enabled else None)
         processed_before = self._events_processed
         queue = self._queue
         pop = heapq.heappop
@@ -247,9 +249,10 @@ class Environment:
                 self.now = max(self.now, until)
             return self.now
         finally:
-            self.tracer.end(
-                token, events=self._events_processed - processed_before
-            )
+            if self.tracer.enabled:
+                self.tracer.end(
+                    token, events=self._events_processed - processed_before
+                )
 
     def run_process(self, generator: Generator, name: str = "") -> Any:
         """Convenience: spawn a process, run to completion, return value.

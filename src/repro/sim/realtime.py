@@ -84,7 +84,8 @@ class WallClockEnvironment(Environment):
             raise ConfigurationError(
                 f"run(until={until}) is before current time {self.now}"
             )
-        token = self.tracer.begin("sim.run", "sim", until=until)
+        token = (self.tracer.begin("sim.run", "sim", until=until)
+                 if self.tracer.enabled else None)
         processed_before = self._events_processed
         source = self._source
         try:
@@ -127,6 +128,7 @@ class WallClockEnvironment(Environment):
             self.advance()
             return self.now
         finally:
-            self.tracer.end(
-                token, events=self._events_processed - processed_before
-            )
+            if self.tracer.enabled:
+                self.tracer.end(
+                    token, events=self._events_processed - processed_before
+                )

@@ -210,7 +210,8 @@ class LockManager:
             yield from self._reroute_failover(entry)
         home = entry.home_node
         request_started = self.env.now
-        self.tracer.gdo_forward(node, home, object_id)
+        if self.tracer.enabled:
+            self.tracer.gdo_forward(node, home, object_id)
         request = Message(
             src=node, dst=home,
             category=MessageCategory.LOCK_REQUEST,
@@ -254,10 +255,10 @@ class LockManager:
             )
             yield self.network.send(grant)
             txn.lock_objects.add(object_id)
-            self.tracer.gdo_request_latency(
-                entry.home_node, self.env.now - request_started
-            )
             if self.tracer.enabled:
+                self.tracer.gdo_request_latency(
+                    entry.home_node, self.env.now - request_started
+                )
                 self.tracer.lock_granted(txn, object_id, mode, "global",
                                          info=entry.trace_info())
             self.directory.refresh_deadlock_edges(object_id)
@@ -268,9 +269,10 @@ class LockManager:
         payload = yield from self._wait(
             entry, txn, mode, local=(decision is GrantDecision.WAIT_LOCAL)
         )
-        self.tracer.gdo_request_latency(
-            entry.home_node, self.env.now - request_started
-        )
+        if self.tracer.enabled:
+            self.tracer.gdo_request_latency(
+                entry.home_node, self.env.now - request_started
+            )
         txn.lock_objects.add(object_id)
         return payload
 
@@ -315,8 +317,9 @@ class LockManager:
             txn.id.root
         ):
             self.stats.prefetch_denied += 1
-            self.tracer.lock_prefetch(txn, object_id, granted=False,
-                                      mode=mode)
+            if self.tracer.enabled:
+                self.tracer.lock_prefetch(txn, object_id, granted=False,
+                                          mode=mode)
             nack = Message(
                 src=entry.home_node, dst=node,
                 category=MessageCategory.CONTROL,
@@ -330,7 +333,8 @@ class LockManager:
         self.cache.on_granted(object_id, node)
         self._wal_record_holders(object_id, entry)
         self.stats.prefetch_granted += 1
-        self.tracer.lock_prefetch(txn, object_id, granted=True, mode=mode)
+        if self.tracer.enabled:
+            self.tracer.lock_prefetch(txn, object_id, granted=True, mode=mode)
         snapshot = entry.page_map_snapshot()
         grant = Message(
             src=entry.home_node, dst=node,
@@ -390,7 +394,8 @@ class LockManager:
         home (DESIGN §11's forwarding protocol)."""
         if self.migration is not None:
             self.migration.note_forwarded()
-        self.tracer.gdo_request_forwarded(object_id, old_home, new_home)
+        if self.tracer.enabled:
+            self.tracer.gdo_request_forwarded(object_id, old_home, new_home)
         relay = Message(
             src=old_home, dst=new_home,
             category=MessageCategory.LOCK_REQUEST,
@@ -430,13 +435,14 @@ class LockManager:
         self.directory.deadlock.mark(root)
         self.directory.refresh_deadlock_edges(entry.object_id)
         self._detect_deadlocks()
-        token = self.tracer.lock_wait_begin(
+        tracing = self.tracer.enabled
+        token = (self.tracer.lock_wait_begin(
             txn, entry.object_id, mode, "local" if local else "global"
-        )
+        ) if tracing else None)
         # Shard attribution is pinned at enqueue time: a migration
         # mid-wait must not unbalance the inc/dec pair.
         shard = entry.home_node
-        if not local:
+        if tracing and not local:
             self.tracer.gdo_queue_depth(shard, +1)
         timeout_s = self.injector.lock_wait_timeout_s()
         try:
@@ -446,13 +452,15 @@ class LockManager:
             else:
                 payload = yield waiter.wake
         except BaseException:
-            self.tracer.lock_wait_end(token, ok=False)
+            if tracing:
+                self.tracer.lock_wait_end(token, ok=False)
             raise
         finally:
-            if not local:
+            if tracing and not local:
                 self.tracer.gdo_queue_depth(shard, -1)
             self._blocked.pop(root, None)
-        self.tracer.lock_wait_end(token, ok=True)
+        if tracing:
+            self.tracer.lock_wait_end(token, ok=True)
         self._record_grant(entry.object_id, txn, mode)
         return payload
 
@@ -487,7 +495,8 @@ class LockManager:
         waited = self.env.now - started
         self.stats.lock_timeouts += 1
         self.injector.stats.lock_timeouts += 1
-        self.tracer.lock_timeout(waiter.txn, entry.object_id, waited)
+        if self.tracer.enabled:
+            self.tracer.lock_timeout(waiter.txn, entry.object_id, waited)
         raise LockTimeoutError(waiter.txn_id, entry.object_id, waited)
 
     def _detect_deadlocks(self) -> None:
@@ -518,7 +527,8 @@ class LockManager:
         victim_root = self.directory.deadlock.pick_victim(cycle,
                                                           self._blocked)
         self.stats.deadlocks += 1
-        self.tracer.deadlock(victim_root, cycle)
+        if self.tracer.enabled:
+            self.tracer.deadlock(victim_root, cycle)
         blocked = self._blocked.pop(victim_root)
         entry = self.directory.entry(blocked.object_id)
         entry.remove_waiter(blocked.txn.id)
@@ -538,7 +548,7 @@ class LockManager:
         parent = txn.parent
         if parent is None:
             raise ProtocolError("precommit_release on a root transaction")
-        if txn.lock_objects:
+        if txn.lock_objects and self.tracer.enabled:
             self.tracer.lock_inherited(txn, parent, sorted(txn.lock_objects))
         wakes = []
         for object_id in sorted(txn.lock_objects):
@@ -608,7 +618,8 @@ class LockManager:
                         cause: str = "commit"):
         if not object_ids:
             return
-        self.tracer.lock_released(node, root_serial, object_ids, cause)
+        if self.tracer.enabled:
+            self.tracer.lock_released(node, root_serial, object_ids, cause)
         # One release message per distinct home node, dirty info
         # piggybacked (§4.1: "Dirty page information may be piggybacked
         # on each global lock release message").
@@ -634,8 +645,9 @@ class LockManager:
                 if new_home != home:
                     if self.migration is not None:
                         self.migration.note_forwarded()
-                    self.tracer.gdo_request_forwarded(object_id, home,
-                                                      new_home)
+                    if self.tracer.enabled:
+                        self.tracer.gdo_request_forwarded(object_id, home,
+                                                          new_home)
                     relay = Message(
                         src=home, dst=new_home,
                         category=MessageCategory.LOCK_RELEASE,

@@ -2,11 +2,15 @@
 registry, virtual-clock tracer, exporters, and the wiring that keeps
 the tracer's aggregates exactly equal to :class:`NetworkStats`."""
 
+import ast
 import inspect
 import json
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import Attr, Cluster, ClusterConfig, method, shared_class
 from repro.obs import (
     MetricsRegistry,
@@ -234,32 +238,97 @@ class TestTracerCore:
         assert isinstance(tracer.metrics, MetricsRegistry)
 
 
+def _reads_enabled(node, aliases):
+    return any(
+        (isinstance(sub, ast.Attribute) and sub.attr == "enabled")
+        or (isinstance(sub, ast.Name) and sub.id in aliases)
+        for sub in ast.walk(node)
+    )
+
+
+def hook_calls(tree):
+    """``(line, guarded)`` for every ``tracer.<hook>(...)`` or
+    ``<x>.tracer.<hook>(...)`` call; guarded means under an ``if`` (or
+    ``... if ... else``) whose test reads ``.enabled``, directly or
+    through a local alias of it."""
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)):
+            continue
+        owner = call.func.value
+        if not ((isinstance(owner, ast.Name) and owner.id == "tracer")
+                or (isinstance(owner, ast.Attribute)
+                    and owner.attr == "tracer")):
+            continue
+        chain = [call]
+        while not isinstance(chain[-1], (ast.FunctionDef, ast.Module)):
+            chain.append(parents[chain[-1]])
+        aliases = {
+            target.id for assign in ast.walk(chain[-1])
+            if isinstance(assign, ast.Assign)
+            and _reads_enabled(assign.value, ())
+            for target in assign.targets if isinstance(target, ast.Name)
+        }
+        yield call.lineno, any(
+            (isinstance(parent, ast.If) and child in parent.body
+             or isinstance(parent, ast.IfExp) and child is parent.body)
+            and _reads_enabled(parent.test, aliases)
+            for child, parent in zip(chain, chain[1:])
+        )
+
+
 class TestNullTracer:
-    def test_all_hooks_are_noops(self):
-        tracer = NullTracer()
-        assert tracer.begin("x", "sim") is None
-        tracer.end(None)
-        tracer.instant("x", "sim")
-        tracer.message(None, 0.0)
+    def test_defines_no_hook(self):
+        # Tracing off is the call site's ``tracer.enabled`` branch: a
+        # hook on the null tracer would be a second copy to keep equal.
+        hooks = {name for name, value in vars(Tracer).items()
+                 if inspect.isfunction(value) and not name.startswith("_")}
+        assert {"txn_begin", "message", "node_rejoin"} <= hooks
+        assert sorted(name for name in hooks
+                      if hasattr(NULL_TRACER, name)) == []
+        assert not issubclass(Tracer, NullTracer)
         with pytest.raises(AttributeError):
-            tracer.some_misspelt_hook  # no fallback: loud when off, too
-        assert tracer.events == ()
-        assert tracer.metrics is None
-        assert not tracer.enabled
+            NULL_TRACER.some_misspelt_hook  # no fallback: loud when off
+        assert NULL_TRACER.enabled is False
+        assert NULL_TRACER.events == ()
+        assert NULL_TRACER.metrics is None
+        assert NULL_TRACER.clock_kind == "virtual"
 
-    def test_hook_sets_match_tracer(self):
-        # A hook only one tracer defines, or defines differently, makes
-        # the same call site behave differently with tracing on and
-        # off — exactly where nobody is looking.
-        def hooks(cls):
-            return {
-                name: [(p.name, p.kind, p.default) for p in
-                       inspect.signature(function).parameters.values()]
-                for name, function in vars(cls).items()
-                if inspect.isfunction(function) and not name.startswith("_")
-            }
+    def test_every_hook_call_in_repro_is_guarded(self):
+        """Statically, so fault and failover paths no untraced test
+        reaches are held to it too."""
+        root = Path(repro.__file__).parent
+        calls, unguarded = 0, []
+        for path in sorted(root.rglob("*.py")):
+            for line, guarded in hook_calls(ast.parse(path.read_text())):
+                calls += 1
+                if not guarded:
+                    unguarded.append(f"{path.relative_to(root)}:{line}")
+        assert calls > 40  # the walk sees the instrumented tree
+        assert unguarded == []
 
-        assert hooks(NullTracer) == hooks(Tracer)
+    def test_guard_check_bites(self):
+        source = textwrap.dedent("""
+            def plain(self):
+                self.tracer.txn_begin(txn)
+            def guarded(self):
+                if self.tracer.enabled:
+                    self.tracer.txn_begin(txn)
+            def aliased(tracer):
+                tracing = tracer.enabled
+                token = tracer.begin("x", "sim") if tracing else None
+                if tracing:
+                    tracer.end(token)
+            def else_branch(self):
+                if self.tracer.enabled:
+                    pass
+                else:
+                    self.tracer.deadlock(root, cycle)
+        """)
+        assert sorted(line for line, guarded in
+                      hook_calls(ast.parse(source)) if not guarded) == [3, 16]
 
     def test_cluster_defaults_to_null_tracer(self):
         cluster = Cluster(ClusterConfig(num_nodes=2))

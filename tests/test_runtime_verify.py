@@ -7,7 +7,7 @@ flags them.
 
 import pytest
 
-from repro import check_serializability, replay_serially
+from repro import Cluster, check_serializability, replay_serially
 from repro.runtime.executor import (
     _HandleRef, _handles_in, freeze_args, thaw_args,
 )
@@ -92,6 +92,24 @@ class TestReplay:
         serial = replay_serially(traced)
         assert serial.config.trace is False
         assert not serial.tracer.enabled and not serial.trace_events
+
+    def test_replay_resolves_one_handle_per_object(self, busy_cluster,
+                                                   monkeypatch):
+        resolved = []
+        handle = Cluster.handle
+
+        def counting(cluster, object_id):
+            resolved.append(object_id)
+            return handle(cluster, object_id)
+
+        monkeypatch.setattr(Cluster, "handle", counting)
+        serial = replay_serially(busy_cluster)
+        # 11 commits (targets plus handle arguments) over 5 objects.
+        assert sorted(resolved) == sorted(busy_cluster.registry.all_objects())
+        assert serial.state_digest() == busy_cluster.state_digest()
+        assert [record.result for record in serial.commit_log] == \
+            [record.result for record in busy_cluster.commit_log]
+        assert check_serializability(busy_cluster).equivalent
 
     def test_report_counts_commits(self, busy_cluster):
         report = check_serializability(busy_cluster)
