@@ -247,7 +247,7 @@ def _reads_enabled(node, aliases):
 
 
 def hook_calls(tree):
-    """``(line, guarded)`` for every ``tracer.<hook>(...)`` or
+    """``(line, hook, guarded)`` for every ``tracer.<hook>(...)`` or
     ``<x>.tracer.<hook>(...)`` call; guarded means under an ``if`` (or
     ``... if ... else``) whose test reads ``.enabled``, directly or
     through a local alias of it."""
@@ -271,7 +271,7 @@ def hook_calls(tree):
             and _reads_enabled(assign.value, ())
             for target in assign.targets if isinstance(target, ast.Name)
         }
-        yield call.lineno, any(
+        yield call.lineno, call.func.attr, any(
             (isinstance(parent, ast.If) and child in parent.body
              or isinstance(parent, ast.IfExp) and child is parent.body)
             and _reads_enabled(parent.test, aliases)
@@ -280,21 +280,41 @@ def hook_calls(tree):
 
 
 class TestNullTracer:
-    def test_defines_no_hook(self):
-        # Tracing off is the call site's ``tracer.enabled`` branch: a
-        # hook on the null tracer would be a second copy to keep equal.
+    def test_all_hooks_are_noops(self):
+        # Tracing off is the call site's ``tracer.enabled`` branch, so an
+        # untraced run leaves the null tracer exactly as it found it.
+        cluster = Cluster(ClusterConfig(num_nodes=4, protocol="lotec", seed=3))
+        leaves = [cluster.create(Leaf) for _ in range(6)]
+        root = cluster.create(Root)
+        for index in range(24):
+            cluster.submit(leaves[index % 6], "bump")
+        cluster.run()
+        assert cluster.call(root, "sweep", leaves) == 24
+        assert cluster.tracer is NULL_TRACER
+        assert cluster.trace_events == ()
+        assert vars(NULL_TRACER) == {}
+        assert NULL_TRACER.enabled is False
+        assert NULL_TRACER.events == ()
+        assert NULL_TRACER.metrics is None
+        assert NULL_TRACER.clock_kind == "virtual"
+        with pytest.raises(AttributeError):
+            NULL_TRACER.some_misspelt_hook  # no fallback: loud when off
+
+    def test_hook_sets_match_tracer(self):
+        # Hooks exist on ``Tracer`` only: a stub on the null tracer would
+        # be a second copy to keep equal, and a call site naming a hook
+        # ``Tracer`` lacks would fail only with tracing on.
         hooks = {name for name, value in vars(Tracer).items()
                  if inspect.isfunction(value) and not name.startswith("_")}
         assert {"txn_begin", "message", "node_rejoin"} <= hooks
         assert sorted(name for name in hooks
                       if hasattr(NULL_TRACER, name)) == []
         assert not issubclass(Tracer, NullTracer)
-        with pytest.raises(AttributeError):
-            NULL_TRACER.some_misspelt_hook  # no fallback: loud when off
-        assert NULL_TRACER.enabled is False
-        assert NULL_TRACER.events == ()
-        assert NULL_TRACER.metrics is None
-        assert NULL_TRACER.clock_kind == "virtual"
+        root = Path(repro.__file__).parent
+        called = {hook for path in root.rglob("*.py")
+                  for _, hook, _ in hook_calls(ast.parse(path.read_text()))}
+        assert {"begin", "end", "txn_begin"} <= called
+        assert sorted(called - hooks) == []
 
     def test_every_hook_call_in_repro_is_guarded(self):
         """Statically, so fault and failover paths no untraced test
@@ -302,7 +322,7 @@ class TestNullTracer:
         root = Path(repro.__file__).parent
         calls, unguarded = 0, []
         for path in sorted(root.rglob("*.py")):
-            for line, guarded in hook_calls(ast.parse(path.read_text())):
+            for line, _, guarded in hook_calls(ast.parse(path.read_text())):
                 calls += 1
                 if not guarded:
                     unguarded.append(f"{path.relative_to(root)}:{line}")
@@ -327,7 +347,7 @@ class TestNullTracer:
                 else:
                     self.tracer.deadlock(root, cycle)
         """)
-        assert sorted(line for line, guarded in
+        assert sorted(line for line, _, guarded in
                       hook_calls(ast.parse(source)) if not guarded) == [3, 16]
 
     def test_cluster_defaults_to_null_tracer(self):
