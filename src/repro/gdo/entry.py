@@ -17,6 +17,12 @@ retain the lock are ancestors of T."  Concurrent readers from
 *different* families therefore share the lock (Algorithm 4.2's
 "concurrent reading is OK" branch), with the paper's reader preference
 — a late read request is granted ahead of a queued writer.
+
+The paper's local wait list for conflicts inside one family (Algorithm
+4.1) is omitted: a family issues one request at a time (its live
+transactions form a chain and only the leaf requests), so
+:meth:`DirectoryEntry.decide` raises ``ProtocolError`` on a same-family
+conflict; ``tests/test_lock_table_small_scope.py`` proves it unreachable.
 """
 
 from __future__ import annotations
@@ -76,7 +82,6 @@ class GrantDecision(enum.Enum):
     """Outcome of a lock request against the current entry state."""
 
     GRANTED = "granted"
-    WAIT_LOCAL = "wait-local"        # conflict within the requester's family
     WAIT_GLOBAL = "wait-global"      # blocked by another family
     RECURSIVE = "recursive"          # conflicting ancestor holder (§3.4)
 
@@ -103,17 +108,6 @@ class Waiter:
         self.txn_id: TxnId = txn.id
 
 
-@dataclass(eq=False)
-class _FamilyQueue:
-    """NonHoldersPtr element: waiting transactions of one family (one
-    queue per family, so identity is equality)."""
-
-    __slots__ = ("root", "site", "waiters")
-    root: int
-    site: NodeId
-    waiters: List[Waiter]
-
-
 class DirectoryEntry:
     """Lock structure + page map for one object (paper Figure 1)."""
 
@@ -128,10 +122,9 @@ class DirectoryEntry:
         # Retainers: txn id -> strongest retained mode.
         self.retainers: Dict[TxnId, LockMode] = {}
         self._retainer_txns: Dict[TxnId, object] = {}
-        # NonHoldersPtr: FIFO list of per-family waiter queues.
-        self.waiting_families: List[_FamilyQueue] = []
-        # Local list: waiters whose family already holds/retains the lock.
-        self.local_waiters: List[Waiter] = []
+        # NonHoldersPtr: FIFO list of waiters, at most one per family
+        # (LockManager._wait refuses a family's second block).
+        self.waiting_families: List[Waiter] = []
         # Consistency page map.
         self.page_map: Dict[int, PageMapEntry] = {
             page: PageMapEntry(owner=creator_node, version=initial_version)
@@ -180,8 +173,8 @@ class DirectoryEntry:
     def waits_for_edges(self) -> Dict[int, FrozenSet[int]]:
         """Waits-for edges keyed by actual conflict, per waiting family.
 
-        For each queued family the head waiter's mode decides its
-        blocking set: a holder/retainer family contributes an edge
+        For each queued family its waiter's mode decides its blocking
+        set: a holder/retainer family contributes an edge
         unless both its recorded mode and the waiter's are semantic and
         commute — two commuting holders must never appear as a spurious
         cycle to the deadlock detector.  Plain pairings always keep
@@ -196,13 +189,12 @@ class DirectoryEntry:
         for txn_id, mode in self.retainers.items():
             modes_by_root.setdefault(txn_id.root, []).append(mode)
         edges: Dict[int, FrozenSet[int]] = {}
-        for queue in self.waiting_families:
-            if not queue.waiters:
-                continue
-            waiter_mode = queue.waiters[0].mode
+        for waiter in self.waiting_families:
+            waiter_root = waiter.txn_id.root
+            waiter_mode = waiter.mode
             blocking = set()
             for root, modes in modes_by_root.items():
-                if root == queue.root:
+                if root == waiter_root:
                     continue
                 for held_mode in modes:
                     if (getattr(waiter_mode, "tag", None) is not None
@@ -211,7 +203,7 @@ class DirectoryEntry:
                         continue
                     blocking.add(root)
                     break
-            edges[queue.root] = frozenset(blocking)
+            edges[waiter_root] = frozenset(blocking)
         return edges
 
     def holder_entries(self) -> Tuple[Tuple[TxnId, NodeId], ...]:
@@ -255,7 +247,11 @@ class DirectoryEntry:
                 for holder_id, holder_mode in self.holders.items()
             ):
                 return GrantDecision.GRANTED
-            return self._wait_kind(txn)
+            for holder_id in self.holders:
+                if holder_id != txn.id and holder_id.root != txn.id.root:
+                    return GrantDecision.WAIT_GLOBAL
+            raise self._family_conflict(
+                txn, "cannot upgrade past its own family's holders")
         # §3.4 preclusion: an ancestor *holds* (not merely retains) the
         # lock this transaction needs — the family would deadlock with
         # itself, whatever the modes (a shared read included).
@@ -282,7 +278,8 @@ class DirectoryEntry:
                     continue
                 return GrantDecision.WAIT_GLOBAL
             if not retainer.is_ancestor_of(txn):
-                return GrantDecision.WAIT_LOCAL
+                raise self._family_conflict(
+                    txn, f"is not a descendant of retainer {retainer_id!r}")
         # Rule 1b: no other transaction holds a conflicting lock.
         for holder_id, holder_mode in self.holders.items():
             holder = self._holder_txns[holder_id]
@@ -290,16 +287,17 @@ class DirectoryEntry:
                 continue  # non-conflicting ancestor (allowed shared read)
             if mode.conflicts_with(holder_mode):
                 if holder_id.root == txn.id.root:
-                    return GrantDecision.WAIT_LOCAL
+                    raise self._family_conflict(
+                        txn, f"conflicts with holder {holder_id!r}")
                 return GrantDecision.WAIT_GLOBAL
         return GrantDecision.GRANTED
 
-    def _wait_kind(self, txn) -> GrantDecision:
-        """Upgrade blocked: local if only family members block, else global."""
-        for holder_id in self.holders:
-            if holder_id != txn.id and holder_id.root != txn.id.root:
-                return GrantDecision.WAIT_GLOBAL
-        return GrantDecision.WAIT_LOCAL
+    def _family_conflict(self, txn, what: str) -> ProtocolError:
+        """A request only its own family blocks (module docstring)."""
+        return ProtocolError(
+            f"intra-family conflict on {self.object_id!r}: {txn.id!r} "
+            f"{what}; families issue one request at a time"
+        )
 
     def grant(self, txn, mode: LockMode) -> None:
         """Record a grant decided by :meth:`decide` (or by a release)."""
@@ -312,55 +310,27 @@ class DirectoryEntry:
     # -- waiting -----------------------------------------------------------------
 
     def enqueue_global(self, waiter: Waiter) -> None:
-        """Queue a request from a non-holding family (Algorithm 4.2)."""
-        root = waiter.txn_id.root
-        for queue in self.waiting_families:
-            if queue.root == root:
-                queue.waiters.append(waiter)
-                return
-        self.waiting_families.append(
-            _FamilyQueue(root=root, site=waiter.txn.node, waiters=[waiter])
-        )
-
-    def enqueue_local(self, waiter: Waiter) -> None:
-        """Queue an intra-family conflicting request (Algorithm 4.1)."""
-        self.local_waiters.append(waiter)
+        """Queue a request behind another family (Algorithm 4.2)."""
+        self.waiting_families.append(waiter)
 
     def remove_waiter(self, txn_id: TxnId) -> bool:
-        """Drop a waiter everywhere (deadlock victim or family abort)."""
-        removed = False
-        for queue in list(self.waiting_families):
-            before = len(queue.waiters)
-            queue.waiters = [w for w in queue.waiters if w.txn_id != txn_id]
-            removed |= len(queue.waiters) != before
-            if not queue.waiters:
-                self.waiting_families.remove(queue)
-        before = len(self.local_waiters)
-        self.local_waiters = [w for w in self.local_waiters if w.txn_id != txn_id]
-        removed |= len(self.local_waiters) != before
-        return removed
+        """Drop a waiter (deadlock victim or lock-wait timeout)."""
+        for index, waiter in enumerate(self.waiting_families):
+            if waiter.txn_id == txn_id:
+                del self.waiting_families[index]
+                return True
+        return False
 
     def remove_family_waiters(self, root_serial: int) -> List[Waiter]:
-        """Drop every waiter of one family (family abort)."""
-        dropped: List[Waiter] = []
-        for queue in list(self.waiting_families):
-            if queue.root == root_serial:
-                dropped.extend(queue.waiters)
-                self.waiting_families.remove(queue)
-        kept = []
-        for waiter in self.local_waiters:
+        """Drop the family's waiter, if it has one (family abort)."""
+        for index, waiter in enumerate(self.waiting_families):
             if waiter.txn_id.root == root_serial:
-                dropped.append(waiter)
-            else:
-                kept.append(waiter)
-        self.local_waiters = kept
-        return dropped
-
-    def waiting_family_roots(self) -> Tuple[int, ...]:
-        return tuple(queue.root for queue in self.waiting_families)
+                del self.waiting_families[index]
+                return [waiter]
+        return []
 
     def has_waiters(self) -> bool:
-        return bool(self.waiting_families) or bool(self.local_waiters)
+        return bool(self.waiting_families)
 
     # -- release processing (rules 3-5 of §4.1) -----------------------------------
 
@@ -435,10 +405,10 @@ class DirectoryEntry:
     def pump(self) -> List[Waiter]:
         """Grant whatever is now grantable; returns the woken waiters.
 
-        Local (same-family) waiters are tried first.  Then waiting
-        families are scanned in FIFO order and any family whose head is
-        now grantable is admitted (its grantable prefix becomes
-        holders; any remainder moves to the local list).
+        One FIFO pass over the waiting families, admitting each waiter
+        that is now grantable.  One pass is enough: :meth:`decide` is
+        monotone in the holders, and a grant only adds holders, so a
+        waiter skipped early in the pass stays ungrantable after it.
 
         The scan deliberately does NOT stop at the first ungrantable
         family.  Algorithm 4.4's literal "unlink the next transaction
@@ -453,36 +423,13 @@ class DirectoryEntry:
         """
         granted: List[Waiter] = []
         remaining: List[Waiter] = []
-        for waiter in self.local_waiters:
-            decision = self.decide(waiter.txn, waiter.mode)
-            if decision is GrantDecision.GRANTED:
+        for waiter in self.waiting_families:
+            if self.decide(waiter.txn, waiter.mode) is GrantDecision.GRANTED:
                 self.grant(waiter.txn, waiter.mode)
                 granted.append(waiter)
             else:
                 remaining.append(waiter)
-        self.local_waiters = remaining
-        progressed = True
-        while progressed:
-            progressed = False
-            for queue in list(self.waiting_families):
-                admitted_any = False
-                while queue.waiters:
-                    waiter = queue.waiters[0]
-                    decision = self.decide(waiter.txn, waiter.mode)
-                    if decision is not GrantDecision.GRANTED:
-                        break
-                    self.grant(waiter.txn, waiter.mode)
-                    granted.append(waiter)
-                    queue.waiters.pop(0)
-                    admitted_any = True
-                    progressed = True
-                if not queue.waiters:
-                    self.waiting_families.remove(queue)
-                elif admitted_any:
-                    # Family partially admitted: it now holds the lock,
-                    # so its stragglers are intra-family (local) waiters.
-                    self.local_waiters.extend(queue.waiters)
-                    self.waiting_families.remove(queue)
+        self.waiting_families = remaining
         return granted
 
     # -- page map ------------------------------------------------------------------

@@ -219,12 +219,13 @@ class Tracer:
             **(info or {}),
         )
 
-    def lock_wait_begin(self, txn, object_id, mode, scope):
-        self.metrics.counter("lock.waits", scope=scope).inc()
+    def lock_wait_begin(self, txn, object_id, mode):
+        # Every wait is behind another family (GDO entry docstring).
+        self.metrics.counter("lock.waits", scope="global").inc()
         return self.begin(
             f"lock.wait {object_id!r}", CAT_LOCK, node=txn.node,
             track=f"family T{txn.id.root}",
-            txn=txn.id, object=object_id, mode=mode, scope=scope,
+            txn=txn.id, object=object_id, mode=mode, scope="global",
             lineage=_lineage(txn),
         )
 

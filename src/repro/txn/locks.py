@@ -193,11 +193,6 @@ class LockManager:
                     self.tracer.lock_granted(txn, object_id, mode, "local",
                                              info=entry.trace_info())
                 return None
-            if decision is GrantDecision.WAIT_LOCAL:
-                self.stats.local_acquisitions += 1
-                payload = yield from self._wait(entry, txn, mode, local=True)
-                txn.lock_objects.add(object_id)
-                return payload
             # WAIT_GLOBAL: our family retains the lock, but readers from
             # another family also hold it — Algorithm 4.1's ELSE branch
             # forwards such requests to GlobalLockAcquisition.
@@ -266,9 +261,7 @@ class LockManager:
             # behind this lock (reader preference), so re-check.
             self._detect_deadlocks()
             return snapshot
-        payload = yield from self._wait(
-            entry, txn, mode, local=(decision is GrantDecision.WAIT_LOCAL)
-        )
+        payload = yield from self._wait(entry, txn, mode)
         if self.tracer.enabled:
             self.tracer.gdo_request_latency(
                 entry.home_node, self.env.now - request_started
@@ -403,9 +396,14 @@ class LockManager:
         )
         yield self.network.send(relay)
 
-    def _wait(self, entry: DirectoryEntry, txn: Transaction, mode: LockMode,
-              local: bool):
+    def _wait(self, entry: DirectoryEntry, txn: Transaction, mode: LockMode):
         """Block until granted; raises DeadlockError if chosen as victim."""
+        root = txn.id.root
+        if root in self._blocked:
+            raise ProtocolError(
+                f"family {root} blocked twice concurrently; families are "
+                f"sequential (one live request at a time)"
+            )
         self.stats.waits += 1
         wake = self.env.event()
         # Scheduling hints for same-instant tie-break policies
@@ -419,16 +417,7 @@ class LockManager:
             "object": entry.object_id.value,
         }
         waiter = Waiter(txn=txn, mode=mode, wake=wake)
-        if local:
-            entry.enqueue_local(waiter)
-        else:
-            entry.enqueue_global(waiter)
-        root = txn.id.root
-        if root in self._blocked:
-            raise ProtocolError(
-                f"family {root} blocked twice concurrently; families are "
-                f"sequential (one live request at a time)"
-            )
+        entry.enqueue_global(waiter)
         self._blocked[root] = _BlockedFamily(
             object_id=entry.object_id, waiter=waiter, txn=txn
         )
@@ -436,13 +425,12 @@ class LockManager:
         self.directory.refresh_deadlock_edges(entry.object_id)
         self._detect_deadlocks()
         tracing = self.tracer.enabled
-        token = (self.tracer.lock_wait_begin(
-            txn, entry.object_id, mode, "local" if local else "global"
-        ) if tracing else None)
+        token = (self.tracer.lock_wait_begin(txn, entry.object_id, mode)
+                 if tracing else None)
         # Shard attribution is pinned at enqueue time: a migration
         # mid-wait must not unbalance the inc/dec pair.
         shard = entry.home_node
-        if tracing and not local:
+        if tracing:
             self.tracer.gdo_queue_depth(shard, +1)
         timeout_s = self.injector.lock_wait_timeout_s()
         try:
@@ -456,7 +444,7 @@ class LockManager:
                 self.tracer.lock_wait_end(token, ok=False)
             raise
         finally:
-            if tracing and not local:
+            if tracing:
                 self.tracer.gdo_queue_depth(shard, -1)
             self._blocked.pop(root, None)
         if tracing:
@@ -543,7 +531,7 @@ class LockManager:
         """Pre-commit lock disposition — purely local (Algorithm 4.3).
 
         The parent inherits and retains every lock ``txn`` holds or
-        retains; any now-grantable local waiter is woken on the spot.
+        retains; any waiter this makes grantable is woken on the spot.
         """
         parent = txn.parent
         if parent is None:

@@ -145,9 +145,8 @@ class TestRule1Retention:
         root, child_a, child_b, grandchild = family()
         entry.grant(grandchild, W)
         entry.release_to_parent(grandchild, child_a)
-        # child_a retains; child_b is not a descendant of child_a.
-        assert entry.decide(child_b, W) is GrantDecision.WAIT_LOCAL
-        # but a new child of child_a is.
+        # child_a retains; a new child of child_a is its descendant.
+        # (child_b is not: TestIntraFamilyConflict.)
         descendant = StubTxn(parent=child_a)
         assert entry.decide(descendant, W) is GrantDecision.GRANTED
 
@@ -170,6 +169,47 @@ class TestRule1Retention:
         root, child_a, _, _ = family()
         with pytest.raises(ProtocolError):
             entry.release_to_parent(child_a, root)
+
+
+class TestIntraFamilyConflict:
+    """A request only its own family blocks has no wait list to join:
+    families issue one request at a time, so it is a ProtocolError
+    naming the transaction and the object (and decide leaves the entry
+    as it was)."""
+
+    @staticmethod
+    def retainer_not_ancestor(entry):
+        root, child_a, child_b, grandchild = family()
+        entry.grant(grandchild, W)
+        entry.release_to_parent(grandchild, child_a)
+        return child_b, W
+
+    @staticmethod
+    def conflicting_family_holder(entry):
+        root, child_a, child_b, _ = family()
+        entry.grant(child_a, W)
+        return child_b, R
+
+    @staticmethod
+    def upgrade_blocked_by_family(entry):
+        root, child_a, child_b, _ = family()
+        entry.grant(child_a, R)
+        entry.grant(child_b, R)
+        return child_a, W
+
+    @pytest.mark.parametrize("shape", [
+        "retainer_not_ancestor",
+        "conflicting_family_holder",
+        "upgrade_blocked_by_family",
+    ])
+    def test_raises_protocol_error(self, entry, shape):
+        txn, mode = getattr(self, shape)(entry)
+        before = (dict(entry.holders), dict(entry.retainers))
+        with pytest.raises(ProtocolError, match="intra-family") as raised:
+            entry.decide(txn, mode)
+        assert repr(txn.id) in str(raised.value)
+        assert repr(entry.object_id) in str(raised.value)
+        assert (entry.holders, entry.retainers) == before
 
 
 class TestRecursionPreclusion:
@@ -240,15 +280,13 @@ class TestWaitingAndPump:
         return Wake()
 
     def test_waiters_grouped_by_family(self, entry):
+        # NonHoldersPtr: one waiter per family, in arrival order.
         holder = StubTxn()
         entry.grant(holder, W)
-        family_a_1, family_a_2 = StubTxn(node=N1), None
-        family_a_2 = StubTxn(node=N1, root=family_a_1.id.root)
-        entry.enqueue_global(Waiter(family_a_1, W, self.wake()))
-        entry.enqueue_global(Waiter(family_a_2, R, self.wake()))
-        entry.enqueue_global(Waiter(StubTxn(), W, self.wake()))
-        assert len(entry.waiting_families) == 2
-        assert entry.waiting_family_roots()[0] == family_a_1.id.root
+        family_a, family_b = StubTxn(node=N1), StubTxn()
+        entry.enqueue_global(Waiter(family_a, W, self.wake()))
+        entry.enqueue_global(Waiter(family_b, R, self.wake()))
+        assert [w.txn for w in entry.waiting_families] == [family_a, family_b]
 
     def test_pump_admits_next_family_fifo(self, entry):
         holder = StubTxn()
@@ -261,7 +299,7 @@ class TestWaitingAndPump:
         assert [w.txn for w in woken] == [first]
         assert entry.holders[first.id] is W
         # second still queued
-        assert entry.waiting_family_roots() == (second.id.root,)
+        assert [w.txn for w in entry.waiting_families] == [second]
 
     def test_pump_admits_cross_family_reader_run(self, entry):
         holder = StubTxn()
@@ -276,18 +314,6 @@ class TestWaitingAndPump:
         assert {w.txn.id for w in woken} == {r.id for r in readers}
         assert entry.read_count == 3
 
-    def test_pump_respects_local_waiters_first(self, entry):
-        root, child_a, child_b, grandchild = family()
-        entry.grant(grandchild, W)
-        entry.release_to_parent(grandchild, child_a)
-        wake = self.wake()
-        entry.enqueue_local(Waiter(child_b, W, wake))
-        # child_a still retains: child_b must keep waiting.
-        assert entry.pump() == []
-        entry.release_to_parent(child_a, root)
-        woken = entry.pump()
-        assert [w.txn for w in woken] == [child_b]
-
     def test_remove_waiter(self, entry):
         holder = StubTxn()
         entry.grant(holder, W)
@@ -300,27 +326,13 @@ class TestWaitingAndPump:
     def test_remove_family_waiters(self, entry):
         holder = StubTxn()
         entry.grant(holder, W)
-        a = StubTxn(node=N1)
-        a2 = StubTxn(node=N1, root=a.id.root)
-        b = StubTxn(node=N1)
+        a, b = StubTxn(node=N1), StubTxn(node=N1)
         entry.enqueue_global(Waiter(a, W, self.wake()))
-        entry.enqueue_global(Waiter(a2, R, self.wake()))
         entry.enqueue_global(Waiter(b, W, self.wake()))
         dropped = entry.remove_family_waiters(a.id.root)
-        assert {w.txn.id for w in dropped} == {a.id, a2.id}
-        assert entry.waiting_family_roots() == (b.id.root,)
-
-    def test_partial_family_admission_moves_rest_local(self, entry):
-        holder = StubTxn()
-        entry.grant(holder, W)
-        fam_root = StubTxn(node=N1)
-        fam_peer = StubTxn(node=N1, root=fam_root.id.root)
-        entry.enqueue_global(Waiter(fam_root, W, self.wake()))
-        entry.enqueue_global(Waiter(fam_peer, W, self.wake()))
-        entry.release_family(holder.id.root)
-        woken = entry.pump()
-        assert [w.txn for w in woken] == [fam_root]
-        assert [w.txn for w in entry.local_waiters] == [fam_peer]
+        assert [w.txn for w in dropped] == [a]
+        assert entry.remove_family_waiters(a.id.root) == []
+        assert [w.txn for w in entry.waiting_families] == [b]
 
 
 class TestPageMap:

@@ -1,13 +1,16 @@
 """Property-based state machine over the O2PL directory entry.
 
 Hypothesis drives random sequences of family growth, acquisition,
-pre-commit, abort, and root release against one DirectoryEntry and
-checks the §4.1 structural invariants after every step:
+pre-commit, abort, and root release against one DirectoryEntry, under
+the executor's one-request-per-family rule, and checks the §4.1
+structural invariants after every step:
 
 * multiple readers / single writer (a write holder is the sole holder),
 * ReadCount equals the number of read holders,
 * a grant is only ever handed out when rule 1 allows it,
 * waiters are never simultaneously holders,
+* a family has at most one waiter,
+* no request is blocked by its own family (``decide`` never raises),
 * released families leave no residue.
 """
 
@@ -59,6 +62,12 @@ class _FakeWake:
 
 
 class O2PLMachine(RuleBasedStateMachine):
+    """Families follow the executor's rule: a family's live
+    transactions form one chain, only its leaf requests, and a blocked
+    family can only wait or abort its root.  ``decide`` must therefore
+    never raise (no intra-family conflict): any ProtocolError fails the
+    run."""
+
     def __init__(self):
         super().__init__()
         self.entry = DirectoryEntry(
@@ -67,101 +76,102 @@ class O2PLMachine(RuleBasedStateMachine):
         )
         self.serial = 0
         self.txns = []
+        # root serial -> live chain (root first); blocked root serials.
+        self.chains = {}
+        self.blocked = set()
 
     def _next_serial(self):
         self.serial += 1
         return self.serial
 
-    def _live(self):
-        return [t for t in self.txns if not t.finished]
+    def _running(self):
+        return [root for root in self.chains if root not in self.blocked]
+
+    def _pump(self):
+        for waiter in self.entry.pump():
+            self.blocked.discard(waiter.txn_id.root)
+
+    def _release_family(self, root):
+        for txn in self.chains.pop(root):
+            txn.finished = True
+        self.entry.remove_family_waiters(root)
+        self.blocked.discard(root)
+        self.entry.release_family(root)
+        self._pump()
 
     # -- rules -----------------------------------------------------------
 
     @rule(node=st.integers(0, 2))
     def new_root(self, node):
         serial = self._next_serial()
-        self.txns.append(_StubTxn(serial, serial, None, NodeId(node)))
+        root = _StubTxn(serial, serial, None, NodeId(node))
+        self.txns.append(root)
+        self.chains[serial] = [root]
 
-    @precondition(lambda self: self._live())
+    @precondition(lambda self: self._running())
     @rule(data=st.data())
     def new_child(self, data):
-        parent = data.draw(st.sampled_from(self._live()))
-        serial = self._next_serial()
-        self.txns.append(
-            _StubTxn(serial, parent.id.root, parent, parent.node)
-        )
+        chain = self.chains[data.draw(st.sampled_from(self._running()))]
+        parent = chain[-1]
+        child = _StubTxn(self._next_serial(), parent.id.root, parent,
+                         parent.node)
+        self.txns.append(child)
+        chain.append(child)
 
-    @precondition(lambda self: self._live())
+    @precondition(lambda self: self._running())
     @rule(data=st.data(), mode=st.sampled_from([LockMode.READ, LockMode.WRITE]))
     def try_acquire(self, data, mode):
-        txn = data.draw(st.sampled_from(self._live()))
-        if self.entry.remove_waiter(txn.id):
-            # keep the model simple: a txn has one outstanding request
-            pass
+        root = data.draw(st.sampled_from(self._running()))
+        txn = self.chains[root][-1]
         decision = self.entry.decide(txn, mode)
         if decision is GrantDecision.GRANTED:
             self.entry.grant(txn, mode)
-        elif decision is GrantDecision.WAIT_LOCAL:
-            self.entry.enqueue_local(Waiter(txn, mode, _FakeWake()))
         elif decision is GrantDecision.WAIT_GLOBAL:
             self.entry.enqueue_global(Waiter(txn, mode, _FakeWake()))
+            self.blocked.add(root)
         # RECURSIVE: request refused, nothing recorded.
 
     @precondition(lambda self: any(
-        t for t in self._live()
-        if t.parent is not None and not any(
-            c for c in self._live() if c.parent is t
-        )
+        len(self.chains[root]) > 1 for root in self._running()
     ))
     @rule(data=st.data())
     def precommit_leaf(self, data):
-        candidates = [
-            t for t in self._live()
-            if t.parent is not None and not any(
-                c for c in self._live() if c.parent is t
-            )
-        ]
-        txn = data.draw(st.sampled_from(candidates))
-        self.entry.remove_waiter(txn.id)
-        held = txn.id in self.entry.holders
-        retained = txn.id in self.entry.retainers
-        if held or retained:
+        root = data.draw(st.sampled_from([
+            root for root in self._running() if len(self.chains[root]) > 1
+        ]))
+        txn = self.chains[root].pop()
+        if txn.id in self.entry.holders or txn.id in self.entry.retainers:
             self.entry.release_to_parent(txn, txn.parent)
         txn.finished = True
-        for waiter in self.entry.pump():
-            pass
+        self._pump()
 
-    @precondition(lambda self: self._live())
+    @precondition(lambda self: any(
+        len(self.chains[root]) > 1 for root in self._running()
+    ))
     @rule(data=st.data())
-    def abort_txn(self, data):
-        txn = data.draw(st.sampled_from(self._live()))
-        # Abort the whole subtree below txn (children first).
-        subtree = [t for t in self._live()
-                   if t is txn or txn.is_ancestor_of(t)]
-        for victim in sorted(subtree, key=lambda t: -t.id.serial):
-            self.entry.remove_waiter(victim.id)
-            self.entry.release_on_abort(victim)
-            victim.finished = True
-        self.entry.pump()
+    def abort_leaf(self, data):
+        root = data.draw(st.sampled_from([
+            root for root in self._running() if len(self.chains[root]) > 1
+        ]))
+        txn = self.chains[root].pop()
+        self.entry.release_on_abort(txn)
+        txn.finished = True
+        self._pump()
 
-    @precondition(lambda self: any(t.parent is None for t in self._live()))
+    @precondition(lambda self: self.chains)
+    @rule(data=st.data())
+    def abort_root(self, data):
+        # Blocked families included: a deadlock victim aborts its root.
+        self._release_family(data.draw(st.sampled_from(sorted(self.chains))))
+
+    @precondition(lambda self: any(
+        len(self.chains[root]) == 1 for root in self._running()
+    ))
     @rule(data=st.data())
     def commit_root(self, data):
-        roots = [t for t in self._live() if t.parent is None]
-        root = data.draw(st.sampled_from(roots))
-        family = [t for t in self._live() if t.id.root == root.id.serial]
-        # Only commit when the whole family is just the root (children
-        # must pre-commit or abort first); otherwise force-finish them.
-        for txn in sorted(family, key=lambda t: -t.id.serial):
-            if txn is not root:
-                self.entry.remove_waiter(txn.id)
-                if txn.id in self.entry.holders or txn.id in self.entry.retainers:
-                    self.entry.release_to_parent(txn, txn.parent)
-                txn.finished = True
-        self.entry.remove_waiter(root.id)
-        self.entry.release_family(root.id.serial)
-        root.finished = True
-        self.entry.pump()
+        self._release_family(data.draw(st.sampled_from([
+            root for root in self._running() if len(self.chains[root]) == 1
+        ])))
 
     # -- invariants --------------------------------------------------------
 
@@ -188,16 +198,18 @@ class O2PLMachine(RuleBasedStateMachine):
     def waiters_not_already_satisfied(self):
         # A transaction may wait for an upgrade (holding R, wanting W),
         # but never for a mode its current hold already covers.
-        all_waiters = [w for q in self.entry.waiting_families
-                       for w in q.waiters]
-        all_waiters.extend(self.entry.local_waiters)
-        for waiter in all_waiters:
+        for waiter in self.entry.waiting_families:
             held = self.entry.holders.get(waiter.txn_id)
             if held is None:
                 continue
             assert held is LockMode.READ and waiter.mode is LockMode.WRITE, (
                 f"{waiter.txn_id} waits for {waiter.mode} while holding {held}"
             )
+
+    @invariant()
+    def one_waiter_per_family(self):
+        roots = [w.txn_id.root for w in self.entry.waiting_families]
+        assert sorted(roots) == sorted(self.blocked)
 
     @invariant()
     def finished_txns_left_no_residue(self):

@@ -3,7 +3,11 @@ message accounting (Algorithms 4.1-4.4 over the simulated network)."""
 
 import pytest
 
+from repro.gdo.entry import LockMode
 from repro.net.message import MessageCategory
+from repro.txn.transaction import Transaction
+from repro.util.errors import ProtocolError
+from repro.util.ids import TxnId
 
 from conftest import Counter, Ledger, Orchestrator, make_cluster
 
@@ -118,3 +122,24 @@ class TestWaitingAndHandoffs:
         # Commit log order reflects grant order.
         methods = [record.label for record in cluster.commit_log]
         assert methods == sorted(methods, key=lambda lbl: int(lbl[1:]))
+
+    def test_second_block_of_a_family_leaves_the_queue_unchanged(self,
+                                                                  cluster):
+        """A family blocks at most once at a time: the second block
+        raises before it queues a waiter or a wake on the entry."""
+        counter = cluster.create(Counter)
+        entry = cluster.directory.entry(counter.meta.object_id)
+        node = cluster.nodes[1]
+        holder = Transaction(TxnId(1, 1), node)
+        entry.grant(holder, LockMode.WRITE)
+        blocked = Transaction(TxnId(2, 2), node)
+        first = cluster.lockmgr._wait(entry, blocked, LockMode.WRITE)
+        next(first)  # queued; suspended on its wake
+        waits = cluster.lock_stats.waits
+        sibling = Transaction(TxnId(3, 2), node, parent=blocked)
+        second = cluster.lockmgr._wait(entry, sibling, LockMode.WRITE)
+        with pytest.raises(ProtocolError, match="blocked twice"):
+            next(second)
+        assert [waiter.txn for waiter in entry.waiting_families] == [blocked]
+        assert cluster.lock_stats.waits == waits
+        first.close()
