@@ -32,8 +32,6 @@ def _skip_precommit_retention(cluster) -> None:
             entry.release_on_abort(txn)
             for waiter in entry.pump():
                 waiter.wake.succeed(entry.page_map_snapshot())
-            lockmgr.directory.refresh_deadlock_edges(object_id)
-        lockmgr._detect_deadlocks()
 
     lockmgr.precommit_release = precommit_release
 

@@ -118,18 +118,23 @@ class ReferenceModel:
             joined = join_mode_strings(held, mode)
             if joined == held:
                 return
-            # Upgrade: legal only while no other holder conflicts with
-            # the joined mode (plain case: sole holder).
+            # Upgrade: legal only while no other holder, and no
+            # retainer outside the requester's lineage (rule 1a),
+            # conflicts with the joined mode (plain case: sole holder).
             others = [
                 h for h, m in holds.items()
                 if h != txn and self._conflicts.conflict(joined, m)
+            ] + [
+                r for r, m in retains.items()
+                if r != txn and r.serial not in ancestors
+                and self._conflicts.conflict(m, joined)
             ]
             if others:
                 self.violations.append(Violation(
                     "reference.upgrade", index, ts,
                     f"{txn!r} upgraded {self._oname(obj)} {held}->{joined} "
-                    f"while {sorted(map(repr, others))} still hold it in "
-                    f"conflicting modes",
+                    f"while {sorted(map(repr, others))} still hold or "
+                    f"retain it in conflicting modes",
                 ))
             holds[txn] = joined
             return

@@ -415,8 +415,7 @@ def _lock_line(cluster) -> str:
     """Lock waits and what the deadlock detector did about them."""
     locks = cluster.lock_stats
     return (f"locks: {locks.waits} waits, {locks.deadlocks} deadlocks, "
-            f"{locks.cycle_searches} cycle searches, "
-            f"{locks.edge_refreshes} edge refreshes")
+            f"{locks.cycle_searches} cycle searches")
 
 
 def _fault_table(cluster: Cluster) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.gdo.deadlock import DeadlockDetector
 from repro.gdo.entry import DirectoryEntry
 from repro.obs.tracer import NULL_TRACER
 from repro.util.errors import ConfigurationError, ProtocolError
@@ -27,7 +26,6 @@ class Directory:
             raise ConfigurationError("directory needs at least one node")
         self._nodes: List[NodeId] = list(nodes)
         self._entries: Dict[ObjectId, DirectoryEntry] = {}
-        self.deadlock = DeadlockDetector()
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def home_node(self, object_id: ObjectId) -> NodeId:
@@ -76,15 +74,6 @@ class Directory:
 
     def entries(self) -> Dict[ObjectId, DirectoryEntry]:
         return dict(self._entries)
-
-    def refresh_deadlock_edges(self, object_id: ObjectId) -> None:
-        """Re-derive this entry's contribution to the waits-for graph.
-
-        Nothing queued and nothing recorded (most refreshes outside a
-        contended burst) means nothing to derive."""
-        entry = self.entry(object_id)
-        if entry.waiting_families or self.deadlock.has_entry(object_id):
-            self.deadlock.update_entry(object_id, entry.waits_for_edges())
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.util.errors import ProtocolError
 from repro.util.ids import NodeId, ObjectId, TxnId
@@ -162,49 +162,34 @@ class DirectoryEntry:
             t.root == root_serial for t in self.retainers
         )
 
-    def blocking_family_roots(self, exclude_root: Optional[int] = None) -> FrozenSet[int]:
-        """Roots of every family holding or retaining the lock (for the
-        deadlock detector's waits-for edges)."""
+    def blocking_family_roots(self) -> FrozenSet[int]:
+        """Roots of every family holding or retaining the lock."""
         roots = {t.root for t in self.holders} | {t.root for t in self.retainers}
-        if exclude_root is not None:
-            roots.discard(exclude_root)
         return frozenset(roots)
 
-    def waits_for_edges(self) -> Dict[int, FrozenSet[int]]:
-        """Waits-for edges keyed by actual conflict, per waiting family.
+    def blockers_of(self, waiter: Waiter) -> List[int]:
+        """Roots of the families blocking a queued waiter, sorted: its
+        out-edges in the deadlock detector's waits-for graph.
 
-        For each queued family its waiter's mode decides its blocking
-        set: a holder/retainer family contributes an edge
-        unless both its recorded mode and the waiter's are semantic and
-        commute — two commuting holders must never appear as a spurious
-        cycle to the deadlock detector.  Plain pairings always keep
-        their edge (a plain waiter queued behind the entry is blocked
-        by the entry's whole membership, exactly the pre-semantic
-        behaviour)."""
-        if not self.waiting_families:
-            return {}
-        modes_by_root: Dict[int, List[LockMode]] = {}
-        for txn_id, mode in self.holders.items():
-            modes_by_root.setdefault(txn_id.root, []).append(mode)
-        for txn_id, mode in self.retainers.items():
-            modes_by_root.setdefault(txn_id.root, []).append(mode)
-        edges: Dict[int, FrozenSet[int]] = {}
-        for waiter in self.waiting_families:
-            waiter_root = waiter.txn_id.root
-            waiter_mode = waiter.mode
-            blocking = set()
-            for root, modes in modes_by_root.items():
-                if root == waiter_root:
-                    continue
-                for held_mode in modes:
-                    if (getattr(waiter_mode, "tag", None) is not None
-                            and getattr(held_mode, "tag", None) is not None
-                            and not waiter_mode.conflicts_with(held_mode)):
-                        continue
-                    blocking.add(root)
-                    break
-            edges[waiter_root] = frozenset(blocking)
-        return edges
+        Every other family holding or retaining the lock blocks it
+        unless both that family's recorded mode and the waiter's are
+        semantic and commute — two commuting holders must never appear
+        as a spurious cycle.  Plain pairings always keep their edge (a
+        plain waiter queued behind the entry is blocked by the entry's
+        whole membership).  A waiter no longer queued here (a pump
+        admitted it) is blocked by nobody."""
+        if waiter not in self.waiting_families:
+            return []
+        mode = waiter.mode
+        semantic = getattr(mode, "tag", None) is not None
+        blocking = set()
+        for members in (self.holders, self.retainers):
+            for txn_id, held in members.items():
+                if (not semantic or getattr(held, "tag", None) is None
+                        or mode.conflicts_with(held)):
+                    blocking.add(txn_id.root)
+        blocking.discard(waiter.txn_id.root)
+        return sorted(blocking)
 
     def holder_entries(self) -> Tuple[Tuple[TxnId, NodeId], ...]:
         """The ⟨TID,NID⟩ pairs of HolderPtr (for grant message sizing);
@@ -241,6 +226,14 @@ class DirectoryEntry:
             joined = _join(held, mode)
             if joined == held:
                 return GrantDecision.GRANTED
+            # Rule 1a holds for an upgrade too.  Only a pair of
+            # commuting semantic modes passes a foreign retainer, and
+            # the joined mode of an upgrade is always plain (equal
+            # modes were covered above), so every foreign retainer
+            # blocks it.
+            for retainer_id in self.retainers:
+                if retainer_id.root != txn.id.root:
+                    return GrantDecision.WAIT_GLOBAL
             if all(
                 holder_id == txn.id
                 or not joined.conflicts_with(holder_mode)

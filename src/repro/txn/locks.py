@@ -26,6 +26,7 @@ from typing import Dict, List, Set, Tuple
 from repro.faults.injector import NULL_INJECTOR
 from repro.faults.wal import NULL_WAL
 from repro.gdo.cache import EntryCacheTracker
+from repro.gdo.deadlock import first_cycle, pick_victim
 from repro.gdo.directory import Directory
 from repro.gdo.entry import DirectoryEntry, GrantDecision, LockMode, Waiter
 from repro.net.message import Message, MessageCategory
@@ -57,10 +58,8 @@ class LockStats:
     prefetch_granted: int = 0
     prefetch_denied: int = 0
     lock_timeouts: int = 0
-    #: The deadlock detector's work, counted by the detector itself:
-    #: DFS runs started, and entry refreshes that changed the graph.
+    #: The deadlock detector's work: DFS runs started.
     cycle_searches: int = 0
-    edge_refreshes: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         return {
@@ -73,16 +72,16 @@ class LockStats:
             "prefetch_denied": self.prefetch_denied,
             "lock_timeouts": self.lock_timeouts,
             "cycle_searches": self.cycle_searches,
-            "edge_refreshes": self.edge_refreshes,
         }
 
 
 @dataclass
 class _BlockedFamily:
-    __slots__ = ("object_id", "waiter", "txn")
-    object_id: ObjectId
+    """The entry a blocked family waits on and its one queued waiter."""
+
+    __slots__ = ("entry", "waiter")
+    entry: DirectoryEntry
     waiter: Waiter
-    txn: Transaction
 
 
 class LockManager:
@@ -109,9 +108,6 @@ class LockManager:
         # second concurrent migration of the same entry.
         self._migrating: Set[ObjectId] = set()
         self.stats = LockStats()
-        # The detector counts its searches and refreshes where it does
-        # them, into the same record.
-        directory.deadlock.stats = self.stats
         # At most one blocked transaction per (sequential) family.
         self._blocked: Dict[int, _BlockedFamily] = {}
         # Root serials of families killed by a node crash.  In-flight
@@ -256,10 +252,6 @@ class LockManager:
                 )
                 self.tracer.lock_granted(txn, object_id, mode, "global",
                                          info=entry.trace_info())
-            self.directory.refresh_deadlock_edges(object_id)
-            # A grant can complete a cycle for families already queued
-            # behind this lock (reader preference), so re-check.
-            self._detect_deadlocks()
             return snapshot
         payload = yield from self._wait(entry, txn, mode)
         if self.tracer.enabled:
@@ -344,8 +336,6 @@ class LockManager:
             # already reclaimed the entry, so just stop quietly.
             raise NodeCrashError(txn.id, node=node)
         txn.lock_objects.add(object_id)
-        self.directory.refresh_deadlock_edges(object_id)
-        self._detect_deadlocks()
         return snapshot
 
     def _wal_record_holders(self, object_id: ObjectId,
@@ -418,12 +408,8 @@ class LockManager:
         }
         waiter = Waiter(txn=txn, mode=mode, wake=wake)
         entry.enqueue_global(waiter)
-        self._blocked[root] = _BlockedFamily(
-            object_id=entry.object_id, waiter=waiter, txn=txn
-        )
-        self.directory.deadlock.mark(root)
-        self.directory.refresh_deadlock_edges(entry.object_id)
-        self._detect_deadlocks()
+        self._blocked[root] = _BlockedFamily(entry=entry, waiter=waiter)
+        self._detect_deadlocks(root)
         tracing = self.tracer.enabled
         token = (self.tracer.lock_wait_begin(txn, entry.object_id, mode)
                  if tracing else None)
@@ -479,7 +465,6 @@ class LockManager:
             # Already granted; the grant message is on the wire.
             payload = yield waiter.wake
             return payload
-        self.directory.refresh_deadlock_edges(entry.object_id)
         waited = self.env.now - started
         self.stats.lock_timeouts += 1
         self.injector.stats.lock_timeouts += 1
@@ -487,41 +472,50 @@ class LockManager:
             self.tracer.lock_timeout(waiter.txn, entry.object_id, waited)
         raise LockTimeoutError(waiter.txn_id, entry.object_id, waited)
 
-    def _detect_deadlocks(self) -> None:
-        """Abort a victim per cycle reachable from a blocked family.
+    def _detect_deadlocks(self, root: int) -> None:
+        """Abort a victim per cycle, after family ``root`` blocked.
 
-        Cycles can appear not only when a family enqueues but also when
-        a *grant* changes an entry's blocker set (reader preference can
-        admit family B onto a lock family A already waits for), so this
-        runs after every edge refresh.  It leaves no such cycle behind,
-        so the next one is reachable from a family the detector marked
-        since (it gained a blocker, or just blocked); when none of
-        those reaches a cycle there is nothing to do.  When one does,
-        the victim's cycle is the first one found from the blocked
-        families in serial order — which cycle dies is part of the
-        schedule — and victim removal changes the graph, so sweep
-        until no cycle remains.
+        The graph is read off the lock table (:mod:`repro.gdo.deadlock`)
+        and the lock manager leaves no cycle reachable from a blocked
+        family, so a new cycle needs a new edge whose target waits.  The
+        blocking family's edges are new.  Every other new edge points at
+        a family that just gained a lock, or a stronger one: the running
+        requester, a family a pump just admitted (its waiter left the
+        queue), a pre-committing child's parent, a root prefetching
+        before it runs.  That family waits for nobody, so a cycle
+        through the edge can only close when it next blocks — here
+        again.  So when ``root`` reaches no cycle there is nothing to
+        do.  When it does, the victim's cycle is the first one found
+        from the blocked families in serial order — which cycle dies is
+        part of the schedule — and victim removal changes the graph, so
+        sweep until no cycle remains.  The round reads each family's
+        edges at most once and keeps its cycle-free certificates.
         """
-        detector = self.directory.deadlock
-        if not detector.cycle_appeared():
+        blocked = self._blocked
+        edges: Dict[int, List[int]] = {}
+        cycle_free: Set[int] = set()
+        if first_cycle((root,), blocked, edges, cycle_free,
+                       self.stats) is None:
             return
         while True:
-            cycle = detector.first_cycle(sorted(self._blocked))
+            cycle = first_cycle(sorted(blocked), blocked, edges, cycle_free,
+                                self.stats)
             if cycle is None:
                 return
-            self._abort_victim(cycle)
+            victim = self._abort_victim(cycle)
+            edges[victim] = []  # its waiter left the queue
 
-    def _abort_victim(self, cycle) -> None:
-        victim_root = self.directory.deadlock.pick_victim(cycle,
-                                                          self._blocked)
+    def _abort_victim(self, cycle) -> int:
+        """Fail the youngest blocked family of ``cycle``; returns its root."""
+        victim_root = pick_victim(cycle, self._blocked)
         self.stats.deadlocks += 1
         if self.tracer.enabled:
             self.tracer.deadlock(victim_root, cycle)
         blocked = self._blocked.pop(victim_root)
-        entry = self.directory.entry(blocked.object_id)
-        entry.remove_waiter(blocked.txn.id)
-        self.directory.refresh_deadlock_edges(blocked.object_id)
-        blocked.waiter.wake.fail(DeadlockError(blocked.txn.id, cycle))
+        txn_id = blocked.waiter.txn_id
+        blocked.entry.remove_waiter(txn_id)
+        blocked.waiter.wake.fail(DeadlockError(txn_id, cycle))
+        return victim_root
 
     # ------------------------------------------------------------------
     # Release (Algorithms 4.3 and 4.4)
@@ -669,8 +663,6 @@ class LockManager:
             woken = entry.pump()
             self._deliver_grants(entry, woken, roots_before)
             self._wal_record_holders(object_id, entry)
-            self.directory.refresh_deadlock_edges(object_id)
-        self._detect_deadlocks()
         if self.migration is not None:
             # Detached: re-homing is the directory's own housekeeping.
             # Running it inline would suspend the releasing family past
@@ -806,7 +798,3 @@ class LockManager:
                 self.cache.on_freed(object_id)
             woken = entry.pump()
             self._deliver_grants(entry, woken, roots_before)
-            self.directory.refresh_deadlock_edges(object_id)
-        for root in sorted(dead):
-            self.directory.deadlock.drop_family(root)
-        self._detect_deadlocks()

@@ -154,6 +154,15 @@ class TestForbiddenGrants:
             "reference.upgrade"
         ]
 
+    def test_upgrade_past_a_foreign_retainer(self):
+        # Rule 1a binds upgrades too: T5's child read and pre-committed,
+        # so T5 retains R, and T0 may not upgrade to W past it.
+        trace = [grant("T0", 1, "R"), grant("T6/r5", 1, "R", lineage=[5]),
+                 inherit("T6/r5", "T5", [1]), grant("T0", 1, "W")]
+        assert checkers(check_reference_model(trace)) == [
+            "reference.upgrade"
+        ]
+
     def test_reentrant_grants_are_free(self):
         trace = [grant("T0", 1, "W"), grant("T0", 1, "R"),
                  grant("T0", 1, "W")]

@@ -1,388 +1,392 @@
-"""Differential test of the incremental deadlock detector.
+"""Differential test of the deadlock detector against a full rebuild.
 
-Which cycle is found and which family dies is part of the schedule, so
-the incremental detector (search only from families that gained a
-blocker, certificates kept across edge removals) must make exactly the
-choices of the search it replaced.  That search — rebuild the adjacency
-from every entry, ``for start in sorted(blocked)``, sorted-neighbour
-DFS, no memo — is kept here as the reference:
+The detector reads the waits-for graph off the lock table, searches
+only from the family that just blocked, and keeps an edge memo and
+cycle-free certificates for one round.  Which cycle is found
+and which family dies is part of the schedule, so it must make exactly
+the choices of the plain search: rebuild the whole graph from every
+entry and every queued waiter, judging conflicts here rather than
+through ``DirectoryEntry.blockers_of``, then run a memo-free DFS from
+each blocked family in serial order.  That search is the reference
+below; it shares no code with the detector.
 
-(a) seeded random operation sequences drive a small lock-table model
-    against the bare detector and the reference in lockstep;
-(b) live ``medium-high`` runs ask the reference at every victim abort
-    and at every return of ``LockManager._detect_deadlocks``.
+(a) seeded random operation sequences drive real directory entries
+    through ``LockManager._detect_deadlocks``; the reference is asked
+    at every victim abort and after every operation;
+(b) live ``medium-high`` runs (plain, semantic, crash-recover,
+    migration, prefetch) ask the reference at every victim abort and
+    at every return of ``LockManager._detect_deadlocks``.
 
 Tier-1 runs a small cut of (b); the full matrix is marked ``slow``.
 """
 
 import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.check.explorer import FuzzTask, build_config
-from repro.gdo.deadlock import DeadlockDetector
+from repro.gdo.deadlock import find_cycle
+from repro.gdo.entry import DirectoryEntry, LockMode, Waiter
+from repro.obs.tracer import NULL_TRACER
 from repro.runtime import Cluster
-from repro.util.errors import ProtocolError
-from repro.util.ids import ObjectId
+from repro.txn.locks import LockManager, LockStats, _BlockedFamily
+from repro.txn.semantic import SemanticMode
+from repro.txn.transaction import Transaction
+from repro.util.errors import DeadlockError
+from repro.util.ids import NodeId, ObjectId, TxnId
 from repro.workload import SCENARIOS, generate_workload, run_workload
 
+from conftest import Counter
+
+R, W = LockMode.READ, LockMode.WRITE
+
 
 # ----------------------------------------------------------------------
-# The reference: the parent commit's algorithm, unoptimised
+# The reference: rebuild everything, search everything, no memo
 # ----------------------------------------------------------------------
 
-class ReferenceDetector:
+def _blocks(waiting, held):
+    """Does a held or retained mode block a waiting one?  A plain mode
+    on either side always does; two semantic modes do unless their
+    methods commute, and then only if one of them writes."""
+    waiting_tag = getattr(waiting, "tag", None)
+    held_tag = getattr(held, "tag", None)
+    if waiting_tag is None or held_tag is None:
+        return True
+    waiting_class, waiting_method = waiting_tag.split(".", 1)
+    held_class, held_method = held_tag.split(".", 1)
+    if (waiting_class == held_class
+            and waiting.table.commutes(waiting_method, held_method)):
+        return False
+    return W in (getattr(waiting, "base", waiting),
+                 getattr(held, "base", held))
+
+
+def reference_graph(entries):
+    """Family -> the families its queued waiters are blocked by."""
+    graph = {}
+    for entry in entries:
+        members = [*entry.holders.items(), *entry.retainers.items()]
+        for waiter in entry.waiting_families:
+            root = waiter.txn_id.root
+            targets = graph.setdefault(root, set())
+            for txn_id, held in members:
+                if txn_id.root != root and _blocks(waiter.mode, held):
+                    targets.add(txn_id.root)
+    return graph
+
+
+def reference_find_cycle(graph, start):
+    path, on_path, visited = [], set(), set()
+
+    def dfs(node):
+        visited.add(node)
+        path.append(node)
+        on_path.add(node)
+        for target in sorted(graph.get(node, ())):
+            if target in on_path:
+                return path[path.index(target):]
+            if target not in visited:
+                found = dfs(target)
+                if found is not None:
+                    return found
+        path.pop()
+        on_path.discard(node)
+        return None
+
+    return dfs(start) if graph.get(start) else None
+
+
+def reference_first_cycle(entries, blocked):
+    """The first cycle from the blocked families in serial order."""
+    graph = reference_graph(entries)
+    for start in sorted(blocked):
+        cycle = reference_find_cycle(graph, start)
+        if cycle is not None:
+            return cycle
+    return None
+
+
+def reference_victim(cycle, blocked):
+    return max(root for root in cycle if root in blocked)
+
+
+# ----------------------------------------------------------------------
+# (a) Random operation sequences on real entries
+# ----------------------------------------------------------------------
+
+class _Txn:
+    """A family's root, as the entry needs it (id, node, ancestry)."""
+
+    def __init__(self, root):
+        self.id = TxnId(root, root)
+        self.node = NodeId(0)
+        self.parent = None
+
+    def is_ancestor_of(self, other):
+        return False
+
+
+class _Wake:
     def __init__(self):
-        self.entries = {}
+        self.failed = None
 
-    def update_entry(self, object_id, edges):
-        pruned = {waiter: frozenset(blocking) - {waiter}
-                  for waiter, blocking in edges.items()
-                  if frozenset(blocking) - {waiter}}
-        if pruned:
-            self.entries[object_id] = pruned
-        else:
-            self.entries.pop(object_id, None)
-
-    def drop_family(self, root):
-        for object_id, edges in list(self.entries.items()):
-            self.update_entry(object_id, {
-                waiter: blocking - {root}
-                for waiter, blocking in edges.items() if waiter != root
-            })
-
-    def mark(self, root):
-        pass
-
-    def edges(self):
-        adjacency = {}
-        for entry_edges in self.entries.values():
-            for waiter, blocking in entry_edges.items():
-                adjacency.setdefault(waiter, set()).update(blocking)
-        return adjacency
-
-    def find_cycle(self, start):
-        adjacency = self.edges()
-        path, on_path, visited = [], set(), set()
-
-        def dfs(node):
-            visited.add(node)
-            path.append(node)
-            on_path.add(node)
-            for target in sorted(adjacency.get(node, ())):
-                if target in on_path:
-                    return path[path.index(target):]
-                if target not in visited:
-                    found = dfs(target)
-                    if found is not None:
-                        return found
-            path.pop()
-            on_path.discard(node)
-            return None
-
-        return dfs(start) if start in adjacency else None
-
-    def first_cycle(self, blocked):
-        """Every blocked family, every time."""
-        for start in sorted(blocked):
-            cycle = self.find_cycle(start)
-            if cycle is not None:
-                return cycle
-        return None
-
-    def pick_victim(self, cycle, blocked):
-        if max(cycle) in blocked:
-            return max(cycle)
-        blocked_roots = [root for root in cycle if root in blocked]
-        if not blocked_roots:
-            raise ProtocolError(f"deadlock cycle {cycle} with no blocked family")
-        return max(blocked_roots)
+    def fail(self, exc):
+        self.failed = exc
 
 
-def incremental_detect(detector, blocked):
-    """``LockManager._detect_deadlocks``'s use of the detector."""
-    if not detector.cycle_appeared():
-        return None
-    return detector.first_cycle(sorted(blocked))
+class _ModelLockManager:
+    """The state ``LockManager``'s deadlock path reads, around its
+    real ``_detect_deadlocks`` and ``_abort_victim``."""
 
+    _detect_deadlocks = LockManager._detect_deadlocks
+    _real_abort_victim = LockManager._abort_victim
 
-# ----------------------------------------------------------------------
-# (a) Random operation sequences on a small lock-table model
-# ----------------------------------------------------------------------
+    def __init__(self, entries):
+        self.entries = entries
+        self._blocked = {}
+        self.stats = LockStats()
+        self.tracer = NULL_TRACER
+        self.log = []  # (victim, cycle) in order
+
+    def _abort_victim(self, cycle):
+        assert cycle == reference_first_cycle(self.entries, self._blocked)
+        expected = reference_victim(cycle, self._blocked)
+        family = self._blocked[expected]
+        victim = self._real_abort_victim(cycle)
+        assert victim == expected
+        assert isinstance(family.waiter.wake.failed, DeadlockError)
+        assert family.waiter not in family.entry.waiting_families
+        self.log.append((victim, list(cycle)))
+        return victim
+
 
 class LockTableModel:
-    """Holders and family queues per object, a blocked set, and one
-    detector fed the way the lock manager feeds it.  ``commutes``
-    thins the edges per (waiter, holder) like conflict-keyed modes."""
+    """Families (one root each) holding, retaining and queueing on a
+    few real entries; the lock manager's deadlock path on top.  A
+    family a pump admits stays blocked until it resumes, as a woken
+    process does."""
 
-    def __init__(self, engine, detect, objects, commutes):
-        self.engine = engine
-        self._detect = detect
-        self.holders = {obj: set() for obj in objects}
-        self.queues = {obj: [] for obj in objects}
-        self.blocked = {}            # root -> object queued on, or None
-        self.commutes = commutes
-        self.stale = set()           # objects pumped without a refresh
-        self.log = []                # (victim, cycle) in order
+    def __init__(self, rng, roots, objects):
+        self.rng = rng
+        self.roots = roots
+        self.txns = {root: _Txn(root) for root in roots}
+        self.entries = [
+            DirectoryEntry(ObjectId(index), home_node=NodeId(0),
+                           page_count=1, creator_node=NodeId(0))
+            for index in range(objects)
+        ]
+        self.lockmgr = _ModelLockManager(self.entries)
+        table = SimpleNamespace(commutes=lambda a, b: a == b == "deposit")
+        self.modes = [R, W, SemanticMode(W, "Till.deposit", table),
+                      SemanticMode(W, "Till.withdraw", table),
+                      SemanticMode(R, "Till.audit", table)]
 
-    def refresh(self, obj):
-        self.stale.discard(obj)
-        self.engine.update_entry(obj, {
-            waiter: frozenset(
-                holder for holder in self.holders[obj]
-                if (waiter, holder) not in self.commutes
-            )
-            for waiter in self.queues[obj]
-        })
+    @property
+    def blocked(self):
+        return self.lockmgr._blocked
 
-    def detect(self):
-        cycle = self._detect(self.engine, self.blocked)
-        while cycle is not None:
-            try:
-                victim = self.engine.pick_victim(cycle, self.blocked)
-            except ProtocolError:
-                # Only stale edges of running families: the real lock
-                # manager dies here.  Record it and clear the ghost.
-                self.log.append(("error", list(cycle)))
-                self.crash(max(cycle), detect=False)
-            else:
-                self.log.append((victim, list(cycle)))
-                obj = self.blocked.pop(victim)
-                if obj is not None:
-                    self.queues[obj].remove(victim)
-                    self.refresh(obj)
-            cycle = self.engine.first_cycle(sorted(self.blocked))
+    def _pump(self, entry):
+        entry.pump()  # the admitted stay blocked until they resume
 
     # -- operations ----------------------------------------------------
 
-    def wait(self, root, obj, local):
-        if not local:
-            self.queues[obj].append(root)
-        self.blocked[root] = None if local else obj
-        self.engine.mark(root)
-        self.refresh_and_detect(obj)
+    def hold(self, root, index, mode):
+        """A running family is granted the lock (shared or not: the
+        graph, not the grant rule, is under test)."""
+        self.entries[index].grant(self.txns[root], mode)
 
-    def grant(self, obj, root, refresh):
-        """Admit a queued family; ``refresh=False`` is the pump sites
-        that leave the waiter's edge behind (pre-commit, sub-abort)."""
-        self.queues[obj].remove(root)
-        self.blocked.pop(root)
-        self.holders[obj].add(root)
-        if refresh:
-            self.refresh_and_detect(obj)
-        else:
-            self.stale.add(obj)
+    def wait(self, root, index, mode):
+        entry = self.entries[index]
+        waiter = Waiter(self.txns[root], mode, _Wake())
+        entry.enqueue_global(waiter)
+        self.blocked[root] = _BlockedFamily(entry=entry, waiter=waiter)
+        self.lockmgr._detect_deadlocks(root)
 
-    def wake_local(self, root):
+    def retain(self, root, index, mode):
+        """A running family gains a retention (a prefetch, or a child's
+        pre-commit)."""
+        entry = self.entries[index]
+        txn = self.txns[root]
+        entry.grant(txn, mode)
+        entry.demote_to_retained(txn)
+
+    def release(self, root, index):
+        entry = self.entries[index]
+        entry.release_family(root)
+        self._pump(entry)
+
+    def resume(self, root):
         del self.blocked[root]
 
-    def interrupt(self, root):
-        """The family runs again but its waiter is still queued (the
-        window between a crash interrupt and the entry's cleanup): its
-        edges stay, and later refreshes add edges from a family that
-        is not blocked."""
+    def timeout(self, root):
+        family = self.blocked.pop(root)
+        assert family.entry.remove_waiter(family.waiter.txn_id)
+
+    def crash(self, root):
         self.blocked.pop(root, None)
-
-    def hold(self, obj, root):
-        self.holders[obj].add(root)
-        self.refresh_and_detect(obj)
-
-    def release(self, obj, root):
-        self.holders[obj].discard(root)
-        self.refresh_and_detect(obj)
-
-    def refresh_and_detect(self, obj):
-        self.refresh(obj)
-        self.detect()
-
-    def crash(self, root, detect=True):
-        self.blocked.pop(root, None)
-        for obj in self.holders:
-            touched = root in self.holders[obj] or root in self.queues[obj]
-            self.holders[obj].discard(root)
-            if root in self.queues[obj]:
-                self.queues[obj].remove(root)
+        for entry in self.entries:
+            touched = bool(entry.remove_family_waiters(root))
+            if entry.family_present(root):
+                entry.release_family(root)
+                touched = True
             if touched:
-                self.refresh(obj)
-        self.engine.drop_family(root)
-        if detect:
-            self.detect()
+                self._pump(entry)
 
+    # -- random steps --------------------------------------------------
 
-def random_step(rng, model, roots, objects):
-    """One operation, chosen from the model's state only; returns it
-    as (method name, args) so both models can be given it."""
-    running = [root for root in roots if root not in model.blocked]
-    queued = [(obj, root) for obj in objects for root in model.queues[obj]
-              if root in model.blocked]
-    local = [root for root, obj in model.blocked.items() if obj is None]
-    held = [(obj, root) for obj in objects           # blocked families
-            for root in sorted(model.holders[obj])   # release nothing
-            if root not in model.blocked]
-    kinds = ["refresh_and_detect", "crash"]
-    weights = [2, 1]
-    if running:
-        kinds.append("acquire")
-        weights.append(20)
-    if queued:
-        kinds += ["grant", "interrupt"]
-        weights += [2, 1]
-    if local:
-        kinds.append("wake_local")
-        weights.append(4)
-    if held:
-        kinds.append("release")
-        weights.append(6)
-    kind = rng.choices(kinds, weights)[0]
-    if kind == "acquire":
-        root = rng.choice(running)
-        obj = rng.choice(objects)
-        if root in model.queues[obj]:              # interrupted there
-            return "refresh_and_detect", (obj,)
-        if root in model.holders[obj]:
-            if rng.random() < 0.7:
-                return "release", (obj, root)
-            return "wait", (root, obj, True)       # intra-family wait
-        if not model.holders[obj] or rng.random() < 0.2:
-            return "hold", (obj, root)             # free, or shared read
-        return "wait", (root, obj, False)
-    if kind == "grant":
-        obj, root = rng.choice(queued)
-        return "grant", (obj, root, rng.random() < 0.5)
-    if kind == "interrupt":
-        return "interrupt", (rng.choice(queued)[1],)
-    if kind == "release":
-        return "release", rng.choice(held)
-    if kind == "wake_local":
-        return "wake_local", (rng.choice(local),)
-    if kind == "crash":
-        return "crash", (rng.choice(roots),)
-    return "refresh_and_detect", (rng.choice(objects),)
+    def queued(self, root):
+        family = self.blocked.get(root)
+        return (family is not None
+                and family.waiter in family.entry.waiting_families)
+
+    def step(self):
+        """One operation chosen from the state; returns its name."""
+        rng = self.rng
+        running = [root for root in self.roots if root not in self.blocked]
+        admitted = [root for root in self.blocked if not self.queued(root)]
+        waiting = [root for root in self.blocked if self.queued(root)]
+        holding = [(root, index) for root in running
+                   for index, entry in enumerate(self.entries)
+                   if entry.family_present(root)]
+        kinds, weights = ["crash"], [1]
+        for names, weight, pool in (("acquire", 20, running),
+                                    ("retain", 2, running),
+                                    ("release", 6, holding),
+                                    ("resume", 6, admitted),
+                                    ("timeout", 1, waiting)):
+            if pool:
+                kinds.append(names)
+                weights.append(weight)
+        kind = rng.choices(kinds, weights)[0]
+        mode = rng.choice(self.modes)
+        index = rng.randrange(len(self.entries))
+        entry = self.entries[index]
+        if kind == "acquire":
+            root = rng.choice(running)
+            if entry.family_present(root):
+                return "noop"
+            if entry.is_free or rng.random() < 0.2:
+                self.hold(root, index, mode)
+                return "hold"
+            self.wait(root, index, mode)
+            return "wait"
+        if kind == "retain":
+            root = rng.choice(running)
+            if entry.family_present(root):
+                return "noop"
+            self.retain(root, index, mode)
+            return "retain"
+        if kind == "release":
+            self.release(*rng.choice(holding))
+        elif kind == "resume":
+            self.resume(rng.choice(admitted))
+        elif kind == "timeout":
+            self.timeout(rng.choice(waiting))
+        else:
+            self.crash(rng.choice(self.roots))
+        return kind
 
 
 @pytest.mark.parametrize("seed", range(24))
 def test_random_sequences_match_reference(seed):
     rng = random.Random(seed)
     roots = list(range(1, rng.choice((5, 8, 12)) + 1))
-    objects = [ObjectId(i) for i in range(rng.choice((3, 5)))]
-    commutes = {(a, b) for a in roots for b in roots
-                if a != b and rng.random() < 0.15}
-    detector = DeadlockDetector()
-    reference = ReferenceDetector()
-    new = LockTableModel(detector, incremental_detect, objects, commutes)
-    old = LockTableModel(reference, ReferenceDetector.first_cycle, objects,
-                         commutes)
+    model = LockTableModel(rng, roots, objects=rng.choice((3, 5)))
     seen = set()
     for _ in range(300):
-        name, args = random_step(rng, old, roots, objects)
-        seen.add(name)
-        unchanged = (name == "refresh_and_detect"
-                     and args[0] not in new.stale)
-        refreshes = detector.stats.edge_refreshes
-        getattr(old, name)(*args)
-        getattr(new, name)(*args)
-        if unchanged:
-            assert detector.stats.edge_refreshes == refreshes
-        assert new.log == old.log
-        assert new.blocked == old.blocked
-        assert detector.edges() == reference.edges()
-        # find_cycle called directly stays exact whatever is marked.
-        for start in roots:
-            assert detector.find_cycle(start) == reference.find_cycle(start)
-    assert {"wait", "hold", "grant", "wake_local", "interrupt", "release",
-            "crash", "refresh_and_detect"} <= seen
-    assert any(victim != "error" for victim, _ in old.log)
+        seen.add(model.step())
+        assert reference_first_cycle(model.entries, model.blocked) is None
+    assert {"hold", "wait", "retain", "release", "resume", "timeout",
+            "crash"} <= seen
+    assert model.lockmgr.log, "no deadlock in 300 steps"
+    assert model.lockmgr.stats.cycle_searches >= len(model.lockmgr.log)
 
 
-def test_waiter_under_two_entries_keeps_the_union():
-    detector, reference = DeadlockDetector(), ReferenceDetector()
-    steps = [
-        (ObjectId(0), {1: frozenset({2, 3})}),
-        (ObjectId(1), {1: frozenset({3, 4})}),   # stale + live: overlap on 3
-        (ObjectId(0), {}),                       # 3 must survive via O1
-        (ObjectId(2), {3: frozenset({1})}),      # closes 1 -> 3 -> 1
-        (ObjectId(1), {1: frozenset({4})}),      # removal only: opens it
-    ]
-    for object_id, edges in steps:
-        detector.update_entry(object_id, edges)
-        reference.update_entry(object_id, edges)
-        assert detector.edges() == reference.edges()
-        for start in (1, 2, 3, 4):
-            assert detector.find_cycle(start) == reference.find_cycle(start)
+# ----------------------------------------------------------------------
+# The lock manager's own window: admitted, not yet resumed
+# ----------------------------------------------------------------------
 
+def test_waiter_admitted_by_a_local_pump_has_no_out_edge(cluster):
+    """Family B waits on O1 behind H's child; the child's sub-abort
+    pumps locally (H still retains a commuting deposit) and admits B.
+    B stays blocked until its process resumes, but its waiter left the
+    queue, so B waits for nobody: when H's root then waits for O2,
+    which B holds, there is no cycle (a stale B -> H edge would make
+    one and abort a family already granted its lock)."""
+    lockmgr = cluster.lockmgr
+    table = SimpleNamespace(commutes=lambda a, b: a == b == "deposit")
+    deposit = SemanticMode(W, "Till.deposit", table)
+    withdraw = SemanticMode(W, "Till.withdraw", table)
+    first, second = cluster.create(Counter), cluster.create(Counter)
+    o1, o2 = first.meta.object_id, second.meta.object_id
+    e1, e2 = cluster.directory.entry(o1), cluster.directory.entry(o2)
+    node = cluster.nodes[1]
+    h_root = Transaction(TxnId(1, 1), node)
+    h_child = Transaction(TxnId(3, 1), node, parent=h_root)
+    b_root = Transaction(TxnId(2, 2), node)
+    e1.grant(h_root, deposit)
+    e1.demote_to_retained(h_root)
+    e1.grant(h_child, withdraw)
+    h_child.lock_objects.add(o1)
+    e2.grant(b_root, W)
 
-def test_reblocking_family_with_a_stale_edge_is_searched_from():
-    # 1 -> 2 -> 1 exists, but neither family is blocked (both edges are
-    # stale: their waiters were pumped without a refresh), so nothing
-    # is aborted.  When family 1 blocks again — locally, gaining no
-    # edge — the cycle is reachable from a blocked family and must be
-    # found, exactly as the search from every blocked family finds it.
-    detector = DeadlockDetector()
-    detector.update_entry(ObjectId(0), {1: frozenset({2})})
-    detector.update_entry(ObjectId(1), {2: frozenset({1})})
-    assert incremental_detect(detector, blocked=set()) is None
-    assert incremental_detect(detector, blocked={1}) is None  # unmarked
-    detector.mark(1)
-    assert incremental_detect(detector, blocked={1}) == [1, 2]
+    b_waits = lockmgr._wait(e1, b_root, deposit)
+    next(b_waits)
+    (b_waiter,) = e1.waiting_families
+    assert e1.blockers_of(b_waiter) == [1]
 
+    for _ in lockmgr.sub_abort_release(h_child):
+        pass  # nothing freed: the local pump is all of it
+    assert e1.waiting_families == [] and b_root.id in e1.holders
+    assert 2 in lockmgr._blocked  # B's process has not resumed
+    assert e1.blockers_of(b_waiter) == []
 
-def test_certificates_survive_removals_and_die_on_additions():
-    detector = DeadlockDetector()
-    detector.update_entry(ObjectId(0), {1: frozenset({2})})
-    detector.update_entry(ObjectId(1), {2: frozenset({3})})
-    assert detector.find_cycle(1) is None
-    searches = detector.stats.cycle_searches
-    detector.update_entry(ObjectId(1), {})           # removal only
-    assert detector.find_cycle(1) is None
-    assert detector.stats.cycle_searches == searches  # still certified
-    detector.update_entry(ObjectId(1), {2: frozenset({1})})  # addition
-    assert detector.find_cycle(1) == [1, 2]
-    assert detector.stats.cycle_searches == searches + 1
+    h_waits = lockmgr._wait(e2, h_root, W)
+    next(h_waits)
+    assert cluster.lock_stats.deadlocks == 0
+    assert find_cycle(1, lockmgr._blocked, {}, set()) is None
+    h_waits.close()
+    b_waits.close()
 
 
 # ----------------------------------------------------------------------
 # (b) Live runs: the reference is asked at every abort and every return
 # ----------------------------------------------------------------------
 
-def run_against_reference(task):
-    """Run ``task``'s workload with the lock manager's deadlock path
-    shadowed by the reference; returns the (victim, cycle) pairs
-    compared.  The reference keeps its own record of every entry
-    refresh, so it shares no bookkeeping with the detector."""
-    config = dataclasses.replace(build_config(task), trace=False)
+def run_against_reference(task, **config):
+    """Run ``task``'s workload, with ``config`` overrides, and the lock
+    manager's deadlock path shadowed by the reference; returns the
+    (victim, cycle) pairs compared."""
+    config = dataclasses.replace(build_config(task), trace=False, **config)
     workload = generate_workload(
         SCENARIOS[task.scenario].scaled(task.scale), seed=task.seed
     )
     cluster = Cluster(config)
     lockmgr = cluster.lockmgr
-    detector = cluster.directory.deadlock
-    reference = ReferenceDetector()
-    compared = []
-
-    update_entry = detector.update_entry
     detect = lockmgr._detect_deadlocks
     abort_victim = lockmgr._abort_victim
+    compared = []
 
-    def shadowed_update_entry(object_id, edges):
-        reference.update_entry(object_id, edges)
-        update_entry(object_id, edges)
+    def entries():
+        return cluster.directory.entries().values()
 
     def shadowed_abort_victim(cycle):
-        expected = reference.first_cycle(lockmgr._blocked)
+        expected = reference_first_cycle(entries(), lockmgr._blocked)
         assert cycle == expected
-        victim = reference.pick_victim(expected, lockmgr._blocked)
-        before = set(lockmgr._blocked)
-        abort_victim(cycle)
-        assert before - set(lockmgr._blocked) == {victim}
+        victim = reference_victim(expected, lockmgr._blocked)
+        assert abort_victim(cycle) == victim
+        assert victim not in lockmgr._blocked
         compared.append((victim, list(cycle)))
+        return victim
 
-    def shadowed_detect():
-        detect()
-        missed = reference.first_cycle(lockmgr._blocked)
+    def shadowed_detect(root):
+        detect(root)
+        missed = reference_first_cycle(entries(), lockmgr._blocked)
         assert missed is None, f"cycle {missed} left behind"
 
-    detector.update_entry = shadowed_update_entry
     lockmgr._abort_victim = shadowed_abort_victim
     lockmgr._detect_deadlocks = shadowed_detect
     with cluster:
@@ -391,11 +395,13 @@ def run_against_reference(task):
     return compared
 
 
+#: name -> (FuzzTask fields, ClusterConfig overrides)
 VARIANTS = {
-    "plain": {},
-    "semantic": {"semantic": True},
-    "crash-recover": {"preset": "crash-recover"},
-    "migration": {"migration": True},
+    "plain": ({}, {}),
+    "semantic": ({"semantic": True}, {}),
+    "crash-recover": ({"preset": "crash-recover"}, {}),
+    "migration": ({"migration": True}, {}),
+    "prefetch": ({}, {"prefetch": "locks+pages"}),
 }
 
 
@@ -404,16 +410,17 @@ def compare_matrix(seeds, policies, variants, scale):
     for seed in seeds:
         for policy in policies:
             for variant in variants:
+                fields, config = VARIANTS[variant]
                 compared += len(run_against_reference(FuzzTask(
-                    seed=seed, policy=policy, scale=scale,
-                    **VARIANTS[variant],
-                )))
+                    seed=seed, policy=policy, scale=scale, **fields,
+                ), **config))
     return compared
 
 
 def test_live_victims_match_reference():
     compared = compare_matrix(seeds=(11, 12), policies=("fifo",),
-                              variants=("plain", "semantic"), scale=0.5)
+                              variants=("plain", "semantic", "prefetch"),
+                              scale=0.5)
     assert compared >= 20
 
 

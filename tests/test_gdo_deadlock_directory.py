@@ -1,181 +1,206 @@
 """Unit tests for the deadlock detector, directory partitioning, and
 holder-list cache tracker."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.gdo.cache import EntryCacheTracker
-from repro.gdo.deadlock import DeadlockDetector
+from repro.gdo.deadlock import find_cycle, first_cycle, pick_victim
 from repro.gdo.directory import Directory
+from repro.gdo.entry import DirectoryEntry, LockMode, Waiter
+from repro.txn.semantic import SemanticMode
 from repro.util.errors import ProtocolError
-from repro.util.ids import NodeId, ObjectId
+from repro.util.ids import NodeId, ObjectId, TxnId
 
 N0, N1, N2 = NodeId(0), NodeId(1), NodeId(2)
 O0, O1, O2 = ObjectId(0), ObjectId(1), ObjectId(2)
+R, W = LockMode.READ, LockMode.WRITE
 
 
-def _edges(waiting, blocking):
-    """Legacy-shaped edge set: every waiter blocked by every blocker."""
-    return {waiter: frozenset(blocking) for waiter in waiting}
+class _Root:
+    """A family's root, as the entry needs it."""
+
+    def __init__(self, root):
+        self.id = TxnId(root, root)
+        self.node = N0
+
+    def is_ancestor_of(self, other):
+        return False
+
+
+def _entry(index=0):
+    return DirectoryEntry(ObjectId(index), home_node=N0, page_count=1,
+                          creator_node=N0)
+
+
+def _queue(entry, root, mode=W):
+    """Queue ``root``'s one waiter on ``entry``: a blocked family."""
+    waiter = Waiter(_Root(root), mode)
+    entry.enqueue_global(waiter)
+    return SimpleNamespace(entry=entry, waiter=waiter)
+
+
+def lock_table(waits_for):
+    """Blocked families read off real entries: each waiter queues for
+    W on its own entry, which every family it waits for holds in R."""
+    blocked = {}
+    for index, (root, blockers) in enumerate(sorted(waits_for.items())):
+        entry = _entry(index)
+        for blocker in blockers:
+            entry.grant(_Root(blocker), R)
+        blocked[root] = _queue(entry, root)
+    return blocked
+
+
+def search(blocked, start):
+    """One round's search from one start: a fresh memo and no
+    certificates."""
+    return find_cycle(start, blocked, {}, set())
 
 
 class TestDeadlockDetector:
     def test_no_edges_no_cycle(self):
-        detector = DeadlockDetector()
-        assert detector.find_cycle(1) is None
+        assert search({}, 1) is None
 
     def test_two_family_cycle(self):
-        detector = DeadlockDetector()
-        detector.update_entry(O0, _edges(frozenset({1}), frozenset({2})))
-        detector.update_entry(O1, _edges(frozenset({2}), frozenset({1})))
-        cycle = detector.find_cycle(1)
+        blocked = lock_table({1: [2], 2: [1]})
+        cycle = search(blocked, 1)
         assert cycle is not None
         assert set(cycle) == {1, 2}
 
     def test_three_family_cycle(self):
-        detector = DeadlockDetector()
-        detector.update_entry(O0, _edges(frozenset({1}), frozenset({2})))
-        detector.update_entry(O1, _edges(frozenset({2}), frozenset({3})))
-        detector.update_entry(O2, _edges(frozenset({3}), frozenset({1})))
-        cycle = detector.find_cycle(2)
-        assert set(cycle) == {1, 2, 3}
+        blocked = lock_table({1: [2], 2: [3], 3: [1]})
+        assert set(search(blocked, 2)) == {1, 2, 3}
 
     def test_chain_is_not_cycle(self):
-        detector = DeadlockDetector()
-        detector.update_entry(O0, _edges(frozenset({1}), frozenset({2})))
-        detector.update_entry(O1, _edges(frozenset({2}), frozenset({3})))
-        assert detector.find_cycle(1) is None
+        blocked = lock_table({1: [2], 2: [3]})
+        assert search(blocked, 1) is None
 
     def test_self_edges_ignored(self):
-        detector = DeadlockDetector()
-        detector.update_entry(O0, _edges(frozenset({1}), frozenset({1, 2})))
-        assert detector.find_cycle(1) is None
+        # The waiter's own family holding the entry is no edge.
+        blocked = lock_table({1: [1, 2]})
+        family = blocked[1]
+        assert family.entry.blockers_of(family.waiter) == [2]
+        assert search(blocked, 1) is None
 
     def test_entry_update_replaces_edges(self):
-        detector = DeadlockDetector()
-        detector.update_entry(O0, _edges(frozenset({1}), frozenset({2})))
-        detector.update_entry(O1, _edges(frozenset({2}), frozenset({1})))
-        # Family 2 got the lock on O1: edge disappears, cycle broken.
-        detector.update_entry(O1, _edges(frozenset(), frozenset({2})))
-        assert detector.find_cycle(1) is None
+        blocked = lock_table({1: [2], 2: [1]})
+        # Family 2 gets the lock on its entry (family 1's read lock
+        # there is released): its waiter leaves the queue, its edge
+        # disappears, the cycle is broken.
+        entry = blocked[2].entry
+        entry.release_family(1)
+        assert entry.pump() == [blocked[2].waiter]
+        assert search(blocked, 1) is None
 
     def test_clear_entry(self):
-        detector = DeadlockDetector()
-        detector.update_entry(O0, _edges(frozenset({1}), frozenset({2})))
-        detector.update_entry(O0, {})
-        assert detector.edges() == {}
-        assert not detector.has_entry(O0)
+        blocked = lock_table({1: [2]})
+        blocked[1].entry.release_family(2)
+        family = blocked[1]
+        assert family.entry.blockers_of(family.waiter) == []
+        assert search(blocked, 1) is None
 
     def test_victim_is_youngest(self):
-        detector = DeadlockDetector()
-        assert detector.pick_victim([5, 9, 2], blocked={5, 9, 2}) == 9
+        assert pick_victim([5, 9, 2], blocked={5, 9, 2}) == 9
 
     def test_victim_is_youngest_blocked_when_youngest_runs(self):
         # Family 9 is running (it cannot be preempted mid-method): the
         # youngest *blocked* member of the cycle dies instead.
-        detector = DeadlockDetector()
-        assert detector.pick_victim([5, 9, 2], blocked={2, 5, 7}) == 5
+        assert pick_victim([5, 9, 2], blocked={2, 5, 7}) == 5
 
     def test_cycle_with_no_blocked_family_is_a_protocol_error(self):
         with pytest.raises(ProtocolError):
-            DeadlockDetector().pick_victim([5, 9, 2], blocked={7})
+            pick_victim([5, 9, 2], blocked={7})
 
     def test_waiting_families_view(self):
-        detector = DeadlockDetector()
-        detector.update_entry(O0, _edges(frozenset({1, 3}), frozenset({2})))
-        assert set(detector.edges()) == {1, 3}
-
-    def test_edges_is_a_snapshot(self):
-        detector = DeadlockDetector()
-        detector.update_entry(O0, _edges(frozenset({1}), frozenset({2})))
-        detector.update_entry(O1, _edges(frozenset({2}), frozenset({1})))
-        snapshot = detector.edges()
-        snapshot[1].clear()
-        del snapshot[2]
-        assert detector.edges() == {1: {2}, 2: {1}}
-        assert set(detector.find_cycle(1)) == {1, 2}
+        # Every queued family is a node with its own out-edges.
+        entry = _entry()
+        entry.grant(_Root(2), R)
+        blocked = {1: _queue(entry, 1), 3: _queue(entry, 3)}
+        edges = {}
+        assert first_cycle([1, 3], blocked, edges, set(),
+                           SimpleNamespace(cycle_searches=0)) is None
+        assert edges == {1: [2], 2: [], 3: [2]}
 
     def test_multi_waiter_multi_blocker_edges(self):
-        detector = DeadlockDetector()
-        detector.update_entry(O0, _edges(frozenset({1, 2}), frozenset({3, 4})))
-        edges = detector.edges()
-        assert edges[1] == {3, 4}
-        assert edges[2] == {3, 4}
+        # Holders and retainers alike block every waiter.
+        entry = _entry()
+        entry.grant(_Root(3), R)
+        entry.grant(_Root(4), R)
+        entry.demote_to_retained(_Root(4))
+        first, second = _queue(entry, 1), _queue(entry, 2)
+        assert entry.blockers_of(first.waiter) == [3, 4]
+        assert entry.blockers_of(second.waiter) == [3, 4]
 
     def test_pure_self_wait_is_not_a_deadlock(self):
-        # A family queued behind itself (lock upgrade paths) must not
-        # read as a one-node cycle.
-        detector = DeadlockDetector()
-        detector.update_entry(O0, _edges(frozenset({1}), frozenset({1})))
-        assert detector.find_cycle(1) is None
-        assert detector.edges().get(1, set()) == set()
+        # A family queued behind itself alone must not read as a
+        # one-node cycle.
+        blocked = lock_table({1: [1]})
+        family = blocked[1]
+        assert family.entry.blockers_of(family.waiter) == []
+        assert search(blocked, 1) is None
 
     def test_overlapping_cycles_share_a_family(self):
         # 1 -> 2 -> 1 and 2 -> 3 -> 2 share family 2; search from any
         # member must find *some* cycle, and breaking one must leave
         # the other detectable.
-        detector = DeadlockDetector()
-        detector.update_entry(O0, _edges(frozenset({1}), frozenset({2})))
-        detector.update_entry(O1, _edges(frozenset({2}), frozenset({1, 3})))
-        detector.update_entry(O2, _edges(frozenset({3}), frozenset({2})))
+        blocked = lock_table({1: [2], 2: [1, 3], 3: [2]})
         for start in (1, 2, 3):
-            assert detector.find_cycle(start) is not None
-        # Abort family 3: its cycle dissolves, the 1<->2 cycle stays.
-        detector.drop_family(3)
-        assert set(detector.find_cycle(1)) == {1, 2}
-        assert detector.find_cycle(3) is None
+            assert search(blocked, start) is not None
+        # Family 3 is a victim: its waiter leaves the queue.
+        victim = blocked.pop(3)
+        victim.entry.remove_waiter(victim.waiter.txn_id)
+        assert set(search(blocked, 1)) == {1, 2}
+        assert search(blocked, 3) is None
 
     def test_per_waiter_edges_are_independent(self):
         # Conflict-keyed edges: two waiters on the same entry may be
         # blocked by *different* families (a semantic waiter commutes
-        # with some holders).  The detector must not union them.
-        detector = DeadlockDetector()
-        detector.update_entry(O0, {1: frozenset({3}), 2: frozenset({4})})
-        edges = detector.edges()
-        assert edges[1] == {3}
-        assert edges[2] == {4}
+        # with some holders).
+        table = SimpleNamespace(commutes=lambda a, b: a == b == "deposit")
+        deposit = SemanticMode(W, "Till.deposit", table)
+        entry = _entry()
+        entry.grant(_Root(3), deposit)
+        entry.grant(_Root(4), R)
+        semantic, plain = _queue(entry, 1, deposit), _queue(entry, 2, R)
+        assert entry.blockers_of(semantic.waiter) == [4]
+        assert entry.blockers_of(plain.waiter) == [3, 4]
 
     def test_waiter_with_no_blockers_contributes_nothing(self):
-        detector = DeadlockDetector()
-        detector.update_entry(O0, {1: frozenset(), 2: frozenset({3})})
-        assert detector.edges() == {2: {3}}
+        # Family 1 waits for nobody, so a path through it ends there.
+        blocked = lock_table({1: [], 2: [1]})
+        assert search(blocked, 2) is None
+        assert search(blocked, 1) is None
 
     def test_pick_victim_is_stable_under_rotation(self):
         # The victim is a function of the cycle's membership, not of
         # the node the DFS happened to enter it from.
-        detector = DeadlockDetector()
         cycle = [4, 7, 2]
         rotations = [cycle[i:] + cycle[:i] for i in range(len(cycle))]
-        assert {detector.pick_victim(rot, blocked=set(cycle))
+        assert {pick_victim(rot, blocked=set(cycle))
                 for rot in rotations} == {7}
 
-    def test_drop_family_clears_crash_aborted_edges(self):
-        detector = DeadlockDetector()
-        detector.update_entry(O0, _edges(frozenset({1}), frozenset({2})))
-        detector.update_entry(O1, _edges(frozenset({2}), frozenset({1})))
-        # Family 2 dies in a node crash: both edges involving it go,
-        # and family 1 is no longer part of any cycle.
-        detector.drop_family(2)
-        assert detector.find_cycle(1) is None
-        assert 2 not in detector.edges()
-
-    def test_drop_family_keeps_unrelated_edges(self):
-        detector = DeadlockDetector()
-        detector.update_entry(O0, _edges(frozenset({1, 5}), frozenset({2, 6})))
-        detector.drop_family(5)
-        edges = detector.edges()
-        assert edges[1] == {2, 6}
-        assert 5 not in edges
-
     def test_clear_entry_after_crash_release(self):
-        # crash_release frees a dead family's entries; the refresh of
-        # the emptied entry must remove its contributed edges even if
-        # drop_family was never called for the survivors.
-        detector = DeadlockDetector()
-        detector.update_entry(O0, _edges(frozenset({1}), frozenset({2})))
-        detector.update_entry(O1, _edges(frozenset({3}), frozenset({4})))
-        detector.update_entry(O0, {})
-        assert detector.find_cycle(1) is None
-        assert detector.edges() == {3: {4}}
+        # Family 2 crashes: crash cleanup releases its lock and pumps,
+        # which admits family 1.  The edge through the emptied entry
+        # goes; the other entry's edge stays.
+        blocked = lock_table({1: [2], 3: [4]})
+        entry = blocked[1].entry
+        entry.release_family(2)
+        assert entry.pump() == [blocked[1].waiter]
+        assert search(blocked, 1) is None
+        family = blocked[3]
+        assert family.entry.blockers_of(family.waiter) == [4]
+
+    def test_first_cycle_counts_searches_and_skips_certified_starts(self):
+        blocked = lock_table({1: [2], 2: [3], 4: [1]})
+        stats = SimpleNamespace(cycle_searches=0)
+        cycle_free = set()
+        assert first_cycle([1, 2, 4], blocked, {}, cycle_free, stats) is None
+        # 1 certified 2 and 3 on the way: two searches, not three.
+        assert stats.cycle_searches == 2
+        assert cycle_free == {1, 2, 4}
 
 
 class TestDirectory:

@@ -119,6 +119,21 @@ class TestBasicAcquisition:
         entry.grant(b, R)
         assert entry.decide(a, W) is GrantDecision.WAIT_GLOBAL
 
+    def test_upgrade_blocked_by_foreign_retainer(self, entry):
+        # Rule 1a applies to an upgrade: family B's root retains R
+        # (its child read and pre-committed), so family A, the only
+        # holder, may not upgrade to W past it.
+        a = StubTxn()
+        b_root = StubTxn(node=N1)
+        b_child = StubTxn(node=N1, parent=b_root)
+        entry.grant(a, R)
+        assert entry.decide(b_child, R) is GrantDecision.GRANTED
+        entry.grant(b_child, R)
+        entry.release_to_parent(b_child, b_root)
+        assert list(entry.holders) == [a.id]
+        assert list(entry.retainers) == [b_root.id]
+        assert entry.decide(a, W) is GrantDecision.WAIT_GLOBAL
+
     def test_grant_read_after_write_keeps_write(self, entry):
         txn = StubTxn()
         entry.grant(txn, W)

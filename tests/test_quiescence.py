@@ -10,12 +10,13 @@ from repro.workload import WorkloadParams, generate_workload, run_workload
 
 
 def assert_quiescent(cluster):
+    # No family blocked and no waiter queued: the waits-for graph,
+    # which is read off these, is empty.
     assert cluster.lockmgr._blocked == {}
     for object_id, entry in cluster.directory.entries().items():
         assert entry.is_free, (object_id, entry.holders, entry.retainers)
         assert not entry.has_waiters(), object_id
         assert entry.lock_state.value == "free"
-    assert cluster.directory.deadlock.edges() == {}
     # Every root's deferred delay was consumed.
     for record in cluster.commit_log:
         assert record.time >= 0
