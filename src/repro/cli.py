@@ -444,7 +444,7 @@ def _fault_table(cluster: Cluster) -> str:
             ["forwarded requests",
              migration_stats.forwarded_requests
              if migration_stats is not None else 0],
-            ["deadlock retries", cluster.txn_stats.retries],
+            ["retried attempts", cluster.txn_stats.retries],
         ],
     )
 

@@ -20,6 +20,16 @@ reads each family's edges at most once per round, and ``cycle_free``,
 the families a DFS backed out of.  Nothing reachable from those cycles,
 and removing a victim's out-edges keeps that true, so later searches in
 the round skip them.
+
+A round (``LockManager._detect_deadlocks``) starts at the family that
+just blocked: every cycle runs through it, so a search from it alone
+says whether one exists.  Only on a hit does the round search the
+blocked families in serial order, for the cycle whose victim dies.  The
+victim reaches nothing once its waiter leaves the queue, so it joins
+``cycle_free``, and one more search from the blocking family says
+whether another cycle is left (none is needed when that family was the
+victim).  No search sweeps the blocked families just to prove that none
+cycles.
 """
 
 from __future__ import annotations

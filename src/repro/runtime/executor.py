@@ -244,6 +244,11 @@ class Executor:
                     for kind, reason, counter, retryable in _ROOT_ABORTS:
                         if isinstance(exc, kind):
                             break
+                    if retryable:
+                        # The traceback's frames hold the failed wake,
+                        # which holds ``exc``: cut the cycle so the
+                        # victim dies by reference count.
+                        exc.__traceback__ = None
                     yield from self._abort_root(txn)
                     if self.tracer.enabled:
                         self.tracer.txn_abort(token, txn, reason)

@@ -484,26 +484,25 @@ class LockManager:
         queue), a pre-committing child's parent, a root prefetching
         before it runs.  That family waits for nobody, so a cycle
         through the edge can only close when it next blocks — here
-        again.  So when ``root`` reaches no cycle there is nothing to
-        do.  When it does, the victim's cycle is the first one found
-        from the blocked families in serial order — which cycle dies is
-        part of the schedule — and victim removal changes the graph, so
-        sweep until no cycle remains.  The round reads each family's
+        again.  So every cycle runs through ``root``, and a search from
+        ``root`` finds one exactly when one exists.  While it does, the
+        victim's cycle is the first one found from the blocked families
+        in serial order — which cycle dies is part of the schedule — and
+        a victim's abort only deletes its edges, so every cycle left
+        still runs through ``root``: one search from it ends the round,
+        however many other families wait.  The round reads each family's
         edges at most once and keeps its cycle-free certificates.
         """
         blocked = self._blocked
         edges: Dict[int, List[int]] = {}
         cycle_free: Set[int] = set()
-        if first_cycle((root,), blocked, edges, cycle_free,
-                       self.stats) is None:
-            return
-        while True:
+        while first_cycle((root,), blocked, edges, cycle_free,
+                          self.stats) is not None:
             cycle = first_cycle(sorted(blocked), blocked, edges, cycle_free,
                                 self.stats)
-            if cycle is None:
-                return
-            victim = self._abort_victim(cycle)
-            edges[victim] = []  # its waiter left the queue
+            # Its waiter left the queue: it reaches nothing now (when it
+            # is ``root``, the round is over without another search).
+            cycle_free.add(self._abort_victim(cycle))
 
     def _abort_victim(self, cycle) -> int:
         """Fail the youngest blocked family of ``cycle``; returns its root."""

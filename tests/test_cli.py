@@ -140,7 +140,7 @@ class TestVersion:
             from importlib.metadata import version
             expected = version("repro")
         except Exception:
-            expected = "1.13.0"  # source-tree fallback
+            expected = "1.14.0"  # source-tree fallback
         assert repro.__version__ == expected
 
 
@@ -352,6 +352,24 @@ class TestChaos:
         assert code == 0
         assert "lock timeouts" in capsys.readouterr().out
         assert not list(tmp_path.iterdir())
+
+    def test_retry_row_counts_every_retried_attempt(self, tmp_path, capsys):
+        # The executor's retry counter covers lock-timeout retries too,
+        # so the fault table must not label it as deadlock retries.
+        target = tmp_path / "run.json"
+        code = main(["run", "medium-high", "--scale", "0.3",
+                     "--faults", "lock-timeout", "--out", str(target)])
+        assert code == 0
+        out = capsys.readouterr().out
+        summary = json.loads(target.read_text())
+        assert summary["lock_timeout_aborts"] > 0
+        assert summary["retries"] > summary["deadlocks"]
+        rows = dict(
+            line.rsplit(None, 1) for line in out.splitlines()
+            if line.startswith("retried attempts")
+        )
+        assert rows == {"retried attempts": f"{summary['retries']:,}"}
+        assert "deadlock retries" not in out
 
     def test_chaos_unknown_preset_rejected(self):
         with pytest.raises(SystemExit):

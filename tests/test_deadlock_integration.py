@@ -1,8 +1,16 @@
 """Integration tests: deadlock detection, victim abort, and retry."""
 
+import gc
+
 import pytest
 
 from repro import Attr, TransactionAborted, method, shared_class
+from repro.runtime.cluster import Cluster
+from repro.runtime.config import ClusterConfig
+from repro.util.errors import DeadlockError
+from repro.workload.generator import generate_workload
+from repro.workload.params import SCENARIOS
+from repro.workload.runner import run_workload
 
 from conftest import Counter, make_cluster
 
@@ -102,3 +110,24 @@ class TestDeadlock:
             cluster.submit(counter, "get", node=node)
         cluster.run()
         assert cluster.lock_stats.deadlocks == 0
+
+    def test_victims_leave_no_cyclic_garbage(self):
+        # A victim's error must not keep the frames that hold its own
+        # failed wake: with the collector off, every DeadlockError must
+        # already have died by reference count.
+        workload = generate_workload(SCENARIOS["medium-high"].scaled(0.5),
+                                     seed=11)
+        gc.collect()
+        gc.disable()
+        try:
+            cluster = Cluster(ClusterConfig(
+                num_nodes=4, protocol="lotec", seed=11,
+                audit_accesses=False,
+            ))
+            run_workload(cluster, workload)
+            assert cluster.lock_stats.deadlocks == 110
+            left = [obj for obj in gc.get_objects()
+                    if isinstance(obj, DeadlockError)]
+            assert left == []
+        finally:
+            gc.enable()

@@ -9,8 +9,9 @@ from repro.gdo.cache import EntryCacheTracker
 from repro.gdo.deadlock import find_cycle, first_cycle, pick_victim
 from repro.gdo.directory import Directory
 from repro.gdo.entry import DirectoryEntry, LockMode, Waiter
+from repro.txn.locks import LockManager, _BlockedFamily
 from repro.txn.semantic import SemanticMode
-from repro.util.errors import ProtocolError
+from repro.util.errors import DeadlockError, ProtocolError
 from repro.util.ids import NodeId, ObjectId, TxnId
 
 N0, N1, N2 = NodeId(0), NodeId(1), NodeId(2)
@@ -201,6 +202,54 @@ class TestDeadlockDetector:
         # 1 certified 2 and 3 on the way: two searches, not three.
         assert stats.cycle_searches == 2
         assert cycle_free == {1, 2, 4}
+
+
+class _Wake:
+    def __init__(self):
+        self.failed = None
+
+    def fail(self, exc):
+        self.failed = exc
+
+
+class TestDetectorCost:
+    """The lock manager's round, over real entries: its searches."""
+
+    @staticmethod
+    def _block(lockmgr, entry, root):
+        waiter = Waiter(_Root(root), W, _Wake())
+        entry.enqueue_global(waiter)
+        lockmgr._blocked[root] = _BlockedFamily(entry=entry, waiter=waiter)
+        return waiter
+
+    def _hit_searches(self, closer, bystanders):
+        lockmgr = LockManager(None, None, None, None, None)
+        held = {1: _entry(0), 2: _entry(1)}
+        for root, entry in held.items():
+            entry.grant(_Root(root), R)
+        other = 3 - closer
+        waiters = {other: self._block(lockmgr, held[closer], other)}
+        # Each bystander waits for a running family, not in the cycle.
+        for index in range(bystanders):
+            entry = _entry(2 + index)
+            entry.grant(_Root(1000 + index), R)
+            self._block(lockmgr, entry, 100 + index)
+        waiters[closer] = self._block(lockmgr, held[other], closer)
+        lockmgr._detect_deadlocks(closer)
+        # The youngest blocked family of the cycle died; nobody else.
+        assert isinstance(waiters[2].wake.failed, DeadlockError)
+        assert waiters[1].wake.failed is None
+        assert lockmgr.stats.deadlocks == 1
+        assert sorted(lockmgr._blocked) == [1] + [
+            100 + index for index in range(bystanders)]
+        return lockmgr.stats.cycle_searches
+
+    @pytest.mark.parametrize("closer", [1, 2])
+    def test_hit_path_cost_does_not_grow_with_bystanders(self, closer):
+        # Every cycle runs through the family that just blocked, so one
+        # search from it ends the round, however many others wait.
+        assert (self._hit_searches(closer, 40)
+                == self._hit_searches(closer, 0))
 
 
 class TestDirectory:
