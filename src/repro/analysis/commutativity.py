@@ -111,13 +111,6 @@ class CommutativityTable:
     def summary(self, name: str) -> MethodSummary:
         return self.methods[name]
 
-    def semantic_methods(self) -> Tuple[str, ...]:
-        """Methods eligible for a semantic mode, sorted."""
-        return tuple(
-            name for name in sorted(self.methods)
-            if self.methods[name].semantic
-        )
-
     def commuting_pairs(self) -> Tuple[Tuple[str, str], ...]:
         """Sorted (left, right) pairs with left <= right that commute."""
         return tuple(

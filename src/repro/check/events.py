@@ -38,10 +38,6 @@ def base_mode(mode: str) -> str:
     return split_mode(mode)[0]
 
 
-def strongest_mode(left: str, right: str) -> str:
-    return MODE_WRITE if MODE_WRITE in (left, right) else MODE_READ
-
-
 def join_mode_strings(left: str, right: str) -> str:
     """Mode a holder records after a re-entrant grant (mirrors
     ``repro.gdo.entry._join``): equal modes keep their identity —

@@ -24,8 +24,11 @@ pass".  Three fault classes are modelled:
 
 Everything derives from one :class:`FaultPlan` plus the cluster seed:
 the same seed and plan produce the identical fault schedule and the
-identical trace, and the default :data:`NULL_INJECTOR` makes a run
-byte-identical to one without this package.
+identical trace.  Without a plan, faults off is one branch: every site
+outside this package asks ``injector.enabled`` (or ``wal is not None``)
+first, so a fault-free run calls nothing here — the default
+:data:`NULL_INJECTOR` answers no query, and ``Cluster.wal`` is ``None``
+unless the plan schedules crashes.
 """
 
 from repro.faults.crash import CrashController
@@ -45,13 +48,12 @@ from repro.faults.plan import (
     SlowNodeEvent,
 )
 from repro.faults.recovery import RecoveryManager
-from repro.faults.wal import NULL_WAL, NodeWal, NullWalSet, WalSet
+from repro.faults.wal import NodeWal, WalSet
 
 __all__ = [
     "FAULT_PRESETS",
     "NO_FAULTS",
     "NULL_INJECTOR",
-    "NULL_WAL",
     "CrashController",
     "CrashEvent",
     "FaultInjector",
@@ -60,7 +62,6 @@ __all__ = [
     "MessageFaults",
     "NodeWal",
     "NullInjector",
-    "NullWalSet",
     "PartitionEvent",
     "RecoveryManager",
     "SlowNodeEvent",

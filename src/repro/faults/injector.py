@@ -4,14 +4,8 @@ The injector is consulted at exactly the points where the real system
 would misbehave — per remote message at the network layer, per blocked
 lock wait, and per node at transaction-start — and answers from one
 dedicated RNG sub-stream (``rng.derive("faults")``), so fault
-decisions never perturb the scheduler, workload, or executor streams.
+decisions never perturb the workload or executor streams.
 
-Two implementations share one interface:
-
-* :class:`NullInjector` (shared :data:`NULL_INJECTOR`) is the default
-  everywhere: it draws nothing from any RNG and answers "no fault" to
-  every query, which keeps a fault-free run byte-identical to a build
-  without this package.
 * :class:`FaultInjector` evaluates a
   :class:`~repro.faults.plan.FaultPlan` with a fixed draw order
   (drop, then duplicate, then jitter) so the fault schedule is a
@@ -20,9 +14,13 @@ Two implementations share one interface:
   by ``(wire_id, attempt)``: the fate of one wire message is then a
   pure function of ``(seed, plan, wire id, attempt)``, identical on
   the asynchronous ``send`` and synchronous ``charge`` paths.
+* :class:`NullInjector` (shared :data:`NULL_INJECTOR`) is the default
+  everywhere.  It answers no query: every site outside
+  :mod:`repro.faults` asks ``injector.enabled`` first, so faults off is
+  one branch and a fault-free run never reaches this package.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.faults.plan import FaultPlan
@@ -84,16 +82,18 @@ class MessageFaults:
     extra_delay_s: float = 0.0
 
 
-#: Shared "nothing happened" verdict — the only one NullInjector returns.
+#: Shared "nothing happened" verdict; the transport's when faults are off.
 NO_FAULTS = MessageFaults()
 
 
 class NullInjector:
-    """Fault injection disabled: every query answers "no fault".
+    """Fault injection disabled.
 
-    ``stats`` is a class-level all-zero record that is never mutated
-    (the network layer only touches injector stats on fault branches,
-    which this class never takes), so sharing :data:`NULL_INJECTOR`
+    Faults off is the call site's ``injector.enabled`` branch, so this
+    class answers no query: an unguarded call raises
+    :class:`AttributeError` on every fault-free run.  ``stats`` is a
+    class-level all-zero record that is never mutated (stats are only
+    touched on fault branches), so sharing :data:`NULL_INJECTOR`
     across clusters is safe.
     """
 
@@ -101,36 +101,12 @@ class NullInjector:
     plan = None
     stats = FaultStats()
 
-    def message_faults(self, message, attempt, now, synchronous=False):
-        return NO_FAULTS
-
-    def lock_wait_timeout_s(self) -> float:
-        return 0.0
-
-    def retransmit_timeout_s(self, attempt: int = 0) -> float:
-        return 0.0
-
-    def failover_detect_s(self) -> float:
-        return 0.0
-
-    def is_down(self, node, now) -> bool:
-        return False
-
-    def down_until(self, node, now) -> float:
-        return 0.0
-
-    def cut(self, src, dst, now) -> bool:
-        return False
-
-    def partition_until(self, src, dst, now) -> float:
-        return 0.0
-
 
 #: Shared disabled injector — the default everywhere one is optional.
 NULL_INJECTOR = NullInjector()
 
 
-class FaultInjector(NullInjector):
+class FaultInjector:
     """Evaluate a :class:`FaultPlan` against a seeded RNG stream.
 
     Crash windows are static intervals computed from the plan up

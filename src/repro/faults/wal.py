@@ -23,13 +23,15 @@ prove they would catch it).
 The record is in-memory: the simulation has no real disks, and what
 matters for the protocol argument is the *information flow* — recovery
 may consult only what was explicitly recorded before the crash instant,
-never live volatile state of other nodes.  :data:`NULL_WAL` keeps
-fault-free runs byte-identical to a build without this module.
+never live volatile state of other nodes.  A cluster keeps a
+:class:`WalSet` only when its plan schedules crashes; otherwise
+``Cluster.wal`` is ``None`` and every durable write is skipped by its
+call site's ``wal is not None`` branch.
 """
 
 from typing import Dict, List, Tuple
 
-__all__ = ["NodeWal", "WalSet", "NullWalSet", "NULL_WAL"]
+__all__ = ["NodeWal", "WalSet"]
 
 
 class NodeWal:
@@ -51,8 +53,6 @@ class NodeWal:
 
 class WalSet:
     """All nodes' durable records, keyed by node index."""
-
-    enabled = True
 
     def __init__(self, num_nodes: int):
         self._nodes = [NodeWal(index) for index in range(num_nodes)]
@@ -94,28 +94,3 @@ class WalSet:
         )
         self._nodes[node_index].holders[object_id] = snapshot
 
-
-class NullWalSet:
-    """WAL disabled: every write is a no-op and nothing is recorded.
-
-    The default when the plan schedules no crashes — recovery never
-    runs, so recording would be pure overhead on the commit path.
-    """
-
-    enabled = False
-
-    def record_page(self, node_index, object_id, page, version) -> None:
-        pass
-
-    def record_home(self, node_index, object_id) -> None:
-        pass
-
-    def record_home_moved(self, old_index, new_index, object_id) -> None:
-        pass
-
-    def record_holders(self, node_index, object_id, entry) -> None:
-        pass
-
-
-#: Shared disabled record — the default everywhere one is optional.
-NULL_WAL = NullWalSet()

@@ -4,9 +4,9 @@ Everything random here — class shapes, object-class assignment, client
 draws, arrival times, plan trees — comes from sub-streams of
 ``SeededRNG(seed).derive("load")``.  That one derivation is the seed
 hygiene the fault engine already established for its own stream: the
-load schedule is independent of the ``"workload"``, ``"faults"``,
-``"executor"``, and ``"scheduler"`` streams, so adding or removing a
-fault plan cannot perturb arrivals and vice versa (proved by
+load schedule is independent of the ``"workload"``, ``"faults"`` and
+``"executor"`` streams, so adding or removing a fault plan cannot
+perturb arrivals and vice versa (proved by
 ``tests/test_load_determinism.py``).
 """
 

@@ -427,7 +427,8 @@ class TcpTransport(Transport):
         kind = frame.get("t")
         if kind == "msg":
             self._deliver(frame)
-        elif kind == "refused":
+        elif kind == "refused" and self.injector.enabled:
+            # Only a fault plan's partition makes a relay refuse.
             self._reship(frame)
         elif kind == "hello":
             self._ports[frame["node"]] = frame["port"]

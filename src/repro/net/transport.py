@@ -197,6 +197,7 @@ class Transport(abc.ABC):
             # (delivery events are one-shot by construction).
             self.stats.record(message, transfer_time)
             if tracing:
+                self.tracer.message(message, transfer_time)
                 self.tracer.fault_duplicate(message)
         if faults.extra_delay_s and tracing:
             self.tracer.fault_delay(message, faults.extra_delay_s)

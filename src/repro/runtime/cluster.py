@@ -9,7 +9,7 @@ from repro.core import ProtocolSuite, make_protocol
 from repro.faults.crash import CrashController
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
 from repro.faults.recovery import RecoveryManager
-from repro.faults.wal import NULL_WAL, WalSet
+from repro.faults.wal import WalSet
 from repro.gdo.cache import EntryCacheTracker
 from repro.gdo.directory import Directory
 from repro.gdo.migration import HomeMigrationManager
@@ -134,12 +134,12 @@ class Cluster:
                 config.migration, clock=lambda: self.env.now
             )
         # Each node's durable write-ahead record, kept only when crashes
-        # are planned: fault-free runs stay byte-identical through the
-        # no-op NULL_WAL.
-        self.wal = (
+        # are planned; otherwise None, and every durable write is one
+        # ``wal is not None`` branch.
+        self.wal: Optional[WalSet] = (
             WalSet(config.num_nodes)
             if config.faults is not None and config.faults.crashes
-            else NULL_WAL
+            else None
         )
         self.lockmgr = LockManager(
             self.env, self.network, self.directory, config.sizes, self.cache,
@@ -163,9 +163,7 @@ class Cluster:
             tracer=self.tracer, injector=self.injector, wal=self.wal,
         )
         self.executor._registry = self.registry
-        self.scheduler = Scheduler(
-            self.nodes, config.scheduler, self.rng.derive("scheduler")
-        )
+        self.scheduler = Scheduler(self.nodes)
         self.recovery: Optional[RecoveryManager] = None
         self.crash_controller: Optional[CrashController] = None
         if config.faults is not None and (config.faults.crashes
@@ -226,9 +224,10 @@ class Cluster:
             slot_values[(name, 0)] = value
         self.stores[node].create_object(object_id, layout, slot_values)
         self.directory.register(object_id, layout.page_count, node)
-        self.wal.record_home(
-            self.directory.entry(object_id).home_node.value, object_id
-        )
+        if self.wal is not None:
+            self.wal.record_home(
+                self.directory.entry(object_id).home_node.value, object_id
+            )
         self.creation_log.append(
             CreationRecord(
                 object_id=object_id, schema=schema, node=node,
@@ -279,22 +278,17 @@ class Cluster:
             raise ConfigurationError(f"unknown node {node!r}")
         if delay < 0:
             raise ConfigurationError("delay must be non-negative")
-        self.scheduler.notify_start(node)
 
         def tracked():
             if delay > 0:
                 yield self.env.timeout(delay)
-            try:
-                # `process` is bound below, before the bootstrap step
-                # ever runs this body; passing it lets a node crash
-                # interrupt the attempt mid-coroutine.
-                result = yield from self.executor.run_root(
-                    node, handle, method_name, args, label=label,
-                    process=process,
-                )
-            finally:
-                self.scheduler.notify_end(node)
-            return result
+            # `process` is bound below, before the bootstrap step ever
+            # runs this body; passing it lets a node crash interrupt the
+            # attempt mid-coroutine.
+            return (yield from self.executor.run_root(
+                node, handle, method_name, args, label=label,
+                process=process,
+            ))
 
         process = self.env.process(
             tracked(), name=label or f"{handle.class_name}.{method_name}"

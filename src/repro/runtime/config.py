@@ -14,8 +14,6 @@ from repro.net.sizes import SizeModel
 from repro.sim.tiebreak import validate_tiebreak
 from repro.util.errors import ConfigurationError
 
-_SCHEDULERS = ("round_robin", "random", "least_loaded")
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -38,7 +36,6 @@ class ClusterConfig:
         max_retries: deadlock-victim retry budget per root.
         retry_backoff_s: base for exponential backoff between retries.
         sizes: on-wire size model for protocol messages.
-        scheduler: root-transaction placement policy.
         audit_accesses: record per-invocation predicted-vs-actual
             access sets (used by the conservatism tests; benches turn
             it off).
@@ -76,9 +73,11 @@ class ClusterConfig:
         faults: optional :class:`~repro.faults.plan.FaultPlan` enabling
             deterministic fault injection (message loss/dup/jitter,
             node crash windows, lock-wait timeouts).  ``None`` — the
-            default — wires the no-op
-            :class:`~repro.faults.injector.NullInjector`, which keeps
-            runs byte-identical to a build without fault support.
+            default — wires :class:`~repro.faults.injector.NullInjector`,
+            which answers no query: every fault site is skipped on its
+            ``injector.enabled`` branch, and the cluster keeps no
+            write-ahead record (``Cluster.wal`` is ``None`` unless the
+            plan schedules crashes).
         migration: optional
             :class:`~repro.gdo.migration.MigrationConfig` enabling
             adaptive re-homing of hot GDO entries toward their
@@ -106,7 +105,6 @@ class ClusterConfig:
     max_retries: int = 10
     retry_backoff_s: float = 0.002
     sizes: SizeModel = field(default_factory=SizeModel)
-    scheduler: str = "round_robin"
     audit_accesses: bool = True
     recovery: str = "undo"
     class_protocols: tuple = ()
@@ -140,10 +138,6 @@ class ClusterConfig:
             raise ConfigurationError("max_retries must be non-negative")
         if self.retry_backoff_s < 0:
             raise ConfigurationError("retry_backoff_s must be non-negative")
-        if self.scheduler not in _SCHEDULERS:
-            raise ConfigurationError(
-                f"scheduler must be one of {_SCHEDULERS}, got {self.scheduler!r}"
-            )
         if self.recovery not in ("undo", "shadow"):
             raise ConfigurationError(
                 f"recovery must be 'undo' or 'shadow', got {self.recovery!r}"
@@ -194,7 +188,3 @@ class ClusterConfig:
 
     def with_network(self, network: NetworkConfig) -> "ClusterConfig":
         return replace(self, network=network)
-
-    def with_faults(self, faults: Optional[FaultPlan]) -> "ClusterConfig":
-        """The same run parameters under a fault plan (or none)."""
-        return replace(self, faults=faults)

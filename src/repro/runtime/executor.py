@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.prediction import AccessPrediction, predict
 from repro.faults.injector import NULL_INJECTOR
-from repro.faults.wal import NULL_WAL
 from repro.gdo.entry import LockMode
 from repro.memory.shadow import ShadowLog
 from repro.memory.undo import UndoLog
@@ -187,7 +186,7 @@ class Executor:
         self.rng = rng
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.injector = injector if injector is not None else NULL_INJECTOR
-        self.wal = wal if wal is not None else NULL_WAL
+        self.wal = wal
         self._recovery_factory = (
             ShadowLog if config.recovery == "shadow" else UndoLog
         )
@@ -219,7 +218,8 @@ class Executor:
         """
         attempts = 0
         while True:
-            yield from self._await_node_up(node)
+            if self.injector.enabled:
+                yield from self._await_node_up(node)
             txn = Transaction(self.alloc.next_root_txn(), node,
                               label=label or method_name,
                               recovery_factory=self._recovery_factory)
@@ -294,9 +294,9 @@ class Executor:
     def _await_node_up(self, node: NodeId):
         """Hold off while ``node`` is inside a crash window.
 
-        New root attempts cannot start on a down node; with no fault
-        plan (or no crash covering now) this yields nothing, keeping
-        the fault-free event schedule untouched.
+        New root attempts cannot start on a down node; with no crash
+        covering now this yields nothing.  Called only under an
+        ``injector.enabled`` branch.
         """
         while True:
             until = self.injector.down_until(node, self.env.now)
@@ -321,16 +321,18 @@ class Executor:
         # The committing site now holds the newest version of every
         # page it dirtied: stamp the local tags with the post-commit
         # versions before anyone can fetch from us.
+        wal = self.wal
         for object_id, pages in root.dirty.items():
             page_map = self.directory.entry(object_id).page_map
             versions = store.copy_of(object_id).page_versions
             for page in pages:
                 versions[page] = version = page_map[page].version
-                # Durable record: the committed version now owned here
-                # survives a crash of this node (fail-stop with stable
-                # storage) and is replayed at rejoin.
-                self.wal.record_page(root.node.value, object_id, page,
-                                     version)
+                if wal is not None:
+                    # Durable record: the committed version now owned
+                    # here survives a crash of this node (fail-stop with
+                    # stable storage) and is replayed at rejoin.
+                    wal.record_page(root.node.value, object_id, page,
+                                    version)
         self.protocol.on_root_commit(root, dict(root.dirty), self._meta_of)
         root.mark_committed()
         self._finalize_prediction_accounting(root)

@@ -2,50 +2,28 @@
 
 Section 2: "the available transactions need only be distributed across
 the available processors to balance the computational load.  This can
-easily be done within a DSM system."  Three standard policies are
-provided; experiments use round-robin for determinism.
+easily be done within a DSM system."  Placement is round-robin, which
+keeps every run deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.util.errors import ConfigurationError
 from repro.util.ids import NodeId
-from repro.util.rng import SeededRNG
 
 
 class Scheduler:
     """Chooses the node at which each root transaction executes."""
 
-    def __init__(self, nodes: Sequence[NodeId], policy: str, rng: SeededRNG):
+    def __init__(self, nodes: Sequence[NodeId]):
         if not nodes:
             raise ConfigurationError("scheduler needs at least one node")
         self.nodes: List[NodeId] = list(nodes)
-        self.policy = policy
-        self._rng = rng
         self._next = 0
-        self._active: Dict[NodeId, int] = {node: 0 for node in self.nodes}
 
     def pick_node(self) -> NodeId:
-        if self.policy == "round_robin":
-            node = self.nodes[self._next % len(self.nodes)]
-            self._next += 1
-        elif self.policy == "random":
-            node = self._rng.choice(self.nodes)
-        elif self.policy == "least_loaded":
-            node = min(self.nodes, key=lambda n: (self._active[n], n.value))
-        else:
-            raise ConfigurationError(f"unknown scheduler policy {self.policy!r}")
+        node = self.nodes[self._next % len(self.nodes)]
+        self._next += 1
         return node
-
-    def notify_start(self, node: NodeId) -> None:
-        self._active[node] += 1
-
-    def notify_end(self, node: NodeId) -> None:
-        if self._active[node] <= 0:
-            raise ConfigurationError(f"notify_end without start for {node!r}")
-        self._active[node] -= 1
-
-    def load_snapshot(self) -> Dict[NodeId, int]:
-        return dict(self._active)

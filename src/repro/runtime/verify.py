@@ -75,7 +75,7 @@ def replay_serially(cluster: Cluster,
         # trace=False: the oracle compares states and results, so a
         # trace of the replay would be recorded for nobody to read.
         config = replace(
-            cluster.config, num_nodes=1, scheduler="round_robin",
+            cluster.config, num_nodes=1,
             audit_accesses=False, faults=None, tiebreak="fifo",
             transport="sim", transport_processes=False,
             semantic_locks=False, trace=False,

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro.faults.injector import NULL_INJECTOR
-from repro.faults.wal import NULL_WAL
 from repro.gdo.cache import EntryCacheTracker
 from repro.gdo.deadlock import first_cycle, pick_victim
 from repro.gdo.directory import Directory
@@ -99,8 +98,9 @@ class LockManager:
         self.injector = injector if injector is not None else NULL_INJECTOR
         #: Per-node durable record (repro.faults.wal); the home node's
         #: holder lists are snapshotted on every global grant/release so
-        #: crash recovery can replay them.  NULL_WAL no-ops by default.
-        self.wal = wal if wal is not None else NULL_WAL
+        #: crash recovery can replay them.  ``None`` unless the fault
+        #: plan schedules crashes.
+        self.wal = wal
         #: Optional :class:`~repro.gdo.migration.HomeMigrationManager`;
         #: ``None`` keeps the static partition (and adds zero work).
         self.migration = migration
@@ -196,7 +196,7 @@ class LockManager:
         self.stats.global_acquisitions += 1
         if self.migration is not None:
             self.migration.record_access(object_id, node)
-        if (self.injector.failover_detect_s() > 0
+        if (self.injector.enabled and self.injector.failover_detect_s() > 0
                 and self.injector.is_down(entry.home_node, self.env.now)):
             yield from self._reroute_failover(entry)
         home = entry.home_node
@@ -223,7 +223,8 @@ class LockManager:
             entry.grant(txn, mode)
             self._record_grant(object_id, txn, mode)
             self.cache.on_granted(object_id, node)
-            self._wal_record_holders(object_id, entry)
+            if self.wal is not None:
+                self._wal_record_holders(object_id, entry)
             if family_already_present:
                 # Re-entrant grant (the family already holds/retains the
                 # lock, e.g. after its cached entry was displaced): no
@@ -280,7 +281,7 @@ class LockManager:
             return None  # already ours: nothing to pre-acquire
         if self.migration is not None:
             self.migration.record_access(object_id, node)
-        if (self.injector.failover_detect_s() > 0
+        if (self.injector.enabled and self.injector.failover_detect_s() > 0
                 and self.injector.is_down(entry.home_node, self.env.now)):
             yield from self._reroute_failover(entry)
         home = entry.home_node
@@ -316,7 +317,8 @@ class LockManager:
         self._record_grant(object_id, txn, mode)
         entry.demote_to_retained(txn)
         self.cache.on_granted(object_id, node)
-        self._wal_record_holders(object_id, entry)
+        if self.wal is not None:
+            self._wal_record_holders(object_id, entry)
         self.stats.prefetch_granted += 1
         if self.tracer.enabled:
             self.tracer.lock_prefetch(txn, object_id, granted=True, mode=mode)
@@ -345,7 +347,9 @@ class LockManager:
         A crashed home takes no writes: its stable storage keeps the
         last pre-crash snapshot, which is exactly what the node must
         reconcile (discard stale holders) when it rejoins — see
-        :meth:`repro.faults.recovery.RecoveryManager.rejoin`.
+        :meth:`repro.faults.recovery.RecoveryManager.rejoin`.  Called
+        only under a ``wal is not None`` branch, so crashes are planned
+        and the injector is a real one.
         """
         home = entry.home_node
         if self.injector.is_down(home, self.env.now):
@@ -362,6 +366,7 @@ class LockManager:
         re-check lands right around the failover instant) until either
         the entry was re-homed to the live successor or the node
         recovered first; the caller then re-reads ``entry.home_node``.
+        Called only under an ``injector.enabled`` branch.
         """
         self.injector.stats.failover_reroutes += 1
         base = self.injector.failover_detect_s()
@@ -418,7 +423,8 @@ class LockManager:
         shard = entry.home_node
         if tracing:
             self.tracer.gdo_queue_depth(shard, +1)
-        timeout_s = self.injector.lock_wait_timeout_s()
+        timeout_s = (self.injector.lock_wait_timeout_s()
+                     if self.injector.enabled else 0.0)
         try:
             if timeout_s > 0:
                 payload = yield from self._wait_bounded(entry, waiter,
@@ -661,7 +667,8 @@ class LockManager:
                 self.cache.on_freed(object_id)
             woken = entry.pump()
             self._deliver_grants(entry, woken, roots_before)
-            self._wal_record_holders(object_id, entry)
+            if self.wal is not None:
+                self._wal_record_holders(object_id, entry)
         if self.migration is not None:
             # Detached: re-homing is the directory's own housekeeping.
             # Running it inline would suspend the releasing family past
@@ -715,8 +722,9 @@ class LockManager:
             if not entry.is_free or entry.has_waiters():
                 continue  # a racing request got in first: stay put
             moved_from = self.directory.move_home(object_id, target)
-            self.wal.record_home_moved(moved_from.value, target.value,
-                                       object_id)
+            if self.wal is not None:
+                self.wal.record_home_moved(moved_from.value, target.value,
+                                           object_id)
             # The quiescent entry has no holders, but a stale cached
             # holder list at any site would now route Algorithm 4.1's
             # fast path to the wrong home — drop it.

@@ -36,7 +36,7 @@ and abort is pure bookkeeping: drop the transaction's deltas.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.gdo.entry import LockMode
 from repro.memory.layout import Slot
@@ -190,13 +190,6 @@ class IncrementMerger:
         if adjust or key in self._ledger:
             self._plain.setdefault(txn.id, set()).add(key)
         return adjust
-
-    def has_deltas(self, txn) -> bool:
-        return bool(self._live.get(txn.id))
-
-    def ledger_value(self, object_id: ObjectId,
-                     slot: Slot) -> Optional[object]:
-        return self._ledger.get((object_id, slot))
 
     # -- resolutions --------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Deterministic random-number utilities.
 
-Every stochastic component (workload generator, scheduler jitter,
-deadlock victim tie-breaks) draws from its own :class:`SeededRNG`
+Every stochastic component (workload generator, fault injector,
+executor retry backoff) draws from its own :class:`SeededRNG`
 derived from the experiment's master seed, so that
 
 * a whole experiment is reproducible from one integer, and

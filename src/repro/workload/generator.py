@@ -79,9 +79,6 @@ class Workload:
     def class_of(self, obj_index: int) -> SyntheticClassInfo:
         return self.classes[self.object_classes[obj_index]]
 
-    def total_invocations(self) -> int:
-        return sum(plan.size() for plan in self.plans)
-
     def with_plans(self, plans: Sequence[PlanNode],
                    arrival_offsets: Optional[Sequence[float]] = None) -> "Workload":
         """Same classes and object population, hand-written plans.

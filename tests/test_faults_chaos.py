@@ -18,6 +18,24 @@ def chaos_run(plan, trace=True):
     return cluster, run_workload(cluster, workload)
 
 
+def assert_net_trace_mirrors_stats(cluster):
+    """The trace's ``net`` counters and events equal NetworkStats: every
+    wire copy is traced, duplicates included."""
+    stats = cluster.network_stats
+    metrics = cluster.metrics
+    assert metrics.counter_total("net.bytes") == stats.total_bytes
+    assert metrics.counter_total("net.messages") == stats.total_messages
+    for category, expected in stats.by_category_bytes.items():
+        assert metrics.counter_total(
+            "net.bytes", category=category.value) == expected
+    for category, expected in stats.by_category_messages.items():
+        assert metrics.counter_total(
+            "net.messages", category=category.value) == expected
+    net_events = [e for e in cluster.trace_events if e.category == "net"]
+    assert len(net_events) == stats.total_messages
+    assert sum(e.args["bytes"] for e in net_events) == stats.total_bytes
+
+
 @pytest.mark.parametrize("preset", sorted(FAULT_PRESETS))
 def test_preset_terminates_and_stays_serializable(preset):
     cluster, run = chaos_run(FAULT_PRESETS[preset])
@@ -49,6 +67,7 @@ class TestFaultAccounting:
         stats = cluster.fault_stats
         assert stats.messages_duplicated > 0
         assert stats.delay_injected_s > 0
+        assert_net_trace_mirrors_stats(cluster)
 
     def test_lock_timeout_preset_times_out_and_retries(self):
         cluster, run = chaos_run(FAULT_PRESETS["lock-timeout"])
@@ -86,6 +105,8 @@ class TestFaultAccounting:
         assert total("fault.retransmissions") == stats.retransmissions
         assert total("fault.crashes") == stats.crashes
         assert total("fault.lock_timeouts") == stats.lock_timeouts
+        assert stats.messages_duplicated > 0
+        assert_net_trace_mirrors_stats(cluster)
 
 
 class TestConflictOracleUnderChaos:

@@ -1,10 +1,11 @@
 """Unit tests for the fault-plan data model and the seeded injector."""
 
+import inspect
+
 import pytest
 
 from repro.faults import (
     FAULT_PRESETS,
-    NO_FAULTS,
     NULL_INJECTOR,
     CrashEvent,
     FaultInjector,
@@ -15,6 +16,8 @@ from repro.net.message import Message, MessageCategory
 from repro.util.errors import ConfigurationError
 from repro.util.ids import NodeId
 from repro.util.rng import SeededRNG
+
+from conftest import Counter, make_cluster
 
 N0, N1 = NodeId(0), NodeId(1)
 
@@ -86,17 +89,39 @@ class TestFaultPlan:
             assert plan.name == name
 
 
+#: Every query a fault site may ask the injector.
+QUERIES = ("message_faults", "lock_wait_timeout_s", "retransmit_timeout_s",
+           "failover_detect_s", "is_down", "down_until", "cut",
+           "partition_until")
+
+
 class TestNullInjector:
     def test_answers_no_fault_everywhere(self):
-        injector = NullInjector()
-        assert injector.message_faults(msg(), 0, 0.0) is NO_FAULTS
-        assert injector.lock_wait_timeout_s() == 0.0
-        assert injector.retransmit_timeout_s() == 0.0
-        assert not injector.is_down(N0, 0.0)
-        assert injector.down_until(N0, 0.0) == 0.0
-        assert not injector.enabled
+        # Faults off is the call site's ``injector.enabled`` branch, so
+        # the null injector answers no query: an unguarded call raises.
+        queries = {name for name, value in vars(FaultInjector).items()
+                   if inspect.isfunction(value) and not name.startswith("_")}
+        assert set(QUERIES) <= queries
+        assert sorted(name for name in queries
+                      if hasattr(NullInjector, name)) == []
+        assert not issubclass(FaultInjector, NullInjector)
+        assert NULL_INJECTOR.enabled is False
+        assert NULL_INJECTOR.plan is None
+        with pytest.raises(AttributeError):
+            NULL_INJECTOR.is_down(N0, 0.0)
 
     def test_shared_stats_stay_zero(self):
+        # A contended fault-free run (global grants and lock waits)
+        # leaves the shared null injector exactly as it was.
+        cluster = make_cluster(seed=3)
+        counter = cluster.create(Counter)
+        for _ in range(12):
+            cluster.submit(counter, "add", 1)
+        cluster.run()
+        assert cluster.read_attr(counter, "value") == 12
+        assert cluster.lock_stats.waits > 0
+        assert cluster.injector is NULL_INJECTOR
+        assert vars(NULL_INJECTOR) == {}
         assert all(
             value == 0 for value in NULL_INJECTOR.stats.snapshot().values()
         )

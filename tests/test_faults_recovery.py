@@ -7,11 +7,10 @@ import pytest
 from repro import Attr, method, shared_class
 from repro.check.explorer import FuzzTask, run_task
 from repro.faults import (
-    NULL_WAL,
+    FAULT_PRESETS,
     CrashEvent,
     FaultInjector,
     FaultPlan,
-    NullWalSet,
     PartitionEvent,
     RecoveryManager,
     SlowNodeEvent,
@@ -92,19 +91,29 @@ class TestNodeWal:
         assert wal.node(0).record_count() == 3
 
     def test_null_wal_records_nothing(self):
-        null = NullWalSet()
-        null.record_page(0, O0, 0, 1)
-        null.record_home(0, O0)
-        null.record_home_moved(0, 1, O0)
-        null.record_holders(0, O0, FakeEntry(holders=[]))
-        assert null.enabled is False and WalSet(1).enabled is True
+        # Faults on but no crash planned: there is no WAL, and every
+        # durable write site (commit, grant, release, creation) is
+        # skipped by its ``wal is not None`` branch.
+        cluster = make_cluster(faults=FAULT_PRESETS["lock-timeout"], seed=3)
+        counter = cluster.create(Counter)
+        for _ in range(12):
+            cluster.submit(counter, "add", 1)
+        cluster.run()
+        assert cluster.read_attr(counter, "value") == 12
+        assert cluster.lock_stats.global_acquisitions > 0
+        assert cluster.wal is None
+        assert cluster.lockmgr.wal is None and cluster.executor.wal is None
 
     def test_cluster_wires_a_wal_only_when_crashes_are_planned(self):
-        assert make_cluster().wal is NULL_WAL
+        cluster = make_cluster()
+        assert cluster.wal is None
+        assert cluster.lockmgr.wal is None and cluster.executor.wal is None
         plan = FaultPlan(crashes=(
             CrashEvent(node_index=1, at_s=1.0, down_for_s=0.01),))
         cluster = make_cluster(faults=plan)
-        assert cluster.wal.enabled
+        assert isinstance(cluster.wal, WalSet)
+        assert cluster.lockmgr.wal is cluster.wal
+        assert cluster.executor.wal is cluster.wal
         handle = cluster.create(Counter)
         # Creation records the home durably straight away.
         home = cluster.directory.entry(handle.object_id).home_node
@@ -116,7 +125,7 @@ def recovery_for(plan, nodes=4):
     injector = FaultInjector(plan, SeededRNG(0))
     return RecoveryManager(
         env=None, injector=injector, directory=None, cache=None,
-        wal=NULL_WAL,
+        wal=None,
         nodes=[NodeId(index) for index in range(nodes)], tracer=None,
     )
 

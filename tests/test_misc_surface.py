@@ -1,4 +1,4 @@
-"""Coverage for remaining public API surface: scheduler policies,
+"""Coverage for remaining public API surface: round-robin placement,
 round-trip estimation, result helpers, and stats summaries."""
 
 import pytest
@@ -10,52 +10,19 @@ from repro.runtime.scheduler import Scheduler
 from repro.sim import Environment
 from repro.util.errors import ConfigurationError
 from repro.util.ids import NodeId
-from repro.util.rng import SeededRNG
 
 NODES = [NodeId(0), NodeId(1), NodeId(2)]
 
 
 class TestScheduler:
     def test_round_robin_cycles(self):
-        scheduler = Scheduler(NODES, "round_robin", SeededRNG(1))
+        scheduler = Scheduler(NODES)
         picks = [scheduler.pick_node() for _ in range(6)]
         assert picks == NODES + NODES
 
-    def test_random_is_seeded(self):
-        a = Scheduler(NODES, "random", SeededRNG(5))
-        b = Scheduler(NODES, "random", SeededRNG(5))
-        assert [a.pick_node() for _ in range(10)] == \
-            [b.pick_node() for _ in range(10)]
-
-    def test_least_loaded_prefers_idle(self):
-        scheduler = Scheduler(NODES, "least_loaded", SeededRNG(1))
-        first = scheduler.pick_node()
-        scheduler.notify_start(first)
-        second = scheduler.pick_node()
-        assert second != first
-        scheduler.notify_start(second)
-        scheduler.notify_end(first)
-        assert scheduler.pick_node() == first
-
-    def test_load_snapshot(self):
-        scheduler = Scheduler(NODES, "round_robin", SeededRNG(1))
-        scheduler.notify_start(NODES[1])
-        assert scheduler.load_snapshot()[NODES[1]] == 1
-
-    def test_end_without_start_rejected(self):
-        scheduler = Scheduler(NODES, "round_robin", SeededRNG(1))
-        with pytest.raises(ConfigurationError):
-            scheduler.notify_end(NODES[0])
-
     def test_empty_nodes_rejected(self):
         with pytest.raises(ConfigurationError):
-            Scheduler([], "round_robin", SeededRNG(1))
-
-    def test_unknown_policy_at_pick(self):
-        scheduler = Scheduler(NODES, "round_robin", SeededRNG(1))
-        scheduler.policy = "bogus"
-        with pytest.raises(ConfigurationError):
-            scheduler.pick_node()
+            Scheduler([])
 
 
 class TestRoundTripEstimate:

@@ -3,6 +3,7 @@ registry, virtual-clock tracer, exporters, and the wiring that keeps
 the tracer's aggregates exactly equal to :class:`NetworkStats`."""
 
 import ast
+import functools
 import inspect
 import json
 import textwrap
@@ -238,6 +239,12 @@ class TestTracerCore:
         assert isinstance(tracer.metrics, MetricsRegistry)
 
 
+def _owned_by(node, owner):
+    """``owner`` or ``<x>.owner``."""
+    return ((isinstance(node, ast.Name) and node.id == owner)
+            or (isinstance(node, ast.Attribute) and node.attr == owner))
+
+
 def _reads_enabled(node, aliases):
     return any(
         (isinstance(sub, ast.Attribute) and sub.attr == "enabled")
@@ -246,37 +253,97 @@ def _reads_enabled(node, aliases):
     )
 
 
-def hook_calls(tree):
-    """``(line, hook, guarded)`` for every ``tracer.<hook>(...)`` or
-    ``<x>.tracer.<hook>(...)`` call; guarded means under an ``if`` (or
-    ``... if ... else``) whose test reads ``.enabled``, directly or
-    through a local alias of it."""
+def _tests_wal(node, aliases):
+    """``wal is not None`` or ``<x>.wal is not None``."""
+    return any(
+        isinstance(sub, ast.Compare) and _owned_by(sub.left, "wal")
+        and isinstance(sub.ops[0], ast.IsNot)
+        and isinstance(sub.comparators[0], ast.Constant)
+        and sub.comparators[0].value is None
+        for sub in ast.walk(node)
+    )
+
+
+def _reads_faults_on(node, aliases):
+    # The WAL exists only when crashes are planned, so a ``wal is not
+    # None`` branch is a faults-on branch too.
+    return _reads_enabled(node, aliases) or _tests_wal(node, aliases)
+
+
+def guarded_calls(tree, owner, guard):
+    """``(line, method, guarded)`` for every ``owner.<method>(...)`` or
+    ``<x>.owner.<method>(...)`` call.  Guarded means under an ``if`` (or
+    ``... if ... else``) whose test passes ``guard``, directly or through
+    a local alias assigned from such a test, or after such a test in an
+    ``and``, or inside a function that every call in the module makes
+    from a guarded position."""
     parents = {child: node for node in ast.walk(tree)
                for child in ast.iter_child_nodes(node)}
+    callers = {}
     for call in ast.walk(tree):
-        if not (isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Attribute)):
-            continue
-        owner = call.func.value
-        if not ((isinstance(owner, ast.Name) and owner.id == "tracer")
-                or (isinstance(owner, ast.Attribute)
-                    and owner.attr == "tracer")):
-            continue
-        chain = [call]
+        if isinstance(call, ast.Call):
+            func = call.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None))
+            callers.setdefault(name, []).append(call)
+    verdicts, scope_aliases = {}, {}
+
+    def guarded(node):
+        chain = [node]
         while not isinstance(chain[-1], (ast.FunctionDef, ast.Module)):
             chain.append(parents[chain[-1]])
-        aliases = {
-            target.id for assign in ast.walk(chain[-1])
-            if isinstance(assign, ast.Assign)
-            and _reads_enabled(assign.value, ())
-            for target in assign.targets if isinstance(target, ast.Name)
-        }
-        yield call.lineno, call.func.attr, any(
+        scope = chain[-1]
+        if scope not in scope_aliases:
+            scope_aliases[scope] = {
+                target.id for assign in ast.walk(scope)
+                if isinstance(assign, ast.Assign)
+                and guard(assign.value, ())
+                for target in assign.targets
+                if isinstance(target, ast.Name)
+            }
+        aliases = scope_aliases[scope]
+        if any(
             (isinstance(parent, ast.If) and child in parent.body
              or isinstance(parent, ast.IfExp) and child is parent.body)
-            and _reads_enabled(parent.test, aliases)
+            and guard(parent.test, aliases)
+            or isinstance(parent, ast.BoolOp)
+            and isinstance(parent.op, ast.And)
+            and any(guard(value, aliases)
+                    for value in parent.values[:parent.values.index(child)])
             for child, parent in zip(chain, chain[1:])
-        )
+        ):
+            return True
+        if not isinstance(scope, ast.FunctionDef):
+            return False
+        if scope not in verdicts:
+            verdicts[scope] = False  # a recursive call guards nothing
+            sites = callers.get(scope.name, [])
+            verdicts[scope] = bool(sites) and all(map(guarded, sites))
+        return verdicts[scope]
+
+    for call in ast.walk(tree):
+        if (isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and _owned_by(call.func.value, owner)):
+            yield call.lineno, call.func.attr, guarded(call)
+
+
+def hook_calls(tree):
+    """``tracer.<hook>(...)`` calls; guarded means under a branch that
+    reads ``.enabled``."""
+    return guarded_calls(tree, "tracer", _reads_enabled)
+
+
+def fault_calls(tree):
+    """``injector.<query>(...)`` and ``wal.<write>(...)`` calls as
+    ``(line, call, guarded)``: a query must sit under a faults-on branch
+    (``.enabled``, or ``wal is not None``), a write under a ``wal is not
+    None`` branch."""
+    for line, query, ok in guarded_calls(tree, "injector", _reads_faults_on):
+        yield line, f"injector.{query}", ok
+    for line, write, ok in guarded_calls(tree, "wal", _tests_wal):
+        if write.startswith("record_"):
+            yield line, f"wal.{write}", ok
 
 
 class TestNullTracer:
@@ -355,6 +422,73 @@ class TestNullTracer:
         assert cluster.tracer is NULL_TRACER
         assert cluster.metrics is None
         assert cluster.trace_events == ()
+
+
+@functools.lru_cache(maxsize=None)
+def fault_sites_outside_faults():
+    """``(where, call, guarded)`` for every fault call in ``repro`` that
+    lies outside :mod:`repro.faults` (code there runs only with faults
+    on)."""
+    root = Path(repro.__file__).parent
+    return tuple(
+        (f"{path.relative_to(root)}:{line}", call, guarded)
+        for path in sorted(root.rglob("*.py"))
+        if path.parent.name != "faults"
+        for line, call, guarded in fault_calls(ast.parse(path.read_text()))
+    )
+
+
+class TestFaultSitesGuarded:
+    """Faults off is one branch, like tracing off: the null injector
+    answers no query and there is no WAL, so every site is checked
+    statically — crash and failover paths no fault-free test reaches
+    are held to it too."""
+
+    def test_every_injector_query_outside_faults_is_guarded(self):
+        sites = [site for site in fault_sites_outside_faults()
+                 if site[1].startswith("injector.")]
+        assert {"injector.message_faults", "injector.lock_wait_timeout_s",
+                "injector.failover_detect_s", "injector.is_down",
+                "injector.down_until", "injector.retransmit_timeout_s"} \
+            <= {call for _, call, _ in sites}
+        assert [f"{where} {call}" for where, call, guarded in sites
+                if not guarded] == []
+
+    def test_every_wal_write_outside_faults_is_guarded(self):
+        sites = [site for site in fault_sites_outside_faults()
+                 if site[1].startswith("wal.")]
+        assert {"wal.record_page", "wal.record_holders", "wal.record_home",
+                "wal.record_home_moved"} == {call for _, call, _ in sites}
+        assert [f"{where} {call}" for where, call, guarded in sites
+                if not guarded] == []
+
+    def test_fault_guard_check_bites(self):
+        source = textwrap.dedent("""
+            def plain(self):
+                self.injector.is_down(node, now)
+            def guarded(self):
+                if self.injector.enabled and self.injector.is_down(n, t):
+                    self._helper()
+                if self.wal is not None:
+                    self.wal.record_home(0, oid)
+            def _helper(self):
+                self.injector.down_until(node, now)
+                self.wal.record_page(0, oid, 0, 1)
+            def wrong_guard(self):
+                if self.injector.enabled:
+                    self.wal.record_home(0, oid)
+            def _stray(self):
+                self.injector.cut(a, b, now)
+            def calls_stray(self):
+                self._stray()
+                if self.wal is not None:
+                    self._stray()
+        """)
+        assert sorted((line, call) for line, call, guarded in
+                      fault_calls(ast.parse(source)) if not guarded) == [
+            (3, "injector.is_down"), (11, "wal.record_page"),
+            (14, "wal.record_home"), (16, "injector.cut"),
+        ]
 
 
 # ---------------------------------------------------------------------------

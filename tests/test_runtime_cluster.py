@@ -15,7 +15,7 @@ class TestConfigValidation:
         dict(transfer_grain="byte"),
         dict(max_retries=-1),
         dict(retry_backoff_s=-0.1),
-        dict(scheduler="fifo"),
+        dict(recovery="redo"),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ConfigurationError):
