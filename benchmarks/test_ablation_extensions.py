@@ -1,25 +1,10 @@
-"""Ablation benches for the paper's announced extensions (§4.1, §5.1,
-§6): recovery mechanism, multicast pushes, optimistic prefetching, and
-per-class protocol mixes."""
+"""Ablation benches for the paper's announced extensions (§5.1, §6):
+multicast pushes, optimistic prefetching, and per-class protocol
+mixes."""
 
 from repro.bench import run_experiment
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_once
-
-
-def test_recovery_undo_vs_shadow(benchmark, show):
-    """§4.1: undo logs and shadow pages must roll back identically;
-    the network traffic is byte-for-byte the same (recovery is purely
-    local — "no network communication is required")."""
-    result = run_once(
-        benchmark, run_experiment, "abl-recovery", seed=BENCH_SEED, scale=BENCH_SCALE,
-    )
-    show(result)
-    assert result.meta["states_equal"]
-    assert result.series["committed"]["undo"] == \
-        result.series["committed"]["shadow"]
-    assert result.series["data_bytes"]["undo"] == \
-        result.series["data_bytes"]["shadow"]
 
 
 def test_multicast_collapses_rc_pushes(benchmark, show):

@@ -156,15 +156,8 @@ def _increment_eligible(layout, attr: str) -> bool:
     return isinstance(default, (int, float)) and not isinstance(default, bool)
 
 
-def build_commutativity(schema, layout,
-                        allow_increments: bool = True) -> CommutativityTable:
-    """Build the commutativity table for one class.
-
-    ``allow_increments=False`` keeps page-disjointness commutativity
-    but drops increment-based commutativity (used when the recovery
-    mechanism is page-granular shadowing, which cannot roll back one
-    family's increments without clobbering another's).
-    """
+def build_commutativity(schema, layout) -> CommutativityTable:
+    """Build the commutativity table for one class."""
     summaries: Dict[str, MethodSummary] = {}
     for name in sorted(schema.methods):
         spec = schema.method_spec(name)
@@ -179,7 +172,7 @@ def build_commutativity(schema, layout,
         else:
             trust = TRUST_FALLBACK
         increments: FrozenSet[str] = frozenset()
-        if trust == TRUST_ANALYZED and allow_increments:
+        if trust == TRUST_ANALYZED:
             increments = frozenset(
                 attr for attr in analyzed.increments
                 if attr in access.writes and _increment_eligible(layout, attr)

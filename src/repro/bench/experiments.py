@@ -22,7 +22,6 @@ so the same declaration serves unit tests, benches and full-size runs.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import partial
@@ -117,13 +116,6 @@ class ExperimentResult:
 # Runs: what one RunSpec executes and measures
 # ---------------------------------------------------------------------------
 
-def state_digest_hash(cluster: Cluster) -> str:
-    """Stable hash of the cluster's authoritative object state (the
-    recovery ablation compares these across rollback mechanisms)."""
-    blob = json.dumps(cluster.state_digest(), sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def cluster_measurement(cluster: Cluster) -> Dict[str, object]:
     """The cluster-level portion of a measurement: every aggregate any
     experiment reads, reduced to JSON primitives."""
@@ -155,7 +147,6 @@ def cluster_measurement(cluster: Cluster) -> Dict[str, object]:
         "txn": {"mean_latency": cluster.txn_stats.mean_latency},
         "cache": {"hit_rate": cluster.cache_stats.hit_rate},
         "prediction": cluster.protocol.snapshot(),
-        "state_digest": state_digest_hash(cluster),
     }
     if cluster.migration is not None:
         measurement["migration"] = cluster.migration.stats.snapshot()
@@ -399,8 +390,7 @@ def _specs(variants: Dict[str, Dict[str, object]], seed: int,
     return [
         RunSpec(
             key=label,
-            config=ClusterConfig(num_nodes=nodes, seed=seed,
-                                 audit_accesses=False, **overrides),
+            config=ClusterConfig(num_nodes=nodes, seed=seed, **overrides),
             params=params, seed=seed, **run,
         )
         for label, overrides in variants.items()
@@ -752,24 +742,6 @@ def _gdo_cache_ablation(seed, scale, num_nodes,
     )
 
 
-def _recovery_ablation(seed, scale, num_nodes,
-                       scenario: str = "medium-high") -> ExperimentPlan:
-    """§4.1 offers two rollback mechanisms — "local UNDO logs or shadow
-    pages".  Compare their bookkeeping volume and confirm identical
-    outcomes on the same workload."""
-    return _compare(
-        f"recovery mechanism (undo log vs shadow pages) — {scenario}",
-        _specs({recovery: {"recovery": recovery}
-                for recovery in ("undo", "shadow")},
-               seed, num_nodes, _scenario_params(scenario, scale)),
-        ("committed", "sim_time_ms", "data_bytes"),
-        meta=lambda by_key: {
-            "states_equal": (by_key["undo"]["state_digest"]
-                             == by_key["shadow"]["state_digest"]),
-        },
-    )
-
-
 def _multicast_ablation(seed, scale, num_nodes,
                         scenario: str = "medium-high") -> ExperimentPlan:
     """§6: "the use of multicast-capable networks" — eager RC pushes
@@ -890,7 +862,6 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentPlan]] = {
     "abl-predict": _prediction_ablation,
     "abl-gdocache": _gdo_cache_ablation,
     "abl-aggregate": _aggregation_ablation,
-    "abl-recovery": _recovery_ablation,
     "abl-multicast": _multicast_ablation,
     "abl-prefetch": _prefetch_ablation,
     "abl-perclass": _per_class_ablation,

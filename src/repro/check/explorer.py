@@ -168,7 +168,7 @@ def build_config(task: FuzzTask) -> ClusterConfig:
         )
     return ClusterConfig(
         num_nodes=task.nodes, protocol=task.protocol, seed=task.seed,
-        audit_accesses=False, trace=True, tiebreak=task.policy,
+        trace=True, tiebreak=task.policy,
         faults=FAULT_PRESETS[task.preset] if task.preset else None,
         # Default policy knobs: eager enough to actually migrate at
         # fuzz scale, so the checkers exercise moved entries.

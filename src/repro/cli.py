@@ -455,7 +455,7 @@ def _cmd_run(args) -> int:
     workload = generate_workload(params, seed=args.seed)
     with Cluster(ClusterConfig(
         num_nodes=args.nodes, protocol=args.protocol, seed=args.seed,
-        audit_accesses=False, trace=traced,
+        trace=traced,
         faults=FAULT_PRESETS[args.faults] if args.faults else None,
         transport=args.transport, transport_processes=args.processes,
     )) as cluster:
@@ -574,7 +574,7 @@ def _cmd_load(args) -> int:
     migration = None if args.no_migration else MigrationConfig()
     cluster = Cluster(ClusterConfig(
         num_nodes=scenario.clients, protocol="lotec", seed=args.seed,
-        audit_accesses=False, trace=True, migration=migration,
+        trace=True, migration=migration,
     ))
     run = run_load(cluster, load)
     stats = cluster.network_stats

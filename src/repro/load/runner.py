@@ -38,7 +38,7 @@ def run_load(cluster: Cluster, load: Load) -> WorkloadRun:
             # stays round-robin, which is the whole point.
             node = cluster.nodes[(index // block_size) % num_nodes]
         else:
-            node = None  # remainder objects: scheduler's pick
+            node = None  # remainder objects: round-robin placement
         handles.append(
             cluster.create(workload.class_of(index).schema, node=node)
         )

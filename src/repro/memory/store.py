@@ -57,9 +57,6 @@ class NodeStore:
                 f"object {object_id!r} not cached at node {self.node_id!r}"
             ) from None
 
-    def layout_of(self, object_id: ObjectId) -> ObjectLayout:
-        return self.copy_of(object_id).layout
-
     # -- creation / installation -------------------------------------------
 
     def create_object(self, object_id: ObjectId, layout: ObjectLayout,

@@ -2,11 +2,12 @@
 
 Section 4.1: "the UNDO operations required by the `LocalLockRelease`
 routine may be done using either local UNDO logs or shadow pages.  In
-either case, no network communication is required."  We implement the
-log variant: every slot write appends the previous value; abort applies
-records in reverse; pre-commit *merges* the child's log into its
-parent's so that a later ancestor abort also undoes the pre-committed
-child (closed nesting).
+either case, no network communication is required."  The log is the
+only rollback path here (its slot granularity is what lets semantic
+locks roll back around a concurrent family's increments): every slot
+write appends the previous value; abort applies records in reverse;
+pre-commit *merges* the child's log into its parent's so that a later
+ancestor abort also undoes the pre-committed child (closed nesting).
 """
 
 from __future__ import annotations
@@ -41,13 +42,8 @@ class UndoLog:
         self._records.append(UndoRecord(object_id, slot, had_value, old_value))
 
     def before_write(self, store: NodeStore, object_id: ObjectId,
-                     slot: Slot, pages) -> None:
-        """Recovery-log interface: capture the slot's pre-write state.
-
-        ``pages`` is unused here (slot-granular logging); the shadow
-        implementation snapshots at page granularity instead.
-        """
-        del pages
+                     slot: Slot) -> None:
+        """Capture the slot's pre-write state."""
         had_value, old_value = store.peek_slot(object_id, slot)
         self.record_write(object_id, slot, had_value, old_value)
 
@@ -75,10 +71,3 @@ class UndoLog:
             applied += 1
         self._records.clear()
         return applied
-
-    def touched_objects(self):
-        """Distinct objects with at least one recorded write."""
-        seen = {}
-        for record in self._records:
-            seen[record.object_id] = None
-        return tuple(seen)

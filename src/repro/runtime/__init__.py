@@ -11,16 +11,15 @@ Typical use::
 
 Root transactions are submitted with :meth:`Cluster.submit` (returning
 a ticket) or the submit-and-run shorthand :meth:`Cluster.call`; the
-scheduler spreads roots over nodes — "the available transactions need
-only be distributed across the available processors to balance the
-computational load" (§2).
+cluster spreads roots over nodes round-robin — "the available
+transactions need only be distributed across the available processors
+to balance the computational load" (§2).
 """
 
 from repro.runtime.config import ClusterConfig
 from repro.runtime.cluster import Cluster, TxnTicket
 from repro.runtime.context import InvocationRequest, TxnContext
 from repro.runtime.executor import AccessAudit, CommitRecord
-from repro.runtime.scheduler import Scheduler
 from repro.runtime.verify import (
     check_conflict_serializability,
     check_serializability,
@@ -35,7 +34,6 @@ __all__ = [
     "InvocationRequest",
     "CommitRecord",
     "AccessAudit",
-    "Scheduler",
     "check_serializability",
     "check_conflict_serializability",
     "replay_serially",

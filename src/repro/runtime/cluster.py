@@ -20,7 +20,6 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.objects.schema import ClassSchema, schema_of
 from repro.runtime.config import ClusterConfig
 from repro.runtime.executor import Executor
-from repro.runtime.scheduler import Scheduler
 from repro.sim import Environment, Process
 from repro.sim.tiebreak import make_tiebreak
 from repro.txn.locks import LockManager
@@ -163,7 +162,10 @@ class Cluster:
             tracer=self.tracer, injector=self.injector, wal=self.wal,
         )
         self.executor._registry = self.registry
-        self.scheduler = Scheduler(self.nodes)
+        # Placement (§2: roots "need only be distributed across the
+        # available processors"): one round-robin count shared by
+        # ``create`` and ``submit`` keeps every run deterministic.
+        self._placements = 0
         self.recovery: Optional[RecoveryManager] = None
         self.crash_controller: Optional[CrashController] = None
         if config.faults is not None and (config.faults.crashes
@@ -199,7 +201,7 @@ class Cluster:
             if self.config.semantic_locks:
                 self._register_commutativity(schema, layout)
         if node is None:
-            node = self.scheduler.pick_node()
+            node = self._next_node()
         elif node not in self.stores:
             raise ConfigurationError(f"unknown node {node!r}")
         object_id = self.alloc.next_object()
@@ -239,19 +241,13 @@ class Cluster:
     def _register_commutativity(self, schema: ClassSchema, layout) -> None:
         """Build and install one class's commutativity table.
 
-        Shadow recovery snapshots whole pages, which cannot roll back
-        one family's increments without clobbering a concurrent
-        family's — increment-based commutativity is only sound with
-        slot-granular undo logs.  The honest table is also emitted as a
-        ``lock.commtable`` trace instant so the post-hoc checkers judge
-        every semantic grant against exactly what the locks used.
+        The table is also emitted as a ``lock.commtable`` trace instant
+        so the post-hoc checkers judge every semantic grant against
+        exactly what the locks used.
         """
         from repro.analysis.commutativity import build_commutativity
 
-        table = build_commutativity(
-            schema, layout,
-            allow_increments=(self.config.recovery == "undo"),
-        )
+        table = build_commutativity(schema, layout)
         self.lockmgr.register_commutativity(schema.name, table)
         if self.tracer.enabled:
             self.tracer.instant("lock.commtable", "lock",
@@ -259,6 +255,12 @@ class Cluster:
 
     def handle(self, object_id: ObjectId) -> ObjectHandle:
         return self.registry.handle(object_id)
+
+    def _next_node(self) -> NodeId:
+        """The next node in round-robin order."""
+        node = self.nodes[self._placements % len(self.nodes)]
+        self._placements += 1
+        return node
 
     # ------------------------------------------------------------------
     # Transaction submission
@@ -273,7 +275,7 @@ class Cluster:
         (workload arrival pacing)."""
         handle.meta.schema.method_spec(method_name)  # fail fast
         if node is None:
-            node = self.scheduler.pick_node()
+            node = self._next_node()
         elif node not in self.stores:
             raise ConfigurationError(f"unknown node {node!r}")
         if delay < 0:

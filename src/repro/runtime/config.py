@@ -37,10 +37,8 @@ class ClusterConfig:
         retry_backoff_s: base for exponential backoff between retries.
         sizes: on-wire size model for protocol messages.
         audit_accesses: record per-invocation predicted-vs-actual
-            access sets (used by the conservatism tests; benches turn
-            it off).
-        recovery: rollback mechanism — ``"undo"`` (slot-granular undo
-            logs) or ``"shadow"`` (page snapshots); §4.1 offers both.
+            access sets in ``Cluster.audit`` (the conservatism tests
+            turn it on); off by default.
         class_protocols: per-class consistency protocol overrides, as
             ``(class name, protocol name)`` pairs — the §6 future-work
             item "different consistency protocols ... on a per-class
@@ -105,8 +103,7 @@ class ClusterConfig:
     max_retries: int = 10
     retry_backoff_s: float = 0.002
     sizes: SizeModel = field(default_factory=SizeModel)
-    audit_accesses: bool = True
-    recovery: str = "undo"
+    audit_accesses: bool = False
     class_protocols: tuple = ()
     semantic_locks: bool = False
     prefetch: str = "off"
@@ -138,10 +135,6 @@ class ClusterConfig:
             raise ConfigurationError("max_retries must be non-negative")
         if self.retry_backoff_s < 0:
             raise ConfigurationError("retry_backoff_s must be non-negative")
-        if self.recovery not in ("undo", "shadow"):
-            raise ConfigurationError(
-                f"recovery must be 'undo' or 'shadow', got {self.recovery!r}"
-            )
         if self.prefetch not in ("off", "locks", "locks+pages"):
             raise ConfigurationError(
                 f"prefetch must be 'off', 'locks', or 'locks+pages', "

@@ -168,7 +168,7 @@ class TxnContext:
                 # Keep the store satisfying family-visible = store +
                 # family deltas around a plain overwrite.
                 value = value - adjust
-        self.txn.undo.before_write(self._store, meta.object_id, slot, pages)
+        self.txn.undo.before_write(self._store, meta.object_id, slot)
         copy.slots[slot] = value
         self.txn.record_dirty(meta.object_id, pages)
         self.actual_writes.add(slot[0])

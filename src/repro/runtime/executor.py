@@ -25,8 +25,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.prediction import AccessPrediction, predict
 from repro.faults.injector import NULL_INJECTOR
 from repro.gdo.entry import LockMode
-from repro.memory.shadow import ShadowLog
-from repro.memory.undo import UndoLog
 from repro.objects.proxy import InstrumentedSelf
 from repro.objects.registry import HandleRef as _HandleRef, ObjectHandle
 from repro.obs.tracer import NULL_TRACER
@@ -187,9 +185,6 @@ class Executor:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.injector = injector if injector is not None else NULL_INJECTOR
         self.wal = wal
-        self._recovery_factory = (
-            ShadowLog if config.recovery == "shadow" else UndoLog
-        )
         # Semantic lock modes (DESIGN §15): the merger keeps blind
         # increments correct across commuting families; None keeps the
         # plain path byte-identical.
@@ -221,8 +216,7 @@ class Executor:
             if self.injector.enabled:
                 yield from self._await_node_up(node)
             txn = Transaction(self.alloc.next_root_txn(), node,
-                              label=label or method_name,
-                              recovery_factory=self._recovery_factory)
+                              label=label or method_name)
             family = _LiveFamily(txn=txn, node=node, process=process)
             self.live_families[txn.id.root] = family
             started = self.env.now
@@ -493,7 +487,8 @@ class Executor:
             else:
                 result = spec.func(proxy, ctx, *args)
             yield from self._flush_delay(txn)
-            self._record_audit(ctx, spec, meta)
+            if self.config.audit_accesses:
+                self._record_audit(ctx, spec, meta)
         except (ProtocolError, GeneratorExit):
             raise
         except BaseException as exc:
@@ -549,7 +544,6 @@ class Executor:
             child = Transaction(
                 self.alloc.next_sub_txn(txn.id), txn.node, parent=txn,
                 label=item.method_name,
-                recovery_factory=self._recovery_factory,
             )
             try:
                 send_value = yield from self._execute(
@@ -574,8 +568,6 @@ class Executor:
     # ------------------------------------------------------------------
 
     def _record_audit(self, ctx: TxnContext, spec, meta) -> None:
-        if not self.config.audit_accesses:
-            return
         self.audit.append(
             AccessAudit(
                 class_name=meta.schema.name,

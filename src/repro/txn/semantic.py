@@ -48,32 +48,6 @@ def base_of(mode) -> LockMode:
     return getattr(mode, "base", mode)
 
 
-def modes_conflict(left, right) -> bool:
-    """Conflict between two grant modes (plain or semantic)."""
-    if isinstance(left, SemanticMode):
-        return left.conflicts_with(right)
-    if isinstance(right, SemanticMode):
-        return right.conflicts_with(left)
-    return left is LockMode.WRITE or right is LockMode.WRITE
-
-
-def join_modes(held, granted):
-    """The mode a holder entry records after a re-entrant grant.
-
-    Equal modes join to themselves (re-acquiring ``W+deposit`` keeps
-    the semantic tag through Moss retention); any other combination
-    collapses to the plain base join — the family now embodies two
-    different methods, so only the R/W envelope is safe to relax on.
-    """
-    if held is None:
-        return granted
-    if held == granted:
-        return held
-    if base_of(held) is LockMode.WRITE or base_of(granted) is LockMode.WRITE:
-        return LockMode.WRITE
-    return LockMode.READ
-
-
 class SemanticMode:
     """A plain lock mode refined by the invoking method's identity."""
 

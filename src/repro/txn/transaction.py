@@ -38,7 +38,7 @@ class Transaction:
 
     def __init__(self, txn_id: TxnId, node: NodeId,
                  parent: Optional["Transaction"] = None,
-                 label: str = "", recovery_factory=UndoLog):
+                 label: str = ""):
         if parent is not None and parent.node != node:
             raise ProtocolError(
                 "transaction families execute at a single site (§4.1); "
@@ -52,10 +52,8 @@ class Transaction:
         self.label = label
         self.children: List[Transaction] = []
         self.state = TxnState.ACTIVE
-        # Recovery state: UndoLog (default) or ShadowLog (§4.1 offers
-        # both).  Children must use the same mechanism as their parent
-        # so logs can merge at pre-commit; the executor guarantees it.
-        self.undo = recovery_factory()
+        # Rollback state (§4.1), merged into the parent's at pre-commit.
+        self.undo = UndoLog()
         # Pages dirtied by *this* transaction's own writes (plus, after
         # pre-commits, those inherited from children — dirty information
         # flows up the tree exactly like locks do).
@@ -98,15 +96,6 @@ class Transaction:
 
     def record_dirty(self, object_id: ObjectId, pages) -> None:
         self.dirty.setdefault(object_id, set()).update(pages)
-
-    def family_dirty_view(self) -> Dict[ObjectId, Set[int]]:
-        """Dirty pages across this transaction and its live ancestors
-        (used by release piggybacking at the root)."""
-        merged: Dict[ObjectId, Set[int]] = {}
-        for txn in [self] + self.ancestors():
-            for object_id, pages in txn.dirty.items():
-                merged.setdefault(object_id, set()).update(pages)
-        return merged
 
     # -- state transitions ---------------------------------------------------------
 
@@ -175,33 +164,10 @@ class TxnStats:
     root_latencies: List[float] = field(default_factory=list)
 
     @property
-    def total_roots(self) -> int:
-        """Root families that reached a terminal outcome (deadlock and
-        lock-timeout aborts are retried, so they are not terminal)."""
-        return (self.commits + self.aborts_user + self.aborts_recursive
-                + self.aborts_crash)
-
-    @property
     def mean_latency(self) -> float:
         if not self.root_latencies:
             return 0.0
         return sum(self.root_latencies) / len(self.root_latencies)
-
-    def latency_percentile(self, fraction: float) -> float:
-        """Latency percentile (nearest-rank); ``fraction`` in [0, 1]."""
-        if not 0 <= fraction <= 1:
-            raise ValueError(f"fraction {fraction} outside [0, 1]")
-        if not self.root_latencies:
-            return 0.0
-        ordered = sorted(self.root_latencies)
-        rank = min(len(ordered) - 1, max(0, int(fraction * len(ordered))))
-        return ordered[rank]
-
-    def throughput(self, elapsed: float) -> float:
-        """Committed roots per simulated second."""
-        if elapsed <= 0:
-            return 0.0
-        return self.commits / elapsed
 
     def snapshot(self) -> Dict[str, object]:
         return {

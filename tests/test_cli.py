@@ -68,7 +68,7 @@ class TestExperiment:
         # check through a tiny run for the cheapest ones is covered
         # above; here we just confirm the mapping values are callables).
         assert all(callable(fn) for fn in EXPERIMENTS.values())
-        assert {"fig2", "fig8", "tab-speedup", "abl-recovery",
+        assert {"fig2", "fig8", "tab-speedup", "abl-multicast",
                 "abl-prefetch", "compare"} <= set(EXPERIMENTS)
 
 
@@ -140,7 +140,7 @@ class TestVersion:
             from importlib.metadata import version
             expected = version("repro")
         except Exception:
-            expected = "1.15.0"  # source-tree fallback
+            expected = "1.16.0"  # source-tree fallback
         assert repro.__version__ == expected
 
 

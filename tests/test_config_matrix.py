@@ -2,9 +2,8 @@
 every protocol must stay correct.
 
 The individual features have their own suites; this module guards the
-*combinations* (shadow recovery under RC, prefetch with per-class
-protocols, object grain with multicast, ...), where integration bugs
-hide.
+*combinations* (prefetch with per-class protocols, object grain with
+multicast, ...), where integration bugs hide.
 """
 
 import pytest
@@ -37,11 +36,6 @@ def run_config(**overrides):
 class TestProtocolFeatureMatrix:
     @pytest.mark.parametrize("protocol",
                              ["cotec", "otec", "lotec", "hlotec", "rc"])
-    def test_shadow_recovery(self, protocol):
-        run_config(protocol=protocol, recovery="shadow")
-
-    @pytest.mark.parametrize("protocol",
-                             ["cotec", "otec", "lotec", "hlotec", "rc"])
     def test_object_grain(self, protocol):
         run_config(protocol=protocol, transfer_grain="object")
 
@@ -56,7 +50,6 @@ class TestProtocolFeatureMatrix:
     def test_everything_at_once(self):
         cluster = run_config(
             protocol="lotec",
-            recovery="shadow",
             transfer_grain="object",
             prefetch="locks+pages",
             class_protocols=(("Synth0", "rc"), ("Synth1", "hlotec")),
@@ -67,9 +60,8 @@ class TestProtocolFeatureMatrix:
     def test_no_cache_no_prefetch_single_node(self):
         run_config(protocol="lotec", gdo_cache_enabled=False, num_nodes=1)
 
-    def test_multicast_rc_with_shadow(self):
-        config = ClusterConfig(num_nodes=4, seed=78, protocol="rc",
-                               recovery="shadow")
+    def test_multicast_rc(self):
+        config = ClusterConfig(num_nodes=4, seed=78, protocol="rc")
         config = config.with_network(config.network.with_multicast(True))
         workload = generate_workload(MATRIX_PARAMS, seed=78)
         cluster = Cluster(config)

@@ -8,8 +8,6 @@ from repro import (
 )
 from repro.faults import FAULT_PRESETS
 from repro.gdo.migration import MigrationConfig
-from repro.memory.shadow import ShadowLog
-from repro.memory.undo import UndoLog
 from repro.runtime.context import TxnContext
 from repro.txn.transaction import Transaction
 from repro.util.ids import TxnId
@@ -238,26 +236,23 @@ class ReferenceAccessor:
             if self.merger is not None:
                 value -= self.merger.plain_write_adjustment(
                     self.txn, self.oid, slot)
-            self.txn.undo.before_write(store, self.oid, slot, pages)
+            self.txn.undo.before_write(store, self.oid, slot)
             store.write_slot(self.oid, slot, value)
         self.txn.record_dirty(self.oid, pages)
         self._touch(self.actual_writes, slot[0], pages)
 
 
-def _world(recovery, semantic, cached_pages):
+def _world(semantic, cached_pages):
     """A cluster with one ``Wide`` object created at node 0 and a child
     transaction at node 1 that holds ``cached_pages`` of it (as if an
     acquisition had gathered the predicted pages)."""
-    cluster = make_cluster(page_size=PAGE, recovery=recovery,
-                           semantic_locks=semantic)
+    cluster = make_cluster(page_size=PAGE, semantic_locks=semantic)
     handle = cluster.create(Wide, node=cluster.nodes[0])
     cluster.run()  # bring the transport up
     node, oid = cluster.nodes[1], handle.object_id
-    log = ShadowLog if recovery == "shadow" else UndoLog
-    root = Transaction(cluster.alloc.next_root_txn(), node,
-                       recovery_factory=log)
+    root = Transaction(cluster.alloc.next_root_txn(), node)
     child = Transaction(cluster.alloc.next_sub_txn(root.id), node,
-                        parent=root, recovery_factory=log)
+                        parent=root)
     cluster.stores[node].register_object(oid, handle.meta.layout)
     cluster.stores[cluster.nodes[0]].ship_pages(oid, cached_pages,
                                                 cluster.stores[node])
@@ -288,19 +283,19 @@ operations = st.lists(st.one_of(
 
 
 class TestSameBehaviourFewerLookups:
-    @pytest.mark.parametrize("recovery,semantic", [
-        ("undo", False), ("shadow", False), ("undo", True)])
+    @pytest.mark.parametrize("semantic", [False, True],
+                             ids=["undo", "undo-semantic"])
     @given(ops=operations, cached=st.sets(st.integers(0, 4)))
     @example(cached={0}, ops=[  # hit, 2-page miss, refetch, increments
         ("read", ("a", 0)), ("write", ("arr", 3), 5), ("bump", 0, 42),
         ("read", ("a", 0)), ("write", ("n", 0), 4), ("write", ("n", 0), 6),
         ("read", ("n", 0)), ("write", ("b", 0), 8), ("read", ("b", 0))])
     @settings(max_examples=40, deadline=None)
-    def test_context_matches_public_api_reference(self, recovery, semantic,
-                                                  ops, cached):
+    def test_context_matches_public_api_reference(self, semantic, ops,
+                                                  cached):
         increments = frozenset({"n"}) if semantic else frozenset()
-        real, meta_r, txn_r = _world(recovery, semantic, cached)
-        ref, meta_f, txn_f = _world(recovery, semantic, cached)
+        real, meta_r, txn_r = _world(semantic, cached)
+        ref, meta_f, txn_f = _world(semantic, cached)
         ctx = TxnContext(real.executor, txn_r, meta_r,
                          meta_r.schema.method_spec("work"),
                          merger=real.executor.merger, increments=increments)
@@ -387,7 +382,7 @@ class TestAccessErrors:
     """Every refusal on the access path keeps its type and its text."""
 
     def setup_method(self):
-        self.cluster, self.meta, self.txn = _world("undo", False, {0, 1})
+        self.cluster, self.meta, self.txn = _world(False, {0, 1})
 
     def context(self, method_name="work"):
         return TxnContext(self.cluster.executor, self.txn, self.meta,

@@ -1,12 +1,11 @@
-"""Integration tests for the paper's announced extensions: shadow
-recovery, per-class protocols, multicast, and optimistic prefetching."""
+"""Integration tests for the paper's announced extensions: per-class
+protocols, multicast, and optimistic prefetching."""
 
 import pytest
 
 from repro import (
     Attr,
     ConfigurationError,
-    TransactionAborted,
     check_serializability,
     method,
     shared_class,
@@ -20,43 +19,6 @@ from conftest import Counter, Ledger, Orchestrator, make_cluster
 
 SMALL = WorkloadParams(num_objects=8, num_classes=3, num_roots=16,
                        pages_min=1, pages_max=4, max_depth=2)
-
-
-class TestShadowRecovery:
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            ClusterConfig(recovery="journal")
-
-    def test_abort_rolls_back_with_shadows(self):
-        cluster = make_cluster(recovery="shadow")
-        counter = cluster.create(Counter, initial={"value": 5})
-        with pytest.raises(TransactionAborted):
-            cluster.call(counter, "fail_after_write", 100)
-        assert cluster.read_attr(counter, "value") == 5
-
-    def test_equivalent_final_state_to_undo(self):
-        workload = generate_workload(SMALL, seed=21)
-        digests = []
-        for recovery in ("undo", "shadow"):
-            cluster = Cluster(
-                ClusterConfig(num_nodes=4, seed=21, recovery=recovery)
-            )
-            run = run_workload(cluster, workload)
-            assert run.failed == 0
-            assert check_serializability(cluster).equivalent
-            digests.append(cluster.state_digest())
-        assert digests[0] == digests[1]
-
-    def test_nested_abort_with_shadows(self):
-        from conftest import Orchestrator
-
-        cluster = make_cluster(recovery="shadow")
-        source = cluster.create(Counter, initial={"value": 1})
-        sink = cluster.create(Counter)
-        boss = cluster.create(Orchestrator)
-        cluster.call(boss, "safe_transfer", source, sink, 9)
-        assert cluster.read_attr(source, "value") == 1
-        assert cluster.read_attr(sink, "value") == 9
 
 
 class TestPerClassProtocols:

@@ -216,14 +216,6 @@ class TestWriteAndUndo:
         parent.apply(store)
         assert store.read_slot(OID, ("x", 0)) == 5
 
-    def test_touched_objects(self, store):
-        log = UndoLog()
-        other = ObjectId(9)
-        log.record_write(OID, ("x", 0), True, 1)
-        log.record_write(other, ("x", 0), True, 1)
-        log.record_write(OID, ("y", 0), True, 1)
-        assert log.touched_objects() == (OID, other)
-
     def test_snapshot_is_a_copy(self, store):
         snap = store.snapshot_object(OID)
         snap[("x", 0)] = 999
@@ -237,7 +229,7 @@ class TestStoreMiscSurface:
         assert set(store.cached_objects()) == {OID, other}
 
     def test_layout_lookup(self, store, layout):
-        assert store.layout_of(OID) is layout
+        assert store.copy_of(OID).layout is layout
 
     def test_peek_slot_states(self, store, layout):
         assert store.peek_slot(OID, ("x", 0)) == (True, 5)
@@ -247,7 +239,7 @@ class TestStoreMiscSurface:
 
     def test_undo_before_write_captures_state(self, store):
         log = UndoLog()
-        log.before_write(store, OID, ("x", 0), pages=[0])
+        log.before_write(store, OID, ("x", 0))
         store.write_slot(OID, ("x", 0), 99)
         log.apply(store)
         assert store.read_slot(OID, ("x", 0)) == 5

@@ -1,28 +1,15 @@
-"""Coverage for remaining public API surface: round-robin placement,
-round-trip estimation, result helpers, and stats summaries."""
+"""Coverage for remaining public API surface: round-trip estimation,
+result helpers, and stats summaries."""
 
 import pytest
 
 from repro.bench.experiments import ExperimentResult
 from repro.net.message import Message, MessageCategory
 from repro.net.network import NetworkConfig, SimTransport
-from repro.runtime.scheduler import Scheduler
 from repro.sim import Environment
-from repro.util.errors import ConfigurationError
 from repro.util.ids import NodeId
 
 NODES = [NodeId(0), NodeId(1), NodeId(2)]
-
-
-class TestScheduler:
-    def test_round_robin_cycles(self):
-        scheduler = Scheduler(NODES)
-        picks = [scheduler.pick_node() for _ in range(6)]
-        assert picks == NODES + NODES
-
-    def test_empty_nodes_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Scheduler([])
 
 
 class TestRoundTripEstimate:

@@ -1,5 +1,9 @@
 """Unit/integration tests for the Cluster facade and configuration."""
 
+import dataclasses
+import inspect
+import re
+
 import pytest
 
 from repro import Cluster, ClusterConfig, ConfigurationError
@@ -15,7 +19,7 @@ class TestConfigValidation:
         dict(transfer_grain="byte"),
         dict(max_retries=-1),
         dict(retry_backoff_s=-0.1),
-        dict(recovery="redo"),
+        dict(transport="udp"),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ConfigurationError):
@@ -40,6 +44,15 @@ class TestConfigValidation:
     def test_page_size_synced_into_size_model(self):
         config = ClusterConfig(page_size=1024)
         assert config.sizes.page_bytes == 1024
+
+    def test_every_field_is_documented(self):
+        """The docstring's ``Attributes:`` list names exactly the fields,
+        in declaration order."""
+        doc = inspect.getdoc(ClusterConfig)
+        attributes = doc.split("Attributes:", 1)[1]
+        documented = re.findall(r"^    (\w+): ", attributes, re.MULTILINE)
+        fields = [field.name for field in dataclasses.fields(ClusterConfig)]
+        assert documented == fields
 
 
 class TestClusterLifecycle:
@@ -73,6 +86,12 @@ class TestClusterLifecycle:
         cluster.submit(counter, "add", 1)
         cluster.submit(counter, "add", 2)
         assert len(cluster.tickets()) == 2
+
+    def test_default_run_records_no_audit(self, cluster):
+        counter = cluster.create(Counter)
+        cluster.call(counter, "add", 1)
+        assert cluster.txn_stats.commits == 1
+        assert cluster.audit == []
 
 
 class TestStateAccess:

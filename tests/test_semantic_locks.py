@@ -24,9 +24,11 @@ from repro.analysis.commutativity import (
     TRUST_FALLBACK,
     build_commutativity,
 )
-from repro.gdo.entry import LockMode
+from repro.gdo.entry import DirectoryEntry, LockMode
 from repro.objects.schema import schema_of
-from repro.txn.semantic import SemanticMode, base_of, join_modes, modes_conflict
+from repro.txn.semantic import SemanticMode, base_of
+from repro.txn.transaction import Transaction
+from repro.util.ids import NodeId, ObjectId, TxnId
 
 from conftest import make_cluster
 
@@ -114,9 +116,9 @@ class InheritedCounter(_CounterOps):
     peek = _CounterOps.peek
 
 
-def _table(cls, **kwargs):
+def _table(cls):
     schema = schema_of(cls)
-    return build_commutativity(schema, schema.make_layout(PAGE), **kwargs)
+    return build_commutativity(schema, schema.make_layout(PAGE))
 
 
 class TestCommutativityTable:
@@ -169,15 +171,6 @@ class TestCommutativityTable:
         # just an observed read/write of the same page.
         assert not table.commutes("touch_left", "touch_left")
 
-    def test_shadow_recovery_drops_increment_commutativity(self):
-        table = _table(Till, allow_increments=False)
-        summary = table.summary("deposit")
-        assert summary.trust == TRUST_ANALYZED
-        assert summary.increment_attrs == frozenset()
-        assert not table.commutes("deposit", "deposit")
-        # Read/read commutativity needs no increments and survives.
-        assert table.commutes("read_balance", "read_balance")
-
     def test_inherited_bodies_analyze_like_their_own(self):
         table = _table(InheritedCounter)
         bump = table.summary("bump")
@@ -211,21 +204,22 @@ class TestSemanticModeLattice:
 
     def test_commuting_modes_do_not_conflict(self):
         deposit, _, _ = self._modes()
-        assert not modes_conflict(deposit, deposit)
+        assert not deposit.conflicts_with(deposit)
 
     def test_non_commuting_semantic_modes_conflict(self):
         deposit, open_with, _ = self._modes()
-        assert modes_conflict(deposit, open_with)
-        assert modes_conflict(open_with, deposit)
+        assert deposit.conflicts_with(open_with)
+        assert open_with.conflicts_with(deposit)
 
     def test_semantic_write_conflicts_with_plain_modes_both_ways(self):
         deposit, _, _ = self._modes()
         # Commutativity never excuses a plain-mode holder: the plain
         # grant carries no method identity to commute against.
-        assert modes_conflict(deposit, LockMode.READ)
-        assert modes_conflict(LockMode.READ, deposit)
-        assert modes_conflict(deposit, LockMode.WRITE)
-        assert not modes_conflict(LockMode.READ, LockMode.READ)
+        assert deposit.conflicts_with(LockMode.READ)
+        assert LockMode.READ.conflicts_with(deposit)
+        assert deposit.conflicts_with(LockMode.WRITE)
+        assert LockMode.WRITE.conflicts_with(deposit)
+        assert not LockMode.READ.conflicts_with(LockMode.READ)
 
     def test_base_and_repr(self):
         deposit, _, _ = self._modes()
@@ -234,11 +228,23 @@ class TestSemanticModeLattice:
         assert deposit.value == "W+Till.deposit"
 
     def test_join_keeps_identity_only_for_equal_modes(self):
+        """The mode a holder entry records after a re-entrant grant."""
         deposit, open_with, table = self._modes()
         same = SemanticMode(LockMode.WRITE, "Till.deposit", table)
-        assert join_modes(deposit, same) == deposit
-        assert join_modes(deposit, open_with) is LockMode.WRITE
-        assert join_modes(deposit, LockMode.READ) is LockMode.WRITE
+
+        def recorded(*modes):
+            entry = DirectoryEntry(ObjectId(0), home_node=NodeId(0),
+                                   page_count=1, creator_node=NodeId(0))
+            txn = Transaction(TxnId(serial=0, root=0), NodeId(0))
+            for mode in modes:
+                entry.grant(txn, mode)
+            return entry.holders[txn.id]
+
+        assert recorded(deposit) is deposit
+        assert recorded(deposit, same) == deposit
+        assert recorded(deposit, open_with) is LockMode.WRITE
+        assert recorded(deposit, LockMode.READ) is LockMode.WRITE
+        assert recorded(LockMode.READ, deposit) is LockMode.WRITE
 
 
 class TestClusterIntegration:

@@ -114,14 +114,6 @@ class TestCommitAbort:
         with pytest.raises(ProtocolError):
             root.mark_committed()
 
-    def test_family_dirty_view_merges_live_chain(self, alloc):
-        root, child, grandchild = make_family(alloc)
-        oid = ObjectId(1)
-        root.record_dirty(oid, {0})
-        grandchild.record_dirty(oid, {1})
-        view = grandchild.family_dirty_view()
-        assert view == {oid: {0, 1}}
-
 
 class TestStats:
     def test_snapshot_fields(self):
@@ -134,26 +126,3 @@ class TestStats:
 
     def test_mean_latency_zero_safe(self):
         assert TxnStats().mean_latency == 0.0
-
-    def test_total_roots(self):
-        stats = TxnStats()
-        stats.commits, stats.aborts_user = 2, 1
-        assert stats.total_roots == 3
-
-    def test_latency_percentiles(self):
-        stats = TxnStats()
-        stats.root_latencies.extend([4.0, 1.0, 3.0, 2.0])
-        assert stats.latency_percentile(0.0) == 1.0
-        assert stats.latency_percentile(0.5) == 3.0
-        assert stats.latency_percentile(1.0) == 4.0
-        with pytest.raises(ValueError):
-            stats.latency_percentile(1.5)
-
-    def test_percentile_empty_safe(self):
-        assert TxnStats().latency_percentile(0.95) == 0.0
-
-    def test_throughput(self):
-        stats = TxnStats()
-        stats.commits = 10
-        assert stats.throughput(2.0) == 5.0
-        assert stats.throughput(0.0) == 0.0

@@ -46,7 +46,7 @@ SECTIONS = [
 ] + [
     (eid, eid, None)
     for eid in ("msg-count", "abl-rc", "abl-dsd", "abl-predict",
-                "abl-gdocache", "abl-recovery", "abl-multicast",
+                "abl-gdocache", "abl-multicast",
                 "abl-prefetch", "abl-perclass", "abl-aggregate")
 ]
 
