@@ -151,4 +151,4 @@ def _installed_version() -> str:
 
         return version("repro")
     except PackageNotFoundError:  # pragma: no cover
-        return "1.16.0"
+        return "1.17.0"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import json
 import struct
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.util.errors import ProtocolError
 from repro.util.ids import NodeId, ObjectId
@@ -109,29 +109,55 @@ class Message:
 # Wire-frame codec (the TCP transport's on-socket format)
 # ---------------------------------------------------------------------------
 #
-# A frame is a 4-byte big-endian length prefix followed by one JSON
-# object with sorted keys.  Message frames (``"t": "msg"``) carry the
-# full protocol-visible identity of a :class:`Message` — category,
-# endpoints, size, object attribution, wire id — plus a
-# ``pad`` filler sized so the frame occupies ``size_bytes`` bytes on
-# the socket whenever the metadata fits: the cost model's on-wire size
-# becomes the *actual* on-wire size.  Control frames (``"t": "hello"``
-# etc.) reuse the same envelope for transport bring-up traffic and are
-# never accounted.
+# A frame is a 4-byte big-endian length prefix and a body; the body's
+# first byte says which of two kinds it is.
+#
+# * A *message* frame starts with the marker byte ``M`` and is binary:
+#   one fixed header (``_MESSAGE_FRAME``, 40 bytes counting the prefix —
+#   the default ``SizeModel.header_bytes``) carrying the protocol-visible
+#   identity of a :class:`Message` — kind, category code, endpoints,
+#   size, wire id, attempt, object (-1 for none) — then zero filler that
+#   nobody reads, so the frame is exactly ``size_bytes`` long on the
+#   socket: the cost model's on-wire size is the *actual* on-wire size.
+#   A message modeled smaller than the header still ships the header.
+# * A *control* frame is one sorted-key JSON object (first byte ``{``):
+#   transport bring-up traffic (``hello``, ``peers``, ``partition``,
+#   ``partition_heal``, ``shutdown``, ``refused``), never accounted.
 
 #: Bytes of the big-endian unsigned length prefix before every frame.
 FRAME_PREFIX_BYTES = 4
 _FRAME_PREFIX = struct.Struct(">I")
 
-#: Version stamped into every message frame (stamped, not checked).
-FRAME_SCHEMA = 1
+#: Version of the message-frame header, checked on every read.
+FRAME_SCHEMA = 2
 
 #: Hard ceiling on one frame's body, far above any modeled message.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: First body byte of a message frame.
+MESSAGE_MARKER = ord("M")
+
+#: Message-frame kinds: a ``send`` frame's arrival fires the pending
+#: delivery; a ``charge`` frame was fully accounted at send time and
+#: only crosses the socket.
+KIND_SEND, KIND_CHARGE = 0, 1
+
+#: Prefix plus message header: length, marker, schema, kind, category
+#: code, src, dst, size, wire id, attempt, object.
+_MESSAGE_FRAME = struct.Struct(">IBBBBIIIQIq")
+
+#: Smallest message frame, prefix included.
+MESSAGE_HEADER_BYTES = _MESSAGE_FRAME.size
+
+#: A category's wire code is its position here.  Codes are looked up
+#: by ``_value_``, a plain attribute: hashing the member itself runs
+#: ``Enum.__hash__`` in Python on every frame.
+_CATEGORY_VALUES = tuple(category.value for category in MessageCategory)
+_CATEGORY_CODES = {value: code for code, value in enumerate(_CATEGORY_VALUES)}
+
 
 def pack_frame(payload: Dict[str, Any]) -> bytes:
-    """Serialize one envelope: length prefix + sorted-key JSON body."""
+    """Serialize one control frame: length prefix + sorted-key JSON body."""
     body = json.dumps(payload, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
@@ -141,7 +167,8 @@ def pack_frame(payload: Dict[str, Any]) -> bytes:
 
 
 def unpack_frame(body: bytes) -> Dict[str, Any]:
-    """Inverse of :func:`pack_frame` for one frame *body* (no prefix)."""
+    """Inverse of :func:`pack_frame` for one control frame *body* (no
+    prefix)."""
     try:
         payload = json.loads(body.decode("utf-8"))
     except ValueError as exc:  # bad UTF-8 and bad JSON are both ValueErrors
@@ -153,42 +180,48 @@ def unpack_frame(body: bytes) -> Dict[str, Any]:
     return payload
 
 
-def message_to_frame(message: Message, kind: str = "send") -> Dict[str, Any]:
-    """The JSON-primitive identity of a message, as one frame payload.
-
-    ``kind`` distinguishes the asynchronous ``send`` path (the receiver
-    must fire a delivery event) from the fire-and-forget ``charge``
-    path (accounting only).
-    """
-    frame: Dict[str, Any] = {
-        "t": "msg",
-        "v": FRAME_SCHEMA,
-        "kind": kind,
-        "src": message.src.value,
-        "dst": message.dst.value,
-        "category": message.category.value,
-        "size": message.size_bytes,
-        "wire": message.wire_id,
-        "attempt": message.attempts,
-    }
-    if message.object_id is not None:
-        frame["object"] = message.object_id.value
+def encode_frame(message: Message, kind: int = KIND_SEND) -> bytearray:
+    """Encode a message as one wire frame, prefix included, exactly
+    ``size_bytes`` long (or the bare header, if that is longer)."""
+    length = max(message.size_bytes, MESSAGE_HEADER_BYTES)
+    if length - FRAME_PREFIX_BYTES > MAX_FRAME_BYTES:
+        raise ProtocolError(f"message of {message.size_bytes} bytes exceeds "
+                            f"the {MAX_FRAME_BYTES} byte frame limit")
+    frame = bytearray(length)  # zeroed: the filler
+    object_id = message.object_id
+    _MESSAGE_FRAME.pack_into(
+        frame, 0, length - FRAME_PREFIX_BYTES, MESSAGE_MARKER,
+        FRAME_SCHEMA, kind, _CATEGORY_CODES[message.category._value_],
+        message.src.value, message.dst.value, message.size_bytes,
+        message.wire_id, message.attempts,
+        -1 if object_id is None else object_id.value)
     return frame
 
 
-def encode_frame(message: Message, kind: str = "send") -> bytes:
-    """Encode a message as one padded wire frame (prefix included).
+def decode_frame(data, start: int, end: int) -> Tuple[int, str, int, int,
+                                                      int, int]:
+    """Check the message frame at ``data[start:end]`` (prefix included)
+    and return ``(kind, category value, src, dst, size, wire id)``.
 
-    The ``pad`` filler stretches the frame to the message's modeled
-    ``size_bytes`` so the bytes crossing the socket match the cost
-    model; frames whose metadata alone exceeds the modeled size are
-    sent unpadded (the model's size still governs all accounting).
+    Reads the header in place — no slice, no copy — and never looks at
+    the filler.  A short header, a foreign schema, an unknown kind or
+    category code, or a length that is not the header plus the filler
+    ``size`` calls for raises :class:`ProtocolError`.
     """
-    frame = message_to_frame(message, kind=kind)
-    bare = pack_frame(frame)
-    # `,"pad":""` costs 9 bytes of JSON before the filler itself.
-    shortfall = message.size_bytes - len(bare) - 9
-    if shortfall > 0:
-        frame["pad"] = "." * shortfall
-        return pack_frame(frame)
-    return bare
+    length = end - start
+    if length < MESSAGE_HEADER_BYTES:
+        raise ProtocolError(f"truncated message frame: {length} bytes, "
+                            f"the header alone is {MESSAGE_HEADER_BYTES}")
+    (_, _, schema, kind, code, src, dst, size, wire, _, _) = \
+        _MESSAGE_FRAME.unpack_from(data, start)
+    if schema != FRAME_SCHEMA:
+        raise ProtocolError(f"message frame schema {schema}, "
+                            f"expected {FRAME_SCHEMA}")
+    if kind > KIND_CHARGE:
+        raise ProtocolError(f"unknown message frame kind {kind}")
+    if code >= len(_CATEGORY_VALUES):
+        raise ProtocolError(f"unknown message category code {code}")
+    if length != max(size, MESSAGE_HEADER_BYTES):
+        raise ProtocolError(f"message frame of {length} bytes disagrees "
+                            f"with its header's size of {size} bytes")
+    return kind, _CATEGORY_VALUES[code], src, dst, size, wire

@@ -1,10 +1,10 @@
 """Real-transport backend: the cluster's wire messages over localhost TCP.
 
 Every remote :class:`~repro.net.message.Message` crosses an actual
-socket as one length-prefixed frame, padded to the cost model's
-``size_bytes`` (see ``repro.net.message``).  By default the coordinator
-— the process running the protocol stack — holds a full mesh of
-``(src, dst)`` connections, one per ordered pair of nodes; in
+socket as one length-prefixed binary frame, exactly the cost model's
+``size_bytes`` long (see ``repro.net.message``).  By default the
+coordinator — the process running the protocol stack — holds a full
+mesh of ``(src, dst)`` connections, one per ordered pair of nodes; in
 ``processes`` mode each node is a real OS relay process (``python -m
 repro.net.tcp_node``, which owns the node's listening socket and peer
 connections) and the coordinator holds one uplink per relay.  Relays
@@ -23,8 +23,8 @@ written*).  The transport owns its sockets outright:
   waits in the connection's out-buffer, flushed on ``EVENT_WRITE``;
 * **reads** happen in :meth:`TcpTransport.poll`, the environment's
   source hook, over one ``selectors.DefaultSelector``: the byte stream
-  is split into frames and each fires its delivery inline, at the wall
-  instant it was read;
+  is split into frames and each message frame's header is read in
+  place and fires its delivery inline, at the wall instant it was read;
 * **fault mechanics** are engine timers: jitter delays the write, a
   duplicate is written twice and its second arrival discarded, and
   partition epochs and re-ships of relay refusals are timeouts.
@@ -33,14 +33,15 @@ Because a send's delivery event is resolved by the *arrival* of its
 frame (matched by ``wire_id``), late/duplicate frames are discarded
 exactly like the simulation's one-shot events discard them, and
 ``pending()`` keeps the run loop alive until the last frame lands.  A
-malformed frame raises :class:`ProtocolError` out of ``poll`` and so out
-of ``Cluster.run()``; a peer that closes mid-frame strands its frames,
-which the run loop's stall timeout reports.
+malformed frame or a failed send raises :class:`ProtocolError` out of
+``poll`` and so out of ``Cluster.run()``; a peer that closes mid-frame
+strands its frames, which the run loop's stall timeout reports.
 """
 
 from __future__ import annotations
 
 import asyncio
+import base64
 import os
 import selectors
 import socket
@@ -52,11 +53,15 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.net.message import (
     Message,
+    decode_frame,
     encode_frame,
     pack_frame,
     unpack_frame,
     FRAME_PREFIX_BYTES,
+    KIND_CHARGE,
+    KIND_SEND,
     MAX_FRAME_BYTES,
+    MESSAGE_MARKER,
     _FRAME_PREFIX,
 )
 from repro.net.network_config import NetworkConfig
@@ -66,7 +71,7 @@ from repro.sim.realtime import WallClockEnvironment
 from repro.util.errors import ConfigurationError, ProtocolError
 from repro.util.ids import NodeId
 
-__all__ = ["TcpTransport", "read_envelope", "write_envelope"]
+__all__ = ["TcpTransport", "read_frame"]
 
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
@@ -91,23 +96,17 @@ def _frame_length(data, offset: int = 0) -> int:
     return length
 
 
-async def read_envelope(reader: asyncio.StreamReader) -> Optional[dict]:
-    """Read one framed envelope (the relay's reader); ``None`` when the
-    stream ends (clean EOF, or a peer that went away mid-frame).  An
-    over-limit prefix or a body that does not decode to a JSON object
+async def read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """Read one whole frame, prefix included (the relay's reader), so it
+    can be forwarded as it came; ``None`` when the stream ends (clean
+    EOF, or a peer that went away mid-frame).  An over-limit prefix
     raises :class:`ProtocolError`."""
     try:
         prefix = await reader.readexactly(FRAME_PREFIX_BYTES)
-        length = _frame_length(prefix)
-        body = await reader.readexactly(length)
+        body = await reader.readexactly(_frame_length(prefix))
     except (asyncio.IncompleteReadError, ConnectionResetError):
         return None
-    return unpack_frame(body)
-
-
-async def write_envelope(writer: asyncio.StreamWriter, payload: dict) -> None:
-    writer.write(pack_frame(payload))
-    await writer.drain()
+    return prefix + body
 
 
 class _Link:
@@ -171,6 +170,8 @@ class TcpTransport(Transport):
         #: enforcement — and all accounting — lives in the injector, so
         #: this counter never feeds FaultStats.
         self.refused_frames = 0
+        self._reships: Dict[int, int] = {}  # wire_id -> times refused
+        self._send_error: Optional[ProtocolError] = None
         self._nodes: List[int] = []
         self._selector: Optional[selectors.BaseSelector] = None
         self._links: List[_Link] = []  # every socket, for close()
@@ -311,16 +312,19 @@ class TcpTransport(Transport):
         retransmit gets here after a real ``transfer_time + retransmit
         timeout`` wait.  Jitter delays the write on an engine timer; a
         duplicate is written twice and its second arrival discarded in
-        :meth:`_deliver` (its ``wire_id`` is no longer pending).  A
+        :meth:`_deliver_frame` (its ``wire_id`` is no longer pending).  A
         ``charge`` frame (``done is None``) crosses the socket too, but
         its caller has the *modeled* delay and nobody waits for it.
         """
         if done is not None:
             self._pending[message.wire_id] = (done, message)
-        copies = 2 if faults.duplicated else 1
-        data = encode_frame(
-            message, kind="charge" if done is None else "send") * copies
-        self._inflight += copies
+        data = encode_frame(message,
+                            KIND_CHARGE if done is None else KIND_SEND)
+        if faults.duplicated:
+            data *= 2
+            self._inflight += 2
+        else:
+            self._inflight += 1
         src = message.src.value
         link = (self._uplinks[src] if self.processes
                 else self._out[src, message.dst.value])
@@ -348,14 +352,20 @@ class TcpTransport(Transport):
         if not link.outbuf:
             self._watch(link)
 
-    @staticmethod
-    def _send(link: _Link, data) -> int:
+    def _send(self, link: _Link, data) -> int:
+        """Bytes of ``data`` the kernel took.  A failed send is the
+        wire's failure, not the caller's — the caller may be a
+        transaction mid-step — so it is kept for :meth:`poll` to raise
+        out of the run loop, and the frame counts as not yet taken."""
         try:
             return link.sock.send(data)
         except BlockingIOError:
             return 0
         except OSError as exc:
-            raise ProtocolError(f"TCP send failed: {exc}") from None
+            if self._send_error is None:
+                self._send_error = ProtocolError(
+                    f"TCP send failed: {exc}")
+            return 0
 
     def _watch(self, link: _Link) -> None:
         """Point the selector at what ``link`` waits for now."""
@@ -380,9 +390,11 @@ class TcpTransport(Transport):
     def poll(self, timeout: float) -> bool:
         """Wait up to ``timeout`` seconds for frames and fire each one
         that arrives; ``True`` if any did, ``False`` once the timeout
-        has passed without one."""
+        has passed without one.  Raises the first failed send."""
         deadline = time.monotonic() + timeout
         while True:
+            if self._send_error is not None:
+                raise self._send_error
             arrived = False
             for key, mask in self._selector.select(timeout):
                 if mask & _WRITE:
@@ -418,16 +430,17 @@ class TcpTransport(Transport):
             end = body + _frame_length(buf, used)
             if end > len(buf):
                 break
-            self._on_frame(link, unpack_frame(buf[body:end]))
+            if end > body and buf[body] == MESSAGE_MARKER:
+                self._deliver_frame(buf, used, end)
+            else:
+                self._on_control(link, unpack_frame(buf[body:end]))
             used = end
         del buf[:used]
         return used > 0
 
-    def _on_frame(self, link: _Link, frame: dict) -> None:
+    def _on_control(self, link: _Link, frame: dict) -> None:
         kind = frame.get("t")
-        if kind == "msg":
-            self._deliver(frame)
-        elif kind == "refused" and self.injector.enabled:
+        if kind == "refused" and self.injector.enabled:
             # Only a fault plan's partition makes a relay refuse.
             self._reship(frame)
         elif kind == "hello":
@@ -436,15 +449,14 @@ class TcpTransport(Transport):
         else:
             raise ProtocolError(f"unexpected frame type {kind!r}")
 
-    def _deliver(self, frame: dict) -> None:
-        """Fire the delivery for an arrived message frame."""
+    def _deliver_frame(self, buf: bytearray, start: int, end: int) -> None:
+        """Fire the delivery for the message frame at ``buf[start:end]``."""
+        kind, category, src, dst, size, wire = decode_frame(buf, start, end)
         self._inflight -= 1
-        self.delivered_log.append(
-            (frame["category"], frame["src"], frame["dst"], frame["size"])
-        )
-        if frame.get("kind") != "send":
+        self.delivered_log.append((category, src, dst, size))
+        if kind != KIND_SEND:
             return  # charge-path frames were fully accounted at send time
-        entry = self._pending.pop(frame.get("wire"), None)
+        entry = self._pending.pop(wire, None)
         if entry is None:
             return  # duplicate copy — receiver discards it
         done, message = entry
@@ -456,13 +468,15 @@ class TcpTransport(Transport):
 
         The attempt was already fully accounted when it was written (the
         refusal is wire-level, below the injector), so this is pure
-        redelivery: the same frame goes back through the src relay
-        after one retransmit turnaround, escalating with the reship
-        count.  ``_inflight`` stays balanced — the frame is still
-        outstanding and decrements it when it finally lands.
+        redelivery: the same bytes go back through the src relay after
+        one retransmit turnaround, escalating with the number of times
+        the message was refused.  ``_inflight`` stays balanced — the
+        frame is still outstanding and decrements it when it finally
+        lands.
         """
-        inner = refusal["frame"]
-        inner["reships"] = reships = inner.get("reships", 0) + 1
+        frame = base64.b64decode(refusal["frame"])
+        _, _, src, _, _, wire = decode_frame(frame, 0, len(frame))
+        self._reships[wire] = reships = self._reships.get(wire, 0) + 1
         self.refused_frames += 1
         self._write_after(self.injector.retransmit_timeout_s(reships - 1),
-                          self._uplinks[inner["src"]], pack_frame(inner))
+                          self._uplinks[src], frame)

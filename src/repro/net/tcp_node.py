@@ -13,27 +13,43 @@ state stays in the coordinator:
    ``dst`` peer's socket; frames arriving from peers are forwarded up
    the uplink; ``{"t": "shutdown"}`` exits.
 
-Frames are opaque to the relay beyond the routing fields, so every
-message crosses two real sockets (coordinator → src relay → dst relay)
-and node-to-node traffic is genuinely inter-process.
+Message frames are opaque to the relay beyond ``dst``, which it reads
+off the binary header: it forwards the frame's bytes as they came,
+decoding nothing else, so every message crosses two real sockets
+(coordinator → src relay → dst relay) and node-to-node traffic is
+genuinely inter-process.  Only control frames are JSON.
 
 Partition awareness: ``{"t": "partition", "group_a": [...]}`` opens a
 bipartition and ``{"t": "partition_heal", ...}`` closes it.  While a
 cut is open the relay *refuses* to forward any message frame whose
 ``dst`` is on the other side — it reports ``{"t": "refused", "frame":
-...}`` up the uplink instead, and the coordinator re-ships the frame
-after a retransmit turnaround.  The engine's fault injector is the
-authoritative (and fully accounted) partition model; the relay check
-makes the real wire honour the cut too.
+<the frame's bytes, base64>}`` up the uplink instead, and the
+coordinator re-ships those bytes after a retransmit turnaround.  The
+engine's fault injector is the authoritative (and fully accounted)
+partition model; the relay check makes the real wire honour the cut
+too.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import base64
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from repro.net.tcp import read_envelope, write_envelope
+from repro.net.message import (
+    FRAME_PREFIX_BYTES,
+    MESSAGE_MARKER,
+    decode_frame,
+    pack_frame,
+    unpack_frame,
+)
+from repro.net.tcp import read_frame
+
+
+async def _send(writer: asyncio.StreamWriter, frame: bytes) -> None:
+    writer.write(frame)
+    await writer.drain()
 
 
 class NodeRelay:
@@ -54,41 +70,46 @@ class NodeRelay:
         port = server.sockets[0].getsockname()[1]
         reader, writer = await asyncio.open_connection(*self.coordinator)
         self._uplink_writer = writer
-        await write_envelope(
-            writer, {"t": "hello", "node": self.node, "port": port}
-        )
+        await _send(writer, pack_frame(
+            {"t": "hello", "node": self.node, "port": port}))
         try:
             while True:
-                frame = await read_envelope(reader)
-                if frame is None or frame.get("t") == "shutdown":
+                frame = await read_frame(reader)
+                if frame is None:
                     return
-                if frame.get("t") == "peers":
+                if (len(frame) > FRAME_PREFIX_BYTES
+                        and frame[FRAME_PREFIX_BYTES] == MESSAGE_MARKER):
+                    await self._forward(frame)
+                    continue
+                control = unpack_frame(frame[FRAME_PREFIX_BYTES:])
+                kind = control.get("t")
+                if kind == "shutdown":
+                    return
+                if kind == "peers":
                     self.peer_ports = {
                         int(node): peer_port
-                        for node, peer_port in frame["ports"].items()
+                        for node, peer_port in control["ports"].items()
                     }
-                elif frame.get("t") == "partition":
-                    self._cut = frozenset(frame["group_a"])
-                elif frame.get("t") == "partition_heal":
+                elif kind == "partition":
+                    self._cut = frozenset(control["group_a"])
+                elif kind == "partition_heal":
                     self._cut = None
-                elif frame.get("t") == "msg":
-                    await self._forward(frame)
         finally:
             server.close()
             for peer in self._peer_writers.values():
                 peer.close()
             writer.close()
 
-    async def _forward(self, frame: dict) -> None:
-        dst = frame["dst"]
+    async def _forward(self, frame: bytes) -> None:
+        dst = decode_frame(frame, 0, len(frame))[3]
         cut = self._cut
         if cut is not None and (self.node in cut) != (dst in cut):
             # Cross-partition frame: refuse it back up the uplink; the
             # coordinator re-ships after a retransmit turnaround.
+            refusal = pack_frame({"t": "refused", "frame": base64.b64encode(
+                frame).decode("ascii")})
             async with self._uplink_lock:
-                await write_envelope(
-                    self._uplink_writer, {"t": "refused", "frame": frame}
-                )
+                await _send(self._uplink_writer, refusal)
             return
         lock = self._peer_locks.setdefault(dst, asyncio.Lock())
         async with lock:
@@ -99,17 +120,17 @@ class NodeRelay:
                     host, self.peer_ports[dst]
                 )
                 self._peer_writers[dst] = writer
-            await write_envelope(writer, frame)
+            await _send(writer, frame)
 
     async def _serve_peer(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                frame = await read_envelope(reader)
+                frame = await read_frame(reader)
                 if frame is None:
                     return
                 async with self._uplink_lock:
-                    await write_envelope(self._uplink_writer, frame)
+                    await _send(self._uplink_writer, frame)
         except asyncio.CancelledError:
             return  # relay shutdown cancels handlers mid-read; that's fine
         finally:

@@ -328,6 +328,15 @@ def guarded_calls(tree, owner, guard):
             yield call.lineno, call.func.attr, guarded(call)
 
 
+@functools.lru_cache(maxsize=None)
+def parsed_modules():
+    """``(path, tree)`` for every module of ``repro``, parsed once for
+    all the static checks below."""
+    root = Path(repro.__file__).parent
+    return tuple((path, ast.parse(path.read_text()))
+                 for path in sorted(root.rglob("*.py")))
+
+
 def hook_calls(tree):
     """``tracer.<hook>(...)`` calls; guarded means under a branch that
     reads ``.enabled``."""
@@ -377,9 +386,8 @@ class TestNullTracer:
         assert sorted(name for name in hooks
                       if hasattr(NULL_TRACER, name)) == []
         assert not issubclass(Tracer, NullTracer)
-        root = Path(repro.__file__).parent
-        called = {hook for path in root.rglob("*.py")
-                  for _, hook, _ in hook_calls(ast.parse(path.read_text()))}
+        called = {hook for _, tree in parsed_modules()
+                  for _, hook, _ in hook_calls(tree)}
         assert {"begin", "end", "txn_begin"} <= called
         assert sorted(called - hooks) == []
 
@@ -388,8 +396,8 @@ class TestNullTracer:
         reaches are held to it too."""
         root = Path(repro.__file__).parent
         calls, unguarded = 0, []
-        for path in sorted(root.rglob("*.py")):
-            for line, _, guarded in hook_calls(ast.parse(path.read_text())):
+        for path, tree in parsed_modules():
+            for line, _, guarded in hook_calls(tree):
                 calls += 1
                 if not guarded:
                     unguarded.append(f"{path.relative_to(root)}:{line}")
@@ -432,9 +440,9 @@ def fault_sites_outside_faults():
     root = Path(repro.__file__).parent
     return tuple(
         (f"{path.relative_to(root)}:{line}", call, guarded)
-        for path in sorted(root.rglob("*.py"))
+        for path, tree in parsed_modules()
         if path.parent.name != "faults"
-        for line, call, guarded in fault_calls(ast.parse(path.read_text()))
+        for line, call, guarded in fault_calls(tree)
     )
 
 

@@ -22,11 +22,13 @@ from repro.net.message import (
     MAX_FRAME_BYTES,
     Message,
     MessageCategory,
+    encode_frame,
     pack_frame,
+    unpack_frame,
 )
 from repro.net.network import SimTransport
 from repro.net.network_config import NetworkConfig
-from repro.net.tcp import TcpTransport, read_envelope
+from repro.net.tcp import TcpTransport, read_frame
 from repro.net.transport import Transport, VIRTUAL_CLOCK, WALL_CLOCK
 from repro.sim import Environment
 from repro.sim.realtime import WallClockEnvironment
@@ -298,22 +300,34 @@ class TestTcpSpecifics:
 
 
 class TestReadEnvelope:
-    """The receive side of the frame codec fails typed and at once."""
+    """The relay's side of the frame codec: whole frames out, as they
+    came, and failures typed and at once."""
 
     @staticmethod
-    def read(data):
+    def read_raw(data):
         async def feed_and_read():
             reader = asyncio.StreamReader()
             reader.feed_data(data)
             reader.feed_eof()
-            return await asyncio.wait_for(read_envelope(reader), timeout=5.0)
+            return await asyncio.wait_for(read_frame(reader), timeout=5.0)
 
         return asyncio.run(feed_and_read())
+
+    def read(self, data):
+        frame = self.read_raw(data)
+        return None if frame is None else unpack_frame(frame[4:])
 
     def test_round_trip_and_clean_eof(self):
         assert self.read(pack_frame({"t": "hello", "node": 3})) == {
             "t": "hello", "node": 3}
         assert self.read(b"") is None
+
+    def test_message_frame_comes_out_byte_identical(self):
+        msg = message(size=300)
+        msg.wire_id, msg.attempts = 9, 1
+        frame = bytes(encode_frame(msg))
+        assert len(frame) == 300
+        assert self.read_raw(frame + frame) == frame
 
     def test_over_limit_prefix_is_refused_without_waiting(self):
         # No body follows: an unchecked reader would wait for 4 GiB.

@@ -102,6 +102,38 @@ class TestWireEquivalence:
         assert sorted(cluster.network.delivered_log) == tcp_wire
 
 
+class TestWireSizeFidelity:
+    def test_every_frame_is_its_modeled_size(self):
+        # Concurrent roots, default SizeModel: the bytes each message
+        # frame occupies on the socket are its accounted size_bytes, so
+        # the socket carries exactly NetworkStats.total_bytes.
+        from repro.workload.runner import run_workload
+
+        cluster = Cluster(ClusterConfig(
+            num_nodes=NODES, protocol="lotec", seed=SEED,
+            audit_accesses=False, transport="tcp",
+        ))
+        network = cluster.network
+        accounted = tap_accounting(network)
+        framed = []
+        deliver = network._deliver_frame
+
+        def measure(buf, start, end):
+            deliver(buf, start, end)
+            category, src, dst, _ = network.delivered_log[-1]
+            framed.append((category, src, dst, end - start))
+
+        network._deliver_frame = measure
+        with cluster:
+            run = run_workload(cluster, generate_workload(
+                SCENARIOS[SCENARIO].scaled(SCALE), seed=SEED))
+        assert run.committed > 0
+        assert len(framed) == len(accounted) > 0
+        assert sorted(framed) == sorted(accounted)
+        assert (sum(size for *_, size in framed)
+                == network.stats.total_bytes)
+
+
 class TestTcpTraceOracles:
     """The wall-clock trace feeds the same post-hoc checkers."""
 

@@ -1,20 +1,38 @@
 """Fault behaviour over the real TCP transport: stall detection on a
-hung peer, malformed frames failing the run at once, duplicate-frame
+hung peer, malformed frames and failed sends failing the run at once,
+relay refusals across a cut and their re-shipping, duplicate-frame
 discard (including across a partition heal), and cross-backend parity
 of the deterministic fault/recovery counters."""
 
+import asyncio
+import base64
+import errno
 import socket
 import time
 
 import pytest
 
 from repro.faults import CrashEvent, FaultPlan, PartitionEvent
-from repro.net.message import MAX_FRAME_BYTES
+from repro.faults.injector import FaultInjector
+from repro.net.message import (
+    FRAME_SCHEMA,
+    MAX_FRAME_BYTES,
+    MESSAGE_MARKER,
+    Message,
+    MessageCategory,
+    encode_frame,
+    pack_frame,
+    unpack_frame,
+)
+from repro.net.network_config import NetworkConfig
+from repro.net.tcp import TcpTransport, read_frame
+from repro.net.tcp_node import NodeRelay
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import ClusterConfig
 from repro.sim.realtime import WallClockEnvironment
 from repro.util.errors import ConfigurationError, ProtocolError
 from repro.util.ids import NodeId
+from repro.util.rng import SeededRNG
 
 from conftest import Counter
 
@@ -90,12 +108,12 @@ class TestStallTimeout:
         try:
             with cluster:
                 counter = cluster.create(Counter, node=N0)
-                cluster.network._deliver = lambda frame: None
+                cluster.network._deliver_frame = lambda buf, start, end: None
                 cluster.submit(counter, "add", 1, node=N1)
                 with pytest.raises(ProtocolError, match="transport stalled"):
                     cluster.run()
         finally:
-            del cluster.network._deliver  # restore for teardown
+            del cluster.network._deliver_frame  # restore for teardown
 
 
 def replace_nth_write(network, nth, replacement):
@@ -114,23 +132,49 @@ def replace_nth_write(network, nth, replacement):
     network._write = write
 
 
+def patched(data, offset, value):
+    """``data`` with the header byte at ``offset`` set to ``value``."""
+    bad = bytearray(data)
+    bad[offset] = value
+    return bytes(bad)
+
+
+def stretched(data, extra):
+    """``data`` with ``extra`` filler bytes the header's size does not
+    account for, the length prefix updated to match."""
+    body = bytes(data[4:]) + bytes(extra)
+    return len(body).to_bytes(4, "big") + body
+
+
 class TestMalformedFrames:
     """Bad bytes on a node's inbound connection fail ``Cluster.run()``
     on the engine thread at once, naming the frame problem — not after
-    the stall timeout."""
+    the stall timeout.  Each case rewrites a real message frame (prefix
+    at bytes 0-3, then marker, schema, kind, category code)."""
 
-    @pytest.mark.parametrize("bad, names", [
-        (len(b"not json").to_bytes(4, "big") + b"not json",
+    @pytest.mark.parametrize("corrupt, names", [
+        (lambda data: len(b"not json").to_bytes(4, "big") + b"not json",
          "undecodable frame body"),
-        ((MAX_FRAME_BYTES + 1).to_bytes(4, "big"), "frame limit"),
-    ], ids=["garbage-body", "over-limit-prefix"])
-    def test_bad_frame_fails_the_run_at_once(self, bad, names):
+        (lambda data: (MAX_FRAME_BYTES + 1).to_bytes(4, "big"),
+         "frame limit"),
+        (lambda data: (16).to_bytes(4, "big") + bytes(data[4:20]),
+         "truncated message frame"),
+        (lambda data: patched(data, 5, FRAME_SCHEMA - 1),
+         "message frame schema 1, expected 2"),
+        (lambda data: patched(data, 6, 7), "unknown message frame kind 7"),
+        (lambda data: patched(data, 7, 200),
+         "unknown message category code 200"),
+        (lambda data: stretched(data, 8), "disagrees with its header"),
+    ], ids=["garbage-body", "over-limit-prefix", "truncated-header",
+            "wrong-schema", "unknown-kind", "unknown-category",
+            "length-mismatch"])
+    def test_bad_frame_fails_the_run_at_once(self, corrupt, names):
         cluster = tcp_cluster()
         cluster.env.stall_timeout_s = 5.0
         with cluster:
             counter = cluster.create(Counter, node=N0)
-            replace_nth_write(cluster.network, 3,
-                              lambda link, data: link.sock.send(bad))
+            replace_nth_write(cluster.network, 3, lambda link, data:
+                              link.sock.send(corrupt(data)))
             cluster.submit(counter, "add", 1, node=N1)
             started = time.monotonic()
             with pytest.raises(ProtocolError, match=names):
@@ -152,6 +196,37 @@ class TestMalformedFrames:
             cluster.submit(counter, "add", 1, node=N1)
             with pytest.raises(ProtocolError, match="transport stalled"):
                 cluster.run()
+
+
+class BrokenSocket:
+    """A socket whose ``send`` fails as on a connection the peer reset;
+    everything else (``fileno``, ``close``) is the real socket's."""
+
+    def __init__(self, sock):
+        self._sock = sock
+
+    def send(self, data):
+        raise ConnectionResetError(errno.ECONNRESET, "Connection reset")
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestSendErrors:
+    def test_send_error_fails_the_run_once(self):
+        cluster = tcp_cluster()
+        cluster.env.stall_timeout_s = 5.0
+        with cluster:
+            counter = cluster.create(Counter, node=N0)
+            cluster.network.start(cluster.nodes)
+            for link in cluster.network._out.values():
+                link.sock = BrokenSocket(link.sock)
+            cluster.submit(counter, "add", 1, node=N1)
+            started = time.monotonic()
+            with pytest.raises(ProtocolError,
+                               match="TCP send failed: .*Connection reset"):
+                cluster.run()
+            assert time.monotonic() - started < 1.0
 
 
 class TestDuplicateDiscard:
@@ -191,6 +266,93 @@ class TestDuplicateDiscard:
             assert stats.partition_dropped > 0
             assert stats.messages_duplicated > 0
             assert cluster.network._pending == {}
+
+
+class TestRelayRefusal:
+    """A relay refuses a message frame across an open cut; the
+    coordinator re-ships the same bytes after a retransmit turnaround
+    until the heal lets them through."""
+
+    @staticmethod
+    def frame(src=0, dst=1, size=300):
+        message = Message(src=NodeId(src), dst=NodeId(dst), size_bytes=size,
+                          category=MessageCategory.PAGE_DATA)
+        message.wire_id, message.attempts = 5, 1
+        return bytes(encode_frame(message))
+
+    def test_relay_answers_a_cross_cut_frame_with_a_refusal(self):
+        # The test is the coordinator: it takes the relay's hello, opens
+        # a cut around the relay's node and routes a frame across it.
+        frame = self.frame()
+
+        async def coordinate():
+            uplinks = asyncio.Queue()
+
+            async def accept(reader, writer):
+                await uplinks.put((reader, writer))
+
+            server = await asyncio.start_server(accept, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            relay = asyncio.create_task(
+                NodeRelay(0, ("127.0.0.1", port)).run())
+            reader, writer = await uplinks.get()
+            hello = unpack_frame((await read_frame(reader))[4:])
+            writer.write(pack_frame({"t": "peers", "ports": {}})
+                         + pack_frame({"t": "partition", "group_a": [0]})
+                         + frame + pack_frame({"t": "shutdown"}))
+            await writer.drain()
+            refusal = unpack_frame((await read_frame(reader))[4:])
+            await relay
+            writer.close()
+            await writer.wait_closed()
+            server.close()
+            await server.wait_closed()
+            return hello, refusal
+
+        hello, refusal = asyncio.run(asyncio.wait_for(coordinate(), 10.0))
+        assert hello["t"] == "hello" and hello["node"] == 0
+        assert refusal["t"] == "refused"
+        assert base64.b64decode(refusal["frame"]) == frame
+
+    @pytest.mark.slow
+    def test_coordinator_reships_the_same_bytes(self):
+        # The engine-side injector sees no cut (the plan has none); only
+        # the relays do, as when a frame is written just before a window
+        # opens — so the refusals come from the real wire.
+        injector = FaultInjector(FaultPlan(retransmit_timeout_s=0.02),
+                                 SeededRNG(7).derive("faults"))
+        env = WallClockEnvironment(stall_timeout_s=15.0)
+        net = TcpTransport(env, NetworkConfig(bandwidth_bps=100e6,
+                                              software_cost_s=1e-5),
+                           injector=injector, processes=True)
+        net.start([N0, N1, N2])
+        try:
+            uplink, written, write = net._uplinks[0], [], net._write
+
+            def tap(link, data):
+                if link is uplink and data[4] == MESSAGE_MARKER:
+                    written.append((env.now, bytes(data)))
+                write(link, data)
+
+            net._write = tap
+            net._broadcast(pack_frame({"t": "partition", "group_a": [0]}))
+            message = Message(src=N0, dst=N1, size_bytes=300,
+                              category=MessageCategory.PAGE_DATA)
+            delivered = []
+            net.send(message).add_callback(
+                lambda event: delivered.append(event.value))
+            env.call_later(0.1, net._broadcast, pack_frame(
+                {"t": "partition_heal", "group_a": [0]}))
+            env.run()
+            assert delivered == [message]
+            assert net.refused_frames >= 1
+            assert len(written) == net.refused_frames + 1
+            assert {data for _, data in written} == {written[0][1]}
+            assert len(written[0][1]) == 300
+            assert written[1][0] - written[0][0] >= 0.02
+            assert net.delivered_log == [("page_data", 0, 1, 300)]
+        finally:
+            net.close()
 
 
 #: Wide-margin recovery gauntlet: the only transaction commits in the
