@@ -47,6 +47,7 @@ from repro.net.presets import (
 from repro.objects.schema import Array, Attr, method, shared_class
 from repro.runtime.cluster import Cluster, TxnTicket
 from repro.runtime.config import ClusterConfig
+from repro.runtime.record import run_record
 from repro.runtime.verify import (
     check_conflict_serializability,
     check_serializability,
@@ -112,6 +113,7 @@ __all__ = [
     "run_campaign",
     "run_experiment",
     "run_invariants",
+    "run_record",
     "run_task",
     "shared_class",
     "__version__",
@@ -151,4 +153,4 @@ def _installed_version() -> str:
 
         return version("repro")
     except PackageNotFoundError:  # pragma: no cover
-        return "1.17.0"
+        return "1.18.0"

@@ -33,6 +33,7 @@ from repro.gdo.migration import MigrationConfig
 from repro.net.presets import FAST_ETHERNET_100M, SOFTWARE_COSTS, preset_network
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import ClusterConfig
+from repro.runtime.record import run_record
 from repro.workload.generator import generate_workload
 from repro.workload.params import SCENARIOS, WorkloadParams
 from repro.workload.runner import run_workload
@@ -116,72 +117,15 @@ class ExperimentResult:
 # Runs: what one RunSpec executes and measures
 # ---------------------------------------------------------------------------
 
-def cluster_measurement(cluster: Cluster) -> Dict[str, object]:
-    """The cluster-level portion of a measurement: every aggregate any
-    experiment reads, reduced to JSON primitives."""
-    stats = cluster.network_stats
-    data_messages = sum(
-        count
-        for category, count in stats.by_category_messages.items()
-        if category.is_consistency_data
-    )
-    categories = set(stats.by_category_messages) | set(stats.by_category_bytes)
-    measurement: Dict[str, object] = {
-        "sim_time": cluster.env.now,
-        "network": {
-            "total_bytes": stats.total_bytes,
-            "total_messages": stats.total_messages,
-            "total_time": stats.total_time,
-            "consistency_bytes": stats.consistency_bytes(),
-            "data_messages": data_messages,
-            "remote_directory_messages": stats.directory_messages(),
-            "by_category": {
-                category.value: {
-                    "messages": stats.by_category_messages.get(category, 0),
-                    "bytes": stats.by_category_bytes.get(category, 0),
-                }
-                for category in sorted(categories, key=lambda c: c.value)
-            },
-        },
-        "locks": cluster.lock_stats.snapshot(),
-        "txn": {"mean_latency": cluster.txn_stats.mean_latency},
-        "cache": {"hit_rate": cluster.cache_stats.hit_rate},
-        "prediction": cluster.protocol.snapshot(),
-    }
-    if cluster.migration is not None:
-        measurement["migration"] = cluster.migration.stats.snapshot()
-    if cluster.tracer.enabled and cluster.metrics is not None:
-        # Per-run metrics ride home inside the measurement, so a pool
-        # worker's registry survives the trip back to the parent.
-        measurement["metrics"] = cluster.metrics.snapshot()
-    return measurement
-
-
 def _workload_run(spec: RunSpec) -> Dict[str, object]:
     """The standard run: the spec's generated workload on a fresh
-    cluster, measured cluster-wide and per shared object."""
+    cluster."""
     if spec.params is None:
         raise ValueError(f"spec {spec.key!r} has neither workload params "
                          f"nor a custom builder")
     workload = generate_workload(spec.params, seed=spec.seed)
-    run = run_workload(Cluster(spec.config), workload)
-    stats = run.cluster.network_stats
-    objects: Dict[str, Dict[str, object]] = {}
-    for index, handle in enumerate(run.handles):
-        traffic = stats.by_object.get(handle.object_id)
-        if traffic is not None:
-            objects[str(index)] = {
-                "bytes": traffic.bytes,
-                "data_bytes": traffic.data_bytes,
-                "data_messages": traffic.data_messages,
-                "messages": traffic.messages,
-                "time": traffic.time,
-            }
-    measurement = cluster_measurement(run.cluster)
-    measurement["committed"] = run.committed
-    measurement["failed"] = run.failed
-    measurement["objects"] = objects
-    return measurement
+    cluster = Cluster(spec.config)
+    return run_record(cluster, run_workload(cluster, workload))
 
 
 def _aggregation_run(spec: RunSpec) -> Dict[str, object]:
@@ -277,7 +221,7 @@ def _aggregation_run(spec: RunSpec) -> Dict[str, object]:
         )
     else:
         raise ValueError(f"unknown aggregation variant {variant!r}")
-    measurement = cluster_measurement(cluster)
+    measurement = run_record(cluster)
     measurement["state_sum"] = state_sum
     return measurement
 
@@ -292,15 +236,12 @@ def _load_run(spec: RunSpec) -> Dict[str, object]:
     load = build_load(args["scenario"], seed=args["seed"],
                       scale=args["scale"])
     cluster = Cluster(spec.config)
-    run = run_load(cluster, load)
-    measurement = cluster_measurement(cluster)
-    measurement["committed"] = run.committed
-    measurement["failed"] = run.failed
-    return measurement
+    return run_record(cluster, run_load(cluster, load))
 
 
 #: How a :class:`~repro.bench.parallel.RunSpec` runs, by its ``builder``
-#: name: a function of the spec returning a JSON-primitive measurement.
+#: name: a function of the spec returning its
+#: :func:`~repro.runtime.record.run_record` (the measurement).
 BUILDERS: Dict[str, Callable[[RunSpec], Dict[str, object]]] = {
     "workload": _workload_run,
     "aggregation": _aggregation_run,
@@ -321,7 +262,7 @@ def _locks(name: str):
 
 
 def _category(category: str, name: str):
-    return lambda m: m["network"]["by_category"].get(category, {}).get(name, 0)
+    return lambda m: m["network"][f"by_category_{name}"].get(category, 0)
 
 
 def _per(numerator, denominator):
@@ -349,7 +290,7 @@ METRICS: Dict[str, Callable[[Dict], object]] = {
     "mean_message_bytes": _per(_TOTAL_BYTES, _TOTAL_MESSAGES),
     "data_messages": _network("data_messages"),
     "mean_data_message_bytes": _per(_DATA_BYTES, _network("data_messages")),
-    "remote_directory_messages": _network("remote_directory_messages"),
+    "remote_directory_messages": _network("directory_messages"),
     "lock_messages": lambda m: sum(count(m) for count in _LOCK_MESSAGES),
     "push_bytes": _category("update_push", "bytes"),
     "push_messages": _category("update_push", "messages"),
@@ -359,7 +300,7 @@ METRICS: Dict[str, Callable[[Dict], object]] = {
     "prefetch_denied": _locks("prefetch_denied"),
     "deadlocks": _locks("deadlocks"),
     "cache_hit_rate": lambda m: round(m["cache"]["hit_rate"], 4),
-    "mean_latency_us": lambda m: m["txn"]["mean_latency"] * 1e6,
+    "mean_latency_us": lambda m: m["transactions"]["mean_latency"] * 1e6,
     "sim_time_ms": lambda m: m["sim_time"] * 1e3,
     "migrations": lambda m: (
         m["migration"]["migrations"] if m.get("migration") else 0

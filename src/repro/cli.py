@@ -34,7 +34,8 @@ Commands:
   ``--version``) — the package version.
 
 The artifact flags are uniform across ``run``, ``fuzz`` and ``load``:
-``--out PATH`` writes the run's JSON envelope, ``--trace-dir DIR``
+``--out PATH`` writes the result as JSON (for ``run``, the
+:func:`~repro.runtime.record.run_record` of the run), ``--trace-dir DIR``
 writes the JSONL event log (with a clock header) and a Chrome trace,
 and ``--check`` gates the exit code on :func:`repro.check.judge` — both
 serializability oracles, the nested-O2PL reference model and the five
@@ -67,6 +68,7 @@ from repro.load import LOAD_SCENARIOS, build_load, run_load, shard_slo_series
 from repro.obs import render_summary, write_chrome_trace, write_jsonl
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import ClusterConfig
+from repro.runtime.record import run_record
 from repro.util.errors import ReproError
 from repro.workload.generator import generate_workload
 from repro.workload.params import SCENARIOS
@@ -111,14 +113,16 @@ def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_artifact_arguments(parser: argparse.ArgumentParser,
                             check: bool = True) -> None:
     """The uniform artifact surface of every scenario-running command:
-    ``--out`` (JSON envelope), ``--trace-dir`` (JSONL + Chrome trace),
+    ``--out`` (JSON result), ``--trace-dir`` (JSONL + Chrome trace),
     ``--check`` (the whole oracle stack)."""
     group = parser.add_argument_group(
         "artifacts", "uniform output flags shared by run/fuzz/load"
     )
     group.add_argument(
         "--out", metavar="PATH",
-        help="write the run's JSON envelope to this file",
+        help="write the result as JSON to this file: the run record "
+             "(run), the per-shard SLO result (load) or the campaign "
+             "summary (fuzz)",
     )
     group.add_argument(
         "--trace-dir", metavar="DIR",
@@ -411,40 +415,39 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _lock_line(cluster) -> str:
+def _lock_line(record) -> str:
     """Lock waits and what the deadlock detector did about them."""
-    locks = cluster.lock_stats
-    return (f"locks: {locks.waits} waits, {locks.deadlocks} deadlocks, "
-            f"{locks.cycle_searches} cycle searches")
+    locks = record["locks"]
+    return (f"locks: {locks['waits']} waits, {locks['deadlocks']} "
+            f"deadlocks, {locks['cycle_searches']} cycle searches")
 
 
-def _fault_table(cluster: Cluster) -> str:
+def _fault_table(record) -> str:
     """The fault and retry accounting of a run under a fault plan."""
-    stats = cluster.fault_stats
-    migration_stats = cluster.migration_stats
+    faults = record["faults"]
+    migration = record["migration"]
     return format_table(
         ["fault counter", "value"],
         [
-            ["messages dropped", stats.messages_dropped],
-            ["dropped at a partition", stats.partition_dropped],
-            ["retransmissions", stats.retransmissions],
-            ["messages duplicated", stats.messages_duplicated],
-            ["delay injected (us)", round(stats.delay_injected_s * 1e6)],
-            ["slow-node delay (us)", round(stats.slow_delay_s * 1e6)],
-            ["lock timeouts", stats.lock_timeouts],
+            ["messages dropped", faults["messages_dropped"]],
+            ["dropped at a partition", faults["partition_dropped"]],
+            ["retransmissions", faults["retransmissions"]],
+            ["messages duplicated", faults["messages_duplicated"]],
+            ["delay injected (us)", round(faults["delay_injected_s"] * 1e6)],
+            ["slow-node delay (us)", round(faults["slow_delay_s"] * 1e6)],
+            ["lock timeouts", faults["lock_timeouts"]],
             ["crashes / recoveries",
-             f"{stats.crashes} / {stats.recoveries}"],
-            ["crash-aborted families", stats.crash_aborted_families],
-            ["GDO home failovers", stats.failovers],
-            ["failover reroutes", stats.failover_reroutes],
+             f"{faults['crashes']} / {faults['recoveries']}"],
+            ["crash-aborted families", faults["crash_aborted_families"]],
+            ["GDO home failovers", faults["failovers"]],
+            ["failover reroutes", faults["failover_reroutes"]],
             ["rejoin replayed / reclaimed / discarded",
-             f"{stats.rejoin_replayed_records} / "
-             f"{stats.rejoin_reclaimed_homes} / "
-             f"{stats.rejoin_discarded_holders}"],
+             f"{faults['rejoin_replayed_records']} / "
+             f"{faults['rejoin_reclaimed_homes']} / "
+             f"{faults['rejoin_discarded_holders']}"],
             ["forwarded requests",
-             migration_stats.forwarded_requests
-             if migration_stats is not None else 0],
-            ["retried attempts", cluster.txn_stats.retries],
+             migration["forwarded_requests"] if migration else 0],
+            ["retried attempts", record["transactions"]["retries"]],
         ],
     )
 
@@ -459,30 +462,30 @@ def _cmd_run(args) -> int:
         faults=FAULT_PRESETS[args.faults] if args.faults else None,
         transport=args.transport, transport_processes=args.processes,
     )) as cluster:
-        run = run_workload(cluster, workload)
+        record = run_record(cluster, run_workload(cluster, workload))
         backend = args.transport + (
             " (one OS process per node)" if args.processes else ""
         )
         faults = f" with faults {args.faults}" if args.faults else ""
         print(f"scenario {args.scenario} under {args.protocol} over "
               f"{backend}{faults} (seed {args.seed}, scale {args.scale}, "
-              f"{args.nodes} nodes): {run.committed} committed, "
-              f"{run.failed} failed")
-        stats = cluster.network_stats
-        print(f"network: {stats.total_messages} messages, "
-              f"{stats.total_bytes} bytes"
+              f"{args.nodes} nodes): {record['committed']} committed, "
+              f"{record['failed']} failed")
+        network = record["network"]
+        print(f"network: {network['total_messages']} messages, "
+              f"{network['total_bytes']} bytes"
               + (f", {len(cluster.network.delivered_log)} frames crossed "
                  f"real sockets" if args.transport == "tcp" else ""))
-        print(_lock_line(cluster))
+        print(_lock_line(record))
         if traced:
             print(f"\n{render_summary(cluster.tracer)}")
         if args.faults:
-            print(f"\n{_fault_table(cluster)}")
+            print(f"\n{_fault_table(record)}")
         stem = "-".join(part for part in (
             args.scenario, args.protocol, args.faults,
             "tcp" if args.transport == "tcp" else None,
         ) if part)
-        return _finish(args, cluster, run.summary(), stem)
+        return _finish(args, cluster, record, stem)
 
 
 def _split_csv(spec: str) -> list:
@@ -576,33 +579,30 @@ def _cmd_load(args) -> int:
         num_nodes=scenario.clients, protocol="lotec", seed=args.seed,
         trace=True, migration=migration,
     ))
-    run = run_load(cluster, load)
-    stats = cluster.network_stats
+    record = run_record(cluster, run_load(cluster, load))
+    remote = record["network"]["directory_messages"]
     policy = "static" if migration is None else "adaptive"
     print(f"load {args.scenario} (seed {args.seed}, scale {args.scale}, "
           f"{scenario.clients} clients, {policy} homes): "
-          f"{run.committed} committed, {run.failed} failed, "
-          f"{stats.directory_messages()} remote directory messages")
-    if cluster.migration is not None:
-        snapshot = cluster.migration.stats.snapshot()
-        print(f"migrations: {snapshot['migrations']}, forwarded "
-              f"requests: {snapshot['forwarded_requests']} "
-              f"(considered {snapshot['considered']})")
-    print(_lock_line(cluster))
+          f"{record['committed']} committed, {record['failed']} failed, "
+          f"{remote} remote directory messages")
+    moved = record["migration"]
+    if moved is not None:
+        print(f"migrations: {moved['migrations']}, forwarded "
+              f"requests: {moved['forwarded_requests']} "
+              f"(considered {moved['considered']})")
+    print(_lock_line(record))
     result = ExperimentResult(
         experiment=f"per-shard SLO — {args.scenario} ({policy})",
         x_label="shard",
-        series=shard_slo_series(cluster.metrics.snapshot()),
+        series=shard_slo_series(record["metrics"]),
         meta={
             "scenario": args.scenario, "seed": args.seed,
             "scale": args.scale, "clients": scenario.clients,
             "policy": policy,
-            "committed": run.committed, "failed": run.failed,
-            "remote_directory_messages": stats.directory_messages(),
-            "migration": (
-                cluster.migration.stats.snapshot()
-                if cluster.migration is not None else None
-            ),
+            "committed": record["committed"], "failed": record["failed"],
+            "remote_directory_messages": remote,
+            "migration": moved,
         },
     )
     print()

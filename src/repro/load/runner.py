@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from repro.load.engine import Load
 from repro.runtime.cluster import Cluster
-from repro.util.errors import TransactionAborted
-from repro.workload.runner import WorkloadRun
+from repro.workload.runner import WorkloadRun, _drive
 
 
 def run_load(cluster: Cluster, load: Load) -> WorkloadRun:
@@ -42,25 +41,5 @@ def run_load(cluster: Cluster, load: Load) -> WorkloadRun:
         handles.append(
             cluster.create(workload.class_of(index).schema, node=node)
         )
-    handle_table = tuple(handles)
-    tickets = []
-    for index, plan in enumerate(workload.plans):
-        client = load.clients[index]
-        tickets.append(
-            cluster.submit(
-                handle_table[plan.obj_index], plan.method_name,
-                plan, handle_table,
-                node=cluster.nodes[client % num_nodes],
-                label=f"load{index}",
-                delay=workload.arrival_offsets[index],
-            )
-        )
-    cluster.run()
-    failed = 0
-    for ticket in tickets:
-        try:
-            ticket.result()
-        except TransactionAborted:
-            failed += 1
-    return WorkloadRun(cluster=cluster, handles=handles, tickets=tickets,
-                       failed=failed)
+    nodes = [cluster.nodes[client % num_nodes] for client in load.clients]
+    return _drive(cluster, workload, handles, "load", nodes)

@@ -178,6 +178,15 @@ class NetworkStats:
             if value in _DATA_CATEGORIES
         )
 
+    def data_messages(self) -> int:
+        """Messages carrying page/update data (the ``consistency_bytes``
+        categories)."""
+        return sum(
+            tally.messages
+            for value, tally in self.categories.items()
+            if value in _DATA_CATEGORIES
+        )
+
     def category_bytes(self, category: MessageCategory) -> int:
         tally = self.categories.get(category.value)
         return tally.bytes if tally else 0
@@ -226,6 +235,7 @@ class NetworkStats:
             "total_time": self.total_time,
             "total_attempts": self.total_attempts,
             "consistency_bytes": self.consistency_bytes(),
+            "data_messages": self.data_messages(),
             "directory_messages": self.directory_messages(),
             "node_imbalance": self.node_imbalance(),
             "by_attempts": {

@@ -20,6 +20,7 @@ from repro.runtime.config import ClusterConfig
 from repro.runtime.cluster import Cluster, TxnTicket
 from repro.runtime.context import InvocationRequest, TxnContext
 from repro.runtime.executor import AccessAudit, CommitRecord
+from repro.runtime.record import run_record
 from repro.runtime.verify import (
     check_conflict_serializability,
     check_serializability,
@@ -37,4 +38,5 @@ __all__ = [
     "check_serializability",
     "check_conflict_serializability",
     "replay_serially",
+    "run_record",
 ]

@@ -434,21 +434,3 @@ class Cluster:
     @property
     def audit(self):
         return self.executor.audit
-
-    def stats_summary(self) -> Dict[str, object]:
-        return {
-            "protocol": self.config.protocol,
-            "network": self.network_stats.snapshot(),
-            "transactions": self.txn_stats.snapshot(),
-            "locks": self.lock_stats.snapshot(),
-            "prediction": self.protocol.snapshot(),
-            "faults": {
-                "plan": (self.config.faults.name
-                         if self.config.faults is not None else None),
-                **self.fault_stats.snapshot(),
-            },
-            "migration": (
-                self.migration.stats.snapshot()
-                if self.migration is not None else None
-            ),
-        }

@@ -31,10 +31,7 @@ from repro.workload.synth import SyntheticClassFactory, mix
 from repro.workload.generator import PlanNode, Workload, generate_workload
 from repro.workload.runner import run_workload
 from repro.workload.traces import (
-    diff_run_reports,
-    load_run_report,
     load_workload,
-    save_run_report,
     save_workload,
     workload_fingerprint,
 )
@@ -55,7 +52,4 @@ __all__ = [
     "save_workload",
     "load_workload",
     "workload_fingerprint",
-    "save_run_report",
-    "load_run_report",
-    "diff_run_reports",
 ]

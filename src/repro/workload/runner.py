@@ -10,16 +10,19 @@ variable is the consistency protocol under test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List, Optional, Sequence
 
 from repro.runtime.cluster import Cluster, TxnTicket
 from repro.util.errors import TransactionAborted
+from repro.util.ids import NodeId
 from repro.workload.generator import Workload
 
 
 @dataclass
 class WorkloadRun:
-    """Everything observable about one workload execution."""
+    """One workload execution: the cluster it ran on, the objects it
+    created, its root tickets and how many roots failed.  Read it with
+    :func:`~repro.runtime.record.run_record`."""
 
     cluster: Cluster
     handles: List
@@ -29,39 +32,6 @@ class WorkloadRun:
     @property
     def committed(self) -> int:
         return self.cluster.txn_stats.commits
-
-    def summary(self) -> Dict[str, object]:
-        """Everything needed to identify and compare this run from the
-        summary alone — including the seed it was generated from and
-        the deadlock count (consumers like ``repro run --out`` should not
-        have to reach into ``cluster.lock_stats``)."""
-        txn_stats = self.cluster.txn_stats
-        fault_stats = self.cluster.fault_stats
-        migration_stats = self.cluster.migration_stats
-        return {
-            "protocol": self.cluster.config.protocol,
-            "seed": self.cluster.config.seed,
-            "committed": self.committed,
-            "failed": self.failed,
-            "deadlocks": self.cluster.lock_stats.deadlocks,
-            "sim_time": self.cluster.env.now,
-            # Robustness accounting, hoisted to the top level so bench
-            # envelopes of chaos runs are self-describing.
-            "retries": txn_stats.retries,
-            "messages_dropped": fault_stats.messages_dropped,
-            "retransmissions": fault_stats.retransmissions,
-            "lock_timeout_aborts": txn_stats.aborts_lock_timeout,
-            "crash_aborted_families": fault_stats.crash_aborted_families,
-            "partition_dropped": fault_stats.partition_dropped,
-            "failovers": fault_stats.failovers,
-            "failover_reroutes": fault_stats.failover_reroutes,
-            "rejoin_replayed_records": fault_stats.rejoin_replayed_records,
-            "forwarded_requests": (
-                migration_stats.forwarded_requests
-                if migration_stats is not None else 0
-            ),
-            **self.cluster.stats_summary(),
-        }
 
 
 def run_workload(cluster: Cluster, workload: Workload) -> WorkloadRun:
@@ -75,6 +45,16 @@ def run_workload(cluster: Cluster, workload: Workload) -> WorkloadRun:
         cluster.create(workload.class_of(index).schema)
         for index in range(workload.num_objects)
     ]
+    return _drive(cluster, workload, handles, "root")
+
+
+def _drive(cluster: Cluster, workload: Workload, handles: List,
+           label_prefix: str,
+           nodes: Optional[Sequence[NodeId]] = None) -> WorkloadRun:
+    """Submit every plan of ``workload`` against ``handles`` — labelled
+    ``{label_prefix}{index}``, delayed by its arrival offset, on
+    ``nodes[index]`` (round-robin when ``nodes`` is ``None``) — run to
+    idle, and count the roots that aborted for good as failed."""
     handle_table = tuple(handles)
     tickets = []
     for index, plan in enumerate(workload.plans):
@@ -82,7 +62,8 @@ def run_workload(cluster: Cluster, workload: Workload) -> WorkloadRun:
             cluster.submit(
                 handle_table[plan.obj_index], plan.method_name,
                 plan, handle_table,
-                label=f"root{index}",
+                node=None if nodes is None else nodes[index],
+                label=f"{label_prefix}{index}",
                 delay=workload.arrival_offsets[index],
             )
         )

@@ -140,7 +140,7 @@ class TestVersion:
             from importlib.metadata import version
             expected = version("repro")
         except Exception:
-            expected = "1.17.0"  # source-tree fallback
+            expected = "1.18.0"  # source-tree fallback
         assert repro.__version__ == expected
 
 
@@ -361,14 +361,15 @@ class TestChaos:
                      "--faults", "lock-timeout", "--out", str(target)])
         assert code == 0
         out = capsys.readouterr().out
-        summary = json.loads(target.read_text())
-        assert summary["lock_timeout_aborts"] > 0
-        assert summary["retries"] > summary["deadlocks"]
+        record = json.loads(target.read_text())
+        retries = record["transactions"]["retries"]
+        assert record["transactions"]["aborts_lock_timeout"] > 0
+        assert retries > record["locks"]["deadlocks"]
         rows = dict(
             line.rsplit(None, 1) for line in out.splitlines()
             if line.startswith("retried attempts")
         )
-        assert rows == {"retried attempts": f"{summary['retries']:,}"}
+        assert rows == {"retried attempts": f"{retries:,}"}
         assert "deadlock retries" not in out
 
     def test_chaos_unknown_preset_rejected(self):

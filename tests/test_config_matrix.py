@@ -9,6 +9,8 @@ multicast, ...), where integration bugs hide.
 import pytest
 
 from repro import check_conflict_serializability, check_serializability
+from repro.check import judge
+from repro.gdo import MigrationConfig
 from repro.runtime import Cluster, ClusterConfig
 from repro.workload import WorkloadParams, generate_workload, run_workload
 
@@ -68,3 +70,21 @@ class TestProtocolFeatureMatrix:
         run = run_workload(cluster, workload)
         assert run.committed > 0
         assert check_serializability(cluster).equivalent
+
+
+class TestTcpPairings:
+    """The features that change scheduling or directory placement, over
+    real localhost sockets (one process, the engine thread owns them)."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"tiebreak": "random"},
+        {"migration": MigrationConfig()},
+    ], ids=["tiebreak", "migration"])
+    def test_judged_over_tcp(self, overrides):
+        workload = generate_workload(MATRIX_PARAMS, seed=77)
+        with Cluster(ClusterConfig(num_nodes=4, seed=77, trace=True,
+                                   transport="tcp", **overrides)) as cluster:
+            run = run_workload(cluster, workload)
+            assert run.committed + run.failed == MATRIX_PARAMS.num_roots
+            verdict = judge(cluster)
+            assert verdict.ok, verdict.failure_summary()

@@ -6,7 +6,7 @@ import pytest
 from repro import check_serializability
 from repro.faults import FAULT_PRESETS
 from repro.obs.tracer import CAT_FAULT
-from repro.runtime import Cluster, ClusterConfig
+from repro.runtime import Cluster, ClusterConfig, run_record
 from repro.workload import SCENARIOS, generate_workload, run_workload
 
 
@@ -52,9 +52,10 @@ class TestFaultAccounting:
         stats = cluster.fault_stats
         assert stats.messages_dropped > 0
         assert stats.retransmissions > 0
-        summary = run.summary()
-        assert summary["messages_dropped"] == stats.messages_dropped
-        assert summary["retransmissions"] == stats.retransmissions
+        summary = run_record(cluster, run)
+        assert summary["faults"]["messages_dropped"] == \
+            stats.messages_dropped
+        assert summary["faults"]["retransmissions"] == stats.retransmissions
         assert summary["faults"]["plan"] == "lossy-net"
         # Every drop and retransmission is a trace event too.
         names = [event.name for event in cluster.trace_events
@@ -84,8 +85,8 @@ class TestFaultAccounting:
         assert stats.crashes == 1
         assert stats.recoveries == 1
         assert stats.crash_aborted_families > 0
-        summary = run.summary()
-        assert summary["crash_aborted_families"] == \
+        summary = run_record(cluster, run)
+        assert summary["faults"]["crash_aborted_families"] == \
             stats.crash_aborted_families
         assert cluster.txn_stats.aborts_crash == stats.crash_aborted_families
         names = [event.name for event in cluster.trace_events

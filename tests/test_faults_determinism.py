@@ -3,7 +3,7 @@ function of (seed, plan) — and a disabled plan changes nothing at all."""
 
 from repro.faults import FAULT_PRESETS, FaultPlan
 from repro.obs import events_to_jsonl
-from repro.runtime import Cluster, ClusterConfig
+from repro.runtime import Cluster, ClusterConfig, run_record
 from repro.workload import SCENARIOS, generate_workload, run_workload
 
 
@@ -46,7 +46,8 @@ class TestDisabledFaultsAreInvisible:
         cluster_none, run_none = traced_run(None)
         assert events_to_jsonl(cluster_plan.trace_events) == \
             events_to_jsonl(cluster_none.trace_events)
-        summary_plan, summary_none = run_plan.summary(), run_none.summary()
+        summary_plan = run_record(cluster_plan, run_plan)
+        summary_none = run_record(cluster_none, run_none)
         # Only the plan *label* may differ ("custom" vs None); every
         # observable of the run itself must match.
         assert summary_plan.pop("faults")["plan"] == "custom"
@@ -59,6 +60,6 @@ class TestDisabledFaultsAreInvisible:
             value == 0
             for value in cluster.fault_stats.snapshot().values()
         )
-        summary = run.summary()
-        assert summary["messages_dropped"] == 0
+        summary = run_record(cluster, run)
+        assert summary["faults"]["messages_dropped"] == 0
         assert summary["faults"]["plan"] is None

@@ -7,7 +7,7 @@ from repro.faults import FAULT_PRESETS, FaultPlan
 from repro.gdo import MigrationConfig
 from repro.load import build_load, run_load
 from repro.obs import events_to_jsonl
-from repro.runtime import Cluster, ClusterConfig
+from repro.runtime import Cluster, ClusterConfig, run_record
 from repro.workload import workload_fingerprint
 
 
@@ -68,7 +68,8 @@ class TestFaultPlansCannotPerturbTheLoad:
         _, cluster_none, run_none = traced_run(faults=None)
         assert events_to_jsonl(cluster_plan.trace_events) == \
             events_to_jsonl(cluster_none.trace_events)
-        summary_plan, summary_none = run_plan.summary(), run_none.summary()
+        summary_plan = run_record(cluster_plan, run_plan)
+        summary_none = run_record(cluster_none, run_none)
         assert summary_plan.pop("faults")["plan"] == "custom"
         assert summary_none.pop("faults")["plan"] is None
         assert summary_plan == summary_none

@@ -6,6 +6,7 @@ import pytest
 from repro.bench.experiments import ExperimentResult
 from repro.net.message import Message, MessageCategory
 from repro.net.network import NetworkConfig, SimTransport
+from repro.runtime import run_record
 from repro.sim import Environment
 from repro.util.ids import NodeId
 
@@ -53,6 +54,6 @@ class TestClusterSummaryIntegration:
         counter = cluster.create(Counter)
         for node in cluster.nodes:
             cluster.call(counter, "add", 1, node=node)
-        summary = cluster.stats_summary()
+        summary = run_record(cluster)
         assert summary["network"]["node_imbalance"] >= 1.0
         assert cluster.network_stats.by_node  # per-node data collected

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from repro import Cluster, ClusterConfig, ConfigurationError
+from repro import Cluster, ClusterConfig, ConfigurationError, run_record
 from repro.net.presets import preset_network
 
 from conftest import Counter, Ledger, make_cluster
@@ -114,7 +114,7 @@ class TestStateAccess:
     def test_stats_summary_shape(self, cluster):
         counter = cluster.create(Counter)
         cluster.call(counter, "add", 1)
-        summary = cluster.stats_summary()
+        summary = run_record(cluster)
         assert summary["protocol"] == "lotec"
         assert summary["transactions"]["commits"] == 1
         assert "by_category_bytes" in summary["network"]

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.runtime import Cluster, ClusterConfig
+from repro.runtime import Cluster, ClusterConfig, run_record
 from repro.util.errors import ConfigurationError
 from repro.util.rng import SeededRNG
 from repro.workload import (
@@ -221,7 +221,7 @@ class TestExecution:
         workload = generate_workload(SMALL, seed=6)
         cluster = Cluster(ClusterConfig(num_nodes=3, protocol="lotec", seed=6))
         run = run_workload(cluster, workload)
-        summary = run.summary()
+        summary = run_record(cluster, run)
         assert summary["protocol"] == "lotec"
         assert summary["committed"] == cluster.txn_stats.commits
         assert "network" in summary

@@ -61,7 +61,7 @@ LOCALITY_BASELINE_PATH = os.path.join(_BASELINE_DIR,
 
 
 def _measure(experiment_id: str, **options):
-    """``(spec, measurement)`` for each run of one experiment."""
+    """``(spec, run record)`` for each run of one experiment."""
     from repro.bench import ExperimentRunner, build_plan
 
     specs = build_plan(experiment_id, **options).specs
@@ -73,11 +73,11 @@ def measure_messages(scenario: str, seed: int, num_nodes: int, scale: float):
     for spec, measurement in _measure("msg-count", scenario=scenario,
                                       seed=seed, num_nodes=num_nodes,
                                       scale=scale):
-        by_category = measurement["network"]["by_category"]
+        network = measurement["network"]
         counts[spec.key] = {
-            "page_request_messages": by_category.get(
-                "page_request", {}).get("messages", 0),
-            "total_messages": measurement["network"]["total_messages"],
+            "page_request_messages":
+                network["by_category_messages"].get("page_request", 0),
+            "total_messages": network["total_messages"],
         }
     return counts
 
@@ -88,7 +88,7 @@ def measure_locality(scenario: str, seed: int, scale: float):
                                       seed=seed, scale=scale):
         counts[spec.key] = {
             "remote_directory_messages":
-                measurement["network"]["remote_directory_messages"],
+                measurement["network"]["directory_messages"],
             "total_messages": measurement["network"]["total_messages"],
         }
     static = counts["static"]["remote_directory_messages"]
