@@ -26,9 +26,8 @@ Quick start::
     assert cluster.read_attr(counter, "value") == 3
 
 The same cluster can run over real localhost TCP sockets instead of
-the virtual clock — pass ``transport="tcp"`` (and optionally
-``transport_processes=True``) to :class:`ClusterConfig`; see
-:class:`Transport` / :class:`SimTransport` / :class:`TcpTransport`.
+the virtual clock — pass ``transport="tcp"`` to :class:`ClusterConfig`;
+see :class:`Transport` / :class:`SimTransport` / :class:`TcpTransport`.
 """
 
 import importlib
@@ -153,4 +152,4 @@ def _installed_version() -> str:
 
         return version("repro")
     except PackageNotFoundError:  # pragma: no cover
-        return "1.18.0"
+        return "1.19.0"

@@ -14,9 +14,8 @@ Commands:
 * ``compare`` — ``experiment compare`` with ``--scenario``: one
   workload scenario under all four protocols.
 * ``run <scenario>`` — run one scenario once and print its summary, on
-  the simulated wire or real localhost TCP (``--transport``;
-  ``--processes`` gives each node an OS relay process), optionally
-  under a fault preset of :data:`repro.faults.FAULT_PRESETS`
+  the simulated wire or real localhost TCP (``--transport``),
+  optionally under a fault preset of :data:`repro.faults.FAULT_PRESETS`
   (``--faults``; prints the fault and retry accounting).
   ``--trace-dir`` or ``--check`` traces the run and prints the
   :mod:`repro.obs` metrics summary.
@@ -25,7 +24,7 @@ Commands:
   ordering, every run judged; a failure prints a minimized one-line
   repro command (``--trace-dir`` also dumps its trace and a report).
   ``--migration`` / ``--semantic`` turn those features on in every
-  task, ``--recovery`` adds the crash/partition/failover presets.
+  task.
 * ``load <scenario>`` — one open-loop load scenario (:mod:`repro.load`)
   on a one-node-per-client cluster with adaptive GDO home migration
   (``--no-migration`` for the static partition); prints the per-shard
@@ -208,10 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--transport", choices=("sim", "tcp"), default="sim",
                      help="wire backend: virtual-clock simulation "
                           "(default) or real localhost TCP sockets")
-    run.add_argument("--processes", action="store_true",
-                     help="with --transport tcp, give each node a real "
-                          "OS relay process instead of a connection mesh "
-                          "inside this process")
     run.add_argument("--faults", choices=sorted(FAULT_PRESETS),
                      help="run under this fault preset and print the "
                           "fault accounting")
@@ -267,10 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--semantic", action="store_true",
                       help="enable commutativity-based semantic lock "
                            "modes in every task")
-    fuzz.add_argument("--recovery", action="store_true",
-                      help="add the crash-recovery presets "
-                           "(crash-failover, partition, crash-partition, "
-                           "slow-node) to the preset axis")
 
     load = sub.add_parser(
         "load",
@@ -460,17 +451,14 @@ def _cmd_run(args) -> int:
         num_nodes=args.nodes, protocol=args.protocol, seed=args.seed,
         trace=traced,
         faults=FAULT_PRESETS[args.faults] if args.faults else None,
-        transport=args.transport, transport_processes=args.processes,
+        transport=args.transport,
     )) as cluster:
         record = run_record(cluster, run_workload(cluster, workload))
-        backend = args.transport + (
-            " (one OS process per node)" if args.processes else ""
-        )
         faults = f" with faults {args.faults}" if args.faults else ""
         print(f"scenario {args.scenario} under {args.protocol} over "
-              f"{backend}{faults} (seed {args.seed}, scale {args.scale}, "
-              f"{args.nodes} nodes): {record['committed']} committed, "
-              f"{record['failed']} failed")
+              f"{args.transport}{faults} (seed {args.seed}, scale "
+              f"{args.scale}, {args.nodes} nodes): {record['committed']} "
+              f"committed, {record['failed']} failed")
         network = record["network"]
         print(f"network: {network['total_messages']} messages, "
               f"{network['total_bytes']} bytes"
@@ -511,11 +499,6 @@ def _cmd_fuzz(args) -> int:
                       f"{', '.join(sorted(FAULT_PRESETS))}",
                       file=sys.stderr)
                 return 2
-    if args.recovery:
-        recovery_presets = ["crash-failover", "partition",
-                            "crash-partition", "slow-node"]
-        presets.extend(name for name in recovery_presets
-                       if name not in presets)
     policies = _split_csv(args.policies)
     if not (protocols and presets and policies):
         print("error: --protocols, --presets, and --policies must each "

@@ -103,8 +103,8 @@ class ObjectLayout:
                 self.pages_by_slot[slot] = pages
                 for page in pages:
                     slots_by_page[page].append(slot)
-        #: page -> the slots whose bytes intersect it, in layout order;
-        #: :meth:`slots_on_page` checks the page, a page copy indexes.
+        #: page -> the slots whose bytes intersect it, in layout order
+        #: (what a page copy indexes).
         self.slots_by_page: Tuple[Tuple[Slot, ...], ...] = tuple(
             tuple(slots) for slots in slots_by_page
         )
@@ -171,21 +171,6 @@ class ObjectLayout:
 
     def all_pages(self) -> FrozenSet[int]:
         return frozenset(range(self.page_count))
-
-    def slots_on_page(self, page: int) -> Tuple[Slot, ...]:
-        """Slots whose bytes intersect the given page (for transfers)."""
-        if not 0 <= page < self.page_count:
-            raise KeyError(
-                f"page {page} out of range; object has {self.page_count} pages"
-            )
-        return self.slots_by_page[page]
-
-    def slots_on_pages(self, pages: Iterable[int]) -> Tuple[Slot, ...]:
-        seen: Dict[Slot, None] = {}
-        for page in sorted(set(pages)):
-            for slot in self.slots_on_page(page):
-                seen[slot] = None
-        return tuple(seen)
 
     def object_bytes_on_page(self, page: int) -> int:
         """Bytes of real object data on a page (for object-grain / DSD

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import enum
-import json
 import struct
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.util.errors import ProtocolError
 from repro.util.ids import NodeId, ObjectId
@@ -109,20 +108,15 @@ class Message:
 # Wire-frame codec (the TCP transport's on-socket format)
 # ---------------------------------------------------------------------------
 #
-# A frame is a 4-byte big-endian length prefix and a body; the body's
-# first byte says which of two kinds it is.
-#
-# * A *message* frame starts with the marker byte ``M`` and is binary:
-#   one fixed header (``_MESSAGE_FRAME``, 40 bytes counting the prefix —
-#   the default ``SizeModel.header_bytes``) carrying the protocol-visible
-#   identity of a :class:`Message` — kind, category code, endpoints,
-#   size, wire id, attempt, object (-1 for none) — then zero filler that
-#   nobody reads, so the frame is exactly ``size_bytes`` long on the
-#   socket: the cost model's on-wire size is the *actual* on-wire size.
-#   A message modeled smaller than the header still ships the header.
-# * A *control* frame is one sorted-key JSON object (first byte ``{``):
-#   transport bring-up traffic (``hello``, ``peers``, ``partition``,
-#   ``partition_heal``, ``shutdown``, ``refused``), never accounted.
+# A frame is a 4-byte big-endian length prefix and a binary body that
+# starts with the marker byte ``M``: one fixed header (``_MESSAGE_FRAME``,
+# 40 bytes counting the prefix — the default ``SizeModel.header_bytes``)
+# carrying the protocol-visible identity of a :class:`Message` — kind,
+# category code, endpoints, size, wire id, attempt, object (-1 for none)
+# — then zero filler that nobody reads, so the frame is exactly
+# ``size_bytes`` long on the socket: the cost model's on-wire size is
+# the *actual* on-wire size.  A message modeled smaller than the header
+# still ships the header.
 
 #: Bytes of the big-endian unsigned length prefix before every frame.
 FRAME_PREFIX_BYTES = 4
@@ -134,7 +128,7 @@ FRAME_SCHEMA = 2
 #: Hard ceiling on one frame's body, far above any modeled message.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: First body byte of a message frame.
+#: First body byte of every frame.
 MESSAGE_MARKER = ord("M")
 
 #: Message-frame kinds: a ``send`` frame's arrival fires the pending
@@ -154,30 +148,6 @@ MESSAGE_HEADER_BYTES = _MESSAGE_FRAME.size
 #: ``Enum.__hash__`` in Python on every frame.
 _CATEGORY_VALUES = tuple(category.value for category in MessageCategory)
 _CATEGORY_CODES = {value: code for code, value in enumerate(_CATEGORY_VALUES)}
-
-
-def pack_frame(payload: Dict[str, Any]) -> bytes:
-    """Serialize one control frame: length prefix + sorted-key JSON body."""
-    body = json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame body of {len(body)} bytes exceeds "
-                            f"the {MAX_FRAME_BYTES} byte frame limit")
-    return _FRAME_PREFIX.pack(len(body)) + body
-
-
-def unpack_frame(body: bytes) -> Dict[str, Any]:
-    """Inverse of :func:`pack_frame` for one control frame *body* (no
-    prefix)."""
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 and bad JSON are both ValueErrors
-        raise ProtocolError(
-            f"undecodable frame body of {len(body)} bytes: {exc}"
-        ) from None
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"frame body is not an object: {payload!r}")
-    return payload
 
 
 def encode_frame(message: Message, kind: int = KIND_SEND) -> bytearray:
@@ -204,11 +174,16 @@ def decode_frame(data, start: int, end: int) -> Tuple[int, str, int, int,
     and return ``(kind, category value, src, dst, size, wire id)``.
 
     Reads the header in place — no slice, no copy — and never looks at
-    the filler.  A short header, a foreign schema, an unknown kind or
-    category code, or a length that is not the header plus the filler
-    ``size`` calls for raises :class:`ProtocolError`.
+    the filler.  A body that does not open with the marker, a short
+    header, a foreign schema, an unknown kind or category code, or a
+    length that is not the header plus the filler ``size`` calls for
+    raises :class:`ProtocolError`.
     """
     length = end - start
+    if (length <= FRAME_PREFIX_BYTES
+            or data[start + FRAME_PREFIX_BYTES] != MESSAGE_MARKER):
+        raise ProtocolError("not a message frame: the body does not "
+                            "start with the marker byte 'M'")
     if length < MESSAGE_HEADER_BYTES:
         raise ProtocolError(f"truncated message frame: {length} bytes, "
                             f"the header alone is {MESSAGE_HEADER_BYTES}")

@@ -2,13 +2,9 @@
 
 Every remote :class:`~repro.net.message.Message` crosses an actual
 socket as one length-prefixed binary frame, exactly the cost model's
-``size_bytes`` long (see ``repro.net.message``).  By default the
-coordinator — the process running the protocol stack — holds a full
-mesh of ``(src, dst)`` connections, one per ordered pair of nodes; in
-``processes`` mode each node is a real OS relay process (``python -m
-repro.net.tcp_node``, which owns the node's listening socket and peer
-connections) and the coordinator holds one uplink per relay.  Relays
-only move bytes, so both modes share one semantics.
+``size_bytes`` long (see ``repro.net.message``), over a full mesh of
+``(src, dst)`` connections, one per ordered pair of nodes, held by the
+process that runs the protocol stack.
 
 Everything runs on one thread, the engine's (a
 :class:`~repro.sim.realtime.WallClockEnvironment`), which keeps *all*
@@ -25,9 +21,9 @@ written*).  The transport owns its sockets outright:
   source hook, over one ``selectors.DefaultSelector``: the byte stream
   is split into frames and each message frame's header is read in
   place and fires its delivery inline, at the wall instant it was read;
-* **fault mechanics** are engine timers: jitter delays the write, a
-  duplicate is written twice and its second arrival discarded, and
-  partition epochs and re-ships of relay refusals are timeouts.
+* **fault mechanics** are engine timers: jitter delays the write, and
+  a duplicate is written twice and its second arrival discarded.
+  Partitions are the injector's: a cut attempt is never written.
 
 Because a send's delivery event is resolved by the *arrival* of its
 frame (matched by ``wire_id``), late/duplicate frames are discarded
@@ -40,28 +36,19 @@ strands its frames, which the run loop's stall timeout reports.
 
 from __future__ import annotations
 
-import asyncio
-import base64
-import os
 import selectors
 import socket
-import subprocess
-import sys
 import time
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.net.message import (
     Message,
     decode_frame,
     encode_frame,
-    pack_frame,
-    unpack_frame,
     FRAME_PREFIX_BYTES,
     KIND_CHARGE,
     KIND_SEND,
     MAX_FRAME_BYTES,
-    MESSAGE_MARKER,
     _FRAME_PREFIX,
 )
 from repro.net.network_config import NetworkConfig
@@ -71,7 +58,7 @@ from repro.sim.realtime import WallClockEnvironment
 from repro.util.errors import ConfigurationError, ProtocolError
 from repro.util.ids import NodeId
 
-__all__ = ["TcpTransport", "read_frame"]
+__all__ = ["TcpTransport"]
 
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
@@ -82,7 +69,7 @@ _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 _RECV_BYTES = 1 << 18
 
 
-def _frame_length(data, offset: int = 0) -> int:
+def _frame_length(data, offset: int) -> int:
     """The body length the prefix at ``offset`` announces.
 
     A length over ``MAX_FRAME_BYTES`` is corrupt — waiting for bytes
@@ -94,19 +81,6 @@ def _frame_length(data, offset: int = 0) -> int:
         raise ProtocolError(f"frame length prefix {length} exceeds the "
                             f"{MAX_FRAME_BYTES} byte frame limit")
     return length
-
-
-async def read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """Read one whole frame, prefix included (the relay's reader), so it
-    can be forwarded as it came; ``None`` when the stream ends (clean
-    EOF, or a peer that went away mid-frame).  An over-limit prefix
-    raises :class:`ProtocolError`."""
-    try:
-        prefix = await reader.readexactly(FRAME_PREFIX_BYTES)
-        body = await reader.readexactly(_frame_length(prefix))
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
-    return prefix + body
 
 
 class _Link:
@@ -146,8 +120,8 @@ class TcpTransport(Transport):
     clock = WALL_CLOCK
 
     def __init__(self, env, config: NetworkConfig, tracer=None,
-                 injector=None, processes: bool = False,
-                 host: str = "127.0.0.1", start_timeout_s: float = 20.0):
+                 injector=None, host: str = "127.0.0.1",
+                 start_timeout_s: float = 20.0):
         if not isinstance(env, WallClockEnvironment):
             raise ConfigurationError(
                 "TcpTransport needs a WallClockEnvironment "
@@ -155,7 +129,6 @@ class TcpTransport(Transport):
                 "clock, not the virtual one"
             )
         super().__init__(env, config, tracer, injector)
-        self.processes = processes
         self.host = host
         self.start_timeout_s = start_timeout_s
         #: wire_id -> (delivery event, original message) for frames whose
@@ -165,20 +138,11 @@ class TcpTransport(Transport):
         #: the wall-clock run loop alive while the wire is busy.
         self._inflight = 0
         self.delivered_log: List[Tuple[str, int, int, int]] = []
-        #: Frames a partitioned relay refused to forward (processes
-        #: mode).  Wire-level evidence only: the authoritative partition
-        #: enforcement — and all accounting — lives in the injector, so
-        #: this counter never feeds FaultStats.
-        self.refused_frames = 0
-        self._reships: Dict[int, int] = {}  # wire_id -> times refused
         self._send_error: Optional[ProtocolError] = None
         self._nodes: List[int] = []
         self._selector: Optional[selectors.BaseSelector] = None
         self._links: List[_Link] = []  # every socket, for close()
         self._out: Dict[Tuple[int, int], _Link] = {}  # (src, dst) -> link
-        self._uplinks: Dict[int, _Link] = {}  # processes mode: node -> link
-        self._ports: Dict[int, int] = {}
-        self._children: List[subprocess.Popen] = []
         self._recv_view = memoryview(bytearray(_RECV_BYTES))
         self._started = False
         self._closed = False
@@ -196,16 +160,11 @@ class TcpTransport(Transport):
         try:
             with socket.create_server((self.host, 0)) as server:
                 server.settimeout(self.start_timeout_s)
-                if self.processes:
-                    self._start_relays(server)
-                else:
-                    self._connect_mesh(server)
+                self._connect_mesh(server)
         except OSError as exc:  # socket.timeout included
             raise ProtocolError(
                 f"TCP transport failed to start: {exc!r}") from exc
         self._started = True
-        if self.processes:
-            self._schedule_partition_epochs()
 
     def _link(self, sock: socket.socket, reading: bool) -> _Link:
         link = _Link(sock, reading)
@@ -224,73 +183,13 @@ class TcpTransport(Transport):
                         address, timeout=self.start_timeout_s), False)
                     self._link(server.accept()[0], True)
 
-    def _start_relays(self, server: socket.socket) -> None:
-        """Spawn one relay process per node; trade hellos for the port
-        map, so every relay knows every peer before a frame is routed."""
-        host, port = server.getsockname()[:2]
-        env = dict(os.environ)
-        src_root = str(Path(__file__).resolve().parent.parent.parent)
-        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-        for index in self._nodes:
-            self._children.append(subprocess.Popen(
-                [sys.executable, "-m", "repro.net.tcp_node",
-                 "--node", str(index), "--coordinator", f"{host}:{port}"],
-                env=env,
-            ))
-        for _ in self._nodes:
-            self._link(server.accept()[0], True)
-        deadline = time.monotonic() + self.start_timeout_s
-        while len(self._uplinks) < len(self._nodes):
-            if not self.poll(deadline - time.monotonic()):
-                raise ProtocolError(f"relays did not say hello within "
-                                    f"{self.start_timeout_s}s")
-        peers = pack_frame({"t": "peers", "ports": self._ports})
-        for link in self._uplinks.values():
-            self._write(link, peers)
-
-    def _schedule_partition_epochs(self) -> None:
-        """Arm engine timers that push partition state to the relays.
-
-        The injector's fault draws are the *authoritative* partition
-        enforcement (identical on both backends); this makes the real
-        wire honour the cut too, belt and braces: a frame that slips
-        past the engine-side check (written just before the window
-        opened, arriving at the relay inside it) is refused at the src
-        relay and re-shipped by :meth:`_reship` until the heal lets it
-        through.
-        """
-        plan = getattr(self.injector, "plan", None)
-        for cut in getattr(plan, "partitions", ()):
-            for at_s, kind in ((cut.at_s, "partition"),
-                               (cut.heal_at_s, "partition_heal")):
-                data = pack_frame({"t": kind, "group_a": list(cut.group_a)})
-                self.env.call_later(max(0.0, at_s - self.env.now),
-                                    self._broadcast, data)
-
-    def _broadcast(self, data: bytes) -> None:
-        for link in self._uplinks.values():
-            self._write(link, data)
-
     def close(self) -> None:
-        """Tell relays to exit, close every socket, reap every child."""
+        """Close every socket and the selector."""
         if self._closed:
             return
         self._closed = True
-        shutdown = pack_frame({"t": "shutdown"})
-        for link in self._uplinks.values():
-            try:
-                link.sock.settimeout(self.start_timeout_s)
-                link.sock.sendall(bytes(link.outbuf) + shutdown)
-            except OSError:
-                pass  # the relay is gone already; reaped below
         for link in self._links:
             link.sock.close()
-        for child in self._children:
-            try:
-                child.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                child.kill()
-                child.wait()
         if self._selector is not None:
             self._selector.close()
 
@@ -325,9 +224,7 @@ class TcpTransport(Transport):
             self._inflight += 2
         else:
             self._inflight += 1
-        src = message.src.value
-        link = (self._uplinks[src] if self.processes
-                else self._out[src, message.dst.value])
+        link = self._out[message.src.value, message.dst.value]
         self._write_after(faults.extra_delay_s, link, data)
 
     def _write_after(self, delay_s: float, link: _Link, data: bytes) -> None:
@@ -426,28 +323,13 @@ class TcpTransport(Transport):
         self.env.advance()
         used = 0
         while len(buf) - used >= FRAME_PREFIX_BYTES:
-            body = used + FRAME_PREFIX_BYTES
-            end = body + _frame_length(buf, used)
+            end = used + FRAME_PREFIX_BYTES + _frame_length(buf, used)
             if end > len(buf):
                 break
-            if end > body and buf[body] == MESSAGE_MARKER:
-                self._deliver_frame(buf, used, end)
-            else:
-                self._on_control(link, unpack_frame(buf[body:end]))
+            self._deliver_frame(buf, used, end)
             used = end
         del buf[:used]
         return used > 0
-
-    def _on_control(self, link: _Link, frame: dict) -> None:
-        kind = frame.get("t")
-        if kind == "refused" and self.injector.enabled:
-            # Only a fault plan's partition makes a relay refuse.
-            self._reship(frame)
-        elif kind == "hello":
-            self._ports[frame["node"]] = frame["port"]
-            self._uplinks[frame["node"]] = link
-        else:
-            raise ProtocolError(f"unexpected frame type {kind!r}")
 
     def _deliver_frame(self, buf: bytearray, start: int, end: int) -> None:
         """Fire the delivery for the message frame at ``buf[start:end]``."""
@@ -462,21 +344,3 @@ class TcpTransport(Transport):
         done, message = entry
         message.deliver_time = self.env.now
         done.succeed(message)
-
-    def _reship(self, refusal: dict) -> None:
-        """A relay refused a cross-partition frame — re-ship it later.
-
-        The attempt was already fully accounted when it was written (the
-        refusal is wire-level, below the injector), so this is pure
-        redelivery: the same bytes go back through the src relay after
-        one retransmit turnaround, escalating with the number of times
-        the message was refused.  ``_inflight`` stays balanced — the
-        frame is still outstanding and decrements it when it finally
-        lands.
-        """
-        frame = base64.b64decode(refusal["frame"])
-        _, _, src, _, _, wire = decode_frame(frame, 0, len(frame))
-        self._reships[wire] = reships = self._reships.get(wire, 0) + 1
-        self.refused_frames += 1
-        self._write_after(self.injector.retransmit_timeout_s(reships - 1),
-                          self._uplinks[src], frame)

@@ -110,11 +110,9 @@ class Cluster:
         if config.transport == "tcp":
             from repro.net.tcp import TcpTransport
 
-            self.network = TcpTransport(
-                self.env, config.network, tracer=self.tracer,
-                injector=self.injector,
-                processes=config.transport_processes,
-            )
+            self.network = TcpTransport(self.env, config.network,
+                                        tracer=self.tracer,
+                                        injector=self.injector)
         else:
             self.network = SimTransport(self.env, config.network,
                                         tracer=self.tracer,
@@ -312,8 +310,8 @@ class Cluster:
     def close(self) -> None:
         """Release transport resources (idempotent).
 
-        Required after TCP runs — sockets and any relay processes are
-        torn down here; a no-op for the simulation backend."""
+        Required after TCP runs — the sockets are closed here; a no-op
+        for the simulation backend."""
         self.network.close()
 
     def __enter__(self) -> "Cluster":

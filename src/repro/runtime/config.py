@@ -88,9 +88,6 @@ class ClusterConfig:
             (:class:`~repro.net.tcp.TcpTransport`) on a wall-clock
             environment, one connection per ordered pair of nodes
             (DESIGN §12).
-        transport_processes: with ``transport="tcp"``, give each node a
-            real OS relay process instead of a connection mesh inside
-            the coordinator process.
     """
 
     num_nodes: int = 4
@@ -112,16 +109,11 @@ class ClusterConfig:
     faults: Optional[FaultPlan] = None
     migration: Optional[MigrationConfig] = None
     transport: str = "sim"
-    transport_processes: bool = False
 
     def __post_init__(self) -> None:
         if self.transport not in ("sim", "tcp"):
             raise ConfigurationError(
                 f"transport must be 'sim' or 'tcp', got {self.transport!r}"
-            )
-        if self.transport_processes and self.transport != "tcp":
-            raise ConfigurationError(
-                "transport_processes requires transport='tcp'"
             )
         if self.num_nodes < 1:
             raise ConfigurationError("num_nodes must be at least 1")

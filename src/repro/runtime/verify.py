@@ -77,8 +77,7 @@ def replay_serially(cluster: Cluster,
         config = replace(
             cluster.config, num_nodes=1,
             audit_accesses=False, faults=None, tiebreak="fifo",
-            transport="sim", transport_processes=False,
-            semantic_locks=False, trace=False,
+            transport="sim", semantic_locks=False, trace=False,
         )
     serial = Cluster(config)
     for record in cluster.creation_log:

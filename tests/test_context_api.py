@@ -313,7 +313,7 @@ class TestSameBehaviourFewerLookups:
                     entry = cluster.directory.entry(oid).page_map[page]
                     assert entry.owner == cluster.nodes[0]
                     entry.version += 1
-                    owner.write_slot(oid, meta.layout.slots_on_page(page)[0],
+                    owner.write_slot(oid, meta.layout.slots_by_page[page][0],
                                      value)
                     owner.set_page_version(oid, page, entry.version)
             assert _observable(real, meta_r, txn_r, ctx) == \

@@ -109,25 +109,13 @@ class TestPageMapping:
 
     def test_slots_on_page_includes_partials(self):
         layout = layout_of(AttributeSpec("a", 90), AttributeSpec("b", 90))
-        assert set(layout.slots_on_page(0)) == {("a", 0), ("b", 0)}
-        assert set(layout.slots_on_page(1)) == {("b", 0)}
-
-    def test_slots_on_pages_dedup(self):
-        layout = layout_of(AttributeSpec("a", 150))
-        assert layout.slots_on_pages([0, 1]) == (("a", 0),)
-
-    def test_slots_on_page_out_of_range(self):
-        layout = layout_of(AttributeSpec("a", 10))
-        with pytest.raises(KeyError):
-            layout.slots_on_page(5)
-        with pytest.raises(KeyError):  # not the last page, wrapped
-            layout.slots_on_page(-1)
+        assert set(layout.slots_by_page[0]) == {("a", 0), ("b", 0)}
+        assert set(layout.slots_by_page[1]) == {("b", 0)}
 
     def test_slots_by_page_is_the_checked_table(self):
+        # Page 0 holds all of "a" and the head of "b"; page 1 the tail.
         layout = layout_of(AttributeSpec("a", 90), AttributeSpec("b", 90))
         assert layout.slots_by_page == ((("a", 0), ("b", 0)), (("b", 0),))
-        for page in range(layout.page_count):
-            assert layout.slots_on_page(page) is layout.slots_by_page[page]
 
     def test_object_bytes_on_page_partial_tail(self):
         layout = layout_of(AttributeSpec("a", 150))
@@ -178,9 +166,9 @@ class TestLayoutProperties:
             for index in range(spec.count):
                 slot = (spec.name, index)
                 for page in layout.slot_pages(spec.name, index):
-                    assert slot in layout.slots_on_page(page)
+                    assert slot in layout.slots_by_page[page]
         for page in range(layout.page_count):
-            for slot in layout.slots_on_page(page):
+            for slot in layout.slots_by_page[page]:
                 assert page in layout.slot_pages(*slot)
 
     @given(layouts())

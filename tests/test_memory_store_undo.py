@@ -112,7 +112,7 @@ class TestShipment:
 
 def reference_ship(source, target, pages):
     """Page shipment written out plainly over the layout's
-    ``slots_on_page``: page order, newer-only, every held slot of the
+    ``slots_by_page``: page order, newer-only, every held slot of the
     page."""
     src, dst = source.copy_of(OID), target.copy_of(OID)
     versions = {}
@@ -120,7 +120,7 @@ def reference_ship(source, target, pages):
         version = versions[page] = src.page_versions[page]
         if version > dst.page_versions.get(page, 0):
             dst.page_versions[page] = version
-            for slot in src.layout.slots_on_page(page):
+            for slot in src.layout.slots_by_page[page]:
                 if slot in src.slots:
                     dst.slots[slot] = src.slots[slot]
     return versions

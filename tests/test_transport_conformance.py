@@ -11,28 +11,20 @@ identically, and the *accounted traffic* must be byte-for-byte the
 same multiset on every wire.
 """
 
-import asyncio
 import socket
 
 import pytest
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.net.message import (
-    MAX_FRAME_BYTES,
-    Message,
-    MessageCategory,
-    encode_frame,
-    pack_frame,
-    unpack_frame,
-)
+from repro.net.message import Message, MessageCategory
 from repro.net.network import SimTransport
 from repro.net.network_config import NetworkConfig
-from repro.net.tcp import TcpTransport, read_frame
+from repro.net.tcp import TcpTransport
 from repro.net.transport import Transport, VIRTUAL_CLOCK, WALL_CLOCK
 from repro.sim import Environment
 from repro.sim.realtime import WallClockEnvironment
-from repro.util.errors import ConfigurationError, ProtocolError
+from repro.util.errors import ConfigurationError
 from repro.util.ids import NodeId
 from repro.util.rng import SeededRNG
 
@@ -297,56 +289,3 @@ class TestTcpSpecifics:
             assert not link.outbuf
         finally:
             net.close()
-
-
-class TestReadEnvelope:
-    """The relay's side of the frame codec: whole frames out, as they
-    came, and failures typed and at once."""
-
-    @staticmethod
-    def read_raw(data):
-        async def feed_and_read():
-            reader = asyncio.StreamReader()
-            reader.feed_data(data)
-            reader.feed_eof()
-            return await asyncio.wait_for(read_frame(reader), timeout=5.0)
-
-        return asyncio.run(feed_and_read())
-
-    def read(self, data):
-        frame = self.read_raw(data)
-        return None if frame is None else unpack_frame(frame[4:])
-
-    def test_round_trip_and_clean_eof(self):
-        assert self.read(pack_frame({"t": "hello", "node": 3})) == {
-            "t": "hello", "node": 3}
-        assert self.read(b"") is None
-
-    def test_message_frame_comes_out_byte_identical(self):
-        msg = message(size=300)
-        msg.wire_id, msg.attempts = 9, 1
-        frame = bytes(encode_frame(msg))
-        assert len(frame) == 300
-        assert self.read_raw(frame + frame) == frame
-
-    def test_over_limit_prefix_is_refused_without_waiting(self):
-        # No body follows: an unchecked reader would wait for 4 GiB.
-        with pytest.raises(ProtocolError, match=str(0xFFFFFFFF)):
-            self.read(b"\xff\xff\xff\xff")
-        with pytest.raises(ProtocolError, match="frame limit"):
-            self.read((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"{}")
-
-    @pytest.mark.parametrize("body, names", [
-        (b"not json at all", "Expecting value"),
-        (b"\xff\xfe\xfd", "utf-8"),
-        (b"[1,2]", "not an object"),
-    ])
-    def test_garbage_body_is_a_protocol_error(self, body, names):
-        with pytest.raises(ProtocolError, match=names):
-            self.read(len(body).to_bytes(4, "big") + body)
-
-    def test_truncated_body_ends_the_stream(self):
-        # The peer went away mid-frame: the stream is over, not corrupt.
-        frame = pack_frame({"t": "hello", "node": 3})
-        assert self.read(frame[:-2]) is None
-        assert self.read(frame[:2]) is None

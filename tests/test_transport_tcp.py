@@ -54,7 +54,7 @@ def tap_accounting(network):
     return log
 
 
-def run_sequential(transport, processes=False):
+def run_sequential(transport):
     """Drive the standard workload one root at a time; return
     (committed, accounted multiset, cluster) with the cluster closed."""
     params = SCENARIOS[SCENARIO].scaled(SCALE)
@@ -62,7 +62,7 @@ def run_sequential(transport, processes=False):
     cluster = Cluster(ClusterConfig(
         num_nodes=NODES, protocol="lotec", seed=SEED,
         audit_accesses=False, trace=True,
-        transport=transport, transport_processes=processes,
+        transport=transport,
     ))
     accounted = tap_accounting(cluster.network)
     with cluster:
@@ -199,20 +199,6 @@ class TestConcurrentTcpRun:
         assert cluster.network.delivered_log  # frames really crossed
 
 
-@pytest.mark.slow
-class TestProcessMode:
-    """One node per OS process, frames relayed through the coordinator."""
-
-    def test_sequential_run_matches_sim(self):
-        sim_commits, sim_wire, _ = run_sequential("sim")
-        tcp_commits, tcp_wire, cluster = run_sequential(
-            "tcp", processes=True
-        )
-        assert tcp_commits == sim_commits
-        assert tcp_wire == sim_wire
-        assert check_serializability(cluster).equivalent
-
-
 def open_fds():
     return len(os.listdir("/proc/self/fd"))
 
@@ -221,12 +207,9 @@ def open_fds():
                     reason="counts descriptors through /proc")
 class TestResourceHygiene:
     """The socket path runs on the caller's thread, and ``close()``
-    gives back every socket and relay process it took."""
+    gives back every socket it took."""
 
-    @pytest.mark.parametrize("processes", [
-        False, pytest.param(True, marks=pytest.mark.slow),
-    ], ids=["in-process", "processes"])
-    def test_close_releases_everything(self, processes):
+    def test_close_releases_everything(self):
         threads = set(threading.enumerate())
         fds = open_fds()
         n0, n1 = NodeId(0), NodeId(1)
@@ -234,7 +217,7 @@ class TestResourceHygiene:
             warnings.simplefilter("always", ResourceWarning)
             cluster = Cluster(ClusterConfig(
                 num_nodes=3, protocol="lotec", seed=7, audit_accesses=False,
-                transport="tcp", transport_processes=processes,
+                transport="tcp",
             ))
             with cluster:
                 counter = cluster.create(Counter, node=n0)
@@ -247,9 +230,6 @@ class TestResourceHygiene:
             with pytest.raises(ProtocolError, match="closed"):
                 network.send(Message(src=n0, dst=n1, size_bytes=64,
                                      category=MessageCategory.CONTROL))
-            assert len(network._children) == (3 if processes else 0)
-            assert all(child.returncode is not None
-                       for child in network._children)
             del cluster, network, counter, ticket
             gc.collect()
         assert open_fds() == fds

@@ -1,11 +1,8 @@
 """Fault behaviour over the real TCP transport: stall detection on a
 hung peer, malformed frames and failed sends failing the run at once,
-relay refusals across a cut and their re-shipping, duplicate-frame
-discard (including across a partition heal), and cross-backend parity
-of the deterministic fault/recovery counters."""
+duplicate-frame discard (including across a partition heal), and
+cross-backend parity of the deterministic fault/recovery counters."""
 
-import asyncio
-import base64
 import errno
 import socket
 import time
@@ -13,26 +10,12 @@ import time
 import pytest
 
 from repro.faults import CrashEvent, FaultPlan, PartitionEvent
-from repro.faults.injector import FaultInjector
-from repro.net.message import (
-    FRAME_SCHEMA,
-    MAX_FRAME_BYTES,
-    MESSAGE_MARKER,
-    Message,
-    MessageCategory,
-    encode_frame,
-    pack_frame,
-    unpack_frame,
-)
-from repro.net.network_config import NetworkConfig
-from repro.net.tcp import TcpTransport, read_frame
-from repro.net.tcp_node import NodeRelay
+from repro.net.message import FRAME_SCHEMA, MAX_FRAME_BYTES
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import ClusterConfig
 from repro.sim.realtime import WallClockEnvironment
 from repro.util.errors import ConfigurationError, ProtocolError
 from repro.util.ids import NodeId
-from repro.util.rng import SeededRNG
 
 from conftest import Counter
 
@@ -154,7 +137,9 @@ class TestMalformedFrames:
 
     @pytest.mark.parametrize("corrupt, names", [
         (lambda data: len(b"not json").to_bytes(4, "big") + b"not json",
-         "undecodable frame body"),
+         "not a message frame"),
+        (lambda data: len(b'{"t":"hello"}').to_bytes(4, "big")
+         + b'{"t":"hello"}', "not a message frame"),
         (lambda data: (MAX_FRAME_BYTES + 1).to_bytes(4, "big"),
          "frame limit"),
         (lambda data: (16).to_bytes(4, "big") + bytes(data[4:20]),
@@ -165,9 +150,9 @@ class TestMalformedFrames:
         (lambda data: patched(data, 7, 200),
          "unknown message category code 200"),
         (lambda data: stretched(data, 8), "disagrees with its header"),
-    ], ids=["garbage-body", "over-limit-prefix", "truncated-header",
-            "wrong-schema", "unknown-kind", "unknown-category",
-            "length-mismatch"])
+    ], ids=["garbage-body", "control-frame", "over-limit-prefix",
+            "truncated-header", "wrong-schema", "unknown-kind",
+            "unknown-category", "length-mismatch"])
     def test_bad_frame_fails_the_run_at_once(self, corrupt, names):
         cluster = tcp_cluster()
         cluster.env.stall_timeout_s = 5.0
@@ -268,93 +253,6 @@ class TestDuplicateDiscard:
             assert cluster.network._pending == {}
 
 
-class TestRelayRefusal:
-    """A relay refuses a message frame across an open cut; the
-    coordinator re-ships the same bytes after a retransmit turnaround
-    until the heal lets them through."""
-
-    @staticmethod
-    def frame(src=0, dst=1, size=300):
-        message = Message(src=NodeId(src), dst=NodeId(dst), size_bytes=size,
-                          category=MessageCategory.PAGE_DATA)
-        message.wire_id, message.attempts = 5, 1
-        return bytes(encode_frame(message))
-
-    def test_relay_answers_a_cross_cut_frame_with_a_refusal(self):
-        # The test is the coordinator: it takes the relay's hello, opens
-        # a cut around the relay's node and routes a frame across it.
-        frame = self.frame()
-
-        async def coordinate():
-            uplinks = asyncio.Queue()
-
-            async def accept(reader, writer):
-                await uplinks.put((reader, writer))
-
-            server = await asyncio.start_server(accept, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            relay = asyncio.create_task(
-                NodeRelay(0, ("127.0.0.1", port)).run())
-            reader, writer = await uplinks.get()
-            hello = unpack_frame((await read_frame(reader))[4:])
-            writer.write(pack_frame({"t": "peers", "ports": {}})
-                         + pack_frame({"t": "partition", "group_a": [0]})
-                         + frame + pack_frame({"t": "shutdown"}))
-            await writer.drain()
-            refusal = unpack_frame((await read_frame(reader))[4:])
-            await relay
-            writer.close()
-            await writer.wait_closed()
-            server.close()
-            await server.wait_closed()
-            return hello, refusal
-
-        hello, refusal = asyncio.run(asyncio.wait_for(coordinate(), 10.0))
-        assert hello["t"] == "hello" and hello["node"] == 0
-        assert refusal["t"] == "refused"
-        assert base64.b64decode(refusal["frame"]) == frame
-
-    @pytest.mark.slow
-    def test_coordinator_reships_the_same_bytes(self):
-        # The engine-side injector sees no cut (the plan has none); only
-        # the relays do, as when a frame is written just before a window
-        # opens — so the refusals come from the real wire.
-        injector = FaultInjector(FaultPlan(retransmit_timeout_s=0.02),
-                                 SeededRNG(7).derive("faults"))
-        env = WallClockEnvironment(stall_timeout_s=15.0)
-        net = TcpTransport(env, NetworkConfig(bandwidth_bps=100e6,
-                                              software_cost_s=1e-5),
-                           injector=injector, processes=True)
-        net.start([N0, N1, N2])
-        try:
-            uplink, written, write = net._uplinks[0], [], net._write
-
-            def tap(link, data):
-                if link is uplink and data[4] == MESSAGE_MARKER:
-                    written.append((env.now, bytes(data)))
-                write(link, data)
-
-            net._write = tap
-            net._broadcast(pack_frame({"t": "partition", "group_a": [0]}))
-            message = Message(src=N0, dst=N1, size_bytes=300,
-                              category=MessageCategory.PAGE_DATA)
-            delivered = []
-            net.send(message).add_callback(
-                lambda event: delivered.append(event.value))
-            env.call_later(0.1, net._broadcast, pack_frame(
-                {"t": "partition_heal", "group_a": [0]}))
-            env.run()
-            assert delivered == [message]
-            assert net.refused_frames >= 1
-            assert len(written) == net.refused_frames + 1
-            assert {data for _, data in written} == {written[0][1]}
-            assert len(written[0][1]) == 300
-            assert written[1][0] - written[0][0] >= 0.02
-            assert net.delivered_log == [("page_data", 0, 1, 300)]
-        finally:
-            net.close()
-
-
 #: Wide-margin recovery gauntlet: the only transaction commits in the
 #: first milliseconds, then the crash (250 ms), failover (260 ms),
 #: rejoin (400 ms), and a partition window (500-550 ms) all pass with
@@ -368,11 +266,10 @@ PARITY_PLAN = FaultPlan(
 )
 
 
-def run_parity_scenario(transport, processes=False):
+def run_parity_scenario(transport):
     cluster = Cluster(ClusterConfig(
         num_nodes=4, protocol="lotec", seed=7, audit_accesses=False,
-        transport=transport, transport_processes=processes,
-        faults=PARITY_PLAN,
+        transport=transport, faults=PARITY_PLAN,
     ))
     with cluster:
         # Homed at N0 (round-robin by object id), pages at N1: the
@@ -399,11 +296,3 @@ class TestCrossBackendFaultParity:
         assert sim_snapshot["recoveries"] == 1
         assert sim_snapshot["failovers"] == 1
         assert sim_snapshot["rejoin_reclaimed_homes"] == 1
-
-    @pytest.mark.slow
-    def test_fault_stats_identical_in_process_mode(self):
-        sim_snapshot, sim_result = run_parity_scenario("sim")
-        proc_snapshot, proc_result = run_parity_scenario(
-            "tcp", processes=True)
-        assert proc_result == sim_result
-        assert proc_snapshot == sim_snapshot
