@@ -19,16 +19,18 @@ from repro.memory.layout import ObjectLayout
 
 @dataclass(frozen=True)
 class AccessPrediction:
-    """Predicted page footprint of one method on one layout."""
+    """Predicted page footprint of one method on one layout.
 
-    __slots__ = ("read_pages", "write_pages")
+    ``pages`` — every page the method is predicted to touch — is
+    folded once, at construction: predictions are memoised per layout
+    and read on every acquisition."""
+
+    __slots__ = ("read_pages", "write_pages", "pages")
     read_pages: FrozenSet[int]
     write_pages: FrozenSet[int]
 
-    @property
-    def pages(self) -> FrozenSet[int]:
-        """All pages the method is predicted to touch."""
-        return self.read_pages | self.write_pages
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pages", self.read_pages | self.write_pages)
 
     @property
     def is_update(self) -> bool:

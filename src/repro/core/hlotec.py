@@ -76,4 +76,4 @@ class HomeBasedLOTEC(LOTEC):
             # The home now holds (or already held) the latest version:
             # point the page map at it so gathers are single-source.
             for page in pages:
-                entry.page_map[page].owner = home
+                entry.set_page_owner(page, home)

@@ -37,7 +37,9 @@ class LOTEC(_DemandFetchMixin, ConsistencyProtocol):
     def select_pages(self, meta: ObjectMeta, page_map,
                      local_versions: Dict[int, int],
                      prediction: AccessPrediction) -> Set[int]:
-        return self.stale_pages(page_map, local_versions) & set(prediction.pages)
+        # Stale ∩ predicted: staleness is tested on predicted pages only.
+        return {page for page in prediction.pages
+                if local_versions.get(page, 0) < page_map[page].version}
 
     def on_stale_access(self, txn, meta: ObjectMeta, page_map,
                         pages: Iterable[int], is_write: bool) -> float:

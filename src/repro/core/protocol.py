@@ -80,7 +80,9 @@ class ConsistencyProtocol:
         node = txn.node
         store = self.stores[node]
         store.register_object(meta.object_id, meta.layout)
-        local_versions = store.resident_pages(meta.object_id)
+        # The live tags, not a copy: selection is synchronous, done
+        # before the gather yields.
+        local_versions = store.copy_of(meta.object_id).page_versions
         wanted = self.select_pages(meta, page_map, local_versions, prediction)
         self.prediction_stats.acquisitions += 1
         self.prediction_stats.predicted_pages += len(prediction.pages)

@@ -28,7 +28,7 @@ conflict; ``tests/test_lock_table_small_scope.py`` proves it unreachable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.util.errors import ProtocolError
@@ -86,13 +86,34 @@ class GrantDecision(enum.Enum):
     RECURSIVE = "recursive"          # conflicting ancestor holder (§3.4)
 
 
-@dataclass
-class PageMapEntry:
-    """Which node stores the most up-to-date version of one page."""
+class PageMapEntry(tuple):
+    """Which node stores the most up-to-date version of one page.
 
-    __slots__ = ("owner", "version")
-    owner: NodeId
-    version: int
+    Immutable, so the page map is copy-on-write: a commit or a
+    write-back *replaces* a page's entry, and a grant's snapshot is a
+    shallow ``dict`` copy whose entries no later change can reach.  A
+    hand-written ``tuple`` subclass like the ids of
+    :mod:`repro.util.ids` (fields are ``property(itemgetter(i))``): a
+    dataclass or ``NamedTuple`` would put its generated ``__init__`` /
+    ``__new__`` under cProfile's shared ``<string>`` key (DESIGN §14).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, owner: NodeId, version: int) -> "PageMapEntry":
+        return tuple.__new__(cls, (owner, version))
+
+    def __getnewargs__(self):
+        return (self[0], self[1])
+
+    owner = property(itemgetter(0))
+    version = property(itemgetter(1))
+
+    def __repr__(self) -> str:
+        return f"PageMapEntry(owner={self[0]!r}, version={self[1]!r})"
+
+
+_new_entry = tuple.__new__
 
 
 class Waiter:
@@ -125,11 +146,11 @@ class DirectoryEntry:
         # NonHoldersPtr: FIFO list of waiters, at most one per family
         # (LockManager._wait refuses a family's second block).
         self.waiting_families: List[Waiter] = []
-        # Consistency page map.
-        self.page_map: Dict[int, PageMapEntry] = {
-            page: PageMapEntry(owner=creator_node, version=initial_version)
-            for page in range(page_count)
-        }
+        # Consistency page map; entries are immutable, so every page
+        # starts on one shared entry.
+        self.page_map: Dict[int, PageMapEntry] = dict.fromkeys(
+            range(page_count), PageMapEntry(creator_node, initial_version)
+        )
 
     # -- derived state -------------------------------------------------------
 
@@ -158,13 +179,18 @@ class DirectoryEntry:
 
     def family_present(self, root_serial: int) -> bool:
         """Does this family hold or retain the lock?"""
-        return any(t.root == root_serial for t in self.holders) or any(
-            t.root == root_serial for t in self.retainers
-        )
+        for members in (self.holders, self.retainers):
+            for txn_id in members:  # a loop, not a genexpr: no extra frame
+                if txn_id.root == root_serial:
+                    return True
+        return False
 
     def blocking_family_roots(self) -> FrozenSet[int]:
         """Roots of every family holding or retaining the lock."""
-        roots = {t.root for t in self.holders} | {t.root for t in self.retainers}
+        roots = set()
+        for members in (self.holders, self.retainers):
+            for txn_id in members:
+                roots.add(txn_id.root)
         return frozenset(roots)
 
     def blockers_of(self, waiter: Waiter) -> List[int]:
@@ -446,20 +472,27 @@ class DirectoryEntry:
         the map pointing at a live copy under protocols (COTEC/OTEC)
         that fully refresh the acquiring site.
         """
+        # Entries are replaced, never mutated; built by ``tuple.__new__``
+        # directly (C), skipping ``PageMapEntry.__new__``'s Python frame.
+        page_map = self.page_map
         dirty = set(dirty_pages)
         for page in dirty:
-            entry = self.page_map[page]
-            entry.version += 1
-            entry.owner = node
+            page_map[page] = _new_entry(
+                PageMapEntry, (node, page_map[page].version + 1))
         for page, version in resident_versions.items():
             if page in dirty:
                 continue
-            entry = self.page_map[page]
-            if version == entry.version:
-                entry.owner = node
+            entry = page_map[page]
+            if version == entry.version and entry.owner != node:
+                page_map[page] = _new_entry(PageMapEntry, (node, version))
+
+    def set_page_owner(self, page: int, owner: NodeId) -> None:
+        """Point one page at a new owner, keeping its version."""
+        entry = self.page_map[page]
+        if entry.owner != owner:
+            self.page_map[page] = PageMapEntry(owner, entry.version)
 
     def page_map_snapshot(self) -> Dict[int, PageMapEntry]:
-        return {
-            page: PageMapEntry(owner=entry.owner, version=entry.version)
-            for page, entry in self.page_map.items()
-        }
+        """The map a grant carries: entries are immutable, so a shallow
+        copy is a snapshot no later commit can reach."""
+        return dict(self.page_map)

@@ -115,6 +115,8 @@ class ObjectLayout:
         }
         #: (reads, writes) -> AccessPrediction memo of ``analysis.predict``.
         self.predictions: Dict[object, object] = {}
+        #: Memo of ``objects.proxy.proxy_class``: this layout's ``self``.
+        self.proxy_class = None
 
     # -- construction helpers ---------------------------------------------
 

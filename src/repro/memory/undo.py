@@ -12,20 +12,28 @@ ancestor abort also undoes the pre-committed child (closed nesting).
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from operator import itemgetter
+from typing import Dict, List
 
 from repro.memory.store import NodeStore
 from repro.memory.layout import Slot
 from repro.util.ids import ObjectId
 
 
-class UndoRecord(NamedTuple):
-    """Inverse of one slot write."""
+class UndoRecord(tuple):
+    """Inverse of one slot write, built from one 4-tuple
+    ``(object_id, slot, had_value, old_value)``.
 
-    object_id: ObjectId
-    slot: Slot
-    had_value: bool
-    old_value: object
+    A ``tuple`` subclass with no ``__new__`` of its own (fields are
+    ``property(itemgetter(i))``, as for the ids): building one is a C
+    call, where a ``NamedTuple`` runs a generated Python ``__new__``."""
+
+    __slots__ = ()
+
+    object_id = property(itemgetter(0))
+    slot = property(itemgetter(1))
+    had_value = property(itemgetter(2))
+    old_value = property(itemgetter(3))
 
 
 class UndoLog:
@@ -39,13 +47,24 @@ class UndoLog:
 
     def record_write(self, object_id: ObjectId, slot: Slot,
                      had_value: bool, old_value: object) -> None:
-        self._records.append(UndoRecord(object_id, slot, had_value, old_value))
+        self._records.append(
+            UndoRecord((object_id, slot, had_value, old_value)))
 
     def before_write(self, store: NodeStore, object_id: ObjectId,
                      slot: Slot) -> None:
         """Capture the slot's pre-write state."""
-        had_value, old_value = store.peek_slot(object_id, slot)
-        self.record_write(object_id, slot, had_value, old_value)
+        self.capture(object_id, slot, store.copy_of(object_id).slots)
+
+    def capture(self, object_id: ObjectId, slot: Slot,
+                slots: Dict[Slot, object]) -> None:
+        """Capture the pre-write state of ``slots[slot]``, where
+        ``slots`` is the node's ``ObjectCopy.slots`` of the object: the
+        transaction context's write path, one call per write."""
+        if slot in slots:
+            record = UndoRecord((object_id, slot, True, slots[slot]))
+        else:
+            record = UndoRecord((object_id, slot, False, None))
+        self._records.append(record)
 
     def merge_child(self, child: "UndoLog") -> None:
         """Inherit a pre-committed child's records (Moss closed nesting).
@@ -64,10 +83,8 @@ class UndoLog:
         Returns the number of records applied; the log is emptied.
         """
         applied = 0
-        for record in reversed(self._records):
-            store.restore_slot(
-                record.object_id, record.slot, record.had_value, record.old_value
-            )
+        for object_id, slot, had_value, old_value in reversed(self._records):
+            store.restore_slot(object_id, slot, had_value, old_value)
             applied += 1
         self._records.clear()
         return applied

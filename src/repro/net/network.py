@@ -5,6 +5,8 @@ pipeline of the base class; this backend is only the wire primitive."""
 
 from __future__ import annotations
 
+from heapq import heappush
+
 from repro.net.network_config import NetworkConfig
 from repro.net.transport import Transport
 
@@ -25,7 +27,17 @@ class SimTransport(Transport):
     def _put_on_wire(self, message, done, transfer_time, faults) -> None:
         """Land the frame one ``transfer_time`` from now.  A ``charge``
         (``done is None``) moved its data already and defers the delay
-        to its caller, so there is nothing left to schedule."""
+        to its caller, so there is nothing left to schedule.
+
+        On the FIFO fast path the pending ``Delivery`` itself is the
+        one heap entry: popping it lands the message and runs its
+        callbacks (:meth:`Delivery._process`).  With a tie-break policy
+        installed a ``_Call`` lands it and ``succeed`` queues it, so
+        the policy ranks the two entries it always ranked."""
         if done is not None:
-            message.deliver_time = self.env.now + transfer_time
-            self.env.call_later(transfer_time, done.succeed, message)
+            env = self.env
+            message.deliver_time = when = env.now + transfer_time
+            if env._tiebreak is None:
+                heappush(env._queue, (when, next(env._sequence), done))
+            else:
+                env.call_later(transfer_time, done.succeed, message)

@@ -72,6 +72,18 @@ class Delivery(Event):
         return {"kind": "deliver", "category": message.category.value,
                 "node": message.dst.value, "src": message.src.value}
 
+    def _process(self) -> None:
+        if self._value is _PENDING:
+            # Queued untriggered by ``SimTransport``'s one-entry
+            # landing: land now, counted as the landing ``_Call`` and
+            # the delivery it stands for (like ``_WakeBatch``).
+            self._value = self.message
+            self._ok = True
+            self.env._events_processed += 1
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
+
 
 class Transport(abc.ABC):
     """Delivers messages between nodes and accounts for every one.

@@ -6,8 +6,11 @@ Every read and write flows through the context, which (a) performs the
 access against the node's local store, (b) records actual read/write
 sets (used to validate prediction conservatism), (c) appends undo
 records for writes, and (d) triggers LOTEC demand fetches for pages the
-prediction missed.  Whether a name is a scalar attribute, and its slot,
-is one lookup in the layout's ``scalar_slots`` table.
+prediction missed.  Each layout gets one :class:`InstrumentedSelf`
+subclass (:func:`proxy_class`) with a read property per scalar slot, so
+reading ``self.x`` enters no Python frame before the context's
+``read_slot``; arrays, methods and unknown names take the
+``__getattr__`` slow path.
 
 Attribute values must be treated as immutable: update by assignment
 (``self.x = v``, ``self.a[i] = v``), never by in-place container
@@ -18,6 +21,8 @@ in a real DSM.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import methodcaller
 from typing import TYPE_CHECKING
 
 from repro.util.errors import ConfigurationError
@@ -76,14 +81,17 @@ class InstrumentedSelf:
     """The ``self`` seen by method bodies: a tracked facade over one
     shared object's slots at the executing node."""
 
-    __slots__ = ("_ctx", "_meta")
+    __slots__ = ("_ctx", "_meta", "_read")
 
     def __init__(self, ctx: "TxnContext", meta: "ObjectMeta"):
         object.__setattr__(self, "_ctx", ctx)
         object.__setattr__(self, "_meta", meta)
+        # ``_read(slot)`` is ``ctx.read_slot(meta, slot)``, all in C:
+        # what the per-layout read properties call.
+        object.__setattr__(self, "_read", partial(ctx.read_slot, meta))
 
     def __getattr__(self, name: str):
-        # '_' names: our two slots, Python's probes; never an attribute.
+        # '_' names: our slots, Python's probes; never an attribute.
         if name.startswith("_"):
             raise AttributeError(name)
         meta = self._meta
@@ -124,3 +132,24 @@ class InstrumentedSelf:
     def __repr__(self) -> str:
         meta = self._meta
         return f"<shared {meta.schema.name} {meta.object_id!r}>"
+
+
+def proxy_class(layout) -> type:
+    """The :class:`InstrumentedSelf` subclass for ``layout``, built on
+    first use and memoised on the layout.
+
+    It adds one read property per scalar slot whose getter is
+    ``methodcaller("_read", slot)``: the property, the method caller
+    and the bound ``partial`` are C, so a scalar read costs exactly one
+    Python frame, the context's ``read_slot``.  Writes, arrays, method
+    names and unknown names keep the base class's paths and errors.
+    """
+    cls = layout.proxy_class
+    if cls is None:
+        namespace = {"__slots__": ()}
+        for name, slot in layout.scalar_slots.items():
+            namespace[name] = property(methodcaller("_read", slot))
+        cls = layout.proxy_class = type(
+            "InstrumentedSelf", (InstrumentedSelf,), namespace
+        )
+    return cls

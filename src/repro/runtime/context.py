@@ -116,7 +116,11 @@ class TxnContext:
             # protocols would reject the mid-hold staleness outright).
             self._materialize(pages)
         else:
-            self._ensure_current(pages, is_write=False)
+            versions, page_map = copy.page_versions, self._page_map
+            for page in pages:  # the compare inline: a call only if stale
+                if versions.get(page, 0) < page_map[page].version:
+                    self._ensure_current(pages, is_write=False)
+                    break
         self.actual_reads.add(slot[0])
         self._touched.update(pages)
         try:
@@ -136,12 +140,17 @@ class TxnContext:
     def write_slot(self, meta: ObjectMeta, slot: Slot, value) -> None:
         if meta is not self._meta:
             self._check_same_object(meta)
-        self._check_write_allowed(slot[0])
+        if slot[0] not in self._spec.access.writes:
+            self._check_write_allowed(slot[0])
         pages = (meta.layout.pages_by_slot.get(slot)
                  or meta.layout.slot_pages(*slot))  # raises: unknown slot
         copy = self._copy or self._bind()
         if slot[0] not in self._increments:
-            self._ensure_current(pages, is_write=True)
+            versions, page_map = copy.page_versions, self._page_map
+            for page in pages:
+                if versions.get(page, 0) < page_map[page].version:
+                    self._ensure_current(pages, is_write=True)
+                    break
         if self._merger is not None:
             if slot[0] in self._increments:
                 # Blind increment under a semantic mode: record the
@@ -168,9 +177,10 @@ class TxnContext:
                 # Keep the store satisfying family-visible = store +
                 # family deltas around a plain overwrite.
                 value = value - adjust
-        self.txn.undo.before_write(self._store, meta.object_id, slot)
-        copy.slots[slot] = value
-        self.txn.record_dirty(meta.object_id, pages)
+        txn, slots = self.txn, copy.slots
+        txn.undo.capture(meta.object_id, slot, slots)
+        slots[slot] = value
+        txn.dirty.setdefault(meta.object_id, set()).update(pages)
         self.actual_writes.add(slot[0])
         self._touched.update(pages)
 
@@ -186,7 +196,8 @@ class TxnContext:
         re-read on every access.  Each is assigned exactly once: a
         store's copy and the directory's entry per object, the entry's
         ``page_map`` (``move_home`` and failover mutate the entry in
-        place), the root's ``touch_pages[object_id]`` set.
+        place; commits replace the map's immutable entries, never the
+        map), the root's ``touch_pages[object_id]`` set.
         """
         runtime, object_id = self._runtime, self._meta.object_id
         self._store = store = runtime.stores[self.txn.node]
@@ -205,7 +216,8 @@ class TxnContext:
             )
 
     def _check_write_allowed(self, attr: str) -> None:
-        """Writes must be covered by the method's predicted write set.
+        """Writes must be covered by the method's predicted write set;
+        called for a write to an attribute outside it.
 
         The conservative analysis guarantees this; an explicit
         ``writes=`` annotation that lied is tolerated only when the
@@ -214,8 +226,6 @@ class TxnContext:
         read lock would break serializability and is refused.
         """
         spec = self._spec
-        if attr in spec.access.writes:
-            return
         if not spec.is_update:
             raise ProtocolError(
                 f"method {spec.name!r} wrote attribute {attr!r} under a READ "

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.prediction import AccessPrediction, predict
 from repro.faults.injector import NULL_INJECTOR
 from repro.gdo.entry import LockMode
-from repro.objects.proxy import InstrumentedSelf
+from repro.objects.proxy import proxy_class
 from repro.objects.registry import HandleRef as _HandleRef, ObjectHandle
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.context import InvocationRequest, TxnContext
@@ -480,13 +480,15 @@ class Executor:
                 )
             ctx = TxnContext(self, txn, meta, spec,
                              merger=self.merger, increments=increments)
-            proxy = InstrumentedSelf(ctx, meta)
+            proxy = (meta.layout.proxy_class
+                     or proxy_class(meta.layout))(ctx, meta)
             if spec.is_generator:
                 body = spec.func(proxy, ctx, *args)
                 result = yield from self._drive(body, txn)
             else:
                 result = spec.func(proxy, ctx, *args)
-            yield from self._flush_delay(txn)
+            if txn.root.pending_delay > 0:
+                yield from self._flush_delay(txn)
             if self.config.audit_accesses:
                 self._record_audit(ctx, spec, meta)
         except (ProtocolError, GeneratorExit):
@@ -561,7 +563,8 @@ class Executor:
                 throw_exc = exc
             except Exception as exc:  # noqa: BLE001 - forwarded to user code
                 throw_exc = exc
-            yield from self._flush_delay(txn)
+            if txn.root.pending_delay > 0:
+                yield from self._flush_delay(txn)
 
     # ------------------------------------------------------------------
     # Accounting

@@ -7,6 +7,7 @@ from repro import (
     Array, Attr, ConfigurationError, ProtocolError, method, shared_class,
 )
 from repro.faults import FAULT_PRESETS
+from repro.gdo.entry import PageMapEntry
 from repro.gdo.migration import MigrationConfig
 from repro.runtime.context import TxnContext
 from repro.txn.transaction import Transaction
@@ -310,9 +311,12 @@ class TestSameBehaviourFewerLookups:
                 for cluster, meta in ((real, meta_r), (ref, meta_f)):
                     _, page, value = op
                     owner, oid = cluster.stores[cluster.nodes[0]], meta.object_id
-                    entry = cluster.directory.entry(oid).page_map[page]
+                    page_map = cluster.directory.entry(oid).page_map
+                    entry = page_map[page]
                     assert entry.owner == cluster.nodes[0]
-                    entry.version += 1
+                    # Entries are immutable: a commit replaces one.
+                    entry = page_map[page] = PageMapEntry(
+                        entry.owner, entry.version + 1)
                     owner.write_slot(oid, meta.layout.slots_by_page[page][0],
                                      value)
                     owner.set_page_version(oid, page, entry.version)

@@ -58,6 +58,39 @@ class TestHomeDiscipline:
             MessageCategory.UPDATE_PUSH
         ) == 1
 
+    def test_grant_snapshots_never_move(self):
+        """The page map is copy-on-write: what a grant delivered stays
+        as granted through later commits (``apply_commit``), HLOTEC
+        write-backs and a home move."""
+        cluster = make_cluster(protocol="hlotec", seed=2)
+        ledger = cluster.create(Ledger, node=cluster.nodes[0])
+        oid = ledger.object_id
+        entry = cluster.directory.entry(oid)
+        home = entry.home_node
+        protocol = cluster.protocol.for_meta(ledger.meta)
+        acquire_transfer = protocol.acquire_transfer
+        grants = []
+
+        def recording(txn, meta, page_map, prediction):
+            grants.append((page_map, {page: (e.owner, e.version)
+                                      for page, e in page_map.items()}))
+            return (yield from acquire_transfer(txn, meta, page_map,
+                                                prediction))
+
+        protocol.acquire_transfer = recording
+        others = [node for node in cluster.nodes if node != home]
+        for node in others:
+            cluster.call(ledger, "bump_alpha", 1, node=node)
+        cluster.directory.move_home(oid, others[0])
+        assert len(grants) == len(others)
+        for snapshot, at_grant in grants:
+            assert {page: (e.owner, e.version)
+                    for page, e in snapshot.items()} == at_grant
+        alpha_page = next(iter(ledger.meta.layout.attribute_pages("alpha")))
+        first = grants[0][0][alpha_page]
+        assert entry.page_map[alpha_page] == (home, first.version
+                                              + len(others))
+
     def test_commit_at_home_is_free(self):
         cluster = make_cluster(protocol="hlotec", seed=2)
         ledger = cluster.create(Ledger, node=cluster.nodes[0])

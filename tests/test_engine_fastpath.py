@@ -9,9 +9,10 @@ rank-0 :class:`~repro.sim.tiebreak.TieBreakPolicy` instance forces the
 general 4-tuple ranked path through the same workload.  Both must
 produce the *same event sequence* — identical pop order at the micro
 level, and byte-identical trace digests (plus identical commit and
-events-processed counts) on full workloads: plain fig2, a chaos run
-with fault injection, and an open-loop load with adaptive GDO home
-migration.
+events-processed counts) on full workloads: plain fig2 at two scales
+and seeds, a chaos run with fault injection, and an open-loop load with
+adaptive GDO home migration.  The fast path also lands a remote message
+with one heap entry where the ranked path uses two.
 """
 
 import hashlib
@@ -88,12 +89,12 @@ class TestPopOrderProperty:
 class TestWorkloadDigestProperty:
     """Full workloads: byte-identical traces across both paths."""
 
-    def _fig2(self, ranked):
+    def _fig2(self, ranked, scale=0.1, seed=11):
         workload = generate_workload(
-            SCENARIOS["medium-high"].scaled(0.1), seed=11
+            SCENARIOS["medium-high"].scaled(scale), seed=seed
         )
         cluster = Cluster(ClusterConfig(
-            num_nodes=4, protocol="lotec", seed=11,
+            num_nodes=4, protocol="lotec", seed=seed,
             audit_accesses=False, trace=True,
         ))
         if ranked:
@@ -130,6 +131,12 @@ class TestWorkloadDigestProperty:
         assert fast == ranked
         assert fast[1] > 0  # the run did real work
 
+    def test_fig2_digest_identical_at_quarter_scale(self):
+        fast = self._fig2(False, scale=0.25, seed=2)
+        ranked = self._fig2(True, scale=0.25, seed=2)
+        assert fast == ranked
+        assert fast[1] > 0
+
     def test_chaos_digest_identical(self):
         fast, ranked = self._chaos(False), self._chaos(True)
         assert fast == ranked
@@ -139,6 +146,44 @@ class TestWorkloadDigestProperty:
         fast, ranked = self._migration(False), self._migration(True)
         assert fast == ranked
         assert fast[1] > 0
+
+
+class TestOneEntryLanding:
+    """On the fast path ``SimTransport`` queues a remote message's
+    pending ``Delivery`` itself, one heap entry at the landing instant,
+    counted as the landing ``_Call`` plus the delivery it replaces; a
+    policy keeps the two-step landing.  ``TestWorkloadDigestProperty``
+    holds the two paths to the same trace bytes and
+    ``events_processed`` on whole workloads."""
+
+    @staticmethod
+    def _send(policy):
+        from repro.net.message import Message, MessageCategory
+        from repro.net.network import NetworkConfig, SimTransport
+        from repro.util.ids import NodeId
+
+        env = Environment(tiebreak=policy)
+        net = SimTransport(env, NetworkConfig(bandwidth_bps=8e6,
+                                              software_cost_s=1e-3))
+        done = net.send(Message(src=NodeId(0), dst=NodeId(1),
+                                category=MessageCategory.CONTROL,
+                                size_bytes=100))
+        return env, done
+
+    def test_fast_path_queues_the_delivery_itself(self):
+        env, done = self._send(None)
+        assert [entry[-1] for entry in env._queue] == [done]
+        assert not done.triggered
+        env.run()
+        assert done.value is done.message
+        assert env.events_processed == 2
+
+    def test_ranked_path_keeps_the_landing_call(self):
+        env, done = self._send(TieBreakPolicy())
+        assert len(env._queue) == 1 and env._queue[0][-1] is not done
+        env.run()
+        assert done.value is done.message
+        assert env.events_processed == 2
 
 
 class TestCallLaterEquivalence:

@@ -12,6 +12,7 @@ from repro.gdo.entry import (
     GrantDecision,
     LockMode,
     LockState,
+    PageMapEntry,
     Waiter,
 )
 from repro.util.errors import ProtocolError
@@ -380,6 +381,29 @@ class TestPageMap:
         entry.apply_commit(N1, dirty_pages=[0], resident_versions={})
         assert snapshot[0].version == 1
         assert entry.latest_version(0) == 2
+
+    def test_entries_are_immutable(self, entry):
+        page_entry = entry.page_map[0]
+        with pytest.raises(AttributeError):
+            page_entry.owner = N1
+        with pytest.raises(AttributeError):
+            page_entry.version = 7
+        assert page_entry == PageMapEntry(owner=N0, version=1)
+
+    def test_commit_replaces_entries_it_changes(self, entry):
+        before = dict(entry.page_map)
+        entry.apply_commit(N1, dirty_pages=[0], resident_versions={1: 1})
+        assert entry.page_map[0] is not before[0]
+        assert entry.page_map[1] == PageMapEntry(N1, 1)
+        assert entry.page_map[2] is before[2]  # untouched: still shared
+        assert before[0] == PageMapEntry(N0, 1)
+
+    def test_set_page_owner_keeps_the_version(self, entry):
+        entry.apply_commit(N1, dirty_pages=[2], resident_versions={})
+        snapshot = entry.page_map_snapshot()
+        entry.set_page_owner(2, N0)
+        assert entry.page_map[2] == PageMapEntry(N0, 2)
+        assert snapshot[2] == PageMapEntry(N1, 2)
 
     def test_holder_entries_include_retainers(self, entry):
         root, child_a, _, _ = family()

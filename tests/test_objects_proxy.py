@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Array, Attr, ConfigurationError, method, shared_class
+from repro.objects.proxy import InstrumentedSelf
 
 from conftest import make_cluster
 
@@ -109,3 +110,50 @@ class TestProxy:
         probe = self.cluster.create(ReprProbe)
         self.cluster.call(probe, "probe")
         assert "ReprProbe" in proxy_repr
+
+
+@shared_class
+class Sprocket:
+    teeth = Attr(size=8, default=12)
+    cogs = Array(size=8, count=3, default=0)
+
+    @method
+    def own_type(self, ctx):
+        return type(self)
+
+    @method
+    def is_instrumented(self, ctx):
+        return isinstance(self, InstrumentedSelf)
+
+
+class TestProxyClasses:
+    """Each layout gets one ``InstrumentedSelf`` subclass whose scalar
+    attributes are read properties (``objects.proxy.proxy_class``)."""
+
+    def setup_method(self):
+        self.cluster = make_cluster()
+
+    def _class_of(self, handle):
+        return self.cluster.call(handle, "own_type")
+
+    def test_one_class_per_layout(self):
+        first, second = (self.cluster.create(Sprocket) for _ in range(2))
+        classes = {self._class_of(handle) for handle in (first, second)
+                   for _ in range(3)}
+        assert len(classes) == 1
+        assert first.meta.layout is second.meta.layout
+        assert classes == {first.meta.layout.proxy_class}
+
+    def test_distinct_layouts_get_distinct_classes(self):
+        other = make_cluster(page_size=1024)
+        own, foreign = self.cluster.create(Sprocket), other.create(Sprocket)
+        assert own.meta.layout is not foreign.meta.layout
+        assert self._class_of(own) is not other.call(foreign, "own_type")
+
+    def test_proxy_is_an_instrumented_self(self):
+        handle = self.cluster.create(Sprocket)
+        assert self.cluster.call(handle, "is_instrumented") is True
+        cls = self._class_of(handle)
+        assert cls is not InstrumentedSelf
+        assert isinstance(cls.__dict__["teeth"], property)
+        assert "cogs" not in cls.__dict__  # only scalars get properties

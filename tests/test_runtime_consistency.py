@@ -4,6 +4,7 @@ under every consistency protocol."""
 import pytest
 
 from repro import ProtocolError, check_serializability
+from repro.gdo.entry import PageMapEntry
 from repro.net.message import MessageCategory
 
 from conftest import Counter, Ledger, make_cluster
@@ -161,7 +162,8 @@ class TestStaleDetection:
         oid = ledger.object_id
         entry = cluster.directory.entry(oid)
         page = next(iter(ledger.meta.layout.attribute_pages("alpha")))
-        entry.page_map[page].version += 5  # force staleness everywhere
+        latest = entry.page_map[page]  # force staleness everywhere
+        entry.page_map[page] = PageMapEntry(latest.owner, latest.version + 5)
         with pytest.raises(ProtocolError, match="stale"):
             cluster.call(ledger, "bump_alpha", 1, node=cluster.nodes[0])
 
