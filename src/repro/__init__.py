@@ -152,4 +152,4 @@ def _installed_version() -> str:
 
         return version("repro")
     except PackageNotFoundError:  # pragma: no cover
-        return "1.20.0"
+        return "1.21.0"

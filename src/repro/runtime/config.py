@@ -24,7 +24,7 @@ class ClusterConfig:
             workstations on a system-area network.
         network: bandwidth / software-cost model (see
             :mod:`repro.net.presets` for the paper's sweep points).
-        protocol: ``"cotec"``, ``"otec"``, ``"lotec"``, or ``"rc"``.
+        protocol: ``"cotec"``, ``"otec"``, ``"lotec"``, ``"rc"`` or ``"hlotec"``.
         page_size: DSM page size in bytes.
         seed: master seed; all run randomness derives from it.
         gdo_cache_enabled: cache holder lists at the holding site

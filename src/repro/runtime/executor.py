@@ -583,10 +583,10 @@ class Executor:
         )
 
     def _finalize_prediction_accounting(self, root: Transaction) -> None:
-        for object_id, shipped in root.transfer_log.items():
+        for object_id in root.transfer_log.keys() | root.touch_pages.keys():
             stats = self.protocol.for_meta(self._meta_of(object_id)).prediction_stats
-            touched = root.touch_pages.get(object_id, set())
-            stats.over_predicted_pages += len(shipped - touched)
-        for object_id, pages in root.touch_pages.items():
-            stats = self.protocol.for_meta(self._meta_of(object_id)).prediction_stats
-            stats.touched_pages += len(pages)
+            touched = root.touch_pages.get(object_id, ())
+            stats.touched_pages += len(touched)
+            shipped = root.transfer_log.get(object_id)
+            if shipped:
+                stats.over_predicted_pages += len(shipped.difference(touched))

@@ -610,9 +610,10 @@ class LockManager:
         # One release message per distinct home node, dirty info
         # piggybacked (§4.1: "Dirty page information may be piggybacked
         # on each global lock release message").
+        entries = {oid: self.directory.entry(oid) for oid in object_ids}
         by_home: Dict[NodeId, List[ObjectId]] = defaultdict(list)
-        for object_id in object_ids:
-            by_home[self.directory.entry(object_id).home_node].append(object_id)
+        for object_id, entry in entries.items():
+            by_home[entry.home_node].append(object_id)
         sends = []
         for home, oids in sorted(by_home.items()):
             dirty_entries = sum(len(dirty.get(oid, ())) for oid in oids)
@@ -628,7 +629,7 @@ class LockManager:
         forwards = []
         for home, oids in sorted(by_home.items()):
             for object_id in oids:
-                new_home = self.directory.entry(object_id).home_node
+                new_home = entries[object_id].home_node
                 if new_home != home:
                     if self.migration is not None:
                         self.migration.note_forwarded()
@@ -646,8 +647,7 @@ class LockManager:
                     forwards.append(self.network.send(relay))
         if forwards:
             yield self.env.all_of(forwards)
-        for object_id in object_ids:
-            entry = self.directory.entry(object_id)
+        for object_id, entry in entries.items():
             entry.apply_commit(
                 node,
                 dirty.get(object_id, ()),

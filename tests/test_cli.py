@@ -140,7 +140,7 @@ class TestVersion:
             from importlib.metadata import version
             expected = version("repro")
         except Exception:
-            expected = "1.20.0"  # source-tree fallback
+            expected = "1.21.0"  # source-tree fallback
         assert repro.__version__ == expected
 
 
