@@ -24,12 +24,6 @@ BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
 BENCH_SEED = 11
 
 
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run a deterministic experiment exactly once under the timer."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1, warmup_rounds=0)
-
-
 @pytest.fixture
 def show():
     """Print an ExperimentResult table under ``-s``."""

@@ -9,14 +9,12 @@ can sometimes aggregate related small objects into larger objects."
 
 from repro.bench import run_experiment
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 
-def test_aggregation_cuts_lock_overhead(benchmark, show):
-    result = run_once(
-        benchmark, run_experiment, "abl-aggregate",
-        seed=BENCH_SEED, scale=BENCH_SCALE,
-    )
+def test_aggregation_cuts_lock_overhead(show):
+    result = run_experiment("abl-aggregate", seed=BENCH_SEED,
+                            scale=BENCH_SCALE)
     show(result)
     # Identical logical work...
     assert result.meta["fine_state_sum"] == result.meta["coarse_state_sum"]

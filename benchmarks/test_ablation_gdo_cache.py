@@ -7,14 +7,11 @@ traffic must rise and local operations drop to zero."""
 
 from repro.bench import run_experiment
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 
-def test_holder_list_caching_pays(benchmark, show):
-    result = run_once(
-        benchmark, run_experiment, "abl-gdocache",
-        seed=BENCH_SEED, scale=BENCH_SCALE,
-    )
+def test_holder_list_caching_pays(show):
+    result = run_experiment("abl-gdocache", seed=BENCH_SEED, scale=BENCH_SCALE)
     show(result)
     assert result.series["local_ops"]["uncached"] == 0
     assert result.series["local_ops"]["cached"] > 0

@@ -8,14 +8,11 @@ the bytes of page grain, with the same message count."""
 
 from repro.bench import run_experiment
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 
-def test_object_grain_beats_page_grain(benchmark, show):
-    result = run_once(
-        benchmark, run_experiment, "abl-dsd",
-        seed=BENCH_SEED, scale=BENCH_SCALE,
-    )
+def test_object_grain_beats_page_grain(show):
+    result = run_experiment("abl-dsd", seed=BENCH_SEED, scale=BENCH_SCALE)
     show(result)
     # The guarantee is per transfer: an object-grain data message never
     # carries more than its page-grain twin (raw object bytes <= whole

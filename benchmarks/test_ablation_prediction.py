@@ -7,14 +7,11 @@ saving toward zero (prediction ~ whole object = OTEC)."""
 
 from repro.bench import run_experiment
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 
-def test_saving_grows_as_access_narrows(benchmark, show):
-    result = run_once(
-        benchmark, run_experiment, "abl-predict",
-        seed=BENCH_SEED, scale=BENCH_SCALE,
-    )
+def test_saving_grows_as_access_narrows(show):
+    result = run_experiment("abl-predict", seed=BENCH_SEED, scale=BENCH_SCALE)
     show(result)
     savings = result.series["lotec_saving"]
     labels = list(savings)

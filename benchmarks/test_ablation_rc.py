@@ -8,13 +8,11 @@ data than the lazy protocols."""
 
 from repro.bench import run_experiment
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 
-def test_rc_vs_lazy_protocols(benchmark, show):
-    result = run_once(
-        benchmark, run_experiment, "abl-rc", seed=BENCH_SEED, scale=BENCH_SCALE,
-    )
+def test_rc_vs_lazy_protocols(show):
+    result = run_experiment("abl-rc", seed=BENCH_SEED, scale=BENCH_SCALE)
     show(result)
     data = result.series["data_bytes"]
     assert data["rc"] > data["lotec"]

@@ -13,13 +13,12 @@ invariant."""
 
 from repro.bench import run_experiment
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 
-def test_migration_cuts_directory_messages(benchmark, show):
-    result = run_once(
-        benchmark, run_experiment, "claims-locality", seed=BENCH_SEED, scale=BENCH_SCALE,
-    )
+def test_migration_cuts_directory_messages(show):
+    result = run_experiment("claims-locality", seed=BENCH_SEED,
+                            scale=BENCH_SCALE)
     show(result)
     remote = result.series["remote_directory_messages"]
     assert remote["adaptive"] < remote["static"]

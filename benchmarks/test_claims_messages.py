@@ -7,13 +7,11 @@ its mean message size the smallest."""
 
 from repro.bench import run_experiment
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 
-def test_message_count_vs_size(benchmark, show):
-    result = run_once(
-        benchmark, run_experiment, "msg-count", seed=BENCH_SEED, scale=BENCH_SCALE,
-    )
+def test_message_count_vs_size(show):
+    result = run_experiment("msg-count", seed=BENCH_SEED, scale=BENCH_SCALE)
     show(result)
     messages = result.series["messages"]
     mean_size = result.series["mean_message_bytes"]

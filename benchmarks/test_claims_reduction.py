@@ -16,13 +16,11 @@ up.  The LOTEC-vs-OTEC band holds at every measured scale."""
 
 from repro.bench import run_experiment
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 
-def test_reduction_claims(benchmark, show):
-    result = run_once(
-        benchmark, run_experiment, "tab-speedup", seed=BENCH_SEED, scale=BENCH_SCALE,
-    )
+def test_reduction_claims(show):
+    result = run_experiment("tab-speedup", seed=BENCH_SEED, scale=BENCH_SCALE)
     show(result)
     reductions = result.meta["reductions"]
     print()

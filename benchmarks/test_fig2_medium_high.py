@@ -7,14 +7,11 @@ every plotted object; the aggregate ordering is strict.
 
 from repro.bench import run_experiment
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 
-def test_fig2_medium_objects_high_contention(benchmark, show):
-    result = run_once(
-        benchmark, run_experiment, "fig2",
-        seed=BENCH_SEED, scale=BENCH_SCALE,
-    )
+def test_fig2_medium_objects_high_contention(show):
+    result = run_experiment("fig2", seed=BENCH_SEED, scale=BENCH_SCALE)
     show(result)
     totals = result.meta["total_data_bytes"]
     assert totals["cotec"] > totals["otec"] > totals["lotec"]

@@ -4,14 +4,11 @@ contention (the paper's heaviest scenario; note the y axis reaching
 
 from repro.bench import run_experiment
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 
-def test_fig5_large_objects_moderate_contention(benchmark, show):
-    result = run_once(
-        benchmark, run_experiment, "fig5",
-        seed=BENCH_SEED, scale=BENCH_SCALE,
-    )
+def test_fig5_large_objects_moderate_contention(show):
+    result = run_experiment("fig5", seed=BENCH_SEED, scale=BENCH_SCALE)
     show(result)
     totals = result.meta["total_data_bytes"]
     assert totals["cotec"] > totals["otec"] > totals["lotec"]

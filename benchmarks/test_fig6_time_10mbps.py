@@ -10,14 +10,11 @@ heavyweight messaging protocols."
 
 from repro.bench import run_experiment
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 
-def test_fig6_transfer_time_10mbps(benchmark, show):
-    result = run_once(
-        benchmark, run_experiment, "fig6",
-        seed=BENCH_SEED, scale=BENCH_SCALE,
-    )
+def test_fig6_transfer_time_10mbps(show):
+    result = run_experiment("fig6", seed=BENCH_SEED, scale=BENCH_SCALE)
     show(result)
     for cost in result.series["cotec"]:
         assert result.series["cotec"][cost] > result.series["otec"][cost]

@@ -8,14 +8,11 @@ protocols."
 
 from repro.bench import run_experiment
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 
-def test_fig7_transfer_time_100mbps(benchmark, show):
-    result = run_once(
-        benchmark, run_experiment, "fig7",
-        seed=BENCH_SEED, scale=BENCH_SCALE,
-    )
+def test_fig7_transfer_time_100mbps(show):
+    result = run_experiment("fig7", seed=BENCH_SEED, scale=BENCH_SCALE)
     show(result)
     for cost in result.series["cotec"]:
         assert result.series["lotec"][cost] < result.series["cotec"][cost]

@@ -9,14 +9,11 @@ message transmission protocols."
 
 from repro.bench import run_experiment
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 
-def test_fig8_transfer_time_1gbps(benchmark, show):
-    result = run_once(
-        benchmark, run_experiment, "fig8",
-        seed=BENCH_SEED, scale=BENCH_SCALE,
-    )
+def test_fig8_transfer_time_1gbps(show):
+    result = run_experiment("fig8", seed=BENCH_SEED, scale=BENCH_SCALE)
     show(result)
     lotec, otec = result.series["lotec"], result.series["otec"]
     # With cheap messaging LOTEC wins clearly...

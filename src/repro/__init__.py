@@ -80,13 +80,11 @@ __all__ = [
     "DeadlockError",
     "ETHERNET_10M",
     "ExperimentResult",
-    "ExperimentRunner",
     "FAULT_PRESETS",
     "FaultPlan",
     "FuzzTask",
     "LockTimeoutError",
     "NodeCrashError",
-    "ResultCache",
     "FAST_ETHERNET_100M",
     "GIGABIT_1G",
     "MetricsRegistry",
@@ -121,12 +119,9 @@ __all__ = [
 
 #: Names that load on first access, with the module that defines them:
 #: ``import repro`` loads the runtime and the judges, not the
-#: experiment harness (``multiprocessing``, the experiment table) or
-#: the TCP backend's socket machinery.
+#: experiment table or the TCP backend's socket machinery.
 _LAZY = {
     "ExperimentResult": "repro.bench",
-    "ExperimentRunner": "repro.bench",
-    "ResultCache": "repro.bench",
     "run_experiment": "repro.bench",
     "TcpTransport": "repro.net.tcp",
 }
@@ -152,4 +147,4 @@ def _installed_version() -> str:
 
         return version("repro")
     except PackageNotFoundError:  # pragma: no cover
-        return "1.21.0"
+        return "1.22.0"

@@ -3,20 +3,18 @@ and ablation.
 
 An experiment is declared, not hand-run.  Its entry in
 :data:`EXPERIMENTS` turns ``seed`` / ``scale`` / ``num_nodes`` and the
-experiment's own keyword options into an
-:class:`~repro.bench.parallel.ExperimentPlan`: the
-:class:`~repro.bench.parallel.RunSpec` list of cluster runs under
-comparison (identical load, only the knob under study differs) plus the
-fold of their measurements into the series the paper plots.  Most
-experiments share one shape — one run per variant, one series per named
-metric of :data:`METRICS` — and are declared through :func:`_compare`;
-the figures and sweeps with their own x axis fold themselves.
+experiment's own keyword options into an :class:`ExperimentPlan`: the
+:class:`RunSpec` list of cluster runs under comparison (identical load,
+only the knob under study differs) plus the fold of their measurements
+into the series the paper plots.  Most experiments share one shape —
+one run per variant, one series per named metric of :data:`METRICS` —
+and are declared through :func:`_compare`; the figures and sweeps with
+their own x axis fold themselves.
 
-There is one way to run any of them:
-:func:`~repro.bench.parallel.run_experiment` (or an
-:class:`~repro.bench.parallel.ExperimentRunner`, for a process pool and
-the on-disk result cache).  ``scale`` shrinks the root-transaction count
-so the same declaration serves unit tests, benches and full-size runs.
+There is one way to run any of them: :func:`run_experiment`, which
+executes the runs in process, in spec order.  ``scale`` shrinks the
+root-transaction count so the same declaration serves unit tests,
+benches and full-size runs.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.parallel import ExperimentPlan, RunSpec
 from repro.bench.report import format_bar_chart, format_series_table
 from repro.gdo.migration import MigrationConfig
 from repro.net.presets import FAST_ETHERNET_100M, SOFTWARE_COSTS, preset_network
@@ -111,6 +108,44 @@ class ExperimentResult:
             series=data["series"],
             meta=dict(data.get("meta", {})),
         )
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One deterministic cluster run, declared rather than executed.
+
+    Attributes:
+        key: label of this run within its experiment (protocol name,
+            sweep point, variant, ...).
+        config: the full cluster configuration for the run.
+        params: workload generator parameters; ``None`` when the run
+            uses a custom ``builder`` instead of a generated workload.
+        seed: workload-generation seed.
+        builder: name of the run's builder in :data:`BUILDERS`
+            (``"workload"`` = generate the workload from ``params`` and
+            run it).
+        builder_args: ``(name, value)`` pairs passed to the builder.
+    """
+
+    key: str
+    config: ClusterConfig
+    params: Optional[WorkloadParams] = None
+    seed: int = 11
+    builder: str = "workload"
+    builder_args: Tuple[Tuple[str, object], ...] = ()
+
+
+@dataclass
+class ExperimentPlan:
+    """An experiment as data: ordered runs plus the fold over them."""
+
+    specs: List[RunSpec]
+    collect: Callable[[List[Dict[str, object]]], object]
+
+    def run(self):
+        """Each run in spec order, in process, then the fold."""
+        return self.collect([BUILDERS[spec.builder](spec)
+                             for spec in self.specs])
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +262,8 @@ def _aggregation_run(spec: RunSpec) -> Dict[str, object]:
 
 
 def _load_run(spec: RunSpec) -> Dict[str, object]:
-    """One open-loop load execution (:mod:`repro.load`).  The load is
-    rebuilt inside the worker (generation is deterministic and cheap),
-    so the spec stays a small picklable value."""
+    """One open-loop load execution (:mod:`repro.load`), rebuilt from
+    the scenario name (generation is deterministic and cheap)."""
     from repro.load import build_load, run_load
 
     args = dict(spec.builder_args)
@@ -239,7 +273,7 @@ def _load_run(spec: RunSpec) -> Dict[str, object]:
     return run_record(cluster, run_load(cluster, load))
 
 
-#: How a :class:`~repro.bench.parallel.RunSpec` runs, by its ``builder``
+#: How a :class:`RunSpec` runs, by its ``builder``
 #: name: a function of the spec returning its
 #: :func:`~repro.runtime.record.run_record` (the measurement).
 BUILDERS: Dict[str, Callable[[RunSpec], Dict[str, object]]] = {
@@ -450,6 +484,8 @@ def _time_figure(seed, scale, num_nodes, bandwidth: str,
     def collect(measurements: List[Dict]) -> ExperimentResult:
         series: Dict[str, Dict[str, object]] = {p: {} for p in protocols}
         hot_series: Dict[str, Dict[str, float]] = {p: {} for p in protocols}
+        committed: Dict[str, Dict[str, int]] = {p: {} for p in protocols}
+        failed: Dict[str, Dict[str, int]] = {p: {} for p in protocols}
         # The hot object is picked once, from the first run, so every
         # sweep point traces the same object.
         hot_index = _select_objects(measurements[0], params.num_objects, 1)[0]
@@ -463,12 +499,15 @@ def _time_figure(seed, scale, num_nodes, bandwidth: str,
             hot_series[protocol][cost] = (
                 _object_field(m, hot_index, "time", 0.0) * 1e6
             )
+            committed[protocol][cost] = m["committed"]
+            failed[protocol][cost] = m["failed"]
         return ExperimentResult(
             experiment=f"total message time (us) @ {bandwidth}",
             x_label="software cost",
             series=series,
             meta={"bandwidth": bandwidth, "hot_object": hot_index,
-                  "hot_object_series": hot_series, "scenario": scenario},
+                  "hot_object_series": hot_series, "scenario": scenario,
+                  "committed": committed, "failed": failed},
         )
 
     return ExperimentPlan(specs, collect)
@@ -490,14 +529,15 @@ def _claims_reduction(seed, scale, num_nodes,
     ]
 
     def collect(measurements: List[Dict]) -> ExperimentResult:
-        data_bytes = {
-            spec.key: METRICS["data_bytes"](m)
-            for spec, m in zip(specs, measurements)
-        }
-        series: Dict[str, Dict[str, object]] = {
-            p: {s: data_bytes[f"{p}@{s}"] for s in scenarios}
-            for p in THREE_PROTOCOLS
-        }
+        by_key = {spec.key: m for spec, m in zip(specs, measurements)}
+
+        def per_scenario(metric: str) -> Dict[str, Dict[str, object]]:
+            return {
+                p: {s: METRICS[metric](by_key[f"{p}@{s}"]) for s in scenarios}
+                for p in THREE_PROTOCOLS
+            }
+
+        series = per_scenario("data_bytes")
         reductions = {
             s: {
                 "otec_vs_cotec": 1 - series["otec"][s] / series["cotec"][s],
@@ -509,7 +549,9 @@ def _claims_reduction(seed, scale, num_nodes,
             experiment="aggregate consistency bytes per scenario",
             x_label="scenario",
             series=series,
-            meta={"reductions": reductions},
+            meta={"reductions": reductions,
+                  "committed": per_scenario("committed"),
+                  "failed": per_scenario("failed")},
         )
 
     return ExperimentPlan(specs, collect)
@@ -825,3 +867,14 @@ def build_plan(experiment_id: str, *, seed: int = 11, scale: float = 1.0,
             f"choose from {sorted(EXPERIMENTS)}"
         ) from None
     return declare(seed, scale, num_nodes, **options)
+
+
+def run_experiment(experiment_id: str, **options):
+    """Run one experiment of :data:`EXPERIMENTS`; ``options`` reach
+    :func:`build_plan`.
+
+    >>> result = run_experiment("fig6", scale=0.5)
+    >>> result = run_experiment("fig7", software_costs=["100us", "500ns"])
+    >>> print(result.render())
+    """
+    return build_plan(experiment_id, **options).run()

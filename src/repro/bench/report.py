@@ -53,20 +53,12 @@ def format_series_table(title: str, x_label: str,
 
 def format_bench_summary(entries: Sequence[Dict[str, object]]) -> str:
     """Per-experiment summary table for ``repro bench``: one row per
-    experiment with its cluster-run count, cache hits, and the result
-    file written."""
+    experiment with its cluster-run count and the result file written."""
     rows = [
-        [
-            entry["experiment"],
-            entry["runs"],
-            entry["cache_hits"],
-            entry["path"],
-        ]
+        [entry["experiment"], entry["runs"], entry["path"]]
         for entry in entries
     ]
-    return format_table(
-        ["experiment", "runs", "cache hits", "result"], rows
-    )
+    return format_table(["experiment", "runs", "result"], rows)
 
 
 def format_bar_chart(title: str, series: Dict[str, Dict[str, object]],

@@ -6,11 +6,10 @@ Commands:
   :data:`repro.bench.EXPERIMENTS` (``fig2`` … ``fig8``, ``tab-speedup``,
   ``msg-count``, ``compare``, or an ablation id from DESIGN.md §3) and
   print it as a table, ASCII chart, or JSON (``--format``); ``--out``
-  writes the versioned JSON result, ``--jobs N`` fans the cluster runs
-  out over a process pool, and completed runs are memoized under
-  ``.repro-cache/`` (``--no-cache`` to skip).
-* ``bench [ids…]`` — many experiments at once (default: all) through
-  the same pool and cache, one ``BENCH_<id>.json`` each.
+  writes the versioned JSON result.  Every run executes in process, in
+  spec order.
+* ``bench [ids…]`` — many experiments one after another (default:
+  all), one ``BENCH_<id>.json`` each.
 * ``compare`` — ``experiment compare`` with ``--scenario``: one
   workload scenario under all four protocols.
 * ``run <scenario>`` — run one scenario once and print its summary, on
@@ -52,13 +51,12 @@ import sys
 from typing import Optional, Sequence
 
 from repro.bench import (
-    DEFAULT_CACHE_DIR,
     EXPERIMENTS,
     ExperimentResult,
-    ExperimentRunner,
-    ResultCache,
+    build_plan,
     format_bench_summary,
     format_table,
+    run_experiment,
 )
 from repro.check import ALL_PROTOCOLS, DEFAULT_POLICIES, judge, run_campaign
 from repro.faults import FAULT_PRESETS
@@ -137,22 +135,6 @@ def _add_artifact_arguments(parser: argparse.ArgumentParser,
         )
 
 
-def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the per-configuration runs "
-             "(default: 1, serial)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="always execute; do not read or write the result cache",
-    )
-    parser.add_argument(
-        "--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -168,7 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("id", choices=sorted(EXPERIMENTS))
     _add_run_arguments(exp, experiments=True)
     _add_output_arguments(exp)
-    _add_runner_arguments(exp)
 
     bench = sub.add_parser(
         "bench",
@@ -179,7 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="experiment ids to run (default: every experiment)",
     )
     _add_run_arguments(bench, experiments=True)
-    _add_runner_arguments(bench)
     bench.add_argument(
         "--out-dir", default=".", metavar="DIR",
         help="directory for the BENCH_<id>.json files (default: .)",
@@ -193,7 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             default="medium-high")
     _add_run_arguments(cmp_parser, default_scale=0.5, experiments=True)
     _add_output_arguments(cmp_parser)
-    _add_runner_arguments(cmp_parser)
     cmp_parser.set_defaults(id="compare")
 
     run = sub.add_parser(
@@ -293,11 +272,6 @@ def _render(result: ExperimentResult, output_format: str) -> str:
     return result.render()
 
 
-def _make_runner(args) -> ExperimentRunner:
-    cache = None if args.no_cache else ResultCache(root=args.cache_dir)
-    return ExperimentRunner(jobs=args.jobs, cache=cache)
-
-
 def _write_json(payload, path: str) -> None:
     parent = os.path.dirname(path)
     if parent:
@@ -357,7 +331,7 @@ def _finish(args, cluster: Cluster, payload, stem: str) -> int:
 def _cmd_experiment(args) -> int:
     # `compare` is `experiment compare` with the scenario as a flag.
     options = {"scenario": args.scenario} if args.command == "compare" else {}
-    result = _make_runner(args).run(
+    result = run_experiment(
         args.id, seed=args.seed, scale=args.scale, num_nodes=args.nodes,
         **options,
     )
@@ -381,28 +355,17 @@ def _cmd_bench(args) -> int:
         print(f"error: --out-dir {args.out_dir!r} exists and is not a "
               f"directory", file=sys.stderr)
         return 2
-    runner = _make_runner(args)
-    results = runner.run_many(ids, seed=args.seed, scale=args.scale,
-                              num_nodes=args.nodes)
     entries = []
-    cache = runner.cache
-    for eid, result in results.items():
+    for eid in ids:
+        plan = build_plan(eid, seed=args.seed, scale=args.scale,
+                          num_nodes=args.nodes)
         path = os.path.join(args.out_dir, f"BENCH_{eid}.json")
-        _write_json(result.to_json(), path)
-        entries.append({
-            "experiment": eid,
-            "runs": runner.last_plan_sizes.get(eid, 0),
-            "cache_hits": runner.last_plan_hits.get(eid, 0),
-            "path": path,
-        })
+        _write_json(plan.run().to_json(), path)
+        entries.append({"experiment": eid, "runs": len(plan.specs),
+                        "path": path})
     print(format_bench_summary(entries))
-    stats = runner.last_stats
-    cache_note = (
-        "cache disabled" if cache is None
-        else f"{stats.cache_hits} from cache ({cache.root})"
-    )
-    print(f"\n{stats.runs} cluster runs: {stats.executed} executed "
-          f"(jobs={args.jobs}), {cache_note}")
+    total = sum(entry["runs"] for entry in entries)
+    print(f"\n{total} cluster runs")
     return 0
 
 

@@ -6,7 +6,7 @@ with ``shard=<node>``.  This module turns a JSON-ready
 :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` into the
 p50/p99/p999 latency and queue-depth series the bench report and the
 ``repro load`` CLI print — working from the *snapshot* (not the live
-registry) so cached and worker-shipped bench envelopes can be rendered
+registry) so a run record or a written bench envelope can be rendered
 without re-running anything.
 """
 

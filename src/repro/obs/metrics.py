@@ -119,23 +119,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's observations into this one; both
-        must share the same bucket bounds."""
-        if self.buckets != other.buckets:
-            raise ValueError(
-                f"cannot merge histograms with different buckets: "
-                f"{self.buckets} vs {other.buckets}"
-            )
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        self.counts = [
-            mine + theirs
-            for mine, theirs in zip(self.counts, other.counts)
-        ]
-
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile estimate (``q`` in ``[0, 1]``).
 
@@ -229,29 +212,6 @@ class MetricsRegistry:
                 if key == label:
                     series[value] = series.get(value, 0) + counter.value
         return series
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's instruments into this one.
-
-        Registries are plain-data accumulators, so they survive
-        pickling intact; the parallel bench runner uses this to
-        aggregate per-run registries shipped back from worker
-        processes.  Counters and histograms add; gauges sum their
-        levels and keep the larger high-water mark.
-        """
-        for key, counter in other._counters.items():
-            self._counters.setdefault(key, Counter()).inc(counter.value)
-        for key, gauge in other._gauges.items():
-            mine = self._gauges.setdefault(key, Gauge())
-            mine.value += gauge.value
-            mine.high_water = max(mine.high_water, gauge.high_water)
-        for key, histogram in other._histograms.items():
-            mine = self._histograms.get(key)
-            if mine is None:
-                mine = self._histograms[key] = Histogram(
-                    buckets=histogram.buckets
-                )
-            mine.merge(histogram)
 
     def snapshot(self) -> Dict[str, object]:
         """Plain-dict dump of every instrument, JSON-ready."""

@@ -50,7 +50,7 @@ def run_record(cluster, run=None) -> Dict[str, object]:
         },
     }
     if cluster.tracer.enabled:
-        # The registry rides inside the record, so a pool worker's
-        # metrics survive the trip back to the parent.
+        # The registry rides inside the record, so the experiment
+        # folds and the bench envelopes can read it without the cluster.
         record["metrics"] = cluster.metrics.snapshot()
     return record

@@ -1,14 +1,23 @@
-"""Fast tests of the experiment table and the ASCII reporting."""
+"""Fast tests of the experiment table, its JSON envelope and the ASCII
+reporting."""
+
+import json
 
 import pytest
 
 from repro.bench import (
     EXPERIMENTS,
+    RESULT_SCHEMA_VERSION,
+    ExperimentResult,
+    RunSpec,
     build_plan,
     format_series_table,
     format_table,
     run_experiment,
 )
+from repro.bench.experiments import BUILDERS
+from repro.runtime.config import ClusterConfig
+from repro.workload.params import SCENARIOS
 
 TINY = dict(seed=3, scale=0.08, num_nodes=3)
 
@@ -80,6 +89,18 @@ class TestTimeFigureDriver:
         for series in result.series.values():
             assert series["100us"] >= series["500ns"]
 
+    def test_meta_counts_every_root(self):
+        result = run_experiment(
+            "fig6", software_costs=["100us", "500ns"], **TINY
+        )
+        roots = SCENARIOS["large-high"].scaled(TINY["scale"]).num_roots
+        committed, failed = result.meta["committed"], result.meta["failed"]
+        assert set(committed) == set(failed) == {"cotec", "otec", "lotec"}
+        for protocol, by_cost in committed.items():
+            assert list(by_cost) == ["100us", "500ns"]
+            for cost, count in by_cost.items():
+                assert count + failed[protocol][cost] == roots
+
     def test_unknown_bandwidth_rejected(self):
         with pytest.raises(KeyError, match="bandwidth"):
             run_experiment("fig6", bandwidth="9Mbps", **TINY)
@@ -102,14 +123,6 @@ class TestExperimentTable:
         with pytest.raises(KeyError, match="unknown experiment"):
             build_plan("fig99")
 
-    def test_same_run_in_two_experiments_has_one_payload(self):
-        # A run is identified by what it runs, not by which experiment
-        # declared it, so the cache serves it to both.
-        fig2 = {s.key: s for s in build_plan("fig2", **TINY).specs}
-        gdo = {s.key: s for s in build_plan("abl-gdocache", **TINY).specs}
-        assert fig2["lotec"].payload() == gdo["cached"].payload()
-        assert fig2["otec"].payload() != gdo["cached"].payload()
-
     def test_locality_topology_defaults_to_one_node_per_client(self):
         from repro.load import LOAD_SCENARIOS
 
@@ -118,6 +131,19 @@ class TestExperimentTable:
             plan = build_plan("claims-locality", scenario="zipf-smoke",
                               seed=3, scale=0.1, num_nodes=num_nodes)
             assert {s.config.num_nodes for s in plan.specs} == {expected}
+
+
+class TestReductionTable:
+    def test_meta_counts_every_root(self):
+        scenarios = ["medium-high", "large-moderate"]
+        result = run_experiment("tab-speedup", scenarios=scenarios, **TINY)
+        committed, failed = result.meta["committed"], result.meta["failed"]
+        for protocol in ("cotec", "otec", "lotec"):
+            assert list(committed[protocol]) == scenarios
+            for scenario in scenarios:
+                roots = SCENARIOS[scenario].scaled(TINY["scale"]).num_roots
+                assert (committed[protocol][scenario]
+                        + failed[protocol][scenario]) == roots
 
 
 class TestAblationDrivers:
@@ -167,3 +193,38 @@ class TestBarChart:
         result = run_experiment("fig2", objects_shown=3, **TINY)
         chart = result.render_chart(width=20)
         assert "cotec" in chart and "#" in chart
+
+
+class TestRunSpec:
+    def test_spec_without_params_or_builder_rejected(self):
+        spec = RunSpec(key="k", config=ClusterConfig(num_nodes=3, seed=3))
+        with pytest.raises(ValueError, match="neither"):
+            BUILDERS[spec.builder](spec)
+
+
+class TestResultJson:
+    def test_round_trip(self):
+        result = run_experiment("msg-count", **TINY)
+        data = result.to_json()
+        assert data["schema"] == RESULT_SCHEMA_VERSION
+        restored = ExperimentResult.from_json(json.loads(json.dumps(data)))
+        assert restored.experiment == result.experiment
+        assert restored.x_label == result.x_label
+        assert restored.series == result.series
+        assert restored.meta == result.meta
+
+    def test_unsupported_schema_rejected(self):
+        with pytest.raises(ValueError, match="schema"):
+            ExperimentResult.from_json({
+                "schema": 999, "experiment": "e", "x_label": "x",
+                "series": {},
+            })
+
+    def test_non_json_meta_dropped(self):
+        result = ExperimentResult(
+            experiment="e", x_label="x", series={"s": {"a": 1}},
+            meta={"fine": 1, "bad": object()},
+        )
+        data = result.to_json()
+        assert data["meta"] == {"fine": 1}
+        json.dumps(data)  # the whole envelope must serialize

@@ -23,7 +23,7 @@ class TestList:
 
 class TestExperiment:
     def test_runs_and_prints_table(self, capsys):
-        code = main(["experiment", "abl-gdocache", "--no-cache",
+        code = main(["experiment", "abl-gdocache",
                      "--scale", "0.1", "--seed", "2", "--nodes", "3"])
         assert code == 0
         out = capsys.readouterr().out
@@ -31,7 +31,7 @@ class TestExperiment:
 
     def test_out_writes_versioned_json(self, tmp_path, capsys):
         target = tmp_path / "result.json"
-        code = main(["experiment", "msg-count", "--no-cache",
+        code = main(["experiment", "msg-count",
                      "--scale", "0.1", "--seed", "2",
                      "--out", str(target)])
         assert code == 0
@@ -44,20 +44,34 @@ class TestExperiment:
         # --json PATH was a deprecated alias for --out PATH; it was
         # removed in 1.2.0 and must now be an argparse error.
         with pytest.raises(SystemExit) as excinfo:
-            main(["experiment", "msg-count", "--no-cache",
+            main(["experiment", "msg-count",
                   "--scale", "0.1", "--seed", "2",
                   "--json", str(tmp_path / "result.json")])
         assert excinfo.value.code == 2
 
-    def test_cache_round_trip(self, tmp_path, capsys):
-        argv = ["experiment", "abl-gdocache", "--scale", "0.1",
-                "--seed", "2", "--nodes", "3",
-                "--cache-dir", str(tmp_path / "cache")]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert (tmp_path / "cache").is_dir()
-        assert main(argv) == 0          # second run served from cache
-        assert capsys.readouterr().out == first
+    def test_rerun_reflects_a_source_change(self, tmp_path, monkeypatch,
+                                            capsys):
+        # Nothing is memoized between runs: a second run after a change
+        # to the protocol code must report the changed protocol.
+        from repro.core.cotec import COTEC
+
+        monkeypatch.chdir(tmp_path)
+        argv = ["experiment", "fig2", "--scale", "0.08", "--nodes", "3",
+                "--format", "json"]
+
+        def cotec_series():
+            assert main(argv) == 0
+            data = json.loads(capsys.readouterr().out)
+            return data["series"]["cotec"], data["meta"]["total_data_bytes"]
+
+        before = cotec_series()
+        monkeypatch.setattr(
+            COTEC, "select_pages",
+            lambda self, meta, page_map, local_versions, prediction:
+                self.stale_pages(page_map, local_versions),
+        )
+        assert cotec_series() != before
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
@@ -76,7 +90,7 @@ class TestCompare:
     """`repro compare` is the `compare` experiment with --scenario."""
 
     def test_compare_prints_all_protocols(self, capsys):
-        code = main(["compare", "--scenario", "medium-high", "--no-cache",
+        code = main(["compare", "--scenario", "medium-high",
                      "--scale", "0.08", "--seed", "2", "--nodes", "3"])
         assert code == 0
         out = capsys.readouterr().out
@@ -93,7 +107,7 @@ class TestCompare:
         # (which rounded the latency to whole microseconds); as an
         # experiment it must report that loop's numbers.
         target = tmp_path / "compare.json"
-        assert main(["compare", "--scenario", "medium-high", "--no-cache",
+        assert main(["compare", "--scenario", "medium-high",
                      "--scale", "0.08", "--seed", "2", "--nodes", "3",
                      "--out", str(target)]) == 0
         series = json.loads(target.read_text())["series"]
@@ -140,13 +154,13 @@ class TestVersion:
             from importlib.metadata import version
             expected = version("repro")
         except Exception:
-            expected = "1.21.0"  # source-tree fallback
+            expected = "1.22.0"  # source-tree fallback
         assert repro.__version__ == expected
 
 
 class TestImportCost:
-    """``import repro`` loads the runtime only: the experiment harness,
-    its process pool and the package metadata load on first use."""
+    """``import repro`` loads the runtime only: the experiment harness
+    and the package metadata load on first use."""
 
     def test_import_stays_light(self):
         import os
@@ -179,13 +193,11 @@ class TestImportCost:
 
     def test_lazy_names_resolve(self):
         import repro
-        from repro import ExperimentResult, ResultCache, run_experiment
-        from repro.bench import parallel
+        from repro import ExperimentResult, run_experiment
+        from repro.bench import experiments
 
-        assert run_experiment is parallel.run_experiment
-        assert repro.ExperimentRunner is parallel.ExperimentRunner
-        assert ExperimentResult.__name__ == "ExperimentResult"
-        assert ResultCache.__name__ == "ResultCache"
+        assert run_experiment is experiments.run_experiment
+        assert ExperimentResult is experiments.ExperimentResult
         for name in repro.__all__:
             getattr(repro, name)
         with pytest.raises(AttributeError):
@@ -249,7 +261,7 @@ class TestTrace:
 
 class TestOutputFormats:
     def test_format_chart(self, capsys):
-        code = main(["experiment", "abl-gdocache", "--no-cache",
+        code = main(["experiment", "abl-gdocache",
                      "--scale", "0.08", "--seed", "2", "--nodes", "3",
                      "--format", "chart"])
         assert code == 0
@@ -257,7 +269,7 @@ class TestOutputFormats:
         assert "|" in out and "#" in out
 
     def test_format_json_on_stdout(self, capsys):
-        code = main(["experiment", "abl-gdocache", "--no-cache",
+        code = main(["experiment", "abl-gdocache",
                      "--scale", "0.08", "--seed", "2", "--nodes", "3",
                      "--format", "json"])
         assert code == 0
@@ -269,14 +281,14 @@ class TestOutputFormats:
         # --chart was a deprecated alias for --format chart; removed
         # in 1.2.0.
         with pytest.raises(SystemExit) as excinfo:
-            main(["experiment", "abl-gdocache", "--no-cache",
+            main(["experiment", "abl-gdocache",
                   "--scale", "0.08", "--seed", "2", "--nodes", "3",
                   "--chart"])
         assert excinfo.value.code == 2
 
     def test_compare_writes_json(self, tmp_path, capsys):
         target = tmp_path / "compare.json"
-        code = main(["compare", "--scenario", "medium-high", "--no-cache",
+        code = main(["compare", "--scenario", "medium-high",
                      "--scale", "0.08", "--seed", "2", "--nodes", "3",
                      "--out", str(target)])
         assert code == 0
@@ -293,28 +305,17 @@ class TestBench:
         out_dir = tmp_path / "bench"
         code = main(["bench", "abl-gdocache", "abl-dsd",
                      "--scale", "0.08", "--seed", "2", "--nodes", "3",
-                     "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
                      "--out-dir", str(out_dir)])
         assert code == 0
         out = capsys.readouterr().out
         assert "abl-gdocache" in out and "abl-dsd" in out
-        assert "4 cluster runs: 4 executed (jobs=2)" in out
+        assert "4 cluster runs" in out
         for eid in ("abl-gdocache", "abl-dsd"):
             data = json.loads((out_dir / f"BENCH_{eid}.json").read_text())
             assert data["schema"] == 1
 
-    def test_bench_second_run_is_all_cache_hits(self, tmp_path, capsys):
-        argv = ["bench", "abl-gdocache",
-                "--scale", "0.08", "--seed", "2", "--nodes", "3",
-                "--cache-dir", str(tmp_path / "cache"),
-                "--out-dir", str(tmp_path / "bench")]
-        assert main(argv) == 0
-        capsys.readouterr()
-        assert main(argv) == 0
-        assert "0 executed" in capsys.readouterr().out
-
     def test_bench_unknown_id_rejected(self, tmp_path, capsys):
-        code = main(["bench", "fig99", "--no-cache",
+        code = main(["bench", "fig99",
                      "--out-dir", str(tmp_path)])
         assert code == 2
         assert "fig99" in capsys.readouterr().err

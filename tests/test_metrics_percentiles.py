@@ -1,5 +1,5 @@
 """Histogram percentile estimates on the cases where naive bucket
-walks lie: empty, single-sample, merged, and tail quantiles with too
+walks lie: empty, single-sample, and tail quantiles with too
 few samples to fill the rank."""
 
 import pytest
@@ -58,28 +58,6 @@ class TestSmallCounts:
         histogram.observe(7200.0)  # past every bound: overflow bucket
         assert histogram.counts[-1] == 1
         assert histogram.percentile(0.999) == pytest.approx(7200.0)
-
-
-class TestMerged:
-    def test_merge_then_percentile_matches_union(self):
-        left, right, union = Histogram(), Histogram(), Histogram()
-        left_values = [1e-6, 2e-4, 3e-3]
-        right_values = [4e-3, 0.5, 12.0, 80.0]
-        for value in left_values:
-            left.observe(value)
-            union.observe(value)
-        for value in right_values:
-            right.observe(value)
-            union.observe(value)
-        left.merge(right)
-        for q in (0.5, 0.9, 0.99, 0.999):
-            assert left.percentile(q) == union.percentile(q)
-        assert left.count == union.count
-        assert left.min == union.min and left.max == union.max
-
-    def test_merge_requires_matching_buckets(self):
-        with pytest.raises(ValueError):
-            Histogram().merge(Histogram(buckets=(1.0, 2.0)))
 
 
 class TestSharedKernel:

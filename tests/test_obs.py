@@ -121,31 +121,6 @@ class TestMetricsRegistry:
         assert snap["gauges"]["g"]["total"]["high_water"] == 2
         assert snap["histograms"]["h"]["total"]["count"] == 1
 
-    def test_merge_folds_every_instrument_kind(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.counter("c", kind="root").inc(3)
-        right.counter("c", kind="root").inc(4)
-        right.counter("only-right").inc(1)
-        left.gauge("g").set(5)
-        right.gauge("g").set(2)
-        left.histogram("h").observe(0.5)
-        right.histogram("h").observe(2.0)
-        left.merge(right)
-        assert left.counter("c", kind="root").value == 7
-        assert left.counter("only-right").value == 1
-        assert left.gauge("g").value == 7
-        assert left.gauge("g").high_water == 5
-        merged = left.histogram("h")
-        assert merged.count == 2
-        assert merged.min == 0.5 and merged.max == 2.0
-
-    def test_merge_rejects_mismatched_buckets(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.histogram("h", buckets=(1.0,)).observe(0.5)
-        right.histogram("h", buckets=(2.0,)).observe(0.5)
-        with pytest.raises(ValueError, match="buckets"):
-            left.merge(right)
-
     def test_registry_survives_pickling(self):
         import pickle
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.bench import experiments
-from repro.bench.parallel import RunSpec
+from repro.bench.experiments import RunSpec
 from repro.cli import main
 from repro.load import build_load
 from repro.runtime import Cluster, ClusterConfig, run_record

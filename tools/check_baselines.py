@@ -92,10 +92,11 @@ def save_envelope(gate: str, envelope: dict) -> None:
 
 def _measure(experiment_id: str, **options):
     """``(spec, run record)`` for each run of one experiment."""
-    from repro.bench import ExperimentRunner, build_plan
+    from repro.bench import build_plan
+    from repro.bench.experiments import BUILDERS
 
-    specs = build_plan(experiment_id, **options).specs
-    return zip(specs, ExperimentRunner().execute(specs))
+    for spec in build_plan(experiment_id, **options).specs:
+        yield spec, BUILDERS[spec.builder](spec)
 
 
 def measure_messages(scenario: str, seed: int, num_nodes: int, scale: float):
