@@ -17,7 +17,7 @@ from repro.analysis.ast_analysis import ALL_ATTRIBUTES, AccessSets
 from repro.memory.layout import ObjectLayout
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AccessPrediction:
     """Predicted page footprint of one method on one layout.
 
@@ -29,8 +29,14 @@ class AccessPrediction:
     read_pages: FrozenSet[int]
     write_pages: FrozenSet[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pages", self.read_pages | self.write_pages)
+    def __init__(self, read_pages: FrozenSet[int],
+                 write_pages: FrozenSet[int]):
+        # Frozen: the slots are written once, here, past the refusing
+        # ``__setattr__`` (once per layout and access-set pair).
+        setattr_ = object.__setattr__
+        setattr_(self, "read_pages", read_pages)
+        setattr_(self, "write_pages", write_pages)
+        setattr_(self, "pages", read_pages | write_pages)
 
     @property
     def is_update(self) -> bool:

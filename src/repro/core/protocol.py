@@ -30,12 +30,17 @@ from repro.util.errors import ProtocolError
 from repro.util.ids import NodeId
 
 
-@dataclass
+@dataclass(init=False)
 class TransferOutcome:
     """What one acquisition transfer actually moved."""
 
     wanted: FrozenSet[int] = frozenset()
     shipped: FrozenSet[int] = frozenset()
+
+    def __init__(self, wanted: FrozenSet[int] = frozenset(),
+                 shipped: FrozenSet[int] = frozenset()):
+        self.wanted = wanted
+        self.shipped = shipped
 
 
 class ConsistencyProtocol:

@@ -35,7 +35,7 @@ Design constraints that keep the protocol simple and provably safe:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.util.ids import NodeId, ObjectId
@@ -92,13 +92,20 @@ class MigrationStats:
         }
 
 
-@dataclass
+@dataclass(init=False)
 class _AccessCounts:
     """One entry's decayed per-node access tallies."""
 
-    counts: Dict[NodeId, float] = field(default_factory=dict)
-    last_update: float = 0.0
-    last_migration: float = float("-inf")
+    counts: Dict[NodeId, float]
+    last_update: float
+    last_migration: float
+
+    def __init__(self, counts: Optional[Dict[NodeId, float]] = None,
+                 last_update: float = 0.0,
+                 last_migration: float = float("-inf")):
+        self.counts = {} if counts is None else counts
+        self.last_update = last_update
+        self.last_migration = last_migration
 
     def decay_to(self, now: float, half_life_s: float) -> None:
         elapsed = now - self.last_update

@@ -1,7 +1,8 @@
 """The simulation transport: point-to-point switched network over the
 virtual clock — the default :class:`~repro.net.transport.Transport`.
 Fault draws, accounting, tracing and retransmission are the shared
-pipeline of the base class; this backend is only the wire primitive."""
+pipeline of the base class; this backend is only the wire primitive,
+which the base class's one-frame FIFO send inlines."""
 
 from __future__ import annotations
 
@@ -23,6 +24,8 @@ class SimTransport(Transport):
     that much later; per-link queueing is deliberately omitted, exactly
     as in the paper's cost model.
     """
+
+    lands_on_clock = True
 
     def _put_on_wire(self, message, done, transfer_time, faults) -> None:
         """Land the frame one ``transfer_time`` from now.  A ``charge``

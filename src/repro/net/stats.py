@@ -17,7 +17,7 @@ from repro.net.message import Message, MessageCategory
 from repro.util.ids import NodeId, ObjectId
 
 
-@dataclass
+@dataclass(init=False)
 class ObjectTraffic:
     """Per-object consistency-maintenance traffic totals."""
 
@@ -27,8 +27,16 @@ class ObjectTraffic:
     data_bytes: int = 0  # bytes in PAGE_DATA / UPDATE_PUSH messages only
     data_messages: int = 0
 
+    def __init__(self, bytes: int = 0, messages: int = 0, time: float = 0.0,
+                 data_bytes: int = 0, data_messages: int = 0):
+        self.bytes = bytes
+        self.messages = messages
+        self.time = time
+        self.data_bytes = data_bytes
+        self.data_messages = data_messages
 
-@dataclass
+
+@dataclass(init=False)
 class NodeTraffic:
     """Per-node send/receive totals (load-balance diagnostics)."""
 
@@ -37,13 +45,24 @@ class NodeTraffic:
     received_bytes: int = 0
     received_messages: int = 0
 
+    def __init__(self, sent_bytes: int = 0, sent_messages: int = 0,
+                 received_bytes: int = 0, received_messages: int = 0):
+        self.sent_bytes = sent_bytes
+        self.sent_messages = sent_messages
+        self.received_bytes = received_bytes
+        self.received_messages = received_messages
 
-@dataclass
+
+@dataclass(init=False)
 class CategoryTraffic:
     """Per-category totals (the message-count claims and ablations)."""
 
     bytes: int = 0
     messages: int = 0
+
+    def __init__(self, bytes: int = 0, messages: int = 0):
+        self.bytes = bytes
+        self.messages = messages
 
 
 #: ``_value_`` of the categories that carry object data (see
@@ -80,8 +99,16 @@ class NetworkStats:
     objects: Dict[ObjectId, ObjectTraffic] = field(default_factory=dict)
     nodes: Dict[NodeId, NodeTraffic] = field(default_factory=dict)
 
-    def record(self, message: Message, transfer_time: float) -> None:
-        """Account one wire copy (attempt or duplicate) of a message."""
+    def record(self, message: Message, transfer_time: float,
+               delivered: bool = False) -> None:
+        """Account one wire copy (attempt or duplicate) of a message.
+
+        ``delivered`` marks the attempt that gets through: it also books
+        the message's wire-attempt count (1 = the first attempt got
+        through; more means retransmissions)."""
+        if delivered:
+            self.total_attempts += message.attempts
+            self.by_attempts[message.attempts] += 1
         size_bytes = message.size_bytes
         self.total_bytes += size_bytes
         self.total_messages += 1
@@ -121,12 +148,6 @@ class NetworkStats:
             receiver = nodes[message.dst] = NodeTraffic()
         receiver.received_bytes += size_bytes
         receiver.received_messages += 1
-
-    def record_attempts(self, message: Message) -> None:
-        """Account one *delivered* message's wire-attempt count (1 =
-        first attempt got through; >1 means retransmissions)."""
-        self.total_attempts += message.attempts
-        self.by_attempts[message.attempts] += 1
 
     # -- derived views used by the benches --------------------------------
 

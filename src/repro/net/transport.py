@@ -8,10 +8,13 @@ estimate :meth:`Transport.round_trip`.
 
 :class:`Transport` owns the whole protocol-visible half of a message's
 life, written once: the delivery event and its tie-break hints, the
-local fast path, wire-id tagging, the per-attempt step
+local fast path and its in-place landing (:meth:`Transport.lands_inline`),
+wire-id tagging, the per-attempt step
 (:meth:`Transport._attempt`: fault draw, pricing, accounting, trace),
 the drop-and-retransmit re-arm behind ``send`` and the frozen-clock
-replay loop behind ``charge``.  A backend implements one hook,
+replay loop behind ``charge``.  With nothing to draw or trace, a FIFO
+send on the virtual clock is the one attempt, priced, booked and
+landed in ``send`` itself.  A backend implements one hook,
 :meth:`Transport._put_on_wire` — "put this surviving attempt on the
 wire, fire ``done`` when it lands": a ``transfer_time`` timeout on the
 virtual clock (:class:`~repro.net.network.SimTransport`, the default,
@@ -26,6 +29,7 @@ same :class:`NetworkStats` and ``FaultStats`` by construction.
 from __future__ import annotations
 
 import abc
+from heapq import heappush
 from typing import Iterable, Optional, Tuple
 
 from repro.faults.injector import NO_FAULTS, NULL_INJECTOR, MessageFaults
@@ -34,7 +38,7 @@ from repro.net.network_config import NetworkConfig
 from repro.net.stats import NetworkStats
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import Event
-from repro.sim.events import _PENDING
+from repro.sim.events import _PENDING, run_callbacks
 from repro.util.ids import NodeId
 
 #: Clock domains a transport can stamp deliveries with.  ``"virtual"``
@@ -81,8 +85,10 @@ class Delivery(Event):
             self._ok = True
             self.env._events_processed += 1
         callbacks, self.callbacks = self.callbacks, None
-        for callback in callbacks:
-            callback(self)
+        if len(callbacks) == 1:
+            callbacks[0](self)
+        elif callbacks:
+            run_callbacks(self, callbacks)
 
 
 class Transport(abc.ABC):
@@ -104,6 +110,12 @@ class Transport(abc.ABC):
     #: Which clock deliveries are stamped with (see module constants).
     clock = VIRTUAL_CLOCK
 
+    #: True for a backend whose wire is a timed landing on the virtual
+    #: clock (:class:`~repro.net.network.SimTransport`): with no
+    #: injector and no tracer, its FIFO sends take :meth:`send`'s
+    #: one-frame path.
+    lands_on_clock = False
+
     def __init__(self, env, config: NetworkConfig, tracer=None,
                  injector=None):
         self.env = env
@@ -112,6 +124,10 @@ class Transport(abc.ABC):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.injector = injector if injector is not None else NULL_INJECTOR
         self._next_wire_id = 0
+        # Nothing to draw and nothing to trace per attempt: a FIFO send
+        # is priced, booked and landed in ``send`` itself.
+        self._lean = (self.lands_on_clock and not self.injector.enabled
+                      and not self.tracer.enabled)
 
     # -- wire operations ---------------------------------------------------
 
@@ -126,11 +142,31 @@ class Transport(abc.ABC):
         so one wire message is exactly one fault unit, with one verdict
         stream across its attempts.
         """
-        done = Delivery(self.env, message)
-        message.send_time = now = self.env.now
+        env = self.env
+        done = Delivery(env, message)
+        message.send_time = now = env.now
         if message.src == message.dst:
             message.deliver_time = now
             done.succeed(message)
+            return done
+        if self._lean and env._tiebreak is None:
+            # ``_attempt`` and ``SimTransport._put_on_wire`` for the one
+            # attempt there is: no fault draw, no trace, no policy rank.
+            if message.wire_id is None:
+                message.wire_id = self._next_wire_id
+                self._next_wire_id += 1
+            message.attempts = 1
+            config = self.config
+            # ``NetworkConfig.transfer_time``, term for term: the
+            # per-object message times of Figures 6-8 are pinned bit
+            # for bit.
+            transfer_time = (config.software_cost_s
+                             + (message.size_bytes * 8.0)
+                             / config.bandwidth_bps
+                             + config.propagation_s)
+            self.stats.record(message, transfer_time, True)
+            message.deliver_time = when = now + transfer_time
+            heappush(env._queue, (when, next(env._sequence), done))
             return done
         self._require_started()
         if message.wire_id is None:
@@ -138,6 +174,31 @@ class Transport(abc.ABC):
             self._next_wire_id += 1
         self._attempt(message, done, 0)
         return done
+
+    def lands_inline(self, src: NodeId, dst: NodeId, events: int = 1) -> bool:
+        """Land a local call from ``src`` to ``dst`` in place, if it can.
+
+        For a caller that would :meth:`send` a local message and yield
+        its delivery at once.  When the engine is FIFO, runs the last
+        action of the entry it popped (``env._at_tail``) and has no
+        other entry due at ``now``, that delivery would be the very
+        next entry popped — so the caller goes on in place, with no
+        message, delivery or heap entry, and the pop order is the one
+        the heap would have produced.  The landing still counts
+        ``events`` processed events (the delivery, plus an ``all_of``
+        it stands in for).  Returns ``False`` in every other case: the
+        caller sends and yields as usual.
+        """
+        if src != dst:
+            return False
+        env = self.env
+        if not env._at_tail:
+            return False
+        queue = env._queue
+        if queue and queue[0][0] <= env.now:
+            return False
+        env._events_processed += events
+        return True
 
     def charge(self, message: Message) -> float:
         """Account a message without creating a delivery event.
@@ -199,7 +260,7 @@ class Transport(abc.ABC):
                   if injector.enabled else NO_FAULTS)
         transfer_time = (self.config.transfer_time(message.size_bytes)
                          + faults.extra_delay_s)
-        self.stats.record(message, transfer_time)
+        self.stats.record(message, transfer_time, not faults.dropped)
         tracing = self.tracer.enabled
         if tracing:
             self.tracer.message(message, transfer_time)
@@ -224,7 +285,6 @@ class Transport(abc.ABC):
                 self.env.call_later(retry_after, self._attempt, message,
                                     done, attempt + 1)
             return transfer_time, retry_after
-        self.stats.record_attempts(message)
         self._put_on_wire(message, done, transfer_time, faults)
         return transfer_time, None
 

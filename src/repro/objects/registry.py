@@ -11,7 +11,7 @@ from repro.util.errors import ConfigurationError
 from repro.util.ids import NodeId, ObjectId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ObjectMeta:
     """Immutable identity of one shared object.
 
@@ -25,17 +25,33 @@ class ObjectMeta:
     home_node: NodeId
     creator_node: NodeId
 
+    def __init__(self, object_id: ObjectId, schema: ClassSchema,
+                 layout: ObjectLayout, home_node: NodeId,
+                 creator_node: NodeId):
+        # Frozen: written once, here, past the refusing ``__setattr__``
+        # (one per object, at its creation).
+        setattr_ = object.__setattr__
+        setattr_(self, "object_id", object_id)
+        setattr_(self, "schema", schema)
+        setattr_(self, "layout", layout)
+        setattr_(self, "home_node", home_node)
+        setattr_(self, "creator_node", creator_node)
+
     @property
     def page_count(self) -> int:
         return self.layout.page_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HandleRef:
     """Frozen stand-in for an ObjectHandle inside recorded args."""
 
     __slots__ = ("object_value",)
     object_value: int
+
+    def __init__(self, object_value: int):
+        # Frozen: written once, here (one per object, at its creation).
+        object.__setattr__(self, "object_value", object_value)
 
 
 class ObjectHandle:

@@ -28,7 +28,7 @@ from repro.util.ids import IdAllocator, NodeId, ObjectId
 from repro.util.rng import SeededRNG
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CreationRecord:
     """One object creation, for serial replay by the oracle."""
 
@@ -36,6 +36,16 @@ class CreationRecord:
     schema: ClassSchema
     node: NodeId
     initial: Tuple  # sorted (attr, value) pairs for scalars
+
+    def __init__(self, object_id: ObjectId, schema: ClassSchema,
+                 node: NodeId, initial: Tuple):
+        # Frozen: written once, here, past the refusing ``__setattr__``
+        # (one per object, at its creation).
+        setattr_ = object.__setattr__
+        setattr_(self, "object_id", object_id)
+        setattr_(self, "schema", schema)
+        setattr_(self, "node", node)
+        setattr_(self, "initial", initial)
 
 
 class TxnTicket:
@@ -90,9 +100,13 @@ class Cluster:
             self.env = WallClockEnvironment(tiebreak=tiebreak)
         else:
             self.env = Environment(tiebreak=tiebreak)
+        # Clocks read ``env``, not ``self``: a closure over the cluster
+        # would hold it in a cycle, and a finished cluster would wait
+        # for the cycle collector instead of dying by reference count.
+        env = self.env
         self.tracer = (
             Tracer(
-                clock=lambda: self.env.now,
+                clock=lambda: env.now,
                 clock_kind="wall" if config.transport == "tcp" else "virtual",
             )
             if config.trace else NULL_TRACER
@@ -128,7 +142,7 @@ class Cluster:
             # On one node every entry is already home; tracking would
             # only burn cycles without ever proposing a move.
             self.migration = HomeMigrationManager(
-                config.migration, clock=lambda: self.env.now
+                config.migration, clock=lambda: env.now
             )
         # Each node's durable write-ahead record, kept only when crashes
         # are planned; otherwise None, and every durable write is one

@@ -22,7 +22,7 @@ from repro.objects.registry import ObjectHandle, ObjectMeta
 from repro.util.errors import ConfigurationError, ProtocolError, TransactionAborted
 
 
-@dataclass(frozen=True)
+@dataclass(init=False)
 class InvocationRequest:
     """A sub-transaction request produced by :meth:`TxnContext.invoke`.
 
@@ -34,6 +34,11 @@ class InvocationRequest:
     handle: ObjectHandle
     method_name: str
     args: Tuple
+
+    def __init__(self, handle: ObjectHandle, method_name: str, args: Tuple):
+        self.handle = handle
+        self.method_name = method_name
+        self.args = args
 
 
 class TxnContext:

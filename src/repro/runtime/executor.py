@@ -58,13 +58,16 @@ _ROOT_ABORTS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(init=False)
 class CommitRecord:
     """One committed root transaction, in commit order.
 
     ``args`` are stored in frozen form (handles replaced by object-id
     markers) so the record can be replayed on a fresh cluster by the
-    serializability oracle (:mod:`repro.runtime.verify`).
+    serializability oracle (:mod:`repro.runtime.verify`).  The executor
+    writes a record once, per root commit, and nothing changes it after
+    (``dataclasses.replace`` makes a changed copy): it is not frozen,
+    so building one is plain stores.
     """
 
     time: float
@@ -75,6 +78,18 @@ class CommitRecord:
     result: object
     label: str = ""
     root_serial: int = -1
+
+    def __init__(self, time: float, node: NodeId, object_id: ObjectId,
+                 method_name: str, frozen_args: Tuple, result: object,
+                 label: str = "", root_serial: int = -1):
+        self.time = time
+        self.node = node
+        self.object_id = object_id
+        self.method_name = method_name
+        self.frozen_args = frozen_args
+        self.result = result
+        self.label = label
+        self.root_serial = root_serial
 
 
 @dataclass(frozen=True)
@@ -195,6 +210,9 @@ class Executor:
         # root serial -> in-flight attempt; the CrashController walks
         # this to find the families a node crash must interrupt.
         self.live_families: Dict[int, _LiveFamily] = {}
+        # id(tuple of handles) -> (that tuple, its frozen form): see
+        # :meth:`_freeze_root_args`.
+        self._frozen_tables: Dict[int, Tuple[tuple, tuple]] = {}
 
     # ------------------------------------------------------------------
     # Root transactions
@@ -262,6 +280,7 @@ class Executor:
                 yield from self._commit_root(txn)
             finally:
                 self.live_families.pop(txn.id.root, None)
+                txn.unlink()
             self.txn_stats.commits += 1
             latency = self.env.now - started
             if self.tracer.enabled:
@@ -270,12 +289,37 @@ class Executor:
             self.commit_log.append(
                 CommitRecord(
                     time=self.env.now, node=node, object_id=handle.object_id,
-                    method_name=method_name, frozen_args=freeze_args(tuple(args)),
+                    method_name=method_name,
+                    frozen_args=self._freeze_root_args(args),
                     result=freeze_args(result), label=label,
                     root_serial=txn.id.serial,
                 )
             )
             return result
+
+    def _freeze_root_args(self, args: Tuple) -> Tuple:
+        """``freeze_args(tuple(args))`` for the commit log, with every
+        argument that is a tuple of handles frozen once per tuple.
+
+        Such a tuple cannot change (a handle is a value), and a workload
+        passes the same handle table to every root: its frozen form is
+        kept beside it, and the tuple itself is held so its ``id`` is
+        never reused.  Anything else — a list above all — is frozen
+        afresh on every commit."""
+        frozen = []
+        for arg in args:
+            if type(arg) is tuple:
+                memo = self._frozen_tables.get(id(arg))
+                if memo is not None:
+                    frozen.append(memo[1])
+                    continue
+                value = freeze_args(arg)
+                if all(type(item) is ObjectHandle for item in arg):
+                    self._frozen_tables[id(arg)] = (arg, value)
+            else:
+                value = freeze_args(arg)
+            frozen.append(value)
+        return tuple(frozen)
 
     def _retry_backoff(self, attempts: int) -> float:
         """Capped exponential backoff with seeded jitter (same stream

@@ -56,9 +56,16 @@ class _WakeBatch:
         self.events = events
 
     def _process(self) -> None:
-        self.env._events_processed += len(self.events) - 1
-        for event in self.events:
+        env, events = self.env, self.events
+        env._events_processed += len(events) - 1
+        # Only the last event's callbacks are the tail of this entry
+        # (see :func:`repro.sim.events.run_callbacks`).
+        at_tail = env._at_tail
+        env._at_tail = False
+        for event in events[:-1]:
             event._process()
+        env._at_tail = at_tail
+        events[-1]._process()
 
 
 class Environment:
@@ -101,6 +108,11 @@ class Environment:
         self._events_processed = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._tiebreak = tiebreak
+        # True while :meth:`run` executes the last action of a popped
+        # FIFO entry: what that action triggers for ``now`` and awaits
+        # at once is then the next entry, and may land in place
+        # (:meth:`repro.net.transport.Transport.lands_inline`).
+        self._at_tail = False
 
     @property
     def events_processed(self) -> int:
@@ -127,6 +139,8 @@ class Environment:
             heapq.heapify(entries)
             self._queue = entries
         self._tiebreak = policy
+        if policy is not None:
+            self._at_tail = False  # a policy ranks every entry
 
     # -- factory helpers -------------------------------------------------
 
@@ -229,6 +243,8 @@ class Environment:
         processed_before = self._events_processed
         queue = self._queue
         pop = heapq.heappop
+        at_tail = self._at_tail
+        self._at_tail = self._tiebreak is None
         try:
             if until is None:
                 while queue:
@@ -249,6 +265,7 @@ class Environment:
                 self.now = max(self.now, until)
             return self.now
         finally:
+            self._at_tail = at_tail
             if self.tracer.enabled:
                 self.tracer.end(
                     token, events=self._events_processed - processed_before

@@ -112,8 +112,10 @@ class Event:
 
     def _process(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
-        for callback in callbacks:
-            callback(self)
+        if len(callbacks) == 1:
+            callbacks[0](self)
+        elif callbacks:
+            run_callbacks(self, callbacks)
 
     def __repr__(self) -> str:
         state = "pending"
@@ -126,6 +128,23 @@ class Event:
         hot paths (lock waits, timeouts) store fields, not strings."""
         return (",".join(f"{key}={value}" for key, value in self.hints.items())
                 or self.__class__.__name__)
+
+
+def run_callbacks(event: Event, callbacks) -> None:
+    """Run several callbacks of one processed event, in order.
+
+    Only the last one is the tail of the heap entry being processed:
+    the ones before it run with ``env._at_tail`` cleared, so nothing
+    they resume lands inline ahead of the callbacks still to run (see
+    :meth:`repro.net.transport.Transport.lands_inline`).
+    """
+    env = event.env
+    at_tail = env._at_tail
+    env._at_tail = False
+    for callback in callbacks[:-1]:
+        callback(event)
+    env._at_tail = at_tail
+    callbacks[-1](event)
 
 
 class Timeout(Event):

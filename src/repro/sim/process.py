@@ -13,7 +13,8 @@ value, or fails with the exception that escaped the generator.
 
 from __future__ import annotations
 
-from typing import Generator
+from traceback import clear_frames
+from typing import Generator, Optional
 
 from repro.sim.events import Event
 
@@ -38,7 +39,8 @@ class Process(Event):
     __slots__ = ("_generator", "_waiting_on", "_pending_interrupt",
                  "_poison_pending")
 
-    def __init__(self, env, generator: Generator, name: str = ""):
+    def __init__(self, env, generator: Generator, name: str = "",
+                 awaiting: Optional[Event] = None):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(
                 f"Process requires a generator, got {type(generator).__name__} "
@@ -49,6 +51,12 @@ class Process(Event):
         self._waiting_on = None
         self._pending_interrupt = None
         self._poison_pending = False
+        if awaiting is not None:
+            # Adopted mid-step: its caller already ran the generator to
+            # its first yield, ``awaiting``.
+            self._waiting_on = awaiting
+            awaiting.add_callback(self._resume)
+            return
         # Kick off on a zero-delay heap entry so creation order does
         # not matter (and spawning allocates no per-process event).
         env.call_later(0.0, self._resume, _STARTED)
@@ -117,9 +125,27 @@ class Process(Event):
                 else:
                     target = generator.send(fired._value)
             except StopIteration as stop:
-                self.succeed(stop.value)
+                self._generator = None  # spent: free it with its frames
+                env = self.env
+                queue = env._queue
+                if (self.callbacks or not env._at_tail
+                        or (queue and queue[0][0] <= env.now)):
+                    self.succeed(stop.value)
+                else:
+                    # Nobody waits, and the entry ``succeed`` would push
+                    # is the next one popped: land it here, counted.
+                    self._value = stop.value
+                    self._ok = True
+                    self.callbacks = None
+                    env._events_processed += 1
                 return
             except BaseException as exc:  # noqa: BLE001 - must propagate into event
+                # The generator's frames are done: ``exc`` keeps their
+                # lines, not their locals, which would hold this process
+                # (and what the frames worked on, a transaction tree
+                # above all) in a cycle through ``exc``.
+                clear_frames(exc.__traceback__)
+                self._generator = None
                 self.fail(exc)
                 return
             if isinstance(target, Event):

@@ -32,6 +32,7 @@ from repro.net.message import Message, MessageCategory
 from repro.net.transport import Transport
 from repro.net.sizes import SizeModel
 from repro.obs.tracer import NULL_TRACER
+from repro.sim import Event, Process
 from repro.txn.semantic import SemanticMode
 from repro.txn.transaction import Transaction
 from repro.util.backoff import backoff_delay
@@ -74,13 +75,17 @@ class LockStats:
         }
 
 
-@dataclass
+@dataclass(init=False)
 class _BlockedFamily:
     """The entry a blocked family waits on and its one queued waiter."""
 
     __slots__ = ("entry", "waiter")
     entry: DirectoryEntry
     waiter: Waiter
+
+    def __init__(self, entry: DirectoryEntry, waiter: Waiter):
+        self.entry = entry
+        self.waiter = waiter
 
 
 class LockManager:
@@ -203,12 +208,13 @@ class LockManager:
         request_started = self.env.now
         if self.tracer.enabled:
             self.tracer.gdo_forward(node, home, object_id)
-        request = Message(
-            src=node, dst=home,
-            category=MessageCategory.LOCK_REQUEST,
-            size_bytes=self.sizes.lock_request(), object_id=object_id,
-        )
-        yield self.network.send(request)
+        if not self.network.lands_inline(node, home):
+            request = Message(
+                src=node, dst=home,
+                category=MessageCategory.LOCK_REQUEST,
+                size_bytes=self.sizes.lock_request(), object_id=object_id,
+            )
+            yield self.network.send(request)
         if entry.home_node != home:
             # The entry's home migrated while our request was on the
             # wire: the stale home forwards it (one extra hop).
@@ -225,27 +231,27 @@ class LockManager:
             self.cache.on_granted(object_id, node)
             if self.wal is not None:
                 self._wal_record_holders(object_id, entry)
-            if family_already_present:
-                # Re-entrant grant (the family already holds/retains the
-                # lock, e.g. after its cached entry was displaced): no
-                # page map and NO data transfer — the family's site has
-                # been current since its first acquisition, and may hold
-                # uncommitted writes a transfer must never clobber.
-                snapshot = None
-                grant_size = self.sizes.control()
-            else:
-                snapshot = entry.page_map_snapshot()
-                grant_size = self.sizes.lock_grant(
-                    holder_entries=len(entry.holder_entries()),
-                    page_map_entries=len(snapshot),
+            # A re-entrant grant (the family already holds/retains the
+            # lock, e.g. after its cached entry was displaced) carries
+            # no page map and moves NO data — the family's site has
+            # been current since its first acquisition, and may hold
+            # uncommitted writes a transfer must never clobber.
+            snapshot = (None if family_already_present
+                        else entry.page_map_snapshot())
+            if not self.network.lands_inline(entry.home_node, node):
+                grant = Message(
+                    src=entry.home_node, dst=node,
+                    category=MessageCategory.LOCK_GRANT,
+                    size_bytes=(
+                        self.sizes.control() if snapshot is None
+                        else self.sizes.lock_grant(
+                            holder_entries=len(entry.holder_entries()),
+                            page_map_entries=len(snapshot),
+                        )
+                    ),
+                    object_id=object_id,
                 )
-            grant = Message(
-                src=entry.home_node, dst=node,
-                category=MessageCategory.LOCK_GRANT,
-                size_bytes=grant_size,
-                object_id=object_id,
-            )
-            yield self.network.send(grant)
+                yield self.network.send(grant)
             txn.lock_objects.add(object_id)
             if self.tracer.enabled:
                 self.tracer.gdo_request_latency(
@@ -614,16 +620,20 @@ class LockManager:
         by_home: Dict[NodeId, List[ObjectId]] = defaultdict(list)
         for object_id, entry in entries.items():
             by_home[entry.home_node].append(object_id)
-        sends = []
-        for home, oids in sorted(by_home.items()):
-            dirty_entries = sum(len(dirty.get(oid, ())) for oid in oids)
-            message = Message(
-                src=node, dst=home,
-                category=MessageCategory.LOCK_RELEASE,
-                size_bytes=self.sizes.lock_release(dirty_entries),
-            )
-            sends.append(self.network.send(message))
-        yield self.env.all_of(sends)
+        # Releasing at the one home the objects have is a local call:
+        # it lands in place for the delivery and the ``all_of`` of it.
+        if len(by_home) != 1 or not self.network.lands_inline(
+                node, next(iter(by_home)), 2):
+            sends = []
+            for home, oids in sorted(by_home.items()):
+                dirty_entries = sum(len(dirty.get(oid, ())) for oid in oids)
+                message = Message(
+                    src=node, dst=home,
+                    category=MessageCategory.LOCK_RELEASE,
+                    size_bytes=self.sizes.lock_release(dirty_entries),
+                )
+                sends.append(self.network.send(message))
+            yield self.env.all_of(sends)
         # Any object whose home migrated while the release was on the
         # wire gets its share relayed by the stale home (one hop each).
         forwards = []
@@ -676,16 +686,33 @@ class LockManager:
             # later-granted family commit (and trace its commit) before
             # the releaser does — inverting commit order vs conflict
             # order and breaking the serial-replay oracle.
-            self.env.process(
-                self._maybe_migrate(list(object_ids)),
-                name=f"gdo-migrate:{root_serial}",
-            )
+            self.env.call_later(0.0, self._migration_check, object_ids,
+                                root_serial)
+
+    def _migration_check(self, object_ids: List[ObjectId],
+                         root_serial: int) -> None:
+        """Start :meth:`_maybe_migrate` where a detached process's
+        first step would run it, and give it a process only if it sends
+        a handoff — most checks move nothing.  Such a check ends here,
+        in place of the finished process's heap entry, which nothing
+        awaits: counted on the FIFO path, queued for a tie-break policy
+        to rank as it always did."""
+        env = self.env
+        check = self._maybe_migrate(object_ids)
+        handoff = next(check, None)
+        if handoff is not None:
+            Process(env, check, name=f"gdo-migrate:{root_serial}",
+                    awaiting=handoff)
+        elif env.tiebreak is None:
+            env._events_processed += 1
+        else:
+            Event(env).succeed()
 
     def _maybe_migrate(self, object_ids: List[ObjectId]):
         """Adaptive re-homing of freshly quiesced entries (DESIGN §11).
 
-        Spawned as a detached background process at the tail of a
-        global release, after grants were pumped: an entry is only
+        Run detached (:meth:`_migration_check`) at the tail of a global
+        release, after grants were pumped: an entry is only
         moved when it is fully quiescent — no holders, no retainers, no
         queued waiters — so the move is pure accounting (no in-flight
         grant ever references the old home) and correctness is

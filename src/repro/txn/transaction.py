@@ -29,6 +29,9 @@ class Transaction:
 
     ``parent`` is fixed at construction, so ``root`` (the family's root
     transaction) and ``is_root`` are plain attributes, not tree walks.
+    The root alone carries the family-level ``transfer_log``,
+    ``touch_pages`` and ``prefetch_maps``.  When the root attempt ends,
+    :meth:`unlink` cuts the tree's cycles so it dies by reference count.
     """
 
     __slots__ = ("id", "node", "parent", "root", "is_root", "label",
@@ -65,12 +68,12 @@ class Transaction:
         # acquisitions, and pages actually touched (for over-prediction
         # accounting at commit).
         self.pending_delay: float = 0.0
-        self.transfer_log: Dict[ObjectId, Set[int]] = {}
-        self.touch_pages: Dict[ObjectId, Set[int]] = {}
-        # Page-map snapshots from lock-only prefetches: the data
-        # transfer they deferred runs at the object's first real use.
-        self.prefetch_maps: Dict[ObjectId, dict] = {}
         if parent is None:
+            self.transfer_log: Dict[ObjectId, Set[int]] = {}
+            self.touch_pages: Dict[ObjectId, Set[int]] = {}
+            # Page-map snapshots from lock-only prefetches: the data
+            # transfer they deferred runs at the object's first real use.
+            self.prefetch_maps: Dict[ObjectId, dict] = {}
             self._ancestor_ids: FrozenSet[TxnId] = frozenset()
             self.depth = 0
         else:
@@ -83,6 +86,22 @@ class Transaction:
     def is_ancestor_of(self, other: "Transaction") -> bool:
         """Proper ancestor test (a transaction is not its own ancestor)."""
         return self.id in other._ancestor_ids
+
+    def unlink(self) -> None:
+        """Cut the tree's reference cycles once its root attempt ended.
+
+        ``parent`` ↔ ``children`` links every subtree both ways and a
+        root's ``root`` is itself; with the children lists emptied and
+        that self-reference dropped, the whole tree is freed by
+        reference count instead of by the cycle collector.  Called on
+        the root, after which no transaction of the tree is read for
+        its family again.
+        """
+        family = [self]
+        for txn in family:
+            family.extend(txn.children)
+            txn.children.clear()
+        self.root = None
 
     def ancestors(self) -> List["Transaction"]:
         chain = []

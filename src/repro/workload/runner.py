@@ -18,7 +18,7 @@ from repro.util.ids import NodeId
 from repro.workload.generator import Workload
 
 
-@dataclass
+@dataclass(init=False)
 class WorkloadRun:
     """One workload execution: the cluster it ran on, the objects it
     created, its root tickets and how many roots failed.  Read it with
@@ -28,6 +28,13 @@ class WorkloadRun:
     handles: List
     tickets: List[TxnTicket]
     failed: int = 0
+
+    def __init__(self, cluster: Cluster, handles: List,
+                 tickets: List[TxnTicket], failed: int = 0):
+        self.cluster = cluster
+        self.handles = handles
+        self.tickets = tickets
+        self.failed = failed
 
     @property
     def committed(self) -> int:

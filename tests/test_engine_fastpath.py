@@ -12,7 +12,9 @@ level, and byte-identical trace digests (plus identical commit and
 events-processed counts) on full workloads: plain fig2 at two scales
 and seeds, a chaos run with fault injection, and an open-loop load with
 adaptive GDO home migration.  The fast path also lands a remote message
-with one heap entry where the ranked path uses two.
+with one heap entry where the ranked path uses two, lands a local
+directory call in place when its delivery would be the next entry
+popped, and books a plain send in one frame.
 """
 
 import hashlib
@@ -232,3 +234,158 @@ class TestCallLaterEquivalence:
     def test_call_later_schedules_like_a_timeout_callback(self, policy, seed):
         assert self._trace(policy(), seed, self._via_call_later) == \
             self._trace(policy(), seed, self._via_timeout)
+
+
+class TestInlineLanding:
+    """A local directory call its caller would yield at once lands in
+    place (``Transport.lands_inline``) exactly when its delivery would
+    be the next entry popped: FIFO, the last action of the popped
+    entry, nothing else due at ``now``.  It still counts its events."""
+
+    @staticmethod
+    def _call(policy=None, due_now=False, src=0, dst=0):
+        """One process, at t=1, makes a call from ``src`` to ``dst`` the
+        way ``LockManager.acquire`` does; returns (landed inline,
+        events counted by the call itself, entries left queued at the
+        call, the process's finish time, total events)."""
+        from repro.net.message import Message, MessageCategory
+        from repro.net.network import NetworkConfig, SimTransport
+        from repro.util.ids import NodeId
+
+        env = Environment(tiebreak=policy)
+        net = SimTransport(env, NetworkConfig(bandwidth_bps=8e6,
+                                              software_cost_s=1e-3))
+        seen = {}
+
+        def caller():
+            yield env.timeout(1.0)
+            if due_now:
+                env.timeout(0.0)  # queued ahead of any landing
+            before = env.events_processed
+            seen["inline"] = net.lands_inline(NodeId(src), NodeId(dst))
+            seen["counted"] = env.events_processed - before
+            seen["queued"] = len(env._queue)
+            if not seen["inline"]:
+                yield net.send(Message(src=NodeId(src), dst=NodeId(dst),
+                                       category=MessageCategory.CONTROL,
+                                       size_bytes=40))
+            seen["done_at"] = env.now
+
+        env.process(caller())
+        env.run()
+        return (seen["inline"], seen["counted"], seen["queued"],
+                seen["done_at"], env.events_processed)
+
+    def test_entry_due_now_sends_through_the_heap(self):
+        inline, counted, queued, done_at, events = self._call(due_now=True)
+        assert not inline and counted == 0 and queued == 1
+        assert done_at == 1.0
+
+    def test_nothing_due_lands_inline_counted_once(self):
+        inline, counted, queued, done_at, events = self._call()
+        assert inline and counted == 1 and queued == 0
+        assert done_at == 1.0
+        # The same total as the heap path a rank-0 policy takes.
+        assert events == self._call(TieBreakPolicy())[-1]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_random_never_lands_inline(self, seed):
+        inline, counted, _queued, done_at, _events = self._call(
+            RandomWalkTieBreak(seed))
+        assert not inline and counted == 0 and done_at == 1.0
+
+    def test_remote_call_never_lands_inline(self):
+        inline, counted, _queued, done_at, _events = self._call(dst=1)
+        assert not inline and counted == 0 and done_at > 1.0
+
+    def test_outside_run_never_lands_inline(self):
+        from repro.net.network import NetworkConfig, SimTransport
+        from repro.util.ids import NodeId
+
+        env = Environment()
+        net = SimTransport(env, NetworkConfig(bandwidth_bps=8e6,
+                                              software_cost_s=1e-3))
+        assert not net.lands_inline(NodeId(0), NodeId(0))
+        assert env.events_processed == 0
+
+    def test_only_the_last_callback_of_an_entry_lands_inline(self):
+        """Two processes resumed by one event: the first must not go on
+        in place ahead of the second (it would reorder their steps)."""
+        from repro.net.network import NetworkConfig, SimTransport
+        from repro.util.ids import NodeId
+
+        env = Environment()
+        net = SimTransport(env, NetworkConfig(bandwidth_bps=8e6,
+                                              software_cost_s=1e-3))
+        gate = env.event()
+        landed = []
+
+        def waiter(tag):
+            yield gate
+            landed.append((tag, net.lands_inline(NodeId(0), NodeId(0))))
+            yield env.timeout(5.0)  # nothing due at now for the next
+
+        env.process(waiter("first"))
+        env.process(waiter("second"))
+        env.call_later(1.0, gate.succeed)
+        env.run()
+        assert landed == [("first", False), ("second", True)]
+
+    def test_finished_process_nobody_awaits_lands_without_an_entry(self):
+        def quick(env):
+            yield env.timeout(1.0)
+            return "done"
+
+        runs = []
+        for policy in (None, TieBreakPolicy()):
+            env = Environment(tiebreak=policy)
+            proc = env.process(quick(env))
+            env.run()
+            assert proc.processed and proc.value == "done"
+            # Heap entries ever scheduled, and events counted.
+            runs.append((next(env._sequence), env.events_processed))
+        # Bootstrap and timeout only; the ranked path also queues the
+        # finished process.  Both count the same three events.
+        assert runs == [(2, 3), (3, 3)]
+
+
+class TestOneFrameSend:
+    """With no injector and no tracer, a FIFO ``SimTransport`` send is
+    priced, booked and landed in ``Transport.send`` itself; traced,
+    faulted and ranked sends keep ``_attempt``.  Both paths must book
+    the same statistics to the bit."""
+
+    @staticmethod
+    def _run(trace):
+        workload = generate_workload(
+            SCENARIOS["medium-high"].scaled(0.2), seed=4)
+        cluster = Cluster(ClusterConfig(
+            num_nodes=4, protocol="lotec", seed=4, trace=trace,
+            audit_accesses=False,
+        ))
+        attempts = []
+        general = cluster.network._attempt
+
+        def spy(*args):
+            attempts.append(args[0])
+            return general(*args)
+
+        cluster.network._attempt = spy
+        run_workload(cluster, workload)
+        return cluster, len(attempts)
+
+    def test_traced_and_plain_runs_book_identical_traffic(self):
+        traced, traced_attempts = self._run(trace=True)
+        plain, plain_attempts = self._run(trace=False)
+        assert plain.network._lean and not traced.network._lean
+        assert traced_attempts > 0 and plain_attempts == 0
+        assert plain.network_stats.snapshot() == \
+            traced.network_stats.snapshot()
+        assert plain.network_stats.total_messages > 0
+        times = {oid: traffic.time
+                 for oid, traffic in plain.network_stats.objects.items()}
+        assert times == {oid: traffic.time for oid, traffic
+                         in traced.network_stats.objects.items()}
+        assert [record.time for record in plain.commit_log] == \
+            [record.time for record in traced.commit_log]
+        assert plain.commit_log

@@ -45,10 +45,10 @@ def tap_accounting(network):
     log = []
     original = network.stats.record
 
-    def record(message, transfer_time):
+    def record(message, transfer_time, delivered=False):
         log.append((message.category.value, message.src.value,
                     message.dst.value, message.size_bytes))
-        original(message, transfer_time)
+        original(message, transfer_time, delivered)
 
     network.stats.record = record
     return log
