@@ -83,11 +83,10 @@ class ConsistencyProtocol:
                          prediction: AccessPrediction):
         """Simulation process run right after a global lock grant."""
         node = txn.node
-        store = self.stores[node]
-        store.register_object(meta.object_id, meta.layout)
         # The live tags, not a copy: selection is synchronous, done
         # before the gather yields.
-        local_versions = store.copy_of(meta.object_id).page_versions
+        local_versions = self.stores[node].register_object(
+            meta.object_id, meta.layout).page_versions
         wanted = self.select_pages(meta, page_map, local_versions, prediction)
         self.prediction_stats.acquisitions += 1
         self.prediction_stats.predicted_pages += len(prediction.pages)

@@ -64,6 +64,9 @@ class ProtocolSuite:
 
     def on_root_commit(self, root, dirty: Dict, metas) -> None:
         """Group the commit's dirty objects by owning protocol."""
+        if not self.by_class:  # one protocol: nothing to group
+            self.default.on_root_commit(root, dirty, metas)
+            return
         grouped: Dict[int, Dict] = {}
         protocols: Dict[int, ConsistencyProtocol] = {}
         for object_id, pages in dirty.items():

@@ -69,17 +69,16 @@ def _send_round_trip(env, network: Transport, request: Message,
     """Event firing when the *real* response delivery lands.
 
     The response departs when the request's delivery event fires and
-    the returned event fires when the response's delivery event fires —
-    both straight from :meth:`Transport.send`, so injected drops,
-    retransmit turnarounds, and jitter on either leg push the
-    completion instant out by exactly the time they consumed.
+    the returned event fires, with the response's delivery as its
+    value, when that delivery fires — both straight from
+    :meth:`Transport.send`, so injected drops, retransmit turnarounds,
+    and jitter on either leg push the completion instant out by
+    exactly the time they consumed.
     """
     done = Event(env, name="gather-roundtrip")
 
     def relay(_event):
-        network.send(response).add_callback(
-            lambda _event: done.succeed(response)
-        )
+        network.send(response).add_callback(done.succeed)
 
     network.send(request).add_callback(relay)
     return done

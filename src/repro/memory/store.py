@@ -78,10 +78,14 @@ class NodeStore:
         }
         self._objects[object_id] = cached
 
-    def register_object(self, object_id: ObjectId, layout: ObjectLayout) -> None:
-        """Make a remote object known locally with no pages cached yet."""
-        if object_id not in self._objects:
-            self._objects[object_id] = ObjectCopy(layout)
+    def register_object(self, object_id: ObjectId,
+                        layout: ObjectLayout) -> ObjectCopy:
+        """Make a remote object known locally with no pages cached yet;
+        returns this node's copy of it (new or already there)."""
+        copy = self._objects.get(object_id)
+        if copy is None:
+            copy = self._objects[object_id] = ObjectCopy(layout)
+        return copy
 
     def ship_pages(self, object_id: ObjectId, pages: Iterable[int],
                    target: "NodeStore") -> Dict[int, int]:
@@ -100,9 +104,16 @@ class NodeStore:
         cases.  Returns ``{page: version}`` of every page shipped
         (installed or not).
         """
-        source = self.copy_of(object_id)
-        dest = target.copy_of(object_id)
-        versions = self.versions_to_ship(object_id, pages)
+        # One frame: a miss falls through to ``copy_of``'s error, an
+        # uncached page to ``versions_to_ship``'s.
+        source = self._objects.get(object_id) or self.copy_of(object_id)
+        dest = target._objects.get(object_id) or target.copy_of(object_id)
+        source_versions = source.page_versions
+        versions = {}
+        for page in sorted(set(pages)):
+            if page not in source_versions:
+                self.versions_to_ship(object_id, pages)  # raises
+            versions[page] = source_versions[page]
         slots, slots_by_page = source.slots, source.layout.slots_by_page
         dest_versions, dest_slots = dest.page_versions, dest.slots
         for page, version in versions.items():

@@ -8,16 +8,17 @@ locks roll back around a concurrent family's increments): every slot
 write appends the previous value; abort applies records in reverse;
 pre-commit *merges* the child's log into its parent's so that a later
 ancestor abort also undoes the pre-committed child (closed nesting).
+
+There is one way to add a record, ``log.append(UndoRecord((object_id,
+slot, had_value, old_value)))``: two C calls, made inline by the
+transaction context's write path (``TxnContext.write_slot``).
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, List
 
 from repro.memory.store import NodeStore
-from repro.memory.layout import Slot
-from repro.util.ids import ObjectId
 
 
 class UndoRecord(tuple):
@@ -36,35 +37,11 @@ class UndoRecord(tuple):
     old_value = property(itemgetter(3))
 
 
-class UndoLog:
-    """Ordered undo records for one transaction."""
+class UndoLog(list):
+    """Ordered undo records for one transaction: a ``list`` of
+    :class:`UndoRecord`, oldest first."""
 
-    def __init__(self) -> None:
-        self._records: List[UndoRecord] = []
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def record_write(self, object_id: ObjectId, slot: Slot,
-                     had_value: bool, old_value: object) -> None:
-        self._records.append(
-            UndoRecord((object_id, slot, had_value, old_value)))
-
-    def before_write(self, store: NodeStore, object_id: ObjectId,
-                     slot: Slot) -> None:
-        """Capture the slot's pre-write state."""
-        self.capture(object_id, slot, store.copy_of(object_id).slots)
-
-    def capture(self, object_id: ObjectId, slot: Slot,
-                slots: Dict[Slot, object]) -> None:
-        """Capture the pre-write state of ``slots[slot]``, where
-        ``slots`` is the node's ``ObjectCopy.slots`` of the object: the
-        transaction context's write path, one call per write."""
-        if slot in slots:
-            record = UndoRecord((object_id, slot, True, slots[slot]))
-        else:
-            record = UndoRecord((object_id, slot, False, None))
-        self._records.append(record)
+    __slots__ = ()
 
     def merge_child(self, child: "UndoLog") -> None:
         """Inherit a pre-committed child's records (Moss closed nesting).
@@ -74,8 +51,8 @@ class UndoLog:
         before the parent's earlier writes, preserving overall
         last-write-first-undone order.
         """
-        self._records.extend(child._records)
-        child._records = []
+        self.extend(child)
+        child.clear()
 
     def apply(self, store: NodeStore) -> int:
         """Roll back every recorded write, newest first.
@@ -83,8 +60,8 @@ class UndoLog:
         Returns the number of records applied; the log is emptied.
         """
         applied = 0
-        for object_id, slot, had_value, old_value in reversed(self._records):
+        for object_id, slot, had_value, old_value in reversed(self):
             store.restore_slot(object_id, slot, had_value, old_value)
             applied += 1
-        self._records.clear()
+        self.clear()
         return applied

@@ -8,8 +8,9 @@ sets (used to validate prediction conservatism), (c) appends undo
 records for writes, and (d) triggers LOTEC demand fetches for pages the
 prediction missed.  Each layout gets one :class:`InstrumentedSelf`
 subclass (:func:`proxy_class`) with a read property per scalar slot, so
-reading ``self.x`` enters no Python frame before the context's
-``read_slot``; arrays, methods and unknown names take the
+``self.x`` enters one Python frame, the context's ``read_slot``, and
+``self.x = v`` two, ``__setattr__`` and ``write_slot`` (which appends
+the undo record in place); arrays, methods and unknown names take the
 ``__getattr__`` slow path.
 
 Attribute values must be treated as immutable: update by assignment

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Set, Tuple
 
 from repro.memory.layout import Slot
+from repro.memory.undo import UndoRecord
 from repro.objects.registry import ObjectHandle, ObjectMeta
 from repro.util.errors import ConfigurationError, ProtocolError, TransactionAborted
 
@@ -183,7 +184,8 @@ class TxnContext:
                 # family deltas around a plain overwrite.
                 value = value - adjust
         txn, slots = self.txn, copy.slots
-        txn.undo.capture(meta.object_id, slot, slots)
+        txn.undo.append(UndoRecord(  # the pre-write state, in place
+            (meta.object_id, slot, slot in slots, slots.get(slot))))
         slots[slot] = value
         txn.dirty.setdefault(meta.object_id, set()).update(pages)
         self.actual_writes.add(slot[0])

@@ -7,10 +7,11 @@ Maps the paper's model onto simulation processes:
   retries deadlock victims with exponential backoff.
 * ``_execute`` — the compiler's half: lock acquisition before the
   method body, data transfer on global grants, pre-commit (lock and
-  effect inheritance) after it, abort processing on exceptions.
-* ``_drive`` — interprets generator method bodies, turning each
-  yielded :class:`InvocationRequest` into a child transaction (the 1:1
-  method-invocation/transaction mapping of §3.3).
+  effect inheritance) after it, abort processing on exceptions.  It
+  drives a generator body in its own frame, turning each yielded
+  :class:`InvocationRequest` into a child transaction (the 1:1
+  method-invocation/transaction mapping of §3.3), so a nested invoke
+  costs one generator frame per level.
 
 Families run sequentially at one site; concurrency comes from multiple
 root transactions across (and within) nodes, exactly the throughput
@@ -20,7 +21,7 @@ model of §2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.prediction import AccessPrediction, predict
 from repro.faults.injector import NULL_INJECTOR
@@ -345,12 +346,14 @@ class Executor:
     def _commit_root(self, root: Transaction):
         """Algorithm 4.3 (root commits) + 4.4, then protocol commit hook."""
         store = self.stores[root.node]
-        resident = {
-            object_id: store.resident_pages(object_id)
-            for object_id in root.lock_objects
-            if store.has_object(object_id)
-        }
-        yield from self.lockmgr.root_commit_release(root, resident)
+        # Each copy and entry is resolved once (DESIGN §14): the copies
+        # here, the entries by the release, which returns them.
+        copies, resident = {}, {}
+        for object_id in root.lock_objects:
+            if store.has_object(object_id):
+                copies[object_id] = copy = store.copy_of(object_id)
+                resident[object_id] = dict(copy.page_versions)
+        entries = yield from self.lockmgr.root_commit_release(root, resident)
         if self.merger is not None:
             # Fold the family's tracked increments into the per-slot
             # ledger and write the merged sums into this (now owning)
@@ -361,8 +364,8 @@ class Executor:
         # versions before anyone can fetch from us.
         wal = self.wal
         for object_id, pages in root.dirty.items():
-            page_map = self.directory.entry(object_id).page_map
-            versions = store.copy_of(object_id).page_versions
+            page_map = entries[object_id].page_map
+            versions = copies[object_id].page_versions
             for page in pages:
                 versions[page] = version = page_map[page].version
                 if wal is not None:
@@ -527,8 +530,45 @@ class Executor:
             proxy = (meta.layout.proxy_class
                      or proxy_class(meta.layout))(ctx, meta)
             if spec.is_generator:
+                # Driven in this frame: each yielded request runs as a
+                # child; its result or exception goes back into the body.
                 body = spec.func(proxy, ctx, *args)
-                result = yield from self._drive(body, txn)
+                send_value = throw_exc = None
+                while True:
+                    try:
+                        if throw_exc is not None:
+                            item = body.throw(throw_exc)
+                        else:
+                            item = body.send(send_value)
+                    except StopIteration as stop:
+                        result = stop.value
+                        break
+                    send_value = throw_exc = None
+                    if not isinstance(item, InvocationRequest):
+                        body.close()
+                        raise ConfigurationError(
+                            f"method body yielded {item!r}; methods may "
+                            f"only yield ctx.invoke(...) requests"
+                        )
+                    child = Transaction(
+                        self.alloc.next_sub_txn(txn.id), txn.node,
+                        parent=txn, label=item.method_name,
+                    )
+                    try:
+                        send_value = yield from self._execute(
+                            child, item.handle, item.method_name, item.args
+                        )
+                    except (DeadlockError, LockTimeoutError, NodeCrashError,
+                            RecursiveInvocationError, ProtocolError):
+                        # Family-fatal: not visible to user code.
+                        body.close()
+                        raise
+                    except Exception as exc:  # noqa: BLE001 - to user code
+                        # The parent may catch a child abort and retry
+                        # (§3.2: "attempted re-execution").
+                        throw_exc = exc
+                    if txn.root.pending_delay > 0:
+                        yield from self._flush_delay(txn)
             else:
                 result = spec.func(proxy, ctx, *args)
             if txn.root.pending_delay > 0:
@@ -566,50 +606,6 @@ class Executor:
         txn.mark_aborted()
         self.txn_stats.sub_aborts += 1
 
-    def _drive(self, body, txn: Transaction):
-        """Interpret a generator method body, spawning children for
-        yielded invocation requests."""
-        send_value = None
-        throw_exc: Optional[BaseException] = None
-        while True:
-            try:
-                if throw_exc is not None:
-                    exc, throw_exc = throw_exc, None
-                    item = body.throw(exc)
-                else:
-                    item = body.send(send_value)
-            except StopIteration as stop:
-                return stop.value
-            send_value = None
-            if not isinstance(item, InvocationRequest):
-                body.close()
-                raise ConfigurationError(
-                    f"method body yielded {item!r}; methods may only yield "
-                    f"ctx.invoke(...) requests"
-                )
-            child = Transaction(
-                self.alloc.next_sub_txn(txn.id), txn.node, parent=txn,
-                label=item.method_name,
-            )
-            try:
-                send_value = yield from self._execute(
-                    child, item.handle, item.method_name, item.args
-                )
-            except (DeadlockError, LockTimeoutError, NodeCrashError,
-                    RecursiveInvocationError, ProtocolError):
-                # Family-fatal: not visible to user code.
-                body.close()
-                raise
-            except TransactionAborted as exc:
-                # The child aborted; the parent may catch and retry
-                # (§3.2: "permits attempted re-execution of the failing
-                # sub-transaction").
-                throw_exc = exc
-            except Exception as exc:  # noqa: BLE001 - forwarded to user code
-                throw_exc = exc
-            if txn.root.pending_delay > 0:
-                yield from self._flush_delay(txn)
-
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
@@ -627,8 +623,11 @@ class Executor:
         )
 
     def _finalize_prediction_accounting(self, root: Transaction) -> None:
+        suite = self.protocol
+        stats = suite.default.prediction_stats
         for object_id in root.transfer_log.keys() | root.touch_pages.keys():
-            stats = self.protocol.for_meta(self._meta_of(object_id)).prediction_stats
+            if suite.by_class:  # else every object is the default's
+                stats = suite.for_meta(self._meta_of(object_id)).prediction_stats
             touched = root.touch_pages.get(object_id, ())
             stats.touched_pages += len(touched)
             shipped = root.transfer_log.get(object_id)

@@ -188,8 +188,16 @@ class AllOf(Event):
         if self._remaining == 0:
             self.succeed([])
             return
+        on_child = self._on_child
         for child in self._children:
-            child.add_callback(self._on_child)
+            # ``child.add_callback(on_child)``, in place.
+            callbacks = child.callbacks
+            if callbacks is None:
+                on_child(child)
+            elif callbacks:
+                callbacks.append(on_child)
+            else:
+                child.callbacks = [on_child]
 
     def _on_child(self, child: Event) -> None:
         if self._value is not _PENDING:

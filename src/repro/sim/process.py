@@ -150,7 +150,14 @@ class Process(Event):
                 return
             if isinstance(target, Event):
                 self._waiting_on = target
-                target.add_callback(self._resume)
+                # ``target.add_callback(self._resume)``, in place.
+                callbacks = target.callbacks
+                if callbacks is None:
+                    self._resume(target)
+                elif callbacks:
+                    callbacks.append(self._resume)
+                else:
+                    target.callbacks = [self._resume]
                 return
             throw = TypeError(
                 f"process {self.name!r} yielded {target!r}; "

@@ -30,8 +30,7 @@ def envelope():
         workload, factor = name.split(" x")
         point.update(workload=workload, size_factor=float(factor))
     return {"python": "3.11", "py_calls_tolerance": 1.03,
-            "max_burst_ratio": 2.45, "seed": 11, "seconds": 8,
-            "points": points}
+            "seed": 11, "seconds": 8, "points": points}
 
 
 def _measured(envelope):
@@ -81,6 +80,19 @@ def test_burst_ratio_above_the_limit_fails(envelope):
     assert "2.460" in failures[0]
 
 
+def test_x4_burst_ratio_above_its_limit_fails(envelope):
+    over, under, limit = check_baselines.BURST_POINTS[1]
+    assert (over, under) == ("fig2-deadlock x4", "fig2-deadlock x1")
+    envelope["points"][over] = dict(envelope["points"][under],
+                                    py_calls=int(1_000_000 * limit))
+    measured = _measured(envelope)
+    assert check_baselines.compare_perf(envelope, measured, "3.11") == []
+    measured[over]["py_calls"] += 10_000
+    failures = check_baselines.compare_perf(envelope, measured, "3.11")
+    assert any(f"{over} / {under}" in line and f"limit {limit}" in line
+               for line in failures)
+
+
 def test_interpreter_mismatch_fails_without_comparing(envelope):
     measured = _measured(envelope)
     measured["fig5-pages x1"]["py_calls"] *= 2
@@ -99,15 +111,16 @@ def test_a_point_left_unmeasured_fails(envelope):
 def test_committed_envelope_names_every_point():
     envelope = check_baselines.load_envelope("perf")
     assert envelope["python"] == "3.11"
-    assert envelope["max_burst_ratio"] == 2.45
+    assert check_baselines.BURST_POINTS[0] == (
+        "fig2-deadlock x2", "fig2-deadlock x1", 2.45)
     assert envelope["py_calls_tolerance"] == 1.03
     assert sorted(envelope["points"]) == [
         "fig2-deadlock x0.5", "fig2-deadlock x1", "fig2-deadlock x2",
         "fig2-deadlock x4", "fig5-pages x1", "tcp-closed x1",
         "zipf-open x1",
     ]
-    for name in check_baselines.BURST_POINTS:
-        assert name in envelope["points"]
+    for over, under, _limit in check_baselines.BURST_POINTS:
+        assert over in envelope["points"] and under in envelope["points"]
     tcp = envelope["points"]["tcp-closed x1"]["exact"]
     assert "commits_per_s" not in tcp
     assert "root_latency_p95_ms" not in tcp

@@ -9,6 +9,7 @@ from repro import (
 from repro.faults import FAULT_PRESETS
 from repro.gdo.entry import PageMapEntry
 from repro.gdo.migration import MigrationConfig
+from repro.memory.undo import UndoRecord
 from repro.runtime.context import TxnContext
 from repro.txn.transaction import Transaction
 from repro.util.ids import TxnId
@@ -237,7 +238,8 @@ class ReferenceAccessor:
             if self.merger is not None:
                 value -= self.merger.plain_write_adjustment(
                     self.txn, self.oid, slot)
-            self.txn.undo.before_write(store, self.oid, slot)
+            self.txn.undo.append(UndoRecord(
+                (self.oid, slot) + store.peek_slot(self.oid, slot)))
             store.write_slot(self.oid, slot, value)
         self.txn.record_dirty(self.oid, pages)
         self._touch(self.actual_writes, slot[0], pages)

@@ -25,6 +25,7 @@ import pytest
 from repro.faults import FAULT_PRESETS
 from repro.gdo import MigrationConfig
 from repro.load import build_load, run_load
+from repro.net.message import MessageCategory
 from repro.obs.export import events_to_jsonl
 from repro.runtime import Cluster, ClusterConfig
 from repro.sim import Environment
@@ -148,6 +149,41 @@ class TestWorkloadDigestProperty:
         fast, ranked = self._migration(False), self._migration(True)
         assert fast == ranked
         assert fast[1] > 0
+
+
+class TestLocalReleaseShare:
+    """A release to several homes sends only the remote shares on the
+    FIFO path: the releasing node's own share would land at once and
+    only count the ``all_of`` down, so it counts its one event instead.
+    A policy still sends it, and both paths give the same trace bytes."""
+
+    @staticmethod
+    def _migration(ranked):
+        load = build_load("zipf-smoke", seed=7, scale=0.3)
+        cluster = Cluster(ClusterConfig(
+            num_nodes=load.scenario.clients, protocol="lotec", seed=7,
+            trace=True, migration=MigrationConfig(),
+        ))
+        if ranked:
+            _ranked(cluster)
+        local = []
+        send = cluster.network.send
+
+        def spy(message):
+            if (message.category is MessageCategory.LOCK_RELEASE
+                    and message.src == message.dst):
+                local.append(message)
+            return send(message)
+
+        cluster.network.send = spy
+        run = run_load(cluster, load)
+        return _fingerprint(cluster, run.committed), len(local)
+
+    def test_no_local_release_share_is_sent(self):
+        fast, fast_local = self._migration(ranked=False)
+        ranked, ranked_local = self._migration(ranked=True)
+        assert fast_local == 0 and ranked_local > 0
+        assert fast == ranked and fast[1] > 0
 
 
 class TestOneEntryLanding:

@@ -1,0 +1,128 @@
+"""How many Python frames each repeated step of an acquisition enters.
+
+``py_calls`` counts Python frames, and the steps below repeat for every
+slot access, page copy, nested invoke and root commit, so their frame
+counts are pinned here, measured with ``sys.setprofile`` on a small
+cluster:
+
+* a scalar read enters one ``repro`` frame (``read_slot``) and a scalar
+  write at most two (``__setattr__``, ``write_slot``: the undo record is
+  appended in place);
+* ``NodeStore.ship_pages`` enters only itself;
+* one nested invoke adds one generator frame to the chain every resume
+  of the body re-enters (``_execute`` drives the body itself);
+* with one protocol, a root commit makes no ``for_meta`` call.
+"""
+
+import os
+import sys
+from inspect import CO_GENERATOR
+
+import repro
+from repro import Attr, method, shared_class
+
+from conftest import make_cluster
+
+REPRO = os.path.dirname(repro.__file__) + os.sep
+
+#: What the method bodies below measured, by name.
+seen = {}
+
+
+def _repro_frames(action):
+    """Names of the ``repro`` frames ``action()`` enters, in order."""
+    entered = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.startswith(REPRO):
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def _generator_frames():
+    """Generator frames on the caller's stack: the chain every resume
+    of the calling body re-enters."""
+    frame, count = sys._getframe(1), 0
+    while frame is not None:
+        count += bool(frame.f_code.co_flags & CO_GENERATOR)
+        frame = frame.f_back
+    return count
+
+
+@shared_class
+class Probe:
+    x = Attr(size=8, default=0)
+
+    @method
+    def poke(self, ctx):
+        self.x = self.x + 1  # the first access binds the context
+
+        def write():
+            self.x = 7
+
+        seen["read"] = _repro_frames(lambda: self.x)
+        seen["write"] = _repro_frames(write)
+
+    @method
+    def leaf(self, ctx, key):
+        seen[key] = _generator_frames()
+        self.x = self.x + 1
+
+    @method
+    def outer(self, ctx, target):
+        yield ctx.invoke(target, "leaf", "nested")
+
+
+def test_scalar_read_enters_one_frame_and_write_two():
+    cluster = make_cluster()
+    cluster.call(cluster.create(Probe), "poke")
+    assert seen["read"] == ["read_slot"]
+    assert seen["write"] == ["__setattr__", "write_slot"]
+
+
+def test_ship_pages_enters_only_itself():
+    cluster = make_cluster()
+    source, target = cluster.nodes[0], cluster.nodes[1]
+    handle = cluster.create(Probe, node=source)
+    layout, oid = handle.meta.layout, handle.object_id
+    cluster.stores[target].register_object(oid, layout)
+    frames = _repro_frames(lambda: cluster.stores[source].ship_pages(
+        oid, range(layout.page_count), cluster.stores[target]))
+    assert frames == ["ship_pages"]
+    assert cluster.stores[target].resident_pages(oid) == \
+        cluster.stores[source].resident_pages(oid)
+
+
+def test_nested_invoke_adds_one_generator_frame():
+    cluster = make_cluster()
+    node = cluster.nodes[0]
+    target = cluster.create(Probe, node=node)
+    cluster.call(target, "leaf", "root", node=node)
+    cluster.call(cluster.create(Probe, node=node), "outer", target, node=node)
+    assert seen["nested"] - seen["root"] == 1
+
+
+def test_single_protocol_root_commit_makes_no_for_meta_call():
+    cluster = make_cluster()
+    assert not cluster.protocol.by_class
+    handle = cluster.create(Probe, node=cluster.nodes[0])
+    callers = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name == "for_meta":
+            callers.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        cluster.call(handle, "leaf", "commit", node=cluster.nodes[1])
+    finally:
+        sys.setprofile(None)
+    assert cluster.txn_stats.commits == 1
+    # The remote grant's transfer dispatches; the commit does not.
+    assert callers == ["_execute"]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.memory.layout import AttributeSpec, ObjectLayout
 from repro.memory.store import NodeStore
-from repro.memory.undo import UndoLog
+from repro.memory.undo import UndoLog, UndoRecord
 from repro.util.errors import ProtocolError
 from repro.util.ids import NodeId, ObjectId
 
@@ -199,7 +199,7 @@ class TestWriteAndUndo:
         log = UndoLog()
         for value in (10, 20, 30):
             had, old = store.write_slot(OID, ("x", 0), value)
-            log.record_write(OID, ("x", 0), had, old)
+            log.append(UndoRecord((OID, ("x", 0), had, old)))
         assert store.read_slot(OID, ("x", 0)) == 30
         assert log.apply(store) == 3
         assert store.read_slot(OID, ("x", 0)) == 5
@@ -208,9 +208,9 @@ class TestWriteAndUndo:
     def test_undo_merge_child_order(self, store):
         parent, child = UndoLog(), UndoLog()
         had, old = store.write_slot(OID, ("x", 0), 100)   # parent write
-        parent.record_write(OID, ("x", 0), had, old)
+        parent.append(UndoRecord((OID, ("x", 0), had, old)))
         had, old = store.write_slot(OID, ("x", 0), 200)   # child write
-        child.record_write(OID, ("x", 0), had, old)
+        child.append(UndoRecord((OID, ("x", 0), had, old)))
         parent.merge_child(child)
         assert len(child) == 0
         parent.apply(store)
@@ -239,7 +239,8 @@ class TestStoreMiscSurface:
 
     def test_undo_before_write_captures_state(self, store):
         log = UndoLog()
-        log.before_write(store, OID, ("x", 0))
+        log.append(UndoRecord((OID, ("x", 0))
+                              + store.peek_slot(OID, ("x", 0))))
         store.write_slot(OID, ("x", 0), 99)
         log.apply(store)
         assert store.read_slot(OID, ("x", 0)) == 5

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.memory.undo import UndoRecord
 from repro.txn.transaction import Transaction, TxnState, TxnStats
 from repro.util.errors import ProtocolError
 from repro.util.ids import IdAllocator, NodeId, ObjectId
@@ -63,7 +64,7 @@ class TestPrecommit:
         oid = ObjectId(3)
         child.record_dirty(oid, {0, 2})
         child.lock_objects.add(oid)
-        child.undo.record_write(oid, ("x", 0), True, 1)
+        child.undo.append(UndoRecord((oid, ("x", 0), True, 1)))
         # grandchild must finish first
         child.children[0].state = TxnState.PRECOMMITTED
         child.precommit()
