@@ -76,11 +76,28 @@ def _send_round_trip(env, network: Transport, request: Message,
     exactly the time they consumed.
     """
     done = Event(env, name="gather-roundtrip")
+    succeed = done.succeed
 
     def relay(_event):
-        network.send(response).add_callback(done.succeed)
+        # ``network.send(response).add_callback(succeed)``, in place.
+        delivery = network.send(response)
+        callbacks = delivery.callbacks
+        if callbacks is None:
+            succeed(delivery)
+        elif callbacks:
+            callbacks.append(succeed)
+        else:
+            delivery.callbacks = [succeed]
 
-    network.send(request).add_callback(relay)
+    # ``network.send(request).add_callback(relay)``, in place.
+    delivery = network.send(request)
+    callbacks = delivery.callbacks
+    if callbacks is None:
+        relay(delivery)
+    elif callbacks:
+        callbacks.append(relay)
+    else:
+        delivery.callbacks = [relay]
     return done
 
 

@@ -348,9 +348,6 @@ class DirectoryEntry:
                 return [waiter]
         return []
 
-    def has_waiters(self) -> bool:
-        return bool(self.waiting_families)
-
     # -- release processing (rules 3-5 of §4.1) -----------------------------------
 
     def release_to_parent(self, txn, parent) -> None:

@@ -36,7 +36,7 @@ Design constraints that keep the protocol simple and provably safe:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.util.ids import NodeId, ObjectId
 
@@ -108,15 +108,16 @@ class _AccessCounts:
         self.last_migration = last_migration
 
     def decay_to(self, now: float, half_life_s: float) -> None:
-        elapsed = now - self.last_update
-        if elapsed > 0:
-            factor = 0.5 ** (elapsed / half_life_s)
-            for node in list(self.counts):
-                decayed = self.counts[node] * factor
-                if decayed < 1e-9:
-                    del self.counts[node]
-                else:
-                    self.counts[node] = decayed
+        """Decay every count to ``now``, which is later than
+        ``last_update`` (while the clock stands still, callers skip
+        the call: it would change nothing)."""
+        factor = 0.5 ** ((now - self.last_update) / half_life_s)
+        for node in list(self.counts):
+            decayed = self.counts[node] * factor
+            if decayed < 1e-9:
+                del self.counts[node]
+            else:
+                self.counts[node] = decayed
         self.last_update = now
 
 
@@ -127,25 +128,27 @@ class HomeMigrationManager:
     itself.  The lock manager calls :meth:`record_access` on every
     global acquisition, asks :meth:`pick_target` when an entry
     quiesces, charges the handoff message, and then calls
-    :meth:`note_migrated` once the home has actually flipped.
+    :meth:`note_migrated` once the home has actually flipped.  Time is
+    ``env.now``, read directly: ``env`` is the simulation engine, or
+    anything else with a ``now``.
     """
 
-    def __init__(self, config: MigrationConfig,
-                 clock: Callable[[], float]):
+    def __init__(self, config: MigrationConfig, env):
         self.config = config
-        self._clock = clock
+        self.env = env
         self._access: Dict[ObjectId, _AccessCounts] = {}
         self.stats = MigrationStats()
 
     def record_access(self, object_id: ObjectId, node: NodeId) -> None:
         """One global lock operation on ``object_id`` issued by ``node``."""
+        now = self.env.now
         tally = self._access.get(object_id)
         if tally is None:
-            tally = self._access[object_id] = _AccessCounts(
-                last_update=self._clock()
-            )
-        tally.decay_to(self._clock(), self.config.half_life_s)
-        tally.counts[node] = tally.counts.get(node, 0.0) + 1.0
+            tally = self._access[object_id] = _AccessCounts(last_update=now)
+        elif now > tally.last_update:
+            tally.decay_to(now, self.config.half_life_s)
+        counts = tally.counts
+        counts[node] = counts.get(node, 0.0) + 1.0
 
     def pick_target(self, object_id: ObjectId,
                     current_home: NodeId) -> Optional[NodeId]:
@@ -153,18 +156,23 @@ class HomeMigrationManager:
         tally = self._access.get(object_id)
         if tally is None:
             return None
-        now = self._clock()
+        now = self.env.now
         if now - tally.last_migration < self.config.cooldown_s:
             return None
         self.stats.considered += 1
-        tally.decay_to(now, self.config.half_life_s)
-        total = sum(tally.counts.values())
+        if now > tally.last_update:
+            tally.decay_to(now, self.config.half_life_s)
+        counts = tally.counts
+        total = sum(counts.values())
         if total <= 0:
             return None
-        # Deterministic argmax: break count ties by node id.
-        dominant, count = min(
-            tally.counts.items(), key=lambda kv: (-kv[1], kv[0].value)
-        )
+        # Deterministic argmax: the highest count, ties to the lowest
+        # node id (a tie never moves the entry: its share is <= 1/2).
+        dominant, count = None, 0.0
+        for node, tallied in counts.items():
+            if (dominant is None or tallied > count
+                    or (tallied == count and node.value < dominant.value)):
+                dominant, count = node, tallied
         if dominant == current_home:
             return None
         if count < self.config.threshold:
@@ -176,7 +184,7 @@ class HomeMigrationManager:
     def note_migrated(self, object_id: ObjectId) -> None:
         tally = self._access.get(object_id)
         if tally is not None:
-            tally.last_migration = self._clock()
+            tally.last_migration = self.env.now
             # Start a fresh observation window at the new home so the
             # very next decision reflects post-move behavior only.
             tally.counts.clear()

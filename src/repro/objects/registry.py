@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
+from repro.gdo.entry import DirectoryEntry
 from repro.memory.layout import ObjectLayout
 from repro.objects.schema import ClassSchema
 from repro.util.errors import ConfigurationError
@@ -15,8 +16,12 @@ from repro.util.ids import NodeId, ObjectId
 class ObjectMeta:
     """Immutable identity of one shared object.
 
-    ``home_node`` is the GDO partition that owns the object's directory
-    entry (not where the data lives — pages migrate freely).
+    ``home_node`` is the GDO partition that first owned the object's
+    directory entry (not where the data lives — pages migrate freely).
+    ``entry`` is that :class:`~repro.gdo.entry.DirectoryEntry` itself,
+    bound at registration: the entry is assigned exactly once and
+    re-homing or failover change it in place, so the lock path reaches
+    it by reference, never by a directory lookup (DESIGN §14).
     """
 
     object_id: ObjectId
@@ -24,10 +29,13 @@ class ObjectMeta:
     layout: ObjectLayout
     home_node: NodeId
     creator_node: NodeId
+    entry: Optional[DirectoryEntry] = field(default=None, compare=False,
+                                            repr=False)
 
     def __init__(self, object_id: ObjectId, schema: ClassSchema,
                  layout: ObjectLayout, home_node: NodeId,
-                 creator_node: NodeId):
+                 creator_node: NodeId,
+                 entry: Optional[DirectoryEntry] = None):
         # Frozen: written once, here, past the refusing ``__setattr__``
         # (one per object, at its creation).
         setattr_ = object.__setattr__
@@ -36,6 +44,7 @@ class ObjectMeta:
         setattr_(self, "layout", layout)
         setattr_(self, "home_node", home_node)
         setattr_(self, "creator_node", creator_node)
+        setattr_(self, "entry", entry)
 
     @property
     def page_count(self) -> int:

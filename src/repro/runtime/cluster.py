@@ -141,9 +141,7 @@ class Cluster:
         if config.migration is not None and config.num_nodes > 1:
             # On one node every entry is already home; tracking would
             # only burn cycles without ever proposing a move.
-            self.migration = HomeMigrationManager(
-                config.migration, clock=lambda: env.now
-            )
+            self.migration = HomeMigrationManager(config.migration, env)
         # Each node's durable write-ahead record, kept only when crashes
         # are planned; otherwise None, and every durable write is one
         # ``wal is not None`` branch.
@@ -217,11 +215,6 @@ class Cluster:
         elif node not in self.stores:
             raise ConfigurationError(f"unknown node {node!r}")
         object_id = self.alloc.next_object()
-        meta = ObjectMeta(
-            object_id=object_id, schema=schema, layout=layout,
-            home_node=self.directory.home_node(object_id), creator_node=node,
-        )
-        handle = self.registry.register(meta)
         initial = dict(initial or {})
         unknown = set(initial) - set(layout.attribute_names())
         if unknown:
@@ -237,11 +230,13 @@ class Cluster:
                 )
             slot_values[(name, 0)] = value
         self.stores[node].create_object(object_id, layout, slot_values)
-        self.directory.register(object_id, layout.page_count, node)
+        entry = self.directory.register(object_id, layout.page_count, node)
         if self.wal is not None:
-            self.wal.record_home(
-                self.directory.entry(object_id).home_node.value, object_id
-            )
+            self.wal.record_home(entry.home_node.value, object_id)
+        handle = self.registry.register(ObjectMeta(
+            object_id=object_id, schema=schema, layout=layout,
+            home_node=entry.home_node, creator_node=node, entry=entry,
+        ))
         self.creation_log.append(
             CreationRecord(
                 object_id=object_id, schema=schema, node=node,
@@ -285,27 +280,23 @@ class Cluster:
 
         ``delay`` postpones the start by that much simulated time
         (workload arrival pacing)."""
-        handle.meta.schema.method_spec(method_name)  # fail fast
+        spec = handle.meta.schema.method_spec(method_name)  # fail fast
         if node is None:
             node = self._next_node()
         elif node not in self.stores:
             raise ConfigurationError(f"unknown node {node!r}")
         if delay < 0:
             raise ConfigurationError("delay must be non-negative")
-
-        def tracked():
-            if delay > 0:
-                yield self.env.timeout(delay)
-            # `process` is bound below, before the bootstrap step ever
-            # runs this body; passing it lets a node crash interrupt the
-            # attempt mid-coroutine.
-            return (yield from self.executor.run_root(
-                node, handle, method_name, args, label=label,
-                process=process,
-            ))
-
-        process = self.env.process(
-            tracked(), name=label or f"{handle.class_name}.{method_name}"
+        # The process runs ``run_root`` itself, and ``run_root`` holds
+        # its own process so a node crash can interrupt the attempt
+        # mid-coroutine: allocated first, started once its body has it
+        # (the body runs no step before the bootstrap).
+        process = Process.__new__(Process)
+        process.__init__(
+            self.env,
+            self.executor.run_root(node, handle, spec, args, label=label,
+                                   delay=delay, process=process),
+            name=label or f"{handle.class_name}.{method_name}",
         )
         ticket = TxnTicket(process, node, label or method_name)
         self._tickets.append(ticket)

@@ -20,6 +20,7 @@ from typing import Set, Tuple
 from repro.memory.layout import Slot
 from repro.memory.undo import UndoRecord
 from repro.objects.registry import ObjectHandle, ObjectMeta
+from repro.objects.schema import MethodSpec
 from repro.util.errors import ConfigurationError, ProtocolError, TransactionAborted
 
 
@@ -28,17 +29,19 @@ class InvocationRequest:
     """A sub-transaction request produced by :meth:`TxnContext.invoke`.
 
     Method bodies *yield* these; the executor turns each into a child
-    transaction and resumes the body with the child's result.
+    transaction and resumes the body with the child's result.  ``spec``
+    is the invoked method's :class:`~repro.objects.schema.MethodSpec`,
+    looked up once, here (its ``name`` is the method's name).
     """
 
-    __slots__ = ("handle", "method_name", "args")
+    __slots__ = ("handle", "spec", "args")
     handle: ObjectHandle
-    method_name: str
+    spec: MethodSpec
     args: Tuple
 
-    def __init__(self, handle: ObjectHandle, method_name: str, args: Tuple):
+    def __init__(self, handle: ObjectHandle, spec: MethodSpec, args: Tuple):
         self.handle = handle
-        self.method_name = method_name
+        self.spec = spec
         self.args = args
 
 
@@ -97,9 +100,9 @@ class TxnContext:
             raise TypeError(
                 f"invoke() needs an ObjectHandle, got {type(handle).__name__}"
             )
-        handle.meta.schema.method_spec(method_name)  # fail fast on typos
-        return InvocationRequest(handle=handle, method_name=method_name,
-                                 args=tuple(args))
+        return InvocationRequest(  # a misspelt name fails here
+            handle=handle, spec=handle.meta.schema.method_spec(method_name),
+            args=tuple(args))
 
     def abort(self, reason: str = "user") -> None:
         """Abort the current transaction (undone and, for a
@@ -201,15 +204,17 @@ class TxnContext:
         structures*, never values — a demand fetch, a co-holder's commit
         or WAL replay changes versions mid-invocation, so both sides are
         re-read on every access.  Each is assigned exactly once: a
-        store's copy and the directory's entry per object, the entry's
-        ``page_map`` (``move_home`` and failover mutate the entry in
-        place; commits replace the map's immutable entries, never the
-        map), the root's ``touch_pages[object_id]`` set.
+        store's copy and the directory's entry per object (the entry is
+        bound on the object's metadata), the entry's ``page_map``
+        (``move_home`` and failover mutate the entry in place; commits
+        replace the map's immutable entries, never the map), the root's
+        ``touch_pages[object_id]`` set.
         """
-        runtime, object_id = self._runtime, self._meta.object_id
-        self._store = store = runtime.stores[self.txn.node]
+        meta = self._meta
+        object_id = meta.object_id
+        self._store = store = self._runtime.stores[self.txn.node]
         copy = store.copy_of(object_id)
-        self._page_map = runtime.directory.entry(object_id).page_map
+        self._page_map = meta.entry.page_map
         self._touched = self.txn.root.touch_pages.setdefault(object_id, set())
         self._copy = copy
         return copy

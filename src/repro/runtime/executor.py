@@ -28,6 +28,7 @@ from repro.faults.injector import NULL_INJECTOR
 from repro.gdo.entry import LockMode
 from repro.objects.proxy import proxy_class
 from repro.objects.registry import HandleRef as _HandleRef, ObjectHandle
+from repro.objects.schema import MethodSpec
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.context import InvocationRequest, TxnContext
 from repro.txn.semantic import IncrementMerger
@@ -219,17 +220,23 @@ class Executor:
     # Root transactions
     # ------------------------------------------------------------------
 
-    def run_root(self, node: NodeId, handle: ObjectHandle, method_name: str,
-                 args: Tuple, label: str = "", process=None):
+    def run_root(self, node: NodeId, handle: ObjectHandle, spec: MethodSpec,
+                 args: Tuple, label: str = "", delay: float = 0.0,
+                 process=None):
         """Simulation process for one user invocation (with retries).
 
-        ``process`` is the :class:`~repro.sim.process.Process` driving
-        this generator, when the caller has one: it lets a node crash
-        interrupt the attempt mid-coroutine.  Retryable aborts
-        (deadlock victim, lock-wait timeout) restart the loop with a
-        fresh root serial after capped exponential backoff; a crash of
-        the hosting node is terminal for the family.
+        ``spec`` is the invoked method, looked up by the caller;
+        ``delay`` is the arrival offset, waited out first.  ``process``
+        is the :class:`~repro.sim.process.Process` driving this
+        generator, when the caller has one: it lets a node crash
+        interrupt the attempt mid-coroutine.  Retryable aborts (deadlock
+        victim, lock-wait timeout) restart the loop with a fresh root
+        serial after capped exponential backoff; a crash of the hosting
+        node is terminal for the family.
         """
+        if delay > 0:
+            yield self.env.timeout(delay)
+        method_name = spec.name
         attempts = 0
         while True:
             if self.injector.enabled:
@@ -243,14 +250,11 @@ class Executor:
                      else None)
             try:
                 try:
-                    if self.config.prefetch != "off" and (
-                        handle.meta.schema.method_spec(method_name).may_invoke
-                    ):
+                    if self.config.prefetch != "off" and spec.may_invoke:
                         # §5.1 invocation analysis: methods proven to invoke
                         # nothing skip pre-acquisition entirely.
                         yield from self._prefetch(txn, handle, args)
-                    result = yield from self._execute(txn, handle, method_name,
-                                                      args)
+                    result = yield from self._execute(txn, handle, spec, args)
                 except ProtocolError:
                     raise  # internal invariant violation: never mask as an abort
                 except Exception as exc:
@@ -494,10 +498,11 @@ class Executor:
     # ------------------------------------------------------------------
 
     def _execute(self, txn: Transaction, handle: ObjectHandle,
-                 method_name: str, args: Tuple):
-        """Run one method invocation as transaction ``txn``."""
+                 spec: MethodSpec, args: Tuple):
+        """Run one invocation of ``spec`` (looked up by the caller) as
+        transaction ``txn``."""
         meta = handle.meta
-        spec = meta.schema.method_spec(method_name)
+        method_name = spec.name
         if not txn.is_root:
             txn.label = method_name
         token = (self.tracer.txn_begin(txn)
@@ -512,7 +517,7 @@ class Executor:
             if getattr(mode, "tag", None) is not None:
                 increments = mode.table.methods[method_name].increment_attrs
         try:
-            snapshot = yield from self.lockmgr.acquire(txn, meta.object_id, mode)
+            snapshot = yield from self.lockmgr.acquire(txn, meta.entry, mode)
             if snapshot is None:
                 # A lock-only prefetch may have deferred this object's
                 # data transfer to its first real use — now.
@@ -552,11 +557,11 @@ class Executor:
                         )
                     child = Transaction(
                         self.alloc.next_sub_txn(txn.id), txn.node,
-                        parent=txn, label=item.method_name,
+                        parent=txn, label=item.spec.name,
                     )
                     try:
                         send_value = yield from self._execute(
-                            child, item.handle, item.method_name, item.args
+                            child, item.handle, item.spec, item.args
                         )
                     except (DeadlockError, LockTimeoutError, NodeCrashError,
                             RecursiveInvocationError, ProtocolError):

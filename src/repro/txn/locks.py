@@ -164,15 +164,17 @@ class LockManager:
     # Acquisition (Algorithms 4.1 and 4.2)
     # ------------------------------------------------------------------
 
-    def acquire(self, txn: Transaction, object_id: ObjectId, mode: LockMode):
-        """Acquire the object's lock for ``txn`` (simulation process).
+    def acquire(self, txn: Transaction, entry: DirectoryEntry, mode: LockMode):
+        """Acquire the lock of ``entry``'s object for ``txn`` (simulation
+        process).  The entry comes by reference, bound on the object's
+        metadata at registration; ``txn.lock_objects`` carries it on.
 
         Returns the page-map snapshot sent with a *global* grant, or
         ``None`` for purely local grants (no data movement is implied
         by a local grant — the family's site already has whatever it
         fetched at its global acquisition).
         """
-        entry = self.directory.entry(object_id)
+        object_id = entry.object_id
         node = txn.node
         # Algorithm 4.1: serve from the locally cached holder list when
         # this site caches the entry AND the requester belongs to the
@@ -188,7 +190,7 @@ class LockManager:
             if decision is GrantDecision.GRANTED:
                 entry.grant(txn, mode)
                 self._record_grant(object_id, txn, mode)
-                txn.lock_objects.add(object_id)
+                txn.lock_objects[object_id] = entry
                 self.stats.local_acquisitions += 1
                 if self.tracer.enabled:
                     self.tracer.lock_granted(txn, object_id, mode, "local",
@@ -252,7 +254,7 @@ class LockManager:
                     object_id=object_id,
                 )
                 yield self.network.send(grant)
-            txn.lock_objects.add(object_id)
+            txn.lock_objects[object_id] = entry
             if self.tracer.enabled:
                 self.tracer.gdo_request_latency(
                     entry.home_node, self.env.now - request_started
@@ -265,7 +267,7 @@ class LockManager:
             self.tracer.gdo_request_latency(
                 entry.home_node, self.env.now - request_started
             )
-        txn.lock_objects.add(object_id)
+        txn.lock_objects[object_id] = entry
         return payload
 
     def try_prefetch(self, txn: Transaction, object_id: ObjectId,
@@ -343,7 +345,7 @@ class LockManager:
             # Crash landed during the grant's flight; the crash cleanup
             # already reclaimed the entry, so just stop quietly.
             raise NodeCrashError(txn.id, node=node)
-        txn.lock_objects.add(object_id)
+        txn.lock_objects[object_id] = entry
         return snapshot
 
     def _wal_record_holders(self, object_id: ObjectId,
@@ -541,14 +543,15 @@ class LockManager:
         parent = txn.parent
         if parent is None:
             raise ProtocolError("precommit_release on a root transaction")
-        if txn.lock_objects and self.tracer.enabled:
-            self.tracer.lock_inherited(txn, parent, sorted(txn.lock_objects))
+        held = txn.lock_objects
+        if held and self.tracer.enabled:
+            self.tracer.lock_inherited(txn, parent, sorted(held))
         wakes = []
-        for object_id in sorted(txn.lock_objects):
-            entry = self.directory.entry(object_id)
+        for _object_id, entry in sorted(held.items()):
             entry.release_to_parent(txn, parent)
-            for waiter in entry.pump():  # a loop: no generator frame
-                wakes.append(waiter.wake)
+            if entry.waiting_families:  # nobody queued: nothing to pump
+                for waiter in entry.pump():  # a loop: no generator frame
+                    wakes.append(waiter.wake)
         # Same-instant wakes ride one batched heap entry (FIFO order
         # preserved — see Environment.succeed_all).
         self.env.succeed_all(wakes)
@@ -560,15 +563,14 @@ class LockManager:
         locks the family no longer needs are released globally with no
         dirty-page info.
         """
-        freed: List[ObjectId] = []
+        freed: Dict[ObjectId, DirectoryEntry] = {}
         wakes = []
-        for object_id in sorted(txn.lock_objects):
-            entry = self.directory.entry(object_id)
+        for object_id, entry in sorted(txn.lock_objects.items()):
             family_gone = entry.release_on_abort(txn)
             if family_gone:
                 # Defer pumping to the global path so newly admitted
                 # families get their grant message and cache update.
-                freed.append(object_id)
+                freed[object_id] = entry
             else:
                 wakes.extend(
                     waiter.wake
@@ -576,7 +578,7 @@ class LockManager:
                 )
         self.env.succeed_all(wakes)
         yield from self._global_release(
-            node=txn.node, root_serial=txn.id.root, object_ids=freed,
+            node=txn.node, root_serial=txn.id.root, entries=freed,
             dirty={}, resident_versions={}, cause="sub-abort",
         )
 
@@ -590,7 +592,7 @@ class LockManager:
         """
         return (yield from self._global_release(
             node=root.node, root_serial=root.id.root,
-            object_ids=sorted(root.lock_objects),
+            entries=dict(sorted(root.lock_objects.items())),
             dirty=root.dirty, resident_versions=resident_versions,
             cause="commit",
         ))
@@ -599,27 +601,26 @@ class LockManager:
         """Root abort: release everything, no dirty info (Algorithm 4.3)."""
         yield from self._global_release(
             node=root.node, root_serial=root.id.root,
-            object_ids=sorted(root.lock_objects),
+            entries=dict(sorted(root.lock_objects.items())),
             dirty={}, resident_versions={}, cause="abort",
         )
 
     def _global_release(self, node: NodeId, root_serial: int,
-                        object_ids: List[ObjectId],
+                        entries: Dict[ObjectId, DirectoryEntry],
                         dirty: Dict[ObjectId, set],
                         resident_versions: Dict[ObjectId, Dict[int, int]],
                         cause: str = "commit"):
-        """Release ``object_ids`` at their homes; returns their entries."""
-        if not object_ids:
-            return {}
+        """Release ``entries`` (object id -> entry, in id order) at their
+        homes; returns them."""
+        if not entries:
+            return entries
         if self.tracer.enabled:
-            self.tracer.lock_released(node, root_serial, object_ids, cause)
+            self.tracer.lock_released(node, root_serial, list(entries), cause)
         # One release message per distinct home node, dirty info
         # piggybacked (§4.1: "Dirty page information may be piggybacked
         # on each global lock release message").
-        entries = {}
         by_home: Dict[NodeId, List[ObjectId]] = defaultdict(list)
-        for object_id in object_ids:
-            entries[object_id] = entry = self.directory.entry(object_id)
+        for object_id, entry in entries.items():
             by_home[entry.home_node].append(object_id)
         # Releasing at the one home the objects have is a local call:
         # it lands in place for the delivery and the ``all_of`` of it.
@@ -671,20 +672,25 @@ class LockManager:
                 dirty.get(object_id, ()),
                 resident_versions.get(object_id, {}),
             )
-            roots_before = entry.blocking_family_roots()
-            entry.release_family(root_serial)
-            # Drop any of our own stragglers still queued (family abort).
-            for waiter in entry.remove_family_waiters(root_serial):
-                if not waiter.wake.triggered:
-                    waiter.wake.fail(
-                        ProtocolError(f"waiter of released family {root_serial}")
-                    )
-            if entry.is_free:
-                # Other families may still hold the lock (shared read):
-                # their site's cached holder list stays authoritative.
-                self.cache.on_freed(object_id)
-            woken = entry.pump()
-            self._deliver_grants(entry, woken, roots_before)
+            # Other families may still hold the lock (shared read):
+            # their site's cached holder list stays authoritative, so
+            # only a free entry leaves the cache — before any pump.
+            if entry.waiting_families:
+                roots_before = entry.blocking_family_roots()
+                entry.release_family(root_serial)
+                # Drop any of our own stragglers still queued (family
+                # abort).
+                for waiter in entry.remove_family_waiters(root_serial):
+                    if not waiter.wake.triggered:
+                        waiter.wake.fail(ProtocolError(
+                            f"waiter of released family {root_serial}"))
+                if not entry.holders and not entry.retainers:
+                    self.cache.on_freed(object_id)
+                self._deliver_grants(entry, entry.pump(), roots_before)
+            else:  # nobody queued: nothing to drop, pump or grant
+                entry.release_family(root_serial)
+                if not entry.holders and not entry.retainers:
+                    self.cache.on_freed(object_id)
             if self.wal is not None:
                 self._wal_record_holders(object_id, entry)
         if self.migration is not None:
@@ -694,11 +700,11 @@ class LockManager:
             # later-granted family commit (and trace its commit) before
             # the releaser does — inverting commit order vs conflict
             # order and breaking the serial-replay oracle.
-            self.env.call_later(0.0, self._migration_check, object_ids,
+            self.env.call_later(0.0, self._migration_check, entries,
                                 root_serial)
         return entries
 
-    def _migration_check(self, object_ids: List[ObjectId],
+    def _migration_check(self, entries: Dict[ObjectId, DirectoryEntry],
                          root_serial: int) -> None:
         """Start :meth:`_maybe_migrate` where a detached process's
         first step would run it, and give it a process only if it sends
@@ -707,7 +713,7 @@ class LockManager:
         awaits: counted on the FIFO path, queued for a tie-break policy
         to rank as it always did."""
         env = self.env
-        check = self._maybe_migrate(object_ids)
+        check = self._maybe_migrate(entries)
         handoff = next(check, None)
         if handoff is not None:
             Process(env, check, name=f"gdo-migrate:{root_serial}",
@@ -717,7 +723,7 @@ class LockManager:
         else:
             Event(env).succeed()
 
-    def _maybe_migrate(self, object_ids: List[ObjectId]):
+    def _maybe_migrate(self, entries: Dict[ObjectId, DirectoryEntry]):
         """Adaptive re-homing of freshly quiesced entries (DESIGN §11).
 
         Run detached (:meth:`_migration_check`) at the tail of a global
@@ -730,12 +736,11 @@ class LockManager:
         the move is abandoned (the access counts survive, so it is
         reconsidered at the next quiesce).
         """
-        for object_id in object_ids:
-            entry = self.directory.entry(object_id)
+        for object_id, entry in entries.items():
             if object_id in self._migrating:
                 continue
-            if not entry.is_free or entry.has_waiters():
-                continue
+            if entry.holders or entry.retainers or entry.waiting_families:
+                continue  # not quiescent
             target = self.migration.pick_target(object_id, entry.home_node)
             if target is None:
                 continue
@@ -755,7 +760,7 @@ class LockManager:
                 yield self.network.send(handoff)
             finally:
                 self._migrating.discard(object_id)
-            if not entry.is_free or entry.has_waiters():
+            if entry.holders or entry.retainers or entry.waiting_families:
                 continue  # a racing request got in first: stay put
             moved_from = self.directory.move_home(object_id, target)
             if self.wal is not None:

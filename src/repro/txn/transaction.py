@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set
 
+from repro.gdo.entry import DirectoryEntry
 from repro.memory.undo import UndoLog
 from repro.util.errors import ProtocolError
 from repro.util.ids import NodeId, ObjectId, TxnId
@@ -61,8 +62,10 @@ class Transaction:
         # pre-commits, those inherited from children — dirty information
         # flows up the tree exactly like locks do).
         self.dirty: Dict[ObjectId, Set[int]] = {}
-        # Objects whose locks this transaction holds or retains.
-        self.lock_objects: Set[ObjectId] = set()
+        # Objects whose locks this transaction holds or retains, each
+        # with its directory entry: the lock path carries the entry it
+        # acquired, so no release or pre-commit looks it up again.
+        self.lock_objects: Dict[ObjectId, DirectoryEntry] = {}
         # Family-level accounting, meaningful on the root: network delay
         # deferred from synchronous demand fetches, pages shipped at
         # acquisitions, and pages actually touched (for over-prediction

@@ -330,7 +330,7 @@ def test_waiter_admitted_by_a_local_pump_has_no_out_edge(cluster):
     e1.grant(h_root, deposit)
     e1.demote_to_retained(h_root)
     e1.grant(h_child, withdraw)
-    h_child.lock_objects.add(o1)
+    h_child.lock_objects[o1] = e1
     e2.grant(b_root, W)
 
     b_waits = lockmgr._wait(e1, b_root, deposit)

@@ -11,7 +11,13 @@ cluster:
 * ``NodeStore.ship_pages`` enters only itself;
 * one nested invoke adds one generator frame to the chain every resume
   of the body re-enters (``_execute`` drives the body itself);
-* with one protocol, a root commit makes no ``for_meta`` call.
+* with one protocol, a root commit makes no ``for_meta`` call;
+* every resume of a root enters ``run_root`` straight from
+  ``Process._resume``, with no wrapper generator around it;
+* releasing an entry nobody waits on enters none of the waiter
+  machinery, and the lock path (acquire, pre-commit, release, the
+  migration check, ``TxnContext._bind``) reaches each entry by
+  reference, with no ``Directory.entry`` lookup.
 """
 
 import os
@@ -20,6 +26,9 @@ from inspect import CO_GENERATOR
 
 import repro
 from repro import Attr, method, shared_class
+from repro.gdo import MigrationConfig
+from repro.gdo.directory import Directory
+from repro.sim.process import Process
 
 from conftest import make_cluster
 
@@ -126,3 +135,73 @@ def test_single_protocol_root_commit_makes_no_for_meta_call():
     assert cluster.txn_stats.commits == 1
     # The remote grant's transfer dispatches; the commit does not.
     assert callers == ["_execute"]
+
+
+def _calls_during(action):
+    """``(code, caller's code)`` of every Python frame ``action()``
+    enters, generator resumes included."""
+    entered = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            entered.append((frame.f_code, frame.f_back.f_code))
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def _nested_remote_root(**config):
+    """One root with one nested invoke, run on a node that is home to
+    neither object: global acquisitions, a pre-commit, a release."""
+    cluster = make_cluster(**config)
+    owner, runner = cluster.nodes[0], cluster.nodes[3]
+    target = cluster.create(Probe, node=owner)
+    outer = cluster.create(Probe, node=owner)
+    assert runner not in {cluster.directory.home_node(handle.object_id)
+                          for handle in (outer, target)}
+    return cluster, lambda: cluster.call(outer, "outer", target, node=runner)
+
+
+def test_root_resumes_enter_run_root_with_no_wrapper_frame():
+    cluster = make_cluster()
+    handle = cluster.create(Probe, node=cluster.nodes[0])
+
+    def run():
+        cluster.submit(handle, "leaf", "delayed", node=cluster.nodes[1],
+                       delay=0.001)
+        cluster.run()
+
+    resume = Process._resume.__code__
+    entered = [code.co_name for code, caller in _calls_during(run)
+               if caller is resume]
+    assert cluster.txn_stats.commits == 1
+    # The arrival delay, the remote grant and the release all resume
+    # the root: each enters ``run_root`` itself.
+    assert len(entered) >= 3
+    assert set(entered) == {"run_root"}
+
+
+def test_release_with_no_waiters_enters_no_waiter_machinery():
+    cluster, run = _nested_remote_root()
+    entered = {code.co_name for code, _caller in _calls_during(run)}
+    assert cluster.txn_stats.commits == 1
+    assert cluster.lock_stats.waits == 0
+    assert {"_global_release", "precommit_release"} <= entered
+    assert not entered & {"pump", "_deliver_grants", "blocking_family_roots",
+                          "remove_family_waiters"}
+
+
+def test_lock_path_makes_no_directory_entry_call():
+    cluster, run = _nested_remote_root(migration=MigrationConfig())
+    calls = _calls_during(run)
+    entered = {code.co_name for code, _caller in calls}
+    assert cluster.txn_stats.commits == 1
+    assert cluster.lock_stats.global_acquisitions == 2
+    assert {"acquire", "precommit_release", "_global_release",
+            "_maybe_migrate", "_bind"} <= entered
+    lookup = Directory.entry.__code__
+    assert [caller.co_name for code, caller in calls if code is lookup] == []

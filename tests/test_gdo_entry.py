@@ -337,7 +337,7 @@ class TestWaitingAndPump:
         entry.enqueue_global(Waiter(victim, W, self.wake()))
         assert entry.remove_waiter(victim.id) is True
         assert entry.remove_waiter(victim.id) is False
-        assert not entry.has_waiters()
+        assert not entry.waiting_families
 
     def test_remove_family_waiters(self, entry):
         holder = StubTxn()

@@ -3,10 +3,13 @@ threshold, cooldown) and the end-to-end claim — on a skewed open-loop
 load, migration moves hot entries, cuts remote directory traffic, and
 leaves every correctness oracle untouched."""
 
+import random
+
 import pytest
 
 from repro import check_serializability
 from repro.gdo import HomeMigrationManager, MigrationConfig
+from repro.gdo import migration as migration_module
 from repro.load import build_load, run_load
 from repro.runtime import Cluster, ClusterConfig
 from repro.util.errors import ConfigurationError
@@ -17,18 +20,17 @@ HOME = NodeId(0)
 
 
 class FakeClock:
+    """Stands in for the engine: the manager reads only ``now``."""
+
     def __init__(self):
         self.now = 0.0
-
-    def __call__(self):
-        return self.now
 
 
 def manager(clock, **knobs):
     defaults = dict(threshold=2.0, dominance=0.55, half_life_s=0.1,
                     cooldown_s=0.001)
     defaults.update(knobs)
-    return HomeMigrationManager(MigrationConfig(**defaults), clock=clock)
+    return HomeMigrationManager(MigrationConfig(**defaults), clock)
 
 
 class TestConfigValidation:
@@ -142,6 +144,68 @@ class TestPolicy:
     def test_unknown_object_stays_put(self):
         mgr = manager(FakeClock())
         assert mgr.pick_target(ObjectId(99), HOME) is None
+
+    def test_records_while_the_clock_stands_still_decay_nothing(
+            self, monkeypatch):
+        clock = FakeClock()
+        mgr = manager(clock)
+        clock.now = 0.25
+        calls = []
+        decay_to = migration_module._AccessCounts.decay_to
+        monkeypatch.setattr(
+            migration_module._AccessCounts, "decay_to",
+            lambda tally, now, half_life_s: (
+                calls.append(now), decay_to(tally, now, half_life_s)))
+        for _ in range(3):
+            mgr.record_access(OBJ, NodeId(2))
+        mgr.record_access(OBJ, NodeId(1))
+        assert mgr._access[OBJ].counts == {NodeId(2): 3.0, NodeId(1): 1.0}
+        assert mgr.pick_target(OBJ, HOME) == NodeId(2)
+        assert calls == []  # the clock never moved: no decay was run
+        clock.now = 0.35  # one half-life later: decays once, by half
+        mgr.record_access(OBJ, NodeId(1))
+        assert calls == [0.35]
+        assert mgr._access[OBJ].counts == {
+            NodeId(2): pytest.approx(1.5), NodeId(1): pytest.approx(1.5)}
+
+
+def old_pick_target(counts, current_home, config):
+    """The rule ``pick_target`` had before its argmax became a loop:
+    ``min`` keyed on (-count, node id)."""
+    total = sum(counts.values())
+    if total <= 0:
+        return None
+    dominant, count = min(counts.items(),
+                          key=lambda kv: (-kv[1], kv[0].value))
+    if (dominant == current_home or count < config.threshold
+            or count / total < config.dominance):
+        return None
+    return dominant
+
+
+def test_pick_target_matches_the_min_rule_on_seeded_tallies():
+    """Over seeded tallies drawn from few values (so ties at the top
+    are common), homes and knobs, the loop picks what ``min`` picked.
+    A tie at the top holds at most half the total, below any allowed
+    dominance, so both rules keep such an entry where it is."""
+    rng = random.Random(45)
+    ties = 0
+    for _ in range(2000):
+        config = MigrationConfig(threshold=rng.choice([0.5, 1.0, 2.0, 3.0]),
+                                 dominance=rng.choice([0.51, 0.55, 0.75, 1.0]),
+                                 cooldown_s=0.0)
+        nodes = rng.sample(range(8), rng.randint(1, 6))
+        counts = {NodeId(n): rng.choice([0.5, 1.0, 2.0, 3.0, 4.0, 1e-6])
+                  for n in nodes}
+        top = max(counts.values())
+        ties += sum(value == top for value in counts.values()) > 1
+        home = NodeId(rng.randrange(8))
+        mgr = HomeMigrationManager(config, FakeClock())
+        mgr._access[OBJ] = migration_module._AccessCounts(
+            counts=dict(counts))
+        assert mgr.pick_target(OBJ, home) == \
+            old_pick_target(counts, home, config), (counts, home, config)
+    assert ties > 200
 
 
 def smoke_clusters(migration, seed=7, scale=0.5):

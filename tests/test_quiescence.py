@@ -15,7 +15,7 @@ def assert_quiescent(cluster):
     assert cluster.lockmgr._blocked == {}
     for object_id, entry in cluster.directory.entries().items():
         assert entry.is_free, (object_id, entry.holders, entry.retainers)
-        assert not entry.has_waiters(), object_id
+        assert not entry.waiting_families, object_id
         assert entry.lock_state.value == "free"
     # Every root's deferred delay was consumed.
     for record in cluster.commit_log:

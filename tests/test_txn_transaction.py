@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.gdo.entry import DirectoryEntry
 from repro.memory.undo import UndoRecord
 from repro.txn.transaction import Transaction, TxnState, TxnStats
 from repro.util.errors import ProtocolError
@@ -63,14 +64,14 @@ class TestPrecommit:
         root, child, _ = make_family(alloc)
         oid = ObjectId(3)
         child.record_dirty(oid, {0, 2})
-        child.lock_objects.add(oid)
+        entry = child.lock_objects[oid] = DirectoryEntry(oid, N0, 3, N0)
         child.undo.append(UndoRecord((oid, ("x", 0), True, 1)))
         # grandchild must finish first
         child.children[0].state = TxnState.PRECOMMITTED
         child.precommit()
         assert child.state is TxnState.PRECOMMITTED
         assert root.dirty == {oid: {0, 2}}
-        assert oid in root.lock_objects
+        assert root.lock_objects[oid] is entry  # the entry rides along
         assert len(root.undo) == 1
         assert child.dirty == {}
 
