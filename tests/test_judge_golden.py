@@ -1,0 +1,66 @@
+"""Pinned verdicts of the judge.
+
+Each case is one fully determined fuzz task; its pin is the number of
+violations :func:`repro.check.run_task` reports (the judge's, or the
+invariant checkers' alone on a run that ended in error) and a digest of
+them as ``(checker, index, message)`` rows, in order.  A change to how
+the checkers read the trace must leave every pin as it is; a change to
+the protocol or the trace format that moves one re-reads it from a run.
+
+The cases: every registered mutation at the task shape that must catch
+it, seeds 0-2; one clean task per fault preset; one clean task with
+semantic lock modes.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.check import FuzzTask, run_task
+from repro.check.mutations import MUTATIONS
+from repro.faults.plan import FAULT_PRESETS
+
+CLEAN = (0, "4f53cda18c2baa0c")
+
+PINS = {
+    "skip-precommit-retention-0": (305, "3abaa88cc53c78f7"),
+    "skip-precommit-retention-1": (330, "81eb7abebba5621d"),
+    "skip-precommit-retention-2": (361, "005afaa9a753179b"),
+    "skip-rejoin-invalidation-0": (34, "41239d29dc202a6f"),
+    "skip-rejoin-invalidation-1": (31, "ff172ae2fa9ec107"),
+    "skip-rejoin-invalidation-2": (32, "da2cce793a43011f"),
+    "commute-conflicting-writes-0": (415, "20360a8046ba8a22"),
+    "commute-conflicting-writes-1": (338, "9771c1ad8b5317e7"),
+    "commute-conflicting-writes-2": (421, "5f532a6ed07bb179"),
+    **{f"preset-{preset}": CLEAN for preset in FAULT_PRESETS},
+    "semantic": CLEAN,
+}
+
+
+def _tasks():
+    tasks = {}
+    for name, mutation in MUTATIONS.items():
+        for seed in range(3):
+            tasks[f"{name}-{seed}"] = FuzzTask(
+                seed=seed, mutate=(name,), **mutation.catch_with)
+    for preset in FAULT_PRESETS:
+        tasks[f"preset-{preset}"] = FuzzTask(seed=0, preset=preset)
+    tasks["semantic"] = FuzzTask(seed=0, semantic=True)
+    return tasks
+
+
+TASKS = _tasks()
+
+
+def pin_of(violations):
+    rows = [(v.checker, v.index, v.message) for v in violations]
+    return len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+def test_every_case_is_pinned():
+    assert sorted(TASKS) == sorted(PINS)
+
+
+@pytest.mark.parametrize("case", sorted(TASKS))
+def test_verdict_is_pinned(case):
+    assert pin_of(run_task(TASKS[case]).violations) == PINS[case]
