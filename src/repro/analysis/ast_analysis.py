@@ -38,6 +38,7 @@ import ast
 import inspect
 import textwrap
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Optional, Set, Union
 
 
@@ -234,23 +235,27 @@ class _RawAnalysis:
     observed: AttrSet = frozenset()
 
 
+@lru_cache(maxsize=256)
+def function_def(func: Callable) -> Optional[ast.FunctionDef]:
+    """The first function definition in ``func``'s source, parsed once
+    and shared, read-only, by every analysis; None when the source
+    cannot be obtained or defines no function."""
+    try:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    except (OSError, TypeError, SyntaxError):
+        return None
+    return next((
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ), None)
+
+
 def _analyze_single(func: Callable) -> _RawAnalysis:
     """Analyze one function body, without resolving method calls."""
-    try:
-        source = textwrap.dedent(inspect.getsource(func))
-        tree = ast.parse(source)
-    except (OSError, TypeError, SyntaxError):
+    func_def = function_def(func)
+    if func_def is None:
         return _RawAnalysis(reads=ALL_ATTRIBUTES, writes=ALL_ATTRIBUTES,
                             observed=ALL_ATTRIBUTES)
-    func_defs = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    if not func_defs:
-        return _RawAnalysis(reads=ALL_ATTRIBUTES, writes=ALL_ATTRIBUTES,
-                            observed=ALL_ATTRIBUTES)
-    func_def = func_defs[0]
     params = func_def.args.args
     if not params:
         return _RawAnalysis(reads=frozenset(), writes=frozenset())

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import ast
 import inspect
-import textwrap
 from typing import Callable, FrozenSet, Union
+
+from repro.analysis.ast_analysis import function_def
 
 
 class _UnknownInvocations:
@@ -74,23 +75,14 @@ def analyze_invocations(func: Callable) -> InvocationSet:
     """
     if not inspect.isgeneratorfunction(func):
         return frozenset()
-    try:
-        source = textwrap.dedent(inspect.getsource(func))
-        tree = ast.parse(source)
-    except (OSError, TypeError, SyntaxError):
+    func_def = function_def(func)
+    if func_def is None:
         return UNKNOWN_INVOCATIONS
-    func_defs = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    if not func_defs:
-        return UNKNOWN_INVOCATIONS
-    params = func_defs[0].args.args
+    params = func_def.args.args
     if len(params) < 2:
         return frozenset()
     visitor = _InvokeVisitor(ctx_name=params[1].arg)
-    for statement in func_defs[0].body:
+    for statement in func_def.body:
         visitor.visit(statement)
     if visitor.unknown:
         return UNKNOWN_INVOCATIONS

@@ -1,29 +1,51 @@
-"""Shared vocabulary for trace-stream checkers.
+"""The trace, read once, for every checker.
 
 The :mod:`repro.obs` tracer sanitizes every event to JSON primitives:
 transaction ids become ``"T5"`` / ``"T5/r3"``, object ids ``"O3"``,
-node ids ``"N0"``.  The checkers in this package consume either live
+node ids ``"N0"``.  This module is the only reader of that format.
+:class:`TraceIndex` walks a stream once — live
 :class:`~repro.obs.tracer.TraceEvent` objects or the dicts round-tripped
-through JSONL, so this module provides the tiny parsing layer both
-representations share, plus the :class:`Violation` record every checker
-emits.
+through JSONL — and hands the checkers parsed *steps*; the reference
+model and the invariant checkers keep their own state and rules, and
+never look at an event name.  It also holds the :class:`Violation`
+record every checker emits.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from functools import lru_cache
+from operator import itemgetter
+from typing import Dict, Iterable, List, Set
 
 MODE_READ = "R"
 MODE_WRITE = "W"
 
+# Step kinds.  Every step is a tuple ``(kind, index, ts, ...)``: the
+# kind, the event's position in the stream, its virtual time, then:
+#   GRANT / WAIT / PREFETCH  txn, object, mode, ancestor serials
+#   INHERIT                  txn, parent, objects
+#   RELEASE                  root, objects
+#   TXN_END                  txn, outcome
+#   TXN_START / CRASH_ABORT  root
+#   INSTALL                  object name, {page: version}
+#   FAULT                    window (node index, or PARTITION), +1 / -1
+# An immediate grant, a granted wait and a granted prefetch sort first,
+# so ``kind <= PREFETCH`` is "any grant".
+GRANT, WAIT, PREFETCH, INHERIT, RELEASE, TXN_END, CRASH_ABORT, \
+    TXN_START, INSTALL, FAULT = range(10)
+#: The FAULT window of a network bipartition (node windows are ints).
+PARTITION = "partition"
 
-def modes_conflict(left: str, right: str) -> bool:
-    """Multiple readers / single writer, on *plain* sanitized mode
-    strings.  Semantic modes (``"W+Class.method"``) need a
-    :class:`SemanticConflicts` relation — this helper treats them as
-    opaque non-``"W"`` strings and would under-report conflicts."""
-    return left == MODE_WRITE or right == MODE_WRITE
+_INSTALLS = ("transfer.install", "transfer.demand", "transfer.push")
+#: Fault event -> (the arg naming its node, or None; window delta).
+_FAULT_WINDOWS = {
+    "fault.node_crash": ("crashed_node", 1),
+    "fault.node_recover": ("recovered_node", -1),
+    "fault.partition": (None, 1),
+    "fault.partition_heal": (None, -1),
+}
 
 
 def split_mode(mode: str):
@@ -74,15 +96,6 @@ class SemanticConflicts:
             pairs.add((right, left))
         self._commutes[name] = frozenset(pairs)
 
-    @classmethod
-    def from_events(cls, events) -> "SemanticConflicts":
-        """Pre-scan a trace stream for every ``lock.commtable`` event."""
-        relation = cls()
-        for event in event_dicts(events):
-            if event.get("name") == "lock.commtable":
-                relation.add_table(event.get("args", {}).get("table", {}))
-        return relation
-
     def conflict(self, left: str, right: str) -> bool:
         left_base, left_tag = split_mode(left)
         right_base, right_tag = split_mode(right)
@@ -98,21 +111,32 @@ class SemanticConflicts:
         return left_base == MODE_WRITE or right_base == MODE_WRITE
 
 
-@dataclass(frozen=True, order=True)
-class TxnRef:
-    """A sanitized transaction id: serial plus family root serial."""
+class TxnRef(tuple):
+    """A sanitized transaction id: serial plus family root serial.
 
-    serial: int
-    root: int
+    A hand-written ``tuple`` subclass like :class:`repro.util.ids.TxnId`,
+    so hashing, equality and the ``(serial, root)`` order run in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, serial: int, root: int) -> "TxnRef":
+        return tuple.__new__(cls, (serial, root))
+
+    def __getnewargs__(self):
+        return (self[0], self[1])
+
+    serial = property(itemgetter(0))
+    root = property(itemgetter(1))
 
     @property
     def is_root(self) -> bool:
-        return self.serial == self.root
+        return self[0] == self[1]
 
     def __repr__(self) -> str:
-        if self.is_root:
-            return f"T{self.serial}"
-        return f"T{self.serial}/r{self.root}"
+        if self[0] == self[1]:
+            return f"T{self[0]}"
+        return f"T{self[0]}/r{self[1]}"
 
 
 def parse_txn(text: str) -> TxnRef:
@@ -127,12 +151,107 @@ def parse_object(text: str) -> int:
     return int(text[1:])
 
 
+def object_name(obj: int) -> str:
+    """The sanitized ``repr`` of object ``obj`` (``parse_object``'s
+    inverse)."""
+    return f"O{obj}"
+
+
 def event_dicts(events: Iterable) -> List[Dict]:
     """Normalize a trace stream to plain dicts (JSONL-shaped)."""
-    out = []
-    for event in events:
-        out.append(event.to_dict() if hasattr(event, "to_dict") else event)
-    return out
+    return [event.to_dict() if hasattr(event, "to_dict") else event
+            for event in events]
+
+
+class TraceIndex:
+    """One pass over a trace stream, shared by every checker.
+
+    ``events`` is the stream as dicts; ``steps`` its judged events,
+    classified and parsed (see the step kinds above), in stream order;
+    ``conflicts`` the relation of every ``lock.commtable`` in it; and
+    :meth:`footprint` the objects a family's grants and inheritances
+    named, so a check or purge of one family touches only those.
+    """
+
+    def __init__(self, events: Iterable) -> None:
+        self.events: List[Dict] = []
+        self.steps: List[tuple] = []
+        self.conflicts = SemanticConflicts()
+        self._footprints: Dict[int, Set[int]] = defaultdict(set)
+        # Each distinct id string is parsed once.
+        txn_of = lru_cache(maxsize=None)(parse_txn)
+        object_of = lru_cache(maxsize=None)(parse_object)
+        record = self.events.append
+        step = self.steps.append
+        for index, event in enumerate(events):
+            if hasattr(event, "to_dict"):
+                event = event.to_dict()
+            record(event)
+            name = event.get("name", "")
+            category = event.get("category", "")
+            args = event.get("args", {})
+            ts = event.get("ts", 0.0)
+            if category == "lock":
+                if name.startswith("lock.grant "):
+                    kind = GRANT
+                elif name.startswith("lock.wait "):
+                    if not args.get("granted"):
+                        continue
+                    kind = WAIT
+                elif name.startswith("lock.prefetch "):
+                    if args.get("outcome") != "granted":
+                        continue
+                    kind = PREFETCH
+                elif name == "lock.inherit":
+                    txn = txn_of(args["txn"])
+                    parent = txn_of(args["parent"])
+                    objs = tuple(map(object_of, args.get("objects", ())))
+                    self._footprints[txn.root].update(objs)
+                    self._footprints[parent.root].update(objs)
+                    step((INHERIT, index, ts, txn, parent, objs))
+                    continue
+                elif name == "lock.release":
+                    step((RELEASE, index, ts, args.get("root"),
+                          tuple(map(object_of, args.get("objects", ())))))
+                    continue
+                else:
+                    if name == "lock.commtable":
+                        self.conflicts.add_table(args.get("table", {}))
+                    continue
+                txn = txn_of(args["txn"])
+                obj = object_of(args["object"])
+                self._footprints[txn.root].add(obj)
+                step((kind, index, ts, txn, obj,
+                      args.get("mode") or MODE_WRITE,
+                      frozenset(args.get("lineage") or ())))
+            elif category == "txn":
+                if event.get("phase") == "X":
+                    step((TXN_END, index, ts, txn_of(args["txn"]),
+                          args.get("outcome")))
+                elif name.startswith("txn.start "):
+                    step((TXN_START, index, ts, args.get("root")))
+            elif category == "transfer":
+                if name.startswith(_INSTALLS):
+                    step((INSTALL, index, ts, args.get("object"),
+                          args.get("versions") or {}))
+            elif category == "fault":
+                head = name.partition(" ")[0]
+                if head == "fault.crash_abort":
+                    step((CRASH_ABORT, index, ts, args.get("root")))
+                elif head in _FAULT_WINDOWS:
+                    node_arg, delta = _FAULT_WINDOWS[head]
+                    window = PARTITION if node_arg is None else (
+                        args.get(node_arg))
+                    step((FAULT, index, ts, window, delta))
+
+    @classmethod
+    def of(cls, events) -> "TraceIndex":
+        """``events`` itself when already indexed, else its index."""
+        return events if isinstance(events, cls) else cls(events)
+
+    def footprint(self, root) -> Iterable[int]:
+        """Every object a lock event of family ``root`` named."""
+        return self._footprints.get(root, ())
 
 
 @dataclass(frozen=True)
@@ -147,8 +266,3 @@ class Violation:
     def __str__(self) -> str:
         return (f"[{self.checker}] event #{self.index} @t={self.ts:.6f}: "
                 f"{self.message}")
-
-
-def lineage_of(args: Dict) -> Tuple[int, ...]:
-    """Ancestor serials recorded on the event (parent first, root last)."""
-    return tuple(args.get("lineage") or ())

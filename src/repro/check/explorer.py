@@ -8,8 +8,8 @@ judges a finished cluster with every oracle this repo has:
   oracle (:mod:`repro.runtime.verify`),
 * when the cluster traced, the nested-O2PL reference model
   (:mod:`repro.check.reference`) and the trace invariant checkers
-  (:mod:`repro.check.invariants`), over one conversion of the event
-  stream.
+  (:mod:`repro.check.invariants`), over one reading of the event
+  stream (:class:`repro.check.events.TraceIndex`).
 
 A :class:`FuzzTask` fully determines an execution — workload seed,
 protocol, fault preset, tie-break policy, scenario, scale, node count,
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
-from repro.check.events import Violation, event_dicts
+from repro.check.events import TraceIndex, Violation
 from repro.check.invariants import run_invariants
 from repro.check.mutations import install_mutations, require_known
 from repro.check.reference import check_reference_model
@@ -98,9 +98,10 @@ def judge(cluster: Cluster) -> Verdict:
     if not conflict.equivalent:
         verdict.oracle_detail.extend(conflict.state_mismatches)
     if cluster.tracer.enabled:
-        verdict.trace = event_dicts(cluster.trace_events)
-        verdict.violations.extend(check_reference_model(verdict.trace))
-        verdict.violations.extend(run_invariants(verdict.trace))
+        trace = TraceIndex(cluster.trace_events)
+        verdict.trace = trace.events
+        verdict.violations.extend(check_reference_model(trace))
+        verdict.violations.extend(run_invariants(trace))
     return verdict
 
 
@@ -199,9 +200,10 @@ def run_task(task: FuzzTask, keep_trace: bool = False) -> FuzzReport:
         # here too — so the invariant checkers still get to judge the
         # partial trace.  The state oracles are skipped: the cluster is
         # not in a judgeable end state.
-        trace = event_dicts(cluster.trace_events)
+        trace = TraceIndex(cluster.trace_events)
         return FuzzReport(task=task, error=f"{type(exc).__name__}: {exc}",
-                          trace=trace, violations=run_invariants(trace))
+                          trace=trace.events,
+                          violations=run_invariants(trace))
     report = FuzzReport(task=task, committed=run.committed,
                         failed=run.failed, **vars(judge(cluster)))
     if report.ok and not keep_trace:

@@ -1,7 +1,8 @@
 """Trace invariant checkers.
 
-Each checker is a small, independent pass over the sanitized trace
-stream; none shares state with the others or with the reference model
+Each checker is a small, independent walk over the trace's one
+:class:`~repro.check.events.TraceIndex` (built here when handed a raw
+stream); none shares state with the others or with the reference model
 (:mod:`repro.check.reference`), so a bug has to fool several disjoint
 re-implementations of the paper's rules to slip through:
 
@@ -31,14 +32,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.check.events import (
-    SemanticConflicts,
-    Violation,
-    TxnRef,
-    event_dicts,
-    join_mode_strings,
-    lineage_of,
-    parse_object,
-    parse_txn,
+    CRASH_ABORT, FAULT, INHERIT, INSTALL, PREFETCH, RELEASE, TXN_END,
+    TXN_START, TraceIndex, TxnRef, Violation, join_mode_strings, object_name,
 )
 
 
@@ -47,61 +42,36 @@ def _joined(existing: Optional[str], mode: str) -> str:
     equal modes (plain runs see exactly the old strongest-mode fold)."""
     return mode if existing is None else join_mode_strings(existing, mode)
 
-#: Grant-shaped lock events: (name prefix, grant predicate).
-def _iter_grants(events):
-    """Yield ``(index, ts, args, mode)`` for every grant in the stream:
-    immediate grants, granted waits, and granted prefetches."""
-    for index, event in enumerate(events):
-        if event.get("category") != "lock":
-            continue
-        name = event.get("name", "")
-        args = event.get("args", {})
-        if name.startswith("lock.grant "):
-            yield index, event.get("ts", 0.0), args, args.get("mode")
-        elif name.startswith("lock.wait ") and args.get("granted"):
-            yield index, event.get("ts", 0.0), args, args.get("mode")
-        elif name.startswith("lock.prefetch ") and (
-            args.get("outcome") == "granted"
-        ):
-            yield index, event.get("ts", 0.0), args, args.get("mode") or "W"
-
 
 def check_single_writer(events) -> List[Violation]:
     """Family-granularity single-writer / multi-reader exclusion."""
-    events = event_dicts(events)
+    trace = TraceIndex.of(events)
     violations: List[Violation] = []
-    conflicts = SemanticConflicts.from_events(events)
+    conflict = trace.conflicts.conflict
     # Per object: family root -> strongest mode present (held/retained).
     present: Dict[int, Dict[int, str]] = {}
-    grants = {index: (ts, args, mode)
-              for index, ts, args, mode in _iter_grants(events)}
-    for index, event in enumerate(events):
-        name = event.get("name", "")
-        args = event.get("args", {})
-        if index in grants:
-            ts, args, mode = grants[index]
-            mode = mode or "W"
-            txn = parse_txn(args["txn"])
-            obj = parse_object(args["object"])
+    for step in trace.steps:
+        kind = step[0]
+        if kind <= PREFETCH:
+            _, index, ts, txn, obj, mode, _ = step
             families = present.setdefault(obj, {})
             for other, other_mode in sorted(families.items()):
                 if other == txn.root:
                     continue
-                if conflicts.conflict(other_mode, mode):
+                if conflict(other_mode, mode):
                     violations.append(Violation(
                         "invariant.single-writer", index, ts,
-                        f"O{obj}: family {txn.root} granted {mode} while "
-                        f"family {other} is present with {other_mode}",
+                        f"{object_name(obj)}: family {txn.root} granted "
+                        f"{mode} while family {other} is present with "
+                        f"{other_mode}",
                     ))
             families[txn.root] = _joined(families.get(txn.root), mode)
-        elif name == "lock.release":
-            root = args.get("root")
-            for oname in args.get("objects", ()):
-                present.get(parse_object(oname), {}).pop(root, None)
-        elif name.startswith("fault.crash_abort"):
-            root = args.get("root")
-            for families in present.values():
-                families.pop(root, None)
+        elif kind == RELEASE or kind == CRASH_ABORT:
+            root = step[3]
+            objects = (step[4] if kind == RELEASE
+                       else trace.footprint(root))
+            for obj in objects:
+                present.get(obj, {}).pop(root, None)
     return violations
 
 
@@ -117,90 +87,66 @@ def check_retained_descendants(events) -> List[Violation]:
     therefore tracked alongside retentions, so inheritance moves the
     *actual* strongest mode up the tree instead of assuming WRITE.
     """
-    events = event_dicts(events)
+    trace = TraceIndex.of(events)
     violations: List[Violation] = []
-    conflicts = SemanticConflicts.from_events(events)
+    conflict = trace.conflicts.conflict
     # Per object: transaction -> held / retained mode.
     holds: Dict[int, Dict[TxnRef, str]] = {}
     retains: Dict[int, Dict[TxnRef, str]] = {}
 
-    def drop_family(root, objects=None):
-        tables = [holds, retains] if objects is None else [
-            {obj: table.get(obj, {})}
-            for table in (holds, retains) for obj in objects
-        ]
-        for per_object in tables:
-            for table in per_object.values():
+    def drop_family(root, objects):
+        for per_object in (holds, retains):
+            for obj in objects:
+                table = per_object.get(obj, {})
                 for ref in [r for r in table if r.root == root]:
                     del table[ref]
 
-    for index, event in enumerate(events):
-        name = event.get("name", "")
-        category = event.get("category", "")
-        args = event.get("args", {})
-        ts = event.get("ts", 0.0)
-        if category == "lock":
-            grant_mode: Optional[str] = None
-            if name.startswith("lock.grant "):
-                grant_mode = args.get("mode")
-            elif name.startswith("lock.wait ") and args.get("granted"):
-                grant_mode = args.get("mode")
-            elif name.startswith("lock.prefetch ") and (
-                args.get("outcome") == "granted"
+    for step in trace.steps:
+        kind = step[0]
+        if kind <= PREFETCH:
+            _, index, ts, txn, obj, grant_mode, ancestors = step
+            for retainer, retained_mode in sorted(
+                retains.get(obj, {}).items()
             ):
-                grant_mode = args.get("mode") or "W"
-            if grant_mode is not None:
-                txn = parse_txn(args["txn"])
-                obj = parse_object(args["object"])
-                ancestors = set(lineage_of(args))
-                for retainer, retained_mode in sorted(
-                    retains.get(obj, {}).items()
-                ):
-                    if retainer == txn or retainer.serial in ancestors:
-                        continue
-                    if not conflicts.conflict(retained_mode, grant_mode):
-                        continue
-                    violations.append(Violation(
-                        "invariant.retained-descendants", index, ts,
-                        f"O{obj}: {txn!r} admitted ({grant_mode}) while "
-                        f"{retainer!r} retains the lock "
-                        f"({retained_mode}) and is not an ancestor",
-                    ))
-                if name.startswith("lock.prefetch "):
-                    table = retains.setdefault(obj, {})
-                    table[txn] = _joined(table.get(txn), grant_mode)
+                if retainer == txn or retainer.serial in ancestors:
+                    continue
+                if not conflict(retained_mode, grant_mode):
+                    continue
+                violations.append(Violation(
+                    "invariant.retained-descendants", index, ts,
+                    f"{object_name(obj)}: {txn!r} admitted ({grant_mode}) "
+                    f"while {retainer!r} retains the lock "
+                    f"({retained_mode}) and is not an ancestor",
+                ))
+            table = (retains if kind == PREFETCH else holds).setdefault(
+                obj, {})
+            table[txn] = _joined(table.get(txn), grant_mode)
+        elif kind == INHERIT:
+            _, _, _, txn, parent, objects = step
+            for obj in objects:
+                held = holds.setdefault(obj, {}).pop(txn, None)
+                table = retains.setdefault(obj, {})
+                retained = table.pop(txn, None)
+                moved = [m for m in (held, retained) if m is not None]
+                if moved:
+                    mode = moved[0]
+                    for extra in moved[1:]:
+                        mode = join_mode_strings(mode, extra)
                 else:
-                    table = holds.setdefault(obj, {})
-                    table[txn] = _joined(table.get(txn), grant_mode)
-            elif name == "lock.inherit":
-                txn = parse_txn(args["txn"])
-                parent = parse_txn(args["parent"])
-                for oname in args.get("objects", ()):
-                    obj = parse_object(oname)
-                    held = holds.setdefault(obj, {}).pop(txn, None)
-                    table = retains.setdefault(obj, {})
-                    retained = table.pop(txn, None)
-                    moved = [m for m in (held, retained) if m is not None]
-                    if moved:
-                        mode = moved[0]
-                        for extra in moved[1:]:
-                            mode = join_mode_strings(mode, extra)
-                    else:
-                        mode = "R"
-                    table[parent] = _joined(table.get(parent), mode)
-            elif name == "lock.release":
-                drop_family(args.get("root"),
-                            [parse_object(o)
-                             for o in args.get("objects", ())])
-        elif category == "txn" and event.get("phase") == "X":
-            txn = parse_txn(args["txn"])
-            if not txn.is_root and args.get("outcome") == "abort":
-                for table in list(holds.values()) + list(retains.values()):
-                    table.pop(txn, None)
+                    mode = "R"
+                table[parent] = _joined(table.get(parent), mode)
+        elif kind == RELEASE:
+            drop_family(step[3], step[4])
+        elif kind == TXN_END:
+            _, _, _, txn, outcome = step
+            if not txn.is_root and outcome == "abort":
+                for obj in trace.footprint(txn.root):
+                    holds.get(obj, {}).pop(txn, None)
+                    retains.get(obj, {}).pop(txn, None)
             elif txn.is_root:
-                drop_family(txn.root)
-        elif name.startswith("fault.crash_abort"):
-            drop_family(args.get("root"))
+                drop_family(txn.root, trace.footprint(txn.root))
+        elif kind == CRASH_ABORT:
+            drop_family(step[3], trace.footprint(step[3]))
     return violations
 
 
@@ -212,23 +158,18 @@ def check_page_version_monotonic(events) -> List[Violation]:
     ``(object, page)`` can only grow: a regression means the page map
     pointed a gather at a stale owner.
     """
-    events = event_dicts(events)
     violations: List[Violation] = []
     seen: Dict[Tuple[str, str], int] = {}
-    install_names = ("transfer.install", "transfer.demand", "transfer.push")
-    for index, event in enumerate(events):
-        name = event.get("name", "")
-        if not name.startswith(install_names):
+    for step in TraceIndex.of(events).steps:
+        if step[0] != INSTALL:
             continue
-        args = event.get("args", {})
-        versions = args.get("versions") or {}
-        obj = args.get("object")
+        _, index, ts, obj, versions = step
         for page, version in sorted(versions.items()):
             key = (obj, str(page))
             prior = seen.get(key)
             if prior is not None and version < prior:
                 violations.append(Violation(
-                    "invariant.page-version", index, event.get("ts", 0.0),
+                    "invariant.page-version", index, ts,
                     f"{obj} page {page}: installed version {version} after "
                     f"version {prior} was already current (stale page map)",
                 ))
@@ -244,39 +185,37 @@ def check_commit_order(events) -> List[Violation]:
     family A was granted a conflicting lock on an object before
     committed family B, then A must commit before B.
     """
-    events = event_dicts(events)
+    trace = TraceIndex.of(events)
     violations: List[Violation] = []
-    conflicts = SemanticConflicts.from_events(events)
+    conflict = trace.conflicts.conflict
     commit_pos: Dict[int, int] = {}
-    for index, event in enumerate(events):
-        if event.get("category") != "txn" or event.get("phase") != "X":
-            continue
-        args = event.get("args", {})
-        txn = parse_txn(args["txn"])
-        if txn.is_root and args.get("outcome") == "commit":
-            commit_pos[txn.root] = index
+    for step in trace.steps:
+        if step[0] == TXN_END:
+            _, index, _, txn, outcome = step
+            if txn.is_root and outcome == "commit":
+                commit_pos[txn.root] = index
     # Per object, the committed families' grants in trace order.
     grants_by_object: Dict[int, List[Tuple[int, int, str, float]]] = {}
-    for index, ts, args, mode in _iter_grants(events):
-        txn = parse_txn(args["txn"])
-        if txn.root not in commit_pos:
-            continue
-        obj = parse_object(args["object"])
-        grants_by_object.setdefault(obj, []).append(
-            (index, txn.root, mode or "W", ts)
-        )
+    for step in trace.steps:
+        if step[0] <= PREFETCH:
+            _, index, ts, txn, obj, mode, _ = step
+            if txn.root in commit_pos:
+                grants_by_object.setdefault(obj, []).append(
+                    (index, txn.root, mode, ts)
+                )
     for obj, grants in sorted(grants_by_object.items()):
         for position, (index, root, mode, ts) in enumerate(grants):
             for _, earlier_root, earlier_mode, _ in grants[:position]:
                 if earlier_root == root:
                     continue
-                if not conflicts.conflict(earlier_mode, mode):
+                if not conflict(earlier_mode, mode):
                     continue
                 if commit_pos[earlier_root] > commit_pos[root]:
                     violations.append(Violation(
                         "invariant.commit-order", index, ts,
-                        f"O{obj}: family {earlier_root} conflicted before "
-                        f"family {root} but committed after it",
+                        f"{object_name(obj)}: family {earlier_root} "
+                        f"conflicted before family {root} but committed "
+                        f"after it",
                     ))
     return violations
 
@@ -284,11 +223,11 @@ def check_commit_order(events) -> List[Violation]:
 def check_liveness(events) -> List[Violation]:
     """Every started family terminates once all faults heal.
 
-    Families are identified by the ``txn.start`` instant their root
+    Families are identified by the TXN_START instant their root
     emits at begin time (spans are only recorded at their *end*, so an
     interrupted family leaves no span — the instant is the only
     start-of-family evidence).  Termination is the root's commit/abort
-    span or a ``fault.crash_abort``.
+    span or a CRASH_ABORT.
 
     Heal-awareness is the whole point: a family stuck behind a node
     that never recovered, or a partition that never healed, is the
@@ -298,38 +237,26 @@ def check_liveness(events) -> List[Violation]:
     exactly the signature of a ghost holder resurrected from a stale
     durable record (the ``skip-rejoin-invalidation`` mutation).
     """
-    events = event_dicts(events)
     violations: List[Violation] = []
     started: Dict[int, Tuple[int, float]] = {}
     terminated: set = set()
-    down_nodes: Dict[int, int] = {}  # node -> open crash windows
-    open_partitions = 0
-    for index, event in enumerate(events):
-        name = event.get("name", "")
-        args = event.get("args", {})
-        if name.startswith("txn.start "):
-            root = args.get("root")
+    # Fault window (a node, or every partition) -> how many are open.
+    open_windows: Dict[object, int] = {}
+    for step in TraceIndex.of(events).steps:
+        kind = step[0]
+        if kind == TXN_START:
+            _, index, ts, root = step
             if root is not None and root not in started:
-                started[root] = (index, event.get("ts", 0.0))
-        elif event.get("category") == "txn" and event.get("phase") == "X":
-            txn = parse_txn(args["txn"])
-            if txn.is_root:
-                terminated.add(txn.root)
-        elif name.startswith("fault.crash_abort"):
-            terminated.add(args.get("root"))
-        elif name.startswith("fault.node_crash"):
-            node = args.get("crashed_node")
-            down_nodes[node] = down_nodes.get(node, 0) + 1
-        elif name.startswith("fault.node_recover"):
-            node = args.get("recovered_node")
-            down_nodes[node] = down_nodes.get(node, 0) - 1
-        elif name.startswith("fault.partition_heal"):
-            open_partitions -= 1
-        elif name.startswith("fault.partition "):
-            open_partitions += 1
-    unhealed = open_partitions > 0 or any(
-        count > 0 for count in down_nodes.values()
-    )
+                started[root] = (index, ts)
+        elif kind == TXN_END:
+            if step[3].is_root:
+                terminated.add(step[3].root)
+        elif kind == CRASH_ABORT:
+            terminated.add(step[3])
+        elif kind == FAULT:
+            _, _, _, window, delta = step
+            open_windows[window] = open_windows.get(window, 0) + delta
+    unhealed = any(count > 0 for count in open_windows.values())
     if unhealed:
         return violations  # stuck families are excused mid-outage
     for root, (index, ts) in sorted(started.items()):
@@ -345,11 +272,11 @@ def check_liveness(events) -> List[Violation]:
 
 def run_invariants(events) -> List[Violation]:
     """Run every invariant checker; violations in checker order."""
-    events = event_dicts(events)
+    trace = TraceIndex.of(events)
     violations: List[Violation] = []
-    violations.extend(check_single_writer(events))
-    violations.extend(check_retained_descendants(events))
-    violations.extend(check_page_version_monotonic(events))
-    violations.extend(check_commit_order(events))
-    violations.extend(check_liveness(events))
+    violations.extend(check_single_writer(trace))
+    violations.extend(check_retained_descendants(trace))
+    violations.extend(check_page_version_monotonic(trace))
+    violations.extend(check_commit_order(trace))
+    violations.extend(check_liveness(trace))
     return violations

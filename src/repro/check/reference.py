@@ -38,17 +38,11 @@ the paper's rules — and any divergence is localized to one event.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.check.events import (
-    SemanticConflicts,
-    Violation,
-    TxnRef,
-    event_dicts,
-    join_mode_strings,
-    lineage_of,
-    parse_object,
-    parse_txn,
+    CRASH_ABORT, INHERIT, PREFETCH, RELEASE, TXN_END, WAIT, TraceIndex, TxnRef,
+    Violation, join_mode_strings, object_name,
 )
 
 
@@ -59,9 +53,6 @@ class ReferenceModel:
         # Per object: transaction -> held / retained mode.
         self._holds: Dict[int, Dict[TxnRef, str]] = {}
         self._retains: Dict[int, Dict[TxnRef, str]] = {}
-        # Conflict relation; plain single-writer until the stream's
-        # honest lock.commtable artifacts register commuting pairs.
-        self._conflicts = SemanticConflicts()
         self.violations: List[Violation] = []
 
     # ------------------------------------------------------------------
@@ -69,48 +60,41 @@ class ReferenceModel:
     # ------------------------------------------------------------------
 
     def run(self, events) -> List[Violation]:
-        """Consume a trace stream; returns the violations found."""
-        for index, event in enumerate(event_dicts(events)):
-            self._apply(index, event)
+        """Consume a trace stream (or its :class:`TraceIndex`); returns
+        the violations found."""
+        trace = TraceIndex.of(events)
+        # The conflict relation of the stream's honest commutativity
+        # tables; plain single-writer where they register nothing.
+        self._conflicts = trace.conflicts
+        self._footprint = trace.footprint
+        for step in trace.steps:
+            kind = step[0]
+            if kind <= WAIT:
+                self._on_grant(*step[1:])
+            elif kind == PREFETCH:
+                self._on_prefetch(*step[1:])
+            elif kind == INHERIT:
+                self._on_inherit(*step[1:])
+            elif kind == RELEASE:
+                # Global release of a family on the listed objects.
+                # Removing a family that is already gone is a no-op by
+                # design: after a crash, the directory reclaimed the
+                # entries before the root's own abort release ran.
+                self._drop_family(step[3], step[4])
+            elif kind == TXN_END:
+                self._on_txn_end(*step[1:])
+            elif kind == CRASH_ABORT:
+                self._drop_family(step[3], self._footprint(step[3]))
         return self.violations
-
-    def _apply(self, index: int, event: Dict) -> None:
-        name = event.get("name", "")
-        category = event.get("category", "")
-        args = event.get("args", {})
-        ts = event.get("ts", 0.0)
-        if category == "lock":
-            if name.startswith("lock.grant "):
-                self._on_grant(index, ts, args, args.get("mode"))
-            elif name.startswith("lock.wait ") and args.get("granted"):
-                self._on_grant(index, ts, args, args.get("mode"))
-            elif name.startswith("lock.prefetch ") and (
-                args.get("outcome") == "granted"
-            ):
-                self._on_prefetch(index, ts, args)
-            elif name == "lock.commtable":
-                self._conflicts.add_table(args.get("table", {}))
-            elif name == "lock.inherit":
-                self._on_inherit(index, ts, args)
-            elif name == "lock.release":
-                self._on_release(args.get("root"), args.get("objects", ()))
-        elif category == "txn" and event.get("phase") == "X":
-            self._on_txn_end(index, ts, args)
-        elif name.startswith("fault.crash_abort"):
-            self._purge_family(args.get("root"))
 
     # ------------------------------------------------------------------
     # Grant judgement (the heart of the model)
     # ------------------------------------------------------------------
 
-    def _on_grant(self, index: int, ts: float, args: Dict,
-                  mode: Optional[str]) -> None:
-        txn = parse_txn(args["txn"])
-        obj = parse_object(args["object"])
-        ancestors = set(lineage_of(args))
+    def _on_grant(self, index: int, ts: float, txn: TxnRef, obj: int,
+                  mode: str, ancestors: FrozenSet[int]) -> None:
         holds = self._holds.setdefault(obj, {})
         retains = self._retains.setdefault(obj, {})
-        mode = mode or "W"
         held = holds.get(txn)
         if held is not None:
             # Re-entrant: a grant the held mode already covers is free
@@ -132,7 +116,7 @@ class ReferenceModel:
             if others:
                 self.violations.append(Violation(
                     "reference.upgrade", index, ts,
-                    f"{txn!r} upgraded {self._oname(obj)} {held}->{joined} "
+                    f"{txn!r} upgraded {object_name(obj)} {held}->{joined} "
                     f"while {sorted(map(repr, others))} still hold or "
                     f"retain it in conflicting modes",
                 ))
@@ -147,14 +131,14 @@ class ReferenceModel:
                 # family would deadlock with itself.
                 self.violations.append(Violation(
                     "reference.recursion", index, ts,
-                    f"{txn!r} granted {self._oname(obj)} ({mode}) while "
+                    f"{txn!r} granted {object_name(obj)} ({mode}) while "
                     f"ancestor {holder!r} holds it ({holder_mode}) — "
                     f"§3.4 precludes recursive invocation",
                 ))
             elif self._conflicts.conflict(holder_mode, mode):
                 self.violations.append(Violation(
                     "reference.conflict", index, ts,
-                    f"{txn!r} granted {self._oname(obj)} ({mode}) while "
+                    f"{txn!r} granted {object_name(obj)} ({mode}) while "
                     f"{holder!r} holds it in conflicting mode "
                     f"({holder_mode})",
                 ))
@@ -168,23 +152,20 @@ class ReferenceModel:
                 continue
             self.violations.append(Violation(
                 "reference.retention", index, ts,
-                f"{txn!r} granted {self._oname(obj)} ({mode}) while "
+                f"{txn!r} granted {object_name(obj)} ({mode}) while "
                 f"{retainer!r} retains it ({retained_mode}) and is not "
                 f"an ancestor of the requester",
             ))
         holds[txn] = mode
 
-    def _on_prefetch(self, index: int, ts: float, args: Dict) -> None:
+    def _on_prefetch(self, index: int, ts: float, txn: TxnRef, obj: int,
+                     mode: str, ancestors: FrozenSet[int]) -> None:
         # A granted prefetch is a grant immediately demoted to retained
         # (repro.txn.locks.try_prefetch): judge it like any grant, then
         # record the retention instead of a hold.
-        txn = parse_txn(args["txn"])
-        obj = parse_object(args["object"])
-        mode = args.get("mode") or "W"
-        self._on_grant(index, ts, args, mode)
-        holds = self._holds.setdefault(obj, {})
-        retains = self._retains.setdefault(obj, {})
-        holds.pop(txn, None)
+        self._on_grant(index, ts, txn, obj, mode, ancestors)
+        retains = self._retains[obj]
+        self._holds[obj].pop(txn, None)
         existing = retains.get(txn)
         retains[txn] = mode if existing is None else join_mode_strings(
             existing, mode
@@ -194,11 +175,9 @@ class ReferenceModel:
     # Inheritance and release
     # ------------------------------------------------------------------
 
-    def _on_inherit(self, index: int, ts: float, args: Dict) -> None:
-        txn = parse_txn(args["txn"])
-        parent = parse_txn(args["parent"])
-        for name in args.get("objects", ()):
-            obj = parse_object(name)
+    def _on_inherit(self, index: int, ts: float, txn: TxnRef,
+                    parent: TxnRef, objects: Tuple[int, ...]) -> None:
+        for obj in objects:
             holds = self._holds.setdefault(obj, {})
             retains = self._retains.setdefault(obj, {})
             moved: List[str] = []
@@ -211,7 +190,7 @@ class ReferenceModel:
             if not moved:
                 self.violations.append(Violation(
                     "reference.inherit", index, ts,
-                    f"{parent!r} inherited {self._oname(obj)} from "
+                    f"{parent!r} inherited {object_name(obj)} from "
                     f"{txn!r}, which neither holds nor retains it",
                 ))
                 continue
@@ -227,33 +206,21 @@ class ReferenceModel:
                 join_mode_strings(existing, mode)
             )
 
-    def _on_release(self, root: Optional[int], objects) -> None:
-        # Global release of a family on the listed objects.  Removing a
-        # family that is already gone is a no-op by design: after a
-        # crash, the directory reclaimed the entries before the root's
-        # own abort release ran.
-        if root is None:
-            return
-        for name in objects:
-            obj = parse_object(name)
-            self._drop_family(self._holds.get(obj, {}), root)
-            self._drop_family(self._retains.get(obj, {}), root)
-
-    def _on_txn_end(self, index: int, ts: float, args: Dict) -> None:
-        txn = parse_txn(args["txn"])
-        outcome = args.get("outcome")
+    def _on_txn_end(self, index: int, ts: float, txn: TxnRef,
+                    outcome: Optional[str]) -> None:
+        footprint = self._footprint(txn.root)
         if txn.is_root:
             # Algorithm 4.4: by the time the root's span closes, its
             # release processing has run — the family must be gone.
             leaked = sorted(
-                self._oname(obj)
-                for obj, table in self._holds.items()
-                for holder in table
+                object_name(obj)
+                for obj in footprint
+                for holder in self._holds.get(obj, ())
                 if holder.root == txn.root
             ) + sorted(
-                self._oname(obj)
-                for obj, table in self._retains.items()
-                for retainer in table
+                object_name(obj)
+                for obj in footprint
+                for retainer in self._retains.get(obj, ())
                 if retainer.root == txn.root
             )
             if leaked:
@@ -262,27 +229,24 @@ class ReferenceModel:
                     f"family of {txn!r} ended ({outcome}) still "
                     f"holding/retaining {leaked}",
                 ))
-            self._purge_family(txn.root)
+            self._drop_family(txn.root, footprint)
             return
         if outcome == "abort":
             # Sub abort (Algorithm 4.3 last case): the sub's own locks
             # vanish; ancestor retention is untouched.
-            for table in self._holds.values():
-                table.pop(txn, None)
-            for table in self._retains.values():
-                table.pop(txn, None)
+            self._drop_txn(txn, footprint)
             return
         if outcome == "commit":
             # Pre-commit ran before this span closed: a sub must have
-            # moved everything to its parent (lock.inherit).
+            # moved everything to its parent (an INHERIT step).
             stuck = sorted(
-                self._oname(obj)
-                for obj, table in self._holds.items()
-                if txn in table
+                object_name(obj)
+                for obj in footprint
+                if txn in self._holds.get(obj, ())
             ) + sorted(
-                self._oname(obj)
-                for obj, table in self._retains.items()
-                if txn in table
+                object_name(obj)
+                for obj in footprint
+                if txn in self._retains.get(obj, ())
             )
             if stuck:
                 self.violations.append(Violation(
@@ -291,31 +255,23 @@ class ReferenceModel:
                     f"releasing {stuck} to its parent "
                     f"(lock retention skipped?)",
                 ))
-                for table in self._holds.values():
-                    table.pop(txn, None)
-                for table in self._retains.values():
-                    table.pop(txn, None)
+                self._drop_txn(txn, footprint)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _oname(obj: int) -> str:
-        return f"O{obj}"
+    def _drop_family(self, root: Optional[int], objects) -> None:
+        for obj in objects:
+            for table in (self._holds.get(obj, {}),
+                          self._retains.get(obj, {})):
+                for ref in [ref for ref in table if ref.root == root]:
+                    del table[ref]
 
-    @staticmethod
-    def _drop_family(table: Dict[TxnRef, str], root: int) -> None:
-        for ref in [ref for ref in table if ref.root == root]:
-            del table[ref]
-
-    def _purge_family(self, root: Optional[int]) -> None:
-        if root is None:
-            return
-        for table in self._holds.values():
-            self._drop_family(table, root)
-        for table in self._retains.values():
-            self._drop_family(table, root)
+    def _drop_txn(self, txn: TxnRef, objects) -> None:
+        for obj in objects:
+            self._holds.get(obj, {}).pop(txn, None)
+            self._retains.get(obj, {}).pop(txn, None)
 
     # ------------------------------------------------------------------
     # Introspection (tests)

@@ -16,25 +16,22 @@ from repro.util.ids import NodeId, ObjectId
 class ObjectMeta:
     """Immutable identity of one shared object.
 
-    ``home_node`` is the GDO partition that first owned the object's
-    directory entry (not where the data lives — pages migrate freely).
-    ``entry`` is that :class:`~repro.gdo.entry.DirectoryEntry` itself,
+    ``entry`` is the object's :class:`~repro.gdo.entry.DirectoryEntry`,
     bound at registration: the entry is assigned exactly once and
-    re-homing or failover change it in place, so the lock path reaches
-    it by reference, never by a directory lookup (DESIGN §14).
+    re-homing or failover change it in place (its ``home_node`` is the
+    live GDO partition), so the lock path reaches it by reference,
+    never by a directory lookup (DESIGN §14).
     """
 
     object_id: ObjectId
     schema: ClassSchema
     layout: ObjectLayout
-    home_node: NodeId
     creator_node: NodeId
     entry: Optional[DirectoryEntry] = field(default=None, compare=False,
                                             repr=False)
 
     def __init__(self, object_id: ObjectId, schema: ClassSchema,
-                 layout: ObjectLayout, home_node: NodeId,
-                 creator_node: NodeId,
+                 layout: ObjectLayout, creator_node: NodeId,
                  entry: Optional[DirectoryEntry] = None):
         # Frozen: written once, here, past the refusing ``__setattr__``
         # (one per object, at its creation).
@@ -42,7 +39,6 @@ class ObjectMeta:
         setattr_(self, "object_id", object_id)
         setattr_(self, "schema", schema)
         setattr_(self, "layout", layout)
-        setattr_(self, "home_node", home_node)
         setattr_(self, "creator_node", creator_node)
         setattr_(self, "entry", entry)
 

@@ -235,7 +235,7 @@ class Cluster:
             self.wal.record_home(entry.home_node.value, object_id)
         handle = self.registry.register(ObjectMeta(
             object_id=object_id, schema=schema, layout=layout,
-            home_node=entry.home_node, creator_node=node, entry=entry,
+            creator_node=node, entry=entry,
         ))
         self.creation_log.append(
             CreationRecord(

@@ -37,7 +37,7 @@ def make_world():
     for node in (N1, N2):
         stores[node].register_object(OID, layout)
     meta = ObjectMeta(object_id=OID, schema=_schema(layout), layout=layout,
-                      home_node=N0, creator_node=N0)
+                      creator_node=N0)
     return env, network, sizes, stores, meta
 
 
@@ -234,7 +234,6 @@ class TestGatherPagesProperty:
             stores[owners[2]].write_slot(object_id, ("c", 0), value + 1)
             metas[raw] = ObjectMeta(object_id=object_id,
                                     schema=_schema(layout), layout=layout,
-                                    home_node=owners[0],
                                     creator_node=owners[0])
         return env, network, sizes, stores, metas
 

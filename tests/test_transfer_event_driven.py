@@ -48,7 +48,7 @@ def make_world(injector=None):
         stores[node].register_object(OID, layout)
     schema = ClassSchema("T", layout.attributes, methods={"m": None})
     meta = ObjectMeta(object_id=OID, schema=schema, layout=layout,
-                      home_node=N1, creator_node=N1)
+                      creator_node=N1)
     return env, network, sizes, stores, meta
 
 
