@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro import Array, Attr, method, shared_class
@@ -108,3 +110,31 @@ def cluster() -> Cluster:
 @pytest.fixture(params=["cotec", "otec", "lotec", "rc"])
 def any_protocol_cluster(request) -> Cluster:
     return make_cluster(protocol=request.param)
+
+
+class TappedSocket:
+    """A real socket with some of its methods stood in for: ``taps``
+    maps a method name to ``tap(sock, *args)``, called with the real
+    socket.  Everything else (``fileno``, ``close``) is the real
+    socket's, so the transport and its selector use the wrapper as
+    they would the socket."""
+
+    def __init__(self, sock, **taps):
+        self._sock = sock
+        self._taps = taps
+
+    def __getattr__(self, name):
+        tap = self._taps.get(name)
+        if tap is None:
+            return getattr(self._sock, name)
+        return functools.partial(tap, self._sock)
+
+
+def tap_sockets(cluster, reading=False, **taps):
+    """Bring ``cluster``'s TCP wire up and tap every socket it writes
+    frames into (with ``reading``, every socket it reads them from)."""
+    network = cluster.network
+    network.start(cluster.nodes)
+    for link in network._links:
+        if link.reading == reading:
+            link.sock = TappedSocket(link.sock, **taps)

@@ -22,7 +22,9 @@ import warnings
 import pytest
 
 from repro.check import check_reference_model, run_invariants
-from repro.net.message import Message, MessageCategory
+from repro.net.message import (
+    FRAME_PREFIX_BYTES, Message, MessageCategory, decode_frame,
+)
 from repro.obs.export import read_jsonl, read_jsonl_header, write_jsonl
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import ClusterConfig
@@ -32,7 +34,7 @@ from repro.util.ids import NodeId
 from repro.workload.generator import generate_workload
 from repro.workload.params import SCENARIOS
 
-from conftest import Counter
+from conftest import Counter, tap_sockets
 
 SCENARIO = "medium-high"
 SCALE = 0.1
@@ -115,18 +117,30 @@ class TestWireSizeFidelity:
         ))
         network = cluster.network
         accounted = tap_accounting(network)
-        framed = []
-        deliver = network._deliver_frame
+        streams = {}
 
-        def measure(buf, start, end):
-            deliver(buf, start, end)
-            category, src, dst, _ = network.delivered_log[-1]
-            framed.append((category, src, dst, end - start))
+        def recv_into(sock, view):
+            count = sock.recv_into(view)
+            streams.setdefault(sock.fileno(), bytearray()).extend(
+                view[:count])
+            return count
 
-        network._deliver_frame = measure
+        tap_sockets(cluster, reading=True, recv_into=recv_into)
         with cluster:
             run = run_workload(cluster, generate_workload(
                 SCENARIOS[SCENARIO].scaled(SCALE), seed=SEED))
+        # Split what each connection received into its frames.
+        framed = []
+        for stream in streams.values():
+            start = 0
+            while start < len(stream):
+                end = (start + FRAME_PREFIX_BYTES
+                       + int.from_bytes(
+                           stream[start:start + FRAME_PREFIX_BYTES], "big"))
+                _kind, category, src, dst, _size, _wire = decode_frame(
+                    stream, start, end)
+                framed.append((category, src, dst, end - start))
+                start = end
         assert run.committed > 0
         assert len(framed) == len(accounted) > 0
         assert sorted(framed) == sorted(accounted)

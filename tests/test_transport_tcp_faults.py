@@ -1,9 +1,12 @@
 """Fault behaviour over the real TCP transport: stall detection on a
 hung peer, malformed frames and failed sends failing the run at once,
-duplicate-frame discard (including across a partition heal), and
-cross-backend parity of the deterministic fault/recovery counters."""
+backpressure (partial writes, a peer that never reads), duplicate-frame
+discard (including across a partition heal), and cross-backend parity
+of the deterministic fault/recovery counters.  Faults are injected on
+the sockets themselves (``conftest.tap_sockets``)."""
 
 import errno
+import itertools
 import socket
 import time
 
@@ -17,7 +20,7 @@ from repro.sim.realtime import WallClockEnvironment
 from repro.util.errors import ConfigurationError, ProtocolError
 from repro.util.ids import NodeId
 
-from conftest import Counter
+from conftest import Counter, Ledger, tap_sockets
 
 N0, N1, N2, N3 = (NodeId(index) for index in range(4))
 
@@ -88,31 +91,27 @@ class TestStallTimeout:
         # run must fail loudly instead of blocking forever.
         cluster = tcp_cluster()
         cluster.env.stall_timeout_s = 0.2
-        try:
-            with cluster:
-                counter = cluster.create(Counter, node=N0)
-                cluster.network._deliver_frame = lambda buf, start, end: None
-                cluster.submit(counter, "add", 1, node=N1)
-                with pytest.raises(ProtocolError, match="transport stalled"):
-                    cluster.run()
-        finally:
-            del cluster.network._deliver_frame  # restore for teardown
+        with cluster:
+            counter = cluster.create(Counter, node=N0)
+            tap_sockets(cluster, send=lambda sock, data: len(data))
+            cluster.submit(counter, "add", 1, node=N1)
+            with pytest.raises(ProtocolError, match="transport stalled"):
+                cluster.run()
 
 
-def replace_nth_write(network, nth, replacement):
-    """Have ``replacement(link, data)`` stand in for the ``nth`` frame
-    written mid-run; the frame itself is counted in flight."""
-    original = network._write
-    writes = []
+def nth_frame(nth, replace):
+    """A ``send`` tap that writes every frame as it is but the ``nth``,
+    which ``replace(sock, frame)`` writes instead; that frame counts as
+    taken whole, and so as in flight."""
+    sends = itertools.count(1)
 
-    def write(link, data):
-        writes.append(data)
-        if len(writes) == nth:
-            replacement(link, data)
-        else:
-            original(link, data)
+    def send(sock, data):
+        if next(sends) != nth:
+            return sock.send(data)
+        replace(sock, bytes(data))
+        return len(data)
 
-    network._write = write
+    return send
 
 
 def patched(data, offset, value):
@@ -158,8 +157,8 @@ class TestMalformedFrames:
         cluster.env.stall_timeout_s = 5.0
         with cluster:
             counter = cluster.create(Counter, node=N0)
-            replace_nth_write(cluster.network, 3, lambda link, data:
-                              link.sock.send(corrupt(data)))
+            tap_sockets(cluster, send=nth_frame(
+                3, lambda sock, data: sock.send(corrupt(data))))
             cluster.submit(counter, "add", 1, node=N1)
             started = time.monotonic()
             with pytest.raises(ProtocolError, match=names):
@@ -169,32 +168,23 @@ class TestMalformedFrames:
     def test_peer_closing_mid_frame_is_a_stall(self):
         # Half a frame, then EOF: the stream is over, not corrupt, and
         # the frame it owed surfaces through the stall timeout.
-        def truncate(link, data):
-            link.sock.send(data[:len(data) // 2])
-            link.sock.shutdown(socket.SHUT_WR)
+        def truncate(sock, data):
+            sock.send(data[:len(data) // 2])
+            sock.shutdown(socket.SHUT_WR)
 
         cluster = tcp_cluster()
         cluster.env.stall_timeout_s = 0.2
         with cluster:
             counter = cluster.create(Counter, node=N0)
-            replace_nth_write(cluster.network, 3, truncate)
+            tap_sockets(cluster, send=nth_frame(3, truncate))
             cluster.submit(counter, "add", 1, node=N1)
             with pytest.raises(ProtocolError, match="transport stalled"):
                 cluster.run()
 
 
-class BrokenSocket:
-    """A socket whose ``send`` fails as on a connection the peer reset;
-    everything else (``fileno``, ``close``) is the real socket's."""
-
-    def __init__(self, sock):
-        self._sock = sock
-
-    def send(self, data):
-        raise ConnectionResetError(errno.ECONNRESET, "Connection reset")
-
-    def __getattr__(self, name):
-        return getattr(self._sock, name)
+def reset(sock, data):
+    """A ``send`` that fails as on a connection the peer reset."""
+    raise ConnectionResetError(errno.ECONNRESET, "Connection reset")
 
 
 class TestSendErrors:
@@ -203,15 +193,105 @@ class TestSendErrors:
         cluster.env.stall_timeout_s = 5.0
         with cluster:
             counter = cluster.create(Counter, node=N0)
-            cluster.network.start(cluster.nodes)
-            for link in cluster.network._out.values():
-                link.sock = BrokenSocket(link.sock)
+            tap_sockets(cluster, send=reset)
             cluster.submit(counter, "add", 1, node=N1)
             started = time.monotonic()
             with pytest.raises(ProtocolError,
                                match="TCP send failed: .*Connection reset"):
                 cluster.run()
             assert time.monotonic() - started < 1.0
+
+
+#: Roots run one at a time on a multi-page object homed at N0: lock
+#: requests, grants, page transfers and releases between every pair.
+LEDGER_ROOTS = ((N1, "bump_alpha", (5,)), (N2, "bump_beta", (7,)),
+                (N3, "log_entry", (3, 9)), (N1, "sum_all", ()),
+                (N2, "bump_alpha", (1,)), (N0, "sum_all", ()))
+
+
+def run_ledger(transport, send=None):
+    """Drive ``LEDGER_ROOTS``; return the results, the commit order and
+    the messages in the order they were accounted, and the cluster."""
+    cluster = Cluster(ClusterConfig(
+        num_nodes=4, protocol="lotec", seed=7, audit_accesses=False,
+        transport=transport,
+    ))
+    accounted = []
+    record = cluster.network.stats.record
+
+    def account(message, transfer_time, delivered=False):
+        accounted.append((message.category.value, message.src.value,
+                          message.dst.value, message.size_bytes))
+        record(message, transfer_time, delivered)
+
+    cluster.network.stats.record = account
+    results = []
+    with cluster:
+        ledger = cluster.create(Ledger, node=N0)
+        if send is not None:
+            tap_sockets(cluster, send=send)
+        for node, name, args in LEDGER_ROOTS:
+            ticket = cluster.submit(ledger, name, *args, node=node)
+            cluster.run()
+            results.append(ticket.result())
+    order = [(record.node, record.method_name)
+             for record in cluster.commit_log]
+    return results, order, accounted, cluster
+
+
+class TestBackpressure:
+    """The partial-write path: frames the kernel takes only part of
+    wait in the connection's out-buffer and go out on ``EVENT_WRITE``."""
+
+    def test_trickled_frames_land_whole_and_in_order(self):
+        # The kernel takes at most 16 bytes per send: every frame longer
+        # than that is split across many writes.
+        split = []
+
+        def trickle(sock, data):
+            split.append(len(data) > 16)
+            return sock.send(data[:16])
+
+        results, order, accounted, cluster = run_ledger("tcp", trickle)
+        sim_results, sim_order, sim_accounted, _ = run_ledger("sim")
+        assert any(split)
+        assert results == sim_results
+        assert order == sim_order
+        assert accounted == sim_accounted
+        # One connection per ordered pair: each pair's frames arrive
+        # whole, and in the order they were put on the wire.
+        delivered = cluster.network.delivered_log
+        for pair in {(src, dst) for _, src, dst, _ in accounted}:
+            assert ([entry for entry in delivered if entry[1:3] == pair]
+                    == [entry for entry in accounted if entry[1:3] == pair])
+
+    def test_peer_that_never_reads_is_a_stall(self):
+        # The peer never reads: once the first bytes fill its window the
+        # kernel takes nothing more, so a frame waits in the out-buffer
+        # for good.  The run ends with the stall error, not a hang, and
+        # closing the cluster gives every socket back.
+        window = [200]
+
+        def send(sock, data):
+            if not window[0]:
+                raise BlockingIOError(errno.EAGAIN, "window full")
+            taken = sock.send(data[:window[0]])
+            window[0] -= taken
+            return taken
+
+        cluster = tcp_cluster()
+        cluster.env.stall_timeout_s = 0.2
+        with cluster:
+            ledger = cluster.create(Ledger, node=N0)
+            tap_sockets(cluster, send=send)
+            cluster.submit(ledger, "bump_alpha", 1, node=N1)
+            started = time.monotonic()
+            with pytest.raises(ProtocolError, match="transport stalled"):
+                cluster.run()
+            assert time.monotonic() - started < 2.0
+            assert any(link.outbuf for link in cluster.network._out.values())
+        assert all(link.sock.fileno() == -1
+                   for link in cluster.network._links)
 
 
 class TestDuplicateDiscard:
