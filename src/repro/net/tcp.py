@@ -15,12 +15,14 @@ which hands :meth:`TcpTransport._put_on_wire` only attempts that
 survived their fault draw (a dropped attempt is accounted but *never
 written*).  The transport owns its sockets outright:
 
-* **writes** are a non-blocking ``send``; what the kernel does not take
-  waits in the connection's out-buffer, flushed on ``EVENT_WRITE``;
+* **writes** happen in :meth:`TcpTransport._put_on_wire`: one
+  non-blocking ``send`` of the whole frame; what the kernel does not
+  take waits in the connection's out-buffer, later frames queue behind
+  it, and the buffer is flushed on ``EVENT_WRITE``;
 * **reads** happen in :meth:`TcpTransport.poll`, the environment's
-  source hook, over one ``selectors.DefaultSelector``: the byte stream
-  is split into frames and each message frame's header is read in
-  place and fires its delivery inline, at the wall instant it was read;
+  source hook, over one ``selectors.DefaultSelector``: ``_read`` moves
+  the clock to the wall instant of the read, splits the byte stream
+  into frames, and fires each message frame's delivery in its own loop;
 * **fault mechanics** are engine timers: jitter delays the write, and
   a duplicate is written twice and its second arrival discarded.
   Partitions are the injector's: a cut attempt is never written.
@@ -28,7 +30,7 @@ written*).  The transport owns its sockets outright:
 Because a send's delivery event is resolved by the *arrival* of its
 frame (matched by ``wire_id``), late/duplicate frames are discarded
 exactly like the simulation's one-shot events discard them, and
-``pending()`` keeps the run loop alive until the last frame lands.  A
+``inflight`` keeps the run loop alive until the last frame lands.  A
 malformed frame or a failed send raises :class:`ProtocolError` out of
 ``poll`` and so out of ``Cluster.run()``; a peer that closes mid-frame
 strands its frames, which the run loop's stall timeout reports.
@@ -69,20 +71,6 @@ _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 _RECV_BYTES = 1 << 18
 
 
-def _frame_length(data, offset: int) -> int:
-    """The body length the prefix at ``offset`` announces.
-
-    A length over ``MAX_FRAME_BYTES`` is corrupt — waiting for bytes
-    that never come would hang the reader until the stall timeout — so
-    it raises :class:`ProtocolError` at once.
-    """
-    (length,) = _FRAME_PREFIX.unpack_from(data, offset)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame length prefix {length} exceeds the "
-                            f"{MAX_FRAME_BYTES} byte frame limit")
-    return length
-
-
 class _Link:
     """One non-blocking socket and its two buffers: received bytes not
     yet a whole frame, and frame bytes the kernel has not taken yet."""
@@ -108,8 +96,8 @@ class TcpTransport(Transport):
     :class:`~repro.net.network.SimTransport`; what differs is that
     delivery instants come from actual socket arrivals on the wall
     clock, so the environment must be a
-    :class:`~repro.sim.realtime.WallClockEnvironment`, which calls
-    :meth:`pending` and :meth:`poll` from its run loop.
+    :class:`~repro.sim.realtime.WallClockEnvironment`, which reads
+    ``inflight`` and calls :meth:`poll` from its run loop.
 
     ``delivered_log`` records ``(category, src, dst, size_bytes)`` for
     every message frame that actually crossed a socket — the evidence
@@ -134,9 +122,10 @@ class TcpTransport(Transport):
         #: wire_id -> (delivery event, original message) for frames whose
         #: arrival must fire a delivery; duplicates miss and are dropped.
         self._pending: Dict[int, Tuple[Event, Message]] = {}
-        #: Frames written (or waiting to be) but not yet arrived; keeps
-        #: the wall-clock run loop alive while the wire is busy.
-        self._inflight = 0
+        #: Frames written (or waiting to be) but not yet arrived: the
+        #: environment's source count, which keeps the wall-clock run
+        #: loop alive while the wire is busy.
+        self.inflight = 0
         self.delivered_log: List[Tuple[str, int, int, int]] = []
         self._send_error: Optional[ProtocolError] = None
         self._nodes: List[int] = []
@@ -209,11 +198,12 @@ class TcpTransport(Transport):
 
         Dropped attempts never get here, so never reach the socket; a
         retransmit gets here after a real ``transfer_time + retransmit
-        timeout`` wait.  Jitter delays the write on an engine timer; a
-        duplicate is written twice and its second arrival discarded in
-        :meth:`_deliver_frame` (its ``wire_id`` is no longer pending).  A
+        timeout`` wait.  A duplicate is written twice and its second
+        arrival discarded (its ``wire_id`` is no longer pending).  A
         ``charge`` frame (``done is None``) crosses the socket too, but
         its caller has the *modeled* delay and nobody waits for it.
+        The frame goes to the kernel here, unless jitter delays it (an
+        engine timer flushes it) or bytes already wait in the out-buffer.
         """
         if done is not None:
             self._pending[message.wire_id] = (done, message)
@@ -221,48 +211,42 @@ class TcpTransport(Transport):
                             KIND_CHARGE if done is None else KIND_SEND)
         if faults.duplicated:
             data *= 2
-            self._inflight += 2
+            self.inflight += 2
         else:
-            self._inflight += 1
+            self.inflight += 1
         link = self._out[message.src.value, message.dst.value]
-        self._write_after(faults.extra_delay_s, link, data)
-
-    def _write_after(self, delay_s: float, link: _Link, data: bytes) -> None:
-        if delay_s > 0.0:
-            self.env.call_later(delay_s, self._write, link, data)
+        if faults.extra_delay_s > 0.0:
+            self.env.call_later(faults.extra_delay_s, self._flush, link, data)
+        elif link.outbuf:
+            link.outbuf += data  # frames never interleave
         else:
-            self._write(link, data)
+            try:
+                sent = link.sock.send(data)
+            except OSError as exc:
+                sent = self._send_failed(exc)
+            if sent < len(data):
+                link.outbuf += data[sent:]
+                self._watch(link)
 
-    def _write(self, link: _Link, data: bytes) -> None:
-        """Send what the kernel takes now; queue the rest behind any
-        bytes already waiting, so frames never interleave."""
-        if not link.outbuf:
-            sent = self._send(link, data)
-            if sent == len(data):
-                return
-            data = memoryview(data)[sent:]
-        link.outbuf += data
+    def _flush(self, link: _Link, data: bytes = b"") -> None:
+        """Append ``data`` to ``link``'s out-buffer and send what the
+        kernel takes of it now; watch ``EVENT_WRITE`` while any is left."""
+        buf = link.outbuf
+        buf += data
+        try:
+            del buf[:link.sock.send(buf)]
+        except OSError as exc:
+            self._send_failed(exc)
         self._watch(link)
 
-    def _flush(self, link: _Link) -> None:
-        del link.outbuf[:self._send(link, link.outbuf)]
-        if not link.outbuf:
-            self._watch(link)
-
-    def _send(self, link: _Link, data) -> int:
-        """Bytes of ``data`` the kernel took.  A failed send is the
-        wire's failure, not the caller's — the caller may be a
-        transaction mid-step — so it is kept for :meth:`poll` to raise
-        out of the run loop, and the frame counts as not yet taken."""
-        try:
-            return link.sock.send(data)
-        except BlockingIOError:
-            return 0
-        except OSError as exc:
-            if self._send_error is None:
-                self._send_error = ProtocolError(
-                    f"TCP send failed: {exc}")
-            return 0
+    def _send_failed(self, exc: OSError) -> int:
+        """Bytes a send that raised ``exc`` took: none.  Beyond a full
+        buffer, a failed send is the wire's failure, not the caller's —
+        the caller may be a transaction mid-step — so it is kept for
+        :meth:`poll` to raise out of the run loop."""
+        if self._send_error is None and not isinstance(exc, BlockingIOError):
+            self._send_error = ProtocolError(f"TCP send failed: {exc}")
+        return 0
 
     def _watch(self, link: _Link) -> None:
         """Point the selector at what ``link`` waits for now."""
@@ -277,12 +261,7 @@ class TcpTransport(Transport):
             self._selector.modify(link.sock, events, link)
         link.events = events
 
-    # -- reads: the environment's source hooks -----------------------------
-
-    def pending(self) -> int:
-        """Frames in flight — the wall-clock run loop waits for this to
-        reach zero before declaring quiescence."""
-        return self._inflight
+    # -- reads: the environment's source hook ------------------------------
 
     def poll(self, timeout: float) -> bool:
         """Wait up to ``timeout`` seconds for frames and fire each one
@@ -305,7 +284,12 @@ class TcpTransport(Transport):
                 return False
 
     def _read(self, link: _Link) -> bool:
-        """Take what ``link`` has and fire every whole frame in it."""
+        """Take what ``link`` has, move the clock to the wall instant of
+        the read, and fire every whole frame in it.  A length prefix over
+        ``MAX_FRAME_BYTES`` is corrupt — waiting for bytes that never
+        come would hang the reader until the stall timeout — so it
+        raises :class:`ProtocolError` at once, as :func:`decode_frame`
+        does for a bad header."""
         try:
             count = link.sock.recv_into(self._recv_view)
         except BlockingIOError:
@@ -318,29 +302,32 @@ class TcpTransport(Transport):
             link.reading = False
             self._watch(link)
             return False
+        env = self.env
+        env.now = now = max(env.now, time.monotonic() - env._start_wall)
         buf = link.inbuf
         buf += self._recv_view[:count]
-        self.env.advance()
+        size = len(buf)
+        pending = self._pending
+        log = self.delivered_log
         used = 0
-        while len(buf) - used >= FRAME_PREFIX_BYTES:
-            end = used + FRAME_PREFIX_BYTES + _frame_length(buf, used)
-            if end > len(buf):
+        while size - used >= FRAME_PREFIX_BYTES:
+            (length,) = _FRAME_PREFIX.unpack_from(buf, used)
+            if length > MAX_FRAME_BYTES:
+                raise ProtocolError(f"frame length prefix {length} exceeds "
+                                    f"the {MAX_FRAME_BYTES} byte frame limit")
+            end = used + FRAME_PREFIX_BYTES + length
+            if end > size:
                 break
-            self._deliver_frame(buf, used, end)
+            kind, category, src, dst, size_bytes, wire = decode_frame(
+                buf, used, end)
             used = end
+            self.inflight -= 1
+            log.append((category, src, dst, size_bytes))
+            if kind == KIND_SEND:  # charge frames: accounted at send time
+                entry = pending.pop(wire, None)  # ``None``: a duplicate
+                if entry is not None:
+                    done, message = entry
+                    message.deliver_time = now
+                    done.succeed(message)
         del buf[:used]
         return used > 0
-
-    def _deliver_frame(self, buf: bytearray, start: int, end: int) -> None:
-        """Fire the delivery for the message frame at ``buf[start:end]``."""
-        kind, category, src, dst, size, wire = decode_frame(buf, start, end)
-        self._inflight -= 1
-        self.delivered_log.append((category, src, dst, size))
-        if kind != KIND_SEND:
-            return  # charge-path frames were fully accounted at send time
-        entry = self._pending.pop(wire, None)
-        if entry is None:
-            return  # duplicate copy — receiver discards it
-        done, message = entry
-        message.deliver_time = self.env.now
-        done.succeed(message)

@@ -12,9 +12,10 @@ local fast path and its in-place landing (:meth:`Transport.lands_inline`),
 wire-id tagging, the per-attempt step
 (:meth:`Transport._attempt`: fault draw, pricing, accounting, trace),
 the drop-and-retransmit re-arm behind ``send`` and the frozen-clock
-replay loop behind ``charge``.  With nothing to draw or trace, a FIFO
-send on the virtual clock is the one attempt, priced, booked and
-landed in ``send`` itself.  A backend implements one hook,
+replay loop behind ``charge``.  With nothing to draw or trace, a send
+is the one attempt, priced, booked and handed to the wire (or, FIFO on
+the virtual clock, landed) in ``send`` itself.  A backend implements
+one hook,
 :meth:`Transport._put_on_wire` — "put this surviving attempt on the
 wire, fire ``done`` when it lands": a ``transfer_time`` timeout on the
 virtual clock (:class:`~repro.net.network.SimTransport`, the default,
@@ -112,8 +113,8 @@ class Transport(abc.ABC):
 
     #: True for a backend whose wire is a timed landing on the virtual
     #: clock (:class:`~repro.net.network.SimTransport`): with no
-    #: injector and no tracer, its FIFO sends take :meth:`send`'s
-    #: one-frame path.
+    #: injector and no tracer, its FIFO sends land in :meth:`send`'s
+    #: one frame.
     lands_on_clock = False
 
     def __init__(self, env, config: NetworkConfig, tracer=None,
@@ -124,10 +125,12 @@ class Transport(abc.ABC):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.injector = injector if injector is not None else NULL_INJECTOR
         self._next_wire_id = 0
-        # Nothing to draw and nothing to trace per attempt: a FIFO send
-        # is priced, booked and landed in ``send`` itself.
-        self._lean = (self.lands_on_clock and not self.injector.enabled
-                      and not self.tracer.enabled)
+        # Nothing to draw and nothing to trace per attempt: a send is
+        # priced and booked in ``send`` itself, then landed there on the
+        # virtual clock (``_lean``) or handed to the wire from there.
+        quiet = not self.injector.enabled and not self.tracer.enabled
+        self._lean = quiet and self.lands_on_clock
+        self._quiet_wire = quiet and not self.lands_on_clock
 
     # -- wire operations ---------------------------------------------------
 
@@ -149,30 +152,32 @@ class Transport(abc.ABC):
             message.deliver_time = now
             done.succeed(message)
             return done
-        if self._lean and env._tiebreak is None:
-            # ``_attempt`` and ``SimTransport._put_on_wire`` for the one
-            # attempt there is: no fault draw, no trace, no policy rank.
-            if message.wire_id is None:
-                message.wire_id = self._next_wire_id
-                self._next_wire_id += 1
-            message.attempts = 1
-            config = self.config
-            # ``NetworkConfig.transfer_time``, term for term: the
-            # per-object message times of Figures 6-8 are pinned bit
-            # for bit.
-            transfer_time = (config.software_cost_s
-                             + (message.size_bytes * 8.0)
-                             / config.bandwidth_bps
-                             + config.propagation_s)
-            self.stats.record(message, transfer_time, True)
-            message.deliver_time = when = now + transfer_time
-            heappush(env._queue, (when, next(env._sequence), done))
-            return done
-        self._require_started()
+        lean = self._lean and env._tiebreak is None
+        if not lean:
+            self._require_started()
         if message.wire_id is None:
             message.wire_id = self._next_wire_id
             self._next_wire_id += 1
-        self._attempt(message, done, 0)
+        if not (lean or self._quiet_wire):
+            self._attempt(message, done, 0)
+            return done
+        # ``_attempt`` for the one attempt there is: no fault draw, no
+        # trace (and with ``lean``, no policy rank either).
+        message.attempts = 1
+        config = self.config
+        # ``NetworkConfig.transfer_time``, term for term: the
+        # per-object message times of Figures 6-8 are pinned bit
+        # for bit.
+        transfer_time = (config.software_cost_s
+                         + (message.size_bytes * 8.0)
+                         / config.bandwidth_bps
+                         + config.propagation_s)
+        self.stats.record(message, transfer_time, True)
+        if lean:  # ``SimTransport._put_on_wire``, inlined
+            message.deliver_time = when = now + transfer_time
+            heappush(env._queue, (when, next(env._sequence), done))
+        else:
+            self._put_on_wire(message, done, transfer_time, NO_FAULTS)
         return done
 
     def lands_inline(self, src: NodeId, dst: NodeId, events: int = 1) -> bool:
@@ -186,8 +191,9 @@ class Transport(abc.ABC):
         message, delivery or heap entry, and the pop order is the one
         the heap would have produced.  The landing still counts
         ``events`` processed events (the delivery, plus an ``all_of``
-        it stands in for).  Returns ``False`` in every other case: the
-        caller sends and yields as usual.
+        it stands in for).  Returns ``False`` in every other case — on
+        an engine whose ``marks_tail`` is false, always, so callers
+        check that first — and the caller sends and yields as usual.
         """
         if src != dst:
             return False

@@ -101,6 +101,11 @@ class Environment:
     and lock decision — and only the engine assigns it.
     """
 
+    #: Whether :meth:`run` ever marks the tail of a popped entry
+    #: (``_at_tail``); where it does not, no local call can land in
+    #: place and callers skip asking.
+    marks_tail = True
+
     def __init__(self, initial_time: float = 0.0, tracer=None, tiebreak=None):
         self.now = float(initial_time)
         self._queue: list = []

@@ -210,7 +210,8 @@ class LockManager:
         request_started = self.env.now
         if self.tracer.enabled:
             self.tracer.gdo_forward(node, home, object_id)
-        if not self.network.lands_inline(node, home):
+        if not (self.env.marks_tail
+                and self.network.lands_inline(node, home)):
             request = Message(
                 src=node, dst=home,
                 category=MessageCategory.LOCK_REQUEST,
@@ -240,7 +241,8 @@ class LockManager:
             # uncommitted writes a transfer must never clobber.
             snapshot = (None if family_already_present
                         else entry.page_map_snapshot())
-            if not self.network.lands_inline(entry.home_node, node):
+            if not (self.env.marks_tail
+                    and self.network.lands_inline(entry.home_node, node)):
                 grant = Message(
                     src=entry.home_node, dst=node,
                     category=MessageCategory.LOCK_GRANT,
@@ -624,8 +626,9 @@ class LockManager:
             by_home[entry.home_node].append(object_id)
         # Releasing at the one home the objects have is a local call:
         # it lands in place for the delivery and the ``all_of`` of it.
-        if len(by_home) != 1 or not self.network.lands_inline(
-                node, next(iter(by_home)), 2):
+        if (len(by_home) != 1 or not self.env.marks_tail
+                or not self.network.lands_inline(
+                    node, next(iter(by_home)), 2)):
             sends = []
             for home, oids in sorted(by_home.items()):
                 if (home == node and len(by_home) > 1

@@ -17,18 +17,29 @@ cluster:
 * releasing an entry nobody waits on enters none of the waiter
   machinery, and the lock path (acquire, pre-commit, release, the
   migration check, ``TxnContext._bind``) reaches each entry by
-  reference, with no ``Directory.entry`` lookup.
+  reference, with no ``Directory.entry`` lookup;
+* a quiet remote send over TCP is priced, booked and written in
+  ``send``, ``_put_on_wire`` and their leaves, and a read of k whole
+  frames enters ``_read`` once and ``decode_frame`` once per frame.
 """
 
 import os
+import select
+import socket
 import sys
+import time
 from inspect import CO_GENERATOR
 
 import repro
 from repro import Attr, method, shared_class
 from repro.gdo import MigrationConfig
 from repro.gdo.directory import Directory
+from repro.net.message import Message, MessageCategory
+from repro.net.network_config import NetworkConfig
+from repro.net.tcp import TcpTransport
 from repro.sim.process import Process
+from repro.sim.realtime import WallClockEnvironment
+from repro.util.ids import NodeId
 
 from conftest import make_cluster
 
@@ -205,3 +216,53 @@ def test_lock_path_makes_no_directory_entry_call():
             "_maybe_migrate", "_bind"} <= entered
     lookup = Directory.entry.__code__
     assert [caller.co_name for code, caller in calls if code is lookup] == []
+
+
+def _tcp_wire():
+    """A started two-node TCP transport whose clock is running."""
+    env = WallClockEnvironment(stall_timeout_s=5.0)
+    network = TcpTransport(env, NetworkConfig(bandwidth_bps=100e6,
+                                              software_cost_s=1e-5))
+    network.start([NodeId(0), NodeId(1)])
+    env.run()
+    return env, network
+
+
+def _control(size):
+    return Message(src=NodeId(0), dst=NodeId(1),
+                   category=MessageCategory.CONTROL, size_bytes=size)
+
+
+def test_quiet_tcp_send_is_priced_booked_and_written_in_place():
+    env, network = _tcp_wire()
+    try:
+        network.send(_control(100))  # books the pair's first traffic
+        message = _control(100)
+        frames = _repro_frames(lambda: network.send(message))
+        env.run()
+        assert message.deliver_time is not None
+        assert frames == ["send", "__init__", "_require_started", "record",
+                          "_put_on_wire", "encode_frame"]
+    finally:
+        network.close()
+
+
+def test_read_of_whole_frames_enters_read_once():
+    env, network = _tcp_wire()
+    try:
+        messages = [_control(100 + index) for index in range(3)]
+        for message in messages:
+            network.send(message)
+        # Wait until every frame is readable, so one read takes them all.
+        total = sum(message.size_bytes for message in messages)
+        readers = [link.sock for link in network._links if link.reading]
+        deadline = time.monotonic() + 5.0
+        while sum(len(sock.recv(total, socket.MSG_PEEK))
+                  for sock in select.select(readers, [], [], 5.0)[0]) < total:
+            assert time.monotonic() < deadline
+        frames = _repro_frames(lambda: network.poll(1.0))
+        assert frames == ["poll", "_read"] + ["decode_frame", "succeed"] * 3
+        env.run()
+        assert all(message.deliver_time is not None for message in messages)
+    finally:
+        network.close()

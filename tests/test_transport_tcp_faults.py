@@ -13,7 +13,9 @@ import time
 import pytest
 
 from repro.faults import CrashEvent, FaultPlan, PartitionEvent
-from repro.net.message import FRAME_SCHEMA, MAX_FRAME_BYTES
+from repro.net.message import (
+    FRAME_SCHEMA, MAX_FRAME_BYTES, Message, MessageCategory,
+)
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import ClusterConfig
 from repro.sim.realtime import WallClockEnvironment
@@ -36,10 +38,7 @@ class FakeSource:
     """A source with ``count`` items in flight that never arrive."""
 
     def __init__(self, count):
-        self.count = count
-
-    def pending(self):
-        return self.count
+        self.inflight = count
 
     def poll(self, timeout):
         time.sleep(timeout)
@@ -60,7 +59,7 @@ class LateSource(FakeSource):
             time.sleep(timeout)
             return False
         time.sleep(max(0.0, wait))
-        self.count = 0
+        self.inflight = 0
         self.fired.succeed(None)
         return True
 
@@ -217,12 +216,12 @@ def run_ledger(transport, send=None):
         transport=transport,
     ))
     accounted = []
-    record = cluster.network.stats.record
+    book = cluster.network.stats.record
 
     def account(message, transfer_time, delivered=False):
         accounted.append((message.category.value, message.src.value,
                           message.dst.value, message.size_bytes))
-        record(message, transfer_time, delivered)
+        book(message, transfer_time, delivered)
 
     cluster.network.stats.record = account
     results = []
@@ -264,6 +263,23 @@ class TestBackpressure:
         for pair in {(src, dst) for _, src, dst, _ in accounted}:
             assert ([entry for entry in delivered if entry[1:3] == pair]
                     == [entry for entry in accounted if entry[1:3] == pair])
+
+    def test_frames_behind_a_partial_write_do_not_interleave(self):
+        sizes = (4096, 64, 1000)
+        messages = [Message(src=N0, dst=N1, size_bytes=size,
+                            category=MessageCategory.PAGE_DATA)
+                    for size in sizes]
+        landed = []
+        cluster = tcp_cluster()
+        with cluster:
+            tap_sockets(cluster, send=lambda sock, data: sock.send(data[:16]))
+            for message in messages:
+                cluster.network.send(message).add_callback(
+                    lambda event: landed.append(event.value))
+            cluster.run()
+        assert landed == messages
+        assert cluster.network.delivered_log == [
+            ("page_data", 0, 1, size) for size in sizes]
 
     def test_peer_that_never_reads_is_a_stall(self):
         # The peer never reads: once the first bytes fill its window the
