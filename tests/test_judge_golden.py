@@ -9,16 +9,23 @@ the protocol or the trace format that moves one re-reads it from a run.
 
 The cases: every registered mutation at the task shape that must catch
 it, seeds 0-2; one clean task per fault preset; one clean task with
-semantic lock modes.
+semantic lock modes.  The benchmark's own spelling of a mutation
+(``benchmarks/perf/child.py`` sets ``cluster.lockmgr.test_mutations``)
+must reach the same verdict as :func:`install_mutations`.
 """
 
 import hashlib
 
 import pytest
 
-from repro.check import FuzzTask, run_task
+from dataclasses import replace
+
+from repro.check import FuzzTask, judge, run_task
+from repro.check.explorer import build_config
 from repro.check.mutations import MUTATIONS
 from repro.faults.plan import FAULT_PRESETS
+from repro.runtime import Cluster
+from repro.workload import SCENARIOS, generate_workload, run_workload
 
 CLEAN = (0, "4f53cda18c2baa0c")
 
@@ -64,3 +71,14 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("case", sorted(TASKS))
 def test_verdict_is_pinned(case):
     assert pin_of(run_task(TASKS[case]).violations) == PINS[case]
+
+
+@pytest.mark.parametrize("name", ["skip-precommit-retention",
+                                  "commute-conflicting-writes"])
+def test_benchmark_spelling_reaches_the_same_verdict(name):
+    task = replace(TASKS[f"{name}-0"], mutate=())
+    cluster = Cluster(build_config(task))
+    cluster.lockmgr.test_mutations = frozenset([name])
+    run_workload(cluster, generate_workload(
+        SCENARIOS[task.scenario].scaled(task.scale), seed=task.seed))
+    assert pin_of(judge(cluster).violations) == PINS[f"{name}-0"]
