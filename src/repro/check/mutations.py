@@ -27,8 +27,7 @@ def _skip_precommit_retention(cluster) -> None:
     lockmgr = cluster.lockmgr
 
     def precommit_release(txn) -> None:
-        for object_id in sorted(txn.lock_objects):
-            entry = lockmgr.directory.entry(object_id)
+        for _object_id, entry in sorted(txn.lock_objects.items()):
             entry.release_on_abort(txn)
             for waiter in entry.pump():
                 waiter.wake.succeed(entry.page_map_snapshot())

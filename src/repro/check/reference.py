@@ -161,8 +161,8 @@ class ReferenceModel:
     def _on_prefetch(self, index: int, ts: float, txn: TxnRef, obj: int,
                      mode: str, ancestors: FrozenSet[int]) -> None:
         # A granted prefetch is a grant immediately demoted to retained
-        # (repro.txn.locks.try_prefetch): judge it like any grant, then
-        # record the retention instead of a hold.
+        # (LockManager.acquire with prefetch=True): judge it like any
+        # grant, then record the retention instead of a hold.
         self._on_grant(index, ts, txn, obj, mode, ancestors)
         retains = self._retains[obj]
         self._holds[obj].pop(txn, None)

@@ -24,11 +24,10 @@ pass".  Three fault classes are modelled:
 
 Everything derives from one :class:`FaultPlan` plus the cluster seed:
 the same seed and plan produce the identical fault schedule and the
-identical trace.  Without a plan, faults off is one branch: every site
-outside this package asks ``injector.enabled`` (or ``wal is not None``)
-first, so a fault-free run calls nothing here — the default
-:data:`NULL_INJECTOR` answers no query, and ``Cluster.wal`` is ``None``
-unless the plan schedules crashes.
+identical trace.  Each part attaches to the lock manager's and the
+executor's hook lists from ``Cluster``, only for what the plan turns
+on; without a plan nothing is attached, and the transport's default
+:data:`NULL_INJECTOR` answers no query.
 """
 
 from repro.faults.crash import CrashController

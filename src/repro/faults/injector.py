@@ -14,10 +14,11 @@ decisions never perturb the workload or executor streams.
   by ``(wire_id, attempt)``: the fate of one wire message is then a
   pure function of ``(seed, plan, wire id, attempt)``, identical on
   the asynchronous ``send`` and synchronous ``charge`` paths.
-* :class:`NullInjector` (shared :data:`NULL_INJECTOR`) is the default
-  everywhere.  It answers no query: every site outside
-  :mod:`repro.faults` asks ``injector.enabled`` first, so faults off is
-  one branch and a fault-free run never reaches this package.
+* :class:`NullInjector` (shared :data:`NULL_INJECTOR`) is the
+  transport's default.  It answers no query: the transport asks
+  ``injector.enabled`` first, and every other fault site is a hook
+  ``Cluster`` attaches only with a plan, so a fault-free run never
+  reaches this package.
 """
 
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from typing import Dict, List, Tuple
 
 from repro.faults.plan import FaultPlan
 from repro.util.backoff import backoff_delay
+from repro.util.errors import LockTimeoutError, NodeCrashError
 from repro.util.rng import SeededRNG
 
 __all__ = [
@@ -89,7 +91,7 @@ NO_FAULTS = MessageFaults()
 class NullInjector:
     """Fault injection disabled.
 
-    Faults off is the call site's ``injector.enabled`` branch, so this
+    Faults off is the transport's ``injector.enabled`` branch, so this
     class answers no query: an unguarded call raises
     :class:`AttributeError` on every fault-free run.  ``stats`` is a
     class-level all-zero record that is never mutated (stats are only
@@ -238,9 +240,6 @@ class FaultInjector:
 
     # -- recovery parameters ----------------------------------------------
 
-    def lock_wait_timeout_s(self) -> float:
-        return self.plan.lock_wait_timeout_s
-
     def retransmit_timeout_s(self, attempt: int = 0) -> float:
         """Retransmission delay before attempt ``attempt + 1``.
 
@@ -252,5 +251,38 @@ class FaultInjector:
         """
         return backoff_delay(self.plan.retransmit_timeout_s, attempt)
 
-    def failover_detect_s(self) -> float:
-        return self.plan.failover_detect_s
+    def bounded_wait(self, lockmgr, entry, waiter):
+        """Race a blocked lock wait's wake against the plan's wait bound
+        (``lockmgr.wait_bound``, attached when the plan sets one).
+
+        On timeout the waiter is withdrawn from the entry and the whole
+        family aborts with :class:`LockTimeoutError` (the executor
+        retries it with backoff).  Two races need care: the grant may
+        already be *in flight* when the timer fires (the waiter is no
+        longer queued but its family holds the lock — honor the grant),
+        and the wake may fail at the same instant the timer fires
+        (deadlock victim — re-raise it).
+        """
+        env = lockmgr.env
+        started = env.now
+        index, value = yield env.any_of(
+            [waiter.wake, env.timeout(self.plan.lock_wait_timeout_s)]
+        )
+        if index == 0:
+            return value
+        if waiter.wake.triggered:
+            if waiter.wake.ok:
+                return waiter.wake.value
+            raise waiter.wake.value
+        if not entry.remove_waiter(waiter.txn_id):
+            if not entry.family_present(waiter.txn_id.root):
+                # Neither queued nor granted: a crash reclaimed it.
+                raise NodeCrashError(waiter.txn_id)
+            payload = yield waiter.wake
+            return payload
+        waited = env.now - started
+        lockmgr.stats.lock_timeouts += 1
+        self.stats.lock_timeouts += 1
+        if lockmgr.tracer.enabled:
+            lockmgr.tracer.lock_timeout(waiter.txn, entry.object_id, waited)
+        raise LockTimeoutError(waiter.txn_id, entry.object_id, waited)

@@ -1,5 +1,7 @@
-"""GDO home failover and node rejoin.
+"""GDO home failover, node rejoin, and the durable record's writes.
 
+Built only when the plan schedules crashes; :meth:`RecoveryManager.attach`
+hooks the WAL writes and the failover reroute onto the lock manager.
 Two responsibilities, both deterministic functions of ``(plan, time)``:
 
 * **Failover** — when a GDO home has been down past the plan's
@@ -14,7 +16,9 @@ Two responsibilities, both deterministic functions of ``(plan, time)``:
   the old home keep working.  Failover moves are *not* charged to the
   network: the crashed home cannot participate in a handoff, and the
   successor reconstructs the entry from the directory it already
-  shares (same rationale as the uncharged ``crash_release``).
+  shares (same rationale as the uncharged ``crash_release``).  A
+  request for a dead home backs off until the entry was re-homed
+  (:meth:`RecoveryManager.reroute`).
 
 * **Rejoin** — when the node comes back it replays its durable record
   (:mod:`repro.faults.wal`): committed page versions are cross-checked
@@ -56,6 +60,65 @@ class RecoveryManager:
         #: here, so rejoin reclaims exactly the failover moves.
         self._failed_over: Dict[ObjectId, NodeId] = {}
 
+    def attach(self, lockmgr, migration=None) -> None:
+        """Record holders at every global grant and release, committed
+        page versions at every commit, and home moves; with failover
+        armed, reroute requests away from a dead home."""
+        lockmgr.grant_hooks.append(self.record_holders)
+        lockmgr.release_hooks.append(self.record_release)
+        if self.injector.plan.failover_detect_s > 0:
+            lockmgr.home_hooks.append(self.reroute)
+        if migration is not None:
+            migration.moved_hooks.append(self.wal.record_home_moved)
+
+    # -- durable writes ----------------------------------------------------
+
+    def record_holders(self, entry) -> None:
+        """Snapshot the entry's holders into its home's durable record.
+
+        A crashed home takes no writes: its stable storage keeps the
+        last pre-crash snapshot, which is exactly what the node must
+        reconcile (discard stale holders) when it rejoins (:meth:`rejoin`).
+        """
+        home = entry.home_node
+        if self.injector.is_down(home, self.env.now):
+            return
+        self.wal.record_holders(home.value, entry.object_id, entry)
+
+    def record_release(self, node, _root_serial, entries, dirty) -> None:
+        """A global release: every entry's holders, and the committed
+        versions the releasing node now owns (``dirty`` is empty unless
+        the release is a root commit), which survive a crash of the
+        node (fail-stop with stable storage) and are replayed at
+        rejoin."""
+        for entry in entries.values():
+            self.record_holders(entry)
+        for object_id, pages in dirty.items():
+            page_map = entries[object_id].page_map
+            for page in pages:
+                self.wal.record_page(node.value, object_id, page,
+                                     page_map[page].version)
+
+    def reroute(self, entry):
+        """Wait out a dead home until failover re-homes the entry.
+
+        Without failover armed, a request to a down home rides the
+        retransmission loop until the node recovers — correct, but the
+        family stalls for the whole crash window.  With it, back off on
+        the unified curve (base = the detection timeout, so the first
+        re-check lands right around the failover instant) until either
+        the entry was re-homed to the live successor or the node
+        recovered first; the caller then re-reads ``entry.home_node``.
+        """
+        if not self.injector.is_down(entry.home_node, self.env.now):
+            return
+        self.injector.stats.failover_reroutes += 1
+        base = self.injector.plan.failover_detect_s
+        attempt = 0
+        while self.injector.is_down(entry.home_node, self.env.now):
+            yield self.env.timeout(backoff_delay(base, attempt))
+            attempt += 1
+
     # -- determinism core --------------------------------------------------
 
     def successor_of(self, node_index: int, now: float) -> Optional[NodeId]:
@@ -81,7 +144,7 @@ class RecoveryManager:
         confirms the node is still down, then moves every entry homed
         there to the deterministic successor.
         """
-        detect = self.injector.failover_detect_s()
+        detect = self.injector.plan.failover_detect_s
         if detect <= 0:
             return
         yield self.env.timeout(backoff_delay(detect, 0))

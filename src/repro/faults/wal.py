@@ -4,12 +4,12 @@ The crash model has always been fail-stop *with stable storage*; this
 module gives that stable storage a concrete shape.  Each node keeps a
 :class:`NodeWal` — an append-free last-writer-wins record of
 
-* **committed page versions** the node owns (written by the executor
-  at every root commit),
+* **committed page versions** the node owns (written at every root
+  commit's release),
 * **GDO entries homed here** (written at registration and on every
   home move, adaptive or failover),
-* **holder lists** of those entries (written by the lock manager on
-  every global grant/release that changes an entry it homes),
+* **holder lists** of those entries (written on every global grant and
+  release of an entry it homes),
 
 and the :class:`~repro.faults.recovery.RecoveryManager` replays the
 record when the node rejoins: page versions are cross-checked against
@@ -24,9 +24,8 @@ The record is in-memory: the simulation has no real disks, and what
 matters for the protocol argument is the *information flow* — recovery
 may consult only what was explicitly recorded before the crash instant,
 never live volatile state of other nodes.  A cluster keeps a
-:class:`WalSet` only when its plan schedules crashes; otherwise
-``Cluster.wal`` is ``None`` and every durable write is skipped by its
-call site's ``wal is not None`` branch.
+:class:`WalSet` only when its plan schedules crashes, and the recovery
+manager's hooks on the lock manager are its only writers there.
 """
 
 from typing import Dict, List, Tuple
@@ -60,7 +59,7 @@ class WalSet:
     def node(self, node_index: int) -> NodeWal:
         return self._nodes[node_index]
 
-    # -- write paths (called from the executor / lock manager / cluster) --
+    # -- write paths (the recovery manager's hooks, object creation) --
 
     def record_page(self, node_index: int, object_id, page: int,
                     version: int) -> None:

@@ -14,7 +14,8 @@ queued waiter there, read off the entry's holders and retainers
 (:meth:`repro.gdo.entry.DirectoryEntry.blockers_of`); a family that is
 not blocked, or whose waiter a pump already admitted, waits for nobody.
 The functions here take the blocked families as a mapping ``root ->``
-an object with the ``entry`` it waits on and its queued ``waiter``, and
+:class:`BlockedFamily` (the ``entry`` it waits on and its queued
+``waiter``), and
 two pieces of per-round state from the caller: ``edges``, the memo that
 reads each family's edges at most once per round, and ``cycle_free``,
 the families a DFS backed out of.  Nothing reachable from those cycles,
@@ -39,6 +40,16 @@ from typing import Container, Dict, Iterable, List, Mapping, Optional, Set
 from repro.util.errors import ProtocolError
 
 Edges = Dict[int, List[int]]
+
+
+class BlockedFamily:
+    """The entry a blocked family waits on and its one queued waiter."""
+
+    __slots__ = ("entry", "waiter")
+
+    def __init__(self, entry, waiter):
+        self.entry = entry
+        self.waiter = waiter
 
 
 def first_cycle(starts: Iterable[int], blocked: Mapping[int, object],

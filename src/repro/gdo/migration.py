@@ -17,8 +17,8 @@ Design constraints that keep the protocol simple and provably safe:
   :attr:`MigrationConfig.half_life_s` of *simulated* time), so a node
   that was hot a while ago fades instead of pinning the entry forever.
 * **Migration only fires on a quiescent entry** — no holders, no
-  retainers, no queued waiters — evaluated by the lock manager at the
-  end of a global release, after grants were pumped.  A quiescent
+  retainers, no queued waiters — evaluated at the end of a global
+  release, after grants were pumped.  A quiescent
   entry's location is pure accounting: no in-flight grant references
   the old home, so correctness (reference model, invariant checkers)
   is untouched by the move and only the *message pattern* changes.
@@ -26,7 +26,7 @@ Design constraints that keep the protocol simple and provably safe:
   manager snapshots the home before each request send; if the home
   moved while the message was in flight, the old home forwards it
   (one extra hop, charged and traced) — see
-  :meth:`repro.txn.locks.LockManager` and DESIGN §11.
+  :meth:`repro.txn.locks.LockManager._relay` and DESIGN §11.
 * **Holder caches are invalidated** via the existing
   :class:`~repro.gdo.cache.EntryCacheTracker`, so Algorithm 4.1's
   local fast path never consults a stale notion of where the entry
@@ -36,8 +36,11 @@ Design constraints that keep the protocol simple and provably safe:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from functools import partial
+from typing import Dict, List, Optional, Set
 
+from repro.net.message import Message, MessageCategory
+from repro.sim import Event, Process
 from repro.util.ids import NodeId, ObjectId
 
 
@@ -122,15 +125,16 @@ class _AccessCounts:
 
 
 class HomeMigrationManager:
-    """Per-entry access tracking + the move/no-move decision.
+    """Per-entry access tracking, the move/no-move decision, and the
+    handoff.
 
-    Pure policy: it never touches the network or the directory entry
-    itself.  The lock manager calls :meth:`record_access` on every
-    global acquisition, asks :meth:`pick_target` when an entry
-    quiesces, charges the handoff message, and then calls
-    :meth:`note_migrated` once the home has actually flipped.  Time is
-    ``env.now``, read directly: ``env`` is the simulation engine, or
-    anything else with a ``now``.
+    :meth:`attach` hooks it to a lock manager: :meth:`record_access`
+    runs on every global request, :meth:`note_forwarded` on every
+    relay, and each global release schedules :meth:`_migration_check`,
+    which asks :meth:`pick_target` of each quiesced entry, charges the
+    handoff message and calls :meth:`note_migrated` once the home has
+    actually flipped.  Time is ``env.now``, read directly: ``env`` is
+    the simulation engine, or anything else with a ``now``.
     """
 
     def __init__(self, config: MigrationConfig, env):
@@ -138,6 +142,27 @@ class HomeMigrationManager:
         self.env = env
         self._access: Dict[ObjectId, _AccessCounts] = {}
         self.stats = MigrationStats()
+        # Entries with a home handoff currently on the wire; blocks a
+        # second concurrent migration of the same entry.
+        self._migrating: Set[ObjectId] = set()
+        #: ``hook(old index, new index, object_id)`` per completed move
+        #: (the WAL's home record, when crashes are planned).
+        self.moved_hooks: List = []
+
+    def attach(self, lockmgr, directory) -> None:
+        """Hook onto ``lockmgr``'s global path; moves go to ``directory``."""
+        self.network, self.sizes = lockmgr.network, lockmgr.sizes
+        self.cache, self.directory = lockmgr.cache, directory
+        lockmgr.request_hooks.append(self.record_access)
+        lockmgr.forward_hooks.append(self.note_forwarded)
+        # Detached: re-homing is the directory's own housekeeping.
+        # Running it inline would suspend the releasing family past the
+        # point where pumped waiters resume, letting a later-granted
+        # family commit (and trace its commit) before the releaser does
+        # — inverting commit order vs conflict order and breaking the
+        # serial-replay oracle.
+        lockmgr.release_hooks.append(
+            partial(self.env.call_later, 0.0, self._migration_check))
 
     def record_access(self, object_id: ObjectId, node: NodeId) -> None:
         """One global lock operation on ``object_id`` issued by ``node``."""
@@ -192,3 +217,72 @@ class HomeMigrationManager:
 
     def note_forwarded(self) -> None:
         self.stats.forwarded_requests += 1
+
+    # -- the handoff ---------------------------------------------------
+
+    def _migration_check(self, _node, root_serial: int, entries,
+                         _dirty) -> None:
+        """Start :meth:`_maybe_migrate` where a detached process's
+        first step would run it, and give it a process only if it sends
+        a handoff — most checks move nothing.  Such a check ends here,
+        in place of the finished process's heap entry, which nothing
+        awaits: counted on the FIFO path, queued for a tie-break policy
+        to rank as it always did."""
+        env = self.env
+        check = self._maybe_migrate(entries)
+        handoff = next(check, None)
+        if handoff is not None:
+            Process(env, check, name=f"gdo-migrate:{root_serial}",
+                    awaiting=handoff)
+        elif env.tiebreak is None:
+            env._events_processed += 1
+        else:
+            Event(env).succeed()
+
+    def _maybe_migrate(self, entries):
+        """Adaptive re-homing of freshly quiesced entries (DESIGN §11).
+
+        Run detached (:meth:`_migration_check`) at the tail of a global
+        release, after grants were pumped: an entry is only moved when
+        it is fully quiescent — no holders, no retainers, no queued
+        waiters — so the move is pure accounting (no in-flight grant
+        ever references the old home) and correctness is untouched.
+        The handoff message is charged and yielded; if anything touched
+        the entry while the handoff was on the wire, the move is
+        abandoned (the access counts survive, so it is reconsidered at
+        the next quiesce).
+        """
+        for object_id, entry in entries.items():
+            if object_id in self._migrating:
+                continue
+            if entry.holders or entry.retainers or entry.waiting_families:
+                continue  # not quiescent
+            target = self.pick_target(object_id, entry.home_node)
+            if target is None:
+                continue
+            old_home = entry.home_node
+            snapshot = entry.page_map_snapshot()
+            handoff = Message(
+                src=old_home, dst=target,
+                category=MessageCategory.GDO_MIGRATE,
+                size_bytes=self.sizes.migration_transfer(
+                    holder_entries=len(entry.holder_entries()),
+                    page_map_entries=len(snapshot),
+                ),
+                object_id=object_id,
+            )
+            self._migrating.add(object_id)
+            try:
+                yield self.network.send(handoff)
+            finally:
+                self._migrating.discard(object_id)
+            if entry.holders or entry.retainers or entry.waiting_families:
+                continue  # a racing request got in first: stay put
+            moved_from = self.directory.move_home(object_id, target)
+            for hook in self.moved_hooks:
+                hook(moved_from.value, target.value, object_id)
+            # The quiescent entry has no holders, but a stale cached
+            # holder list at any site would now route Algorithm 4.1's
+            # fast path to the wrong home — drop it.
+            self.cache.on_freed(object_id)
+            self.note_migrated(object_id)

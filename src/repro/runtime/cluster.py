@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core import ProtocolSuite, make_protocol
@@ -23,6 +24,7 @@ from repro.runtime.executor import Executor
 from repro.sim import Environment, Process
 from repro.sim.tiebreak import make_tiebreak
 from repro.txn.locks import LockManager
+from repro.txn.semantic import IncrementMerger
 from repro.util.errors import ConfigurationError, ProtocolError
 from repro.util.ids import IdAllocator, NodeId, ObjectId
 from repro.util.rng import SeededRNG
@@ -81,7 +83,8 @@ class Cluster:
     Construction wires together every substrate: the simulation
     environment, the network, per-node stores, the partitioned GDO
     with holder-list caching, the O2PL lock manager, and the selected
-    consistency protocol.
+    consistency protocol — then attaches each extension the config
+    turns on to the lock manager's and the executor's hooks.
     """
 
     def __init__(self, config: Optional[ClusterConfig] = None, **overrides):
@@ -137,24 +140,8 @@ class Cluster:
         self.registry = ObjectRegistry()
         self.directory = Directory(self.nodes, tracer=self.tracer)
         self.cache = EntryCacheTracker(enabled=config.gdo_cache_enabled)
-        self.migration: Optional[HomeMigrationManager] = None
-        if config.migration is not None and config.num_nodes > 1:
-            # On one node every entry is already home; tracking would
-            # only burn cycles without ever proposing a move.
-            self.migration = HomeMigrationManager(config.migration, env)
-        # Each node's durable write-ahead record, kept only when crashes
-        # are planned; otherwise None, and every durable write is one
-        # ``wal is not None`` branch.
-        self.wal: Optional[WalSet] = (
-            WalSet(config.num_nodes)
-            if config.faults is not None and config.faults.crashes
-            else None
-        )
-        self.lockmgr = LockManager(
-            self.env, self.network, self.directory, config.sizes, self.cache,
-            tracer=self.tracer, injector=self.injector,
-            migration=self.migration, wal=self.wal,
-        )
+        self.lockmgr = LockManager(self.env, self.network, config.sizes,
+                                   self.cache, tracer=self.tracer)
         def protocol_factory(name):
             return make_protocol(
                 name, env=self.env, network=self.network,
@@ -167,28 +154,47 @@ class Cluster:
             protocol_factory, config.protocol, config.class_protocols
         )
         self.executor = Executor(
-            self.env, config, self.alloc, self.stores, self.directory,
-            self.lockmgr, self.protocol, self.rng.derive("executor"),
-            tracer=self.tracer, injector=self.injector, wal=self.wal,
+            self.env, config, self.alloc, self.stores, self.lockmgr,
+            self.protocol, self.rng.derive("executor"), tracer=self.tracer,
         )
         self.executor._registry = self.registry
         # Placement (§2: roots "need only be distributed across the
         # available processors"): one round-robin count shared by
         # ``create`` and ``submit`` keeps every run deterministic.
         self._placements = 0
+        if config.semantic_locks:
+            self.executor.merger = IncrementMerger(self.stores)
+        self.migration: Optional[HomeMigrationManager] = None
+        if config.migration is not None and config.num_nodes > 1:
+            # On one node every entry is already home; tracking would
+            # only burn cycles without ever proposing a move.
+            self.migration = HomeMigrationManager(config.migration, env)
+            self.migration.attach(self.lockmgr, self.directory)
+        plan = config.faults
+        if plan is not None and plan.lock_wait_timeout_s > 0:
+            self.lockmgr.wait_bound = partial(self.injector.bounded_wait,
+                                              self.lockmgr)
+        # Each node's durable write-ahead record, kept only when crashes
+        # are planned (``None`` otherwise).
+        self.wal: Optional[WalSet] = None
         self.recovery: Optional[RecoveryManager] = None
         self.crash_controller: Optional[CrashController] = None
-        if config.faults is not None and (config.faults.crashes
-                                          or config.faults.partitions):
-            if config.faults.crashes:
-                self.recovery = RecoveryManager(
-                    self.env, self.injector, self.directory, self.cache,
-                    self.wal, self.nodes, self.tracer,
-                )
-            self.crash_controller = CrashController(
-                self.env, self.injector, self.lockmgr, self.cache,
-                self.executor, self.tracer, recovery=self.recovery,
+        if plan is not None and plan.crashes:
+            self.wal = WalSet(config.num_nodes)
+            self.recovery = RecoveryManager(
+                self.env, self.injector, self.directory, self.cache,
+                self.wal, self.nodes, self.tracer,
             )
+            self.recovery.attach(self.lockmgr, self.migration)
+        if plan is not None and (plan.crashes or plan.partitions):
+            self.crash_controller = CrashController(
+                self.env, self.injector, self.lockmgr, self.directory,
+                self.cache, self.executor, self.tracer,
+                recovery=self.recovery,
+            )
+            if plan.crashes:
+                self.executor.start_hooks.append(
+                    self.crash_controller.await_node_up)
             self.crash_controller.schedule()
         self.creation_log: List[CreationRecord] = []
         self._layout_cache: Dict[int, object] = {}

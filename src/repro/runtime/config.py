@@ -71,11 +71,9 @@ class ClusterConfig:
         faults: optional :class:`~repro.faults.plan.FaultPlan` enabling
             deterministic fault injection (message loss/dup/jitter,
             node crash windows, lock-wait timeouts).  ``None`` — the
-            default — wires :class:`~repro.faults.injector.NullInjector`,
-            which answers no query: every fault site is skipped on its
-            ``injector.enabled`` branch, and the cluster keeps no
-            write-ahead record (``Cluster.wal`` is ``None`` unless the
-            plan schedules crashes).
+            default — attaches nothing to the lock manager and the
+            executor, and the transport's null injector answers no
+            query (DESIGN §2).
         migration: optional
             :class:`~repro.gdo.migration.MigrationConfig` enabling
             adaptive re-homing of hot GDO entries toward their

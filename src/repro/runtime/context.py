@@ -52,16 +52,16 @@ class TxnContext:
                  "_increments", "actual_reads", "actual_writes",
                  "_copy", "_store", "_page_map", "_touched")
 
-    def __init__(self, runtime, txn, meta: ObjectMeta, spec, merger=None,
+    def __init__(self, runtime, txn, meta: ObjectMeta, spec,
                  increments: frozenset = frozenset()):
         self._runtime = runtime
         self.txn = txn
         self._meta = meta
         self._spec = spec
         # Semantic lock modes (DESIGN §15): attributes this invocation
-        # updates as blind increments are recorded in the merger as
-        # store-virtual deltas instead of written through.
-        self._merger = merger
+        # updates as blind increments are recorded in the runtime's
+        # increment ledger as store-virtual deltas, not written through.
+        self._merger = runtime.merger
         self._increments = increments
         self.actual_reads: Set[str] = set()
         self.actual_writes: Set[str] = set()

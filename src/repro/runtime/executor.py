@@ -24,14 +24,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.analysis.prediction import AccessPrediction, predict
-from repro.faults.injector import NULL_INJECTOR
 from repro.gdo.entry import LockMode
 from repro.objects.proxy import proxy_class
 from repro.objects.registry import HandleRef as _HandleRef, ObjectHandle
 from repro.objects.schema import MethodSpec
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.context import InvocationRequest, TxnContext
-from repro.txn.semantic import IncrementMerger
 from repro.txn.transaction import Transaction, TxnStats
 from repro.util.backoff import backoff_delay
 from repro.util.errors import (
@@ -128,11 +126,10 @@ class _LiveFamily:
     commit atomic under fail-stop crashes.
     """
 
-    __slots__ = ("txn", "node", "process", "committing")
+    __slots__ = ("txn", "process", "committing")
 
-    def __init__(self, txn: Transaction, node: NodeId, process=None):
+    def __init__(self, txn: Transaction, process=None):
         self.txn = txn
-        self.node = node
         self.process = process
         self.committing = False
 
@@ -189,23 +186,23 @@ def thaw_args(frozen, resolve):
 class Executor:
     """Executes root transactions against one cluster's substrates."""
 
-    def __init__(self, env, config, alloc, stores, directory, lockmgr,
-                 protocol, rng, tracer=None, injector=None, wal=None):
+    #: Semantic lock modes' increment ledger, which ``Cluster``
+    #: attaches; method contexts read it.
+    merger = None
+
+    def __init__(self, env, config, alloc, stores, lockmgr, protocol, rng,
+                 tracer=None):
         self.env = env
         self.config = config
         self.alloc = alloc
         self.stores = stores
-        self.directory = directory
         self.lockmgr = lockmgr
         self.protocol = protocol
         self.rng = rng
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.injector = injector if injector is not None else NULL_INJECTOR
-        self.wal = wal
-        # Semantic lock modes (DESIGN §15): the merger keeps blind
-        # increments correct across commuting families; None keeps the
-        # plain path byte-identical.
-        self.merger = IncrementMerger(stores) if config.semantic_locks else None
+        #: ``yield from hook(node)`` before each root attempt (crash
+        #: windows hold it off a down node); ``Cluster`` fills it.
+        self.start_hooks: List = []
         self.txn_stats = TxnStats()
         self.commit_log: List[CommitRecord] = []
         self.audit: List[AccessAudit] = []
@@ -239,11 +236,11 @@ class Executor:
         method_name = spec.name
         attempts = 0
         while True:
-            if self.injector.enabled:
-                yield from self._await_node_up(node)
+            for hook in self.start_hooks:
+                yield from hook(node)
             txn = Transaction(self.alloc.next_root_txn(), node,
                               label=label or method_name)
-            family = _LiveFamily(txn=txn, node=node, process=process)
+            family = _LiveFamily(txn, process)
             self.live_families[txn.id.root] = family
             started = self.env.now
             token = (self.tracer.txn_begin(txn) if self.tracer.enabled
@@ -334,19 +331,6 @@ class Executor:
         return backoff_delay(self.config.retry_backoff_s, attempts,
                              rng=self.rng)
 
-    def _await_node_up(self, node: NodeId):
-        """Hold off while ``node`` is inside a crash window.
-
-        New root attempts cannot start on a down node; with no crash
-        covering now this yields nothing.  Called only under an
-        ``injector.enabled`` branch.
-        """
-        while True:
-            until = self.injector.down_until(node, self.env.now)
-            if until <= self.env.now:
-                return
-            yield self.env.timeout(until - self.env.now)
-
     def _commit_root(self, root: Transaction):
         """Algorithm 4.3 (root commits) + 4.4, then protocol commit hook."""
         store = self.stores[root.node]
@@ -358,26 +342,17 @@ class Executor:
                 copies[object_id] = copy = store.copy_of(object_id)
                 resident[object_id] = dict(copy.page_versions)
         entries = yield from self.lockmgr.root_commit_release(root, resident)
-        if self.merger is not None:
-            # Fold the family's tracked increments into the per-slot
-            # ledger and write the merged sums into this (now owning)
-            # store before any newly granted family can fetch from us.
-            self.merger.on_root_commit(root)
+        # Commit actions (the increment ledger's fold) run first, too.
+        for action in root.commit_actions:
+            action(root)
         # The committing site now holds the newest version of every
         # page it dirtied: stamp the local tags with the post-commit
         # versions before anyone can fetch from us.
-        wal = self.wal
         for object_id, pages in root.dirty.items():
             page_map = entries[object_id].page_map
             versions = copies[object_id].page_versions
             for page in pages:
-                versions[page] = version = page_map[page].version
-                if wal is not None:
-                    # Durable record: the committed version now owned
-                    # here survives a crash of this node (fail-stop with
-                    # stable storage) and is replayed at rejoin.
-                    wal.record_page(root.node.value, object_id, page,
-                                    version)
+                versions[page] = page_map[page].version
         self.protocol.on_root_commit(root, dict(root.dirty), self._meta_of)
         root.mark_committed()
         self._finalize_prediction_accounting(root)
@@ -386,39 +361,10 @@ class Executor:
         """Root abort: UNDO from local logs, release with no dirty info."""
         root.undo.apply(self.stores[root.node])
         root.dirty.clear()
-        if self.merger is not None:
-            self.merger.on_abort(root)
+        for action in root.abort_actions:
+            action(root)
         yield from self.lockmgr.root_abort_release(root)
         root.mark_aborted()
-
-    def crash_rollback(self, root: Transaction) -> int:
-        """Discard a crash-aborted family's uncommitted writes *now*.
-
-        A node crash frees the family's directory entries at the crash
-        instant (``crash_release``), but the family's own unwinding —
-        which normally applies the undo logs frame by frame — is
-        exception-driven and can stall on the down node's messaging
-        until rejoin.  In that window another family could acquire the
-        freed locks and read the doomed family's dirty slots straight
-        out of the crashed node's store.  Volatile state dies with the
-        node, so the whole family tree's logs are applied here, newest
-        frame first; the stalled unwinding later re-applies only
-        already-emptied logs.
-        """
-        store = self.stores[root.node]
-        applied = 0
-
-        def walk(txn: Transaction) -> None:
-            nonlocal applied
-            for child in reversed(txn.children):
-                walk(child)
-            applied += txn.undo.apply(store)
-            txn.dirty.clear()
-            if self.merger is not None:
-                self.merger.on_abort(txn)
-
-        walk(root)
-        return applied
 
     def _prefetch(self, txn: Transaction, handle: ObjectHandle, args):
         """Optimistic pre-acquisition of predicted invocation targets.
@@ -454,14 +400,12 @@ class Executor:
 
     def _prefetch_one(self, txn: Transaction, object_id: ObjectId,
                       fetch_pages: bool):
-        from repro.gdo.entry import LockMode as _LockMode
-
-        snapshot = yield from self.lockmgr.try_prefetch(
-            txn, object_id, _LockMode.WRITE
+        meta = self._meta_of(object_id)
+        snapshot = yield from self.lockmgr.acquire(
+            txn, meta.entry, LockMode.WRITE, prefetch=True
         )
         if snapshot is None:
             return
-        meta = self._meta_of(object_id)
         if not fetch_pages:
             # Lock-only prefetch: remember the page map; the protocol's
             # data transfer runs at the object's first real use, with
@@ -511,9 +455,8 @@ class Executor:
         mode = LockMode.WRITE if spec.is_update else LockMode.READ
         increments = frozenset()
         if self.config.semantic_locks:
-            mode = self.lockmgr.semantic_mode_for(
-                meta.schema.name, method_name, mode
-            )
+            mode = self.lockmgr.semantic_mode_for(meta.schema.name,
+                                                  method_name, mode)
             if getattr(mode, "tag", None) is not None:
                 increments = mode.table.methods[method_name].increment_attrs
         try:
@@ -530,8 +473,7 @@ class Executor:
                 root.transfer_log.setdefault(meta.object_id, set()).update(
                     outcome.shipped
                 )
-            ctx = TxnContext(self, txn, meta, spec,
-                             merger=self.merger, increments=increments)
+            ctx = TxnContext(self, txn, meta, spec, increments)
             proxy = (meta.layout.proxy_class
                      or proxy_class(meta.layout))(ctx, meta)
             if spec.is_generator:
@@ -590,8 +532,6 @@ class Executor:
             raise
         if not txn.is_root:
             txn.precommit()
-            if self.merger is not None:
-                self.merger.on_sub_commit(txn)
             self.lockmgr.precommit_release(txn)
             self.txn_stats.sub_commits += 1
             if self.tracer.enabled:
@@ -605,8 +545,8 @@ class Executor:
             return
         txn.undo.apply(self.stores[txn.node])
         txn.dirty.clear()
-        if self.merger is not None:
-            self.merger.on_abort(txn)
+        for action in txn.abort_actions:
+            action(txn)
         yield from self.lockmgr.sub_abort_release(txn)
         txn.mark_aborted()
         self.txn_stats.sub_aborts += 1

@@ -15,6 +15,11 @@ Lock processing is split exactly as in the paper:
 The generator methods (``acquire``, ``root_commit_release``, the abort
 releases) are simulation processes: ``yield``ed sends advance the
 virtual clock and are charged to :class:`~repro.net.NetworkStats`.
+
+Extensions (home migration, the WAL, failover, the fault plan's
+lock-wait bound) attach to :class:`LockManager`'s hook lists, which
+``Cluster`` fills only for what the configuration turns on: an
+unconfigured run pays no call (DESIGN §2).
 """
 
 from __future__ import annotations
@@ -23,22 +28,17 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from repro.faults.injector import NULL_INJECTOR
 from repro.gdo.cache import EntryCacheTracker
-from repro.gdo.deadlock import first_cycle, pick_victim
-from repro.gdo.directory import Directory
+from repro.gdo.deadlock import BlockedFamily, first_cycle, pick_victim
 from repro.gdo.entry import DirectoryEntry, GrantDecision, LockMode, Waiter
 from repro.net.message import Message, MessageCategory
 from repro.net.transport import Transport
 from repro.net.sizes import SizeModel
 from repro.obs.tracer import NULL_TRACER
-from repro.sim import Event, Process
 from repro.txn.semantic import SemanticMode
-from repro.txn.transaction import Transaction
-from repro.util.backoff import backoff_delay
+from repro.txn.transaction import Transaction, TxnState
 from repro.util.errors import (
     DeadlockError,
-    LockTimeoutError,
     NodeCrashError,
     ProtocolError,
     RecursiveInvocationError,
@@ -62,63 +62,22 @@ class LockStats:
     cycle_searches: int = 0
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "local_acquisitions": self.local_acquisitions,
-            "global_acquisitions": self.global_acquisitions,
-            "waits": self.waits,
-            "deadlocks": self.deadlocks,
-            "recursive_rejections": self.recursive_rejections,
-            "prefetch_granted": self.prefetch_granted,
-            "prefetch_denied": self.prefetch_denied,
-            "lock_timeouts": self.lock_timeouts,
-            "cycle_searches": self.cycle_searches,
-        }
-
-
-@dataclass(init=False)
-class _BlockedFamily:
-    """The entry a blocked family waits on and its one queued waiter."""
-
-    __slots__ = ("entry", "waiter")
-    entry: DirectoryEntry
-    waiter: Waiter
-
-    def __init__(self, entry: DirectoryEntry, waiter: Waiter):
-        self.entry = entry
-        self.waiter = waiter
+        return dict(vars(self))  # every field, in declaration order
 
 
 class LockManager:
     """Drives directory entries, charges GDO traffic, detects deadlock."""
 
-    def __init__(self, env, network: Transport, directory: Directory,
-                 sizes: SizeModel, cache: EntryCacheTracker,
-                 tracer=None, injector=None, migration=None, wal=None):
+    def __init__(self, env, network: Transport, sizes: SizeModel,
+                 cache: EntryCacheTracker, tracer=None):
         self.env = env
         self.network = network
-        self.directory = directory
         self.sizes = sizes
         self.cache = cache
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.injector = injector if injector is not None else NULL_INJECTOR
-        #: Per-node durable record (repro.faults.wal); the home node's
-        #: holder lists are snapshotted on every global grant/release so
-        #: crash recovery can replay them.  ``None`` unless the fault
-        #: plan schedules crashes.
-        self.wal = wal
-        #: Optional :class:`~repro.gdo.migration.HomeMigrationManager`;
-        #: ``None`` keeps the static partition (and adds zero work).
-        self.migration = migration
-        # Entries with a home handoff currently on the wire; blocks a
-        # second concurrent migration of the same entry.
-        self._migrating: Set[ObjectId] = set()
         self.stats = LockStats()
         # At most one blocked transaction per (sequential) family.
-        self._blocked: Dict[int, _BlockedFamily] = {}
-        # Root serials of families killed by a node crash.  In-flight
-        # helper processes (prefetchers) consult this so they never
-        # grant new locks to a dead family after its cleanup ran.
-        self.dead_families: Set[int] = set()
+        self._blocked: Dict[int, BlockedFamily] = {}
         # Per-object grant history: (family root serial, mode, sim time)
         # in grant order.  Feeds the precedence-graph oracle
         # (repro.runtime.verify.check_conflict_serializability).
@@ -126,6 +85,22 @@ class LockManager:
         # Per-class commutativity tables (semantic lock modes); empty
         # unless ClusterConfig.semantic_locks registered them.
         self._commutativity: Dict[str, object] = {}
+        # Where extensions attach, each list in registration order.
+        #: ``hook(object_id, node)`` on each global request (migration).
+        self.request_hooks: List = []
+        #: ``yield from hook(entry)`` before a global request is sent;
+        #: returns once the entry's home is up (failover).
+        self.home_hooks: List = []
+        #: ``hook()`` on each request or release a stale home relays.
+        self.forward_hooks: List = []
+        #: ``hook(entry)`` on each global grant (the WAL).
+        self.grant_hooks: List = []
+        #: ``hook(node, root_serial, entries, dirty)`` once a global
+        #: release has applied and pumped its entries (WAL, migration).
+        self.release_hooks: List = []
+        #: ``yield from wait_bound(entry, waiter)`` in place of a plain
+        #: wait for the wake (the fault plan's lock-wait timeout).
+        self.wait_bound = None
 
     # ------------------------------------------------------------------
     # Semantic lock modes
@@ -164,7 +139,8 @@ class LockManager:
     # Acquisition (Algorithms 4.1 and 4.2)
     # ------------------------------------------------------------------
 
-    def acquire(self, txn: Transaction, entry: DirectoryEntry, mode: LockMode):
+    def acquire(self, txn: Transaction, entry: DirectoryEntry,
+                mode: LockMode, prefetch: bool = False):
         """Acquire the lock of ``entry``'s object for ``txn`` (simulation
         process).  The entry comes by reference, bound on the object's
         metadata at registration; ``txn.lock_objects`` carries it on.
@@ -173,42 +149,53 @@ class LockManager:
         ``None`` for purely local grants (no data movement is implied
         by a local grant — the family's site already has whatever it
         fetched at its global acquisition).
+
+        ``prefetch`` is the optimistic pre-acquisition of §5.1/§6, by a
+        root before it runs, on the same global path.  It never waits:
+        a lock not grantable at once is refused with a NACK, so optimism
+        cannot add deadlocks.  A grant is demoted to *retained*, so the
+        root's descendants acquire it locally.
         """
         object_id = entry.object_id
         node = txn.node
-        # Algorithm 4.1: serve from the locally cached holder list when
-        # this site caches the entry AND the requester belongs to the
-        # holding family; every other case forwards to the global path.
-        if (
-            self.cache.is_local(object_id, node)
-            and entry.family_present(txn.id.root)
-        ):
-            decision = entry.decide(txn, mode)
-            if decision is GrantDecision.RECURSIVE:
-                self.stats.recursive_rejections += 1
-                raise RecursiveInvocationError(txn.id, object_id)
-            if decision is GrantDecision.GRANTED:
-                entry.grant(txn, mode)
-                self._record_grant(object_id, txn, mode)
-                txn.lock_objects[object_id] = entry
-                self.stats.local_acquisitions += 1
-                if self.tracer.enabled:
-                    self.tracer.lock_granted(txn, object_id, mode, "local",
-                                             info=entry.trace_info())
-                return None
-            # WAIT_GLOBAL: our family retains the lock, but readers from
-            # another family also hold it — Algorithm 4.1's ELSE branch
-            # forwards such requests to GlobalLockAcquisition.
+        if prefetch:
+            self._check_alive(txn)
+            if entry.family_present(txn.id.root):
+                return None  # already ours: nothing to pre-acquire
+        else:
+            # Algorithm 4.1: serve from the locally cached holder list
+            # when this site caches the entry AND the requester belongs
+            # to the holding family; every other case goes global.
+            if (
+                self.cache.is_local(object_id, node)
+                and entry.family_present(txn.id.root)
+            ):
+                decision = entry.decide(txn, mode)
+                if decision is GrantDecision.RECURSIVE:
+                    self.stats.recursive_rejections += 1
+                    raise RecursiveInvocationError(txn.id, object_id)
+                if decision is GrantDecision.GRANTED:
+                    entry.grant(txn, mode)
+                    self._record_grant(object_id, txn, mode)
+                    txn.lock_objects[object_id] = entry
+                    self.stats.local_acquisitions += 1
+                    if self.tracer.enabled:
+                        self.tracer.lock_granted(
+                            txn, object_id, mode, "local",
+                            info=entry.trace_info())
+                    return None
+                # WAIT_GLOBAL: our family retains the lock, but readers
+                # from another family also hold it — Algorithm 4.1's ELSE
+                # branch forwards such requests to GlobalLockAcquisition.
+            self.stats.global_acquisitions += 1
         # Algorithm 4.2: global processing at the entry's home node.
-        self.stats.global_acquisitions += 1
-        if self.migration is not None:
-            self.migration.record_access(object_id, node)
-        if (self.injector.enabled and self.injector.failover_detect_s() > 0
-                and self.injector.is_down(entry.home_node, self.env.now)):
-            yield from self._reroute_failover(entry)
+        for hook in self.request_hooks:
+            hook(object_id, node)
+        for hook in self.home_hooks:
+            yield from hook(entry)
         home = entry.home_node
         request_started = self.env.now
-        if self.tracer.enabled:
+        if self.tracer.enabled and not prefetch:
             self.tracer.gdo_forward(node, home, object_id)
         if not (self.env.marks_tail
                 and self.network.lands_inline(node, home)):
@@ -219,21 +206,42 @@ class LockManager:
             )
             yield self.network.send(request)
         if entry.home_node != home:
-            # The entry's home migrated while our request was on the
-            # wire: the stale home forwards it (one extra hop).
-            yield from self._forward_request(object_id, home,
-                                             entry.home_node)
+            # The entry's home moved while our request was on the wire:
+            # the stale home relays it (one extra hop).
+            yield self._relay(object_id, home, entry.home_node,
+                              MessageCategory.LOCK_REQUEST,
+                              self.sizes.lock_request())
         family_already_present = entry.family_present(txn.id.root)
         decision = entry.decide(txn, mode)
+        if prefetch:
+            self._check_alive(txn)
+            if (decision is not GrantDecision.GRANTED
+                    or family_already_present):
+                self.stats.prefetch_denied += 1
+                if self.tracer.enabled:
+                    self.tracer.lock_prefetch(txn, object_id, granted=False,
+                                              mode=mode)
+                yield self.network.send(Message(
+                    src=entry.home_node, dst=node,
+                    category=MessageCategory.CONTROL,
+                    size_bytes=self.sizes.control(), object_id=object_id,
+                ))
+                return None
         if decision is GrantDecision.RECURSIVE:
             self.stats.recursive_rejections += 1
             raise RecursiveInvocationError(txn.id, object_id)
         if decision is GrantDecision.GRANTED:
             entry.grant(txn, mode)
             self._record_grant(object_id, txn, mode)
+            if prefetch:
+                entry.demote_to_retained(txn)
+                self.stats.prefetch_granted += 1
             self.cache.on_granted(object_id, node)
-            if self.wal is not None:
-                self._wal_record_holders(object_id, entry)
+            for hook in self.grant_hooks:
+                hook(entry)
+            if prefetch and self.tracer.enabled:
+                self.tracer.lock_prefetch(txn, object_id, granted=True,
+                                          mode=mode)
             # A re-entrant grant (the family already holds/retains the
             # lock, e.g. after its cached entry was displaced) carries
             # no page map and moves NO data — the family's site has
@@ -256,8 +264,10 @@ class LockManager:
                     object_id=object_id,
                 )
                 yield self.network.send(grant)
+            if prefetch:
+                self._check_alive(txn)
             txn.lock_objects[object_id] = entry
-            if self.tracer.enabled:
+            if self.tracer.enabled and not prefetch:
                 self.tracer.gdo_request_latency(
                     entry.home_node, self.env.now - request_started
                 )
@@ -272,134 +282,29 @@ class LockManager:
         txn.lock_objects[object_id] = entry
         return payload
 
-    def try_prefetch(self, txn: Transaction, object_id: ObjectId,
-                     mode: LockMode):
-        """Optimistic, non-blocking pre-acquisition (§5.1/§6).
+    @staticmethod
+    def _check_alive(txn: Transaction) -> None:
+        """A prefetcher is a helper process of its family, which a crash
+        of the family's node does not interrupt: once the crash aborted
+        the family (and its cleanup ran), any lock granted to it would
+        leak, so the prefetcher stops — before its request, after it,
+        and after the grant's flight."""
+        if txn.state is TxnState.ABORTED:
+            raise NodeCrashError(txn.id, node=txn.node)
 
-        Charges a GDO round trip; if the lock is free for ``txn`` it is
-        granted and immediately demoted to *retained* so descendants of
-        ``txn`` acquire it locally.  If not immediately grantable, the
-        request gives up (no queueing — optimism never blocks, so it
-        cannot add deadlocks).  Returns the page-map snapshot on a
-        fresh grant, else None.
-        """
-        entry = self.directory.entry(object_id)
-        node = txn.node
-        if txn.id.root in self.dead_families:
-            raise NodeCrashError(txn.id, node=node)
-        if entry.family_present(txn.id.root):
-            return None  # already ours: nothing to pre-acquire
-        if self.migration is not None:
-            self.migration.record_access(object_id, node)
-        if (self.injector.enabled and self.injector.failover_detect_s() > 0
-                and self.injector.is_down(entry.home_node, self.env.now)):
-            yield from self._reroute_failover(entry)
-        home = entry.home_node
-        request = Message(
-            src=node, dst=home,
-            category=MessageCategory.LOCK_REQUEST,
-            size_bytes=self.sizes.lock_request(), object_id=object_id,
-        )
-        yield self.network.send(request)
-        if entry.home_node != home:
-            yield from self._forward_request(object_id, home,
-                                             entry.home_node)
-        if txn.id.root in self.dead_families:
-            # The family's node crashed while the request was on the
-            # wire; granting now would leak a lock nobody releases.
-            raise NodeCrashError(txn.id, node=node)
-        decision = entry.decide(txn, mode)
-        if decision is not GrantDecision.GRANTED or entry.family_present(
-            txn.id.root
-        ):
-            self.stats.prefetch_denied += 1
-            if self.tracer.enabled:
-                self.tracer.lock_prefetch(txn, object_id, granted=False,
-                                          mode=mode)
-            nack = Message(
-                src=entry.home_node, dst=node,
-                category=MessageCategory.CONTROL,
-                size_bytes=self.sizes.control(), object_id=object_id,
-            )
-            yield self.network.send(nack)
-            return None
-        entry.grant(txn, mode)
-        self._record_grant(object_id, txn, mode)
-        entry.demote_to_retained(txn)
-        self.cache.on_granted(object_id, node)
-        if self.wal is not None:
-            self._wal_record_holders(object_id, entry)
-        self.stats.prefetch_granted += 1
-        if self.tracer.enabled:
-            self.tracer.lock_prefetch(txn, object_id, granted=True, mode=mode)
-        snapshot = entry.page_map_snapshot()
-        grant = Message(
-            src=entry.home_node, dst=node,
-            category=MessageCategory.LOCK_GRANT,
-            size_bytes=self.sizes.lock_grant(
-                holder_entries=len(entry.holder_entries()),
-                page_map_entries=len(snapshot),
-            ),
-            object_id=object_id,
-        )
-        yield self.network.send(grant)
-        if txn.id.root in self.dead_families:
-            # Crash landed during the grant's flight; the crash cleanup
-            # already reclaimed the entry, so just stop quietly.
-            raise NodeCrashError(txn.id, node=node)
-        txn.lock_objects[object_id] = entry
-        return snapshot
-
-    def _wal_record_holders(self, object_id: ObjectId,
-                            entry: DirectoryEntry) -> None:
-        """Snapshot the entry's holders into its home's durable record.
-
-        A crashed home takes no writes: its stable storage keeps the
-        last pre-crash snapshot, which is exactly what the node must
-        reconcile (discard stale holders) when it rejoins — see
-        :meth:`repro.faults.recovery.RecoveryManager.rejoin`.  Called
-        only under a ``wal is not None`` branch, so crashes are planned
-        and the injector is a real one.
-        """
-        home = entry.home_node
-        if self.injector.is_down(home, self.env.now):
-            return
-        self.wal.record_holders(home.value, object_id, entry)
-
-    def _reroute_failover(self, entry: DirectoryEntry):
-        """Wait out a dead home until failover re-homes the entry.
-
-        Without failover armed, a request to a down home rides the
-        retransmission loop until the node recovers — correct, but the
-        family stalls for the whole crash window.  With it, back off on
-        the unified curve (base = the detection timeout, so the first
-        re-check lands right around the failover instant) until either
-        the entry was re-homed to the live successor or the node
-        recovered first; the caller then re-reads ``entry.home_node``.
-        Called only under an ``injector.enabled`` branch.
-        """
-        self.injector.stats.failover_reroutes += 1
-        base = self.injector.failover_detect_s()
-        attempt = 0
-        while self.injector.is_down(entry.home_node, self.env.now):
-            yield self.env.timeout(backoff_delay(base, attempt))
-            attempt += 1
-
-    def _forward_request(self, object_id: ObjectId, old_home: NodeId,
-                         new_home: NodeId):
-        """One extra hop for a request that raced a home migration: the
-        stale home still answers its old address and relays to the new
-        home (DESIGN §11's forwarding protocol)."""
-        if self.migration is not None:
-            self.migration.note_forwarded()
+    def _relay(self, object_id: ObjectId, old_home: NodeId,
+               new_home: NodeId, category: MessageCategory, size: int):
+        """Send the extra hop of a request or release that raced a home
+        move: the stale home still answers its old address and relays
+        to the new home (DESIGN §11's forwarding protocol)."""
+        for hook in self.forward_hooks:
+            hook()
         if self.tracer.enabled:
             self.tracer.gdo_request_forwarded(object_id, old_home, new_home)
-        relay = Message(
-            src=old_home, dst=new_home,
-            category=MessageCategory.LOCK_REQUEST,
-            size_bytes=self.sizes.lock_request(), object_id=object_id,
-        )
-        yield self.network.send(relay)
+        return self.network.send(Message(
+            src=old_home, dst=new_home, category=category, size_bytes=size,
+            object_id=object_id,
+        ))
 
     def _wait(self, entry: DirectoryEntry, txn: Transaction, mode: LockMode):
         """Block until granted; raises DeadlockError if chosen as victim."""
@@ -423,7 +328,7 @@ class LockManager:
         }
         waiter = Waiter(txn=txn, mode=mode, wake=wake)
         entry.enqueue_global(waiter)
-        self._blocked[root] = _BlockedFamily(entry=entry, waiter=waiter)
+        self._blocked[root] = BlockedFamily(entry, waiter)
         self._detect_deadlocks(root)
         tracing = self.tracer.enabled
         token = (self.tracer.lock_wait_begin(txn, entry.object_id, mode)
@@ -433,14 +338,12 @@ class LockManager:
         shard = entry.home_node
         if tracing:
             self.tracer.gdo_queue_depth(shard, +1)
-        timeout_s = (self.injector.lock_wait_timeout_s()
-                     if self.injector.enabled else 0.0)
+        bound = self.wait_bound
         try:
-            if timeout_s > 0:
-                payload = yield from self._wait_bounded(entry, waiter,
-                                                        timeout_s)
-            else:
+            if bound is None:
                 payload = yield waiter.wake
+            else:
+                payload = yield from bound(entry, waiter)
         except BaseException:
             if tracing:
                 self.tracer.lock_wait_end(token, ok=False)
@@ -453,40 +356,6 @@ class LockManager:
             self.tracer.lock_wait_end(token, ok=True)
         self._record_grant(entry.object_id, txn, mode)
         return payload
-
-    def _wait_bounded(self, entry: DirectoryEntry, waiter: Waiter,
-                      timeout_s: float):
-        """Race the wake event against the fault plan's wait bound.
-
-        On timeout the waiter is withdrawn from the entry and the whole
-        family aborts with :class:`LockTimeoutError` (the executor
-        retries it with backoff).  Two races need care: the grant may
-        already be *in flight* when the timer fires (the waiter is no
-        longer queued — honor the grant), and the wake may fail at the
-        same instant the timer fires (deadlock victim — re-raise it).
-        """
-        started = self.env.now
-        index, value = yield self.env.any_of(
-            [waiter.wake, self.env.timeout(timeout_s)]
-        )
-        if index == 0:
-            return value
-        if waiter.wake.triggered:
-            if waiter.wake.ok:
-                return waiter.wake.value
-            raise waiter.wake.value
-        if not entry.remove_waiter(waiter.txn_id):
-            if waiter.txn_id.root in self.dead_families:
-                raise NodeCrashError(waiter.txn_id)
-            # Already granted; the grant message is on the wire.
-            payload = yield waiter.wake
-            return payload
-        waited = self.env.now - started
-        self.stats.lock_timeouts += 1
-        self.injector.stats.lock_timeouts += 1
-        if self.tracer.enabled:
-            self.tracer.lock_timeout(waiter.txn, entry.object_id, waited)
-        raise LockTimeoutError(waiter.txn_id, entry.object_id, waited)
 
     def _detect_deadlocks(self, root: int) -> None:
         """Abort a victim per cycle, after family ``root`` blocked.
@@ -653,20 +522,11 @@ class LockManager:
             for object_id in oids:
                 new_home = entries[object_id].home_node
                 if new_home != home:
-                    if self.migration is not None:
-                        self.migration.note_forwarded()
-                    if self.tracer.enabled:
-                        self.tracer.gdo_request_forwarded(object_id, home,
-                                                          new_home)
-                    relay = Message(
-                        src=home, dst=new_home,
-                        category=MessageCategory.LOCK_RELEASE,
-                        size_bytes=self.sizes.lock_release(
-                            len(dirty.get(object_id, ()))
-                        ),
-                        object_id=object_id,
-                    )
-                    forwards.append(self.network.send(relay))
+                    forwards.append(self._relay(
+                        object_id, home, new_home,
+                        MessageCategory.LOCK_RELEASE,
+                        self.sizes.lock_release(len(dirty.get(object_id, ()))),
+                    ))
         if forwards:
             yield self.env.all_of(forwards)
         for object_id, entry in entries.items():
@@ -694,86 +554,9 @@ class LockManager:
                 entry.release_family(root_serial)
                 if not entry.holders and not entry.retainers:
                     self.cache.on_freed(object_id)
-            if self.wal is not None:
-                self._wal_record_holders(object_id, entry)
-        if self.migration is not None:
-            # Detached: re-homing is the directory's own housekeeping.
-            # Running it inline would suspend the releasing family past
-            # the point where pumped waiters resume, letting a
-            # later-granted family commit (and trace its commit) before
-            # the releaser does — inverting commit order vs conflict
-            # order and breaking the serial-replay oracle.
-            self.env.call_later(0.0, self._migration_check, entries,
-                                root_serial)
+        for hook in self.release_hooks:
+            hook(node, root_serial, entries, dirty)
         return entries
-
-    def _migration_check(self, entries: Dict[ObjectId, DirectoryEntry],
-                         root_serial: int) -> None:
-        """Start :meth:`_maybe_migrate` where a detached process's
-        first step would run it, and give it a process only if it sends
-        a handoff — most checks move nothing.  Such a check ends here,
-        in place of the finished process's heap entry, which nothing
-        awaits: counted on the FIFO path, queued for a tie-break policy
-        to rank as it always did."""
-        env = self.env
-        check = self._maybe_migrate(entries)
-        handoff = next(check, None)
-        if handoff is not None:
-            Process(env, check, name=f"gdo-migrate:{root_serial}",
-                    awaiting=handoff)
-        elif env.tiebreak is None:
-            env._events_processed += 1
-        else:
-            Event(env).succeed()
-
-    def _maybe_migrate(self, entries: Dict[ObjectId, DirectoryEntry]):
-        """Adaptive re-homing of freshly quiesced entries (DESIGN §11).
-
-        Run detached (:meth:`_migration_check`) at the tail of a global
-        release, after grants were pumped: an entry is only
-        moved when it is fully quiescent — no holders, no retainers, no
-        queued waiters — so the move is pure accounting (no in-flight
-        grant ever references the old home) and correctness is
-        untouched.  The handoff message is charged and yielded; if
-        anything touched the entry while the handoff was on the wire,
-        the move is abandoned (the access counts survive, so it is
-        reconsidered at the next quiesce).
-        """
-        for object_id, entry in entries.items():
-            if object_id in self._migrating:
-                continue
-            if entry.holders or entry.retainers or entry.waiting_families:
-                continue  # not quiescent
-            target = self.migration.pick_target(object_id, entry.home_node)
-            if target is None:
-                continue
-            old_home = entry.home_node
-            snapshot = entry.page_map_snapshot()
-            handoff = Message(
-                src=old_home, dst=target,
-                category=MessageCategory.GDO_MIGRATE,
-                size_bytes=self.sizes.migration_transfer(
-                    holder_entries=len(entry.holder_entries()),
-                    page_map_entries=len(snapshot),
-                ),
-                object_id=object_id,
-            )
-            self._migrating.add(object_id)
-            try:
-                yield self.network.send(handoff)
-            finally:
-                self._migrating.discard(object_id)
-            if entry.holders or entry.retainers or entry.waiting_families:
-                continue  # a racing request got in first: stay put
-            moved_from = self.directory.move_home(object_id, target)
-            if self.wal is not None:
-                self.wal.record_home_moved(moved_from.value, target.value,
-                                           object_id)
-            # The quiescent entry has no holders, but a stale cached
-            # holder list at any site would now route Algorithm 4.1's
-            # fast path to the wrong home — drop it.
-            self.cache.on_freed(object_id)
-            self.migration.note_migrated(object_id)
 
     def _deliver_grants(self, entry: DirectoryEntry, woken: List[Waiter],
                         roots_before) -> None:
@@ -809,43 +592,3 @@ class LockManager:
                 self.env.succeed_all(wakes, payload)
 
             delivery.add_callback(wake_all)
-
-    # ------------------------------------------------------------------
-    # Crash recovery (fault injection)
-    # ------------------------------------------------------------------
-
-    def crash_release(self, roots) -> None:
-        """Forcibly reclaim directory state of crash-aborted families.
-
-        A crashed family cannot run its own release protocol (its node
-        is down and its processes were interrupted), so the GDO acts
-        unilaterally: every entry drops the family's queued waiters
-        (their processes are already dead — no wake is delivered) and
-        releases its held/retained locks, then pumps so survivors stop
-        waiting on a ghost.  Runs instantaneously at the crash instant;
-        the control traffic a real directory would need is deliberately
-        not charged, because the crashed node could not answer it.
-
-        Idempotent with respect to the family's own in-flight abort
-        processing: ``release_family`` and ``remove_family_waiters``
-        are no-ops once the family is gone from an entry.
-        """
-        dead = set(roots)
-        self.dead_families.update(dead)
-        if not dead:
-            return
-        for object_id, entry in sorted(self.directory.entries().items()):
-            roots_before = entry.blocking_family_roots()
-            touched = False
-            for root in sorted(dead):
-                if entry.remove_family_waiters(root):
-                    touched = True
-                if entry.family_present(root):
-                    entry.release_family(root)
-                    touched = True
-            if not touched:
-                continue
-            if entry.is_free:
-                self.cache.on_freed(object_id)
-            woken = entry.pump()
-            self._deliver_grants(entry, woken, roots_before)

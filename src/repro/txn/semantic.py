@@ -36,6 +36,7 @@ and abort is pure bookkeeping: drop the transaction's deltas.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Tuple
 
 from repro.gdo.entry import LockMode
@@ -96,20 +97,20 @@ class IncrementMerger:
 
     Per live transaction it accumulates ``(object, slot) -> delta``;
     per slot it keeps the committed sum (the *ledger*) once the first
-    increment family resolves.  Resolution rules:
+    increment family resolves.  A transaction's first delta or note
+    registers its transaction actions, which a pre-committing child
+    hands to its parent like its undo records.  Resolution rules:
 
-    * **sub pre-commit** — the parent absorbs the child's deltas and
-      plain-write notes (Moss-style rollup, mirroring undo-log
-      merging);
     * **abort** (sub, root, or crash rollback) — the transaction's
       deltas are dropped; the store was never touched, so there is
       nothing to restore;
-    * **root commit** — each delta folds into the ledger (first
-      resolution seeds it from the committing node's store, whose
-      bytes are the latest committed base — live deltas are virtual
-      and never reach any store), and the ledger value is written
-      into the committing node's store so the new page owner — which
-      the commit just made authoritative — carries the merged sum;
+    * **root commit** — the family's deltas sum per slot and each sum
+      folds into the ledger (first resolution seeds it from the
+      committing node's store, whose bytes are the latest committed
+      base — live deltas are virtual and never reach any store), and
+      the ledger value is written into the committing node's store so
+      the new page owner — which the commit just made authoritative —
+      carries the merged sum;
     * a slot the family **plainly overwrote** (noted by the write
       interceptor) takes its post-commit ledger value from the store
       (plus any increments the family applied *after* the overwrite)
@@ -126,9 +127,20 @@ class IncrementMerger:
 
     def record(self, txn, object_id: ObjectId, slot: Slot, delta) -> None:
         """One tracked write: fold its delta into the transaction."""
-        deltas = self._live.setdefault(txn.id, {})
+        deltas = self._live.get(txn.id)
+        if deltas is None:
+            deltas = self._track(txn)
         key = (object_id, slot)
         deltas[key] = deltas.get(key, 0) + delta
+
+    def _track(self, txn) -> dict:
+        """Open ``txn``'s delta and note books, dropped if it aborts
+        and folded, with its family's, at its root's commit."""
+        self._plain[txn.id] = set()
+        deltas = self._live[txn.id] = {}
+        txn.abort_actions.append(partial(self._drop, txn.id))
+        txn.commit_actions.append(self._fold)
+        return deltas
 
     def family_adjustment(self, txn, object_id: ObjectId, slot: Slot):
         """Sum of the family's own live deltas on the slot.
@@ -162,29 +174,29 @@ class IncrementMerger:
         key = (object_id, slot)
         adjust = self.family_adjustment(txn, object_id, slot)
         if adjust or key in self._ledger:
-            self._plain.setdefault(txn.id, set()).add(key)
+            if txn.id not in self._plain:
+                self._track(txn)
+            self._plain[txn.id].add(key)
         return adjust
 
     # -- resolutions --------------------------------------------------------
 
-    def on_sub_commit(self, txn) -> None:
-        deltas = self._live.pop(txn.id, None)
-        plain = self._plain.pop(txn.id, None)
-        if deltas:
-            merged = self._live.setdefault(txn.parent.id, {})
-            for key, delta in deltas.items():
-                merged[key] = merged.get(key, 0) + delta
-        if plain:
-            self._plain.setdefault(txn.parent.id, set()).update(plain)
+    def _drop(self, txn_id: TxnId, _txn) -> None:
+        """Abort action: drop the deltas; stores were never written."""
+        self._live.pop(txn_id, None)
+        self._plain.pop(txn_id, None)
 
-    def on_abort(self, txn) -> None:
-        """Drop the transaction's deltas; stores were never written."""
-        self._live.pop(txn.id, None)
-        self._plain.pop(txn.id, None)
-
-    def on_root_commit(self, root) -> None:
-        deltas = self._live.pop(root.id, None) or {}
-        plain = self._plain.pop(root.id, None) or frozenset()
+    def _fold(self, root) -> None:
+        """Commit action: every transaction of the family that tracked
+        anything registered it, so the first to run folds them all."""
+        family = root.id.root
+        deltas: Dict[Tuple[ObjectId, Slot], object] = {}
+        plain = set()
+        for txn_id in [txn_id for txn_id in self._live
+                       if txn_id.root == family]:
+            for key, delta in self._live.pop(txn_id).items():
+                deltas[key] = deltas.get(key, 0) + delta
+            plain |= self._plain.pop(txn_id)
         if not deltas and not plain:
             return
         store = self.stores[root.node]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
 from repro.gdo.entry import DirectoryEntry
 from repro.memory.undo import UndoLog
@@ -33,12 +33,21 @@ class Transaction:
     The root alone carries the family-level ``transfer_log``,
     ``touch_pages`` and ``prefetch_maps``.  When the root attempt ends,
     :meth:`unlink` cuts the tree's cycles so it dies by reference count.
+
+    Extensions keep their own per-transaction state and register
+    ``action(txn)`` callables here instead of being called by name:
+    ``commit_actions`` run in order when the family's root commits,
+    ``abort_actions`` when this transaction rolls back (after its undo
+    log).  A child hands both lists to its parent at :meth:`precommit`,
+    as it hands over its undo records, dirty pages and locks — the
+    nested-STM rule for post-commit and rollback actions.
     """
 
     __slots__ = ("id", "node", "parent", "root", "is_root", "label",
                  "children", "state", "undo", "dirty", "lock_objects",
                  "pending_delay", "transfer_log", "touch_pages",
-                 "prefetch_maps", "_ancestor_ids", "depth")
+                 "prefetch_maps", "_ancestor_ids", "depth",
+                 "commit_actions", "abort_actions")
 
     def __init__(self, txn_id: TxnId, node: NodeId,
                  parent: Optional["Transaction"] = None,
@@ -66,6 +75,8 @@ class Transaction:
         # with its directory entry: the lock path carries the entry it
         # acquired, so no release or pre-commit looks it up again.
         self.lock_objects: Dict[ObjectId, DirectoryEntry] = {}
+        self.commit_actions: List[Callable] = []
+        self.abort_actions: List[Callable] = []
         # Family-level accounting, meaningful on the root: network delay
         # deferred from synchronous demand fetches, pages shipped at
         # acquisitions, and pages actually touched (for over-prediction
@@ -138,11 +149,18 @@ class Transaction:
                     f"(rule 3: all sub-transactions must have finished)"
                 )
         self.state = TxnState.PRECOMMITTED
-        self.parent.undo.merge_child(self.undo)
+        parent = self.parent
+        parent.undo.merge_child(self.undo)
         for object_id, pages in self.dirty.items():
-            self.parent.record_dirty(object_id, pages)
+            parent.record_dirty(object_id, pages)
         self.dirty.clear()
-        self.parent.lock_objects.update(self.lock_objects)
+        parent.lock_objects.update(self.lock_objects)
+        if self.commit_actions:
+            parent.commit_actions += self.commit_actions
+            self.commit_actions = []
+        if self.abort_actions:
+            parent.abort_actions += self.abort_actions
+            self.abort_actions = []
 
     def mark_committed(self) -> None:
         if not self.is_root:

@@ -154,7 +154,7 @@ class TestVersion:
             from importlib.metadata import version
             expected = version("repro")
         except Exception:
-            expected = "1.27.0"  # source-tree fallback
+            expected = "1.28.0"  # source-tree fallback
         assert repro.__version__ == expected
 
 

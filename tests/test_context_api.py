@@ -300,8 +300,7 @@ class TestSameBehaviourFewerLookups:
         real, meta_r, txn_r = _world(semantic, cached)
         ref, meta_f, txn_f = _world(semantic, cached)
         ctx = TxnContext(real.executor, txn_r, meta_r,
-                         meta_r.schema.method_spec("work"),
-                         merger=real.executor.merger, increments=increments)
+                         meta_r.schema.method_spec("work"), increments)
         model = ReferenceAccessor(ref, txn_f, meta_f, increments)
         for op in ops:
             if op[0] == "read":

@@ -27,11 +27,11 @@ from types import SimpleNamespace
 import pytest
 
 from repro.check.explorer import FuzzTask, build_config
-from repro.gdo.deadlock import find_cycle
+from repro.gdo.deadlock import BlockedFamily, find_cycle
 from repro.gdo.entry import DirectoryEntry, LockMode, Waiter
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime import Cluster
-from repro.txn.locks import LockManager, LockStats, _BlockedFamily
+from repro.txn.locks import LockManager, LockStats
 from repro.txn.semantic import SemanticMode
 from repro.txn.transaction import Transaction
 from repro.util.errors import DeadlockError
@@ -202,7 +202,7 @@ class LockTableModel:
         entry = self.entries[index]
         waiter = Waiter(self.txns[root], mode, _Wake())
         entry.enqueue_global(waiter)
-        self.blocked[root] = _BlockedFamily(entry=entry, waiter=waiter)
+        self.blocked[root] = BlockedFamily(entry=entry, waiter=waiter)
         self.lockmgr._detect_deadlocks(root)
 
     def retain(self, root, index, mode):

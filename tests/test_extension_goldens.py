@@ -3,10 +3,11 @@
 ``tests/test_trace_golden.py`` pins the plain configuration only; each
 case here turns one extension on over the same standard scenario
 (``medium-high`` at scale 0.25, seed 11): every fault preset, semantic
-lock modes, adaptive home migration and both prefetch modes.  Two more
-cases drive the increment ledger of semantic lock modes, which the
-synthetic classes never reach (they have no blind increments), with
-and without a crash.  Each pin is ``(sha256 of events_to_jsonl, event
+lock modes, adaptive home migration and both prefetch modes, and
+prefetching under the ``chaos`` preset.  Two more cases drive the
+increment ledger of semantic lock modes, which the synthetic classes
+never reach (they have no blind increments), with and without a crash,
+and pin its committed sums.  Each pin is ``(sha256 of events_to_jsonl, event
 count, commits)``, so a change to where an extension attaches that
 moves its schedule, its accounting order or its trace fails here.
 
@@ -45,6 +46,11 @@ def _ledger_slots(cluster):
     return len(cluster.executor.merger._ledger)
 
 
+def _prefetch_under_crash(cluster):
+    return min(cluster.lock_stats.prefetch_granted,
+               cluster.fault_stats.crash_aborted_families)
+
+
 def _faults(preset):
     return {"faults": FAULT_PRESETS[preset]}
 
@@ -73,6 +79,10 @@ CASES = {
                        lambda c: c.lock_stats.prefetch_granted),
     "prefetch-locks+pages": ({"prefetch": "locks+pages"},
                              lambda c: c.lock_stats.prefetch_granted),
+    # A crash lands while a prefetcher is in flight: it must take no
+    # lock for its dead family.
+    "chaos-prefetch": ({**_faults("chaos"), "prefetch": "locks+pages"},
+                       _prefetch_under_crash),
 }
 
 #: case -> (sha256 of events_to_jsonl, event count, commits)
@@ -103,6 +113,8 @@ GOLDENS = {
         "c5c9cc153487b92d", 4528, 30),
     "prefetch-locks+pages": (
         "07604344436bdf40", 5718, 30),
+    "chaos-prefetch": (
+        "0222f9e34f91a124", 12405, 29),
     "increments": (
         "cfa2fcad5929492a", 1339, 38),
     "increments-crash": (
@@ -209,10 +221,25 @@ def _run_increments(faults=None):
     return cluster, cluster.txn_stats.commits
 
 
+#: The tills' and tellers' committed values: tracked increments never
+#: reach a trace, so the ledger's sums are pinned here.
+STATES = {
+    "increments": {0: {"balance": 291, "deposits": 48},
+                   1: {"balance": 539, "deposits": 28},
+                   2: {"served": 10}, 3: {"served": 11},
+                   4: {"served": 0}, 5: {"served": 0}},
+    "increments-crash": {0: {"balance": 471, "deposits": 36},
+                         1: {"balance": 221, "deposits": 26},
+                         2: {"served": 10}, 3: {"served": 10},
+                         4: {"served": 0}, 5: {"served": 0}},
+}
+
+
 def test_increment_ledger_digest_is_golden():
     cluster, committed = _run_increments()
     assert _ledger_slots(cluster) > 0
     assert _digest(cluster, committed) == GOLDENS["increments"]
+    assert cluster.state_digest() == STATES["increments"]
 
 
 def test_increment_ledger_under_a_crash_digest_is_golden():
@@ -220,3 +247,4 @@ def test_increment_ledger_under_a_crash_digest_is_golden():
     assert _ledger_slots(cluster) > 0
     assert cluster.fault_stats.crash_aborted_families > 0
     assert _digest(cluster, committed) == GOLDENS["increments-crash"]
+    assert cluster.state_digest() == STATES["increments-crash"]

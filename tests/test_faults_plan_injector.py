@@ -90,9 +90,8 @@ class TestFaultPlan:
 
 
 #: Every query a fault site may ask the injector.
-QUERIES = ("message_faults", "lock_wait_timeout_s", "retransmit_timeout_s",
-           "failover_detect_s", "is_down", "down_until", "cut",
-           "partition_until")
+QUERIES = ("message_faults", "retransmit_timeout_s", "bounded_wait",
+           "is_down", "down_until", "cut", "partition_until")
 
 
 class TestNullInjector:

@@ -91,9 +91,8 @@ class TestNodeWal:
         assert wal.node(0).record_count() == 3
 
     def test_null_wal_records_nothing(self):
-        # Faults on but no crash planned: there is no WAL, and every
-        # durable write site (commit, grant, release, creation) is
-        # skipped by its ``wal is not None`` branch.
+        # Faults on but no crash planned: there is no WAL, and no
+        # durable write (commit, grant, release) is hooked on.
         cluster = make_cluster(faults=FAULT_PRESETS["lock-timeout"], seed=3)
         counter = cluster.create(Counter)
         for _ in range(12):
@@ -101,19 +100,23 @@ class TestNodeWal:
         cluster.run()
         assert cluster.read_attr(counter, "value") == 12
         assert cluster.lock_stats.global_acquisitions > 0
-        assert cluster.wal is None
-        assert cluster.lockmgr.wal is None and cluster.executor.wal is None
+        assert cluster.wal is None and cluster.recovery is None
+        assert cluster.lockmgr.grant_hooks == []
+        assert cluster.lockmgr.release_hooks == []
 
     def test_cluster_wires_a_wal_only_when_crashes_are_planned(self):
         cluster = make_cluster()
         assert cluster.wal is None
-        assert cluster.lockmgr.wal is None and cluster.executor.wal is None
+        assert cluster.lockmgr.grant_hooks == []
+        assert cluster.lockmgr.release_hooks == []
         plan = FaultPlan(crashes=(
             CrashEvent(node_index=1, at_s=1.0, down_for_s=0.01),))
         cluster = make_cluster(faults=plan)
         assert isinstance(cluster.wal, WalSet)
-        assert cluster.lockmgr.wal is cluster.wal
-        assert cluster.executor.wal is cluster.wal
+        assert cluster.recovery.wal is cluster.wal
+        assert cluster.lockmgr.grant_hooks == [cluster.recovery.record_holders]
+        assert cluster.lockmgr.release_hooks == [
+            cluster.recovery.record_release]
         handle = cluster.create(Counter)
         # Creation records the home durably straight away.
         home = cluster.directory.entry(handle.object_id).home_node
@@ -312,11 +315,11 @@ class TestFailoverRejoin:
         # must not write to its stable storage.
         cluster, handle = self.make()
         entry = cluster.directory.entry(handle.object_id)
-        cluster.lockmgr._wal_record_holders(handle.object_id, entry)
+        cluster.recovery.record_holders(entry)
         assert handle.object_id in cluster.wal.node(0).holders  # up: writes
         cluster.wal.node(0).holders.clear()
         cluster.env.run(until=0.006)  # down, failover not yet detected
-        cluster.lockmgr._wal_record_holders(handle.object_id, entry)
+        cluster.recovery.record_holders(entry)
         assert handle.object_id not in cluster.wal.node(0).holders
 
 
@@ -359,7 +362,7 @@ class TestCrashRollback:
         # write is visible right after the crash — proving the probe
         # instant really sits inside the old exposure window.
         cluster, obj, _ticket = self.launch()
-        cluster.executor.crash_rollback = lambda root: 0
+        cluster.crash_controller.crash_rollback = lambda root: 0
         cluster.env.run(until=0.0011)
         assert self.probe_slot(cluster, obj) == (True, 42)
 

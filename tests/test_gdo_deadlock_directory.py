@@ -6,10 +6,15 @@ from types import SimpleNamespace
 import pytest
 
 from repro.gdo.cache import EntryCacheTracker
-from repro.gdo.deadlock import find_cycle, first_cycle, pick_victim
+from repro.gdo.deadlock import (
+    BlockedFamily,
+    find_cycle,
+    first_cycle,
+    pick_victim,
+)
 from repro.gdo.directory import Directory
 from repro.gdo.entry import DirectoryEntry, LockMode, Waiter
-from repro.txn.locks import LockManager, _BlockedFamily
+from repro.txn.locks import LockManager
 from repro.txn.semantic import SemanticMode
 from repro.util.errors import DeadlockError, ProtocolError
 from repro.util.ids import NodeId, ObjectId, TxnId
@@ -219,11 +224,11 @@ class TestDetectorCost:
     def _block(lockmgr, entry, root):
         waiter = Waiter(_Root(root), W, _Wake())
         entry.enqueue_global(waiter)
-        lockmgr._blocked[root] = _BlockedFamily(entry=entry, waiter=waiter)
+        lockmgr._blocked[root] = BlockedFamily(entry=entry, waiter=waiter)
         return waiter
 
     def _hit_searches(self, closer, bystanders):
-        lockmgr = LockManager(None, None, None, None, None)
+        lockmgr = LockManager(None, None, None, None)
         held = {1: _entry(0), 2: _entry(1)}
         for root, entry in held.items():
             entry.grant(_Root(root), R)

@@ -155,7 +155,7 @@ class _World:
         # RECURSIVE: refused; the family goes on to abort its root.
 
     def pre_acquire(self, family, arg):
-        """Optimistic pre-acquisition by the root (try_prefetch): a
+        """Optimistic pre-acquisition by the root (prefetch=True): a
         grant demoted to a retention, or nothing when not grantable."""
         index, mode, _ = arg
         root = self.chains[family][0]

@@ -427,12 +427,13 @@ class TestFaultSitesGuarded:
     statically — crash and failover paths no fault-free test reaches
     are held to it too."""
 
+    # The lock-wait bound, failover, crash windows and the WAL's grant,
+    # release and commit records run inside repro.faults, attached by
+    # hooks; the transport and object creation are what is left.
     def test_every_injector_query_outside_faults_is_guarded(self):
         sites = [site for site in fault_sites_outside_faults()
                  if site[1].startswith("injector.")]
-        assert {"injector.message_faults", "injector.lock_wait_timeout_s",
-                "injector.failover_detect_s", "injector.is_down",
-                "injector.down_until", "injector.retransmit_timeout_s"} \
+        assert {"injector.message_faults", "injector.retransmit_timeout_s"} \
             <= {call for _, call, _ in sites}
         assert [f"{where} {call}" for where, call, guarded in sites
                 if not guarded] == []
@@ -440,8 +441,7 @@ class TestFaultSitesGuarded:
     def test_every_wal_write_outside_faults_is_guarded(self):
         sites = [site for site in fault_sites_outside_faults()
                  if site[1].startswith("wal.")]
-        assert {"wal.record_page", "wal.record_holders", "wal.record_home",
-                "wal.record_home_moved"} == {call for _, call, _ in sites}
+        assert {"wal.record_home"} == {call for _, call, _ in sites}
         assert [f"{where} {call}" for where, call, guarded in sites
                 if not guarded] == []
 

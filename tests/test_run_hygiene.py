@@ -15,12 +15,11 @@ import gc
 import sys
 from dataclasses import replace
 
-from repro.gdo import MigrationConfig
+from repro.gdo import MigrationConfig, migration
 from repro.load import build_load, run_load
 from repro.memory.undo import UndoLog
 from repro.net.message import MessageCategory
 from repro.runtime import Cluster, ClusterConfig
-from repro.txn import locks
 from repro.txn.transaction import Transaction
 from repro.workload import SCENARIOS, generate_workload, run_workload
 
@@ -104,23 +103,26 @@ class TestMigrationCheck:
     def test_a_process_only_per_handoff(self, monkeypatch):
         spawned = []
 
-        class CountingProcess(locks.Process):
+        class CountingProcess(migration.Process):
             __slots__ = ()
 
             def __init__(self, *args, **kwargs):
                 spawned.append(kwargs.get("name"))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(locks, "Process", CountingProcess)
-        cluster, load = _migrating_load()
+        monkeypatch.setattr(migration, "Process", CountingProcess)
         checks = []
-        check = cluster.lockmgr._migration_check
+        check = migration.HomeMigrationManager._migration_check
 
-        def counted(*args):
+        def counted(self, *args):
             checks.append(args)
-            check(*args)
+            check(self, *args)
 
-        cluster.lockmgr._migration_check = counted
+        # Patched on the class: the release hook binds the method when
+        # the cluster attaches migration.
+        monkeypatch.setattr(migration.HomeMigrationManager,
+                            "_migration_check", counted)
+        cluster, load = _migrating_load()
         run_load(cluster, load)
         handoffs = cluster.network_stats.category_messages(
             MessageCategory.GDO_MIGRATE)

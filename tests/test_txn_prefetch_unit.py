@@ -51,8 +51,8 @@ class TestTryPrefetch:
         result = {}
 
         def proc():
-            snapshot = yield from self.cluster.lockmgr.try_prefetch(
-                txn, self.counter.object_id, LockMode.WRITE
+            snapshot = yield from self.cluster.lockmgr.acquire(
+                txn, self.counter.meta.entry, LockMode.WRITE, prefetch=True
             )
             result["snapshot"] = snapshot
 
@@ -96,8 +96,8 @@ class TestTryPrefetch:
         result = {}
 
         def proc():
-            result["again"] = yield from self.cluster.lockmgr.try_prefetch(
-                txn, self.counter.object_id, LockMode.WRITE
+            result["again"] = yield from self.cluster.lockmgr.acquire(
+                txn, self.counter.meta.entry, LockMode.WRITE, prefetch=True
             )
 
         self.cluster.env.run_process(proc())
