@@ -147,4 +147,4 @@ def _installed_version() -> str:
 
         return version("repro")
     except PackageNotFoundError:  # pragma: no cover
-        return "1.28.0"
+        return "1.29.0"

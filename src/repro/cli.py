@@ -15,9 +15,10 @@ Commands:
 * ``run <scenario>`` — run one scenario once and print its summary, on
   the simulated wire or real localhost TCP (``--transport``),
   optionally under a fault preset of :data:`repro.faults.FAULT_PRESETS`
-  (``--faults``; prints the fault and retry accounting).
-  ``--trace-dir`` or ``--check`` traces the run and prints the
-  :mod:`repro.obs` metrics summary.
+  (``--faults``), and print :func:`repro.obs.render_summary` of its run
+  record (with a fault section under a preset).  ``--trace-dir`` or
+  ``--check`` traces the run, which adds the peak concurrency and the
+  lock-wait distribution.
 * ``fuzz`` — schedule-exploration fuzzing (:mod:`repro.check`): seeds
   x protocols x fault presets with perturbed same-instant event
   ordering, every run judged; a failure prints a minimized one-line
@@ -26,8 +27,8 @@ Commands:
   task.
 * ``load <scenario>`` — one open-loop load scenario (:mod:`repro.load`)
   on a one-node-per-client cluster with adaptive GDO home migration
-  (``--no-migration`` for the static partition); prints the per-shard
-  p50/p99/p999 request-latency SLO table.
+  (``--no-migration`` for the static partition); prints the run's
+  summary and the per-shard p50/p99/p999 request-latency SLO table.
 * ``list`` — experiment ids and scenarios; ``version`` (or
   ``--version``) — the package version.
 
@@ -55,7 +56,6 @@ from repro.bench import (
     ExperimentResult,
     build_plan,
     format_bench_summary,
-    format_table,
     run_experiment,
 )
 from repro.check import ALL_PROTOCOLS, DEFAULT_POLICIES, judge, run_campaign
@@ -297,7 +297,7 @@ def _write_trace_artifacts(cluster: Cluster, directory: str,
     write_jsonl(cluster.trace_events, jsonl_path,
                 clock=cluster.tracer.clock_kind)
     write_chrome_trace(cluster.trace_events, chrome_path)
-    print(f"\nwrote {jsonl_path}")
+    print(f"\nwrote {jsonl_path} ({len(cluster.trace_events):,} events)")
     print(f"wrote {chrome_path} (load in Perfetto / chrome://tracing)")
     return None
 
@@ -369,50 +369,12 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _lock_line(record) -> str:
-    """Lock waits and what the deadlock detector did about them."""
-    locks = record["locks"]
-    return (f"locks: {locks['waits']} waits, {locks['deadlocks']} "
-            f"deadlocks, {locks['cycle_searches']} cycle searches")
-
-
-def _fault_table(record) -> str:
-    """The fault and retry accounting of a run under a fault plan."""
-    faults = record["faults"]
-    migration = record["migration"]
-    return format_table(
-        ["fault counter", "value"],
-        [
-            ["messages dropped", faults["messages_dropped"]],
-            ["dropped at a partition", faults["partition_dropped"]],
-            ["retransmissions", faults["retransmissions"]],
-            ["messages duplicated", faults["messages_duplicated"]],
-            ["delay injected (us)", round(faults["delay_injected_s"] * 1e6)],
-            ["slow-node delay (us)", round(faults["slow_delay_s"] * 1e6)],
-            ["lock timeouts", faults["lock_timeouts"]],
-            ["crashes / recoveries",
-             f"{faults['crashes']} / {faults['recoveries']}"],
-            ["crash-aborted families", faults["crash_aborted_families"]],
-            ["GDO home failovers", faults["failovers"]],
-            ["failover reroutes", faults["failover_reroutes"]],
-            ["rejoin replayed / reclaimed / discarded",
-             f"{faults['rejoin_replayed_records']} / "
-             f"{faults['rejoin_reclaimed_homes']} / "
-             f"{faults['rejoin_discarded_holders']}"],
-            ["forwarded requests",
-             migration["forwarded_requests"] if migration else 0],
-            ["retried attempts", record["transactions"]["retries"]],
-        ],
-    )
-
-
 def _cmd_run(args) -> int:
-    traced = bool(args.trace_dir or args.check)
     params = SCENARIOS[args.scenario].scaled(args.scale)
     workload = generate_workload(params, seed=args.seed)
     with Cluster(ClusterConfig(
         num_nodes=args.nodes, protocol=args.protocol, seed=args.seed,
-        trace=traced,
+        trace=bool(args.trace_dir or args.check),
         faults=FAULT_PRESETS[args.faults] if args.faults else None,
         transport=args.transport,
     )) as cluster:
@@ -422,16 +384,10 @@ def _cmd_run(args) -> int:
               f"{args.transport}{faults} (seed {args.seed}, scale "
               f"{args.scale}, {args.nodes} nodes): {record['committed']} "
               f"committed, {record['failed']} failed")
-        network = record["network"]
-        print(f"network: {network['total_messages']} messages, "
-              f"{network['total_bytes']} bytes"
-              + (f", {len(cluster.network.delivered_log)} frames crossed "
-                 f"real sockets" if args.transport == "tcp" else ""))
-        print(_lock_line(record))
-        if traced:
-            print(f"\n{render_summary(cluster.tracer)}")
-        if args.faults:
-            print(f"\n{_fault_table(record)}")
+        if args.transport == "tcp":
+            print(f"{len(cluster.network.delivered_log)} frames crossed "
+                  f"real sockets")
+        print(f"\n{render_summary(record)}")
         stem = "-".join(part for part in (
             args.scenario, args.protocol, args.faults,
             "tcp" if args.transport == "tcp" else None,
@@ -537,7 +493,7 @@ def _cmd_load(args) -> int:
         print(f"migrations: {moved['migrations']}, forwarded "
               f"requests: {moved['forwarded_requests']} "
               f"(considered {moved['considered']})")
-    print(_lock_line(record))
+    print(f"\n{render_summary(record)}")
     result = ExperimentResult(
         experiment=f"per-shard SLO — {args.scenario} ({policy})",
         x_label="shard",

@@ -1,9 +1,10 @@
 """repro.obs — observability for the simulated DSM.
 
-Virtual-clock tracing (:mod:`repro.obs.tracer`), a metrics registry
+Virtual-clock tracing (:mod:`repro.obs.tracer`), a registry of the
+gauges and latency histograms no stats object keeps
 (:mod:`repro.obs.metrics`), and exporters (:mod:`repro.obs.export`)
-that write JSONL, Chrome ``trace_event`` JSON for Perfetto, and text
-summaries.  Enable per cluster with ``ClusterConfig(trace=True)`` or
+that write JSONL, Chrome ``trace_event`` JSON for Perfetto, and the
+text summary of a run record.  Enable per cluster with ``ClusterConfig(trace=True)`` or
 from the command line with ``python -m repro run <scenario>
 --trace-dir DIR``.
 """
@@ -19,7 +20,6 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.metrics import (
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -33,7 +33,6 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

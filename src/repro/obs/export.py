@@ -10,7 +10,9 @@ Three consumers, three formats:
   Chrome *process* per simulated node, one *thread* per track
   (transaction family, gather lane, network link), timestamps in
   microseconds of virtual time.
-* **Text summary** — the end-of-run table a terminal user reads first.
+* **Text summary** — the end-of-run table a terminal user reads first,
+  rendered from the run record, so a traced and an untraced run print
+  the same counts.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import TraceEvent, Tracer
+from repro.obs.tracer import TraceEvent
 
 #: Chrome pid reserved for cluster-wide events (no owning node).
 CLUSTER_PID = 0
@@ -161,15 +162,28 @@ def write_chrome_trace(events: Iterable[TraceEvent], path) -> None:
 # Text summary
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
+def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, float) and not value.is_integer():
         return f"{value:.6g}"
     return f"{int(value):,}"
 
 
-def render_summary(tracer: Tracer) -> str:
-    """End-of-run metrics table (one tracer = one cluster run)."""
-    metrics: MetricsRegistry = tracer.metrics
+def _total(metrics, kind: str, name: str):
+    """The unlabelled instrument ``name`` of a registry snapshot."""
+    return (metrics or {}).get(kind, {}).get(name, {}).get("total")
+
+
+def render_summary(record: Dict[str, object]) -> str:
+    """End-of-run text summary of one
+    :func:`~repro.runtime.record.run_record`.
+
+    Every count is the record's; a traced run's ``metrics`` add the peak
+    concurrency and the lock-wait distribution, and a run under a fault
+    plan gets a fault section.
+    """
+    metrics = record.get("metrics")
     lines: List[str] = []
 
     def section(title: str) -> None:
@@ -179,58 +193,73 @@ def render_summary(tracer: Tracer) -> str:
         lines.append("-" * len(title))
 
     def row(label: str, value) -> None:
-        lines.append(f"  {label:<28} {value}")
+        lines.append(f"{label:<30} {_fmt(value)}")
 
+    txns = record["transactions"]
     section("transactions")
-    row("root commits", _fmt(metrics.counter_total("txn.commits", kind="root")))
-    row("sub commits", _fmt(metrics.counter_total("txn.commits", kind="sub")))
-    for reason, count in sorted(
-        metrics.counter_series("txn.aborts", "reason").items()
-    ):
-        row(f"aborts ({reason})", _fmt(count))
-    latency = metrics.histogram("txn.latency_s")
-    if latency.count:
-        row("mean root latency (us)", _fmt(latency.mean * 1e6))
-    row("peak concurrent txns", _fmt(metrics.gauge("txn.active").high_water))
+    row("root commits", txns["commits"])
+    row("sub commits", txns["sub_commits"])
+    for key, count in txns.items():
+        if key.startswith("aborts_") and count:
+            row(f"root aborts ({key[7:].replace('_', '-')})", count)
+    row("sub aborts (any reason)", txns["sub_aborts"])
+    row("retried attempts", txns["retries"])
+    if txns["commits"]:
+        row("mean root latency (us)", txns["mean_latency"] * 1e6)
+    active = _total(metrics, "gauges", "txn.active")
+    if active is not None:
+        row("peak concurrent txns", active["high_water"])
 
+    locks = record["locks"]
     section("locking")
-    for scope, count in sorted(
-        metrics.counter_series("lock.acquisitions", "scope").items()
-    ):
-        row(f"acquisitions ({scope})", _fmt(count))
-    row("waits", _fmt(metrics.counter_total("lock.waits")))
-    wait = metrics.histogram("lock.wait_s")
-    if wait.count:
-        row("mean wait (us)", _fmt(wait.mean * 1e6))
-        row("max wait (us)", _fmt(wait.max * 1e6))
-    row("inherited locks", _fmt(metrics.counter_total("lock.inherits")))
-    row("deadlock victims", _fmt(metrics.counter_total("lock.deadlocks")))
-    row("gdo forwards", _fmt(metrics.counter_total("gdo.forwards")))
+    row("local grants", locks["local_acquisitions"])
+    row("global requests", locks["global_acquisitions"])
+    row("waits", locks["waits"])
+    wait = _total(metrics, "histograms", "lock.wait_s")
+    if wait is not None and wait["count"]:
+        row("mean wait (us)", wait["mean"] * 1e6)
+        row("max wait (us)", wait["max"] * 1e6)
+    row("deadlock victims", locks["deadlocks"])
+    row("cycle searches", locks["cycle_searches"])
 
+    network = record["network"]
     section("network")
-    row("total bytes", _fmt(metrics.counter_total("net.bytes")))
-    row("total messages", _fmt(metrics.counter_total("net.messages")))
-    for category, count in sorted(
-        metrics.counter_series("net.bytes", "category").items()
-    ):
-        row(f"bytes ({category})", _fmt(count))
+    row("total bytes", network["total_bytes"])
+    row("total messages", network["total_messages"])
+    for category, count in network["by_category_bytes"].items():
+        row(f"bytes ({category})", count)
 
-    section("data movement by cause")
-    for cause, count in sorted(
-        metrics.counter_series("transfer.bytes", "cause").items()
-    ):
-        pages = metrics.counter_total("transfer.pages", cause=cause)
-        row(f"{cause}", f"{_fmt(count)} bytes / {_fmt(pages)} pages")
-    predicted = metrics.counter_total("predict.predicted_pages")
-    shipped = metrics.counter_total("predict.shipped_pages")
-    demand = metrics.counter_total("predict.demand_pages")
-    row("predicted pages", _fmt(predicted))
-    row("shipped at acquisition", _fmt(shipped))
-    row("demand-fetched (misses)", _fmt(demand))
+    prediction = record["prediction"]
+    instances = prediction.get("instances", [prediction])
+    predicted, shipped, demand = (
+        sum(instance[key] for instance in instances)
+        for key in ("predicted_pages", "transferred_pages", "demand_fetches")
+    )
+    section("data movement")
+    row("consistency bytes", network["consistency_bytes"])
+    row("predicted pages", predicted)
+    row("shipped at acquisition", shipped)
+    row("demand-fetched (misses)", demand)
     if shipped + demand:
-        coverage = 1.0 - demand / (shipped + demand)
-        row("prediction coverage", f"{coverage:.1%}")
+        row("prediction coverage", f"{1.0 - demand / (shipped + demand):.1%}")
 
-    lines.append("")
-    lines.append(f"trace events recorded: {len(tracer.events):,}")
+    faults = record["faults"]
+    if faults["plan"] is not None:
+        section(f"faults ({faults['plan']})")
+        row("messages dropped", faults["messages_dropped"])
+        row("dropped at a partition", faults["partition_dropped"])
+        row("retransmissions", faults["retransmissions"])
+        row("messages duplicated", faults["messages_duplicated"])
+        row("delay injected (us)", round(faults["delay_injected_s"] * 1e6))
+        row("slow-node delay (us)", round(faults["slow_delay_s"] * 1e6))
+        row("lock timeouts", faults["lock_timeouts"])
+        row("crashes / recoveries",
+            f"{faults['crashes']} / {faults['recoveries']}")
+        row("crash-aborted families", faults["crash_aborted_families"])
+        row("GDO home failovers", faults["failovers"])
+        row("failover reroutes", faults["failover_reroutes"])
+        row("rejoin replay/reclaim/discard",
+            f"{faults['rejoin_replayed_records']} / "
+            f"{faults['rejoin_reclaimed_homes']} / "
+            f"{faults['rejoin_discarded_holders']}")
     return "\n".join(lines)

@@ -1,17 +1,18 @@
-"""Metrics registry: counters, gauges, and histograms with labels.
+"""Metrics registry: gauges and histograms with labels.
 
-The paper's evaluation reasons about *aggregates per cause* — bytes
-moved to satisfy a prediction versus bytes demand-fetched after a miss,
-lock operations served locally versus at the GDO home, wait time spent
-behind other families.  :class:`MetricsRegistry` is the accumulation
-surface for those aggregates: instruments are created on demand, keyed
-by ``(name, labels)``, so instrumentation sites never pre-declare
-anything and disabled runs allocate nothing.
+A run's counts — bytes and messages per category, lock operations,
+aborts, faults — live in its stats objects and reach every report
+through :func:`~repro.runtime.record.run_record`.  The registry holds
+only what no counter can say: levels over time (active transactions,
+GDO queue depth, as gauges with a high-water mark) and distributions
+(root latency, lock wait, per-shard GDO request latency, as
+histograms).  Instruments are created on demand, keyed by ``(name,
+labels)``, so instrumentation sites never pre-declare anything and
+disabled runs allocate nothing.
 
 All instruments are plain Python accumulators (no background threads,
 no exposition server): a registry belongs to one simulated cluster and
-is read at the end of the run by the exporters in
-:mod:`repro.obs.export`.
+is read at the end of the run, as the ``metrics`` key of its run record.
 """
 
 from __future__ import annotations
@@ -27,16 +28,6 @@ LabelKey = Tuple[Tuple[str, object], ...]
 DEFAULT_BUCKETS = (
     1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0,
 )
-
-
-@dataclass
-class Counter:
-    """Monotonic accumulator (events, bytes, pages)."""
-
-    value: float = 0
-
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
 
 
 @dataclass
@@ -159,18 +150,10 @@ class MetricsRegistry:
     """On-demand instrument store, keyed by metric name + label set."""
 
     def __init__(self) -> None:
-        self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelKey], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
 
     # -- instrument access ---------------------------------------------------
-
-    def counter(self, name: str, **labels) -> Counter:
-        key = (name, _label_key(labels))
-        instrument = self._counters.get(key)
-        if instrument is None:
-            instrument = self._counters[key] = Counter()
-        return instrument
 
     def gauge(self, name: str, **labels) -> Gauge:
         key = (name, _label_key(labels))
@@ -190,29 +173,6 @@ class MetricsRegistry:
             )
         return instrument
 
-    # -- aggregate reads -----------------------------------------------------
-
-    def counter_total(self, name: str, **fixed_labels) -> float:
-        """Sum of one counter over every label set matching the fixed
-        labels (e.g. total ``net.bytes`` across categories)."""
-        wanted = set(fixed_labels.items())
-        return sum(
-            counter.value
-            for (metric, labels), counter in self._counters.items()
-            if metric == name and wanted <= set(labels)
-        )
-
-    def counter_series(self, name: str, label: str) -> Dict[object, float]:
-        """Per-label-value breakdown of one counter (other labels summed)."""
-        series: Dict[object, float] = {}
-        for (metric, labels), counter in self._counters.items():
-            if metric != name:
-                continue
-            for key, value in labels:
-                if key == label:
-                    series[value] = series.get(value, 0) + counter.value
-        return series
-
     def snapshot(self) -> Dict[str, object]:
         """Plain-dict dump of every instrument, JSON-ready."""
 
@@ -221,9 +181,7 @@ class MetricsRegistry:
                 return "total"
             return ",".join(f"{key}={value}" for key, value in labels)
 
-        out: Dict[str, object] = {"counters": {}, "gauges": {}, "histograms": {}}
-        for (name, labels), counter in sorted(self._counters.items()):
-            out["counters"].setdefault(name, {})[render(labels)] = counter.value
+        out: Dict[str, object] = {"gauges": {}, "histograms": {}}
         for (name, labels), gauge in sorted(self._gauges.items()):
             out["gauges"].setdefault(name, {})[render(labels)] = {
                 "value": gauge.value, "high_water": gauge.high_water,

@@ -3,9 +3,12 @@
 A :class:`Tracer` turns the reproduction from a box that prints
 end-of-run aggregates into a flight recorder: each transaction span,
 lock grant, GDO forward, page gather, and network message is recorded
-as a :class:`TraceEvent` stamped with the *simulation* clock, and the
-same call sites feed a :class:`~repro.obs.metrics.MetricsRegistry` so
-aggregates never drift from the event stream.
+as a :class:`TraceEvent` stamped with the *simulation* clock.  Counts
+are not kept here: the run's stats objects hold them
+(:func:`~repro.runtime.record.run_record`).  The hooks feed a
+:class:`~repro.obs.metrics.MetricsRegistry` only with what nothing else
+measures: the active-transaction and GDO queue-depth gauges and the
+latency and lock-wait histograms.
 
 Tracing off is one branch at the call site: instrumented code asks
 ``tracer.enabled`` and calls a hook only when it is true.  The default
@@ -195,22 +198,17 @@ class Tracer:
 
     def txn_commit(self, token, txn, latency=None):
         self.metrics.gauge("txn.active").dec()
-        kind = "root" if txn.is_root else "sub"
-        self.metrics.counter("txn.commits", kind=kind).inc()
         if latency is not None:
             self.metrics.histogram("txn.latency_s").observe(latency)
         self.end(token, outcome="commit")
 
     def txn_abort(self, token, txn, reason):
         self.metrics.gauge("txn.active").dec()
-        kind = "root" if txn.is_root else "sub"
-        self.metrics.counter("txn.aborts", kind=kind, reason=reason).inc()
         self.end(token, outcome="abort", reason=reason)
 
     # -- locking -----------------------------------------------------------
 
     def lock_granted(self, txn, object_id, mode, scope, info=None):
-        self.metrics.counter("lock.acquisitions", scope=scope).inc()
         self.instant(
             f"lock.grant {object_id!r}", CAT_LOCK, node=txn.node,
             track=f"family T{txn.id.root}",
@@ -221,7 +219,6 @@ class Tracer:
 
     def lock_wait_begin(self, txn, object_id, mode):
         # Every wait is behind another family (GDO entry docstring).
-        self.metrics.counter("lock.waits", scope="global").inc()
         return self.begin(
             f"lock.wait {object_id!r}", CAT_LOCK, node=txn.node,
             track=f"family T{txn.id.root}",
@@ -238,7 +235,6 @@ class Tracer:
         self.end(token, granted=ok)
 
     def lock_inherited(self, txn, parent, object_ids):
-        self.metrics.counter("lock.inherits").inc(len(object_ids))
         self.instant(
             "lock.inherit", CAT_LOCK, node=txn.node,
             track=f"family T{txn.id.root}",
@@ -247,7 +243,6 @@ class Tracer:
         )
 
     def lock_released(self, node, root_serial, object_ids, cause):
-        self.metrics.counter("lock.releases", cause=cause).inc(len(object_ids))
         self.instant(
             "lock.release", CAT_LOCK, node=node,
             track=f"family T{root_serial}",
@@ -256,7 +251,6 @@ class Tracer:
 
     def lock_prefetch(self, txn, object_id, granted, mode=None):
         outcome = "granted" if granted else "denied"
-        self.metrics.counter("lock.prefetch", outcome=outcome).inc()
         self.instant(
             f"lock.prefetch {object_id!r}", CAT_LOCK, node=txn.node,
             track=f"family T{txn.id.root}",
@@ -265,7 +259,6 @@ class Tracer:
         )
 
     def deadlock(self, victim_root, cycle):
-        self.metrics.counter("lock.deadlocks").inc()
         self.instant(
             "lock.deadlock", CAT_LOCK,
             victim=victim_root, cycle=list(cycle),
@@ -274,21 +267,18 @@ class Tracer:
     # -- GDO ---------------------------------------------------------------
 
     def gdo_register(self, object_id, home_node, page_count):
-        self.metrics.counter("gdo.registrations").inc()
         self.instant(
             f"gdo.register {object_id!r}", CAT_GDO, node=home_node,
             track="gdo", object=object_id, pages=page_count,
         )
 
     def gdo_forward(self, node, home_node, object_id):
-        self.metrics.counter("gdo.forwards").inc()
         self.instant(
             f"gdo.forward {object_id!r}", CAT_GDO, node=node,
             track="gdo", object=object_id, home=home_node,
         )
 
     def gdo_migrate(self, object_id, old_home, new_home):
-        self.metrics.counter("gdo.migrations").inc()
         self.instant(
             f"gdo.migrate {object_id!r}", CAT_GDO, node=new_home,
             track="gdo", object=object_id, old_home=old_home,
@@ -298,7 +288,6 @@ class Tracer:
     def gdo_request_forwarded(self, object_id, old_home, new_home):
         """A lock request (or release) raced a home move and took one
         extra forwarding hop from the stale home to the new one."""
-        self.metrics.counter("gdo.request_forwards").inc()
         self.instant(
             f"gdo.request_forward {object_id!r}", CAT_GDO, node=old_home,
             track="gdo", object=object_id, old_home=old_home,
@@ -329,8 +318,6 @@ class Tracer:
         )
 
     def transfer_end(self, token, cause, shipped, data_bytes):
-        self.metrics.counter("transfer.bytes", cause=cause).inc(data_bytes)
-        self.metrics.counter("transfer.pages", cause=cause).inc(len(shipped))
         self.end(token, shipped=shipped, data_bytes=data_bytes)
 
     def transfer_install(self, node, object_id, pages, cause, delivered_at,
@@ -340,7 +327,6 @@ class Tracer:
         ``delivered_at`` records those responses' delivery instants and
         ``versions`` the installed per-page versions (the stale-install
         invariant checker's input)."""
-        self.metrics.counter("transfer.installs", cause=cause).inc()
         self.instant(
             f"transfer.install {object_id!r}", CAT_TRANSFER, node=node,
             track=f"gather {object_id!r}",
@@ -350,9 +336,6 @@ class Tracer:
 
     def demand_fetch(self, node, object_id, pages, shipped, data_bytes,
                      is_write, delay, versions=None):
-        self.metrics.counter("transfer.bytes", cause="demand").inc(data_bytes)
-        self.metrics.counter("transfer.pages", cause="demand").inc(len(shipped))
-        self.metrics.counter("predict.demand_pages").inc(len(shipped))
         self.instant(
             f"transfer.demand {object_id!r}", CAT_TRANSFER, node=node,
             track=f"gather {object_id!r}",
@@ -362,8 +345,6 @@ class Tracer:
         )
 
     def prediction(self, node, object_id, predicted, wanted, shipped):
-        self.metrics.counter("predict.predicted_pages").inc(len(predicted))
-        self.metrics.counter("predict.shipped_pages").inc(len(shipped))
         self.instant(
             f"transfer.prediction {object_id!r}", CAT_TRANSFER, node=node,
             track=f"gather {object_id!r}",
@@ -373,8 +354,6 @@ class Tracer:
 
     def update_push(self, node, object_id, pages, data_bytes, replicas,
                     versions=None):
-        self.metrics.counter("transfer.bytes", cause="push").inc(data_bytes)
-        self.metrics.counter("transfer.pages", cause="push").inc(len(pages))
         self.instant(
             f"transfer.push {object_id!r}", CAT_TRANSFER, node=node,
             track=f"gather {object_id!r}",
@@ -386,16 +365,6 @@ class Tracer:
 
     def message(self, message, transfer_time):
         category = message.category.value
-        self.metrics.counter("net.bytes", category=category).inc(
-            message.size_bytes
-        )
-        self.metrics.counter("net.messages", category=category).inc()
-        self.metrics.counter(
-            "net.sent_bytes", node=message.src.value
-        ).inc(message.size_bytes)
-        self.metrics.counter(
-            "net.received_bytes", node=message.dst.value
-        ).inc(message.size_bytes)
         args = {
             "category": category, "src": message.src,
             "dst": message.dst, "bytes": message.size_bytes,
@@ -415,7 +384,6 @@ class Tracer:
 
     def fault_drop(self, message, attempt):
         category = message.category.value
-        self.metrics.counter("fault.drops", category=category).inc()
         self.instant(
             f"fault.drop msg:{category}", CAT_FAULT, node=message.src,
             track=f"net to N{message.dst.value}",
@@ -425,7 +393,6 @@ class Tracer:
 
     def fault_retransmit(self, message, attempt):
         category = message.category.value
-        self.metrics.counter("fault.retransmissions", category=category).inc()
         self.instant(
             f"fault.retransmit msg:{category}", CAT_FAULT, node=message.src,
             track=f"net to N{message.dst.value}",
@@ -435,7 +402,6 @@ class Tracer:
 
     def fault_duplicate(self, message):
         category = message.category.value
-        self.metrics.counter("fault.duplicates", category=category).inc()
         self.instant(
             f"fault.duplicate msg:{category}", CAT_FAULT, node=message.src,
             track=f"net to N{message.dst.value}",
@@ -444,7 +410,6 @@ class Tracer:
         )
 
     def fault_delay(self, message, extra_s):
-        self.metrics.counter("fault.delay_s").inc(extra_s)
         self.instant(
             f"fault.delay msg:{message.category.value}", CAT_FAULT,
             node=message.src, track=f"net to N{message.dst.value}",
@@ -453,7 +418,6 @@ class Tracer:
         )
 
     def lock_timeout(self, txn, object_id, waited_s):
-        self.metrics.counter("fault.lock_timeouts").inc()
         self.instant(
             f"fault.lock_timeout {object_id!r}", CAT_FAULT, node=txn.node,
             track=f"family T{txn.id.root}",
@@ -461,21 +425,18 @@ class Tracer:
         )
 
     def node_crash(self, node_index, down_for_s):
-        self.metrics.counter("fault.crashes").inc()
         self.instant(
             f"fault.node_crash N{node_index}", CAT_FAULT,
             crashed_node=node_index, down_for_s=down_for_s,
         )
 
     def node_recover(self, node_index):
-        self.metrics.counter("fault.recoveries").inc()
         self.instant(
             f"fault.node_recover N{node_index}", CAT_FAULT,
             recovered_node=node_index,
         )
 
     def crash_abort(self, node_index, root_serial):
-        self.metrics.counter("fault.crash_aborts").inc()
         self.instant(
             f"fault.crash_abort T{root_serial}", CAT_FAULT,
             track=f"family T{root_serial}",
@@ -483,35 +444,30 @@ class Tracer:
         )
 
     def crash_cache_invalidate(self, node_index, count):
-        self.metrics.counter("fault.cache_invalidations").inc(count)
         self.instant(
             f"fault.cache_invalidate N{node_index}", CAT_FAULT,
             crashed_node=node_index, entries=count,
         )
 
     def partition_start(self, group_a, heal_after_s):
-        self.metrics.counter("fault.partitions").inc()
         self.instant(
             f"fault.partition {list(group_a)}", CAT_FAULT,
             group_a=list(group_a), heal_after_s=heal_after_s,
         )
 
     def partition_heal(self, group_a):
-        self.metrics.counter("fault.partition_heals").inc()
         self.instant(
             f"fault.partition_heal {list(group_a)}", CAT_FAULT,
             group_a=list(group_a),
         )
 
     def gdo_failover(self, object_id, old_home, new_home):
-        self.metrics.counter("fault.failovers").inc()
         self.instant(
             f"gdo.failover {object_id!r}", CAT_GDO, node=new_home,
             object=object_id, old_home=old_home, new_home=new_home,
         )
 
     def node_rejoin(self, node_index, replayed, reclaimed, discarded):
-        self.metrics.counter("fault.rejoins").inc()
         self.instant(
             f"fault.node_rejoin N{node_index}", CAT_FAULT,
             rejoined_node=node_index, replayed=replayed,

@@ -48,7 +48,12 @@ from repro.util.ids import NodeId, ObjectId
 
 @dataclass
 class LockStats:
-    """Lock-operation counters (the §5.1 locking-overhead discussion)."""
+    """Lock-operation counters (the §5.1 locking-overhead discussion).
+
+    ``local_acquisitions`` counts grants served from a cached entry;
+    ``global_acquisitions`` counts every (non-prefetch) request sent to
+    the GDO home, whether it was granted at once, waited or was refused.
+    """
 
     local_acquisitions: int = 0
     global_acquisitions: int = 0

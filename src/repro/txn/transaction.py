@@ -190,7 +190,11 @@ class Transaction:
 
 @dataclass
 class TxnStats:
-    """Outcome counters for one run (root-transaction granularity)."""
+    """Outcome counters for one run.
+
+    ``aborts_<reason>`` count aborted root attempts by reason;
+    ``sub_aborts`` counts aborted sub-transactions of any reason.
+    """
 
     commits: int = 0
     aborts_user: int = 0

@@ -102,6 +102,13 @@ def make_cluster(protocol: str = "lotec", nodes: int = 4, seed: int = 0,
     return Cluster(ClusterConfig(**overrides))
 
 
+def summary_rows(text: str) -> dict:
+    """``label -> value`` of every two-column row printed by
+    :func:`repro.obs.render_summary`."""
+    return dict(line.rsplit(None, 1) for line in text.splitlines()
+                if "  " in line)
+
+
 @pytest.fixture
 def cluster() -> Cluster:
     return make_cluster()

@@ -11,6 +11,8 @@ from repro.workload.generator import generate_workload
 from repro.workload.params import SCENARIOS
 from repro.workload.runner import run_workload
 
+from conftest import summary_rows
+
 
 class TestList:
     def test_lists_everything(self, capsys):
@@ -154,7 +156,7 @@ class TestVersion:
             from importlib.metadata import version
             expected = version("repro")
         except Exception:
-            expected = "1.28.0"  # source-tree fallback
+            expected = "1.29.0"  # source-tree fallback
         assert repro.__version__ == expected
 
 
@@ -403,9 +405,18 @@ class TestRun:
         assert locks["deadlocks"] > 0
         assert locks["cycle_searches"] >= locks["deadlocks"]
         assert "edge_refreshes" not in locks
-        assert (f"{locks['deadlocks']} deadlocks, "
-                f"{locks['cycle_searches']} cycle searches\n"
-                ) in capsys.readouterr().out
+        rows = summary_rows(capsys.readouterr().out)
+        assert rows["deadlock victims"] == f"{locks['deadlocks']:,}"
+        assert rows["cycle searches"] == f"{locks['cycle_searches']:,}"
+
+    def test_untraced_run_prints_the_summary(self, capsys):
+        code = main(["run", "medium-high", "--scale", "0.1"])
+        assert code == 0
+        rows = summary_rows(capsys.readouterr().out)
+        assert "root commits" in rows
+        assert "total bytes" in rows
+        # The gauges and histograms come only with a trace.
+        assert "peak concurrent txns" not in rows
 
     def test_failing_verdict_fails_the_exit_code(self, capsys, monkeypatch):
         from repro.check import Verdict

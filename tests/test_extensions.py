@@ -12,10 +12,17 @@ from repro import (
 )
 from repro.bench import run_experiment
 from repro.net.message import MessageCategory
-from repro.runtime import Cluster, ClusterConfig
+from repro.obs import render_summary
+from repro.runtime import Cluster, ClusterConfig, run_record
 from repro.workload import WorkloadParams, generate_workload, run_workload
 
-from conftest import Counter, Ledger, Orchestrator, make_cluster
+from conftest import (
+    Counter,
+    Ledger,
+    Orchestrator,
+    make_cluster,
+    summary_rows,
+)
 
 SMALL = WorkloadParams(num_objects=8, num_classes=3, num_roots=16,
                        pages_min=1, pages_max=4, max_depth=2)
@@ -69,6 +76,12 @@ class TestPerClassProtocols:
         run = run_workload(cluster, workload)
         assert run.failed == 0
         assert check_serializability(cluster).equivalent
+        # The summary's page rows sum every protocol instance.
+        stats = cluster.prediction_stats
+        rows = summary_rows(render_summary(run_record(cluster)))
+        assert rows["predicted pages"] == f"{stats.predicted_pages:,}"
+        assert rows["shipped at acquisition"] == \
+            f"{stats.transferred_pages:,}"
 
     def test_duplicate_class_mapping_rejected(self):
         with pytest.raises(ConfigurationError, match="twice"):

@@ -1,6 +1,7 @@
 """Tests for the observability subsystem (:mod:`repro.obs`): metrics
-registry, virtual-clock tracer, exporters, and the wiring that keeps
-the tracer's aggregates exactly equal to :class:`NetworkStats`."""
+registry, virtual-clock tracer, exporters, the run summary, and the
+completeness of the trace: its events carry every byte and message
+:class:`NetworkStats` counted."""
 
 import ast
 import functools
@@ -27,8 +28,12 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram
+from repro.obs.metrics import Gauge, Histogram
+from repro.runtime import run_record
+from repro.workload import SCENARIOS, generate_workload, run_workload
 from repro.util.ids import NodeId, ObjectId, TxnId
+
+from conftest import summary_rows
 
 
 # ---------------------------------------------------------------------------
@@ -36,12 +41,6 @@ from repro.util.ids import NodeId, ObjectId, TxnId
 # ---------------------------------------------------------------------------
 
 class TestInstruments:
-    def test_counter_increments(self):
-        counter = Counter()
-        counter.inc()
-        counter.inc(41)
-        assert counter.value == 42
-
     def test_gauge_tracks_high_water(self):
         gauge = Gauge()
         gauge.inc()
@@ -81,43 +80,28 @@ class TestInstruments:
 class TestMetricsRegistry:
     def test_instruments_created_on_demand_and_cached(self):
         registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.counter("a", k="x") is not registry.counter("a")
         assert registry.gauge("g") is registry.gauge("g")
+        assert registry.gauge("g", k="x") is not registry.gauge("g")
         assert registry.histogram("h") is registry.histogram("h")
 
     def test_label_order_is_irrelevant(self):
         registry = MetricsRegistry()
-        assert registry.counter("a", x=1, y=2) is registry.counter(
-            "a", y=2, x=1
+        assert registry.histogram("h", x=1, y=2) is registry.histogram(
+            "h", y=2, x=1
         )
-
-    def test_counter_total_sums_over_labels(self):
-        registry = MetricsRegistry()
-        registry.counter("bytes", cause="acquire").inc(100)
-        registry.counter("bytes", cause="demand").inc(30)
-        registry.counter("other").inc(999)
-        assert registry.counter_total("bytes") == 130
-        assert registry.counter_total("bytes", cause="demand") == 30
-        assert registry.counter_total("missing") == 0
-
-    def test_counter_series_breaks_down_one_label(self):
-        registry = MetricsRegistry()
-        registry.counter("bytes", cause="acquire", node=0).inc(5)
-        registry.counter("bytes", cause="acquire", node=1).inc(7)
-        registry.counter("bytes", cause="demand", node=0).inc(2)
-        assert registry.counter_series("bytes", "cause") == {
-            "acquire": 12, "demand": 2,
-        }
+        assert registry.gauge("g", x=1, y=2) is registry.gauge(
+            "g", y=2, x=1
+        )
 
     def test_snapshot_is_json_ready(self):
         registry = MetricsRegistry()
-        registry.counter("c", kind="root").inc(3)
         registry.gauge("g").set(2)
+        registry.gauge("q", shard=1).set(3)
         registry.histogram("h").observe(0.5)
         snap = registry.snapshot()
         json.dumps(snap)  # must not raise
-        assert snap["counters"]["c"]["kind=root"] == 3
+        assert set(snap) == {"gauges", "histograms"}
+        assert snap["gauges"]["q"]["shard=1"]["value"] == 3
         assert snap["gauges"]["g"]["total"]["high_water"] == 2
         assert snap["histograms"]["h"]["total"]["count"] == 1
 
@@ -125,10 +109,10 @@ class TestMetricsRegistry:
         import pickle
 
         registry = MetricsRegistry()
-        registry.counter("c").inc(3)
+        registry.gauge("g").inc(3)
         registry.histogram("h").observe(0.5)
         clone = pickle.loads(pickle.dumps(registry))
-        assert clone.counter("c").value == 3
+        assert clone.gauge("g").value == 3
         assert clone.snapshot() == registry.snapshot()
 
 
@@ -504,6 +488,18 @@ class Root:
         return total
 
 
+def net_totals(events, key):
+    """Bytes and message counts of the `net` events, grouped by one
+    event argument."""
+    size, count = {}, {}
+    for event in events:
+        if event.category == "net":
+            group = event.args[key]
+            size[group] = size.get(group, 0) + event.args["bytes"]
+            count[group] = count.get(group, 0) + 1
+    return size, count
+
+
 @pytest.fixture(scope="module")
 def traced():
     cluster = Cluster(ClusterConfig(num_nodes=4, protocol="lotec", seed=3,
@@ -533,28 +529,28 @@ class TestTracedCluster:
         assert len(commits) == stats.commits + stats.sub_commits
 
     def test_metrics_bytes_match_network_stats_exactly(self, traced):
-        metrics = traced.metrics
+        # The trace is complete: per category, its `net` events carry
+        # every byte and message NetworkStats counted.
         stats = traced.network_stats
-        assert metrics.counter_total("net.bytes") == stats.total_bytes
-        assert metrics.counter_total("net.messages") == stats.total_messages
-        for category, expected in stats.by_category_bytes.items():
-            assert metrics.counter_total(
-                "net.bytes", category=category.value
-            ) == expected
-        for category, expected in stats.by_category_messages.items():
-            assert metrics.counter_total(
-                "net.messages", category=category.value
-            ) == expected
+        net_bytes, net_messages = net_totals(traced.trace_events, "category")
+        assert sum(net_bytes.values()) == stats.total_bytes
+        assert sum(net_messages.values()) == stats.total_messages
+        assert net_bytes == {category.value: expected for category, expected
+                             in stats.by_category_bytes.items()}
+        assert net_messages == {category.value: expected
+                                for category, expected
+                                in stats.by_category_messages.items()}
 
     def test_metrics_per_node_bytes_match_node_traffic(self, traced):
-        metrics = traced.metrics
-        for node, traffic in traced.network_stats.by_node.items():
-            assert metrics.counter_total(
-                "net.sent_bytes", node=node.value
-            ) == traffic.sent_bytes
-            assert metrics.counter_total(
-                "net.received_bytes", node=node.value
-            ) == traffic.received_bytes
+        sent, _ = net_totals(traced.trace_events, "src")
+        received, _ = net_totals(traced.trace_events, "dst")
+        by_node = traced.network_stats.by_node
+        assert sent == {repr(node): traffic.sent_bytes
+                        for node, traffic in by_node.items()
+                        if traffic.sent_bytes}
+        assert received == {repr(node): traffic.received_bytes
+                            for node, traffic in by_node.items()
+                            if traffic.received_bytes}
 
     def test_net_events_one_per_message(self, traced):
         net_events = [e for e in traced.trace_events if e.category == "net"]
@@ -564,16 +560,45 @@ class TestTracedCluster:
 
     def test_transfer_bytes_match_consistency_bytes(self, traced):
         # Every consistency-data byte on the wire is attributed to a
-        # cause (acquire / demand / push) by the transfer hooks.
-        assert traced.metrics.counter_total("transfer.bytes") \
-            == traced.network_stats.consistency_bytes()
+        # cause (acquire / demand / push) by a `transfer.*` event; the
+        # workload run demand-fetches too.
+        workload = generate_workload(SCENARIOS["medium-high"].scaled(0.1),
+                                     seed=2)
+        fetching = Cluster(ClusterConfig(num_nodes=4, protocol="lotec",
+                                         seed=2, trace=True))
+        run_workload(fetching, workload)
+        assert any(event.name.startswith("transfer.demand ")
+                   for event in fetching.trace_events)
+        for cluster in (traced, fetching):
+            assert sum(
+                event.args.get("data_bytes", 0)
+                for event in cluster.trace_events
+                if event.name.startswith("transfer.")
+            ) == cluster.network_stats.consistency_bytes()
 
     def test_summary_renders(self, traced):
-        text = render_summary(traced.tracer)
+        text = render_summary(run_record(traced))
         assert "transactions" in text
         assert "root commits" in text
         assert "total bytes" in text
         assert f"{traced.network_stats.total_bytes:,}" in text
+        assert "peak concurrent txns" in text
+
+    def test_summary_renders_an_untraced_run(self):
+        cluster = Cluster(ClusterConfig(num_nodes=4, protocol="lotec",
+                                        seed=3))
+        leaves = [cluster.create(Leaf) for _ in range(6)]
+        for index in range(24):
+            cluster.submit(leaves[index % 6], "bump")
+        cluster.run()
+        record = run_record(cluster)
+        assert "metrics" not in record
+        text = render_summary(record)
+        rows = summary_rows(text)
+        assert rows["root commits"] == str(cluster.txn_stats.commits)
+        assert f"{cluster.network_stats.total_bytes:,}" in text
+        assert "peak concurrent txns" not in text
+        assert "faults" not in text
 
 
 # ---------------------------------------------------------------------------
