@@ -48,7 +48,6 @@ from repro.runtime.cluster import Cluster, TxnTicket
 from repro.runtime.config import ClusterConfig
 from repro.runtime.record import run_record
 from repro.runtime.verify import (
-    check_conflict_serializability,
     check_serializability,
     replay_serially,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "TransactionAborted",
     "TxnTicket",
     "check_serializability",
-    "check_conflict_serializability",
     "check_reference_model",
     "method",
     "preset_network",
@@ -147,4 +145,4 @@ def _installed_version() -> str:
 
         return version("repro")
     except PackageNotFoundError:  # pragma: no cover
-        return "1.29.0"
+        return "1.30.0"

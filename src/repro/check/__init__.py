@@ -11,7 +11,7 @@ Four pieces, layered on the :mod:`repro.obs` trace stream and the
   page-version monotonicity, commit-order consistency, and heal-aware
   liveness);
 * :mod:`repro.check.explorer` — :func:`judge`, the one verdict on a
-  finished run (both serializability oracles, the reference model and
+  finished run (the serial-replay oracle, the reference model and
   the invariant checkers), and one seed, one reproducible perturbed
   schedule: :class:`FuzzTask` / :func:`run_task` / :func:`minimize`;
 * :mod:`repro.check.fuzz` — campaigns over seeds x protocols x fault

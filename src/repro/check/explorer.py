@@ -2,14 +2,15 @@
 
 :func:`judge` is the one definition of a clean run: ``repro run
 --check``, ``repro load --check`` and every fuzz task gate on it.  It
-judges a finished cluster with every oracle this repo has:
+judges a finished, traced cluster with every oracle this repo has:
 
-* the serial-replay serializability oracle and the precedence-graph
-  oracle (:mod:`repro.runtime.verify`),
-* when the cluster traced, the nested-O2PL reference model
-  (:mod:`repro.check.reference`) and the trace invariant checkers
-  (:mod:`repro.check.invariants`), over one reading of the event
-  stream (:class:`repro.check.events.TraceIndex`).
+* the serial-replay serializability oracle (:mod:`repro.runtime.verify`),
+* the nested-O2PL reference model (:mod:`repro.check.reference`) and the
+  trace invariant checkers (:mod:`repro.check.invariants`), over one
+  reading of the event stream (:class:`repro.check.events.TraceIndex`).
+  Conflict order is judged there once, by ``invariant.commit-order``:
+  every lock is held to root commit or abort, so conflicting grants
+  that follow commit order leave the precedence graph acyclic.
 
 A :class:`FuzzTask` fully determines an execution — workload seed,
 protocol, fault preset, tie-break policy, scenario, scale, node count,
@@ -33,10 +34,7 @@ from repro.faults.plan import FAULT_PRESETS
 from repro.gdo.migration import MigrationConfig
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import ClusterConfig
-from repro.runtime.verify import (
-    check_conflict_serializability,
-    check_serializability,
-)
+from repro.runtime.verify import check_serializability
 from repro.util.errors import ConfigurationError, ReproError
 from repro.workload.generator import generate_workload
 from repro.workload.params import SCENARIOS
@@ -54,7 +52,6 @@ class Verdict:
     """What :func:`judge` found out about one finished run."""
 
     serializable: bool = True
-    conflict_serializable: bool = True
     committed_roots: int = 0
     violations: List[Violation] = field(default_factory=list)
     oracle_detail: List[str] = field(default_factory=list)
@@ -62,23 +59,22 @@ class Verdict:
 
     @property
     def ok(self) -> bool:
-        return (self.serializable and self.conflict_serializable
-                and not self.violations)
+        return self.serializable and not self.violations
 
     def failure_summary(self) -> List[str]:
         lines: List[str] = []
         if not self.serializable:
             lines.append("serial-replay oracle: NOT equivalent")
-        if not self.conflict_serializable:
-            lines.append("precedence-graph oracle: cycle")
         lines.extend(self.oracle_detail)
         lines.extend(str(violation) for violation in self.violations)
         return lines
 
 
 def judge(cluster: Cluster) -> Verdict:
-    """Judge a finished run with every oracle; the trace checkers run
-    when the cluster traced."""
+    """Judge a finished run: the serial replay, then the reference model
+    and the invariant checkers over its trace."""
+    if not cluster.tracer.enabled:
+        raise ConfigurationError("judge needs a traced run: pass trace=True")
     verdict = Verdict(committed_roots=len(cluster.commit_log))
     try:
         serial = check_serializability(cluster)
@@ -93,15 +89,10 @@ def judge(cluster: Cluster) -> Verdict:
         verdict.oracle_detail.append(
             f"oracle error: {type(exc).__name__}: {exc}"
         )
-    conflict = check_conflict_serializability(cluster)
-    verdict.conflict_serializable = conflict.equivalent
-    if not conflict.equivalent:
-        verdict.oracle_detail.extend(conflict.state_mismatches)
-    if cluster.tracer.enabled:
-        trace = TraceIndex(cluster.trace_events)
-        verdict.trace = trace.events
-        verdict.violations.extend(check_reference_model(trace))
-        verdict.violations.extend(run_invariants(trace))
+    trace = TraceIndex(cluster.trace_events)
+    verdict.trace = trace.events
+    verdict.violations.extend(check_reference_model(trace))
+    verdict.violations.extend(run_invariants(trace))
     return verdict
 
 
@@ -198,7 +189,7 @@ def run_task(task: FuzzTask, keep_trace: bool = False) -> FuzzReport:
         # A run that ends with families still in flight (the liveness
         # failure mode: quiescence with untriggered processes) lands
         # here too — so the invariant checkers still get to judge the
-        # partial trace.  The state oracles are skipped: the cluster is
+        # partial trace.  The serial replay is skipped: the cluster is
         # not in a judgeable end state.
         trace = TraceIndex(cluster.trace_events)
         return FuzzReport(task=task, error=f"{type(exc).__name__}: {exc}",

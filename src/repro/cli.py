@@ -36,8 +36,8 @@ The artifact flags are uniform across ``run``, ``fuzz`` and ``load``:
 ``--out PATH`` writes the result as JSON (for ``run``, the
 :func:`~repro.runtime.record.run_record` of the run), ``--trace-dir DIR``
 writes the JSONL event log (with a clock header) and a Chrome trace,
-and ``--check`` gates the exit code on :func:`repro.check.judge` — both
-serializability oracles, the nested-O2PL reference model and the five
+and ``--check`` gates the exit code on :func:`repro.check.judge` — the
+serial-replay oracle, the nested-O2PL reference model and the five
 trace invariant checkers, which judge every ``fuzz`` task anyway.  A
 ``run`` artifact is named ``{scenario}-{protocol}``, plus ``-{preset}``
 under a fault plan and ``-tcp`` over TCP.
@@ -130,7 +130,7 @@ def _add_artifact_arguments(parser: argparse.ArgumentParser,
         group.add_argument(
             "--check", action="store_true",
             help="trace the run and gate on repro.check.judge: exit "
-                 "nonzero unless both serializability oracles, the "
+                 "nonzero unless the serial-replay oracle, the "
                  "reference model and every trace invariant pass",
         )
 
@@ -322,7 +322,7 @@ def _finish(args, cluster: Cluster, payload, stem: str) -> int:
             print(f"  {line}", file=sys.stderr)
         return 1
     print(f"\nserializability: OK ({verdict.committed_roots} committed "
-          f"roots replay clean, precedence graph acyclic)")
+          f"roots replay clean)")
     print("invariants: OK (reference model, single-writer, "
           "retained-descendants, page-version, commit-order, liveness)")
     return 0
@@ -457,7 +457,7 @@ def _cmd_fuzz(args) -> int:
         }, args.out)
         print(f"wrote {args.out}")
     if result.ok:
-        print("fuzz: all tasks clean (oracles, reference model, "
+        print("fuzz: all tasks clean (serial replay, reference model, "
               "invariants)")
         return 0
     print(f"\nfuzz: {len(result.failures)} failing task(s)",

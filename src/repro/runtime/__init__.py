@@ -22,7 +22,6 @@ from repro.runtime.context import InvocationRequest, TxnContext
 from repro.runtime.executor import AccessAudit, CommitRecord
 from repro.runtime.record import run_record
 from repro.runtime.verify import (
-    check_conflict_serializability,
     check_serializability,
     replay_serially,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "CommitRecord",
     "AccessAudit",
     "check_serializability",
-    "check_conflict_serializability",
     "replay_serially",
     "run_record",
 ]

@@ -16,6 +16,7 @@ from repro.gdo.directory import Directory
 from repro.gdo.migration import HomeMigrationManager
 from repro.memory.store import NodeStore
 from repro.net.network import SimTransport
+from repro.net.sizes import SizeModel
 from repro.objects.registry import ObjectHandle, ObjectMeta, ObjectRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.objects.schema import ClassSchema, schema_of
@@ -140,12 +141,13 @@ class Cluster:
         self.registry = ObjectRegistry()
         self.directory = Directory(self.nodes, tracer=self.tracer)
         self.cache = EntryCacheTracker(enabled=config.gdo_cache_enabled)
-        self.lockmgr = LockManager(self.env, self.network, config.sizes,
+        self.sizes = SizeModel(page_bytes=config.page_size)
+        self.lockmgr = LockManager(self.env, self.network, self.sizes,
                                    self.cache, tracer=self.tracer)
         def protocol_factory(name):
             return make_protocol(
                 name, env=self.env, network=self.network,
-                sizes=config.sizes, stores=self.stores,
+                sizes=self.sizes, stores=self.stores,
                 grain=config.transfer_grain, directory=self.directory,
                 tracer=self.tracer,
             )

@@ -10,7 +10,6 @@ from repro.faults.plan import FaultPlan
 from repro.gdo.migration import MigrationConfig
 from repro.net.network import NetworkConfig
 from repro.net.presets import FAST_ETHERNET_100M
-from repro.net.sizes import SizeModel
 from repro.sim.tiebreak import validate_tiebreak
 from repro.util.errors import ConfigurationError
 
@@ -25,7 +24,8 @@ class ClusterConfig:
         network: bandwidth / software-cost model (see
             :mod:`repro.net.presets` for the paper's sweep points).
         protocol: ``"cotec"``, ``"otec"``, ``"lotec"``, ``"rc"`` or ``"hlotec"``.
-        page_size: DSM page size in bytes.
+        page_size: DSM page size in bytes; the cluster's on-wire size
+            model (:class:`~repro.net.sizes.SizeModel`) is built on it.
         seed: master seed; all run randomness derives from it.
         gdo_cache_enabled: cache holder lists at the holding site
             (§4.1); disabling makes every lock operation global — the
@@ -35,7 +35,6 @@ class ClusterConfig:
             §4.2) — the ``abl-dsd`` ablation.
         max_retries: deadlock-victim retry budget per root.
         retry_backoff_s: base for exponential backoff between retries.
-        sizes: on-wire size model for protocol messages.
         audit_accesses: record per-invocation predicted-vs-actual
             access sets in ``Cluster.audit`` (the conservatism tests
             turn it on); off by default.
@@ -97,7 +96,6 @@ class ClusterConfig:
     transfer_grain: str = PAGE_GRAIN
     max_retries: int = 10
     retry_backoff_s: float = 0.002
-    sizes: SizeModel = field(default_factory=SizeModel)
     audit_accesses: bool = False
     class_protocols: tuple = ()
     semantic_locks: bool = False
@@ -157,11 +155,6 @@ class ClusterConfig:
         ):
             raise ConfigurationError(
                 f"migration must be a MigrationConfig, got {self.migration!r}"
-            )
-        if self.sizes.page_bytes != self.page_size:
-            # Keep the wire model and the layout engine in agreement.
-            object.__setattr__(
-                self, "sizes", replace(self.sizes, page_bytes=self.page_size)
             )
 
     def with_protocol(self, protocol: str) -> "ClusterConfig":

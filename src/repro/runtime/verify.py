@@ -15,29 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.gdo.entry import LockMode
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import ClusterConfig
 from repro.runtime.executor import freeze_args, thaw_args
-from repro.txn.semantic import base_of
 from repro.util.ids import ObjectId
-
-
-def _grant_conflict(tables: Dict, left, right) -> bool:
-    """Conflict between two recorded grant modes, judged against the
-    lock manager's *honest* commutativity registry — not the tables
-    the mode objects carry, which a test mutation may have wrapped."""
-    left_tag = getattr(left, "tag", None)
-    right_tag = getattr(right, "tag", None)
-    if left_tag is not None and right_tag is not None:
-        left_cls, _, left_method = left_tag.partition(".")
-        right_cls, _, right_method = right_tag.partition(".")
-        table = tables.get(left_cls)
-        if (left_cls == right_cls and table is not None
-                and table.commutes(left_method, right_method)):
-            return False
-    return (base_of(left) is LockMode.WRITE
-            or base_of(right) is LockMode.WRITE)
 
 
 @dataclass
@@ -127,72 +108,4 @@ def check_serializability(cluster: Cluster) -> VerificationReport:
                 f"concurrent={concurrent_rec.result!r} "
                 f"serial={serial_rec.result!r}"
             )
-    return report
-
-
-def check_conflict_serializability(cluster: Cluster) -> VerificationReport:
-    """Independent second oracle: precedence-graph acyclicity.
-
-    Built from the lock manager's per-object grant history: for each
-    object, every *conflicting* pair of grants (any pair involving a
-    WRITE) to two committed families creates a precedence edge
-    earlier -> later.  Strict O2PL must make this graph acyclic;
-    unlike the replay oracle this needs no re-execution and catches
-    ordering bugs even when final states happen to coincide.
-    """
-    report = VerificationReport(
-        equivalent=True, committed_roots=len(cluster.commit_log)
-    )
-    # Aborted families rolled back: their accesses create no real
-    # dependencies, so only committed families enter the graph.
-    committed = {record.root_serial for record in cluster.commit_log}
-    # Precedence edges: for every object, every conflicting pair of
-    # grants to different families orders earlier -> later (both
-    # WR/WW order dependencies and RW anti-dependencies — adjacency
-    # alone would miss a reader's edge to a later writer).
-    edges: Dict[int, set] = {}
-    families = set()
-    tables = cluster.lockmgr.commutativity_tables()
-    for history in cluster.lockmgr.grant_history.values():
-        committed_history = [
-            grant for grant in history if grant[0] in committed
-        ]
-        for index, (later, later_mode, _time) in enumerate(committed_history):
-            for earlier, earlier_mode, _etime in committed_history[:index]:
-                if earlier == later:
-                    continue
-                # Non-conflicting grants create no dependency: R/R on
-                # the plain lattice, plus commuting semantic pairs.
-                if not _grant_conflict(tables, earlier_mode, later_mode):
-                    continue
-                edges.setdefault(earlier, set()).add(later)
-                families.update((earlier, later))
-    # Cycle check: iterative three-colour DFS.
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {family: WHITE for family in families}
-    for start in sorted(families):
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(sorted(edges.get(start, ()))))]
-        color[start] = GREY
-        while stack:
-            node, iterator = stack[-1]
-            advanced = False
-            for target in iterator:
-                if color.get(target, WHITE) == GREY:
-                    report.equivalent = False
-                    report.state_mismatches.append(
-                        f"precedence cycle through families "
-                        f"{node} -> {target}"
-                    )
-                elif color.get(target, WHITE) == WHITE:
-                    color[target] = GREY
-                    stack.append(
-                        (target, iter(sorted(edges.get(target, ()))))
-                    )
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
     return report

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.gdo.cache import EntryCacheTracker
 from repro.gdo.deadlock import BlockedFamily, first_cycle, pick_victim
@@ -83,10 +83,6 @@ class LockManager:
         self.stats = LockStats()
         # At most one blocked transaction per (sequential) family.
         self._blocked: Dict[int, BlockedFamily] = {}
-        # Per-object grant history: (family root serial, mode, sim time)
-        # in grant order.  Feeds the precedence-graph oracle
-        # (repro.runtime.verify.check_conflict_serializability).
-        self.grant_history: Dict[ObjectId, List[Tuple[int, LockMode, float]]] = {}
         # Per-class commutativity tables (semantic lock modes); empty
         # unless ClusterConfig.semantic_locks registered them.
         self._commutativity: Dict[str, object] = {}
@@ -115,10 +111,6 @@ class LockManager:
         """Install one class's commutativity table (semantic modes on)."""
         self._commutativity[class_name] = table
 
-    def commutativity_tables(self) -> Dict[str, object]:
-        """The honest registered tables (checker artifact source)."""
-        return dict(self._commutativity)
-
     def semantic_mode_for(self, class_name: str, method_name: str,
                           base: LockMode):
         """The lock mode for invoking ``method_name`` on ``class_name``.
@@ -134,11 +126,6 @@ class LockManager:
         if summary is None or not summary.semantic:
             return base
         return SemanticMode(base, f"{class_name}.{method_name}", table)
-
-    def _record_grant(self, object_id: ObjectId, txn, mode: LockMode) -> None:
-        self.grant_history.setdefault(object_id, []).append(
-            (txn.id.root, mode, self.env.now)
-        )
 
     # ------------------------------------------------------------------
     # Acquisition (Algorithms 4.1 and 4.2)
@@ -181,7 +168,6 @@ class LockManager:
                     raise RecursiveInvocationError(txn.id, object_id)
                 if decision is GrantDecision.GRANTED:
                     entry.grant(txn, mode)
-                    self._record_grant(object_id, txn, mode)
                     txn.lock_objects[object_id] = entry
                     self.stats.local_acquisitions += 1
                     if self.tracer.enabled:
@@ -237,7 +223,6 @@ class LockManager:
             raise RecursiveInvocationError(txn.id, object_id)
         if decision is GrantDecision.GRANTED:
             entry.grant(txn, mode)
-            self._record_grant(object_id, txn, mode)
             if prefetch:
                 entry.demote_to_retained(txn)
                 self.stats.prefetch_granted += 1
@@ -359,7 +344,6 @@ class LockManager:
             self._blocked.pop(root, None)
         if tracing:
             self.tracer.lock_wait_end(token, ok=True)
-        self._record_grant(entry.object_id, txn, mode)
         return payload
 
     def _detect_deadlocks(self, root: int) -> None:

@@ -56,7 +56,7 @@ class TestAlgorithm42GlobalLockAcquisition:
         cluster = make_cluster(protocol="lotec", seed=1)
         ledger = cluster.create(Ledger, node=cluster.nodes[0])  # 4 pages
         cluster.call(ledger, "read_gamma", node=cluster.nodes[1])
-        sizes = cluster.config.sizes
+        sizes = cluster.sizes
         grant_bytes = cluster.network_stats.category_bytes(MC.LOCK_GRANT)
         assert grant_bytes == sizes.lock_grant(
             holder_entries=1,
@@ -147,7 +147,7 @@ class TestAlgorithm44GlobalLockRelease:
         cluster = make_cluster(protocol="lotec", seed=1)
         ledger = cluster.create(Ledger, node=cluster.nodes[0])
         cluster.call(ledger, "bump_alpha", 1, node=cluster.nodes[1])
-        sizes = cluster.config.sizes
+        sizes = cluster.sizes
         # alpha dirties exactly one page -> one piggybacked entry.
         assert cluster.network_stats.category_bytes(MC.LOCK_RELEASE) == \
             sizes.lock_release(1)

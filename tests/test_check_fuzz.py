@@ -9,6 +9,7 @@ the class of bug it exists for.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -41,7 +42,7 @@ class TestRunTask:
         report = run_task(FuzzTask(seed=1, policy="random", **QUICK))
         assert report.ok
         assert report.committed > 0
-        assert report.serializable and report.conflict_serializable
+        assert report.serializable
         assert report.violations == [] and report.error is None
 
     def test_identical_tasks_trace_byte_identically(self):
@@ -64,6 +65,16 @@ class TestRunTask:
         report = run_task(FuzzTask(seed=0, protocol=protocol,
                                    policy="writer-first", **QUICK))
         assert report.ok, report.failure_summary()
+
+    def test_judge_refuses_an_untraced_cluster(self):
+        # Without a trace only the serial replay could run; a verdict
+        # from it alone must not pass for a full judgement.
+        task = FuzzTask(seed=1, **QUICK)
+        cluster = Cluster(replace(build_config(task), trace=False))
+        run_workload(cluster, generate_workload(
+            SCENARIOS[task.scenario].scaled(task.scale), seed=task.seed))
+        with pytest.raises(ConfigurationError, match="trace=True"):
+            judge(cluster)
 
 
 class TestMutationSmoke:
@@ -207,7 +218,7 @@ class TestSemanticFuzz:
         caught = [report for report in reports if not report.ok]
         assert len(caught) >= 9, [r.task.seed for r in reports if r.ok]
         # Both independent checker families see it, not just the
-        # replay/precedence oracles.
+        # replay oracle.
         tags = {violation.checker.split(".")[0]
                 for violation in caught[0].violations}
         assert "reference" in tags

@@ -181,6 +181,52 @@ class TestCommitOrder:
                  txn_end("T5", "commit")]
         assert check_commit_order(trace) == []
 
+    @pytest.mark.parametrize("first", ["T0", "T5"])
+    def test_two_object_write_cycle(self, first):
+        """T0 writes O1 before T5 and T5 writes O2 before T0: a
+        precedence cycle, so whichever root commits first, one object's
+        grants go against commit order."""
+        second = "T5" if first == "T0" else "T0"
+        trace = [
+            grant("T0", 1, "W"), grant("T5", 2, "W"),
+            grant("T5", 1, "W"), grant("T0", 2, "W"),
+            txn_end(first, "commit"), txn_end(second, "commit"),
+        ]
+        assert checkers(check_commit_order(trace)) == [
+            "invariant.commit-order"
+        ]
+
+    def test_reader_before_a_writer_that_commits_first(self):
+        # The R-W anti-dependency: T0 read O1 before T5 overwrote it, so
+        # T0 must commit first.
+        trace = [
+            grant("T0", 1, "R"), grant("T5", 1, "W"),
+            txn_end("T5", "commit"), txn_end("T0", "commit"),
+        ]
+        assert checkers(check_commit_order(trace)) == [
+            "invariant.commit-order"
+        ]
+
+    @pytest.mark.parametrize("commutes, flagged", [
+        ([["deposit", "deposit"]], []),
+        ([], ["invariant.commit-order"]),
+    ], ids=["listed", "omitted"])
+    def test_semantic_pair_is_judged_by_the_commtable(self, commutes,
+                                                      flagged):
+        """Two ``W+Account.deposit`` grants in reverse commit order
+        conflict unless the trace's table lists the pair as commuting."""
+        table = {"name": "lock.commtable", "category": "lock",
+                 "phase": "i", "ts": 0.0,
+                 "args": {"table": {"class": "Account",
+                                    "commutes": commutes}}}
+        trace = [
+            table,
+            grant("T0", 1, "W+Account.deposit"),
+            grant("T5", 1, "W+Account.deposit"),
+            txn_end("T5", "commit"), txn_end("T0", "commit"),
+        ]
+        assert checkers(check_commit_order(trace)) == flagged
+
 
 def txn_start(root, ts=0.0):
     return {

@@ -8,7 +8,7 @@ multicast, ...), where integration bugs hide.
 
 import pytest
 
-from repro import check_conflict_serializability, check_serializability
+from repro import check_serializability
 from repro.check import judge
 from repro.gdo import MigrationConfig
 from repro.runtime import Cluster, ClusterConfig
@@ -24,14 +24,12 @@ def run_config(**overrides):
     seed = overrides.pop("seed", 77)
     overrides.setdefault("num_nodes", 4)
     workload = generate_workload(MATRIX_PARAMS, seed=seed)
-    config = ClusterConfig(seed=seed, **overrides)
+    config = ClusterConfig(seed=seed, trace=True, **overrides)
     cluster = Cluster(config)
     run = run_workload(cluster, workload)
     assert run.committed + run.failed == MATRIX_PARAMS.num_roots
-    replay = check_serializability(cluster)
-    assert replay.equivalent, replay.state_mismatches[:3]
-    graph = check_conflict_serializability(cluster)
-    assert graph.equivalent, graph.state_mismatches[:3]
+    verdict = judge(cluster)
+    assert verdict.ok, verdict.failure_summary()[:3]
     return cluster
 
 

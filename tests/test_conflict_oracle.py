@@ -1,15 +1,26 @@
-"""Tests for the precedence-graph (conflict-serializability) oracle."""
+"""Conflict serializability of real runs, judged by :func:`repro.check.judge`.
+
+Every lock is held to root commit or abort, so a run is conflict
+serializable exactly when conflicting grants order families as their
+roots commit — what ``invariant.commit-order`` checks.  Its cases on
+hand-built traces live in ``test_check_invariants.py::TestCommitOrder``.
+"""
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import check_conflict_serializability, check_serializability
-from repro.gdo.entry import LockMode
+from repro.check import check_commit_order, judge
 from repro.runtime import Cluster, ClusterConfig
-from repro.util.ids import ObjectId
 from repro.workload import WorkloadParams, generate_workload, run_workload
 
 from conftest import Counter, make_cluster
+from test_check_reference import grant, txn_end
+
+
+def assert_judged_clean(cluster):
+    verdict = judge(cluster)
+    assert verdict.ok, verdict.failure_summary()
+    return verdict
 
 
 class TestOracleOnRealRuns:
@@ -20,32 +31,25 @@ class TestOracleOnRealRuns:
                                 pages_min=1, pages_max=3, skew=1.0)
         workload = generate_workload(params, seed=41)
         cluster = Cluster(ClusterConfig(num_nodes=4, protocol=protocol,
-                                        seed=41))
+                                        seed=41, trace=True))
         run_workload(cluster, workload)
-        assert check_conflict_serializability(cluster).equivalent
-
-    def test_grant_history_recorded(self, cluster):
-        counter = cluster.create(Counter)
-        cluster.call(counter, "add", 1)
-        cluster.call(counter, "get")
-        history = cluster.lockmgr.grant_history[counter.object_id]
-        assert len(history) == 2
-        assert history[0][1] is LockMode.WRITE
-        assert history[1][1] is LockMode.READ
+        assert_judged_clean(cluster)
 
     def test_aborted_families_excluded(self):
         from repro import TransactionAborted
 
-        cluster = make_cluster(seed=1)
+        cluster = make_cluster(seed=1, trace=True)
         counter = cluster.create(Counter)
         with pytest.raises(TransactionAborted):
             cluster.call(counter, "fail_after_write", 1)
         cluster.call(counter, "add", 1)
-        report = check_conflict_serializability(cluster)
-        assert report.equivalent
-        # The aborted family appears in the raw history but not in the
-        # graph (only one committed family exists).
-        assert len(cluster.lockmgr.grant_history[counter.object_id]) == 2
+        verdict = assert_judged_clean(cluster)
+        # Both families were granted the counter's write lock; only the
+        # committed one is ordered.
+        grants = [event for event in verdict.trace
+                  if event["name"].startswith("lock.grant ")]
+        assert len({event["args"]["txn"] for event in grants}) == 2
+        assert verdict.committed_roots == 1
 
     def test_agrees_with_replay_oracle(self):
         params = WorkloadParams(num_objects=8, num_classes=3, num_roots=30,
@@ -53,66 +57,26 @@ class TestOracleOnRealRuns:
                                 abort_probability=0.1)
         workload = generate_workload(params, seed=42)
         cluster = Cluster(ClusterConfig(num_nodes=4, protocol="lotec",
-                                        seed=42))
+                                        seed=42, trace=True))
         run_workload(cluster, workload)
-        assert check_serializability(cluster).equivalent
-        assert check_conflict_serializability(cluster).equivalent
+        assert assert_judged_clean(cluster).serializable
 
 
 class TestOracleDetectsCycles:
-    def test_injected_cycle_detected(self):
-        """Forge a grant history with a W-W cycle between two committed
-        families: the oracle must flag it."""
-        cluster = make_cluster(seed=1)
-        a = cluster.create(Counter)
-        b = cluster.create(Counter)
-        cluster.call(a, "add", 1)  # commits family; gives us serials
-        cluster.call(b, "add", 1)
-        first = cluster.commit_log[0].root_serial
-        second = cluster.commit_log[1].root_serial
-        cluster.lockmgr.grant_history[a.object_id] = [
-            (first, LockMode.WRITE, 0.0), (second, LockMode.WRITE, 1.0),
-        ]
-        cluster.lockmgr.grant_history[b.object_id] = [
-            (second, LockMode.WRITE, 0.5), (first, LockMode.WRITE, 1.5),
-        ]
-        report = check_conflict_serializability(cluster)
-        assert not report.equivalent
-        assert "cycle" in report.state_mismatches[0]
-
-    def test_rw_anti_dependency_closes_cycle(self):
-        """Reader-then-writer must order reader before writer: a forged
-        history where the edges only work out via an anti-dependency."""
-        cluster = make_cluster(seed=1)
-        a = cluster.create(Counter)
-        b = cluster.create(Counter)
-        cluster.call(a, "add", 1)
-        cluster.call(b, "add", 1)
-        first = cluster.commit_log[0].root_serial
-        second = cluster.commit_log[1].root_serial
-        cluster.lockmgr.grant_history[a.object_id] = [
-            (first, LockMode.READ, 0.0),     # first reads a
-            (second, LockMode.WRITE, 1.0),   # second overwrites a
-        ]
-        cluster.lockmgr.grant_history[b.object_id] = [
-            (second, LockMode.READ, 0.5),    # second reads b
-            (first, LockMode.WRITE, 1.5),    # first overwrites b
-        ]
-        report = check_conflict_serializability(cluster)
-        assert not report.equivalent
-
     def test_read_read_never_conflicts(self):
-        cluster = make_cluster(seed=1)
-        a = cluster.create(Counter)
-        cluster.call(a, "get")
-        cluster.call(a, "get")
-        first = cluster.commit_log[0].root_serial
-        second = cluster.commit_log[1].root_serial
-        cluster.lockmgr.grant_history[a.object_id] = [
-            (first, LockMode.READ, 0.0), (second, LockMode.READ, 1.0),
-            (first, LockMode.READ, 2.0),
-        ]
-        assert check_conflict_serializability(cluster).equivalent
+        """T0 is granted O1 again after T5, yet commits first: only a
+        conflicting mode orders T5 before T0."""
+        def violations(mode):
+            trace = [
+                grant("T0", 1, mode), grant("T5", 1, mode),
+                grant("T0", 1, mode),
+                txn_end("T0", "commit"), txn_end("T5", "commit"),
+            ]
+            return [violation.checker
+                    for violation in check_commit_order(trace)]
+
+        assert violations("R") == []
+        assert violations("W") == ["invariant.commit-order"]
 
 
 class TestOracleProperty:
@@ -124,6 +88,6 @@ class TestOracleProperty:
                                 pages_min=1, pages_max=3, skew=1.2)
         workload = generate_workload(params, seed=seed)
         cluster = Cluster(ClusterConfig(num_nodes=3, protocol="lotec",
-                                        seed=seed))
+                                        seed=seed, trace=True))
         run_workload(cluster, workload)
-        assert check_conflict_serializability(cluster).equivalent
+        assert_judged_clean(cluster)

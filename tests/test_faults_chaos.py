@@ -4,16 +4,17 @@ serializable, and surface its fault accounting in record and trace."""
 import pytest
 
 from repro import check_serializability
+from repro.check import judge
 from repro.faults import FAULT_PRESETS
 from repro.obs.tracer import CAT_FAULT
 from repro.runtime import Cluster, ClusterConfig, run_record
 from repro.workload import SCENARIOS, generate_workload, run_workload
 
 
-def chaos_run(plan, trace=True):
+def chaos_run(plan):
     workload = generate_workload(SCENARIOS["medium-high"].scaled(0.2), seed=5)
     cluster = Cluster(ClusterConfig(
-        num_nodes=4, seed=5, protocol="lotec", trace=trace, faults=plan,
+        num_nodes=4, seed=5, protocol="lotec", trace=True, faults=plan,
     ))
     return cluster, run_workload(cluster, workload)
 
@@ -127,7 +128,6 @@ class TestFaultAccounting:
 
 class TestConflictOracleUnderChaos:
     def test_chaos_run_is_conflict_serializable(self):
-        from repro import check_conflict_serializability
-
-        cluster, _run = chaos_run(FAULT_PRESETS["chaos"], trace=False)
-        assert check_conflict_serializability(cluster).equivalent
+        cluster, _run = chaos_run(FAULT_PRESETS["chaos"])
+        verdict = judge(cluster)
+        assert verdict.ok, verdict.failure_summary()

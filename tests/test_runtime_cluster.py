@@ -42,8 +42,9 @@ class TestConfigValidation:
         assert config.with_network(net).network is net
 
     def test_page_size_synced_into_size_model(self):
-        config = ClusterConfig(page_size=1024)
-        assert config.sizes.page_bytes == 1024
+        cluster = make_cluster(page_size=1024)
+        assert cluster.sizes.page_bytes == 1024
+        assert cluster.lockmgr.sizes is cluster.sizes
 
     def test_every_field_is_documented(self):
         """The docstring's ``Attributes:`` list names exactly the fields,

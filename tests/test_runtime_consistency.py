@@ -64,7 +64,7 @@ class TestProtocolTrafficShape:
 
     def test_lotec_moves_only_predicted_pages(self):
         cluster = self.run_handoffs("lotec")
-        sizes = cluster.config.sizes
+        sizes = cluster.sizes
         stats = cluster.network_stats
         page_messages = stats.category_messages(MessageCategory.PAGE_DATA)
         page_bytes = stats.category_bytes(MessageCategory.PAGE_DATA)
@@ -74,7 +74,7 @@ class TestProtocolTrafficShape:
     def test_cotec_ships_whole_object_every_handoff(self):
         cluster = self.run_handoffs("cotec")
         ledger_pages = 4  # 3x3000B + 16x500B on 4096B pages
-        sizes = cluster.config.sizes
+        sizes = cluster.sizes
         stats = cluster.network_stats
         per_handoff = sizes.page_data(ledger_pages)
         assert stats.category_bytes(MessageCategory.PAGE_DATA) >= \

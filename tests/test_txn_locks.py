@@ -77,7 +77,7 @@ class TestWaitingAndHandoffs:
         t2 = cluster.submit(ledger, "bump_alpha", 1, node=cluster.nodes[2])
         cluster.run()
         t1.result(), t2.result()
-        sizes = cluster.config.sizes
+        sizes = cluster.sizes
         stats = cluster.network_stats
         grant_bytes = stats.category_bytes(MessageCategory.LOCK_GRANT)
         grants = stats.category_messages(MessageCategory.LOCK_GRANT)
@@ -89,7 +89,7 @@ class TestWaitingAndHandoffs:
     def test_release_piggybacks_dirty_info(self, cluster):
         ledger = cluster.create(Ledger, node=cluster.nodes[0])
         cluster.call(ledger, "bump_alpha", 1, node=cluster.nodes[1])
-        sizes = cluster.config.sizes
+        sizes = cluster.sizes
         stats = cluster.network_stats
         release_bytes = stats.category_bytes(MessageCategory.LOCK_RELEASE)
         # bump_alpha dirties one page: release = header + 1 entry.
