@@ -38,11 +38,6 @@ class AccessPrediction:
         setattr_(self, "write_pages", write_pages)
         setattr_(self, "pages", read_pages | write_pages)
 
-    @property
-    def is_update(self) -> bool:
-        """True when the method may write (drives W vs R lock mode)."""
-        return bool(self.write_pages)
-
 
 def predict(access: AccessSets, layout: ObjectLayout) -> AccessPrediction:
     """Turn attribute access sets into page sets for one object layout.

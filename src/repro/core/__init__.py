@@ -21,7 +21,7 @@ owner.  Gathers complete on the *real* response delivery events (so
 injected faults delay installation).
 """
 
-from repro.core.protocol import ConsistencyProtocol, TransferOutcome
+from repro.core.protocol import ConsistencyProtocol
 from repro.core.suite import ProtocolSuite
 from repro.core.cotec import COTEC
 from repro.core.otec import OTEC
@@ -58,7 +58,6 @@ def make_protocol(name: str, **kwargs) -> ConsistencyProtocol:
 __all__ = [
     "ConsistencyProtocol",
     "ProtocolSuite",
-    "TransferOutcome",
     "COTEC",
     "OTEC",
     "LOTEC",

@@ -37,9 +37,12 @@ class LOTEC(_DemandFetchMixin, ConsistencyProtocol):
     def select_pages(self, meta: ObjectMeta, page_map,
                      local_versions: Dict[int, int],
                      prediction: AccessPrediction) -> Set[int]:
-        # Stale ∩ predicted: staleness is tested on predicted pages only.
-        return {page for page in prediction.pages
-                if local_versions.get(page, 0) < page_map[page].version}
+        # Stale ∩ predicted (a loop: a comprehension is one more frame).
+        wanted = set()
+        for page in prediction.pages:
+            if local_versions.get(page, 0) < page_map[page].version:
+                wanted.add(page)
+        return wanted
 
     def on_stale_access(self, txn, meta: ObjectMeta, page_map,
                         pages: Iterable[int], is_write: bool) -> float:

@@ -17,8 +17,7 @@ A protocol is consulted at exactly three points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Set
+from typing import Dict, Iterable, Set
 
 from repro.analysis.prediction import AccessPrediction, PredictionStats
 from repro.core.transfer import PAGE_GRAIN, demand_fetch, gather_pages
@@ -28,19 +27,6 @@ from repro.objects.registry import ObjectMeta
 from repro.obs.tracer import NULL_TRACER
 from repro.util.errors import ProtocolError
 from repro.util.ids import NodeId
-
-
-@dataclass(init=False)
-class TransferOutcome:
-    """What one acquisition transfer actually moved."""
-
-    wanted: FrozenSet[int] = frozenset()
-    shipped: FrozenSet[int] = frozenset()
-
-    def __init__(self, wanted: FrozenSet[int] = frozenset(),
-                 shipped: FrozenSet[int] = frozenset()):
-        self.wanted = wanted
-        self.shipped = shipped
 
 
 class ConsistencyProtocol:
@@ -81,28 +67,34 @@ class ConsistencyProtocol:
 
     def acquire_transfer(self, txn, meta: ObjectMeta, page_map,
                          prediction: AccessPrediction):
-        """Simulation process run right after a global lock grant."""
+        """Simulation process run right after a global lock grant;
+        returns the pages shipped.  Algorithm 4.5 gathers only "IF the
+        most up-to-date page is not resident here"."""
         node = txn.node
         # The live tags, not a copy: selection is synchronous, done
         # before the gather yields.
         local_versions = self.stores[node].register_object(
             meta.object_id, meta.layout).page_versions
         wanted = self.select_pages(meta, page_map, local_versions, prediction)
-        self.prediction_stats.acquisitions += 1
-        self.prediction_stats.predicted_pages += len(prediction.pages)
-        shipped = yield from gather_pages(
-            self.env, self.network, self.sizes, self.stores,
-            node, meta, page_map, wanted, grain=self.grain,
-            cause="acquire",
-        )
-        self.prediction_stats.transferred_pages += len(shipped)
+        stats = self.prediction_stats
+        stats.acquisitions += 1
+        stats.predicted_pages += len(prediction.pages)
+        shipped = []
+        for page in wanted:
+            if page_map[page].owner != node:
+                shipped = yield from gather_pages(
+                    self.env, self.network, self.sizes, self.stores,
+                    node, meta, page_map, wanted, grain=self.grain,
+                    cause="acquire",
+                )
+                break
+        stats.transferred_pages += len(shipped)
         if self.tracer.enabled:  # the page lists are sorted for the trace
             self.tracer.prediction(
                 node, meta.object_id, sorted(prediction.pages),
                 sorted(wanted), sorted(shipped),
             )
-        return TransferOutcome(wanted=frozenset(wanted),
-                               shipped=frozenset(shipped))
+        return shipped
 
     # -- stale access -------------------------------------------------------
 

@@ -239,7 +239,7 @@ class DirectoryEntry:
 
     def decide(self, txn, mode: LockMode) -> GrantDecision:
         """Classify a request; does not mutate state."""
-        if self.is_free:
+        if not self.holders and not self.retainers:  # ``is_free``, inline
             return GrantDecision.GRANTED
         # Re-entrant request: txn already holds the lock.  The entry
         # keeps the *join* of the held and requested modes; when the

@@ -10,7 +10,7 @@ this module only holds state and enforces local invariants.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from repro.memory.layout import ObjectLayout, Slot
 from repro.util.errors import ProtocolError
@@ -38,20 +38,18 @@ class NodeStore:
 
     def __init__(self, node_id: NodeId):
         self.node_id = node_id
-        self._objects: Dict[ObjectId, ObjectCopy] = {}
+        #: object id -> copy; read in place, changed only by the methods below.
+        self.objects: Dict[ObjectId, ObjectCopy] = {}
 
     # -- presence ----------------------------------------------------------
 
     def has_object(self, object_id: ObjectId) -> bool:
-        return object_id in self._objects
-
-    def cached_objects(self) -> Tuple[ObjectId, ...]:
-        return tuple(self._objects)
+        return object_id in self.objects
 
     def copy_of(self, object_id: ObjectId) -> ObjectCopy:
         """This node's (single, long-lived) copy of an object."""
         try:
-            return self._objects[object_id]
+            return self.objects[object_id]
         except KeyError:
             raise ProtocolError(
                 f"object {object_id!r} not cached at node {self.node_id!r}"
@@ -63,7 +61,7 @@ class NodeStore:
                       values: Optional[Dict[Slot, object]] = None,
                       initial_version: int = 1) -> None:
         """Materialize a brand-new object with all pages current."""
-        if object_id in self._objects:
+        if object_id in self.objects:
             raise ProtocolError(f"object {object_id!r} already exists at "
                                 f"{self.node_id!r}")
         cached = ObjectCopy(layout)
@@ -76,15 +74,15 @@ class NodeStore:
         cached.page_versions = {
             page: initial_version for page in range(layout.page_count)
         }
-        self._objects[object_id] = cached
+        self.objects[object_id] = cached
 
     def register_object(self, object_id: ObjectId,
                         layout: ObjectLayout) -> ObjectCopy:
         """Make a remote object known locally with no pages cached yet;
         returns this node's copy of it (new or already there)."""
-        copy = self._objects.get(object_id)
+        copy = self.objects.get(object_id)
         if copy is None:
-            copy = self._objects[object_id] = ObjectCopy(layout)
+            copy = self.objects[object_id] = ObjectCopy(layout)
         return copy
 
     def ship_pages(self, object_id: ObjectId, pages: Iterable[int],
@@ -106,8 +104,8 @@ class NodeStore:
         """
         # One frame: a miss falls through to ``copy_of``'s error, an
         # uncached page to ``versions_to_ship``'s.
-        source = self._objects.get(object_id) or self.copy_of(object_id)
-        dest = target._objects.get(object_id) or target.copy_of(object_id)
+        source = self.objects.get(object_id) or self.copy_of(object_id)
+        dest = target.objects.get(object_id) or target.copy_of(object_id)
         source_versions = source.page_versions
         versions = {}
         for page in sorted(set(pages)):

@@ -106,6 +106,7 @@ class TcpTransport(Transport):
     """
 
     clock = WALL_CLOCK
+    _wire_up = False  # until start(), and again after close()
 
     def __init__(self, env, config: NetworkConfig, tracer=None,
                  injector=None, host: str = "127.0.0.1",
@@ -133,14 +134,13 @@ class TcpTransport(Transport):
         self._links: List[_Link] = []  # every socket, for close()
         self._out: Dict[Tuple[int, int], _Link] = {}  # (src, dst) -> link
         self._recv_view = memoryview(bytearray(_RECV_BYTES))
-        self._started = False
         self._closed = False
         env.attach_source(self)
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self, nodes: Iterable[NodeId]) -> None:
-        if self._started:
+        if self._wire_up:
             return
         if self._closed:
             raise ProtocolError("transport already closed")
@@ -153,7 +153,7 @@ class TcpTransport(Transport):
         except OSError as exc:  # socket.timeout included
             raise ProtocolError(
                 f"TCP transport failed to start: {exc!r}") from exc
-        self._started = True
+        self._wire_up = True
 
     def _link(self, sock: socket.socket, reading: bool) -> _Link:
         link = _Link(sock, reading)
@@ -177,19 +177,19 @@ class TcpTransport(Transport):
         if self._closed:
             return
         self._closed = True
+        self._wire_up = False
         for link in self._links:
             link.sock.close()
         if self._selector is not None:
             self._selector.close()
 
     def _require_started(self) -> None:
-        if not self._started:
-            raise ProtocolError(
-                "TCP transport not started — Cluster.run() brings it up, "
-                "or call transport.start(nodes) directly"
-            )
         if self._closed:
             raise ProtocolError("TCP transport already closed")
+        raise ProtocolError(
+            "TCP transport not started — Cluster.run() brings it up, "
+            "or call transport.start(nodes) directly"
+        )
 
     # -- writes ------------------------------------------------------------
 

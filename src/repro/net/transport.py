@@ -108,6 +108,10 @@ class Transport(abc.ABC):
     bring up.
     """
 
+    #: False while the wire cannot carry a frame (a backend with a
+    #: lifecycle, before :meth:`start` and after :meth:`close`).
+    _wire_up = True
+
     #: Which clock deliveries are stamped with (see module constants).
     clock = VIRTUAL_CLOCK
 
@@ -152,9 +156,9 @@ class Transport(abc.ABC):
             message.deliver_time = now
             done.succeed(message)
             return done
-        lean = self._lean and env._tiebreak is None
-        if not lean:
+        if not self._wire_up:
             self._require_started()
+        lean = self._lean and env._tiebreak is None
         if message.wire_id is None:
             message.wire_id = self._next_wire_id
             self._next_wire_id += 1
@@ -224,7 +228,8 @@ class Transport(abc.ABC):
         if message.src == message.dst:
             message.deliver_time = now
             return 0.0
-        self._require_started()
+        if not self._wire_up:
+            self._require_started()
         if message.wire_id is None:
             message.wire_id = self._next_wire_id
             self._next_wire_id += 1
@@ -350,9 +355,10 @@ class Transport(abc.ABC):
         """
 
     def _require_started(self) -> None:
-        """Raise unless the wire can carry a frame now — checked after
-        the local fast path and before the wire id is assigned or
-        anything is accounted, so a refusal leaves the books untouched."""
+        """Raise, saying why the wire cannot carry a frame now — called
+        while ``_wire_up`` is clear, after the local fast path and
+        before the wire id is assigned or anything is accounted, so a
+        refusal leaves the books untouched."""
 
     def close(self) -> None:
         """Tear the wire down (idempotent); no sends may follow."""

@@ -144,6 +144,9 @@ class Tracer:
         self.clock_kind = clock_kind
         self.events: List[TraceEvent] = []
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # Bound once: every transaction moves these two.
+        self._txn_active = self.metrics.gauge("txn.active")
+        self._txn_latency = self.metrics.histogram("txn.latency_s")
         self._open: Dict[int, TraceEvent] = {}
         self._next_token = 0
 
@@ -178,7 +181,7 @@ class Tracer:
     # -- transactions ------------------------------------------------------
 
     def txn_begin(self, txn):
-        self.metrics.gauge("txn.active").inc()
+        self._txn_active.inc()
         if txn.is_root:
             # Spans are only recorded at their *end*, so a family
             # interrupted mid-flight (crash, stall) leaves no span —
@@ -197,13 +200,13 @@ class Tracer:
         )
 
     def txn_commit(self, token, txn, latency=None):
-        self.metrics.gauge("txn.active").dec()
+        self._txn_active.dec()
         if latency is not None:
-            self.metrics.histogram("txn.latency_s").observe(latency)
+            self._txn_latency.observe(latency)
         self.end(token, outcome="commit")
 
     def txn_abort(self, token, txn, reason):
-        self.metrics.gauge("txn.active").dec()
+        self._txn_active.dec()
         self.end(token, outcome="abort", reason=reason)
 
     # -- locking -----------------------------------------------------------

@@ -333,13 +333,14 @@ class Executor:
 
     def _commit_root(self, root: Transaction):
         """Algorithm 4.3 (root commits) + 4.4, then protocol commit hook."""
-        store = self.stores[root.node]
         # Each copy and entry is resolved once (DESIGN §14): the copies
         # here, the entries by the release, which returns them.
+        cached = self.stores[root.node].objects
         copies, resident = {}, {}
         for object_id in root.lock_objects:
-            if store.has_object(object_id):
-                copies[object_id] = copy = store.copy_of(object_id)
+            copy = cached.get(object_id)
+            if copy is not None:
+                copies[object_id] = copy
                 resident[object_id] = dict(copy.page_versions)
         entries = yield from self.lockmgr.root_commit_release(root, resident)
         # Commit actions (the increment ledger's fold) run first, too.
@@ -416,11 +417,11 @@ class Executor:
         prediction = AccessPrediction(
             read_pages=meta.layout.all_pages(), write_pages=frozenset()
         )
-        outcome = yield from self.protocol.for_meta(meta).acquire_transfer(
+        shipped = yield from self.protocol.for_meta(meta).acquire_transfer(
             txn, meta, snapshot, prediction
         )
-        root = txn.root
-        root.transfer_log.setdefault(object_id, set()).update(outcome.shipped)
+        if shipped:
+            txn.root.transfer_log.setdefault(object_id, set()).update(shipped)
 
     def _flush_delay(self, txn: Transaction):
         """Apply network delay deferred by synchronous demand fetches."""
@@ -451,8 +452,12 @@ class Executor:
             txn.label = method_name
         token = (self.tracer.txn_begin(txn)
                  if self.tracer.enabled and not txn.is_root else None)
-        prediction = predict(spec.access, meta.layout)
-        mode = LockMode.WRITE if spec.is_update else LockMode.READ
+        # The layout's memo, read in place; ``predict`` fills a miss.
+        access = spec.access
+        prediction = meta.layout.predictions.get((access.reads, access.writes))
+        if prediction is None:
+            prediction = predict(access, meta.layout)
+        mode = LockMode.WRITE if access.writes else LockMode.READ
         increments = frozenset()
         if self.config.semantic_locks:
             mode = self.lockmgr.semantic_mode_for(meta.schema.name,
@@ -466,13 +471,12 @@ class Executor:
                 # data transfer to its first real use — now.
                 snapshot = txn.root.prefetch_maps.pop(meta.object_id, None)
             if snapshot is not None:
-                outcome = yield from self.protocol.for_meta(meta).acquire_transfer(
+                shipped = yield from self.protocol.for_meta(meta).acquire_transfer(
                     txn, meta, snapshot, prediction
                 )
-                root = txn.root
-                root.transfer_log.setdefault(meta.object_id, set()).update(
-                    outcome.shipped
-                )
+                if shipped:
+                    txn.root.transfer_log.setdefault(
+                        meta.object_id, set()).update(shipped)
             ctx = TxnContext(self, txn, meta, spec, increments)
             proxy = (meta.layout.proxy_class
                      or proxy_class(meta.layout))(ctx, meta)

@@ -193,14 +193,13 @@ class TestPrediction:
         assert prediction.read_pages == frozenset({0})
         assert prediction.write_pages == frozenset({1, 2})
         assert prediction.pages == frozenset({0, 1, 2})
-        assert prediction.is_update
 
     def test_read_only_is_not_update(self):
         layout = self.make_layout()
         prediction = predict(
             AccessSets(reads=frozenset({"b"}), writes=frozenset()), layout
         )
-        assert not prediction.is_update
+        assert not prediction.write_pages
         assert prediction.pages == frozenset({0, 1})
 
     def test_all_sentinel_means_every_page(self):

@@ -3,7 +3,7 @@ engine (Algorithm 4.5)."""
 
 import pytest
 
-from repro.analysis.prediction import AccessPrediction
+from repro.analysis.prediction import AccessPrediction, PredictionStats, predict
 from repro.core import COTEC, LOTEC, OTEC, ReleaseConsistency, make_protocol
 from repro.core.transfer import demand_fetch, gather_pages
 from repro.gdo.entry import PageMapEntry
@@ -17,6 +17,8 @@ from repro.objects.schema import ClassSchema
 from repro.sim import Environment
 from repro.util.errors import ConfigurationError, ProtocolError
 from repro.util.ids import NodeId, ObjectId
+
+from conftest import Ledger, make_cluster
 
 N0, N1, N2 = NodeId(0), NodeId(1), NodeId(2)
 OID = ObjectId(0)
@@ -272,3 +274,40 @@ class TestGatherPagesProperty:
             + sizes.page_request(1)
         assert sum(stats.object_bytes(ObjectId(raw))
                    for raw in self.OBJECTS) == stats.total_bytes
+
+
+class TestAllLocalGrant:
+    """Algorithm 4.5 contacts a site only "IF the most up-to-date page
+    is not resident here": a global grant whose wanted pages are all
+    owned by the acquiring node asks nobody for anything, yet is booked
+    as an acquisition with its prediction like any other grant."""
+
+    @pytest.mark.parametrize("protocol",
+                             ["cotec", "otec", "lotec", "hlotec", "rc"])
+    def test_grant_at_the_owner_moves_nothing(self, protocol):
+        cluster = make_cluster(protocol=protocol, trace=True)
+        node = cluster.nodes[0]
+        ledger = cluster.create(Ledger, node=node)
+        spec = ledger.meta.schema.method_spec("bump_alpha")
+        predicted = predict(spec.access, ledger.meta.layout).pages
+        cluster.call(ledger, "bump_alpha", 5, node=node)
+        network = cluster.network_stats
+        assert cluster.lock_stats.global_acquisitions == 1
+        assert network.category_messages(MessageCategory.PAGE_REQUEST) == 0
+        assert network.category_messages(MessageCategory.PAGE_DATA) == 0
+        assert cluster.prediction_stats == PredictionStats(
+            acquisitions=1, predicted_pages=len(predicted),
+            touched_pages=len(predicted),
+        )
+        [event] = [event for event in cluster.trace_events
+                   if event.name.startswith("transfer.prediction")]
+        assert event.args["shipped"] == []
+        assert not [event for event in cluster.trace_events
+                    if event.name.startswith("transfer.gather")]
+
+        # The same method granted at a node holding nothing gathers.
+        home = cluster.directory.home_node(ledger.object_id)
+        other = next(n for n in cluster.nodes if n not in (node, home))
+        cluster.call(ledger, "bump_alpha", 5, node=other)
+        assert network.category_messages(MessageCategory.PAGE_REQUEST) >= 1
+        assert cluster.prediction_stats.transferred_pages >= len(predicted)

@@ -18,6 +18,11 @@ cluster:
   machinery, and the lock path (acquire, pre-commit, release, the
   migration check, ``TxnContext._bind``) reaches each entry by
   reference, with no ``Directory.entry`` lookup;
+* a grant whose wanted pages are all local enters neither
+  ``gather_pages`` nor ``_plan_sources``; ``_execute`` on a method whose
+  prediction is memoised enters neither ``predict`` nor ``is_update``;
+  ``decide`` enters no ``is_free``; ``_commit_root`` finds each held
+  copy with neither ``has_object`` nor ``copy_of``;
 * a quiet remote send over TCP is priced, booked and written in
   ``send``, ``_put_on_wire`` and their leaves, and a read of k whole
   frames enters ``_read`` once and ``decode_frame`` once per frame.
@@ -218,6 +223,57 @@ def test_lock_path_makes_no_directory_entry_call():
     assert [caller.co_name for code, caller in calls if code is lookup] == []
 
 
+def _entered_from(calls, caller):
+    """Names of the frames a ``caller`` frame entered, in order."""
+    return [code.co_name for code, back in calls if back.co_name == caller]
+
+
+def test_all_local_grant_enters_no_gather():
+    cluster = make_cluster()
+    node = cluster.nodes[0]
+    handle = cluster.create(Probe, node=node)
+    calls = _calls_during(lambda: cluster.call(handle, "leaf", "local",
+                                               node=node))
+    entered = {code.co_name for code, _caller in calls}
+    assert cluster.lock_stats.global_acquisitions == 1
+    assert "acquire_transfer" in entered
+    assert not entered & {"gather_pages", "_plan_sources"}
+    # A grant at a node holding nothing still gathers.
+    calls = _calls_during(lambda: cluster.call(handle, "leaf", "remote",
+                                               node=cluster.nodes[1]))
+    entered = {code.co_name for code, _caller in calls}
+    assert {"gather_pages", "_plan_sources"} <= entered
+
+
+def test_memoised_execute_enters_no_predict_or_is_update():
+    cluster = make_cluster()
+    node = cluster.nodes[0]
+    handle = cluster.create(Probe, node=node)
+    cluster.call(handle, "leaf", "first", node=node)  # fills the memo
+    calls = _calls_during(lambda: cluster.call(handle, "leaf", "again",
+                                               node=node))
+    entered = _entered_from(calls, "_execute")
+    assert "acquire" in entered
+    assert not set(entered) & {"predict", "is_update"}
+
+
+def test_decide_enters_no_is_free():
+    cluster, run = _nested_remote_root()
+    calls = _calls_during(run)
+    assert cluster.txn_stats.commits == 1
+    assert {code.co_name for code, _caller in calls} >= {"decide"}
+    assert _entered_from(calls, "decide") == []
+
+
+def test_commit_root_finds_copies_without_store_lookups():
+    cluster, run = _nested_remote_root()
+    calls = _calls_during(run)
+    assert cluster.txn_stats.commits == 1
+    entered = _entered_from(calls, "_commit_root")
+    assert "root_commit_release" in entered
+    assert not set(entered) & {"has_object", "copy_of"}
+
+
 def _tcp_wire():
     """A started two-node TCP transport whose clock is running."""
     env = WallClockEnvironment(stall_timeout_s=5.0)
@@ -241,8 +297,8 @@ def test_quiet_tcp_send_is_priced_booked_and_written_in_place():
         frames = _repro_frames(lambda: network.send(message))
         env.run()
         assert message.deliver_time is not None
-        assert frames == ["send", "__init__", "_require_started", "record",
-                          "_put_on_wire", "encode_frame"]
+        assert frames == ["send", "__init__", "record", "_put_on_wire",
+                          "encode_frame"]
     finally:
         network.close()
 

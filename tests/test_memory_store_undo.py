@@ -226,7 +226,7 @@ class TestStoreMiscSurface:
     def test_cached_objects_listing(self, store, layout):
         other = ObjectId(5)
         store.register_object(other, layout)
-        assert set(store.cached_objects()) == {OID, other}
+        assert set(store.objects) == {OID, other}
 
     def test_layout_lookup(self, store, layout):
         assert store.copy_of(OID).layout is layout

@@ -25,10 +25,13 @@ from repro.check import check_reference_model, run_invariants
 from repro.net.message import (
     FRAME_PREFIX_BYTES, Message, MessageCategory, decode_frame,
 )
+from repro.net.network_config import NetworkConfig
+from repro.net.tcp import TcpTransport
 from repro.obs.export import read_jsonl, read_jsonl_header, write_jsonl
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import ClusterConfig
 from repro.runtime.verify import check_serializability
+from repro.sim.realtime import WallClockEnvironment
 from repro.util.errors import ProtocolError
 from repro.util.ids import NodeId
 from repro.workload.generator import generate_workload
@@ -211,6 +214,25 @@ class TestConcurrentTcpRun:
         assert check_serializability(cluster).equivalent
         assert run_invariants(cluster.tracer.events) == []
         assert cluster.network.delivered_log  # frames really crossed
+
+
+class TestLifecycle:
+    def test_send_before_start_is_refused_unbooked(self):
+        """A refused send or charge leaves no trace: no wire id, nothing
+        accounted, nothing in flight, no socket."""
+        network = TcpTransport(WallClockEnvironment(), NetworkConfig(
+            bandwidth_bps=100e6, software_cost_s=1e-5))
+        message = Message(src=NodeId(0), dst=NodeId(1), size_bytes=64,
+                          category=MessageCategory.CONTROL)
+        for attempt in (network.send, network.charge):
+            with pytest.raises(ProtocolError, match="not started"):
+                attempt(message)
+        assert message.wire_id is None
+        assert network._next_wire_id == 0
+        assert network.stats.total_messages == 0
+        assert network.inflight == 0
+        assert network._links == []
+        network.close()
 
 
 def open_fds():
