@@ -4,12 +4,11 @@ Four pieces, layered on the :mod:`repro.obs` trace stream and the
 :mod:`repro.sim.tiebreak` schedule-exploration hook:
 
 * :mod:`repro.check.reference` — an executable nested-O2PL reference
-  model (pure-python lock table with Moss retention/inheritance) that
-  re-judges every grant in a trace against independently coded rules;
-* :mod:`repro.check.invariants` — standalone trace invariant checkers
-  (single-writer/multi-reader, retained-locks-only-to-descendants,
-  page-version monotonicity, commit-order consistency, and heal-aware
-  liveness);
+  model (pure-python lock table with Moss retention/inheritance), the
+  one judge of the paper's lock rules at every grant in a trace;
+* :mod:`repro.check.invariants` — trace invariant checkers for what no
+  lock table reads: page-version monotonicity, commit-order
+  consistency, and heal-aware liveness;
 * :mod:`repro.check.explorer` — :func:`judge`, the one verdict on a
   finished run (the serial-replay oracle, the reference model and
   the invariant checkers), and one seed, one reproducible perturbed
@@ -41,8 +40,6 @@ from repro.check.invariants import (
     check_commit_order,
     check_liveness,
     check_page_version_monotonic,
-    check_retained_descendants,
-    check_single_writer,
     run_invariants,
 )
 from repro.check.reference import ReferenceModel, check_reference_model
@@ -62,8 +59,6 @@ __all__ = [
     "check_liveness",
     "check_page_version_monotonic",
     "check_reference_model",
-    "check_retained_descendants",
-    "check_single_writer",
     "judge",
     "minimize",
     "parse_object",

@@ -188,13 +188,14 @@ def run_task(task: FuzzTask, keep_trace: bool = False) -> FuzzReport:
         # escaping it is a protocol-level failure the fuzzer caught.
         # A run that ends with families still in flight (the liveness
         # failure mode: quiescence with untriggered processes) lands
-        # here too — so the invariant checkers still get to judge the
-        # partial trace.  The serial replay is skipped: the cluster is
-        # not in a judgeable end state.
+        # here too — so the trace judges still get to judge the partial
+        # trace, in the order judge() runs them.  The serial replay is
+        # skipped: the cluster is not in a judgeable end state.
         trace = TraceIndex(cluster.trace_events)
         return FuzzReport(task=task, error=f"{type(exc).__name__}: {exc}",
                           trace=trace.events,
-                          violations=run_invariants(trace))
+                          violations=check_reference_model(trace)
+                          + run_invariants(trace))
     report = FuzzReport(task=task, committed=run.committed,
                         failed=run.failed, **vars(judge(cluster)))
     if report.ok and not keep_trace:

@@ -1,17 +1,12 @@
 """Trace invariant checkers.
 
-Each checker is a small, independent walk over the trace's one
-:class:`~repro.check.events.TraceIndex` (built here when handed a raw
-stream); none shares state with the others or with the reference model
-(:mod:`repro.check.reference`), so a bug has to fool several disjoint
-re-implementations of the paper's rules to slip through:
+Each judge of a trace owns its rules, and each rule has one judge.
+The reference model (:mod:`repro.check.reference`) owns the paper's
+lock rules: conflict and Moss retention at every grant, recursion,
+inheritance and release.  The checkers here are small walks over the
+trace's one :class:`~repro.check.events.TraceIndex` (built here when
+handed a raw stream), each owning a property no lock table reads:
 
-* :func:`check_single_writer` — at most one family per object when any
-  present family holds or retains a WRITE lock (multiple readers /
-  single writer at family granularity);
-* :func:`check_retained_descendants` — a retained lock admits, in a
-  conflicting mode, only the retainer itself and its descendants
-  (Moss retention; read retentions still share with foreign readers);
 * :func:`check_page_version_monotonic` — page installs never regress a
   page's version (the GDO page map always points at the most
   up-to-date copy, so a gather shipping an older version than one
@@ -29,125 +24,12 @@ re-implementations of the paper's rules to slip through:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.check.events import (
-    CRASH_ABORT, FAULT, INHERIT, INSTALL, PREFETCH, RELEASE, TXN_END,
-    TXN_START, TraceIndex, TxnRef, Violation, join_mode_strings, object_name,
+    CRASH_ABORT, FAULT, INSTALL, PREFETCH, TXN_END, TXN_START, TraceIndex,
+    Violation, object_name,
 )
-
-
-def _joined(existing: Optional[str], mode: str) -> str:
-    """Fold a grant into a tracked mode, keeping semantic identity on
-    equal modes (plain runs see exactly the old strongest-mode fold)."""
-    return mode if existing is None else join_mode_strings(existing, mode)
-
-
-def check_single_writer(events) -> List[Violation]:
-    """Family-granularity single-writer / multi-reader exclusion."""
-    trace = TraceIndex.of(events)
-    violations: List[Violation] = []
-    conflict = trace.conflicts.conflict
-    # Per object: family root -> strongest mode present (held/retained).
-    present: Dict[int, Dict[int, str]] = {}
-    for step in trace.steps:
-        kind = step[0]
-        if kind <= PREFETCH:
-            _, index, ts, txn, obj, mode, _ = step
-            families = present.setdefault(obj, {})
-            for other, other_mode in sorted(families.items()):
-                if other == txn.root:
-                    continue
-                if conflict(other_mode, mode):
-                    violations.append(Violation(
-                        "invariant.single-writer", index, ts,
-                        f"{object_name(obj)}: family {txn.root} granted "
-                        f"{mode} while family {other} is present with "
-                        f"{other_mode}",
-                    ))
-            families[txn.root] = _joined(families.get(txn.root), mode)
-        elif kind == RELEASE or kind == CRASH_ABORT:
-            root = step[3]
-            objects = (step[4] if kind == RELEASE
-                       else trace.footprint(root))
-            for obj in objects:
-                present.get(obj, {}).pop(root, None)
-    return violations
-
-
-def check_retained_descendants(events) -> List[Violation]:
-    """Retained locks admit only compatible strangers (Moss rule 1a).
-
-    A *write* retention admits nobody outside the retainer's
-    descendants; a *read* retention still shares with foreign readers.
-    The mode qualifier is load-bearing for trace replay: grants are
-    recorded at delivery time, so a legally admitted foreign reader
-    can appear in the trace just after the read-holding family
-    pre-committed its hold into a read retention.  Held modes are
-    therefore tracked alongside retentions, so inheritance moves the
-    *actual* strongest mode up the tree instead of assuming WRITE.
-    """
-    trace = TraceIndex.of(events)
-    violations: List[Violation] = []
-    conflict = trace.conflicts.conflict
-    # Per object: transaction -> held / retained mode.
-    holds: Dict[int, Dict[TxnRef, str]] = {}
-    retains: Dict[int, Dict[TxnRef, str]] = {}
-
-    def drop_family(root, objects):
-        for per_object in (holds, retains):
-            for obj in objects:
-                table = per_object.get(obj, {})
-                for ref in [r for r in table if r.root == root]:
-                    del table[ref]
-
-    for step in trace.steps:
-        kind = step[0]
-        if kind <= PREFETCH:
-            _, index, ts, txn, obj, grant_mode, ancestors = step
-            for retainer, retained_mode in sorted(
-                retains.get(obj, {}).items()
-            ):
-                if retainer == txn or retainer.serial in ancestors:
-                    continue
-                if not conflict(retained_mode, grant_mode):
-                    continue
-                violations.append(Violation(
-                    "invariant.retained-descendants", index, ts,
-                    f"{object_name(obj)}: {txn!r} admitted ({grant_mode}) "
-                    f"while {retainer!r} retains the lock "
-                    f"({retained_mode}) and is not an ancestor",
-                ))
-            table = (retains if kind == PREFETCH else holds).setdefault(
-                obj, {})
-            table[txn] = _joined(table.get(txn), grant_mode)
-        elif kind == INHERIT:
-            _, _, _, txn, parent, objects = step
-            for obj in objects:
-                held = holds.setdefault(obj, {}).pop(txn, None)
-                table = retains.setdefault(obj, {})
-                retained = table.pop(txn, None)
-                moved = [m for m in (held, retained) if m is not None]
-                if moved:
-                    mode = moved[0]
-                    for extra in moved[1:]:
-                        mode = join_mode_strings(mode, extra)
-                else:
-                    mode = "R"
-                table[parent] = _joined(table.get(parent), mode)
-        elif kind == RELEASE:
-            drop_family(step[3], step[4])
-        elif kind == TXN_END:
-            _, _, _, txn, outcome = step
-            if not txn.is_root and outcome == "abort":
-                for obj in trace.footprint(txn.root):
-                    holds.get(obj, {}).pop(txn, None)
-                    retains.get(obj, {}).pop(txn, None)
-            elif txn.is_root:
-                drop_family(txn.root, trace.footprint(txn.root))
-        elif kind == CRASH_ABORT:
-            drop_family(step[3], trace.footprint(step[3]))
-    return violations
 
 
 def check_page_version_monotonic(events) -> List[Violation]:
@@ -274,8 +156,6 @@ def run_invariants(events) -> List[Violation]:
     """Run every invariant checker; violations in checker order."""
     trace = TraceIndex.of(events)
     violations: List[Violation] = []
-    violations.extend(check_single_writer(trace))
-    violations.extend(check_retained_descendants(trace))
     violations.extend(check_page_version_monotonic(trace))
     violations.extend(check_commit_order(trace))
     violations.extend(check_liveness(trace))

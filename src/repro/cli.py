@@ -37,7 +37,7 @@ The artifact flags are uniform across ``run``, ``fuzz`` and ``load``:
 :func:`~repro.runtime.record.run_record` of the run), ``--trace-dir DIR``
 writes the JSONL event log (with a clock header) and a Chrome trace,
 and ``--check`` gates the exit code on :func:`repro.check.judge` — the
-serial-replay oracle, the nested-O2PL reference model and the five
+serial-replay oracle, the nested-O2PL reference model and the three
 trace invariant checkers, which judge every ``fuzz`` task anyway.  A
 ``run`` artifact is named ``{scenario}-{protocol}``, plus ``-{preset}``
 under a fault plan and ``-tcp`` over TCP.
@@ -323,8 +323,8 @@ def _finish(args, cluster: Cluster, payload, stem: str) -> int:
         return 1
     print(f"\nserializability: OK ({verdict.committed_roots} committed "
           f"roots replay clean)")
-    print("invariants: OK (reference model, single-writer, "
-          "retained-descendants, page-version, commit-order, liveness)")
+    print("invariants: OK (reference model, page-version, commit-order, "
+          "liveness)")
     return 0
 
 

@@ -27,7 +27,7 @@ from repro.check.explorer import build_config
 from repro.check.mutations import MUTATIONS, install_mutations
 from repro.cli import main
 from repro.runtime.cluster import Cluster
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ReproError
 from repro.workload.generator import generate_workload
 from repro.workload.params import SCENARIOS
 from repro.workload.runner import run_workload
@@ -75,6 +75,21 @@ class TestRunTask:
             SCENARIOS[task.scenario].scaled(task.scale), seed=task.seed))
         with pytest.raises(ConfigurationError, match="trace=True"):
             judge(cluster)
+
+    def test_error_path_is_judged_by_the_reference_model(self, monkeypatch):
+        # A run that ends in error skips only the serial replay: the
+        # lock rules are still judged over its partial trace.
+        def run_then_fail(cluster, workload):
+            run_workload(cluster, workload)
+            raise ReproError("run ended in error")
+
+        monkeypatch.setattr("repro.check.explorer.run_workload",
+                            run_then_fail)
+        report = run_task(FuzzTask(
+            seed=0, mutate=(MUTATION,), **MUTATIONS[MUTATION].catch_with))
+        assert report.error is not None
+        assert "reference.inherit" in {
+            violation.checker for violation in report.violations}
 
 
 class TestMutationSmoke:

@@ -8,8 +8,7 @@ from repro.check import (
     check_commit_order,
     check_liveness,
     check_page_version_monotonic,
-    check_retained_descendants,
-    check_single_writer,
+    check_reference_model,
     run_invariants,
 )
 
@@ -43,30 +42,44 @@ def checkers(violations):
 
 
 class TestSingleWriter:
+    """Multiple readers / single writer across families: the reference
+    model's conflict rule, which owns it."""
+
     def test_two_families_writing_one_object(self):
         trace = [grant("T0", 1, "W"), wait_grant("T5", 1, "W")]
-        assert checkers(check_single_writer(trace)) == [
-            "invariant.single-writer"
+        assert checkers(check_reference_model(trace)) == [
+            "reference.conflict"
         ]
 
     def test_reader_present_while_writer_granted(self):
         trace = [grant("T0", 1, "R"), grant("T5", 1, "W")]
-        assert len(check_single_writer(trace)) == 1
+        assert checkers(check_reference_model(trace)) == [
+            "reference.conflict"
+        ]
 
     def test_concurrent_readers_allowed(self):
         trace = [grant("T0", 1, "R"), grant("T5", 1, "R"),
                  grant("T9", 1, "R")]
-        assert check_single_writer(trace) == []
+        assert check_reference_model(trace) == []
 
     def test_release_clears_presence(self):
         trace = [grant("T0", 1, "W"), release(0, [1]),
                  grant("T5", 1, "W")]
-        assert check_single_writer(trace) == []
+        assert check_reference_model(trace) == []
 
     def test_same_family_is_never_a_conflict(self):
-        trace = [grant("T0", 1, "W"),
-                 grant("T1/r0", 1, "W", lineage=[0])]
-        assert check_single_writer(trace) == []
+        # A sub enters what its ancestor *retains*; an ancestor that
+        # still *holds* the lock is §3.4's recursion, not a conflict.
+        retained = [grant("T1/r0", 1, "W", lineage=[0]),
+                    inherit("T1/r0", "T0", [1]),
+                    txn_end("T1/r0", "commit"),
+                    grant("T2/r0", 1, "W", lineage=[0])]
+        assert check_reference_model(retained) == []
+        held = [grant("T0", 1, "W"),
+                grant("T1/r0", 1, "W", lineage=[0])]
+        assert checkers(check_reference_model(held)) == [
+            "reference.recursion"
+        ]
 
     def test_crash_abort_clears_presence(self):
         trace = [
@@ -75,28 +88,34 @@ class TestSingleWriter:
              "phase": "i", "ts": 0.0, "args": {"root": 0}},
             grant("T5", 1, "W"),
         ]
-        assert check_single_writer(trace) == []
+        assert check_reference_model(trace) == []
 
 
 class TestRetainedDescendants:
+    """Moss retention: a retained lock admits, in a conflicting mode,
+    only the retainer and its descendants — the reference model's
+    retention rule, which owns it."""
+
     def test_foreign_family_admitted_under_retention(self):
         trace = [prefetch("T1/r0", 1, "W", lineage=[0]),
                  grant("T5", 1, "W")]
-        assert checkers(check_retained_descendants(trace)) == [
-            "invariant.retained-descendants"
+        assert checkers(check_reference_model(trace)) == [
+            "reference.retention"
         ]
 
     def test_descendant_admitted_under_retention(self):
         trace = [prefetch("T1/r0", 1, "W", lineage=[0]),
                  grant("T9/r0", 1, "W", lineage=[1, 0])]
-        assert check_retained_descendants(trace) == []
+        assert check_reference_model(trace) == []
 
     def test_read_retention_shares_with_foreign_readers(self):
         trace = [prefetch("T1/r0", 1, "R", lineage=[0]),
                  grant("T5", 1, "R")]
-        assert check_retained_descendants(trace) == []
+        assert check_reference_model(trace) == []
         writer = trace[:1] + [grant("T5", 1, "W")]
-        assert len(check_retained_descendants(writer)) == 1
+        assert checkers(check_reference_model(writer)) == [
+            "reference.retention"
+        ]
 
     def test_inherited_retention_keeps_the_held_mode(self):
         # A read hold pre-committed up the tree stays a *read*
@@ -105,13 +124,15 @@ class TestRetainedDescendants:
                  inherit("T1/r0", "T0", [1]),
                  txn_end("T1/r0", "commit"),
                  grant("T5", 1, "R")]
-        assert check_retained_descendants(trace) == []
+        assert check_reference_model(trace) == []
         # The same choreography with a write hold still excludes.
         written = [grant("T1/r0", 1, "W", lineage=[0]),
                    inherit("T1/r0", "T0", [1]),
                    txn_end("T1/r0", "commit"),
                    grant("T5", 1, "R")]
-        assert len(check_retained_descendants(written)) == 1
+        assert checkers(check_reference_model(written)) == [
+            "reference.retention"
+        ]
 
     def test_retention_moves_up_on_inherit(self):
         # After T1/r0 pre-commits, the *root* retains; a stranger is
@@ -120,9 +141,11 @@ class TestRetainedDescendants:
                   inherit("T1/r0", "T0", [1]),
                   txn_end("T1/r0", "commit")]
         stranger = prefix + [grant("T5", 1, "W")]
-        assert len(check_retained_descendants(stranger)) == 1
+        assert checkers(check_reference_model(stranger)) == [
+            "reference.retention"
+        ]
         child = prefix + [grant("T2/r0", 1, "W", lineage=[0])]
-        assert check_retained_descendants(child) == []
+        assert check_reference_model(child) == []
 
     def test_root_end_drops_family_retentions(self):
         trace = [prefetch("T1/r0", 1, "W", lineage=[0]),
@@ -130,7 +153,7 @@ class TestRetainedDescendants:
                  release(0, [1]),
                  txn_end("T0", "commit"),
                  grant("T5", 1, "W")]
-        assert check_retained_descendants(trace) == []
+        assert check_reference_model(trace) == []
 
 
 class TestPageVersionMonotonic:
@@ -326,10 +349,13 @@ class TestRunInvariants:
         trace = [
             grant("T0", 1, "W"), wait_grant("T5", 1, "W"),
             install(2, {"0": 3}), install(2, {"0": 1}),
+            txn_end("T5", "commit"), txn_end("T0", "commit"),
+            txn_start(3),
         ]
-        tags = checkers(run_invariants(trace))
-        assert "invariant.single-writer" in tags
-        assert "invariant.page-version" in tags
+        assert checkers(run_invariants(trace)) == [
+            "invariant.page-version", "invariant.commit-order",
+            "invariant.liveness",
+        ]
 
     def test_live_cluster_trace_is_clean(self):
         cluster = make_cluster(protocol="lotec", seed=4, trace=True)

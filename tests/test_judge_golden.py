@@ -2,7 +2,7 @@
 
 Each case is one fully determined fuzz task; its pin is the number of
 violations :func:`repro.check.run_task` reports (the judge's, or the
-invariant checkers' alone on a run that ended in error) and a digest of
+trace judges' alone on a run that ended in error) and a digest of
 them as ``(checker, index, message)`` rows, in order.  A change to how
 the checkers read the trace must leave every pin as it is; a change to
 the protocol or the trace format that moves one re-reads it from a run.
@@ -30,15 +30,15 @@ from repro.workload import SCENARIOS, generate_workload, run_workload
 CLEAN = (0, "4f53cda18c2baa0c")
 
 PINS = {
-    "skip-precommit-retention-0": (305, "3abaa88cc53c78f7"),
-    "skip-precommit-retention-1": (330, "81eb7abebba5621d"),
-    "skip-precommit-retention-2": (361, "005afaa9a753179b"),
+    "skip-precommit-retention-0": (191, "7e2a284a61194b98"),
+    "skip-precommit-retention-1": (258, "a04e19e795b29f9d"),
+    "skip-precommit-retention-2": (249, "88a175520a9c3092"),
     "skip-rejoin-invalidation-0": (34, "41239d29dc202a6f"),
     "skip-rejoin-invalidation-1": (31, "ff172ae2fa9ec107"),
     "skip-rejoin-invalidation-2": (32, "da2cce793a43011f"),
-    "commute-conflicting-writes-0": (415, "20360a8046ba8a22"),
-    "commute-conflicting-writes-1": (338, "9771c1ad8b5317e7"),
-    "commute-conflicting-writes-2": (421, "5f532a6ed07bb179"),
+    "commute-conflicting-writes-0": (233, "ccaeb2687a23380d"),
+    "commute-conflicting-writes-1": (161, "1d3c53ad476298fd"),
+    "commute-conflicting-writes-2": (225, "390704907c5d61b2"),
     **{f"preset-{preset}": CLEAN for preset in FAULT_PRESETS},
     "semantic": CLEAN,
 }
