@@ -145,4 +145,4 @@ def _installed_version() -> str:
 
         return version("repro")
     except PackageNotFoundError:  # pragma: no cover
-        return "1.32.0"
+        return "1.33.0"

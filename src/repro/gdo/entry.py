@@ -61,8 +61,8 @@ def _join(held, granted):
 
     Equal modes keep themselves (a semantic tag survives retention);
     any mixed pair collapses to the plain base join."""
-    if held is None or held == granted:
-        return granted if held is None else held
+    if held == granted:
+        return held
     if _base(held) is LockMode.WRITE or _base(granted) is LockMode.WRITE:
         return LockMode.WRITE
     return LockMode.READ
@@ -274,8 +274,10 @@ class DirectoryEntry:
         # §3.4 preclusion: an ancestor *holds* (not merely retains) the
         # lock this transaction needs — the family would deadlock with
         # itself, whatever the modes (a shared read included).
+        root = txn.id.root  # a foreign holder is never an ancestor
         for holder_id in self.holders:
-            if self._holder_txns[holder_id].is_ancestor_of(txn):
+            if (holder_id.root == root
+                    and self._holder_txns[holder_id].is_ancestor_of(txn)):
                 return GrantDecision.RECURSIVE
         # Rule 1a: every retainer must be an ancestor of the requester.
         # A transaction may always re-acquire a lock it retains itself
@@ -289,23 +291,23 @@ class DirectoryEntry:
         for retainer_id, retained_mode in self.retainers.items():
             if retainer_id == txn.id:
                 continue
-            retainer = self._retainer_txns[retainer_id]
-            if retainer_id.root != txn.id.root:
+            if retainer_id.root != root:
                 if (getattr(mode, "tag", None) is not None
                         and getattr(retained_mode, "tag", None) is not None
                         and not mode.conflicts_with(retained_mode)):
                     continue
                 return GrantDecision.WAIT_GLOBAL
-            if not retainer.is_ancestor_of(txn):
+            if not self._retainer_txns[retainer_id].is_ancestor_of(txn):
                 raise self._family_conflict(
                     txn, f"is not a descendant of retainer {retainer_id!r}")
-        # Rule 1b: no other transaction holds a conflicting lock.
+        # Rule 1b: no other transaction (none an ancestor, by §3.4)
+        # holds a conflicting lock; two plain modes compare inline.
         for holder_id, holder_mode in self.holders.items():
-            holder = self._holder_txns[holder_id]
-            if holder.is_ancestor_of(txn):
-                continue  # non-conflicting ancestor (allowed shared read)
-            if mode.conflicts_with(holder_mode):
-                if holder_id.root == txn.id.root:
+            if mode is LockMode.READ and holder_mode is LockMode.READ:
+                continue
+            if (mode is LockMode.WRITE or holder_mode is LockMode.WRITE
+                    or mode.conflicts_with(holder_mode)):
+                if holder_id.root == root:
                     raise self._family_conflict(
                         txn, f"conflicts with holder {holder_id!r}")
                 return GrantDecision.WAIT_GLOBAL
@@ -321,10 +323,11 @@ class DirectoryEntry:
     def grant(self, txn, mode: LockMode) -> None:
         """Record a grant decided by :meth:`decide` (or by a release)."""
         existing = self.holders.get(txn.id)
-        if existing is LockMode.WRITE and mode is LockMode.READ:
-            return  # W already covers R
-        self.holders[txn.id] = _join(existing, mode)
-        self._holder_txns[txn.id] = txn
+        if existing is None:
+            self.holders[txn.id] = mode
+            self._holder_txns[txn.id] = txn
+        elif existing is not LockMode.WRITE:  # a plain W covers every mode
+            self.holders[txn.id] = _join(existing, mode)
 
     # -- waiting -----------------------------------------------------------------
 
@@ -357,21 +360,17 @@ class DirectoryEntry:
         "its parent inherits and retains all of its locks (both held
         and retained)").
         """
-        touched = False
         mode = self.holders.pop(txn.id, None)
-        self._holder_txns.pop(txn.id, None)
-        if mode is not None:
-            touched = True
-            self._retain(parent, mode)
         retained = self.retainers.pop(txn.id, None)
-        self._retainer_txns.pop(txn.id, None)
+        if mode is not None:
+            del self._holder_txns[txn.id]
+            self._retain(parent, mode)
         if retained is not None:
-            touched = True
+            del self._retainer_txns[txn.id]
             self._retain(parent, retained)
-        if not touched:
+        elif mode is None:
             raise ProtocolError(
-                f"{txn.id!r} neither holds nor retains {self.object_id!r}"
-            )
+                f"{txn.id!r} neither holds nor retains {self.object_id!r}")
 
     def demote_to_retained(self, txn) -> None:
         """Convert a held lock into a retention by the same transaction.
@@ -391,7 +390,8 @@ class DirectoryEntry:
 
     def _retain(self, txn, mode: LockMode) -> None:
         existing = self.retainers.get(txn.id)
-        self.retainers[txn.id] = _join(existing, mode)
+        self.retainers[txn.id] = (mode if existing is None
+                                  else _join(existing, mode))
         self._retainer_txns[txn.id] = txn
 
     def release_on_abort(self, txn) -> bool:
@@ -425,6 +425,8 @@ class DirectoryEntry:
         that is now grantable.  One pass is enough: :meth:`decide` is
         monotone in the holders, and a grant only adds holders, so a
         waiter skipped early in the pass stays ungrantable after it.
+        It ends at a granted plain ``WRITE``: every later waiter is of
+        another family, and a plain write conflicts with every mode.
 
         The scan deliberately does NOT stop at the first ungrantable
         family.  Algorithm 4.4's literal "unlink the next transaction
@@ -439,10 +441,13 @@ class DirectoryEntry:
         """
         granted: List[Waiter] = []
         remaining: List[Waiter] = []
-        for waiter in self.waiting_families:
+        for index, waiter in enumerate(self.waiting_families):
             if self.decide(waiter.txn, waiter.mode) is GrantDecision.GRANTED:
                 self.grant(waiter.txn, waiter.mode)
                 granted.append(waiter)
+                if waiter.mode is LockMode.WRITE:  # see above
+                    remaining += self.waiting_families[index + 1:]
+                    break
             else:
                 remaining.append(waiter)
         self.waiting_families = remaining

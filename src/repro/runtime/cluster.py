@@ -78,6 +78,13 @@ class TxnTicket:
         return self._process.value
 
 
+def never_finished(tickets) -> ProtocolError:
+    """Roots left in flight once ``Cluster.run()`` quiesced (liveness)."""
+    stalled = [ticket.label for ticket in tickets if not ticket.done]
+    return ProtocolError(f"{len(stalled)} root transaction(s) never "
+                         f"finished (first: {stalled[0]!r})")
+
+
 class Cluster:
     """A simulated DSM cluster running one consistency protocol.
 
@@ -339,6 +346,8 @@ class Cluster:
         result (raising whatever it raised)."""
         ticket = self.submit(handle, method_name, *args, node=node)
         self.run()
+        if not ticket.done:
+            raise never_finished((ticket,))
         return ticket.result()
 
     def tickets(self) -> Tuple[TxnTicket, ...]:

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Set
 
 from repro.gdo.cache import EntryCacheTracker
-from repro.gdo.deadlock import BlockedFamily, first_cycle, pick_victim
+from repro.gdo.deadlock import (BlockedFamily, find_cycle, first_cycle,
+                                pick_victim)
 from repro.gdo.entry import DirectoryEntry, GrantDecision, LockMode, Waiter
 from repro.net.message import Message, MessageCategory
 from repro.net.transport import Transport
@@ -312,7 +313,7 @@ class LockManager:
             "kind": "lockwait",
             # Tie-break policies key on the plain base (writer-first
             # must treat W+tag exactly like W).
-            "mode": getattr(mode, "base", mode).value,
+            "mode": getattr(mode, "base", mode)._value_,
             "node": txn.node.value, "root": txn.id.root,
             "object": entry.object_id.value,
         }
@@ -370,8 +371,10 @@ class LockManager:
         blocked = self._blocked
         edges: Dict[int, List[int]] = {}
         cycle_free: Set[int] = set()
-        while first_cycle((root,), blocked, edges, cycle_free,
-                          self.stats) is not None:
+        while root not in cycle_free:  # ``first_cycle((root,), ...)``
+            self.stats.cycle_searches += 1
+            if find_cycle(root, blocked, edges, cycle_free) is None:
+                return
             cycle = first_cycle(sorted(blocked), blocked, edges, cycle_free,
                                 self.stats)
             # Its waiter left the queue: it reaches nothing now (when it
@@ -398,7 +401,9 @@ class LockManager:
         """Pre-commit lock disposition — purely local (Algorithm 4.3).
 
         The parent inherits and retains every lock ``txn`` holds or
-        retains; any waiter this makes grantable is woken on the spot.
+        retains.  That admits nobody, so nothing is pumped: a retention
+        blocks every foreign mode its hold blocked (a mixed join is
+        plain, which blocks more), and ``txn``'s family has no waiter.
         """
         parent = txn.parent
         if parent is None:
@@ -406,15 +411,8 @@ class LockManager:
         held = txn.lock_objects
         if held and self.tracer.enabled:
             self.tracer.lock_inherited(txn, parent, sorted(held))
-        wakes = []
-        for _object_id, entry in sorted(held.items()):
+        for entry in held.values():
             entry.release_to_parent(txn, parent)
-            if entry.waiting_families:  # nobody queued: nothing to pump
-                for waiter in entry.pump():  # a loop: no generator frame
-                    wakes.append(waiter.wake)
-        # Same-instant wakes ride one batched heap entry (FIFO order
-        # preserved — see Environment.succeed_all).
-        self.env.succeed_all(wakes)
 
     def sub_abort_release(self, txn: Transaction):
         """Sub-transaction abort (Algorithm 4.3, last case) — process.
@@ -426,16 +424,13 @@ class LockManager:
         freed: Dict[ObjectId, DirectoryEntry] = {}
         wakes = []
         for object_id, entry in sorted(txn.lock_objects.items()):
-            family_gone = entry.release_on_abort(txn)
-            if family_gone:
+            if entry.release_on_abort(txn):  # the family let go of it
                 # Defer pumping to the global path so newly admitted
                 # families get their grant message and cache update.
                 freed[object_id] = entry
-            else:
-                wakes.extend(
-                    waiter.wake
-                    for waiter in entry.pump()
-                )
+            elif entry.waiting_families:  # nobody queued: nothing to pump
+                for waiter in entry.pump():  # a loop: no generator frame
+                    wakes.append(waiter.wake)
         self.env.succeed_all(wakes)
         yield from self._global_release(
             node=txn.node, root_serial=txn.id.root, entries=freed,

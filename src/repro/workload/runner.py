@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.runtime.cluster import Cluster, TxnTicket
-from repro.util.errors import TransactionAborted
+from repro.runtime.cluster import Cluster, TxnTicket, never_finished
+from repro.util.errors import ConfigurationError, TransactionAborted
 from repro.util.ids import NodeId
 from repro.workload.generator import Workload
 
@@ -46,7 +46,8 @@ def run_workload(cluster: Cluster, workload: Workload) -> WorkloadRun:
 
     Root transactions that exhaust their deadlock-retry budget are
     counted as failed rather than raised: a workload run is an
-    experiment, not a unit test.
+    experiment, not a unit test.  A root left in flight once the run
+    quiesced raises one ``ProtocolError``.
     """
     handles = [
         cluster.create(workload.class_of(index).schema)
@@ -81,5 +82,11 @@ def _drive(cluster: Cluster, workload: Workload, handles: List,
             ticket.result()
         except TransactionAborted:
             failed += 1
+        except ConfigurationError:
+            if ticket.done:
+                raise  # the root's own error
+            # ``result()`` refuses a root still in flight: a liveness
+            # failure, read here so the loop enters no extra frame.
+            raise never_finished(tickets) from None
     return WorkloadRun(cluster=cluster, handles=handles, tickets=tickets,
                        failed=failed)

@@ -156,7 +156,7 @@ class TestVersion:
             from importlib.metadata import version
             expected = version("repro")
         except Exception:
-            expected = "1.32.0"  # source-tree fallback
+            expected = "1.33.0"  # source-tree fallback
         assert repro.__version__ == expected
 
 

@@ -18,6 +18,9 @@ cluster:
   machinery, and the lock path (acquire, pre-commit, release, the
   migration check, ``TxnContext._bind``) reaches each entry by
   reference, with no ``Directory.entry`` lookup;
+* a pre-commit decides no waiter, a release that admits a writer at
+  the head of a queue decides that one waiter only, and a first grant
+  or retention records its mode without entering ``_join``;
 * a grant whose wanted pages are all local enters neither
   ``gather_pages`` nor ``_plan_sources``; ``_execute`` on a method whose
   prediction is memoised enters neither ``predict`` nor ``is_update``;
@@ -39,12 +42,14 @@ import repro
 from repro import Attr, method, shared_class
 from repro.gdo import MigrationConfig
 from repro.gdo.directory import Directory
+from repro.gdo.entry import DirectoryEntry, LockMode, Waiter
 from repro.net.message import Message, MessageCategory
 from repro.net.network_config import NetworkConfig
 from repro.net.tcp import TcpTransport
 from repro.sim.process import Process
 from repro.sim.realtime import WallClockEnvironment
-from repro.util.ids import NodeId
+from repro.txn.transaction import Transaction
+from repro.util.ids import NodeId, ObjectId, TxnId
 
 from conftest import make_cluster
 
@@ -221,6 +226,68 @@ def test_lock_path_makes_no_directory_entry_call():
             "_maybe_migrate", "_bind"} <= entered
     lookup = Directory.entry.__code__
     assert [caller.co_name for code, caller in calls if code is lookup] == []
+
+
+def _held_entry(cluster, holder, mode):
+    """An entry on node 0 that ``holder`` holds in ``mode``, filed in
+    its ``lock_objects`` as ``acquire`` files it."""
+    node = cluster.nodes[0]
+    entry = DirectoryEntry(ObjectId(0), home_node=node, page_count=1,
+                           creator_node=node)
+    entry.grant(holder, mode)
+    holder.lock_objects[entry.object_id] = entry
+    return entry
+
+
+def _queue(cluster, entry, modes):
+    """One waiter per foreign family (roots 10, 11, ...), in order."""
+    waiters = []
+    for index, mode in enumerate(modes):
+        txn = Transaction(TxnId(serial=10 + index, root=10 + index),
+                          cluster.nodes[1 + index % 3])
+        waiters.append(Waiter(txn, mode, wake=cluster.env.event()))
+        entry.enqueue_global(waiters[-1])
+    return waiters
+
+
+def test_precommit_with_a_foreign_waiter_decides_nothing():
+    cluster = make_cluster()
+    node = cluster.nodes[0]
+    parent = Transaction(TxnId(serial=1, root=1), node)
+    child = Transaction(TxnId(serial=2, root=1), node, parent=parent)
+    entry = _held_entry(cluster, child, LockMode.WRITE)
+    waiters = _queue(cluster, entry, [LockMode.READ])
+    frames = _repro_frames(lambda: cluster.lockmgr.precommit_release(child))
+    assert frames == ["precommit_release", "release_to_parent", "_retain"]
+    assert entry.retainers == {parent.id: LockMode.WRITE}
+    assert entry.waiting_families == waiters
+
+
+def test_release_admitting_a_head_writer_decides_one_waiter():
+    cluster = make_cluster()
+    root = Transaction(TxnId(serial=1, root=1), cluster.nodes[0])
+    entry = _held_entry(cluster, root, LockMode.WRITE)
+    waiters = _queue(cluster, entry, [LockMode.WRITE] + [LockMode.READ] * 4)
+    Process(cluster.env, cluster.lockmgr.root_abort_release(root))
+    decide = DirectoryEntry.decide.__code__
+    calls = _calls_during(cluster.run)
+    assert [code for code, _caller in calls if code is decide] == [decide]
+    assert entry.holders == {waiters[0].txn_id: LockMode.WRITE}
+    assert entry.waiting_families == waiters[1:]
+    assert waiters[0].wake.triggered
+
+
+def test_first_grant_and_retention_enter_no_join():
+    cluster = make_cluster()
+    node = cluster.nodes[0]
+    entry = DirectoryEntry(ObjectId(0), home_node=node, page_count=1,
+                           creator_node=node)
+    txn = Transaction(TxnId(serial=1, root=1), node)
+    assert _repro_frames(lambda: entry.grant(txn, LockMode.READ)) == [
+        "grant"]
+    assert _repro_frames(lambda: entry.demote_to_retained(txn)) == [
+        "demote_to_retained", "_retain"]
+    assert entry.retainers == {txn.id: LockMode.READ}
 
 
 def _entered_from(calls, caller):

@@ -18,6 +18,15 @@ a deadlock victim let the family go on with any step, not only the
 abort steps the executor takes: a superset of its behaviour, and so a
 stronger claim.
 
+Checked at every pump and pre-commit, against a reference pump that
+decides every queued waiter (``_full_pass_pump``, run on a copy of the
+entry; ``DirectoryEntry.pump`` ends its pass at a granted write):
+
+* a pre-commit makes nobody grantable, so the lock manager need not
+  pump after one (the model does not);
+* the pump returns the grants that copy returns and leaves the queue
+  it leaves.
+
 Checked after every step:
 
 * ``decide`` never raises: no request is blocked by its own family, so
@@ -39,6 +48,7 @@ states); ``-m slow`` runs 2 x 2 x depth 1 (54,097) and 3 x 1 x depth 1
 these counts: re-read them from a run.
 """
 
+import copy
 from collections import Counter, deque
 
 import pytest
@@ -70,6 +80,31 @@ class _Txn:
                 return True
             probe = probe.parent
         return False
+
+
+def _full_pass_pump(self):
+    """The reference pump: one FIFO pass that decides every queued
+    waiter, with no early end."""
+    granted = []
+    remaining = []
+    for waiter in self.waiting_families:
+        if self.decide(waiter.txn, waiter.mode) is GrantDecision.GRANTED:
+            self.grant(waiter.txn, waiter.mode)
+            granted.append(waiter)
+        else:
+            remaining.append(waiter)
+    self.waiting_families = remaining
+    return granted
+
+
+def _full_pass_on_copy(entry):
+    """Run :func:`_full_pass_pump` on a copy of ``entry``'s lock
+    state; returns the copy's grants and the copy."""
+    twin = copy.copy(entry)
+    for name in ("holders", "_holder_txns", "retainers", "_retainer_txns",
+                 "waiting_families"):
+        setattr(twin, name, copy.copy(getattr(entry, name)))
+    return _full_pass_pump(twin), twin
 
 
 def _chains(families, max_depth):
@@ -124,7 +159,13 @@ class _World:
         chain.append(_Txn(self.serial, family, chain[-1] if chain else None))
 
     def pump(self, entry):
-        for waiter in entry.pump():
+        expected, twin = _full_pass_on_copy(entry)
+        granted = entry.pump()
+        assert granted == expected, "the pump's grants differ"
+        assert entry.waiting_families == twin.waiting_families, (
+            "the pump left another queue")
+        assert entry.holders == twin.holders
+        for waiter in granted:
             family = waiter.txn.node.value
             self.blocked[family] = None
 
@@ -170,7 +211,10 @@ class _World:
         leaf = chain.pop()
         for entry in self.touched(leaf):
             entry.release_to_parent(leaf, chain[-1])
-            self.pump(entry)
+            # The lock manager does not pump here: a pump would admit
+            # nobody.
+            assert _full_pass_on_copy(entry)[0] == [], (
+                "a pre-commit made a waiter grantable")
 
     def sub_abort(self, family, _):
         leaf = self.chains[family].pop()

@@ -12,6 +12,7 @@ from repro import (
     shared_class,
 )
 from repro.util.ids import NodeId
+from repro.workload import SCENARIOS, generate_workload, run_workload
 
 from conftest import Counter, Ledger, Orchestrator, make_cluster
 
@@ -54,6 +55,25 @@ class TestBasics:
         ticket = cluster.submit(counter, "add", 1)
         with pytest.raises(ConfigurationError, match="not finished"):
             ticket.result()
+
+    def test_root_in_flight_after_run_is_a_liveness_failure(
+            self, cluster, monkeypatch):
+        # A lost wake: every lock request waits on an event nobody
+        # triggers, so the simulation quiesces with the roots in flight.
+        def stalled_acquire(*_args, **_kwargs):
+            yield cluster.env.event()
+
+        monkeypatch.setattr(cluster.lockmgr, "acquire", stalled_acquire)
+        counter = cluster.create(Counter)
+        with pytest.raises(ProtocolError, match=(
+                r"^1 root transaction\(s\) never finished \(first: 'add'\)")):
+            cluster.call(counter, "add", 1)
+        workload = generate_workload(
+            SCENARIOS["medium-high"].scaled(0.05), seed=3)
+        with pytest.raises(ProtocolError, match=(
+                rf"^{len(workload.plans)} root transaction\(s\) never "
+                r"finished \(first: 'root0'\)")):
+            run_workload(cluster, workload)
 
     def test_delayed_submission(self, cluster):
         counter = cluster.create(Counter)

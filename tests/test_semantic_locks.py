@@ -24,7 +24,7 @@ from repro.analysis.commutativity import (
     TRUST_FALLBACK,
     build_commutativity,
 )
-from repro.gdo.entry import DirectoryEntry, LockMode
+from repro.gdo.entry import DirectoryEntry, GrantDecision, LockMode, Waiter
 from repro.objects.schema import schema_of
 from repro.txn.semantic import SemanticMode, base_of
 from repro.txn.transaction import Transaction
@@ -245,6 +245,32 @@ class TestSemanticModeLattice:
         assert recorded(deposit, open_with) is LockMode.WRITE
         assert recorded(deposit, LockMode.READ) is LockMode.WRITE
         assert recorded(LockMode.READ, deposit) is LockMode.WRITE
+
+    def test_precommit_of_a_commuting_holder_admits_no_foreign_waiter(self):
+        """The retention that replaces a semantic hold blocks the same
+        foreign modes, so the lock manager need not pump at a
+        pre-commit."""
+        deposit, open_with, _ = self._modes()
+        cluster = make_cluster(semantic_locks=True)
+        node = cluster.nodes[0]
+        entry = DirectoryEntry(ObjectId(0), home_node=node, page_count=1,
+                               creator_node=node)
+        parent = Transaction(TxnId(serial=1, root=1), node)
+        child = Transaction(TxnId(serial=2, root=1), node, parent=parent)
+        entry.grant(child, deposit)
+        child.lock_objects[entry.object_id] = entry
+        foreign = Transaction(TxnId(serial=3, root=3), cluster.nodes[1])
+        assert entry.decide(foreign, open_with) is GrantDecision.WAIT_GLOBAL
+        waiter = Waiter(foreign, open_with, wake=cluster.env.event())
+        entry.enqueue_global(waiter)
+        cluster.lockmgr.precommit_release(child)
+        cluster.run()
+        assert entry.retainers == {parent.id: deposit}
+        assert not entry.holders
+        assert not waiter.wake.triggered
+        assert entry.waiting_families == [waiter]
+        # Not a pump skipped: a pump would admit nobody either.
+        assert entry.pump() == []
 
 
 class TestClusterIntegration:
